@@ -218,14 +218,14 @@ type Node struct {
 	tr     transport.Transport
 	engine EngineKind
 	// steadyRotation records whether the engine keeps its token rotating
-	// even when idle (core.RotationObserver): true for accelring, false
-	// for event-driven engines like ringpaxos. The shard watchdog picks
-	// its stall heuristic from it.
+	// even when idle (core.Progress.SteadyRotation): true for accelring,
+	// false for event-driven engines like ringpaxos. The shard watchdog
+	// picks its stall heuristic from it.
 	steadyRotation bool
 	events         chan Event
 
 	submitCh chan submitReq
-	statsCh  chan chan statsReply
+	statsCh  chan chan core.Snapshot
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
@@ -244,13 +244,10 @@ type Node struct {
 	// Protocol-goroutine-owned scratch state keeping the steady-state hot
 	// path allocation-free: encBuf is the reused encode buffer for every
 	// outgoing packet (the transports borrow it only for the duration of a
-	// send), decTok is the reused token decode target (the engine never
-	// retains the pointer — it deep-copies what it keeps), and rtrScratch
-	// preserves the decoded RTR backing array across rounds because the
-	// engine swaps tok.RTR for its own slice while processing.
-	encBuf     []byte
-	decTok     wire.Token
-	rtrScratch []wire.Seq
+	// send), and dec holds the reused token and control decode targets (the
+	// engine never retains those pointers — it copies what it keeps).
+	encBuf []byte
+	dec    wire.Decoder
 
 	// batcher is non-nil when the transport supports batched multicast
 	// (udpnet on Linux): runs of consecutive SendData actions — the
@@ -279,23 +276,13 @@ type submitReq struct {
 	errCh   chan error
 }
 
-// statsReply is one answer to a stats round-trip: the shared counters
-// plus, when the node runs the Ring Paxos engine, its protocol-specific
-// counters.
-type statsReply struct {
-	stats Stats
-	paxos *PaxosStats
-}
-
-// statsReplyFor snapshots the engine's counters on the protocol
-// goroutine.
-func statsReplyFor(eng core.OrderingEngine) statsReply {
-	r := statsReply{stats: eng.Stats()}
-	if pe, ok := eng.(*ringpaxos.Engine); ok {
-		px := pe.PaxosStats()
-		r.paxos = &px
+// paxosStatsOf extracts the Ring Paxos counters an engine snapshot carries,
+// or nil when the snapshot is another engine's.
+func paxosStatsOf(snap core.Snapshot) *PaxosStats {
+	if px, ok := snap.Extra.(PaxosStats); ok {
+		return &px
 	}
-	return r
+	return nil
 }
 
 // Errors.
@@ -342,26 +329,17 @@ func Start(opts Options) (*Node, error) {
 		return nil, err
 	}
 	var eng core.OrderingEngine
-	switch engine {
-	case EngineRingPaxos:
-		if len(opts.Members) == 0 {
-			return nil, errors.New("accelring: the ringpaxos engine requires a static Options.Members list")
-		}
+	if engine == EngineRingPaxos {
 		// Stamp the incarnation from the wall clock so a restarted
 		// process never reuses its predecessor's proposer sequence space
 		// (one-second resolution; see core.Config.Incarnation).
 		cfg.Incarnation = uint32(time.Now().Unix())
-		pe, perr := ringpaxos.New(cfg)
-		if perr != nil {
-			return nil, fmt.Errorf("accelring: %w", perr)
-		}
-		eng = pe
-	default:
-		ae, aerr := core.New(cfg)
-		if aerr != nil {
-			return nil, fmt.Errorf("accelring: %w", aerr)
-		}
-		eng = ae
+		eng, err = ringpaxos.New(cfg)
+	} else {
+		eng, err = core.New(cfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("accelring: %w", err)
 	}
 	buf := opts.EventBuffer
 	if buf <= 0 {
@@ -373,7 +351,7 @@ func Start(opts Options) (*Node, error) {
 		engine:   engine,
 		events:   make(chan Event, buf),
 		submitCh: make(chan submitReq),
-		statsCh:  make(chan chan statsReply),
+		statsCh:  make(chan chan core.Snapshot),
 		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
 		nm:       newNodeMetrics(),
@@ -381,20 +359,12 @@ func Start(opts Options) (*Node, error) {
 	if bs, ok := opts.Transport.(transport.BatchSender); ok {
 		n.batcher = bs
 	}
-	n.steadyRotation = true
-	if ro, ok := eng.(core.RotationObserver); ok {
-		n.steadyRotation = ro.SteadyTokenRotation()
-	}
+	n.steadyRotation = eng.Progress().SteadyRotation
 	n.timers = newTimerSet(&n.nm.timerStale)
 
-	var initial []core.Action
-	if len(opts.Members) > 0 {
-		initial, err = eng.StartWithRing(opts.Members)
-		if err != nil {
-			return nil, fmt.Errorf("accelring: %w", err)
-		}
-	} else {
-		initial = eng.Start()
+	initial, err := eng.Start(opts.Members)
+	if err != nil {
+		return nil, fmt.Errorf("accelring: %w", err)
 	}
 
 	go n.loop(eng, initial)
@@ -442,24 +412,24 @@ func (n *Node) Engine() EngineKind { return n.engine }
 
 // Stats returns a snapshot of the protocol counters.
 func (n *Node) Stats() (Stats, error) {
-	r, err := n.statsSnapshot()
-	return r.stats, err
+	snap, err := n.statsSnapshot()
+	return snap.Stats, err
 }
 
 // PaxosStats returns the Ring Paxos-specific counters, or nil when the
 // node runs the Accelerated Ring engine.
 func (n *Node) PaxosStats() (*PaxosStats, error) {
-	r, err := n.statsSnapshot()
-	return r.paxos, err
+	snap, err := n.statsSnapshot()
+	return paxosStatsOf(snap), err
 }
 
-func (n *Node) statsSnapshot() (statsReply, error) {
-	ch := make(chan statsReply, 1)
+func (n *Node) statsSnapshot() (core.Snapshot, error) {
+	ch := make(chan core.Snapshot, 1)
 	select {
 	case n.statsCh <- ch:
 		return <-ch, nil
 	case <-n.done:
-		return statsReply{}, ErrClosed
+		return core.Snapshot{}, ErrClosed
 	}
 }
 

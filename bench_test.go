@@ -188,7 +188,7 @@ func BenchmarkWireEncodeData(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Encode(); err != nil {
+		if _, err := wire.Encode(m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func BenchmarkWireDecodeData(b *testing.B) {
 		Service: wire.ServiceAgreed,
 		Payload: make([]byte, 1350),
 	}
-	pkt, err := m.Encode()
+	pkt, err := wire.Encode(m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func BenchmarkWireTokenRoundtrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkt, err := tok.Encode()
+		pkt, err := wire.Encode(tok)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,17 +281,17 @@ func BenchmarkWireAppendToken(b *testing.B) {
 // destinations: the data payload aliases the packet, the token reuses its
 // RTR capacity.
 func BenchmarkWireDecodeInto(b *testing.B) {
-	dataPkt, err := (&wire.DataMessage{
+	dataPkt, err := wire.Encode(&wire.DataMessage{
 		RingID: wire.RingID{Rep: 1, Seq: 4}, Seq: 12345, PID: 3, Round: 99,
 		Service: wire.ServiceAgreed, Payload: make([]byte, 1350),
-	}).Encode()
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	tokPkt, err := (&wire.Token{
+	tokPkt, err := wire.Encode(&wire.Token{
 		RingID: wire.RingID{Rep: 1, Seq: 4}, TokenSeq: 77, Round: 400,
 		Seq: 100000, ARU: 99990, FCC: 120, RTR: []wire.Seq{99991, 99995},
-	}).Encode()
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -316,16 +316,16 @@ func BenchmarkEngineTokenRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.StartWithRing([]wire.ParticipantID{1, 2, 3}); err != nil {
+	if _, err := eng.Start([]wire.ParticipantID{1, 2, 3}); err != nil {
 		b.Fatal(err)
 	}
 	payload := make([]byte, 1350)
-	ringID := eng.Ring().ID
+	ringID := eng.Snapshot().Ring.ID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 8; j++ {
-			if err := eng.Submit(payload, wire.ServiceAgreed); err != nil {
+			if _, err := eng.Submit(payload, wire.ServiceAgreed); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -334,7 +334,7 @@ func BenchmarkEngineTokenRound(b *testing.B) {
 			RingID: ringID, TokenSeq: uint64(i + 1), Round: wire.Round(i),
 			Seq: seq, ARU: seq,
 		}
-		if actions := eng.HandleToken(tok); len(actions) == 0 {
+		if actions := eng.Step(core.Input{Frame: tok}); len(actions) == 0 {
 			b.Fatal("token produced no actions")
 		}
 	}
@@ -346,10 +346,10 @@ func BenchmarkEngineDataHandling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.StartWithRing([]wire.ParticipantID{1, 2, 3}); err != nil {
+	if _, err := eng.Start([]wire.ParticipantID{1, 2, 3}); err != nil {
 		b.Fatal(err)
 	}
-	ringID := eng.Ring().ID
+	ringID := eng.Snapshot().Ring.ID
 	payload := make([]byte, 1350)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -358,7 +358,7 @@ func BenchmarkEngineDataHandling(b *testing.B) {
 			RingID: ringID, Seq: wire.Seq(i + 1), PID: 1, Round: 1,
 			Service: wire.ServiceAgreed, Payload: payload,
 		}
-		eng.HandleData(m)
+		eng.Step(core.Input{Frame: m})
 	}
 }
 

@@ -60,7 +60,7 @@ func dataAction(payload string) core.SendData {
 }
 
 // TestExecuteBatchesSendDataRuns: a mixed action stream — like the
-// engine's token hand-off output (pre-token run, SendToken, post-token
+// engine's token hand-off output (pre-token run, token Send, post-token
 // accelerated flush) — must batch each multi-frame run, keep lone frames
 // on the single path, and preserve the frames' order and contents.
 func TestExecuteBatchesSendDataRuns(t *testing.T) {
@@ -68,14 +68,14 @@ func TestExecuteBatchesSendDataRuns(t *testing.T) {
 	n := &Node{tr: ft, batcher: ft, nm: newNodeMetrics()}
 	tok := &wire.Token{RingID: wire.RingID{Rep: 1, Seq: 1}}
 
-	n.execute(nil, nil, []core.Action{
+	n.execute(nil, []core.Action{
 		dataAction("pre-1"),
 		dataAction("pre-2"),
 		dataAction("pre-3"),
-		core.SendToken{To: 2, Token: tok},
+		core.Send{To: 2, Frame: tok},
 		dataAction("post-1"),
 		dataAction("post-2"),
-		core.SendToken{To: 2, Token: tok},
+		core.Send{To: 2, Frame: tok},
 		dataAction("lone"),
 	})
 
@@ -113,7 +113,7 @@ func TestExecuteBatchesSendDataRuns(t *testing.T) {
 func TestExecuteWithoutBatcherUsesSinglePath(t *testing.T) {
 	ft := &recordingBatchTransport{}
 	n := &Node{tr: ft, nm: newNodeMetrics()} // batcher deliberately nil
-	n.execute(nil, nil, []core.Action{
+	n.execute(nil, []core.Action{
 		dataAction("a"), dataAction("b"), dataAction("c"),
 	})
 	if len(ft.batches) != 0 {
@@ -134,7 +134,7 @@ func TestSendBurstRecyclesBuffers(t *testing.T) {
 	ft := &recordingBatchTransport{}
 	n := &Node{tr: ft, batcher: ft, nm: newNodeMetrics()}
 	before := transport.Buffers.Snapshot()
-	n.execute(nil, nil, []core.Action{
+	n.execute(nil, []core.Action{
 		dataAction("r1"), dataAction("r2"), dataAction("r3"), dataAction("r4"),
 	})
 	after := transport.Buffers.Snapshot()

@@ -10,33 +10,26 @@ import (
 // Action is an instruction the engine hands back to its runtime (real
 // sockets, the in-memory test transport, or the discrete-event simulator).
 // The runtime MUST execute actions in the order returned: the position of
-// SendToken within the slice — before the post-token multicasts — is
+// the token Send within the slice — before the post-token multicasts — is
 // precisely what implements the Accelerated Ring protocol.
 type Action interface {
 	isAction()
 }
 
 // SendData instructs the runtime to multicast a data message to the ring.
+// It is the hot-path send: a one-pointer action boxes without allocating,
+// and runs of consecutive SendData actions are what runtimes batch.
 type SendData struct {
 	Msg *wire.DataMessage
 }
 
-// SendToken instructs the runtime to unicast the regular token to the
-// participant To (this participant's ring successor).
-type SendToken struct {
+// Send instructs the runtime to transmit any other frame — a token, a
+// membership frame, an engine-opaque control frame: unicast to To on the
+// token socket, or, when To is zero (never a real participant), multicast
+// to the ring on the data socket. The runtime does not look inside Frame.
+type Send struct {
 	To    wire.ParticipantID
-	Token *wire.Token
-}
-
-// SendJoin instructs the runtime to multicast a membership join message.
-type SendJoin struct {
-	Join *wire.JoinMessage
-}
-
-// SendCommit instructs the runtime to unicast a commit token to To.
-type SendCommit struct {
-	To     wire.ParticipantID
-	Commit *wire.CommitToken
+	Frame wire.Frame
 }
 
 // Deliver hands a totally ordered message to the application.
@@ -53,7 +46,7 @@ type DeliverConfig struct {
 }
 
 // SetTimer asks the runtime to (re-)arm the timer of the given kind; when
-// it expires the runtime must call Engine.HandleTimer with the kind.
+// it expires the runtime must Step the engine with Input{Timer: Kind}.
 // Re-arming an already armed timer resets it.
 type SetTimer struct {
 	Kind  TimerKind
@@ -66,9 +59,7 @@ type CancelTimer struct {
 }
 
 func (SendData) isAction()      {}
-func (SendToken) isAction()     {}
-func (SendJoin) isAction()      {}
-func (SendCommit) isAction()    {}
+func (Send) isAction()          {}
 func (Deliver) isAction()       {}
 func (DeliverConfig) isAction() {}
 func (SetTimer) isAction()      {}

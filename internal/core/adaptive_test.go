@@ -18,8 +18,8 @@ func adaptiveConfig() Config {
 
 func TestAdaptiveWindowHalvesOnRetransBurst(t *testing.T) {
 	e := newMember(t, 2, 3, adaptiveConfig())
-	if e.Stats().AccelWindow != 20 {
-		t.Fatalf("initial window = %d, want 20", e.Stats().AccelWindow)
+	if e.Snapshot().Stats.AccelWindow != 20 {
+		t.Fatalf("initial window = %d, want 20", e.Snapshot().Stats.AccelWindow)
 	}
 	// A token carrying a burst of retransmission requests (none of which
 	// we can answer) signals buffer overrun somewhere on the ring.
@@ -28,11 +28,11 @@ func TestAdaptiveWindowHalvesOnRetransBurst(t *testing.T) {
 		tok.RTR = append(tok.RTR, s)
 	}
 	e.HandleToken(tok)
-	if got := e.Stats().AccelWindow; got != 10 {
+	if got := e.Snapshot().Stats.AccelWindow; got != 10 {
 		t.Fatalf("window after burst = %d, want 10", got)
 	}
-	if e.Stats().WindowDecreases != 1 {
-		t.Fatalf("WindowDecreases = %d, want 1", e.Stats().WindowDecreases)
+	if e.Snapshot().Stats.WindowDecreases != 1 {
+		t.Fatalf("WindowDecreases = %d, want 1", e.Snapshot().Stats.WindowDecreases)
 	}
 	// Another burst halves again; repeated bursts drive it to zero (the
 	// original protocol's behaviour).
@@ -43,7 +43,7 @@ func TestAdaptiveWindowHalvesOnRetransBurst(t *testing.T) {
 		}
 		e.HandleToken(tok)
 	}
-	if got := e.Stats().AccelWindow; got != 0 {
+	if got := e.Snapshot().Stats.AccelWindow; got != 0 {
 		t.Fatalf("window after sustained bursts = %d, want 0", got)
 	}
 }
@@ -56,18 +56,18 @@ func TestAdaptiveWindowGrowsAfterCleanStreak(t *testing.T) {
 		tok.RTR = append(tok.RTR, s)
 	}
 	e.HandleToken(tok)
-	if e.Stats().AccelWindow != 10 {
-		t.Fatalf("window = %d, want 10", e.Stats().AccelWindow)
+	if e.Snapshot().Stats.AccelWindow != 10 {
+		t.Fatalf("window = %d, want 10", e.Snapshot().Stats.AccelWindow)
 	}
 	// 64 clean rounds → +1.
 	for i := 0; i < 64; i++ {
 		e.HandleToken(ringToken(e, uint64(6+i), wire.Round(4+3*i), 100, 100))
 	}
-	if got := e.Stats().AccelWindow; got != 11 {
+	if got := e.Snapshot().Stats.AccelWindow; got != 11 {
 		t.Fatalf("window after clean streak = %d, want 11", got)
 	}
-	if e.Stats().WindowIncreases != 1 {
-		t.Fatalf("WindowIncreases = %d, want 1", e.Stats().WindowIncreases)
+	if e.Snapshot().Stats.WindowIncreases != 1 {
+		t.Fatalf("WindowIncreases = %d, want 1", e.Snapshot().Stats.WindowIncreases)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestAdaptiveWindowCappedByPersonalWindow(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		e.HandleToken(ringToken(e, uint64(5+i), wire.Round(1+3*i), 100, 100))
 	}
-	if got := e.Stats().AccelWindow; got != 21 {
+	if got := e.Snapshot().Stats.AccelWindow; got != 21 {
 		t.Fatalf("window = %d, want capped at 21", got)
 	}
 }
@@ -91,10 +91,10 @@ func TestAdaptiveWindowDisabledByDefault(t *testing.T) {
 		tok.RTR = append(tok.RTR, s)
 	}
 	e.HandleToken(tok)
-	if got := e.Stats().AccelWindow; got != flowctl.DefaultAcceleratedWindow {
+	if got := e.Snapshot().Stats.AccelWindow; got != flowctl.DefaultAcceleratedWindow {
 		t.Fatalf("window moved without AdaptiveWindow: %d", got)
 	}
-	if e.Stats().WindowDecreases != 0 {
+	if e.Snapshot().Stats.WindowDecreases != 0 {
 		t.Fatal("decrease counted while disabled")
 	}
 }

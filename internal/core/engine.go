@@ -5,12 +5,13 @@
 // paper compares against.
 //
 // The engine is a deterministic, single-goroutine state machine. It owns no
-// sockets, timers or goroutines: every input (a decoded packet, a timer
-// expiry, an application submission) is a method call, and every output is
-// a slice of Actions the caller must execute in order. The same engine code
-// therefore runs over real UDP multicast sockets, an in-memory test
-// transport, and the discrete-event network simulator used to regenerate
-// the paper's figures.
+// sockets, timers or goroutines: every input (a decoded frame or a timer
+// expiry through Step, an application submission through Submit) is a
+// method call, and every output is a slice of Actions the caller must
+// execute in order (the OrderingEngine contract, iface.go). The same
+// engine code therefore runs over real UDP multicast sockets, an in-memory
+// test transport, and the discrete-event network simulator used to
+// regenerate the paper's figures.
 package core
 
 import (
@@ -122,9 +123,9 @@ type Engine struct {
 	stats Stats
 }
 
-// New creates an engine. The engine starts idle: call Start to begin
-// membership formation, or StartWithRing to install a static ring (the
-// paper's normal-case evaluation setup).
+// New creates an engine. The engine starts idle: call Start with nil to
+// begin membership formation, or with a member list to install a static
+// ring (the paper's normal-case evaluation setup).
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -138,46 +139,23 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Config returns the engine's effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// State returns the engine's membership state (zero before Start).
-func (e *Engine) State() State { return e.state }
-
-// Ring returns a copy of the current ring configuration. During membership
-// formation it is the last ring whose token circulated (possibly the ring
-// being formed, before its configuration event has been delivered).
-func (e *Engine) Ring() Configuration { return e.ring.Clone() }
-
-// Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() Stats {
-	st := e.stats
-	st.AccelWindow = e.accelWindow
-	return st
-}
-
-// PendingLen returns the number of submitted-but-uninitiated messages.
-func (e *Engine) PendingLen() int { return len(e.pending) - e.pendingHead }
-
-// TokenHasPriority reports whether the runtime should prefer reading from
-// the token socket over the data socket when both have input available
-// (Section III-C). While false, the token must be processed only when no
-// data message is available.
-func (e *Engine) TokenHasPriority() bool { return e.tokenPriority }
+// pendingLen returns the number of submitted-but-uninitiated messages.
+func (e *Engine) pendingLen() int { return len(e.pending) - e.pendingHead }
 
 // Submit queues an application message for totally ordered multicast. The
 // message will be initiated on a future token visit, ordered, and delivered
 // back to all ring members (including this one). Submit fails when the
-// backlog is full, providing backpressure.
-func (e *Engine) Submit(payload []byte, service wire.Service) error {
+// backlog is full, providing backpressure. It never returns actions: the
+// token ring sends only while holding the token.
+func (e *Engine) Submit(payload []byte, service wire.Service) ([]Action, error) {
 	if !service.Valid() {
-		return fmt.Errorf("core: invalid service %d", uint8(service))
+		return nil, fmt.Errorf("core: invalid service %d", uint8(service))
 	}
 	if len(payload) > wire.MaxPayload {
-		return fmt.Errorf("core: payload %d exceeds maximum %d", len(payload), wire.MaxPayload)
+		return nil, fmt.Errorf("core: payload %d exceeds maximum %d", len(payload), wire.MaxPayload)
 	}
-	if e.PendingLen() >= e.cfg.MaxPending {
-		return ErrBacklogFull
+	if e.pendingLen() >= e.cfg.MaxPending {
+		return nil, ErrBacklogFull
 	}
 	// FIFO and Causal are provided via the Agreed machinery: the token
 	// ring's total order respects causality (Section II).
@@ -185,7 +163,7 @@ func (e *Engine) Submit(payload []byte, service wire.Service) error {
 		service = wire.ServiceAgreed
 	}
 	e.pending = append(e.pending, submission{payload: payload, service: service})
-	return nil
+	return nil, nil
 }
 
 // popPending removes and returns the oldest backlog entry. The caller must
@@ -202,34 +180,23 @@ func (e *Engine) popPending() submission {
 	return s
 }
 
-// Start begins membership formation from scratch: the engine multicasts
-// join messages and will eventually install a ring — a singleton one if no
-// other participant is reachable.
-func (e *Engine) Start() []Action {
-	return e.enterGather()
-}
-
-// StartWithRing installs a static ring directly, skipping membership
-// formation: every participant must be started with the identical member
-// list, and the representative (the smallest ID, which must be first after
-// sorting) injects the first token. This mirrors the paper's protocol
-// description, which assumes membership has been established and the first
-// regular token sent. The installed configuration is delivered as an
-// application-visible event.
-func (e *Engine) StartWithRing(members []wire.ParticipantID) ([]Action, error) {
+// Start begins operation. With no member list it starts membership
+// formation from scratch: the engine multicasts join messages and will
+// eventually install a ring — a singleton one if no other participant is
+// reachable. With a member list it installs a static ring directly,
+// skipping membership formation: every participant must be started with
+// the identical list, and the representative (the smallest ID) injects the
+// first token. This mirrors the paper's protocol description, which
+// assumes membership has been established and the first regular token
+// sent. The installed configuration is delivered as an application-visible
+// event.
+func (e *Engine) Start(members []wire.ParticipantID) ([]Action, error) {
 	if len(members) == 0 {
-		return nil, fmt.Errorf("%w: empty member list", ErrBadMembership)
+		return e.enterGather(), nil
 	}
-	sorted := sortedIDs(members)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return nil, fmt.Errorf("%w: duplicate member %s", ErrBadMembership, sorted[i])
-		}
-	}
-	cfg := Configuration{ID: wire.RingID{Rep: sorted[0], Seq: 4}, Members: sorted}
-	idx := cfg.indexOf(e.cfg.MyID)
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: %s not in member list", ErrBadMembership, e.cfg.MyID)
+	cfg, idx, err := StaticConfiguration(members, e.cfg.MyID)
+	if err != nil {
+		return nil, err
 	}
 	e.installRing(cfg)
 	e.setState(StateOperational)
@@ -246,6 +213,28 @@ func (e *Engine) StartWithRing(members []wire.ParticipantID) ([]Action, error) {
 		actions = append(actions, e.handleRegularToken(initial)...)
 	}
 	return actions, nil
+}
+
+// StaticConfiguration validates a static member list and returns the
+// configuration every engine started with that list reports — members in
+// ascending order, the smallest ID as representative, ring sequence 4 —
+// together with me's position in it.
+func StaticConfiguration(members []wire.ParticipantID, me wire.ParticipantID) (Configuration, int, error) {
+	if len(members) == 0 || len(members) > wire.MaxMembers {
+		return Configuration{}, 0, fmt.Errorf("%w: %d members", ErrBadMembership, len(members))
+	}
+	sorted := sortedIDs(members)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return Configuration{}, 0, fmt.Errorf("%w: duplicate member %s", ErrBadMembership, sorted[i])
+		}
+	}
+	cfg := Configuration{ID: wire.RingID{Rep: sorted[0], Seq: 4}, Members: sorted}
+	idx := cfg.indexOf(me)
+	if idx < 0 {
+		return Configuration{}, 0, fmt.Errorf("%w: %s not in member list", ErrBadMembership, me)
+	}
+	return cfg, idx, nil
 }
 
 // installRing resets all per-ring protocol state for a newly installed or
@@ -277,6 +266,45 @@ func (e *Engine) predecessor() wire.ParticipantID {
 	return e.ring.Members[(e.myIndex+n-1)%n]
 }
 
+// Step dispatches one input to its handler. Control frames are not part of
+// this protocol and are ignored.
+func (e *Engine) Step(in Input) []Action {
+	switch f := in.Frame.(type) {
+	case nil:
+		return e.HandleTimer(in.Timer)
+	case *wire.DataMessage:
+		return e.HandleData(f)
+	case *wire.Token:
+		return e.HandleToken(f)
+	case *wire.JoinMessage:
+		return e.HandleJoin(f)
+	case *wire.CommitToken:
+		return e.HandleCommit(f)
+	}
+	return nil
+}
+
+// Progress implements OrderingEngine. While TokenPriority is false the
+// token must be processed only when no data message is available
+// (Section III-C).
+func (e *Engine) Progress() Progress {
+	return Progress{
+		Rotations:      e.stats.TokensProcessed,
+		Pending:        e.pendingLen(),
+		TokenPriority:  e.tokenPriority,
+		SteadyRotation: true,
+	}
+}
+
+// Snapshot implements OrderingEngine. During membership formation Ring is
+// the last ring whose token circulated (possibly the ring being formed,
+// before its configuration event has been delivered).
+func (e *Engine) Snapshot() Snapshot {
+	st := e.stats
+	st.AccelWindow = e.accelWindow
+	return Snapshot{Config: e.cfg, State: e.state, Ring: e.ring.Clone(), Stats: st}
+}
+
 // HandleTimer processes a timer expiry previously requested via SetTimer.
 func (e *Engine) HandleTimer(kind TimerKind) []Action {
 	switch kind {
@@ -288,14 +316,14 @@ func (e *Engine) HandleTimer(kind TimerKind) []Action {
 		if (e.state == StateOperational || e.state == StateRecovery) && e.sentToken != nil {
 			e.stats.TokenRetransmits++
 			return []Action{
-				SendToken{To: e.successor(), Token: e.sentToken.Clone()},
+				Send{To: e.successor(), Frame: e.sentToken.Clone()},
 				SetTimer{Kind: TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
 			}
 		}
 	case TimerJoin:
 		if e.state == StateGather {
 			return []Action{
-				SendJoin{Join: e.makeJoin()},
+				Send{Frame: e.makeJoin()},
 				SetTimer{Kind: TimerJoin, After: e.cfg.JoinPeriod},
 			}
 		}

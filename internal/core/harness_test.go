@@ -191,12 +191,17 @@ func (h *harness) execute(n *hnode, actions []Action) {
 		switch act := a.(type) {
 		case SendData:
 			h.multicastData(n, act.Msg)
-		case SendToken:
-			h.sendToken(n, act.To, act.Token)
-		case SendJoin:
-			h.multicastJoin(n, act.Join)
-		case SendCommit:
-			h.sendCommit(n, act.To, act.Commit)
+		case Send:
+			switch f := act.Frame.(type) {
+			case *wire.Token:
+				h.sendToken(n, act.To, f)
+			case *wire.JoinMessage:
+				h.multicastJoin(n, f)
+			case *wire.CommitToken:
+				h.sendCommit(n, act.To, f)
+			default:
+				h.t.Fatalf("unexpected frame %T", f)
+			}
 		case Deliver:
 			n.delivered = append(n.delivered, delivery{msg: act.Msg})
 		case DeliverConfig:
@@ -211,7 +216,7 @@ func (h *harness) execute(n *hnode, actions []Action) {
 				}
 				if d, ok := n.timers[kind]; ok && d == deadline {
 					delete(n.timers, kind)
-					h.execute(n, n.eng.HandleTimer(kind))
+					h.execute(n, n.eng.Step(Input{Timer: kind}))
 				}
 			})
 		case CancelTimer:
@@ -255,7 +260,7 @@ func (h *harness) multicastData(from *hnode, m *wire.DataMessage) {
 			}
 			h.schedule(delay, func() {
 				if !target.crashed {
-					h.execute(target, target.eng.HandleData(&cp))
+					h.execute(target, target.eng.Step(Input{Frame: &cp}))
 				}
 			})
 		}
@@ -282,7 +287,7 @@ func (h *harness) sendToken(from *hnode, toID wire.ParticipantID, tok *wire.Toke
 		cp := tok.Clone()
 		h.schedule(h.delay+v.Delay, func() {
 			if target != nil && !target.crashed {
-				h.execute(target, target.eng.HandleToken(cp))
+				h.execute(target, target.eng.Step(Input{Frame: cp}))
 			}
 		})
 	}
@@ -301,7 +306,7 @@ func (h *harness) multicastJoin(from *hnode, j *wire.JoinMessage) {
 		target := to
 		h.schedule(h.delay+v.Delay, func() {
 			if !target.crashed {
-				h.execute(target, target.eng.HandleJoin(&cp))
+				h.execute(target, target.eng.Step(Input{Frame: &cp}))
 			}
 		})
 	}
@@ -319,7 +324,7 @@ func (h *harness) sendCommit(from *hnode, toID wire.ParticipantID, ct *wire.Comm
 	target := h.node(toID)
 	h.schedule(h.delay+v.Delay, func() {
 		if target != nil && !target.crashed {
-			h.execute(target, target.eng.HandleCommit(cp))
+			h.execute(target, target.eng.Step(Input{Frame: cp}))
 		}
 	})
 }
@@ -331,9 +336,9 @@ func (h *harness) startStatic() {
 		members = append(members, n.id)
 	}
 	for _, n := range h.nodes {
-		actions, err := n.eng.StartWithRing(members)
+		actions, err := n.eng.Start(members)
 		if err != nil {
-			h.t.Fatalf("StartWithRing(%s): %v", n.id, err)
+			h.t.Fatalf("Start(%s): %v", n.id, err)
 		}
 		h.execute(n, actions)
 	}
@@ -342,14 +347,14 @@ func (h *harness) startStatic() {
 // startGather boots every node through membership formation.
 func (h *harness) startGather() {
 	for _, n := range h.nodes {
-		h.execute(n, n.eng.Start())
+		h.startDiscover(n)
 	}
 }
 
 // submit queues an application message at a node immediately.
 func (h *harness) submit(id wire.ParticipantID, payload []byte, svc wire.Service) {
 	n := h.node(id)
-	if err := n.eng.Submit(payload, svc); err != nil {
+	if _, err := n.eng.Submit(payload, svc); err != nil {
 		h.t.Fatalf("Submit at %s: %v", id, err)
 	}
 }
@@ -391,7 +396,16 @@ func (h *harness) restart(id wire.ParticipantID) {
 	n.eng = eng
 	n.timers = make(map[TimerKind]time.Duration)
 	n.crashed = false
-	h.execute(n, eng.Start())
+	h.startDiscover(n)
+}
+
+// startDiscover boots one node through membership formation.
+func (h *harness) startDiscover(n *hnode) {
+	actions, err := n.eng.Start(nil)
+	if err != nil {
+		h.t.Fatalf("Start(%s): %v", n.id, err)
+	}
+	h.execute(n, actions)
 }
 
 // applyPlan installs a fault plan: link faults and partitions are enforced
@@ -420,7 +434,8 @@ func (h *harness) trySubmit(id wire.ParticipantID, payload []byte, svc wire.Serv
 	if n.crashed {
 		return false
 	}
-	return n.eng.Submit(payload, svc) == nil
+	_, err := n.eng.Submit(payload, svc)
+	return err == nil
 }
 
 // payload builds a distinguishable payload.

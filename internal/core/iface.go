@@ -4,88 +4,93 @@ import "accelring/internal/wire"
 
 // OrderingEngine is the engine ⇄ runtime contract every total-order
 // protocol implementation in this repository satisfies. An engine is a
-// deterministic, single-goroutine state machine: the runtime (the live
-// protocol loop over memnet/udpnet, or the discrete-event simulator) owns
-// exactly one goroutine per engine, feeds it inputs one at a time, and
-// carries out the returned actions strictly in order. The engine never
-// touches sockets, clocks or goroutines itself — time reaches it only
-// through HandleTimer, the network only through the Handle* methods.
+// deterministic, single-goroutine state machine whose whole interface to
+// the world is "one input in, an ordered list of actions out": the runtime
+// (the live protocol loop over memnet/udpnet, or the discrete-event
+// simulator) owns one goroutine per engine, feeds it inputs one at a time,
+// and carries out the returned actions strictly in order. The engine never
+// touches sockets, clocks or goroutines, and the runtime never learns
+// which frame kinds or timers a given engine uses.
 //
-// The contract, beyond the method signatures:
+// Beyond the signatures:
 //
-//   - Inputs are serialized. The runtime never calls two methods
-//     concurrently; the engine needs no locks.
-//   - Actions are executed in slice order. The position of SendToken among
-//     SendData actions is protocol-relevant (the Accelerated Ring's
+//   - Inputs are serialized; the engine needs no locks.
+//   - Actions are executed in slice order. The position of the token Send
+//     among SendData actions is protocol-relevant (the Accelerated Ring's
 //     post-token phase, Ring Paxos's assignment-before-ack ordering).
-//   - The engine must not retain mutable references handed to Handle*
-//     beyond the call (decode targets are runtime-owned scratch); whatever
-//     it keeps, it copies.
+//   - A data frame handed to Step is the engine's to keep, read-only
+//     (runtimes decode it detached; the simulator hands several engines
+//     the same one). Token and control frames are runtime-owned scratch,
+//     valid only during the call; the engine copies what it keeps.
 //   - Timer kinds are engine-defined reuses of the shared TimerKind set;
 //     at most one timer per kind is armed at a time.
 //
-// *Engine (the Accelerated Ring implementation) and
-// ringpaxos.Engine both satisfy this interface.
+// *Engine (the Accelerated Ring), ringpaxos.Engine and netsim's test-only
+// fixed sequencer all satisfy it.
 type OrderingEngine interface {
-	// Config returns the engine's (defaulted) configuration.
-	Config() Config
-	// State reports the membership/protocol state for tracing.
-	State() State
-	// Ring returns the current configuration (view) of the engine.
-	Ring() Configuration
-	// Stats returns the shared counter snapshot. Engines map their own
-	// notions onto it (for Ring Paxos, TokensProcessed counts Phase 2
-	// circulation acks) so substrate-level instrumentation — rotation
-	// histograms, bench reports — works unchanged across engines.
-	Stats() Stats
-	// PendingLen reports the backlog of submitted-but-unordered messages.
-	PendingLen() int
-	// TokenHasPriority reports whether the runtime should prefer the
-	// token socket over the data socket right now.
-	TokenHasPriority() bool
-
-	// Submit queues one application payload for total ordering.
-	Submit(payload []byte, service wire.Service) error
-	// Start begins operation with dynamic membership discovery.
-	Start() []Action
-	// StartWithRing begins operation with a static member list (every
-	// participant must be started with the identical list).
-	StartWithRing(members []wire.ParticipantID) ([]Action, error)
-
-	// HandleData processes one received data message.
-	HandleData(m *wire.DataMessage) []Action
-	// HandleToken processes one received regular token.
-	HandleToken(t *wire.Token) []Action
-	// HandleJoin processes one received membership join message.
-	HandleJoin(j *wire.JoinMessage) []Action
-	// HandleCommit processes one received commit token.
-	HandleCommit(c *wire.CommitToken) []Action
-	// HandleTimer processes the expiry of the given timer kind.
-	HandleTimer(kind TimerKind) []Action
+	// Start begins operation: with a static member list (every participant
+	// must be started with the identical list), or, when members is nil,
+	// with dynamic membership discovery.
+	Start(members []wire.ParticipantID) ([]Action, error)
+	// Submit queues one application payload for total ordering and returns
+	// whatever protocol output that enables right away (nothing for the
+	// token ring, which sends only while holding the token; the value
+	// multicast for a Ring Paxos proposer).
+	Submit(payload []byte, service wire.Service) ([]Action, error)
+	// Step feeds the engine one input — a received frame or a timer expiry
+	// — and returns its reaction.
+	Step(in Input) []Action
+	// Progress is the cheap always-current view the runtime steers by.
+	Progress() Progress
+	// Snapshot reports configuration, state and counters for tracing,
+	// metrics and reports.
+	Snapshot() Snapshot
 }
 
-// Flusher is an optional extension of OrderingEngine for engines whose
-// Submit path produces immediate protocol output. The Accelerated Ring
-// engine sends only when it holds the token, so Submit just queues; a Ring
-// Paxos proposer must multicast the value right away, but Submit's
-// signature cannot return actions. A runtime that sees this interface MUST
-// call Flush after every successful Submit (and may call it at any other
-// quiescent point) and execute the returned actions as usual.
-type Flusher interface {
-	Flush() []Action
+// Input is one engine input: a received frame, or, when Frame is nil, the
+// expiry of timer Timer. Passed by value; building one never allocates.
+type Input struct {
+	Frame wire.Frame
+	Timer TimerKind
 }
 
-// RotationObserver is an optional extension reporting the engine's token
-// circulation discipline. Engines whose ring message keeps rotating even
-// when idle (the token ring: loss of rotation is loss of liveness) return
-// true; the shard watchdog may then treat a frozen token counter as a
-// wedge whenever a sibling ring advanced. Engines that quiesce their ring
-// traffic when idle (Ring Paxos pauses Phase 2 circulation with nothing to
-// decide) return false, and the watchdog must fall back to
-// progress-with-pending-work detection. Absence of the interface means
-// steady rotation (the historical assumption).
-type RotationObserver interface {
-	SteadyTokenRotation() bool
+// Progress is what a runtime needs from the engine between inputs.
+type Progress struct {
+	// Rotations counts accepted rotations of the engine's circulating
+	// frame (regular tokens processed; Ring Paxos Phase 2 circulation
+	// acks). It advancing across a Step is what the rotation histograms
+	// sample; an engine with nothing circulating leaves it at zero.
+	Rotations uint64
+	// Pending is the backlog of submitted-but-unordered messages.
+	Pending int
+	// TokenPriority reports whether the runtime should prefer the token
+	// socket over the data socket right now (Section III-C).
+	TokenPriority bool
+	// SteadyRotation is true when the ring frame keeps rotating even when
+	// idle (the token ring: loss of rotation is loss of liveness), so the
+	// shard watchdog may treat a frozen counter as a wedge whenever a
+	// sibling ring advanced; false for engines that quiesce when idle
+	// (Ring Paxos pauses Phase 2 circulation with nothing to decide), for
+	// which it falls back to progress-with-pending-work detection.
+	SteadyRotation bool
+}
+
+// Snapshot is the engine's reportable state.
+type Snapshot struct {
+	// Config is the engine's (defaulted) configuration.
+	Config Config
+	// State is the membership/protocol state.
+	State State
+	// Ring is the current configuration (view).
+	Ring Configuration
+	// Stats is the shared counter set. Engines map their own notions onto
+	// it (for Ring Paxos, TokensProcessed counts Phase 2 circulation acks)
+	// so bench reports work unchanged across engines.
+	Stats Stats
+	// Extra carries the engine's own counters, or nil when it has none
+	// (ringpaxos.Stats for Ring Paxos). Consumers that know the engine
+	// type-assert the value; everything else ignores it.
+	Extra any
 }
 
 // Compile-time check: the Accelerated Ring engine satisfies the contract.

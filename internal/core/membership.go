@@ -53,7 +53,7 @@ func (e *Engine) enterGather() []Action {
 		e.maxRingSeq = e.ring.ID.Seq
 	}
 	return []Action{
-		SendJoin{Join: e.makeJoin()},
+		Send{Frame: e.makeJoin()},
 		SetTimer{Kind: TimerJoin, After: e.cfg.JoinPeriod},
 		SetTimer{Kind: TimerConsensus, After: e.cfg.ConsensusTimeout},
 		CancelTimer{Kind: TimerTokenLoss},
@@ -150,7 +150,7 @@ func (e *Engine) processJoin(j *wire.JoinMessage) []Action {
 	if changed {
 		// Our proposal grew: re-advertise and give consensus more time.
 		actions = append(actions,
-			SendJoin{Join: e.makeJoin()},
+			Send{Frame: e.makeJoin()},
 			SetTimer{Kind: TimerJoin, After: e.cfg.JoinPeriod},
 			SetTimer{Kind: TimerConsensus, After: e.cfg.ConsensusTimeout},
 		)
@@ -204,7 +204,7 @@ func (e *Engine) consensusTimeout() []Action {
 	}
 	var actions []Action
 	if changed {
-		actions = append(actions, SendJoin{Join: e.makeJoin()})
+		actions = append(actions, Send{Frame: e.makeJoin()})
 	}
 	actions = append(actions, SetTimer{Kind: TimerConsensus, After: e.cfg.ConsensusTimeout})
 	return append(actions, e.checkConsensus()...)
@@ -234,7 +234,7 @@ func (e *Engine) formRing(live []wire.ParticipantID) []Action {
 		// Singleton ring: both rotations are trivially complete.
 		return append(actions, e.repCompleteRotation1(ct)...)
 	}
-	return append(actions, SendCommit{To: live[1], Commit: ct})
+	return append(actions, Send{To: live[1], Frame: ct})
 }
 
 // fillCommitEntry records this participant's old-ring state in its commit
@@ -294,7 +294,7 @@ func (e *Engine) HandleCommit(ct *wire.CommitToken) []Action {
 				CancelTimer{Kind: TimerJoin},
 				CancelTimer{Kind: TimerConsensus},
 				SetTimer{Kind: TimerCommit, After: e.cfg.CommitTimeout},
-				SendCommit{To: next, Commit: ct},
+				Send{To: next, Frame: ct},
 			}
 		case 2:
 			if rep || e.state != StateCommit || !allFilled(ct) {
@@ -304,7 +304,7 @@ func (e *Engine) HandleCommit(ct *wire.CommitToken) []Action {
 			// pass the confirmation on.
 			actions := e.enterRecovery(ct)
 			next := ct.Members[(idx+1)%len(ct.Members)].ID
-			return append(actions, SendCommit{To: next, Commit: ct.Clone()})
+			return append(actions, Send{To: next, Frame: ct.Clone()})
 		}
 	case StateRecovery:
 		if rep && ct.Rotation == 2 && ct.RingID == e.ring.ID && e.lastTokenSeq == 0 {
@@ -330,7 +330,7 @@ func (e *Engine) repCompleteRotation1(ct *wire.CommitToken) []Action {
 		initial := &wire.Token{RingID: e.ring.ID, TokenSeq: 1}
 		return append(actions, e.handleRegularToken(initial)...)
 	}
-	return append(actions, SendCommit{To: ct.Members[1].ID, Commit: ct})
+	return append(actions, Send{To: ct.Members[1].ID, Frame: ct})
 }
 
 // commitConfiguration extracts the new ring's configuration from a commit

@@ -16,7 +16,7 @@ func (h *harness) waitOperational(d time.Duration, ids ...wire.ParticipantID) {
 		h.run(step)
 		all := true
 		for _, id := range ids {
-			if h.node(id).eng.State() != StateOperational {
+			if h.node(id).eng.state != StateOperational {
 				all = false
 				break
 			}
@@ -27,7 +27,7 @@ func (h *harness) waitOperational(d time.Duration, ids ...wire.ParticipantID) {
 	}
 	states := map[wire.ParticipantID]State{}
 	for _, id := range ids {
-		states[id] = h.node(id).eng.State()
+		states[id] = h.node(id).eng.state
 	}
 	h.t.Fatalf("nodes not operational after %v: %v", d, states)
 }
@@ -53,7 +53,7 @@ func (h *harness) waitConfig(d time.Duration, members []wire.ParticipantID, ids 
 	}
 	for _, id := range ids {
 		cfg, _ := h.node(id).lastRegularConfig()
-		h.t.Logf("node %s: state %s config %v", id, h.node(id).eng.State(), cfg)
+		h.t.Logf("node %s: state %s config %v", id, h.node(id).eng.state, cfg)
 	}
 	h.t.Fatalf("nodes %v did not install config %v within %v", ids, members, d)
 }
@@ -321,13 +321,13 @@ func TestLateJoinerMergesIntoRunningRing(t *testing.T) {
 	members := []wire.ParticipantID{1, 2}
 	for _, id := range members {
 		n := h.node(id)
-		actions, err := n.eng.StartWithRing(members)
+		actions, err := n.eng.Start(members)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.execute(n, actions)
 	}
-	h.execute(h.node(3), h.node(3).eng.Start())
+	h.startDiscover(h.node(3))
 	h.waitOperational(2*time.Second, 1, 2, 3) // 3 forms a singleton
 	for i := 0; i < 5; i++ {
 		h.submit(1, payload(1, i), wire.ServiceAgreed)
@@ -563,7 +563,7 @@ func TestSubmissionsDuringMembershipChangeAreDelivered(t *testing.T) {
 	h.crash(3)
 	// Let token loss fire so the survivors are mid-gather, then submit.
 	h.run(60 * time.Millisecond)
-	if h.node(1).eng.State() == StateOperational {
+	if h.node(1).eng.state == StateOperational {
 		t.Skip("reformation finished too quickly to catch mid-gather")
 	}
 	for i := 0; i < 10; i++ {

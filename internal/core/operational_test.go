@@ -67,7 +67,7 @@ func TestSafeDeliveryReachesAll(t *testing.T) {
 	h.checkAllDelivered(10, 1, 2, 3)
 	h.checkTotalOrder(1, 2, 3)
 	for _, n := range h.nodes {
-		if got := n.eng.Stats().SafeDelivered; got != 10 {
+		if got := n.eng.Snapshot().Stats.SafeDelivered; got != 10 {
 			t.Fatalf("node %s SafeDelivered = %d, want 10", n.id, got)
 		}
 	}
@@ -136,7 +136,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	h.checkTotalOrder(1, 2, 3, 4)
 	retrans := uint64(0)
 	for _, n := range h.nodes {
-		retrans += n.eng.Stats().MsgsRetransmitted
+		retrans += n.eng.Snapshot().Stats.MsgsRetransmitted
 	}
 	if retrans == 0 {
 		t.Fatal("loss was injected but no retransmissions happened")
@@ -183,8 +183,8 @@ func TestTokenRetransmissionSurvivesTokenLoss(t *testing.T) {
 	retrans := uint64(0)
 	changes := uint64(0)
 	for _, n := range h.nodes {
-		retrans += n.eng.Stats().TokenRetransmits
-		changes += n.eng.Stats().MembershipChanges
+		retrans += n.eng.Snapshot().Stats.TokenRetransmits
+		changes += n.eng.Snapshot().Stats.MembershipChanges
 	}
 	if retrans == 0 {
 		t.Fatal("tokens were dropped but never retransmitted")
@@ -207,7 +207,7 @@ func TestAcceleratedSendsPostToken(t *testing.T) {
 	h.run(3 * time.Second)
 	post := uint64(0)
 	for _, n := range h.nodes {
-		post += n.eng.Stats().MsgsPostToken
+		post += n.eng.Snapshot().Stats.MsgsPostToken
 	}
 	if post == 0 {
 		t.Fatal("accelerated protocol sent no post-token messages")
@@ -224,7 +224,7 @@ func TestOriginalSendsNothingPostToken(t *testing.T) {
 	}
 	h.run(3 * time.Second)
 	for _, n := range h.nodes {
-		if got := n.eng.Stats().MsgsPostToken; got != 0 {
+		if got := n.eng.Snapshot().Stats.MsgsPostToken; got != 0 {
 			t.Fatalf("original protocol node %s sent %d post-token messages", n.id, got)
 		}
 	}
@@ -278,11 +278,11 @@ func TestBacklogBackpressure(t *testing.T) {
 	}
 	_ = cfg
 	for i := 0; i < 5; i++ {
-		if err := eng.Submit([]byte("x"), wire.ServiceAgreed); err != nil {
+		if _, err := eng.Submit([]byte("x"), wire.ServiceAgreed); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
-	if err := eng.Submit([]byte("x"), wire.ServiceAgreed); err != ErrBacklogFull {
+	if _, err := eng.Submit([]byte("x"), wire.ServiceAgreed); err != ErrBacklogFull {
 		t.Fatalf("Submit over cap = %v, want ErrBacklogFull", err)
 	}
 }
@@ -298,7 +298,7 @@ func TestGarbageCollectionBoundsBuffers(t *testing.T) {
 	h.run(5 * time.Second)
 	h.checkAllDelivered(600, 1, 2, 3)
 	for _, n := range h.nodes {
-		if got := n.eng.Stats().Discarded; got == 0 {
+		if got := n.eng.Snapshot().Stats.Discarded; got == 0 {
 			t.Fatalf("node %s never garbage-collected stable messages", n.id)
 		}
 		if n.eng.buf.Len() > n.eng.cfg.Flow.MaxSeqGap {
@@ -325,7 +325,7 @@ func TestDuplicatedPacketsAreIdempotent(t *testing.T) {
 	h.checkTotalOrder(1, 2, 3)
 	dups := uint64(0)
 	for _, n := range h.nodes {
-		dups += n.eng.Stats().MsgsDuplicate
+		dups += n.eng.Snapshot().Stats.MsgsDuplicate
 	}
 	if dups == 0 {
 		t.Fatal("duplicates were injected but never detected")

@@ -17,7 +17,7 @@ func TestPackingCombinesSmallMessages(t *testing.T) {
 	cfg.MyID = 2
 	e := newMember(t, 2, 3, cfg)
 	for i := 0; i < 10; i++ {
-		if err := e.Submit([]byte(fmt.Sprintf("small-%d", i)), wire.ServiceAgreed); err != nil {
+		if _, err := e.Submit([]byte(fmt.Sprintf("small-%d", i)), wire.ServiceAgreed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,8 +42,8 @@ func TestPackingCombinesSmallMessages(t *testing.T) {
 			t.Fatal("unpacked delivery still flagged Packed")
 		}
 	}
-	if e.Stats().PayloadsPacked != 10 {
-		t.Fatalf("PayloadsPacked = %d, want 10", e.Stats().PayloadsPacked)
+	if e.Snapshot().Stats.PayloadsPacked != 10 {
+		t.Fatalf("PayloadsPacked = %d, want 10", e.Snapshot().Stats.PayloadsPacked)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestPackingRespectsThreshold(t *testing.T) {
 	// Each payload is 40 bytes; container overhead is 2 + 4/entry, so two
 	// fit under 100 bytes (2+44+44=90) but three (134) do not.
 	for i := 0; i < 6; i++ {
-		if err := e.Submit(make([]byte, 40), wire.ServiceAgreed); err != nil {
+		if _, err := e.Submit(make([]byte, 40), wire.ServiceAgreed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,16 +77,16 @@ func TestPackingNeverMixesServices(t *testing.T) {
 	cfg := packedConfig(1350)
 	cfg.MyID = 2
 	e := newMember(t, 2, 3, cfg)
-	if err := e.Submit([]byte("a1"), wire.ServiceAgreed); err != nil {
+	if _, err := e.Submit([]byte("a1"), wire.ServiceAgreed); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit([]byte("a2"), wire.ServiceAgreed); err != nil {
+	if _, err := e.Submit([]byte("a2"), wire.ServiceAgreed); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit([]byte("s1"), wire.ServiceSafe); err != nil {
+	if _, err := e.Submit([]byte("s1"), wire.ServiceSafe); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit([]byte("a3"), wire.ServiceAgreed); err != nil {
+	if _, err := e.Submit([]byte("a3"), wire.ServiceAgreed); err != nil {
 		t.Fatal(err)
 	}
 	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
@@ -109,7 +109,7 @@ func TestPackingNeverMixesServices(t *testing.T) {
 func TestPackingDisabledByDefault(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	for i := 0; i < 5; i++ {
-		if err := e.Submit([]byte("x"), wire.ServiceAgreed); err != nil {
+		if _, err := e.Submit([]byte("x"), wire.ServiceAgreed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,10 +124,10 @@ func TestPackingLargeMessagePassesThrough(t *testing.T) {
 	cfg.MyID = 2
 	e := newMember(t, 2, 3, cfg)
 	big := make([]byte, 500) // exceeds the threshold alone
-	if err := e.Submit(big, wire.ServiceAgreed); err != nil {
+	if _, err := e.Submit(big, wire.ServiceAgreed); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit([]byte("tiny"), wire.ServiceAgreed); err != nil {
+	if _, err := e.Submit([]byte("tiny"), wire.ServiceAgreed); err != nil {
 		t.Fatal(err)
 	}
 	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
@@ -158,7 +158,7 @@ func TestPackedClusterEndToEnd(t *testing.T) {
 	h.checkTotalOrder(1, 2, 3)
 	packed := uint64(0)
 	for _, n := range h.nodes {
-		packed += n.eng.Stats().PayloadsPacked
+		packed += n.eng.Snapshot().Stats.PayloadsPacked
 	}
 	if packed == 0 {
 		t.Fatal("no payloads travelled packed")
@@ -175,7 +175,7 @@ func TestPackedClusterSafeDelivery(t *testing.T) {
 	h.run(2 * time.Second)
 	h.checkAllDelivered(30, 1, 2, 3)
 	for _, n := range h.nodes {
-		if got := n.eng.Stats().SafeDelivered; got != 30 {
+		if got := n.eng.Snapshot().Stats.SafeDelivered; got != 30 {
 			t.Fatalf("node %s SafeDelivered = %d, want 30", n.id, got)
 		}
 	}

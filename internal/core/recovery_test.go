@@ -117,7 +117,7 @@ func TestTokenIgnoredOutsideOperational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Start() // Gather
+	eng.Start(nil) // Gather
 	tok := &wire.Token{RingID: wire.RingID{Rep: 1, Seq: 4}, TokenSeq: 1}
 	if got := eng.HandleToken(tok); got != nil {
 		t.Fatalf("token in Gather produced %d actions", len(got))
@@ -129,7 +129,7 @@ func TestCommitIgnoredWhenNotMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Start()
+	eng.Start(nil)
 	ct := &wire.CommitToken{
 		RingID:   wire.RingID{Rep: 1, Seq: 8},
 		Rotation: 1,
@@ -142,7 +142,7 @@ func TestCommitIgnoredWhenNotMember(t *testing.T) {
 
 func TestForeignDataTriggersGather(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	if e.State() != StateOperational {
+	if e.state != StateOperational {
 		t.Fatal("not operational")
 	}
 	// Data from an unknown ring with a higher seq: evidence of another
@@ -152,12 +152,12 @@ func TestForeignDataTriggersGather(t *testing.T) {
 		Service: wire.ServiceAgreed,
 	}
 	actions := e.HandleData(m)
-	if e.State() != StateGather {
-		t.Fatalf("state = %s, want gather", e.State())
+	if e.state != StateGather {
+		t.Fatalf("state = %s, want gather", e.state)
 	}
 	foundJoin := false
 	for _, a := range actions {
-		if _, ok := a.(SendJoin); ok {
+		if st, ok := a.(Send); ok && st.Frame.Kind() == wire.KindJoin {
 			foundJoin = true
 		}
 	}
@@ -177,16 +177,16 @@ func TestStaleOwnRingDataIgnored(t *testing.T) {
 	if got := e.HandleData(m); got != nil {
 		t.Fatalf("stale data produced %d actions", len(got))
 	}
-	if e.State() != StateOperational {
-		t.Fatalf("state = %s, want operational", e.State())
+	if e.state != StateOperational {
+		t.Fatalf("state = %s, want operational", e.state)
 	}
 }
 
 func TestRingReturnsClone(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	cfg := e.Ring()
+	cfg := e.Snapshot().Ring
 	cfg.Members[0] = 99
-	if e.Ring().Members[0] == 99 {
+	if e.Snapshot().Ring.Members[0] == 99 {
 		t.Fatal("Ring() exposes internal member slice")
 	}
 }

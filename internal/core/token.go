@@ -33,7 +33,7 @@ func (e *Engine) HandleToken(tok *wire.Token) []Action {
 // and application delivery is deferred until recovery completes.
 //
 // The returned action order is the protocol: everything appended before the
-// SendToken action is the pre-token phase, everything after it the
+// token Send action is the pre-token phase, everything after it the
 // post-token phase.
 func (e *Engine) handleRegularToken(tok *wire.Token) []Action {
 	e.stats.TokensProcessed++
@@ -167,7 +167,7 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []Action {
 	}
 	e.sentToken = tok.CloneInto(e.sentToken)
 	e.traceTokenForwarded(e.successor(), tok, numRetrans, len(newMsgs))
-	actions = append(actions, SendToken{To: e.successor(), Token: tok})
+	actions = append(actions, Send{To: e.successor(), Frame: tok})
 	for _, m := range newMsgs[preCount:] {
 		actions = append(actions, SendData{Msg: m})
 	}
@@ -244,7 +244,7 @@ func (e *Engine) sourceLen() int {
 		}
 		return n
 	}
-	return e.PendingLen()
+	return e.pendingLen()
 }
 
 // nextMessage produces the next message to initiate, without ring/sequence
@@ -261,7 +261,7 @@ func (e *Engine) nextMessage() *wire.DataMessage {
 		old := e.obligations[e.obligationsHead]
 		e.obligations[e.obligationsHead] = nil
 		e.obligationsHead++
-		encoded, err := old.Encode()
+		encoded, err := wire.Encode(old)
 		if err != nil {
 			// Old messages were received off the wire or produced by this
 			// engine; both are always encodable.
@@ -282,7 +282,7 @@ func (e *Engine) nextMessage() *wire.DataMessage {
 func (e *Engine) nextOperationalMessage() *wire.DataMessage {
 	first := e.popPending()
 	thr := e.cfg.PackThreshold
-	if thr <= 0 || e.PendingLen() == 0 {
+	if thr <= 0 || e.pendingLen() == 0 {
 		return &wire.DataMessage{Service: first.service, Payload: first.payload}
 	}
 	size := 2 + 4 + len(first.payload)
@@ -290,7 +290,7 @@ func (e *Engine) nextOperationalMessage() *wire.DataMessage {
 		return &wire.DataMessage{Service: first.service, Payload: first.payload}
 	}
 	batch := append(e.packBatch[:0], first.payload)
-	for e.PendingLen() > 0 && len(batch) < wire.MaxPacked {
+	for e.pendingLen() > 0 && len(batch) < wire.MaxPacked {
 		next := e.pending[e.pendingHead]
 		if next.service != first.service || size+4+len(next.payload) > thr {
 			break

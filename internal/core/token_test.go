@@ -21,7 +21,7 @@ func newMember(t *testing.T, id wire.ParticipantID, n int, cfg Config) *Engine {
 	for i := 1; i <= n; i++ {
 		members = append(members, wire.ParticipantID(i))
 	}
-	if _, err := eng.StartWithRing(members); err != nil {
+	if _, err := eng.Start(members); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -41,8 +41,10 @@ func ringToken(e *Engine, tokenSeq uint64, round wire.Round, seq, aru wire.Seq) 
 // actionsByType splits an action list for inspection.
 func findToken(actions []Action) (*wire.Token, int) {
 	for i, a := range actions {
-		if st, ok := a.(SendToken); ok {
-			return st.Token, i
+		if st, ok := a.(Send); ok {
+			if tok, ok := st.Frame.(*wire.Token); ok {
+				return tok, i
+			}
 		}
 	}
 	return nil, -1
@@ -71,7 +73,7 @@ func deliveries(actions []Action) []Deliver {
 func mustSubmit(t *testing.T, e *Engine, n int, svc wire.Service) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := e.Submit(payload(e.cfg.MyID, i), svc); err != nil {
+		if _, err := e.Submit(payload(e.cfg.MyID, i), svc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +158,7 @@ func TestTokenForwardedToSuccessor(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
 	for _, a := range actions {
-		if st, ok := a.(SendToken); ok {
+		if st, ok := a.(Send); ok {
 			if st.To != 3 {
 				t.Fatalf("token sent to %s, want 3", st.To)
 			}
@@ -171,7 +173,7 @@ func TestLastMemberWrapsToRepresentative(t *testing.T) {
 	actions := e.HandleToken(ringToken(e, 5, 2, 0, 0))
 	tok, _ := findToken(actions)
 	for _, a := range actions {
-		if st, ok := a.(SendToken); ok && st.To != 1 {
+		if st, ok := a.(Send); ok && st.To != 1 {
 			t.Fatalf("token sent to %s, want 1", st.To)
 		}
 	}
@@ -188,8 +190,8 @@ func TestDuplicateTokenDiscarded(t *testing.T) {
 	if got := e.HandleToken(ringToken(e, 5, 1, 0, 0)); got != nil {
 		t.Fatalf("duplicate token produced %d actions", len(got))
 	}
-	if e.Stats().TokensDuplicate != 1 {
-		t.Fatalf("TokensDuplicate = %d, want 1", e.Stats().TokensDuplicate)
+	if e.Snapshot().Stats.TokensDuplicate != 1 {
+		t.Fatalf("TokensDuplicate = %d, want 1", e.Snapshot().Stats.TokensDuplicate)
 	}
 }
 
@@ -237,8 +239,8 @@ func TestRetransmissionAnsweredPreToken(t *testing.T) {
 	if len(out.RTR) != 0 {
 		t.Fatalf("answered request still on token: %v", out.RTR)
 	}
-	if e.Stats().MsgsRetransmitted != 1 {
-		t.Fatalf("MsgsRetransmitted = %d, want 1", e.Stats().MsgsRetransmitted)
+	if e.Snapshot().Stats.MsgsRetransmitted != 1 {
+		t.Fatalf("MsgsRetransmitted = %d, want 1", e.Snapshot().Stats.MsgsRetransmitted)
 	}
 }
 
@@ -281,8 +283,8 @@ func TestRTROnlyRequestsUpToPreviousTokenSeq(t *testing.T) {
 			t.Fatalf("round 2 RTR = %v, want %v", out.RTR, want)
 		}
 	}
-	if e.Stats().RTRRequested != 5 {
-		t.Fatalf("RTRRequested = %d, want 5", e.Stats().RTRRequested)
+	if e.Snapshot().Stats.RTRRequested != 5 {
+		t.Fatalf("RTRRequested = %d, want 5", e.Snapshot().Stats.RTRRequested)
 	}
 }
 
@@ -401,8 +403,8 @@ func TestPersonalWindowLimitsRound(t *testing.T) {
 	if got := len(dataSends(actions)); got != 4 {
 		t.Fatalf("sent %d, want personal window 4", got)
 	}
-	if e.PendingLen() != 46 {
-		t.Fatalf("pending = %d, want 46", e.PendingLen())
+	if e.Progress().Pending != 46 {
+		t.Fatalf("pending = %d, want 46", e.Progress().Pending)
 	}
 }
 
@@ -483,8 +485,8 @@ func TestStableMessagesDiscarded(t *testing.T) {
 	if e.buf.Len() != 0 {
 		t.Fatalf("buffer holds %d messages after stability, want 0", e.buf.Len())
 	}
-	if e.Stats().Discarded != 3 {
-		t.Fatalf("Discarded = %d, want 3", e.Stats().Discarded)
+	if e.Snapshot().Stats.Discarded != 3 {
+		t.Fatalf("Discarded = %d, want 3", e.Snapshot().Stats.Discarded)
 	}
 }
 
@@ -523,8 +525,8 @@ func TestTokenRetransTimerResendsSavedToken(t *testing.T) {
 	if rt.TokenSeq != sent.TokenSeq {
 		t.Fatalf("retransmitted TokenSeq = %d, want %d (identical token)", rt.TokenSeq, sent.TokenSeq)
 	}
-	if e.Stats().TokenRetransmits != 1 {
-		t.Fatalf("TokenRetransmits = %d, want 1", e.Stats().TokenRetransmits)
+	if e.Snapshot().Stats.TokenRetransmits != 1 {
+		t.Fatalf("TokenRetransmits = %d, want 1", e.Snapshot().Stats.TokenRetransmits)
 	}
 }
 
@@ -546,26 +548,23 @@ func TestDownstreamProgressCancelsRetransTimer(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	if err := e.Submit([]byte("x"), 0); err == nil {
+	if _, err := e.Submit([]byte("x"), 0); err == nil {
 		t.Fatal("Submit accepted invalid service")
 	}
-	if err := e.Submit(make([]byte, wire.MaxPayload+1), wire.ServiceAgreed); err == nil {
+	if _, err := e.Submit(make([]byte, wire.MaxPayload+1), wire.ServiceAgreed); err == nil {
 		t.Fatal("Submit accepted oversized payload")
 	}
 }
 
-func TestStartWithRingValidation(t *testing.T) {
+func TestStartStaticValidation(t *testing.T) {
 	eng, err := New(Config{MyID: 5, Protocol: ProtocolAcceleratedRing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.StartWithRing(nil); err == nil {
-		t.Fatal("accepted empty membership")
-	}
-	if _, err := eng.StartWithRing([]wire.ParticipantID{1, 2}); err == nil {
+	if _, err := eng.Start([]wire.ParticipantID{1, 2}); err == nil {
 		t.Fatal("accepted membership not containing self")
 	}
-	if _, err := eng.StartWithRing([]wire.ParticipantID{5, 5}); err == nil {
+	if _, err := eng.Start([]wire.ParticipantID{5, 5}); err == nil {
 		t.Fatal("accepted duplicate members")
 	}
 }
@@ -578,20 +577,20 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Config().Protocol != ProtocolAcceleratedRing {
+	if e.cfg.Protocol != ProtocolAcceleratedRing {
 		t.Fatal("default protocol should be accelerated")
 	}
-	if e.Config().Priority != PriorityAggressive {
+	if e.cfg.Priority != PriorityAggressive {
 		t.Fatal("default priority for accelerated should be aggressive")
 	}
 	o, err := New(Config{MyID: 1, Protocol: ProtocolOriginalRing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Config().Flow.AcceleratedWindow != 0 {
+	if o.cfg.Flow.AcceleratedWindow != 0 {
 		t.Fatal("original protocol must force accelerated window to 0")
 	}
-	if o.Config().Priority != PriorityConservative {
+	if o.cfg.Priority != PriorityConservative {
 		t.Fatal("original protocol must force conservative priority")
 	}
 }
@@ -610,14 +609,14 @@ func TestRTRBoundedByMaxRTR(t *testing.T) {
 	if len(out.RTR) == 0 {
 		t.Fatal("no retransmission requests despite a huge gap")
 	}
-	if _, err := out.Encode(); err != nil {
+	if _, err := wire.Encode(out); err != nil {
 		t.Fatalf("capped token does not encode: %v", err)
 	}
 }
 
 func TestMaxPayloadSubmission(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	if err := e.Submit(make([]byte, wire.MaxPayload), wire.ServiceAgreed); err != nil {
+	if _, err := e.Submit(make([]byte, wire.MaxPayload), wire.ServiceAgreed); err != nil {
 		t.Fatalf("max payload rejected: %v", err)
 	}
 	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
@@ -625,7 +624,7 @@ func TestMaxPayloadSubmission(t *testing.T) {
 	if len(sends) != 1 || len(sends[0].Msg.Payload) != wire.MaxPayload {
 		t.Fatalf("max payload not sent intact")
 	}
-	if _, err := sends[0].Msg.Encode(); err != nil {
+	if _, err := wire.Encode(sends[0].Msg); err != nil {
 		t.Fatalf("max payload message does not encode: %v", err)
 	}
 }
@@ -647,10 +646,10 @@ func TestDuplicateDataCounted(t *testing.T) {
 	e.HandleData(m)
 	cp := *m
 	e.HandleData(&cp)
-	if e.Stats().MsgsDuplicate != 1 {
-		t.Fatalf("MsgsDuplicate = %d, want 1", e.Stats().MsgsDuplicate)
+	if e.Snapshot().Stats.MsgsDuplicate != 1 {
+		t.Fatalf("MsgsDuplicate = %d, want 1", e.Snapshot().Stats.MsgsDuplicate)
 	}
-	if e.Stats().MsgsReceived != 1 {
-		t.Fatalf("MsgsReceived = %d, want 1", e.Stats().MsgsReceived)
+	if e.Snapshot().Stats.MsgsReceived != 1 {
+		t.Fatalf("MsgsReceived = %d, want 1", e.Snapshot().Stats.MsgsReceived)
 	}
 }

@@ -57,7 +57,7 @@ func TestTracerSeesMembershipCycle(t *testing.T) {
 	// Attach tracers post-construction is impossible (config is copied),
 	// so rebuild node 1's engine with one.
 	tr := &recordingTracer{}
-	cfg := h.nodes[0].eng.Config()
+	cfg := h.nodes[0].eng.cfg
 	cfg.Tracer = tr
 	eng, err := New(cfg)
 	if err != nil {

@@ -34,10 +34,12 @@ const (
 	MaskCommit
 )
 
-// MaskOf returns the mask bit for a wire message kind.
+// MaskOf returns the mask bit for a wire message kind. Engine-opaque
+// control frames travel on the data socket and match MaskData, so a plan
+// aimed at data traffic also bites an engine's control traffic.
 func MaskOf(k wire.Kind) KindMask {
 	switch k {
-	case wire.KindData:
+	case wire.KindData, wire.KindControl:
 		return MaskData
 	case wire.KindToken:
 		return MaskToken

@@ -67,6 +67,35 @@ func TestWindowsAndMatching(t *testing.T) {
 	}
 }
 
+// TestMaskOf pins the kind → mask table. Control frames must map to
+// MaskData (they share the data socket): an unmapped kind returns 0 and
+// would silently dodge every fault with a non-zero Kinds mask.
+func TestMaskOf(t *testing.T) {
+	for _, c := range []struct {
+		kind wire.Kind
+		want KindMask
+	}{
+		{wire.KindData, MaskData},
+		{wire.KindToken, MaskToken},
+		{wire.KindJoin, MaskJoin},
+		{wire.KindCommit, MaskCommit},
+		{wire.KindControl, MaskData},
+		{0, 0},
+		{wire.KindControl + 1, 0},
+	} {
+		if got := MaskOf(c.kind); got != c.want {
+			t.Errorf("MaskOf(%v) = %#x, want %#x", c.kind, got, c.want)
+		}
+	}
+	in := (&Plan{Seed: 1, Links: []LinkFault{{Kinds: MaskData, Loss: 1}}}).Injector()
+	if !in.Decide(0, 1, 2, wire.KindControl).Drop {
+		t.Fatal("data-masked fault let a control frame through")
+	}
+	if in.Decide(0, 1, 2, wire.KindToken).Drop {
+		t.Fatal("data-masked fault dropped a token")
+	}
+}
+
 func TestPartitionEvents(t *testing.T) {
 	p := Plan{Seed: 1, Events: []NodeEvent{
 		{At: time.Second, Kind: EventPartition, Node: 3, Group: 1},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accelring/internal/metrics"
@@ -81,6 +80,9 @@ type ConfigUpdate struct {
 	Members      []wire.ParticipantID
 	Transitional bool
 }
+
+// ErrClosed is returned by submissions to a router that has stopped.
+var ErrClosed = errors.New("multiring: router closed")
 
 // Event is a merged-stream occurrence: a Delivery or a ConfigUpdate.
 type Event interface {
@@ -158,7 +160,17 @@ type Router struct {
 	merger *Merger
 	out    chan Event
 
-	seq atomic.Uint64 // submission counter, shared across rings
+	// submitSem (capacity 1) guards enqueue; seq is the submission
+	// counter, shared across rings. A channel rather than a sync.Mutex so
+	// that a waiter gives up when the router stops.
+	submitSem chan struct{}
+	seq       uint64
+
+	// skipCh hands the skipper goroutine one tick's starved rings. The
+	// merge goroutine must never wait on submitSem itself: the holder may
+	// be blocked on a ring whose backpressure only the merge relieves.
+	skipCh      chan skipBatch
+	skipperDone chan struct{}
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -205,8 +217,13 @@ func NewRouter(opts Options) (*Router, error) {
 		stopCh:  make(chan struct{}),
 		done:    make(chan struct{}),
 		unitsIn: make([]metrics.Counter, len(opts.Rings)),
+
+		submitSem:   make(chan struct{}, 1),
+		skipCh:      make(chan skipBatch),
+		skipperDone: make(chan struct{}),
 	}
 	go r.run()
+	go r.skipper()
 	return r, nil
 }
 
@@ -234,21 +251,7 @@ func (r *Router) Submit(groups []string, payload []byte, service wire.Service) e
 	if len(groups) == 0 {
 		return errors.New("multiring: at least one destination group required")
 	}
-	shards := r.shardsOf(groups)
-	key := MsgKey{Sender: r.opts.LocalID, Seq: r.seq.Add(1)}
-	env, err := AppendMessageEnvelope(nil, key, len(shards), groups, payload)
-	if err != nil {
-		r.submitErrors.Inc()
-		return err
-	}
-	for _, s := range shards {
-		if err := r.opts.Rings[s].Submit(env, service); err != nil {
-			r.submitErrors.Inc()
-			return fmt.Errorf("multiring: ring %d: %w", s, err)
-		}
-	}
-	r.submits.Inc()
-	return nil
+	return r.submit(r.shardsOf(groups), groups, payload, service)
 }
 
 // SubmitShard routes one message to an explicit ring, bypassing the group
@@ -257,17 +260,46 @@ func (r *Router) SubmitShard(ring int, group string, payload []byte, service wir
 	if ring < 0 || ring >= len(r.opts.Rings) {
 		return fmt.Errorf("multiring: ring %d out of range [0,%d)", ring, len(r.opts.Rings))
 	}
-	key := MsgKey{Sender: r.opts.LocalID, Seq: r.seq.Add(1)}
-	env, err := AppendMessageEnvelope(nil, key, 1, []string{group}, payload)
+	return r.submit([]int{ring}, []string{group}, payload, service)
+}
+
+// submit enqueues one application message on the given rings and counts
+// the outcome.
+func (r *Router) submit(rings []int, groups []string, payload []byte, service wire.Service) error {
+	err := r.enqueue(rings, service, func(key MsgKey) ([]byte, error) {
+		return AppendMessageEnvelope(nil, key, len(rings), groups, payload)
+	})
 	if err != nil {
 		r.submitErrors.Inc()
 		return err
 	}
-	if err := r.opts.Rings[ring].Submit(env, service); err != nil {
-		r.submitErrors.Inc()
+	r.submits.Inc()
+	return nil
+}
+
+// enqueue assigns the next sender sequence to one unit and submits its
+// envelope to the given rings, all inside one critical section. Every
+// producer of this node's units — application goroutines and the skip
+// ticker — goes through here, so a ring can never be handed sequence N+1
+// before N: taking the number and enqueueing as two steps let two
+// producers swap, which broke per-sender FIFO on the ring.
+func (r *Router) enqueue(rings []int, service wire.Service, envelope func(MsgKey) ([]byte, error)) error {
+	select {
+	case r.submitSem <- struct{}{}:
+	case <-r.stopCh:
+		return ErrClosed
+	}
+	defer func() { <-r.submitSem }()
+	r.seq++
+	env, err := envelope(MsgKey{Sender: r.opts.LocalID, Seq: r.seq})
+	if err != nil {
 		return err
 	}
-	r.submits.Inc()
+	for _, s := range rings {
+		if err := r.opts.Rings[s].Submit(env, service); err != nil {
+			return fmt.Errorf("multiring: ring %d: %w", s, err)
+		}
+	}
 	return nil
 }
 
@@ -290,6 +322,7 @@ func (r *Router) shardsOf(groups []string) []int {
 func (r *Router) Close() error {
 	r.stopOnce.Do(func() { close(r.stopCh) })
 	<-r.done
+	<-r.skipperDone
 	for _, h := range r.opts.Rings {
 		if h.Close != nil {
 			h.Close()
@@ -386,6 +419,11 @@ func (r *Router) handle(te TaggedEvent) bool {
 	r.merger.Push(te.Ring, u)
 	for {
 		m, ok := r.merger.Next()
+		// Publish the gauges before the delivery they describe becomes
+		// observable: a consumer that snapshots right after receiving a
+		// message must not see it still pending.
+		r.turnsGauge.Set(int64(r.merger.Turn()))
+		r.pendingGauge.Set(int64(r.merger.PendingMultiShard()))
 		if !ok {
 			break
 		}
@@ -404,8 +442,6 @@ func (r *Router) handle(te TaggedEvent) bool {
 			return false
 		}
 	}
-	r.turnsGauge.Set(int64(r.merger.Turn()))
-	r.pendingGauge.Set(int64(r.merger.PendingMultiShard()))
 	return true
 }
 
@@ -439,18 +475,39 @@ func (r *Router) maybeSkip() {
 	if count > r.opts.MaxSkipBatch {
 		count = r.opts.MaxSkipBatch
 	}
-	for _, ring := range starved {
-		key := MsgKey{Sender: r.opts.LocalID, Seq: r.seq.Add(1)}
-		env, err := AppendSkipEnvelope(nil, key, count)
-		if err != nil {
-			r.skipErrs.Inc()
-			continue
+	select {
+	case r.skipCh <- skipBatch{rings: starved, count: count}:
+	default: // the skipper is still submitting the previous batch; the next tick retries
+	}
+}
+
+// skipBatch is one tick's skip work: the starved rings and the turn count
+// each skip unit covers.
+type skipBatch struct {
+	rings []int
+	count uint32
+}
+
+// skipper submits skip units on behalf of the merge goroutine, until the
+// router stops.
+func (r *Router) skipper() {
+	defer close(r.skipperDone)
+	for {
+		select {
+		case b := <-r.skipCh:
+			for _, ring := range b.rings {
+				err := r.enqueue([]int{ring}, wire.ServiceAgreed, func(key MsgKey) ([]byte, error) {
+					return AppendSkipEnvelope(nil, key, b.count)
+				})
+				if err != nil {
+					// The ring is busy or reforming; a later tick retries.
+					r.skipErrs.Inc()
+					continue
+				}
+				r.skipsSubmitted.Inc()
+			}
+		case <-r.stopCh:
+			return
 		}
-		if err := r.opts.Rings[ring].Submit(env, wire.ServiceAgreed); err != nil {
-			// The ring is busy or reforming; the next tick retries.
-			r.skipErrs.Inc()
-			continue
-		}
-		r.skipsSubmitted.Inc()
 	}
 }

@@ -1,7 +1,9 @@
 package multiring
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -330,6 +332,71 @@ func TestRouterOnUnitSeesPerRingOrder(t *testing.T) {
 	}
 	if len(perRing[0]) != 3 || len(perRing[1]) != 3 {
 		t.Fatalf("per-ring unit counts: %v", perRing)
+	}
+}
+
+// TestRouterSequenceMatchesEnqueueOrder is the regression test for the
+// sender-FIFO race: taking a sender sequence and enqueueing on the ring
+// used to be two steps, so a second producer could take N+1 and enqueue it
+// before N. The recording ring parks its first caller — which already owns
+// sequence N — and yields until a second producer has been recorded ahead
+// of it, or, when the router correctly holds that producer back, until a
+// bounded number of yields has passed. No sleeps, no timing assumptions.
+func TestRouterSequenceMatchesEnqueueOrder(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		order     []uint64 // sender sequences in ring enqueue order
+		calls     atomic.Int32
+		overtaken atomic.Bool
+	)
+	firstIn := make(chan struct{})
+	ring := RingHandle{Submit: func(payload []byte, _ wire.Service) error {
+		u, err := DecodeEnvelope(payload)
+		if err != nil {
+			return err
+		}
+		first := calls.Add(1) == 1
+		if first {
+			close(firstIn)
+			for i := 0; i < 100000 && !overtaken.Load(); i++ {
+				runtime.Gosched()
+			}
+		}
+		mu.Lock()
+		order = append(order, u.Key.Seq)
+		mu.Unlock()
+		if !first {
+			overtaken.Store(true)
+		}
+		return nil
+	}}
+	r, err := NewRouter(Options{Rings: []RingHandle{ring}, Events: make(chan TaggedEvent), LocalID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		errs <- r.Submit([]string{"g"}, []byte("a"), wire.ServiceAgreed)
+	}()
+	<-firstIn // the first producer owns its sequence and is inside the ring
+	go func() {
+		defer wg.Done()
+		errs <- r.SubmitShard(0, "g", []byte("b"), wire.ServiceAgreed)
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(order) != 2 || order[0] >= order[1] {
+		t.Fatalf("ring enqueue order %v is not the sender sequence order", order)
 	}
 }
 

@@ -9,16 +9,15 @@ import (
 	"accelring/internal/wire"
 )
 
-// packet is a message in flight. The simulator never serializes messages;
-// it carries typed messages plus their modeled wire size.
+// packet is a frame in flight. The simulator never serializes frames; it
+// carries them typed, plus their modeled wire size and the socket they
+// arrive on (unicasts reach the token socket, multicasts the data socket,
+// as in the real transports).
 type packet struct {
-	kind   wire.Kind
-	tok    *wire.Token
-	data   *wire.DataMessage
-	join   *wire.JoinMessage
-	commit *wire.CommitToken
-	bytes  int
-	frags  int
+	frame   wire.Frame
+	unicast bool
+	bytes   int
+	frags   int
 }
 
 // simNode is one ring participant: a single-threaded protocol process with
@@ -44,11 +43,11 @@ type simNode struct {
 	timers map[core.TimerKind]time.Duration
 }
 
-func newSimNode(s *Sim, eng core.OrderingEngine) *simNode {
+func newSimNode(s *Sim, idx int, eng core.OrderingEngine) *simNode {
 	return &simNode{
 		sim:    s,
 		eng:    eng,
-		idx:    int(eng.Config().MyID) - 1,
+		idx:    idx,
 		timers: make(map[core.TimerKind]time.Duration),
 	}
 }
@@ -71,15 +70,14 @@ func (n *simNode) injectSubmission(clientTime time.Duration) {
 // buffer (tokens and data use separate sockets, as in the real
 // implementations) and wakes the processing loop.
 func (n *simNode) receive(p packet) {
-	switch p.kind {
-	case wire.KindToken, wire.KindCommit:
+	if p.unicast {
 		if n.tokenQBytes+p.bytes > n.sim.cfg.Network.SockBufToken {
 			n.sim.sockDrops++
 			return
 		}
 		n.tokenQ = append(n.tokenQ, p)
 		n.tokenQBytes += p.bytes
-	default:
+	} else {
 		if n.dataQBytes+p.bytes > n.sim.cfg.Network.SockBufData {
 			n.sim.sockDrops++
 			return
@@ -116,7 +114,7 @@ func (n *simNode) run() {
 
 	prof := &n.sim.cfg.Profile
 	switch {
-	case n.eng.TokenHasPriority() && len(n.tokenQ) > 0:
+	case len(n.tokenQ) > 0 && n.eng.Progress().TokenPriority:
 		n.processToken(prof)
 	case len(n.dataQ) > 0:
 		n.processData(prof)
@@ -145,12 +143,7 @@ func (n *simNode) processToken(prof *Profile) {
 	n.tokenQ = n.tokenQ[1:]
 	n.tokenQBytes -= p.bytes
 	n.cpuFree += prof.TokenCost
-	switch p.kind {
-	case wire.KindToken:
-		n.execute(n.eng.HandleToken(p.tok))
-	case wire.KindCommit:
-		n.execute(n.eng.HandleCommit(p.commit))
-	}
+	n.execute(n.eng.Step(core.Input{Frame: p.frame}))
 }
 
 func (n *simNode) processData(prof *Profile) {
@@ -158,18 +151,13 @@ func (n *simNode) processData(prof *Profile) {
 	n.dataQ = n.dataQ[1:]
 	n.dataQBytes -= p.bytes
 	n.cpuFree += prof.DataRecvCost
-	if p.kind == wire.KindData {
+	if p.frame.Kind() == wire.KindData {
 		n.cpuFree += perKB(prof.RecvPerKB, n.sim.cfg.PayloadSize)
 	}
 	if p.frags > 0 {
 		n.cpuFree += time.Duration(p.frags) * prof.RecvPerFrag
 	}
-	switch p.kind {
-	case wire.KindData:
-		n.execute(n.eng.HandleData(p.data))
-	case wire.KindJoin:
-		n.execute(n.eng.HandleJoin(p.join))
-	}
+	n.execute(n.eng.Step(core.Input{Frame: p.frame}))
 }
 
 func (n *simNode) processSubmissions(prof *Profile, limit int) {
@@ -193,18 +181,14 @@ func (n *simNode) processSubmissions(prof *Profile, limit int) {
 		// The engine never inspects payloads; the simulator models the
 		// configured payload size on the wire while carrying only the
 		// submit timestamp (and capture tag) in memory.
-		if err := n.eng.Submit(payload, n.sim.cfg.Service); err != nil {
+		actions, err := n.eng.Submit(payload, n.sim.cfg.Service)
+		if err != nil {
 			// The backlog cap is sized so this cannot happen in a valid
 			// experiment; losing the message only lowers achieved
 			// throughput, which the stability check reports.
 			return
 		}
-		// Engines with an eager submit path (Ring Paxos proposers
-		// multicast the value immediately) hand that output back via
-		// Flush, per the OrderingEngine contract.
-		if fl, ok := n.eng.(core.Flusher); ok {
-			n.execute(fl.Flush())
-		}
+		n.execute(actions)
 	}
 }
 
@@ -219,19 +203,13 @@ func (n *simNode) execute(actions []core.Action) {
 		case core.SendData:
 			n.cpuFree += prof.SendCost + perKB(prof.SendPerKB, n.sim.cfg.PayloadSize)
 			body := prof.HeaderBytes + n.sim.cfg.PayloadSize
-			pkt := packet{kind: wire.KindData, data: act.Msg,
-				bytes: n.sim.wireBytes(body), frags: n.sim.fragments(body)}
+			pkt := packet{frame: act.Msg, bytes: n.sim.wireBytes(body), frags: n.sim.fragments(body)}
 			n.transmit(pkt, -1)
-		case core.SendToken:
+		case core.Send:
+			// Everything but client data is modeled at its encoded size,
+			// with no per-payload cost. A zero To multicasts (dst -1).
 			n.cpuFree += prof.SendCost
-			pkt := packet{kind: wire.KindToken, tok: act.Token, bytes: n.sim.wireBytes(act.Token.EncodedSize())}
-			n.transmit(pkt, int(act.To)-1)
-		case core.SendJoin:
-			n.cpuFree += prof.SendCost
-			n.transmit(packet{kind: wire.KindJoin, join: act.Join, bytes: n.sim.wireBytes(act.Join.EncodedSize())}, -1)
-		case core.SendCommit:
-			n.cpuFree += prof.SendCost
-			pkt := packet{kind: wire.KindCommit, commit: act.Commit, bytes: n.sim.wireBytes(act.Commit.EncodedSize())}
+			pkt := packet{frame: act.Frame, unicast: act.To != 0, bytes: n.sim.wireBytes(act.Frame.EncodedSize())}
 			n.transmit(pkt, int(act.To)-1)
 		case core.Deliver:
 			n.cpuFree += prof.DeliverCost + perKB(prof.DeliverPerKB, n.sim.cfg.PayloadSize)
@@ -284,7 +262,7 @@ func (n *simNode) transmit(p packet, dst int) {
 			// The injected fault acts on the wire between switch and
 			// destination NIC: loss discards the copy after it consumed
 			// port bandwidth; duplication and delay add delivery events.
-			v := f.Decide(txEnd, wire.ParticipantID(n.idx+1), wire.ParticipantID(i+1), p.kind)
+			v := f.Decide(txEnd, wire.ParticipantID(n.idx+1), wire.ParticipantID(i+1), p.frame.Kind())
 			if v.Drop {
 				n.sim.faultDrops++
 				continue
@@ -348,7 +326,7 @@ func (n *simNode) setTimer(kind core.TimerKind, after time.Duration) {
 	n.sim.schedule(deadline, func() {
 		if d, ok := n.timers[kind]; ok && d == deadline {
 			delete(n.timers, kind)
-			n.execute(n.eng.HandleTimer(kind))
+			n.execute(n.eng.Step(core.Input{Timer: kind}))
 		}
 	})
 }

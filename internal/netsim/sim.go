@@ -258,10 +258,10 @@ func RunCapture(cfg Config) (Result, evscheck.Log, error) {
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("netsim: %w", err)
 		}
-		s.nodes[i] = newSimNode(s, eng)
+		s.nodes[i] = newSimNode(s, i, eng)
 	}
 	for _, n := range s.nodes {
-		actions, err := n.eng.StartWithRing(members)
+		actions, err := n.eng.Start(members)
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("netsim: %w", err)
 		}
@@ -299,14 +299,14 @@ func RunCapture(cfg Config) (Result, evscheck.Log, error) {
 	res.FaultDrops = s.faultDrops
 	res.FaultDups = s.faultDups
 	for _, n := range s.nodes {
-		st := n.eng.Stats()
+		st := n.eng.Snapshot().Stats
 		res.TokensHandled += st.TokensProcessed
 		res.Retransmits += st.MsgsRetransmitted
 		res.PostTokenMsgs += st.MsgsPostToken
 		res.RTRDeferredRounds += st.RTRDeferredRounds
 		res.FlowThrottledRounds += st.FlowThrottledRounds
 		res.AccelFlushes += st.AccelFlushes
-		res.BacklogLeft += n.eng.PendingLen()
+		res.BacklogLeft += n.eng.Progress().Pending
 	}
 	res.Nodes = cfg.Nodes
 	if rounds := float64(res.TokensHandled) / float64(cfg.Nodes); rounds > 0 {

@@ -1,15 +1,15 @@
 // Package ringpaxos implements Ring Paxos (Marandi, Primi, Schiper &
 // Pedone, "Ring Paxos: A High-Throughput Atomic Broadcast Protocol") as a
 // second ordering engine behind this repository's engine ⇄ runtime
-// contract (core.OrderingEngine). It speaks the same four wire frames as
-// the Accelerated Ring engine — proposals and protocol control messages
-// travel as data frames, the ring-circulated Phase 2 ack travels as the
-// token frame — so it runs over memnet, netsim and udpnet unmodified and
-// slots behind multiring.RingHandle.
+// contract (core.OrderingEngine). Proposals travel as data frames, the
+// ring-circulated Phase 2 ack as the token frame, and the protocol's
+// control messages as engine-opaque control frames (messages.go) — so it
+// runs over memnet, netsim and udpnet unmodified and slots behind
+// multiring.RingHandle.
 //
 // Protocol shape, mapped onto the paper:
 //
-//   - The member set is static (StartWithRing's list) and doubles as the
+//   - The member set is static (Start's list) and doubles as the
 //     acceptor set. A view (the paper's "ring configuration", a Paxos
 //     ballot) has a coordinator — members[view mod n] — and an active
 //     ring: the ≥-majority subset of members that answered the view's
@@ -50,14 +50,9 @@ import (
 	"accelring/internal/wire"
 )
 
-// ringSeq is the static configuration's ring sequence number, mirroring
-// the Accelerated Ring engine's StartWithRing choice so both engines
-// report the same configuration identity for the same member list.
-const ringSeq = 4
-
 // maxReportEntries bounds the accepted-suffix entries one Phase 1b report
 // can carry: each entry is 28 bytes ({instance, view, key}) plus a
-// 21-byte header, and 21 + 28*2300 = 64421 fits wire.MaxPayload (65024).
+// 28-byte header, and 28 + 28*2300 = 64428 fits wire.MaxPayload (65024).
 // The undecided window is clamped below it so a report never needs
 // truncation — see the safety note in viewchange.go.
 const maxReportEntries = 2300
@@ -157,7 +152,6 @@ type Engine struct {
 	// mySeq starts at Incarnation<<32 so every incarnation's keys are
 	// disjoint (see valKey).
 	mySeq      uint64
-	myUnsent   []valKey // submitted, not yet multicast (drained by Flush)
 	myPending  map[valKey]bool
 	myPendOrd  []valKey // myPending in submission order
 	maxPending int
@@ -181,7 +175,7 @@ type Engine struct {
 	paused       bool   // coordinator paused an idle ring
 	// provenRing gates fresh assignment on evidence that the active ring
 	// really is at this view. Views installed by Phase 1 are proven by
-	// the majority of reports; the implicit view 0 from StartWithRing is
+	// the majority of reports; the implicit view 0 from Start is
 	// not — a restarted members[0] also boots believing it coordinates
 	// view 0 while the real cluster is views ahead, and letting it assign
 	// its pooled values at instance 1 would poison history the cluster
@@ -212,17 +206,11 @@ type Engine struct {
 
 // Config validation errors.
 var (
-	ErrNeedsMembers = errors.New("ringpaxos: static membership required (StartWithRing)")
-	ErrNotMember    = errors.New("ringpaxos: participant not in member list")
+	ErrNeedsMembers = errors.New("ringpaxos: static membership required")
 )
 
-// Interface conformance: the full engine ⇄ runtime contract plus both
-// optional extensions (eager proposal flush, event-driven rotation).
-var (
-	_ core.OrderingEngine   = (*Engine)(nil)
-	_ core.Flusher          = (*Engine)(nil)
-	_ core.RotationObserver = (*Engine)(nil)
-)
+// Interface conformance.
+var _ core.OrderingEngine = (*Engine)(nil)
 
 // New creates an engine. The config is the same struct the Accelerated
 // Ring engine takes; the timer fields are reinterpreted per the table in
@@ -242,7 +230,7 @@ func New(cfg core.Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ringpaxos: %w", err)
 	}
-	cfg = probe.Config()
+	cfg = probe.Snapshot().Config
 	if cfg.Flow.MaxSeqGap > maxReportEntries {
 		cfg.Flow.MaxSeqGap = maxReportEntries
 	}
@@ -263,98 +251,69 @@ func New(cfg core.Config) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the engine's defaulted configuration.
-func (e *Engine) Config() core.Config { return e.cfg }
-
-// State maps the engine's condition onto the shared State enum: Phase 1
-// (view change) reports as Gather, normal operation as Operational.
-func (e *Engine) State() core.State {
-	if !e.started {
-		return core.StateGather
+// Snapshot implements core.OrderingEngine: the static configuration, the
+// shared counter view (see the mapping notes on the fields it fills) and,
+// as Extra, the Ring Paxos-specific Stats. Phase 1 (view change) reports as
+// Gather, normal operation as Operational.
+func (e *Engine) Snapshot() core.Snapshot {
+	state := core.StateOperational
+	if !e.started || e.inViewChange {
+		state = core.StateGather
 	}
-	if e.inViewChange {
-		return core.StateGather
-	}
-	return core.StateOperational
-}
-
-// Ring returns the static configuration.
-func (e *Engine) Ring() core.Configuration {
-	cfg := core.Configuration{ID: e.ringID}
-	cfg.Members = append([]wire.ParticipantID(nil), e.members...)
-	return cfg
-}
-
-// Stats returns the shared counter view (see the mapping notes on the
-// fields it fills). PaxosStats carries the engine-specific counters.
-func (e *Engine) Stats() core.Stats {
 	st := e.stats
 	st.MembershipChanges = 1 + e.px.ViewInstalls
-	return st
-}
-
-// PaxosStats returns the Ring Paxos-specific counters.
-func (e *Engine) PaxosStats() Stats {
 	px := e.px
 	px.View = e.view
 	px.Decided = e.decided
 	px.Delivered = e.delivered
-	return px
+	return core.Snapshot{
+		Config: e.cfg,
+		State:  state,
+		Ring:   core.Configuration{ID: e.ringID, Members: append([]wire.ParticipantID(nil), e.members...)},
+		Stats:  st,
+		Extra:  px,
+	}
 }
 
-// PendingLen reports this proposer's submitted-but-unassigned backlog.
-func (e *Engine) PendingLen() int { return len(e.myPendOrd) }
+// Progress implements core.OrderingEngine. Pending is this proposer's
+// submitted-but-unassigned backlog. TokenPriority is constant: the Phase
+// 2b ack should always be processed promptly (a held ack delays every
+// decision a full extra circulation), and unlike the token ring there is
+// no post-token sending phase whose receipt should outrank it.
+// SteadyRotation is false: an idle Ring Paxos ring pauses its circulation
+// entirely, so a frozen rotation counter is not evidence of a wedge.
+func (e *Engine) Progress() core.Progress {
+	return core.Progress{
+		Rotations:     e.stats.TokensProcessed,
+		Pending:       len(e.myPendOrd),
+		TokenPriority: true,
+	}
+}
 
-// TokenHasPriority is constant: the Phase 2b ack should always be
-// processed promptly (a held ack delays every decision a full extra
-// circulation), and unlike the token ring there is no post-token sending
-// phase whose receipt should outrank it.
-func (e *Engine) TokenHasPriority() bool { return true }
-
-// SteadyTokenRotation reports false: an idle Ring Paxos ring pauses its
-// circulation entirely, so a frozen token counter is not evidence of a
-// wedge (core.RotationObserver).
-func (e *Engine) SteadyTokenRotation() bool { return false }
-
-// Start (dynamic membership discovery) is not supported: Ring Paxos
-// needs the static acceptor set to compute majorities. The root package
-// rejects the combination before the engine is built; this returns no
-// actions so a misuse is inert rather than undefined.
-func (e *Engine) Start() []core.Action { return nil }
-
-// StartWithRing installs the static member set and delivers the initial
+// Start installs the static member set and delivers the initial
 // configuration. The ring starts quiescent: no token circulates until the
-// first value needs ordering.
-func (e *Engine) StartWithRing(members []wire.ParticipantID) ([]core.Action, error) {
-	if len(members) == 0 || len(members) > wire.MaxMembers {
+// first value needs ordering. Dynamic discovery (no member list) is not
+// supported: Ring Paxos needs the static acceptor set to compute
+// majorities.
+func (e *Engine) Start(members []wire.ParticipantID) ([]core.Action, error) {
+	if len(members) == 0 {
 		return nil, ErrNeedsMembers
 	}
-	ms := append([]wire.ParticipantID(nil), members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	for i := 1; i < len(ms); i++ {
-		if ms[i] == ms[i-1] {
-			return nil, fmt.Errorf("ringpaxos: duplicate member %s", ms[i])
-		}
+	// The same configuration identity the Accelerated Ring engine reports
+	// for this member list.
+	cfg, _, err := core.StaticConfiguration(members, e.cfg.MyID)
+	if err != nil {
+		return nil, fmt.Errorf("ringpaxos: %w", err)
 	}
-	idx := -1
-	for i, m := range ms {
-		if m == e.cfg.MyID {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil, ErrNotMember
-	}
-	e.members = ms
-	e.n = len(ms)
+	e.members = cfg.Members
+	e.n = len(e.members)
 	e.major = e.n/2 + 1
-	e.ringID = wire.RingID{Rep: ms[0], Seq: ringSeq}
+	e.ringID = cfg.ID
 	e.started = true
-	e.installActiveRing(0, ms)
+	e.installActiveRing(0, e.members)
 	e.paused = true
 	e.provenRing = e.n == 1
-	cfg := core.Configuration{ID: e.ringID, Members: append([]wire.ParticipantID(nil), ms...)}
-	return []core.Action{core.DeliverConfig{Config: cfg}}, nil
+	return []core.Action{core.DeliverConfig{Config: cfg.Clone()}}, nil
 }
 
 // installActiveRing records a view's coordinator and active ring.
@@ -404,41 +363,30 @@ func (e *Engine) successor() wire.ParticipantID {
 // isCoordinator reports whether this participant leads the current view.
 func (e *Engine) isCoordinator() bool { return e.coordinator == e.cfg.MyID }
 
-// Submit queues one value for total ordering. The value is multicast on
-// the next Flush (the runtime calls Flush after every accepted Submit,
-// per the core.Flusher contract).
-func (e *Engine) Submit(payload []byte, service wire.Service) error {
+// Submit queues one value for total ordering and returns its protocol
+// output: the value multicast, and — on the coordinator — the assignment
+// work it enables.
+func (e *Engine) Submit(payload []byte, service wire.Service) ([]core.Action, error) {
+	if !e.started {
+		return nil, ErrNeedsMembers
+	}
 	if !service.Valid() {
-		return fmt.Errorf("ringpaxos: invalid service %d", service)
+		return nil, fmt.Errorf("ringpaxos: invalid service %d", service)
 	}
 	if len(payload) > wire.MaxPayload {
-		return fmt.Errorf("ringpaxos: payload %d exceeds %d", len(payload), wire.MaxPayload)
+		return nil, fmt.Errorf("ringpaxos: payload %d exceeds %d", len(payload), wire.MaxPayload)
 	}
 	if len(e.myPendOrd) >= e.maxPending {
-		return core.ErrBacklogFull
+		return nil, core.ErrBacklogFull
 	}
 	e.mySeq++
 	k := valKey{pid: e.cfg.MyID, seq: e.mySeq}
-	p := &proposal{service: service, payload: payload}
-	e.values[k] = p
+	e.values[k] = &proposal{service: service, payload: payload}
 	e.myPending[k] = true
 	e.myPendOrd = append(e.myPendOrd, k)
-	e.myUnsent = append(e.myUnsent, k)
 	e.stats.MsgsSent++
-	return nil
-}
 
-// Flush emits the protocol output of recent submissions: the value
-// multicasts, and — on the coordinator — the assignment work they enable.
-func (e *Engine) Flush() []core.Action {
-	if !e.started || len(e.myUnsent) == 0 {
-		return nil
-	}
-	acts := e.scratch[:0]
-	for _, k := range e.myUnsent {
-		acts = append(acts, core.SendData{Msg: e.proposalFrame(k, false)})
-	}
-	e.myUnsent = e.myUnsent[:0]
+	acts := append(e.scratch[:0], core.SendData{Msg: e.proposalFrame(k, false)})
 	if e.isCoordinator() && !e.inViewChange {
 		for _, k := range e.myPendOrd {
 			if e.myPending[k] {
@@ -454,7 +402,7 @@ func (e *Engine) Flush() []core.Action {
 		acts = e.armPacing(acts)
 	}
 	e.scratch = acts[:0]
-	return acts
+	return acts, nil
 }
 
 // proposalFrame builds the data frame carrying one value.
@@ -674,18 +622,8 @@ func (e *Engine) armExpansion(acts []core.Action) []core.Action {
 	return acts
 }
 
-// HandleJoin is inert: Ring Paxos never emits join frames (its membership
-// is static; view changes use data-frame reports). A stray join is noise.
-func (e *Engine) HandleJoin(j *wire.JoinMessage) []core.Action { return nil }
-
-// HandleCommit is inert for the same reason as HandleJoin.
-func (e *Engine) HandleCommit(c *wire.CommitToken) []core.Action { return nil }
-
-// HandleTimer dispatches the engine's five timer kinds.
-func (e *Engine) HandleTimer(kind core.TimerKind) []core.Action {
-	if !e.started {
-		return nil
-	}
+// handleTimer dispatches the engine's five timer kinds.
+func (e *Engine) handleTimer(kind core.TimerKind) []core.Action {
 	switch kind {
 	case core.TimerTokenLoss:
 		e.liveArmed = false
@@ -711,7 +649,7 @@ func (e *Engine) HandleTimer(kind core.TimerKind) []core.Action {
 		tok := e.sentToken.Clone()
 		e.retransArmed = true
 		return []core.Action{
-			core.SendToken{To: e.sentTokenTo, Token: tok},
+			core.Send{To: e.sentTokenTo, Frame: tok},
 			core.SetTimer{Kind: core.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
 		}
 	case core.TimerJoin:
@@ -756,7 +694,7 @@ func (e *Engine) pacingFire() []core.Action {
 		acts = append(acts, core.SendData{Msg: e.proposalFrame(k, true)})
 	}
 	if e.deliveryGap() {
-		acts = append(acts, core.SendData{Msg: e.nackFrame(false)})
+		acts = append(acts, e.nackFrame(false))
 	}
 	acts = e.armPacing(acts)
 	acts = e.armLiveness(acts)

@@ -10,6 +10,9 @@ import (
 	"accelring/internal/wire"
 )
 
+// paxosStats extracts the engine-specific counters from a snapshot.
+func paxosStats(e *Engine) Stats { return e.Snapshot().Extra.(Stats) }
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(core.Config{}); err == nil {
 		t.Fatal("New with zero MyID should fail")
@@ -18,17 +21,14 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.StartWithRing(nil); err == nil {
-		t.Fatal("StartWithRing with no members should fail")
+	if _, err := eng.Start(nil); err == nil {
+		t.Fatal("Start with no members (dynamic discovery) should fail")
 	}
-	if _, err := eng.StartWithRing([]wire.ParticipantID{2, 3}); err == nil {
-		t.Fatal("StartWithRing without self should fail")
+	if _, err := eng.Start([]wire.ParticipantID{2, 3}); err == nil {
+		t.Fatal("Start without self should fail")
 	}
-	if _, err := eng.StartWithRing([]wire.ParticipantID{1, 2, 2}); err == nil {
-		t.Fatal("StartWithRing with duplicate member should fail")
-	}
-	if acts := eng.Start(); acts != nil {
-		t.Fatal("dynamic Start must be inert for ring paxos")
+	if _, err := eng.Start([]wire.ParticipantID{1, 2, 2}); err == nil {
+		t.Fatal("Start with duplicate member should fail")
 	}
 }
 
@@ -47,7 +47,7 @@ func TestSoloOrdering(t *testing.T) {
 			t.Fatalf("delivery %d = %q, want %q", i, r.payload, want)
 		}
 	}
-	if st := c.engines[id].PaxosStats(); st.QuorumDecides != 10 {
+	if st := paxosStats(c.engines[id]); st.QuorumDecides != 10 {
 		t.Fatalf("QuorumDecides = %d, want 10", st.QuorumDecides)
 	}
 }
@@ -75,11 +75,9 @@ func TestThreeNodeOrdering(t *testing.T) {
 	}
 	// The ring must have quiesced: no node believes work is pending.
 	for _, id := range c.ids {
-		if !c.engines[id].SteadyTokenRotation() {
-			// sanity: the rotation-observer answer is fixed
-			continue
+		if c.engines[id].Progress().SteadyRotation {
+			t.Fatal("ring paxos must report event-driven rotation")
 		}
-		t.Fatal("ring paxos must report event-driven rotation")
 	}
 }
 
@@ -130,7 +128,7 @@ func TestCoordinatorCrashFailover(t *testing.T) {
 	if !reflect.DeepEqual(c.delivered[a], c.delivered[b]) {
 		t.Fatalf("survivor logs differ:\n%v\n%v", c.deliveredAt(a), c.deliveredAt(b))
 	}
-	st := c.engines[a].PaxosStats()
+	st := paxosStats(c.engines[a])
 	if st.ViewInstalls == 0 {
 		t.Fatal("expected at least one view install after coordinator crash")
 	}
@@ -190,7 +188,7 @@ func TestLaggingLearnerCatchUp(t *testing.T) {
 		}
 	}
 	c.checkAgreement()
-	if st := c.engines[laggard].PaxosStats(); st.Delivered != 9 {
+	if st := paxosStats(c.engines[laggard]); st.Delivered != 9 {
 		t.Fatalf("laggard watermark %d, want 9", st.Delivered)
 	}
 }
@@ -210,7 +208,7 @@ func TestDuplicateFramesSuppressed(t *testing.T) {
 	c.checkAgreement()
 	var dupTok, dupMsg uint64
 	for _, id := range c.ids {
-		st := c.engines[id].Stats()
+		st := c.engines[id].Snapshot().Stats
 		dupTok += st.TokensDuplicate
 		dupMsg += st.MsgsDuplicate
 	}
@@ -322,7 +320,7 @@ func TestRestartedProposerValuesDeliverEverywhere(t *testing.T) {
 }
 
 // TestRestartedCoordinatorCannotPoisonHistory is the regression test for
-// the view-0 impostor bug: StartWithRing boots every engine believing the
+// the view-0 impostor bug: Start boots every engine believing the
 // ring is at view 0, so a restarted members[0] thinks it is the current
 // coordinator and — without the probe-circulation gate — self-assigns its
 // first pooled value at instance 1, an instance the real cluster decided
@@ -408,20 +406,21 @@ func TestStateAndRingAccessors(t *testing.T) {
 	c := newCluster(t, 3)
 	id := c.ids[0]
 	eng := c.engines[id]
-	if got := eng.State(); got != core.StateOperational {
-		t.Fatalf("State = %v, want operational", got)
+	snap := eng.Snapshot()
+	if snap.State != core.StateOperational {
+		t.Fatalf("State = %v, want operational", snap.State)
 	}
-	ring := eng.Ring()
+	ring := snap.Ring
 	if len(ring.Members) != 3 || ring.ID.Rep != c.ids[0] {
 		t.Fatalf("Ring = %+v", ring)
 	}
-	if eng.TokenHasPriority() != true {
-		t.Fatal("TokenHasPriority should be constant true")
+	if !eng.Progress().TokenPriority {
+		t.Fatal("TokenPriority should be constant true")
 	}
 	if c.configs[id] != 1 {
 		t.Fatalf("configs delivered = %d, want exactly 1", c.configs[id])
 	}
-	st := eng.Stats()
+	st := snap.Stats
 	if st.MembershipChanges != 1 {
 		t.Fatalf("MembershipChanges = %d, want 1 (initial)", st.MembershipChanges)
 	}
@@ -432,19 +431,19 @@ func TestBacklogBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.StartWithRing([]wire.ParticipantID{7}); err != nil {
+	if _, err := eng.Start([]wire.ParticipantID{7}); err != nil {
 		t.Fatal(err)
 	}
 	// Discard flush output: values stay pending forever (no peers in the
 	// harness here, submissions decide instantly in solo mode — so use a
 	// two-member ring where nothing can decide).
 	eng2, _ := New(core.Config{MyID: 7, MaxPending: 4})
-	if _, err := eng2.StartWithRing([]wire.ParticipantID{7, 9}); err != nil {
+	if _, err := eng2.Start([]wire.ParticipantID{7, 9}); err != nil {
 		t.Fatal(err)
 	}
 	var got error
 	for i := 0; i < 10; i++ {
-		if err := eng2.Submit([]byte("x"), wire.ServiceAgreed); err != nil {
+		if _, err := eng2.Submit([]byte("x"), wire.ServiceAgreed); err != nil {
 			got = err
 			break
 		}

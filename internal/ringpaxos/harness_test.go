@@ -23,11 +23,12 @@ type rec struct {
 
 func (r rec) String() string { return fmt.Sprintf("%d/%d:%s", uint32(r.pid), r.seq, r.payload) }
 
-// event is one in-flight frame.
+// event is one in-flight encoded frame: a multicast copy (value or control
+// frame) or the unicast token.
 type event struct {
 	from, to wire.ParticipantID
-	data     []byte // encoded data frame, nil for tokens
-	tok      []byte // encoded token, nil for data
+	pkt      []byte
+	unicast  bool
 }
 
 type cluster struct {
@@ -42,9 +43,11 @@ type cluster struct {
 	// starts counts engine creations per id; restarts get a fresh
 	// incarnation, mimicking the root runtime's wall-clock stamp.
 	starts map[wire.ParticipantID]uint32
-	// dropData/dropToken, when set, discard matching frames in flight.
+	// dropData/dropToken, when set, discard matching multicast (value and
+	// control) / unicast (token) frames in flight.
 	dropData  func(from, to wire.ParticipantID) bool
 	dropToken func(from, to wire.ParticipantID) bool
+	dec       wire.Decoder
 	// dupAll re-enqueues every frame a second time when set.
 	dupAll bool
 	steps  int
@@ -79,9 +82,9 @@ func (c *cluster) addEngine(id wire.ParticipantID) {
 		c.t.Fatalf("New(%v): %v", id, err)
 	}
 	c.starts[id]++
-	acts, err := eng.StartWithRing(c.ids)
+	acts, err := eng.Start(c.ids)
 	if err != nil {
-		c.t.Fatalf("StartWithRing(%v): %v", id, err)
+		c.t.Fatalf("Start(%v): %v", id, err)
 	}
 	c.engines[id] = eng
 	c.timers[id] = make(map[core.TimerKind]bool)
@@ -95,28 +98,9 @@ func (c *cluster) exec(from wire.ParticipantID, acts []core.Action) {
 	for _, a := range acts {
 		switch a := a.(type) {
 		case core.SendData:
-			enc, err := a.Msg.Encode()
-			if err != nil {
-				c.t.Fatalf("encode data from %v: %v", from, err)
-			}
-			for _, to := range c.ids {
-				if to == from {
-					continue
-				}
-				c.queue = append(c.queue, event{from: from, to: to, data: enc})
-				if c.dupAll {
-					c.queue = append(c.queue, event{from: from, to: to, data: enc})
-				}
-			}
-		case core.SendToken:
-			enc, err := a.Token.Encode()
-			if err != nil {
-				c.t.Fatalf("encode token from %v: %v", from, err)
-			}
-			c.queue = append(c.queue, event{from: from, to: a.To, tok: enc})
-			if c.dupAll {
-				c.queue = append(c.queue, event{from: from, to: a.To, tok: enc})
-			}
+			c.send(from, 0, a.Msg)
+		case core.Send:
+			c.send(from, a.To, a.Frame)
 		case core.Deliver:
 			c.delivered[from] = append(c.delivered[from], rec{
 				pid:     a.Msg.PID,
@@ -135,6 +119,32 @@ func (c *cluster) exec(from wire.ParticipantID, acts []core.Action) {
 	}
 }
 
+// send encodes one frame and enqueues a copy per destination (every other
+// node when to is zero).
+func (c *cluster) send(from, to wire.ParticipantID, f wire.Frame) {
+	c.t.Helper()
+	enc, err := f.AppendTo(nil)
+	if err != nil {
+		c.t.Fatalf("encode %v frame from %v: %v", f.Kind(), from, err)
+	}
+	dests := []wire.ParticipantID{to}
+	if to == 0 {
+		dests = nil
+		for _, id := range c.ids {
+			if id != from {
+				dests = append(dests, id)
+			}
+		}
+	}
+	for _, d := range dests {
+		ev := event{from: from, to: d, pkt: enc, unicast: to != 0}
+		c.queue = append(c.queue, ev)
+		if c.dupAll {
+			c.queue = append(c.queue, ev)
+		}
+	}
+}
+
 // step delivers the head-of-queue frame. Returns false when idle.
 func (c *cluster) step() bool {
 	c.t.Helper()
@@ -147,26 +157,18 @@ func (c *cluster) step() bool {
 	if c.crashed[ev.to] || c.crashed[ev.from] {
 		return true
 	}
-	eng := c.engines[ev.to]
-	if ev.data != nil {
-		if c.dropData != nil && c.dropData(ev.from, ev.to) {
-			return true
-		}
-		m, err := wire.DecodeData(ev.data)
-		if err != nil {
-			c.t.Fatalf("decode data: %v", err)
-		}
-		c.exec(ev.to, eng.HandleData(m))
-	} else {
-		if c.dropToken != nil && c.dropToken(ev.from, ev.to) {
-			return true
-		}
-		tok, err := wire.DecodeToken(ev.tok)
-		if err != nil {
-			c.t.Fatalf("decode token: %v", err)
-		}
-		c.exec(ev.to, eng.HandleToken(tok))
+	drop := c.dropData
+	if ev.unicast {
+		drop = c.dropToken
 	}
+	if drop != nil && drop(ev.from, ev.to) {
+		return true
+	}
+	f, err := c.dec.Decode(ev.pkt)
+	if err != nil {
+		c.t.Fatalf("decode: %v", err)
+	}
+	c.exec(ev.to, c.engines[ev.to].Step(core.Input{Frame: f}))
 	return true
 }
 
@@ -188,17 +190,17 @@ func (c *cluster) fire(id wire.ParticipantID, kind core.TimerKind) {
 		return
 	}
 	delete(c.timers[id], kind)
-	c.exec(id, c.engines[id].HandleTimer(kind))
+	c.exec(id, c.engines[id].Step(core.Input{Timer: kind}))
 }
 
-// submit feeds one value in at id and flushes its protocol output.
+// submit feeds one value in at id and executes its protocol output.
 func (c *cluster) submit(id wire.ParticipantID, payload string) {
 	c.t.Helper()
-	eng := c.engines[id]
-	if err := eng.Submit([]byte(payload), wire.ServiceAgreed); err != nil {
+	acts, err := c.engines[id].Submit([]byte(payload), wire.ServiceAgreed)
+	if err != nil {
 		c.t.Fatalf("submit at %v: %v", id, err)
 	}
-	c.exec(id, eng.Flush())
+	c.exec(id, acts)
 }
 
 // pump drives the cluster to convergence: drain the queue, then fire

@@ -7,27 +7,18 @@ import (
 	"accelring/internal/wire"
 )
 
-// Ring Paxos control traffic rides in ordinary data frames so the engine
-// needs no new wire kinds and every existing transport carries it
-// untouched. A control frame is distinguished from a value (proposal)
-// frame by the Recovered flag — a flag the Accelerated Ring engine only
-// uses during membership recovery and Ring Paxos never needs for its
-// original purpose. The frame's Round field carries the relevant view and
-// payload[0] is the control subkind:
+// Ring Paxos control traffic travels in engine-opaque control frames
+// (wire.Control): the runtime and the transports carry them without
+// looking inside. The frame's Sub field is the control subkind and every
+// body starts with the relevant view as a big-endian u64; the rest is
+// documented on each frame builder below and pinned, with the subkind
+// values, in docs/PROTOCOL.md §11:
 //
-//	subAssign  (1): coordinator → all. Phase 2a assignment batch:
-//	               decided watermark, base instance, then packed value
-//	               keys for consecutive instances base, base+1, …
-//	subReport  (2): member → all. Phase 1b report for view Round:
-//	               decided watermark, highest known instance, then
-//	               {instance, accepted view, key} triples.
-//	subNack    (3): lagging learner → all. Flags (bit 0: sender needs the
-//	               view install), the sender's promised view, then the
-//	               instances it cannot deliver.
-//	subInstall (4): view coordinator → all. View installation: the active
-//	               ring member list for view Round.
-//	subDecided (5): catch-up answer → all. One decided instance: its key
-//	               and (for non-noop slots) the value bytes inline.
+//	subAssign  (1): coordinator → all. Phase 2a assignment batch.
+//	subReport  (2): member → all. Phase 1b report for the view.
+//	subNack    (3): lagging learner → all. Catch-up request.
+//	subInstall (4): view coordinator → all. View installation.
+//	subDecided (5): catch-up answer → all. One decided instance.
 //
 // Value frames are plain data frames: PID = proposer, Seq = the
 // proposer's incarnation-tagged 64-bit submission sequence (see valKey).
@@ -55,30 +46,27 @@ type report struct {
 	entries []reportEntry
 }
 
-// controlFrame wraps a control payload in a data frame.
-func (e *Engine) controlFrame(view uint64, payload []byte) *wire.DataMessage {
-	return &wire.DataMessage{
-		RingID:    e.ringID,
-		PID:       e.cfg.MyID,
-		Round:     wire.Round(view),
-		Recovered: true,
-		Service:   wire.ServiceAgreed,
-		Payload:   payload,
-	}
+var be = binary.BigEndian
+
+func getU64(b []byte) uint64 { return be.Uint64(b) }
+func getU32(b []byte) uint32 { return be.Uint32(b) }
+
+// newBody starts a control body of n bytes after the leading view.
+func newBody(view uint64, n int) []byte {
+	return be.AppendUint64(make([]byte, 0, 8+n), view)
 }
 
-func putU64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
-func getU64(b []byte) uint64    { return binary.BigEndian.Uint64(b) }
-func putU32(b []byte, v uint32) { binary.BigEndian.PutUint32(b, v) }
-func getU32(b []byte) uint32    { return binary.BigEndian.Uint32(b) }
+// control wraps a finished body in the send action for its frame.
+func (e *Engine) control(sub uint8, body []byte) core.Action {
+	return core.Send{Frame: &wire.Control{RingID: e.ringID, Sender: e.cfg.MyID, Sub: sub, Body: body}}
+}
 
 // keyWireSize is the encoded size of one valKey: proposer ID (u32) plus
 // the 64-bit incarnation-tagged submission sequence.
 const keyWireSize = 12
 
-func putKey(b []byte, k valKey) {
-	putU32(b, uint32(k.pid))
-	putU64(b[4:], k.seq)
+func appendKey(b []byte, k valKey) []byte {
+	return be.AppendUint64(be.AppendUint32(b, uint32(k.pid)), k.seq)
 }
 
 func getKey(b []byte) valKey {
@@ -88,77 +76,71 @@ func getKey(b []byte) valKey {
 // assignFrame encodes a Phase 2a batch: count consecutive instances from
 // base, in key order. The decided watermark rides along so off-ring
 // learners (who never see the token) still learn decisions.
-func (e *Engine) assignFrame(base uint64, keys []valKey) *wire.DataMessage {
-	p := make([]byte, 21+keyWireSize*len(keys))
-	p[0] = subAssign
-	putU64(p[1:], e.decided)
-	putU64(p[9:], base)
-	putU32(p[17:], uint32(len(keys)))
-	for i, k := range keys {
-		putKey(p[21+keyWireSize*i:], k)
+func (e *Engine) assignFrame(base uint64, keys []valKey) core.Action {
+	b := newBody(e.view, 20+keyWireSize*len(keys))
+	b = be.AppendUint64(b, e.decided)
+	b = be.AppendUint64(b, base)
+	b = be.AppendUint32(b, uint32(len(keys)))
+	for _, k := range keys {
+		b = appendKey(b, k)
 	}
-	return e.controlFrame(e.view, p)
+	return e.control(subAssign, b)
 }
 
-// parseAssign decodes a Phase 2a batch.
+// parseAssign decodes a Phase 2a batch (the body after the view).
 func parseAssign(p []byte) (decided, base uint64, keys []valKey, ok bool) {
-	if len(p) < 21 {
+	if len(p) < 20 {
 		return 0, 0, nil, false
 	}
-	n := int(getU32(p[17:]))
-	if n < 0 || len(p) != 21+keyWireSize*n {
+	n := int(getU32(p[16:]))
+	if n < 0 || len(p) != 20+keyWireSize*n {
 		return 0, 0, nil, false
 	}
 	keys = make([]valKey, n)
 	for i := range keys {
-		keys[i] = getKey(p[21+keyWireSize*i:])
+		keys[i] = getKey(p[20+keyWireSize*i:])
 	}
-	return getU64(p[1:]), getU64(p[9:]), keys, true
+	return getU64(p), getU64(p[8:]), keys, true
 }
 
+// reportEntrySize is the encoded size of one reportEntry.
+const reportEntrySize = 16 + keyWireSize
+
 // reportFrame encodes this member's Phase 1b report for the given view:
-// everything accepted in (decided, decided+MaxSeqGap]. The window
-// invariant (high ≤ decided_coordinator + MaxSeqGap, enforced at
+// everything accepted in (decided, decided+MaxSeqGap] (localReport). The
+// window invariant (high ≤ decided_coordinator + MaxSeqGap, enforced at
 // assignment time in every view, and a member's decided at vote time is
 // at most MaxSeqGap below any instance it voted for) guarantees every
 // instance that may have been decided lies inside some majority
 // reporter's window, so the cut-off above decided+MaxSeqGap never drops
 // a decided entry — see the safety note on maxReportEntries.
-func (e *Engine) reportFrame(view uint64) *wire.DataMessage {
-	limit := e.decided + uint64(e.cfg.Flow.MaxSeqGap)
-	var ents []reportEntry
-	for i := e.decided + 1; i <= limit && i <= e.high; i++ {
-		if ent, ok := e.log[i]; ok {
-			ents = append(ents, reportEntry{instance: i, view: ent.view, key: ent.key})
-		}
+func (e *Engine) reportFrame(view uint64) core.Action {
+	r := e.localReport()
+	b := newBody(view, 20+reportEntrySize*len(r.entries))
+	b = be.AppendUint64(b, r.decided)
+	b = be.AppendUint64(b, r.high)
+	b = be.AppendUint32(b, uint32(len(r.entries)))
+	for _, ent := range r.entries {
+		b = be.AppendUint64(b, ent.instance)
+		b = be.AppendUint64(b, ent.view)
+		b = appendKey(b, ent.key)
 	}
-	p := make([]byte, 21+(16+keyWireSize)*len(ents))
-	p[0] = subReport
-	putU64(p[1:], e.decided)
-	putU64(p[9:], e.high)
-	putU32(p[17:], uint32(len(ents)))
-	for i, ent := range ents {
-		off := 21 + (16+keyWireSize)*i
-		putU64(p[off:], ent.instance)
-		putU64(p[off+8:], ent.view)
-		putKey(p[off+16:], ent.key)
-	}
-	return e.controlFrame(view, p)
+	return e.control(subReport, b)
 }
 
-// parseReport decodes a Phase 1b report.
+// parseReport decodes a Phase 1b report (the body after the view).
 func parseReport(p []byte) (*report, bool) {
-	if len(p) < 21 {
+	if len(p) < 20 {
 		return nil, false
 	}
-	n := int(getU32(p[17:]))
-	if n < 0 || len(p) != 21+(16+keyWireSize)*n {
+	n := int(getU32(p[16:]))
+	if n < 0 || len(p) != 20+reportEntrySize*n {
 		return nil, false
 	}
-	r := &report{decided: getU64(p[1:]), high: getU64(p[9:])}
+	r := &report{decided: getU64(p), high: getU64(p[8:])}
 	r.entries = make([]reportEntry, n)
 	for i := range r.entries {
-		off := 21 + (16+keyWireSize)*i
+		off := 20 + reportEntrySize*i
 		r.entries[i] = reportEntry{
 			instance: getU64(p[off:]),
 			view:     getU64(p[off+8:]),
@@ -179,40 +161,41 @@ const maxNackInstances = 256
 // nackFrame encodes a catch-up request: the instances in (delivered,
 // decided] this node cannot deliver, plus optionally a view-install
 // request.
-func (e *Engine) nackFrame(needInstall bool) *wire.DataMessage {
+func (e *Engine) nackFrame(needInstall bool) core.Action {
 	var missing []uint64
 	for i := e.delivered + 1; i <= e.decided && len(missing) < maxNackInstances; i++ {
 		if !e.canDeliver(i) {
 			missing = append(missing, i)
 		}
 	}
-	p := make([]byte, 14+8*len(missing))
-	p[0] = subNack
+	b := newBody(e.view, 13+8*len(missing))
+	var flags uint8
 	if needInstall {
-		p[1] = nackFlagNeedInstall
+		flags = nackFlagNeedInstall
 	}
-	putU64(p[2:], e.promised)
-	putU32(p[10:], uint32(len(missing)))
-	for i, inst := range missing {
-		putU64(p[14+8*i:], inst)
+	b = append(b, flags)
+	b = be.AppendUint64(b, e.promised)
+	b = be.AppendUint32(b, uint32(len(missing)))
+	for _, inst := range missing {
+		b = be.AppendUint64(b, inst)
 	}
-	return e.controlFrame(e.view, p)
+	return e.control(subNack, b)
 }
 
-// parseNack decodes a catch-up request.
+// parseNack decodes a catch-up request (the body after the view).
 func parseNack(p []byte) (needInstall bool, promised uint64, missing []uint64, ok bool) {
-	if len(p) < 14 {
+	if len(p) < 13 {
 		return false, 0, nil, false
 	}
-	n := int(getU32(p[10:]))
-	if n < 0 || n > maxNackInstances || len(p) != 14+8*n {
+	n := int(getU32(p[9:]))
+	if n < 0 || n > maxNackInstances || len(p) != 13+8*n {
 		return false, 0, nil, false
 	}
 	missing = make([]uint64, n)
 	for i := range missing {
-		missing[i] = getU64(p[14+8*i:])
+		missing[i] = getU64(p[13+8*i:])
 	}
-	return p[1]&nackFlagNeedInstall != 0, getU64(p[2:]), missing, true
+	return p[0]&nackFlagNeedInstall != 0, getU64(p[1:]), missing, true
 }
 
 // canDeliver reports whether instance i's assignment and value are both
@@ -233,35 +216,34 @@ func (e *Engine) canDeliver(i uint64) bool {
 // the sender's decided watermark so a rejoiner immediately knows how far
 // the log extends (off-ring members never see the token's ARU, and an
 // idle ring may never send another frame).
-func (e *Engine) installFrame(view uint64, active []wire.ParticipantID) *wire.DataMessage {
-	p := make([]byte, 13+4*len(active))
-	p[0] = subInstall
-	putU64(p[1:], e.decided)
-	putU32(p[9:], uint32(len(active)))
-	for i, m := range active {
-		putU32(p[13+4*i:], uint32(m))
+func (e *Engine) installFrame(view uint64, active []wire.ParticipantID) core.Action {
+	b := newBody(view, 12+4*len(active))
+	b = be.AppendUint64(b, e.decided)
+	b = be.AppendUint32(b, uint32(len(active)))
+	for _, m := range active {
+		b = be.AppendUint32(b, uint32(m))
 	}
-	return e.controlFrame(view, p)
+	return e.control(subInstall, b)
 }
 
-// parseInstall decodes a view installation.
+// parseInstall decodes a view installation (the body after the view).
 func parseInstall(p []byte) (decided uint64, active []wire.ParticipantID, ok bool) {
-	if len(p) < 13 {
+	if len(p) < 12 {
 		return 0, nil, false
 	}
-	n := int(getU32(p[9:]))
-	if n < 0 || n > wire.MaxMembers || len(p) != 13+4*n {
+	n := int(getU32(p[8:]))
+	if n < 0 || n > wire.MaxMembers || len(p) != 12+4*n {
 		return 0, nil, false
 	}
 	active = make([]wire.ParticipantID, n)
 	for i := range active {
-		active[i] = wire.ParticipantID(getU32(p[13+4*i:]))
+		active[i] = wire.ParticipantID(getU32(p[12+4*i:]))
 	}
-	return getU64(p[1:]), active, true
+	return getU64(p), active, true
 }
 
 // decidedFrame encodes a catch-up answer for one decided instance.
-func (e *Engine) decidedFrame(i uint64) *wire.DataMessage {
+func (e *Engine) decidedFrame(i uint64) core.Action {
 	ent := e.log[i]
 	var val []byte
 	var svc wire.Service
@@ -270,52 +252,63 @@ func (e *Engine) decidedFrame(i uint64) *wire.DataMessage {
 		val = p.payload
 		svc = p.service
 	}
-	p := make([]byte, 26+len(val))
-	p[0] = subDecided
-	putU64(p[1:], i)
-	putKey(p[9:], ent.key)
-	p[21] = uint8(svc)
-	putU32(p[22:], uint32(len(val)))
-	copy(p[26:], val)
-	return e.controlFrame(e.view, p)
+	b := newBody(e.view, 25+len(val))
+	b = be.AppendUint64(b, i)
+	b = appendKey(b, ent.key)
+	b = append(b, uint8(svc))
+	b = be.AppendUint32(b, uint32(len(val)))
+	b = append(b, val...)
+	return e.control(subDecided, b)
 }
 
-// parseDecided decodes a catch-up answer. The returned value aliases p.
+// parseDecided decodes a catch-up answer (the body after the view). The
+// returned value aliases p.
 func parseDecided(p []byte) (instance uint64, key valKey, svc wire.Service, val []byte, ok bool) {
-	if len(p) < 26 {
+	if len(p) < 25 {
 		return 0, valKey{}, 0, nil, false
 	}
-	n := int(getU32(p[22:]))
-	if n < 0 || len(p) != 26+n {
+	if n := int(getU32(p[21:])); n < 0 || len(p) != 25+n {
 		return 0, valKey{}, 0, nil, false
 	}
-	return getU64(p[1:]), getKey(p[9:]), wire.Service(p[21]), p[26:], true
+	return getU64(p), getKey(p[8:]), wire.Service(p[20]), p[25:], true
 }
 
-// HandleData dispatches received data frames: proposals (value frames)
-// and the five control subkinds.
-func (e *Engine) HandleData(m *wire.DataMessage) []core.Action {
-	if !e.started || m.RingID != e.ringID || m.PID == e.cfg.MyID {
+// Step dispatches one input: a timer expiry, a Phase 2 token, a proposal
+// (value frame) or one of the five control subkinds. Join and commit
+// frames belong to another protocol and are ignored.
+func (e *Engine) Step(in core.Input) []core.Action {
+	if !e.started {
 		return nil
 	}
-	e.stats.MsgsReceived++
-	if !m.Recovered {
-		return e.handleValue(m)
-	}
-	if len(m.Payload) == 0 {
-		return nil
-	}
-	switch m.Payload[0] {
-	case subAssign:
-		return e.handleAssign(m)
-	case subReport:
-		return e.handleReport(m)
-	case subNack:
-		return e.handleNack(m)
-	case subInstall:
-		return e.handleInstall(m)
-	case subDecided:
-		return e.handleDecided(m)
+	switch f := in.Frame.(type) {
+	case nil:
+		return e.handleTimer(in.Timer)
+	case *wire.Token:
+		return e.handleToken(f)
+	case *wire.DataMessage:
+		if f.RingID != e.ringID || f.PID == e.cfg.MyID {
+			return nil
+		}
+		e.stats.MsgsReceived++
+		return e.handleValue(f)
+	case *wire.Control:
+		if f.RingID != e.ringID || f.Sender == e.cfg.MyID || len(f.Body) < 8 {
+			return nil
+		}
+		e.stats.MsgsReceived++
+		view, p := getU64(f.Body), f.Body[8:]
+		switch f.Sub {
+		case subAssign:
+			return e.handleAssign(view, p)
+		case subReport:
+			return e.handleReport(f.Sender, view, p)
+		case subNack:
+			return e.handleNack(f.Sender, p)
+		case subInstall:
+			return e.handleInstall(f.Sender, view, p)
+		case subDecided:
+			return e.handleDecided(p)
+		}
 	}
 	return nil
 }
@@ -335,10 +328,8 @@ func (e *Engine) handleValue(m *wire.DataMessage) []core.Action {
 		e.stats.MsgsDuplicate++
 		return nil
 	}
-	// The payload aliases runtime scratch: copy before retaining.
-	val := make([]byte, len(m.Payload))
-	copy(val, m.Payload)
-	e.values[k] = &proposal{service: m.Service, payload: val}
+	// Data frames are the engine's to keep (read-only): no copy.
+	e.values[k] = &proposal{service: m.Service, payload: m.Payload}
 
 	var acts []core.Action
 	if e.isCoordinator() && !e.inViewChange {
@@ -354,9 +345,8 @@ func (e *Engine) handleValue(m *wire.DataMessage) []core.Action {
 }
 
 // handleAssign applies a Phase 2a batch.
-func (e *Engine) handleAssign(m *wire.DataMessage) []core.Action {
-	view := uint64(m.Round)
-	decided, base, keys, ok := parseAssign(m.Payload)
+func (e *Engine) handleAssign(view uint64, p []byte) []core.Action {
+	decided, base, keys, ok := parseAssign(p)
 	if !ok {
 		return nil
 	}
@@ -367,7 +357,7 @@ func (e *Engine) handleAssign(m *wire.DataMessage) []core.Action {
 	if view > e.promised || e.inViewChange {
 		// We missed this view's installation: ask for it.
 		if view > e.promised {
-			return []core.Action{core.SendData{Msg: e.nackFrame(true)}}
+			return []core.Action{e.nackFrame(true)}
 		}
 		return nil
 	}
@@ -400,18 +390,18 @@ func (e *Engine) handleAssign(m *wire.DataMessage) []core.Action {
 // coordinator itself (catching up after taking over a view) is answered
 // by every active-ring member — duplication across a handful of members
 // is preferable to electing an answerer nobody can verify has the data.
-func (e *Engine) handleNack(m *wire.DataMessage) []core.Action {
-	needInstall, promised, missing, ok := parseNack(m.Payload)
+func (e *Engine) handleNack(from wire.ParticipantID, p []byte) []core.Action {
+	needInstall, promised, missing, ok := parseNack(p)
 	if !ok || e.inViewChange {
 		return nil
 	}
 	var acts []core.Action
 	if e.isCoordinator() {
 		if needInstall && promised < e.view {
-			acts = append(acts, core.SendData{Msg: e.installFrame(e.view, e.active)})
+			acts = append(acts, e.installFrame(e.view, e.active))
 		}
-		e.noteAlive(m.PID)
-	} else if m.PID != e.coordinator || e.myActiveIdx < 0 {
+		e.noteAlive(from)
+	} else if from != e.coordinator || e.myActiveIdx < 0 {
 		return nil
 	}
 	answered := 0
@@ -421,7 +411,7 @@ func (e *Engine) handleNack(m *wire.DataMessage) []core.Action {
 		}
 		if inst <= e.decided && e.canDeliver(inst) {
 			e.px.ValueRetransmits++
-			acts = append(acts, core.SendData{Msg: e.decidedFrame(inst)})
+			acts = append(acts, e.decidedFrame(inst))
 			answered++
 		}
 	}
@@ -430,8 +420,8 @@ func (e *Engine) handleNack(m *wire.DataMessage) []core.Action {
 
 // handleDecided applies a catch-up answer: the instance is decided at the
 // answerer, hence decided.
-func (e *Engine) handleDecided(m *wire.DataMessage) []core.Action {
-	inst, k, svc, val, ok := parseDecided(m.Payload)
+func (e *Engine) handleDecided(p []byte) []core.Action {
+	inst, k, svc, val, ok := parseDecided(p)
 	if !ok || inst == 0 {
 		return nil
 	}
@@ -440,9 +430,8 @@ func (e *Engine) handleDecided(m *wire.DataMessage) []core.Action {
 	}
 	if k.pid != 0 {
 		if _, have := e.values[k]; !have && svc.Valid() {
-			cp := make([]byte, len(val))
-			copy(cp, val)
-			e.values[k] = &proposal{service: svc, payload: cp}
+			// val aliases the control frame, which is runtime scratch.
+			e.values[k] = &proposal{service: svc, payload: append([]byte(nil), val...)}
 		}
 	}
 	if inst > e.high {

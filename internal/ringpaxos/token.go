@@ -59,7 +59,7 @@ func (e *Engine) sendTokenTo(to wire.ParticipantID, tok *wire.Token, acts []core
 	e.sentToken = tok.Clone()
 	e.sentTokenTo = to
 	e.sentRetrans = 0
-	acts = append(acts, core.SendToken{To: to, Token: tok})
+	acts = append(acts, core.Send{To: to, Frame: tok})
 	if !e.retransArmed {
 		e.retransArmed = true
 		acts = append(acts, core.SetTimer{Kind: core.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod})
@@ -67,16 +67,16 @@ func (e *Engine) sendTokenTo(to wire.ParticipantID, tok *wire.Token, acts []core
 	return acts
 }
 
-// HandleToken processes a received Phase 2 token.
-func (e *Engine) HandleToken(t *wire.Token) []core.Action {
-	if !e.started || t.RingID != e.ringID || e.inViewChange {
+// handleToken processes a received Phase 2 token.
+func (e *Engine) handleToken(t *wire.Token) []core.Action {
+	if t.RingID != e.ringID || e.inViewChange {
 		return nil
 	}
 	view := uint64(t.Round)
 	if view != e.view || len(t.RTR) == 0 {
 		if view > e.promised {
 			// Circulating traffic for a view we never installed.
-			return []core.Action{core.SendData{Msg: e.nackFrame(true)}}
+			return []core.Action{e.nackFrame(true)}
 		}
 		e.px.StaleTokens++
 		return nil
@@ -152,7 +152,7 @@ func (e *Engine) answerTokenRTR(acts []core.Action, rtr []wire.Seq) ([]core.Acti
 		inst := uint64(s)
 		if answered < perTokenRTRAnswers && inst <= e.decided && e.canDeliver(inst) {
 			e.px.ValueRetransmits++
-			acts = append(acts, core.SendData{Msg: e.decidedFrame(inst)})
+			acts = append(acts, e.decidedFrame(inst))
 			answered++
 			continue
 		}
@@ -250,7 +250,7 @@ func (e *Engine) circulate(acts []core.Action, voteMin uint64) []core.Action {
 	batch := e.assignBatch()
 	if len(batch) > 0 {
 		base := e.high - uint64(len(batch)) + 1
-		acts = append(acts, core.SendData{Msg: e.assignFrame(base, batch)})
+		acts = append(acts, e.assignFrame(base, batch))
 	}
 
 	tok := e.buildToken()
@@ -276,7 +276,7 @@ func (e *Engine) reassignRange(lo, hi uint64) []core.Action {
 		return nil
 	}
 	e.stats.MsgsRetransmitted++
-	return []core.Action{core.SendData{Msg: e.assignFrame(lo, keys)}}
+	return []core.Action{e.assignFrame(lo, keys)}
 }
 
 // assignBatch drains the pool into consecutive fresh instances. Fresh
@@ -440,7 +440,7 @@ func (e *Engine) soloRounds(acts []core.Action) []core.Action {
 		batch := e.assignBatch()
 		if len(batch) > 0 {
 			base := e.high - uint64(len(batch)) + 1
-			acts = append(acts, core.SendData{Msg: e.assignFrame(base, batch)})
+			acts = append(acts, e.assignFrame(base, batch))
 		}
 		prev := e.decided
 		acts = e.advanceDecided(e.high, acts)

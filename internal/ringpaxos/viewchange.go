@@ -47,7 +47,7 @@ func (e *Engine) initiateViewChange(target uint64) []core.Action {
 	e.px.Phase1Rounds++
 
 	var acts []core.Action
-	acts = append(acts, core.SendData{Msg: e.reportFrame(target)})
+	acts = append(acts, e.reportFrame(target))
 	if e.coordinatorOf(target) == e.cfg.MyID {
 		e.vcReports[e.cfg.MyID] = e.localReport()
 		acts = e.maybeInstall(acts)
@@ -65,13 +65,13 @@ func (e *Engine) initiateViewChange(target uint64) []core.Action {
 func (e *Engine) viewChangePacing() []core.Action {
 	e.nackArmed = true
 	return []core.Action{
-		core.SendData{Msg: e.reportFrame(e.vcView)},
+		e.reportFrame(e.vcView),
 		core.SetTimer{Kind: core.TimerJoin, After: e.cfg.JoinPeriod},
 	}
 }
 
-// localReport builds this member's own Phase 1b report (the same content
-// reportFrame puts on the wire).
+// localReport builds this member's Phase 1b report: everything accepted in
+// (decided, decided+MaxSeqGap].
 func (e *Engine) localReport() *report {
 	r := &report{decided: e.decided, high: e.high}
 	limit := e.decided + uint64(e.cfg.Flow.MaxSeqGap)
@@ -84,9 +84,8 @@ func (e *Engine) localReport() *report {
 }
 
 // handleReport processes a received Phase 1b report.
-func (e *Engine) handleReport(m *wire.DataMessage) []core.Action {
-	view := uint64(m.Round)
-	r, ok := parseReport(m.Payload)
+func (e *Engine) handleReport(from wire.ParticipantID, view uint64, p []byte) []core.Action {
+	r, ok := parseReport(p)
 	if !ok {
 		return nil
 	}
@@ -101,14 +100,14 @@ func (e *Engine) handleReport(m *wire.DataMessage) []core.Action {
 		// A straggler still reporting for an installed view: re-multicast
 		// the installation so it can rejoin.
 		if e.isCoordinator() {
-			acts = append(acts, core.SendData{Msg: e.installFrame(e.view, e.active)})
+			acts = append(acts, e.installFrame(e.view, e.active))
 		}
 		return acts
 	default:
 		return nil
 	}
 	if e.inViewChange && e.vcView == view && e.coordinatorOf(view) == e.cfg.MyID {
-		e.vcReports[m.PID] = r
+		e.vcReports[from] = r
 		acts = e.maybeInstall(acts)
 	}
 	return acts
@@ -216,9 +215,9 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 	}
 
 	acts = append(acts, core.CancelTimer{Kind: core.TimerConsensus})
-	acts = append(acts, core.SendData{Msg: e.installFrame(view, e.active)})
+	acts = append(acts, e.installFrame(view, e.active))
 	if len(winKeys) > 0 {
-		acts = append(acts, core.SendData{Msg: e.assignFrame(dStar+1, winKeys)})
+		acts = append(acts, e.assignFrame(dStar+1, winKeys))
 	}
 
 	// Re-feed own unordered submissions to the (new) pool.
@@ -235,7 +234,7 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 		acts = e.circulate(acts, e.high)
 	}
 	if e.deliveryGap() {
-		acts = append(acts, core.SendData{Msg: e.nackFrame(false)})
+		acts = append(acts, e.nackFrame(false))
 	}
 	acts = e.armLiveness(acts)
 	acts = e.armPacing(acts)
@@ -243,16 +242,15 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 }
 
 // handleInstall applies a view installation multicast by its coordinator.
-func (e *Engine) handleInstall(m *wire.DataMessage) []core.Action {
-	view := uint64(m.Round)
-	decided, active, ok := parseInstall(m.Payload)
+func (e *Engine) handleInstall(from wire.ParticipantID, view uint64, p []byte) []core.Action {
+	decided, active, ok := parseInstall(p)
 	if !ok || len(active) < e.major || view < e.promised {
 		return nil
 	}
 	if view == e.view && !e.inViewChange {
 		return nil // duplicate of the view we are already in
 	}
-	if m.PID != e.coordinatorOf(view) {
+	if from != e.coordinatorOf(view) {
 		return nil
 	}
 	e.installActiveRing(view, active)
@@ -271,7 +269,7 @@ func (e *Engine) handleInstall(m *wire.DataMessage) []core.Action {
 	acts := []core.Action{core.CancelTimer{Kind: core.TimerConsensus}}
 	acts = e.advanceDecided(decided, acts)
 	if e.deliveryGap() {
-		acts = append(acts, core.SendData{Msg: e.nackFrame(false)})
+		acts = append(acts, e.nackFrame(false))
 	}
 	acts = e.armLiveness(acts)
 	acts = e.armPacing(acts)

@@ -149,6 +149,39 @@ func TestApplyFaultsDropsByKind(t *testing.T) {
 	}
 }
 
+// TestApplyFaultsClassifiesByWireHeader checks the hub classifies packets
+// with the wire package's own header parser: a control frame (which
+// travels on the data socket) is bitten by a data-masked fault, a token
+// is not, and a packet with no valid header — kind 0 — only by unmasked
+// faults.
+func TestApplyFaultsClassifiesByWireHeader(t *testing.T) {
+	h := NewHub(3)
+	h.SetLatency(0)
+	a, b := h.Join(1), h.Join(2)
+	defer a.Close()
+	defer b.Close()
+	h.ApplyFaults(&faultplan.Plan{Seed: 1, Links: []faultplan.LinkFault{{
+		Kinds: faultplan.MaskData, Loss: 1.0,
+	}}})
+	for _, pkt := range [][]byte{wirePkt(wire.KindControl, "ctl"), wirePkt(wire.KindData, "data")} {
+		if err := a.Multicast(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Multicast([]byte("no header")); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(b.Data(), 100*time.Millisecond); len(got) != 1 || got[0] != "no header" {
+		t.Fatalf("data-masked loss 1.0 let through %q, want only the headerless packet", got)
+	}
+	if err := a.Unicast(2, wirePkt(wire.KindToken, "tok")); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(b.Token(), 100*time.Millisecond); len(got) != 1 {
+		t.Fatalf("token should pass a data-masked fault, got %v", got)
+	}
+}
+
 // TestSameSeedSameFaultSequence feeds two identically seeded hubs the same
 // single-threaded packet sequence and requires the identical loss pattern:
 // the fault decisions must depend only on the seed and the packet

@@ -189,16 +189,6 @@ type verdict struct {
 	delay time.Duration
 }
 
-// pktKind extracts the wire message kind from a packet's four-byte header
-// ("AR", version, kind); malformed packets report kind 0, which fault
-// plans with a zero kind mask still match.
-func pktKind(pkt []byte) wire.Kind {
-	if len(pkt) >= 4 && pkt[0] == 'A' && pkt[1] == 'R' {
-		return wire.Kind(pkt[3])
-	}
-	return 0
-}
-
 // decide draws the fault verdict for one packet copy from from to to. All
 // probabilistic draws — the hub's own rates and the fault plan's link
 // streams — happen under one lock, in a fixed order, so a deterministic
@@ -369,7 +359,7 @@ func (ep *Endpoint) Multicast(pkt []byte) error {
 	// draw sequence does not depend on map iteration order.
 	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
 
-	kind := pktKind(pkt)
+	kind, _ := wire.PeekKind(pkt) // malformed packets are kind 0: only unmasked faults match
 	for _, other := range targets {
 		v := h.decide(ep.id, other.id, kind)
 		if v.drop {
@@ -406,7 +396,8 @@ func (ep *Endpoint) Unicast(to wire.ParticipantID, pkt []byte) error {
 	if !connected && to != ep.id {
 		return nil // silently partitioned, like a real network
 	}
-	v := h.decide(ep.id, to, pktKind(pkt))
+	kind, _ := wire.PeekKind(pkt) // as in Multicast
+	v := h.decide(ep.id, to, kind)
 	if v.drop {
 		return nil
 	}

@@ -11,8 +11,8 @@ import (
 // overwrites the retained data. This target simulates exactly that — decode
 // from a buffer, then scribble over the buffer as a pool reuse would — and
 // asserts the detaching decoders (DecodeData, DecodeToken, DecodeJoin,
-// DecodeCommit) are unaffected, while DecodeDataInto's payload DOES alias
-// the buffer as documented.
+// DecodeCommit, DecodeControlInto) are unaffected, while DecodeDataInto's
+// payload DOES alias the buffer as documented.
 func FuzzPooledBufferAliasing(f *testing.F) {
 	seedPackets(f)
 	f.Fuzz(func(t *testing.T, orig []byte) {
@@ -40,12 +40,12 @@ func FuzzPooledBufferAliasing(f *testing.F) {
 			if len(zc.Payload) > 0 && &zc.Payload[0] != &buf[len(buf)-len(zc.Payload)] {
 				t.Fatal("DecodeDataInto payload does not alias the packet buffer")
 			}
-			before, err := m.Encode()
+			before, err := Encode(m)
 			if err != nil {
 				t.Fatalf("decoded message does not re-encode: %v", err)
 			}
 			scribble(buf)
-			after, err := m.Encode()
+			after, err := Encode(m)
 			if err != nil {
 				t.Fatalf("re-encode failed after buffer recycle: %v", err)
 			}
@@ -57,12 +57,12 @@ func FuzzPooledBufferAliasing(f *testing.F) {
 			if err != nil {
 				return
 			}
-			before, err := tok.Encode()
+			before, err := Encode(tok)
 			if err != nil {
 				t.Fatalf("decoded token does not re-encode: %v", err)
 			}
 			scribble(buf)
-			after, err := tok.Encode()
+			after, err := Encode(tok)
 			if err != nil {
 				t.Fatalf("re-encode failed after buffer recycle: %v", err)
 			}
@@ -74,12 +74,12 @@ func FuzzPooledBufferAliasing(f *testing.F) {
 			if err != nil {
 				return
 			}
-			before, err := j.Encode()
+			before, err := Encode(j)
 			if err != nil {
 				t.Fatalf("decoded join does not re-encode: %v", err)
 			}
 			scribble(buf)
-			after, err := j.Encode()
+			after, err := Encode(j)
 			if err != nil {
 				t.Fatalf("re-encode failed after buffer recycle: %v", err)
 			}
@@ -91,17 +91,34 @@ func FuzzPooledBufferAliasing(f *testing.F) {
 			if err != nil {
 				return
 			}
-			before, err := ct.Encode()
+			before, err := Encode(ct)
 			if err != nil {
 				t.Fatalf("decoded commit token does not re-encode: %v", err)
 			}
 			scribble(buf)
-			after, err := ct.Encode()
+			after, err := Encode(ct)
 			if err != nil {
 				t.Fatalf("re-encode failed after buffer recycle: %v", err)
 			}
 			if !bytes.Equal(before, after) {
 				t.Fatal("DecodeCommit result changed when the source buffer was recycled")
+			}
+		case KindControl:
+			var c Control
+			if err := DecodeControlInto(&c, buf); err != nil {
+				return
+			}
+			before, err := AppendControl(nil, &c)
+			if err != nil {
+				t.Fatalf("decoded control frame does not re-encode: %v", err)
+			}
+			scribble(buf)
+			after, err := AppendControl(nil, &c)
+			if err != nil {
+				t.Fatalf("re-encode failed after buffer recycle: %v", err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("DecodeControlInto result changed when the source buffer was recycled")
 			}
 		}
 	})

@@ -78,7 +78,7 @@ func TestAppendPackedPayloadsAllocFree(t *testing.T) {
 }
 
 func TestDecodeDataIntoAllocFree(t *testing.T) {
-	pkt, err := allocTestData().Encode()
+	pkt, err := Encode(allocTestData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDecodeDataIntoAllocFree(t *testing.T) {
 }
 
 func TestDecodeTokenIntoAllocFree(t *testing.T) {
-	pkt, err := allocTestToken().Encode()
+	pkt, err := Encode(allocTestToken())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCloneIntoAllocFree(t *testing.T) {
 // bounded: one for the message payload (DecodeData) or RTR list
 // (DecodeToken), plus the struct itself.
 func TestDetachingDecodersBoundedAllocs(t *testing.T) {
-	dataPkt, err := allocTestData().Encode()
+	dataPkt, err := Encode(allocTestData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDetachingDecodersBoundedAllocs(t *testing.T) {
 	}); allocs > 2 {
 		t.Fatalf("DecodeData: %.1f allocs/op, want <= 2", allocs)
 	}
-	tokPkt, err := allocTestToken().Encode()
+	tokPkt, err := Encode(allocTestToken())
 	if err != nil {
 		t.Fatal(err)
 	}

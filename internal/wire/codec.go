@@ -7,7 +7,8 @@ import "fmt"
 // standard library's binary.BigEndian.AppendUint64. Encoding is infallible
 // once sizes are validated, so no error plumbing is needed here, and a
 // caller that reuses one scratch buffer across packets encodes without
-// allocating (see AppendData, AppendToken, AppendJoin, AppendCommit).
+// allocating (see AppendData, AppendToken, AppendJoin, AppendCommit,
+// AppendControl).
 
 func appendU8(b []byte, v uint8) []byte { return append(b, v) }
 
@@ -158,7 +159,7 @@ func PeekKind(pkt []byte) (Kind, error) {
 		return 0, fmt.Errorf("%w: %d", ErrBadVersion, pkt[2])
 	}
 	k := Kind(pkt[3])
-	if k < KindData || k > KindCommit {
+	if k < KindData || k > KindControl {
 		return 0, fmt.Errorf("%w: %d", ErrBadKind, uint8(k))
 	}
 	return k, nil

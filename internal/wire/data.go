@@ -96,12 +96,6 @@ func AppendData(dst []byte, m *DataMessage) ([]byte, error) {
 	return append(dst, m.Payload...), nil
 }
 
-// Encode serializes the message into a freshly allocated, exactly sized
-// buffer. Hot paths should prefer AppendData with a reused scratch.
-func (m *DataMessage) Encode() ([]byte, error) {
-	return AppendData(make([]byte, 0, m.EncodedSize()), m)
-}
-
 // DecodeDataInto parses a data packet into m, which the caller provides
 // (typically a reused per-loop struct).
 //

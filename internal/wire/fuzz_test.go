@@ -13,21 +13,24 @@ import (
 func seedPackets(f *testing.F) {
 	d := &DataMessage{RingID: RingID{Rep: 1, Seq: 4}, Seq: 7, PID: 1, Round: 2,
 		Service: ServiceAgreed, Payload: []byte("seed")}
-	if pkt, err := d.Encode(); err == nil {
+	if pkt, err := Encode(d); err == nil {
 		f.Add(pkt)
 	}
 	tok := &Token{RingID: RingID{Rep: 1, Seq: 4}, TokenSeq: 9, Seq: 30, ARU: 28,
 		RTR: []Seq{29}}
-	if pkt, err := tok.Encode(); err == nil {
+	if pkt, err := Encode(tok); err == nil {
 		f.Add(pkt)
 	}
 	j := &JoinMessage{Sender: 2, ProcSet: []ParticipantID{1, 2}, RingSeq: 4}
-	if pkt, err := j.Encode(); err == nil {
+	if pkt, err := Encode(j); err == nil {
 		f.Add(pkt)
 	}
 	ct := &CommitToken{RingID: RingID{Rep: 1, Seq: 8}, Rotation: 1,
 		Members: []CommitMember{{ID: 1, Filled: true}}}
-	if pkt, err := ct.Encode(); err == nil {
+	if pkt, err := Encode(ct); err == nil {
+		f.Add(pkt)
+	}
+	if pkt, err := AppendControl(nil, &Control{RingID: RingID{Rep: 1, Seq: 4}, Sender: 2, Sub: 1, Body: []byte("seed")}); err == nil {
 		f.Add(pkt)
 	}
 	f.Add([]byte{})
@@ -41,7 +44,7 @@ func FuzzDecodeData(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := m.Encode()
+		re, err := Encode(m)
 		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
@@ -62,7 +65,7 @@ func FuzzDecodeToken(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := tok.Encode()
+		re, err := Encode(tok)
 		if err != nil {
 			t.Fatalf("decoded token does not re-encode: %v", err)
 		}
@@ -83,7 +86,7 @@ func FuzzDecodeJoin(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := j.Encode()
+		re, err := Encode(j)
 		if err != nil {
 			t.Fatalf("decoded join does not re-encode: %v", err)
 		}
@@ -104,7 +107,7 @@ func FuzzDecodeCommit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := ct.Encode()
+		re, err := Encode(ct)
 		if err != nil {
 			t.Fatalf("decoded commit token does not re-encode: %v", err)
 		}

@@ -49,11 +49,6 @@ func AppendJoin(dst []byte, j *JoinMessage) ([]byte, error) {
 	return dst, nil
 }
 
-// Encode serializes the join message.
-func (j *JoinMessage) Encode() ([]byte, error) {
-	return AppendJoin(make([]byte, 0, j.EncodedSize()), j)
-}
-
 // DecodeJoin parses a join packet.
 func DecodeJoin(pkt []byte) (*JoinMessage, error) {
 	r := reader{buf: pkt}
@@ -152,11 +147,6 @@ func AppendCommit(dst []byte, c *CommitToken) ([]byte, error) {
 		dst = appendBool(dst, m.Filled)
 	}
 	return dst, nil
-}
-
-// Encode serializes the commit token.
-func (c *CommitToken) Encode() ([]byte, error) {
-	return AppendCommit(make([]byte, 0, c.EncodedSize()), c)
 }
 
 // DecodeCommit parses a commit token packet.

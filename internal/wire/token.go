@@ -72,12 +72,6 @@ func AppendToken(dst []byte, t *Token) ([]byte, error) {
 	return dst, nil
 }
 
-// Encode serializes the token into a freshly allocated, exactly sized
-// buffer. Hot paths should prefer AppendToken with a reused scratch.
-func (t *Token) Encode() ([]byte, error) {
-	return AppendToken(make([]byte, 0, t.EncodedSize()), t)
-}
-
 // DecodeTokenInto parses a token packet into t, which the caller provides.
 // t.RTR's existing capacity is reused when possible (append semantics), so
 // a loop that decodes into the same Token amortizes the RTR allocation to

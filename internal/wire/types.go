@@ -100,22 +100,18 @@ const (
 	KindToken
 	KindJoin
 	KindCommit
+	// KindControl is the engine-opaque control frame (see Control).
+	KindControl
 )
+
+var kindNames = [...]string{KindData: "data", KindToken: "token", KindJoin: "join", KindCommit: "commit", KindControl: "control"}
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindData:
-		return "data"
-	case KindToken:
-		return "token"
-	case KindJoin:
-		return "join"
-	case KindCommit:
-		return "commit"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+	if k >= KindData && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Format constants and hard limits enforced by the codecs.

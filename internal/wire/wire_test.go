@@ -61,11 +61,12 @@ func TestServiceStrings(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	cases := map[Kind]string{
-		KindData:   "data",
-		KindToken:  "token",
-		KindJoin:   "join",
-		KindCommit: "commit",
-		Kind(77):   "kind(77)",
+		KindData:    "data",
+		KindToken:   "token",
+		KindJoin:    "join",
+		KindCommit:  "commit",
+		KindControl: "control",
+		Kind(77):    "kind(77)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -90,7 +91,7 @@ func sampleData() *DataMessage {
 
 func TestDataRoundtrip(t *testing.T) {
 	m := sampleData()
-	pkt, err := m.Encode()
+	pkt, err := Encode(m)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestDataRoundtrip(t *testing.T) {
 
 func TestDataRoundtripEmptyPayload(t *testing.T) {
 	m := &DataMessage{RingID: RingID{Rep: 1, Seq: 1}, Seq: 1, PID: 1, Service: ServiceAgreed}
-	pkt, err := m.Encode()
+	pkt, err := Encode(m)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -123,7 +124,7 @@ func TestDataRoundtripEmptyPayload(t *testing.T) {
 
 func TestDataPayloadDoesNotAliasPacket(t *testing.T) {
 	m := sampleData()
-	pkt, err := m.Encode()
+	pkt, err := Encode(m)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestDataPayloadDoesNotAliasPacket(t *testing.T) {
 func TestDataEncodeRejectsOversizedPayload(t *testing.T) {
 	m := sampleData()
 	m.Payload = make([]byte, MaxPayload+1)
-	if _, err := m.Encode(); !errors.Is(err, ErrTooLarge) {
+	if _, err := Encode(m); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Encode err = %v, want ErrTooLarge", err)
 	}
 }
@@ -150,14 +151,14 @@ func TestDataEncodeRejectsOversizedPayload(t *testing.T) {
 func TestDataEncodeRejectsInvalidService(t *testing.T) {
 	m := sampleData()
 	m.Service = 0
-	if _, err := m.Encode(); err == nil {
+	if _, err := Encode(m); err == nil {
 		t.Fatal("Encode accepted invalid service")
 	}
 }
 
 func TestDataDecodeRejectsInvalidService(t *testing.T) {
 	m := sampleData()
-	pkt, err := m.Encode()
+	pkt, err := Encode(m)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -169,7 +170,7 @@ func TestDataDecodeRejectsInvalidService(t *testing.T) {
 }
 
 func TestDataDecodeTruncated(t *testing.T) {
-	pkt, err := sampleData().Encode()
+	pkt, err := Encode(sampleData())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestDataDecodeTruncated(t *testing.T) {
 }
 
 func TestDataDecodeTrailingGarbage(t *testing.T) {
-	pkt, err := sampleData().Encode()
+	pkt, err := Encode(sampleData())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestDataDecodeTrailingGarbage(t *testing.T) {
 }
 
 func TestDecodeWrongKind(t *testing.T) {
-	pkt, err := sampleToken().Encode()
+	pkt, err := Encode(sampleToken())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -202,7 +203,7 @@ func TestDecodeWrongKind(t *testing.T) {
 }
 
 func TestDecodeBadMagicAndVersion(t *testing.T) {
-	pkt, err := sampleData().Encode()
+	pkt, err := Encode(sampleData())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -233,7 +234,7 @@ func sampleToken() *Token {
 
 func TestTokenRoundtrip(t *testing.T) {
 	tok := sampleToken()
-	pkt, err := tok.Encode()
+	pkt, err := Encode(tok)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -252,7 +253,7 @@ func TestTokenRoundtrip(t *testing.T) {
 func TestTokenRoundtripEmptyRTR(t *testing.T) {
 	tok := sampleToken()
 	tok.RTR = nil
-	pkt, err := tok.Encode()
+	pkt, err := Encode(tok)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -268,7 +269,7 @@ func TestTokenRoundtripEmptyRTR(t *testing.T) {
 func TestTokenEncodeRejectsOversizedRTR(t *testing.T) {
 	tok := sampleToken()
 	tok.RTR = make([]Seq, MaxRTR+1)
-	if _, err := tok.Encode(); !errors.Is(err, ErrTooLarge) {
+	if _, err := Encode(tok); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -276,7 +277,7 @@ func TestTokenEncodeRejectsOversizedRTR(t *testing.T) {
 func TestTokenDecodeRejectsHugeRTRCount(t *testing.T) {
 	tok := sampleToken()
 	tok.RTR = nil
-	pkt, err := tok.Encode()
+	pkt, err := Encode(tok)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -314,7 +315,7 @@ func sampleJoin() *JoinMessage {
 
 func TestJoinRoundtrip(t *testing.T) {
 	j := sampleJoin()
-	pkt, err := j.Encode()
+	pkt, err := Encode(j)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -332,7 +333,7 @@ func TestJoinRoundtrip(t *testing.T) {
 
 func TestJoinRoundtripEmptySets(t *testing.T) {
 	j := &JoinMessage{Sender: 1, RingSeq: 2}
-	pkt, err := j.Encode()
+	pkt, err := Encode(j)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -358,7 +359,7 @@ func sampleCommit() *CommitToken {
 
 func TestCommitRoundtrip(t *testing.T) {
 	c := sampleCommit()
-	pkt, err := c.Encode()
+	pkt, err := Encode(c)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -387,19 +388,19 @@ func TestCommitClone(t *testing.T) {
 }
 
 func TestPeekKind(t *testing.T) {
-	dpkt, err := sampleData().Encode()
+	dpkt, err := Encode(sampleData())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	tpkt, err := sampleToken().Encode()
+	tpkt, err := Encode(sampleToken())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	jpkt, err := sampleJoin().Encode()
+	jpkt, err := Encode(sampleJoin())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	cpkt, err := sampleCommit().Encode()
+	cpkt, err := Encode(sampleCommit())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -439,12 +440,13 @@ func TestDecodersNeverPanic(t *testing.T) {
 		// Half the time, make the header plausible so body parsing runs.
 		if i%2 == 0 && n >= 4 {
 			pkt[0], pkt[1], pkt[2] = magic0, magic1, Version
-			pkt[3] = byte(1 + rng.Intn(4))
+			pkt[3] = byte(1 + rng.Intn(5))
 		}
 		_, _ = DecodeData(pkt)
 		_, _ = DecodeToken(pkt)
 		_, _ = DecodeJoin(pkt)
 		_, _ = DecodeCommit(pkt)
+		_ = DecodeControlInto(new(Control), pkt)
 	}
 }
 
@@ -470,7 +472,7 @@ func quickData(ringRep, pid uint32, ringSeq, seq, round uint64, post, retrans, r
 func TestQuickDataRoundtrip(t *testing.T) {
 	f := func(ringRep, pid uint32, ringSeq, seq, round uint64, post, retrans, recovered bool, svc uint8, payload []byte) bool {
 		m := quickData(ringRep, pid, ringSeq, seq, round, post, retrans, recovered, svc, payload)
-		pkt, err := m.Encode()
+		pkt, err := Encode(m)
 		if err != nil {
 			return false
 		}
@@ -507,7 +509,7 @@ func TestQuickTokenRoundtrip(t *testing.T) {
 		for _, v := range rtrRaw {
 			tok.RTR = append(tok.RTR, Seq(v))
 		}
-		pkt, err := tok.Encode()
+		pkt, err := Encode(tok)
 		if err != nil {
 			return false
 		}
@@ -540,7 +542,7 @@ func TestQuickJoinRoundtrip(t *testing.T) {
 		for _, v := range failRaw {
 			j.FailSet = append(j.FailSet, ParticipantID(v))
 		}
-		pkt, err := j.Encode()
+		pkt, err := Encode(j)
 		if err != nil {
 			return false
 		}
@@ -621,7 +623,7 @@ func TestUnpackTrailingGarbage(t *testing.T) {
 func TestDataPackedFlagRoundtrip(t *testing.T) {
 	m := sampleData()
 	m.Packed = true
-	pkt, err := m.Encode()
+	pkt, err := Encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func (ts *timerSet) fire(kind core.TimerKind, gen uint64) {
 }
 
 // takeOne removes and returns one still-current pending fire, validating
-// freshness at consumption time (an earlier fire's HandleTimer may have
+// freshness at consumption time (an earlier fire's engine step may have
 // re-armed a kind that is also pending). The lowest kind goes first so
 // multi-fire draining is deterministic.
 func (ts *timerSet) takeOne() (core.TimerKind, bool) {
@@ -138,10 +138,6 @@ func (ts *timerSet) stopAll() {
 // serves submissions and stats requests.
 func (n *Node) loop(eng core.OrderingEngine, initial []core.Action) {
 	ts := n.timers
-	// Engines with an eager submit path (Ring Paxos proposers multicast
-	// the value immediately) expose Flush; the contract requires calling
-	// it after every accepted submission.
-	flusher, _ := eng.(core.Flusher)
 	defer func() {
 		ts.stopAll()
 		n.tr.Close()
@@ -149,7 +145,7 @@ func (n *Node) loop(eng core.OrderingEngine, initial []core.Action) {
 		close(n.done)
 	}()
 
-	n.execute(eng, ts, initial)
+	n.execute(ts, initial)
 
 	dataCh := n.tr.Data()
 	tokenCh := n.tr.Token()
@@ -157,26 +153,18 @@ func (n *Node) loop(eng core.OrderingEngine, initial []core.Action) {
 	for {
 		// Priority pass (Section III-C): while the token has high
 		// priority, prefer the token socket; otherwise prefer data.
-		if eng.TokenHasPriority() {
-			select {
-			case pkt, ok := <-tokenCh:
-				if !ok {
-					return
-				}
-				n.handlePacket(eng, ts, pkt)
-				continue
-			default:
+		preferred := dataCh
+		if eng.Progress().TokenPriority {
+			preferred = tokenCh
+		}
+		select {
+		case pkt, ok := <-preferred:
+			if !ok {
+				return
 			}
-		} else {
-			select {
-			case pkt, ok := <-dataCh:
-				if !ok {
-					return
-				}
-				n.handlePacket(eng, ts, pkt)
-				continue
-			default:
-			}
+			n.handlePacket(eng, ts, pkt)
+			continue
+		default:
 		}
 
 		select {
@@ -197,21 +185,19 @@ func (n *Node) loop(eng core.OrderingEngine, initial []core.Action) {
 					break
 				}
 				n.nm.timerFires.Inc()
-				n.execute(eng, ts, eng.HandleTimer(kind))
+				n.execute(ts, eng.Step(core.Input{Timer: kind}))
 			}
 		case req := <-n.submitCh:
-			err := eng.Submit(req.payload, req.service)
+			actions, err := eng.Submit(req.payload, req.service)
 			if err != nil {
 				n.nm.submitErrors.Inc()
 			} else {
 				n.nm.submits.Inc()
 			}
 			req.errCh <- err
-			if err == nil && flusher != nil {
-				n.execute(eng, ts, flusher.Flush())
-			}
+			n.execute(ts, actions)
 		case ch := <-n.statsCh:
-			ch <- statsReplyFor(eng)
+			ch <- eng.Snapshot()
 		case <-n.stopCh:
 			return
 		}
@@ -220,87 +206,47 @@ func (n *Node) loop(eng core.OrderingEngine, initial []core.Action) {
 
 // handlePacket decodes one packet and feeds it to the engine. The packet
 // buffer is returned to the shared pool on exit — the built-in transports
-// hand the loop pooled buffers, and the decode paths below never let the
-// engine retain a slice of pkt (DecodeData detaches the payload; the token
-// decode target's RTR never aliases pkt; join/commit decoders copy their
-// sets) — so recycling here is safe and closes the Get-per-receive /
-// Put-per-dispatch cycle that keeps the hot path allocation-free.
+// hand the loop pooled buffers, and no frame the decoder returns aliases
+// pkt (wire.Decoder) — so recycling here is safe and closes the
+// Get-per-receive / Put-per-dispatch cycle that keeps the hot path
+// allocation-free.
 func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 	defer transport.Buffers.Put(pkt)
-	kind, err := wire.PeekKind(pkt)
+	f, err := n.dec.Decode(pkt)
 	if err != nil {
 		n.nm.decodeFailures.Inc()
 		n.noteErr(fmt.Errorf("accelring: bad packet: %w", err))
 		return
 	}
-	var actions []core.Action
-	switch kind {
-	case wire.KindData:
-		m, err := wire.DecodeData(pkt)
-		if err != nil {
-			n.nm.decodeFailures.Inc()
-			n.noteErr(err)
-			return
-		}
-		n.nm.pktData.Inc()
-		actions = eng.HandleData(m)
-	case wire.KindToken:
-		// Decode into the node's reused token, restoring the RTR scratch
-		// backing first: the engine swaps tok.RTR for its own slice during
-		// handling, and without the restore the scratch's capacity would be
-		// lost after one round.
-		t := &n.decTok
-		t.RTR = n.rtrScratch
-		if err := wire.DecodeTokenInto(t, pkt); err != nil {
-			n.rtrScratch = t.RTR
-			n.nm.decodeFailures.Inc()
-			n.noteErr(err)
-			return
-		}
-		n.rtrScratch = t.RTR
-		n.nm.pktToken.Inc()
-		// Token rotation time is the interval between consecutive
-		// accepted tokens (duplicates filtered by the engine do not
-		// count); token handle time is the full cost of processing one,
-		// decode through action execution.
-		start := time.Now()
-		before := eng.Stats().TokensProcessed
-		actions = eng.HandleToken(t)
-		if eng.Stats().TokensProcessed != before {
-			if !n.lastTokenAt.IsZero() {
-				n.nm.tokenRotation.Observe(start.Sub(n.lastTokenAt))
-			}
-			n.lastTokenAt = start
-			n.execute(eng, ts, actions)
-			n.nm.tokenHandle.Observe(time.Since(start))
-			return
-		}
-	case wire.KindJoin:
-		j, err := wire.DecodeJoin(pkt)
-		if err != nil {
-			n.nm.decodeFailures.Inc()
-			n.noteErr(err)
-			return
-		}
-		n.nm.pktJoin.Inc()
-		actions = eng.HandleJoin(j)
-	case wire.KindCommit:
-		c, err := wire.DecodeCommit(pkt)
-		if err != nil {
-			n.nm.decodeFailures.Inc()
-			n.noteErr(err)
-			return
-		}
-		n.nm.pktCommit.Inc()
-		actions = eng.HandleCommit(c)
+	kind := f.Kind()
+	n.nm.pkts[kind].Inc()
+	if kind != wire.KindToken {
+		n.execute(ts, eng.Step(core.Input{Frame: f}))
+		return
 	}
-	n.execute(eng, ts, actions)
+	// Token rotation time is the interval between consecutive accepted
+	// tokens (duplicates filtered by the engine do not count); token
+	// handle time is the full cost of processing one, through action
+	// execution.
+	start := time.Now()
+	before := eng.Progress().Rotations
+	actions := eng.Step(core.Input{Frame: f})
+	if eng.Progress().Rotations == before {
+		n.execute(ts, actions)
+		return
+	}
+	if !n.lastTokenAt.IsZero() {
+		n.nm.tokenRotation.Observe(start.Sub(n.lastTokenAt))
+	}
+	n.lastTokenAt = start
+	n.execute(ts, actions)
+	n.nm.tokenHandle.Observe(time.Since(start))
 }
 
-// execute carries out engine actions in order. All four send paths encode
-// into the node's reused scratch buffer: the Transport contract says sends
-// borrow pkt only for the duration of the call, so the buffer is free again
-// by the time the next action encodes.
+// execute carries out engine actions in order. Sends encode into the
+// node's reused scratch buffer: the Transport contract says sends borrow
+// pkt only for the duration of the call, so the buffer is free again by the
+// time the next action encodes.
 //
 // Runs of two or more consecutive SendData actions are flushed through the
 // transport's batched multicast path when it offers one. The engine emits
@@ -309,7 +255,7 @@ func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 // frames that overlaps with the successor's round — so batching here turns
 // the protocol's characteristic bursts into single sendmmsg calls without
 // changing action semantics or ordering.
-func (n *Node) execute(eng core.OrderingEngine, ts *timerSet, actions []core.Action) {
+func (n *Node) execute(ts *timerSet, actions []core.Action) {
 	for i := 0; i < len(actions); i++ {
 		if n.batcher != nil {
 			if _, ok := actions[i].(core.SendData); ok {
@@ -329,53 +275,9 @@ func (n *Node) execute(eng core.OrderingEngine, ts *timerSet, actions []core.Act
 		}
 		switch act := actions[i].(type) {
 		case core.SendData:
-			pkt, err := wire.AppendData(n.encBuf[:0], act.Msg)
-			if err != nil {
-				n.nm.encodeFailures.Inc()
-				n.noteErr(err)
-				continue
-			}
-			n.encBuf = pkt
-			if err := n.tr.Multicast(pkt); err != nil {
-				n.nm.sendFailures.Inc()
-				n.noteErr(err)
-			}
-		case core.SendToken:
-			pkt, err := wire.AppendToken(n.encBuf[:0], act.Token)
-			if err != nil {
-				n.nm.encodeFailures.Inc()
-				n.noteErr(err)
-				continue
-			}
-			n.encBuf = pkt
-			if err := n.tr.Unicast(act.To, pkt); err != nil {
-				n.nm.sendFailures.Inc()
-				n.noteErr(err)
-			}
-		case core.SendJoin:
-			pkt, err := wire.AppendJoin(n.encBuf[:0], act.Join)
-			if err != nil {
-				n.nm.encodeFailures.Inc()
-				n.noteErr(err)
-				continue
-			}
-			n.encBuf = pkt
-			if err := n.tr.Multicast(pkt); err != nil {
-				n.nm.sendFailures.Inc()
-				n.noteErr(err)
-			}
-		case core.SendCommit:
-			pkt, err := wire.AppendCommit(n.encBuf[:0], act.Commit)
-			if err != nil {
-				n.nm.encodeFailures.Inc()
-				n.noteErr(err)
-				continue
-			}
-			n.encBuf = pkt
-			if err := n.tr.Unicast(act.To, pkt); err != nil {
-				n.nm.sendFailures.Inc()
-				n.noteErr(err)
-			}
+			n.send(0, act.Msg)
+		case core.Send:
+			n.send(act.To, act.Frame)
 		case core.Deliver:
 			n.deliver(Message{
 				Sender:  act.Msg.PID,
@@ -390,6 +292,27 @@ func (n *Node) execute(eng core.OrderingEngine, ts *timerSet, actions []core.Act
 			n.nm.timerCancels.Inc()
 			ts.cancel(act.Kind)
 		}
+	}
+}
+
+// send encodes one frame into the reused scratch and transmits it:
+// unicast to a participant, or multicast when to is zero.
+func (n *Node) send(to wire.ParticipantID, f wire.Frame) {
+	pkt, err := f.AppendTo(n.encBuf[:0])
+	if err != nil {
+		n.nm.encodeFailures.Inc()
+		n.noteErr(err)
+		return
+	}
+	n.encBuf = pkt
+	if to == 0 {
+		err = n.tr.Multicast(pkt)
+	} else {
+		err = n.tr.Unicast(to, pkt)
+	}
+	if err != nil {
+		n.nm.sendFailures.Inc()
+		n.noteErr(err)
 	}
 }
 

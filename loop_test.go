@@ -170,15 +170,18 @@ func TestErrorBurstIsAccounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Force a round trip through the loop so the flood has been consumed.
-	if err := nodes[0].Submit([]byte("sync"), Agreed); err != nil {
-		t.Fatal(err)
-	}
-	collect(t, nodes[0], 1, 10*time.Second)
-
-	snap, err := nodes[0].Metrics()
-	if err != nil {
-		t.Fatal(err)
+	// Wait until the loop has consumed the whole flood. (A submit round
+	// trip is not a barrier: the node delivers its own message off the
+	// token socket while garbage is still queued on the data socket.)
+	var snap MetricsSnapshot
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var err error
+		if snap, err = nodes[0].Metrics(); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Runtime.DecodeFailures >= garbage || time.Now().After(deadline) {
+			break
+		}
 	}
 	if snap.ErrorCount < garbage {
 		t.Fatalf("error count = %d, want >= %d (burst collapsed)", snap.ErrorCount, garbage)

@@ -6,6 +6,7 @@ import (
 	"accelring/internal/fanout"
 	"accelring/internal/metrics"
 	"accelring/internal/transport"
+	"accelring/internal/wire"
 )
 
 // HistogramSnapshot re-exports the metrics histogram snapshot so
@@ -33,7 +34,8 @@ type FanoutSource interface {
 // the protocol goroutine and its timers observed, as opposed to the
 // engine's protocol-level counters.
 type RuntimeMetrics struct {
-	// Packets handled, by wire kind, after successful decode.
+	// Packets handled, by wire kind, after successful decode. Engine
+	// control frames share the data socket and count as data.
 	PacketsData   uint64 `json:"packets_data"`
 	PacketsToken  uint64 `json:"packets_token"`
 	PacketsJoin   uint64 `json:"packets_join"`
@@ -115,23 +117,23 @@ type MetricsSnapshot struct {
 // the protocol goroutine writes without locks and any goroutine snapshots
 // without stopping it.
 type nodeMetrics struct {
-	pktData, pktToken, pktJoin, pktCommit metrics.Counter
-	decodeFailures                        metrics.Counter
-	encodeFailures                        metrics.Counter
-	sendFailures                          metrics.Counter
-	sendBursts                            metrics.Counter
-	sendBurstMsgs                         metrics.Counter
-	timerFires                            metrics.Counter
-	timerStale                            metrics.Counter
-	timerCancels                          metrics.Counter
-	submits                               metrics.Counter
-	submitErrors                          metrics.Counter
-	eventsDelivered                       metrics.Counter
-	watchdogChecks                        metrics.Counter
-	watchdogStalls                        metrics.Counter
-	errors                                metrics.Counter
-	tokenRotation                         *metrics.Histogram
-	tokenHandle                           *metrics.Histogram
+	pkts            [wire.KindControl + 1]metrics.Counter // by wire kind
+	decodeFailures  metrics.Counter
+	encodeFailures  metrics.Counter
+	sendFailures    metrics.Counter
+	sendBursts      metrics.Counter
+	sendBurstMsgs   metrics.Counter
+	timerFires      metrics.Counter
+	timerStale      metrics.Counter
+	timerCancels    metrics.Counter
+	submits         metrics.Counter
+	submitErrors    metrics.Counter
+	eventsDelivered metrics.Counter
+	watchdogChecks  metrics.Counter
+	watchdogStalls  metrics.Counter
+	errors          metrics.Counter
+	tokenRotation   *metrics.Histogram
+	tokenHandle     *metrics.Histogram
 }
 
 func newNodeMetrics() *nodeMetrics {
@@ -148,10 +150,10 @@ func newNodeMetrics() *nodeMetrics {
 // read live from the node's channels.
 func (m *nodeMetrics) runtimeSnapshot(n *Node) RuntimeMetrics {
 	return RuntimeMetrics{
-		PacketsData:     m.pktData.Load(),
-		PacketsToken:    m.pktToken.Load(),
-		PacketsJoin:     m.pktJoin.Load(),
-		PacketsCommit:   m.pktCommit.Load(),
+		PacketsData:     m.pkts[wire.KindData].Load() + m.pkts[wire.KindControl].Load(),
+		PacketsToken:    m.pkts[wire.KindToken].Load(),
+		PacketsJoin:     m.pkts[wire.KindJoin].Load(),
+		PacketsCommit:   m.pkts[wire.KindCommit].Load(),
 		DecodeFailures:  m.decodeFailures.Load(),
 		EncodeFailures:  m.encodeFailures.Load(),
 		SendFailures:    m.sendFailures.Load(),
@@ -183,8 +185,8 @@ func (n *Node) Metrics() (MetricsSnapshot, error) {
 	}
 	snap := MetricsSnapshot{
 		EngineName: string(n.engine),
-		Engine:     st.stats,
-		Paxos:      st.paxos,
+		Engine:     st.Stats,
+		Paxos:      paxosStatsOf(st),
 		Runtime:    n.nm.runtimeSnapshot(n),
 		BufferPool: transport.Buffers.Snapshot(),
 		ErrorCount: n.nm.errors.Load(),

@@ -171,8 +171,13 @@ func TestMultiRingMixedEngines(t *testing.T) {
 	// streams through a fresh merger under several arrival interleavings —
 	// round-robin, ring-sequential, reverse, and seeded shuffles — and
 	// require the exact observed (key, ring, turn) sequence every time.
+	// Snapshot the streams: the tap keeps appending (skip units never
+	// stop), so the per-ring slices must be copied under its lock.
 	taps[0].mu.Lock()
-	units := taps[0].units
+	units := make([][]ShardUnit, rings)
+	for r := range units {
+		units[r] = append([]ShardUnit(nil), taps[0].units[r]...)
+	}
 	taps[0].mu.Unlock()
 	lens := []int{len(units[0]), len(units[1])}
 	for name, order := range arrivalSchedules(lens, seed, 3) {

@@ -284,7 +284,9 @@ func TestMultiRingMetricsIsolation(t *testing.T) {
 	}
 
 	// With skips disabled the merge stalls after the first emission, but
-	// ring 0's engine keeps ordering; wait on its delivery counter.
+	// ring 0's engine keeps ordering; wait on its delivery counter — and
+	// on the idle ring's first token reaching this node, which nothing
+	// above orders before ring 0's deliveries.
 	deadline := time.Now().Add(10 * time.Second)
 	var snap MultiMetricsSnapshot
 	for {
@@ -293,11 +295,12 @@ func TestMultiRingMetricsIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Metrics: %v", err)
 		}
-		if snap.Rings[0].Engine.Delivered >= msgs {
+		if snap.Rings[0].Engine.Delivered >= msgs && snap.Rings[1].Engine.TokensProcessed > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("ring 0 delivered %d/%d", snap.Rings[0].Engine.Delivered, msgs)
+			t.Fatalf("ring 0 delivered %d/%d, ring 1 processed %d tokens",
+				snap.Rings[0].Engine.Delivered, msgs, snap.Rings[1].Engine.TokensProcessed)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -2,6 +2,8 @@ package accelring
 
 import (
 	"time"
+
+	"accelring/internal/wire"
 )
 
 // Liveness watchdog. The protocol loop is a single goroutine; if it
@@ -36,9 +38,12 @@ type StallReport struct {
 // progress sums the counters that advance whenever the protocol loop
 // completes work of any kind. Strictly monotone; sampled lock-free.
 func (m *nodeMetrics) progress() uint64 {
-	return m.pktData.Load() + m.pktToken.Load() + m.pktJoin.Load() +
-		m.pktCommit.Load() + m.timerFires.Load() + m.submits.Load() +
+	sum := m.timerFires.Load() + m.submits.Load() +
 		m.submitErrors.Load() + m.eventsDelivered.Load()
+	for i := range m.pkts {
+		sum += m.pkts[i].Load()
+	}
+	return sum
 }
 
 // pendingWork samples the work queued for the protocol loop without
@@ -105,7 +110,7 @@ func (mn *MultiNode) shardWatchdog(interval time.Duration, onStall func(StallRep
 	defer tick.Stop()
 	probe := func(n *Node) uint64 {
 		if n.steadyRotation {
-			return n.nm.pktToken.Load()
+			return n.nm.pkts[wire.KindToken].Load()
 		}
 		return n.nm.progress()
 	}
