@@ -243,21 +243,16 @@ type Node struct {
 
 	// Protocol-goroutine-owned scratch state keeping the steady-state hot
 	// path allocation-free: encBuf is the reused encode buffer for every
-	// outgoing packet (the transports borrow it only for the duration of a
-	// send), and dec holds the reused token and control decode targets (the
-	// engine never retains those pointers — it copies what it keeps).
-	encBuf []byte
-	dec    wire.Decoder
-
-	// batcher is non-nil when the transport supports batched multicast
-	// (udpnet on Linux): runs of consecutive SendData actions — the
-	// engine's pre-token window run and post-token accelerated flush —
-	// are encoded into pooled buffers and flushed with one MulticastBatch
-	// call instead of one syscall per frame. burstBufs and burstPkts are
-	// the protocol-goroutine-owned scratch vectors backing a burst in
-	// flight; their headers are retained across bursts so the steady state
-	// allocates nothing.
-	batcher   transport.BatchSender
+	// control-plane frame (the transports borrow it only for the duration
+	// of a send) and encVec the vector of one that carries it to Multicast;
+	// dec holds the reused token and control decode targets (the engine
+	// never retains those pointers — it copies what it keeps). burstBufs
+	// and burstPkts back a data run in flight — pooled buffers, one per
+	// frame, and the vector handed to Multicast; their headers are retained
+	// across runs.
+	encBuf    []byte
+	encVec    [1][]byte
+	dec       wire.Decoder
 	burstBufs [][]byte
 	burstPkts [][]byte
 
@@ -355,9 +350,6 @@ func Start(opts Options) (*Node, error) {
 		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
 		nm:       newNodeMetrics(),
-	}
-	if bs, ok := opts.Transport.(transport.BatchSender); ok {
-		n.batcher = bs
 	}
 	n.steadyRotation = eng.Progress().SteadyRotation
 	n.timers = newTimerSet(&n.nm.timerStale)

@@ -1,6 +1,7 @@
 package accelring
 
 import (
+	"reflect"
 	"testing"
 
 	"accelring/internal/core"
@@ -8,38 +9,39 @@ import (
 	"accelring/internal/wire"
 )
 
-// recordingBatchTransport records which send path each packet took, so the
-// tests can pin the runtime's burst-accumulation policy: runs of >= 2
-// consecutive SendData actions go through MulticastBatch, everything else
-// through the single-send paths.
-type recordingBatchTransport struct {
-	batches  [][]string // one entry per MulticastBatch call, decoded payloads
-	singles  []string   // payloads sent via Multicast
-	unicasts int
+// recordingTransport records every send the runtime hands it, in order, so
+// the tests can pin the one send path: each maximal run of consecutive
+// SendData actions arrives as one Multicast vector, everything else as its
+// own call.
+type recordingTransport struct {
+	transport.Metrics
+	calls []sendCall
 }
 
-func (r *recordingBatchTransport) Multicast(pkt []byte) error {
-	r.singles = append(r.singles, decodePayload(pkt))
-	return nil
+// sendCall is one transport send: a Multicast carrying the decoded
+// payloads of its vector, or (payloads nil) a Unicast.
+type sendCall struct {
+	op       string
+	payloads []string
 }
 
-func (r *recordingBatchTransport) MulticastBatch(pkts [][]byte) error {
-	batch := make([]string, len(pkts))
-	for i, p := range pkts {
-		batch[i] = decodePayload(p)
+func (r *recordingTransport) Multicast(pkts [][]byte) error {
+	c := sendCall{op: "Multicast"}
+	for _, p := range pkts {
+		c.payloads = append(c.payloads, decodePayload(p))
 	}
-	r.batches = append(r.batches, batch)
+	r.calls = append(r.calls, c)
 	return nil
 }
 
-func (r *recordingBatchTransport) Unicast(wire.ParticipantID, []byte) error {
-	r.unicasts++
+func (r *recordingTransport) Unicast(wire.ParticipantID, []byte) error {
+	r.calls = append(r.calls, sendCall{op: "Unicast"})
 	return nil
 }
 
-func (r *recordingBatchTransport) Data() <-chan []byte  { return nil }
-func (r *recordingBatchTransport) Token() <-chan []byte { return nil }
-func (r *recordingBatchTransport) Close() error         { return nil }
+func (r *recordingTransport) Data() <-chan []byte  { return nil }
+func (r *recordingTransport) Token() <-chan []byte { return nil }
+func (r *recordingTransport) Close() error         { return nil }
 
 func decodePayload(pkt []byte) string {
 	m, err := wire.DecodeData(pkt)
@@ -59,13 +61,15 @@ func dataAction(payload string) core.SendData {
 	}}
 }
 
-// TestExecuteBatchesSendDataRuns: a mixed action stream — like the
-// engine's token hand-off output (pre-token run, token Send, post-token
-// accelerated flush) — must batch each multi-frame run, keep lone frames
-// on the single path, and preserve the frames' order and contents.
-func TestExecuteBatchesSendDataRuns(t *testing.T) {
-	ft := &recordingBatchTransport{}
-	n := &Node{tr: ft, batcher: ft, nm: newNodeMetrics()}
+// TestBurstEachDataRunIsOneVector: a mixed action stream shaped like
+// the engine's token hand-off output (pre-token run, token Send, post-token
+// accelerated flush, token Send, a lone frame) must reach the transport as
+// exactly Multicast[3], Unicast, Multicast[2], Unicast, Multicast[1], in
+// that order — the position of the token between the runs is the
+// acceleration on the wire — with the frames' order and contents intact.
+func TestBurstEachDataRunIsOneVector(t *testing.T) {
+	ft := &recordingTransport{}
+	n := &Node{tr: ft, nm: newNodeMetrics()}
 	tok := &wire.Token{RingID: wire.RingID{Rep: 1, Seq: 1}}
 
 	n.execute(nil, []core.Action{
@@ -79,73 +83,71 @@ func TestExecuteBatchesSendDataRuns(t *testing.T) {
 		dataAction("lone"),
 	})
 
-	if len(ft.batches) != 2 {
-		t.Fatalf("MulticastBatch called %d times, want 2: %v", len(ft.batches), ft.batches)
+	want := []sendCall{
+		{op: "Multicast", payloads: []string{"pre-1", "pre-2", "pre-3"}},
+		{op: "Unicast"},
+		{op: "Multicast", payloads: []string{"post-1", "post-2"}},
+		{op: "Unicast"},
+		{op: "Multicast", payloads: []string{"lone"}},
 	}
-	wantPre := []string{"pre-1", "pre-2", "pre-3"}
-	for i, p := range wantPre {
-		if ft.batches[0][i] != p {
-			t.Fatalf("pre-token batch = %v, want %v", ft.batches[0], wantPre)
-		}
-	}
-	wantPost := []string{"post-1", "post-2"}
-	for i, p := range wantPost {
-		if ft.batches[1][i] != p {
-			t.Fatalf("post-token batch = %v, want %v", ft.batches[1], wantPost)
-		}
-	}
-	if len(ft.singles) != 1 || ft.singles[0] != "lone" {
-		t.Fatalf("single-send path saw %v, want [lone]", ft.singles)
-	}
-	if ft.unicasts != 2 {
-		t.Fatalf("unicasts = %d, want 2", ft.unicasts)
+	if !reflect.DeepEqual(ft.calls, want) {
+		t.Fatalf("transport saw\n %v\nwant\n %v", ft.calls, want)
 	}
 	snap := n.nm.runtimeSnapshot(n)
-	if snap.SendBursts != 2 || snap.SendBurstMsgs != 5 {
-		t.Fatalf("burst counters = %d/%d, want 2 bursts carrying 5 frames",
+	if snap.SendBursts != 3 || snap.SendBurstMsgs != 6 {
+		t.Fatalf("burst counters = %d/%d, want 3 runs carrying 6 frames",
 			snap.SendBursts, snap.SendBurstMsgs)
 	}
 }
 
-// TestExecuteWithoutBatcherUsesSinglePath: a transport without a batch
-// path (memnet, external transports) keeps today's one-send-per-action
-// behavior even for long runs.
-func TestExecuteWithoutBatcherUsesSinglePath(t *testing.T) {
-	ft := &recordingBatchTransport{}
-	n := &Node{tr: ft, nm: newNodeMetrics()} // batcher deliberately nil
-	n.execute(nil, []core.Action{
-		dataAction("a"), dataAction("b"), dataAction("c"),
-	})
-	if len(ft.batches) != 0 {
-		t.Fatalf("batch path used without a batcher: %v", ft.batches)
-	}
-	if len(ft.singles) != 3 {
-		t.Fatalf("singles = %v, want 3 frames", ft.singles)
+// TestBurstControlFrameIsVectorOfOne: a Send addressed to participant 0
+// (joins, engine control frames) takes the same Multicast, as a vector of
+// one, and is not counted as a data run.
+func TestBurstControlFrameIsVectorOfOne(t *testing.T) {
+	ft := &recordingTransport{}
+	n := &Node{tr: ft, nm: newNodeMetrics()}
+	n.execute(nil, []core.Action{core.Send{To: 0, Frame: dataAction("ctl").Msg}})
+	want := []sendCall{{op: "Multicast", payloads: []string{"ctl"}}}
+	if !reflect.DeepEqual(ft.calls, want) {
+		t.Fatalf("transport saw %v, want %v", ft.calls, want)
 	}
 	if snap := n.nm.runtimeSnapshot(n); snap.SendBursts != 0 {
-		t.Fatalf("SendBursts = %d without a batcher", snap.SendBursts)
+		t.Fatalf("SendBursts = %d for a control frame, want 0", snap.SendBursts)
 	}
 }
 
-// TestSendBurstRecyclesBuffers: a burst's pooled encode buffers must all
-// return to the pool, and the retained scratch vectors must not alias
-// recycled buffers afterwards.
-func TestSendBurstRecyclesBuffers(t *testing.T) {
-	ft := &recordingBatchTransport{}
-	n := &Node{tr: ft, batcher: ft, nm: newNodeMetrics()}
-	before := transport.Buffers.Snapshot()
-	n.execute(nil, []core.Action{
-		dataAction("r1"), dataAction("r2"), dataAction("r3"), dataAction("r4"),
-	})
-	after := transport.Buffers.Snapshot()
-	gets := (after.Hits + after.Misses) - (before.Hits + before.Misses)
-	puts := after.Puts - before.Puts
-	if gets != 4 || puts != 4 {
-		t.Fatalf("burst of 4 did %d pool gets and %d puts, want 4/4", gets, puts)
-	}
-	for i, b := range n.burstPkts[:cap(n.burstPkts)] {
-		if b != nil {
-			t.Fatalf("burstPkts[%d] still aliases a recycled buffer", i)
+// TestBurstRecyclesBuffers: for every run length, a lone frame
+// included, the run's pooled encode buffers must all return to the pool,
+// and the retained scratch vectors must not alias recycled buffers
+// afterwards.
+func TestBurstRecyclesBuffers(t *testing.T) {
+	for _, runLen := range []int{1, 2, 4, 17} {
+		ft := &recordingTransport{}
+		n := &Node{tr: ft, nm: newNodeMetrics()}
+		run := make([]core.Action, runLen)
+		for i := range run {
+			run[i] = dataAction("r")
+		}
+		before := transport.Buffers.Snapshot()
+		n.execute(nil, run)
+		after := transport.Buffers.Snapshot()
+		gets := (after.Hits + after.Misses) - (before.Hits + before.Misses)
+		puts := after.Puts - before.Puts
+		if gets != uint64(runLen) || puts != uint64(runLen) {
+			t.Fatalf("run of %d did %d pool gets and %d puts, want %d/%d", runLen, gets, puts, runLen, runLen)
+		}
+		if len(ft.calls) != 1 || len(ft.calls[0].payloads) != runLen {
+			t.Fatalf("run of %d reached the transport as %v", runLen, ft.calls)
+		}
+		for i, b := range n.burstPkts[:cap(n.burstPkts)] {
+			if b != nil {
+				t.Fatalf("run of %d: burstPkts[%d] still aliases a recycled buffer", runLen, i)
+			}
+		}
+		for i, b := range n.burstBufs[:cap(n.burstBufs)] {
+			if b != nil {
+				t.Fatalf("run of %d: burstBufs[%d] still aliases a recycled buffer", runLen, i)
+			}
 		}
 	}
 }

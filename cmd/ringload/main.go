@@ -34,7 +34,7 @@ import (
 	"time"
 
 	"accelring/internal/client"
-	"accelring/internal/stats"
+	"accelring/internal/metrics"
 	"accelring/internal/wire"
 )
 
@@ -124,8 +124,8 @@ func run() int {
 	logger.Printf("connected as %s, group %q, %.0f msg/s × %dB for %v",
 		conn.PrivateName(), *group, *rate, *size, *duration)
 
-	var lat stats.Sample
-	hist := stats.NewHistogram(100*time.Microsecond, 10)
+	var lat metrics.Sample
+	hist := metrics.NewHistogram(100*time.Microsecond, 10)
 	received := 0
 	recvBytes := 0
 	gaps := 0
@@ -147,7 +147,7 @@ func run() int {
 					sent := int64(binary.BigEndian.Uint64(m.Payload))
 					d := time.Duration(time.Now().UnixNano() - sent)
 					lat.Add(d)
-					hist.Add(d)
+					hist.Observe(d)
 				}
 			case client.Disconnected:
 				logger.Printf("disconnected: %v", m.Err)
@@ -210,16 +210,15 @@ func run() int {
 		fmt.Printf("self-latency: n=%d mean=%v p50=%v p99=%v max=%v\n",
 			lat.Count(), lat.Mean(), lat.Percentile(50), lat.Percentile(99), lat.Max())
 		fmt.Println("latency histogram:")
-		hist.Buckets(func(upper time.Duration, count uint64) {
-			if count == 0 {
-				return
+		for _, b := range hist.Snapshot().Buckets {
+			switch {
+			case b.Count == 0:
+			case b.UpperNs == 0:
+				fmt.Printf("  %10s  %d\n", "overflow", b.Count)
+			default:
+				fmt.Printf("  <%9v  %d\n", time.Duration(b.UpperNs), b.Count)
 			}
-			if upper == 0 {
-				fmt.Printf("  %10s  %d\n", "overflow", count)
-				return
-			}
-			fmt.Printf("  <%9v  %d\n", upper, count)
-		})
+		}
 	}
 	return 0
 }

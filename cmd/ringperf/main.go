@@ -25,7 +25,7 @@ import (
 
 	"accelring"
 	"accelring/internal/bench"
-	"accelring/internal/stats"
+	"accelring/internal/metrics"
 )
 
 func main() {
@@ -42,10 +42,7 @@ func run() int {
 	serviceFlag := flag.String("service", "agreed", "agreed or safe")
 	transportFlag := flag.String("transport", "udp", "udp (loopback sockets) or mem (in-memory)")
 	pack := flag.Int("pack", 0, "message packing threshold (0 disables)")
-	metricsJSON := flag.String("metrics-json", "", "directory to write a BENCH_<report-id>.json report into (summary point plus per-node metrics snapshots)")
-	reportID := flag.String("report-id", "ringperf", "benchmark id for the metrics report file name and header")
-	metricsAppend := flag.Bool("metrics-append", false, "append this run's point to an existing report instead of overwriting it (for multi-arm sweeps like batch vs nobatch)")
-	udpNoBatch := flag.Bool("udp-nobatch", false, "disable the batched-syscall dataplane (udp transport only): the control arm for syscall amortization measurements")
+	metricsJSON := flag.String("metrics-json", "", "directory to write a BENCH_ringperf.json report into (summary point plus per-node metrics snapshots)")
 	series := flag.String("series", "", "series label override for the report point (default transport/protocol/service)")
 	flag.Parse()
 
@@ -78,7 +75,7 @@ func run() int {
 	for i := range members {
 		members[i] = accelring.ParticipantID(i + 1)
 	}
-	transports, err := buildTransports(*transportFlag, members, *udpNoBatch)
+	transports, err := buildTransports(*transportFlag, members)
 	if err != nil {
 		logger.Print(err)
 		return 1
@@ -104,7 +101,7 @@ func run() int {
 	// Receivers: every node samples latency of every delivery.
 	var (
 		mu       sync.Mutex
-		lat      stats.Sample
+		lat      metrics.Sample
 		received atomic.Uint64
 	)
 	var wg sync.WaitGroup
@@ -210,17 +207,8 @@ func run() int {
 			if engine == accelring.EngineRingPaxos {
 				label = fmt.Sprintf("%s/%s/%s", *transportFlag, engine, *serviceFlag)
 			}
-			if *udpNoBatch {
-				label += "/nobatch"
-			}
 		}
-		cfg := reportConfig{
-			dir:    *metricsJSON,
-			id:     *reportID,
-			label:  label,
-			append: *metricsAppend,
-		}
-		path, point, err := writeMetricsReport(cfg, ring, *rate, achieved, &lat, sent.Load(), elapsed, poolDelta, allocsPerMsg)
+		path, point, err := writeMetricsReport(*metricsJSON, label, ring, *rate, achieved, &lat, sent.Load(), elapsed, poolDelta, allocsPerMsg)
 		if err != nil {
 			logger.Print(err)
 			return 1
@@ -235,29 +223,19 @@ func run() int {
 	return 0
 }
 
-// reportConfig names the output file (BENCH_<id>.json in dir), the series
-// label for this run's point, and whether to append to an existing report
-// (multi-arm sweeps: the batch and nobatch runs land in one file).
-type reportConfig struct {
-	dir    string
-	id     string
-	label  string
-	append bool
-}
-
 // metricsReport is the on-disk report shape: the shared bench schema plus
-// every node's full metrics snapshot for the most recent run.
+// every node's full metrics snapshot.
 type metricsReport struct {
 	bench.JSONReport
 	NodeMetrics []accelring.MetricsSnapshot `json:"node_metrics"`
 }
 
-// writeMetricsReport emits (or appends to) a BENCH_<id>.json report: one
-// summary point in the shared bench schema plus every node's full metrics
+// writeMetricsReport writes dir/BENCH_ringperf.json: one summary point
+// (series label) in the shared bench schema plus every node's full metrics
 // snapshot.
-func writeMetricsReport(cfg reportConfig, ring []*accelring.Node, offered, achieved float64, lat *stats.Sample, sent uint64, elapsed float64, pool accelring.PoolSnapshot, allocsPerMsg float64) (string, bench.JSONPoint, error) {
+func writeMetricsReport(dir, label string, ring []*accelring.Node, offered, achieved float64, lat *metrics.Sample, sent uint64, elapsed float64, pool accelring.PoolSnapshot, allocsPerMsg float64) (string, bench.JSONPoint, error) {
 	point := bench.JSONPoint{
-		Series:       cfg.label,
+		Series:       label,
 		OfferedMbps:  offered,
 		AchievedMbps: achieved,
 		Stable:       achieved >= 0.97*offered,
@@ -329,24 +307,14 @@ func writeMetricsReport(cfg reportConfig, ring []*accelring.Node, offered, achie
 
 	rep := metricsReport{
 		JSONReport: bench.JSONReport{
-			Benchmark:     cfg.id,
+			Benchmark:     "ringperf",
 			Title:         "library-based deployment on a real transport",
 			GeneratedUnix: time.Now().Unix(),
 			Points:        []bench.JSONPoint{point},
 		},
 		NodeMetrics: snaps,
 	}
-	path := filepath.Join(cfg.dir, fmt.Sprintf("BENCH_%s.json", cfg.id))
-	if cfg.append {
-		if prev, err := os.ReadFile(path); err == nil {
-			var old metricsReport
-			if err := json.Unmarshal(prev, &old); err != nil {
-				return "", point, fmt.Errorf("appending to %s: %w", path, err)
-			}
-			rep.Points = append(old.Points, point)
-			rep.NodeMetrics = append(old.NodeMetrics, snaps...)
-		}
-	}
+	path := filepath.Join(dir, "BENCH_ringperf.json")
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return "", point, err
@@ -358,7 +326,7 @@ func writeMetricsReport(cfg reportConfig, ring []*accelring.Node, offered, achie
 }
 
 // buildTransports creates one transport per member on the chosen backend.
-func buildTransports(kind string, members []accelring.ParticipantID, noBatch bool) ([]accelring.Transport, error) {
+func buildTransports(kind string, members []accelring.ParticipantID) ([]accelring.Transport, error) {
 	switch kind {
 	case "mem":
 		network := accelring.NewMemoryNetwork(time.Now().UnixNano())
@@ -382,7 +350,7 @@ func buildTransports(kind string, members []accelring.ParticipantID, noBatch boo
 		}
 		out := make([]accelring.Transport, len(members))
 		for i, id := range members {
-			tr, err := accelring.NewUDPTransport(accelring.UDPOptions{ID: id, Peers: peers, DisableBatch: noBatch})
+			tr, err := accelring.NewUDPTransport(accelring.UDPOptions{ID: id, Peers: peers})
 			if err != nil {
 				return nil, err
 			}

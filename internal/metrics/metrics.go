@@ -1,7 +1,7 @@
 // Package metrics provides the cheap, lock-free instrumentation primitives
 // the runtime threads through every layer: atomic counters, gauges, and
-// fixed-bucket latency histograms (the same exponential bucketing as
-// internal/stats, but safe for concurrent writers on the hot path).
+// fixed-bucket latency histograms safe for concurrent writers on the hot
+// path — plus Sample, the exact-percentile collector for harnesses.
 //
 // The paper's entire evaluation (Sections IV–V) rests on measuring token
 // rotation time, per-round message counts, retransmissions and delivery
@@ -58,8 +58,7 @@ type Histogram struct {
 
 // NewHistogram builds a histogram with buckets [0,first), [first,2*first),
 // doubling n times; observations beyond the last bound land in the
-// overflow bucket. It mirrors internal/stats.NewHistogram but with atomic
-// counters.
+// overflow bucket.
 func NewHistogram(first time.Duration, n int) *Histogram {
 	if first <= 0 || n <= 0 {
 		panic("metrics: histogram needs a positive first bound and bucket count")

@@ -59,6 +59,20 @@ func TestHistogramBucketing(t *testing.T) {
 	if s.Buckets[len(s.Buckets)-1].UpperNs != 0 {
 		t.Fatal("overflow bucket should have zero upper bound")
 	}
+	for i, ms := range []int64{1, 2, 4, 8} {
+		if got := s.Buckets[i].UpperNs; got != ms*int64(time.Millisecond) {
+			t.Fatalf("bucket %d upper bound = %v, want %dms", i, time.Duration(got), ms)
+		}
+	}
+}
+
+func TestHistogramPanicsOnBadArgs(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewHistogram(0, 0) did not panic")
+		}
+	}()
+	NewHistogram(0, 0)
 }
 
 func TestHistogramQuantiles(t *testing.T) {

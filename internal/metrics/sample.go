@@ -1,7 +1,4 @@
-// Package stats provides the small statistical helpers the benchmark
-// harness needs: a latency sample collector with exact percentiles, and a
-// fixed-bucket histogram for cheap streaming summaries.
-package stats
+package metrics
 
 import (
 	"fmt"
@@ -10,8 +7,10 @@ import (
 	"time"
 )
 
-// Sample accumulates duration observations and answers summary queries.
-// The zero value is ready to use. Not safe for concurrent use.
+// Sample accumulates duration observations and answers summary queries
+// with exact percentiles — the off-hot-path complement to Histogram, for
+// harnesses that can afford to keep every observation. The zero value is
+// ready to use. Not safe for concurrent use.
 type Sample struct {
 	values []time.Duration
 	sorted bool
@@ -109,50 +108,4 @@ func (s *Sample) sort() {
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		s.Count(), s.Mean(), s.Percentile(50), s.Percentile(99), s.Max())
-}
-
-// Histogram is a fixed-bucket latency histogram with exponentially growing
-// bucket bounds. The zero value is not usable; create with NewHistogram.
-type Histogram struct {
-	bounds []time.Duration
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with buckets [0,first), [first,2*first),
-// doubling n times. Observations beyond the last bound land in the overflow
-// bucket.
-func NewHistogram(first time.Duration, n int) *Histogram {
-	if first <= 0 || n <= 0 {
-		panic("stats: histogram needs a positive first bound and bucket count")
-	}
-	bounds := make([]time.Duration, n)
-	b := first
-	for i := range bounds {
-		bounds[i] = b
-		b *= 2
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, n+1)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(d time.Duration) {
-	idx := sort.Search(len(h.bounds), func(i int) bool { return d < h.bounds[i] })
-	h.counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Buckets calls fn for each bucket with its upper bound (0 duration for the
-// overflow bucket) and count.
-func (h *Histogram) Buckets(fn func(upper time.Duration, count uint64)) {
-	for i, c := range h.counts {
-		if i < len(h.bounds) {
-			fn(h.bounds[i], c)
-		} else {
-			fn(0, c)
-		}
-	}
 }

@@ -1,4 +1,4 @@
-package stats
+package metrics
 
 import (
 	"testing"
@@ -102,38 +102,4 @@ func TestQuickMeanBounds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 3) // buckets: <10, <20, <40, overflow
-	for _, v := range []time.Duration{5, 15, 25, 100} {
-		h.Add(v)
-	}
-	if h.Total() != 4 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	var got []uint64
-	var uppers []time.Duration
-	h.Buckets(func(u time.Duration, c uint64) {
-		uppers = append(uppers, u)
-		got = append(got, c)
-	})
-	want := []uint64{1, 1, 1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bucket counts = %v, want %v", got, want)
-		}
-	}
-	if uppers[0] != 10 || uppers[1] != 20 || uppers[2] != 40 || uppers[3] != 0 {
-		t.Fatalf("bucket bounds = %v", uppers)
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(0, 0) did not panic")
-		}
-	}()
-	NewHistogram(0, 0)
 }

@@ -11,7 +11,7 @@ import (
 	"accelring/internal/core"
 	"accelring/internal/evscheck"
 	"accelring/internal/faultplan"
-	"accelring/internal/stats"
+	"accelring/internal/metrics"
 	"accelring/internal/wire"
 )
 
@@ -182,7 +182,7 @@ type Sim struct {
 	nodes []*simNode
 	ports []swPort // switch output port per node (index = node index)
 
-	latency     stats.Sample
+	latency     metrics.Sample
 	submitted   uint64
 	delivered   uint64 // unique messages delivered at the reference node
 	switchDrops uint64

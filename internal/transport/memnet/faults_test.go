@@ -1,6 +1,7 @@
 package memnet
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
 	defer b.Close()
-	if err := a.Multicast([]byte("x")); err != nil {
+	if err := a.Multicast([][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	got := drain(b.Data(), 50*time.Millisecond)
@@ -53,11 +54,11 @@ func TestReorderOvertakesDelayedPacket(t *testing.T) {
 
 	// Delay every packet sent while reordering is on, then send a fast one.
 	h.SetReorder(0.9999999, 50*time.Millisecond)
-	if err := a.Multicast([]byte("slow")); err != nil {
+	if err := a.Multicast([][]byte{[]byte("slow")}); err != nil {
 		t.Fatal(err)
 	}
 	h.SetReorder(0, 0)
-	if err := a.Multicast([]byte("fast")); err != nil {
+	if err := a.Multicast([][]byte{[]byte("fast")}); err != nil {
 		t.Fatal(err)
 	}
 	got := drain(b.Data(), 200*time.Millisecond)
@@ -74,7 +75,7 @@ func TestFIFOPreservedWithoutReordering(t *testing.T) {
 	defer b.Close()
 	want := []string{"1", "2", "3", "4", "5"}
 	for _, s := range want {
-		if err := a.Multicast([]byte(s)); err != nil {
+		if err := a.Multicast([][]byte{[]byte(s)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,14 +99,14 @@ func TestScheduleHeal(t *testing.T) {
 	h.SetPartition(2, 1)
 	h.ScheduleHeal(30 * time.Millisecond)
 
-	if err := a.Multicast([]byte("lost")); err != nil {
+	if err := a.Multicast([][]byte{[]byte("lost")}); err != nil {
 		t.Fatal(err)
 	}
 	if got := drain(b.Data(), 10*time.Millisecond); len(got) != 0 {
 		t.Fatalf("partitioned delivery: %v", got)
 	}
 	time.Sleep(40 * time.Millisecond)
-	if err := a.Multicast([]byte("healed")); err != nil {
+	if err := a.Multicast([][]byte{[]byte("healed")}); err != nil {
 		t.Fatal(err)
 	}
 	got := drain(b.Data(), 100*time.Millisecond)
@@ -133,7 +134,7 @@ func TestApplyFaultsDropsByKind(t *testing.T) {
 	if got := drain(b.Token(), 30*time.Millisecond); len(got) != 0 {
 		t.Fatalf("token loss 1.0 delivered %d tokens", len(got))
 	}
-	if err := a.Multicast(wirePkt(wire.KindData, "data")); err != nil {
+	if err := a.Multicast([][]byte{wirePkt(wire.KindData, "data")}); err != nil {
 		t.Fatal(err)
 	}
 	if got := drain(b.Data(), 100*time.Millisecond); len(got) != 1 {
@@ -164,11 +165,11 @@ func TestApplyFaultsClassifiesByWireHeader(t *testing.T) {
 		Kinds: faultplan.MaskData, Loss: 1.0,
 	}}})
 	for _, pkt := range [][]byte{wirePkt(wire.KindControl, "ctl"), wirePkt(wire.KindData, "data")} {
-		if err := a.Multicast(pkt); err != nil {
+		if err := a.Multicast([][]byte{pkt}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Multicast([]byte("no header")); err != nil {
+	if err := a.Multicast([][]byte{[]byte("no header")}); err != nil {
 		t.Fatal(err)
 	}
 	if got := drain(b.Data(), 100*time.Millisecond); len(got) != 1 || got[0] != "no header" {
@@ -201,7 +202,7 @@ func TestSameSeedSameFaultSequence(t *testing.T) {
 		}
 		var got []bool
 		for i := 0; i < 40; i++ {
-			if err := a.Multicast([]byte{byte(i)}); err != nil {
+			if err := a.Multicast([][]byte{{byte(i)}}); err != nil {
 				t.Fatal(err)
 			}
 			// Collect synchronously so arrival is unambiguous per round.
@@ -239,5 +240,56 @@ func TestSameSeedSameFaultSequence(t *testing.T) {
 		if !diff {
 			t.Fatal("different seeds produced the identical 160-draw loss pattern")
 		}
+	}
+}
+
+// TestVectorDrawsLikeSuccessiveSingles: a vector Multicast must consume the
+// seeded fault generator exactly as the same packets sent one call at a
+// time — packets outer, ascending destination inner — so seed digests
+// recorded against single sends stay valid.
+func TestVectorDrawsLikeSuccessiveSingles(t *testing.T) {
+	survivors := func(vector bool) [][]string {
+		h := NewHub(7)
+		h.SetLatency(0)
+		h.SetLossRate(0.5)
+		a := h.Join(1)
+		defer a.Close()
+		var eps []*Endpoint
+		for id := wire.ParticipantID(4); id >= 2; id-- { // joined in descending order
+			ep := h.Join(id)
+			defer ep.Close()
+			eps = append(eps, ep)
+		}
+		pkts := make([][]byte, 12)
+		for i := range pkts {
+			pkts[i] = []byte{'p', byte('a' + i)}
+		}
+		if vector {
+			if err := a.Multicast(pkts); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, pkt := range pkts {
+				if err := a.Multicast([][]byte{pkt}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got := make([][]string, len(eps))
+		for i, ep := range eps {
+			got[i] = drain(ep.Data(), 50*time.Millisecond)
+		}
+		return got
+	}
+	one, many := survivors(true), survivors(false)
+	lost := 0
+	for i := range one {
+		if strings.Join(one[i], ",") != strings.Join(many[i], ",") {
+			t.Fatalf("endpoint %d: vector delivered %v, single sends delivered %v", i, one[i], many[i])
+		}
+		lost += 12 - len(one[i])
+	}
+	if lost == 0 || lost == 36 {
+		t.Fatalf("loss rate 0.5 dropped %d/36 copies: the comparison is vacuous", lost)
 	}
 }

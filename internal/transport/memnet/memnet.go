@@ -335,8 +335,14 @@ func (ep *Endpoint) pump(in chan timedPkt, out chan []byte) {
 	}
 }
 
-// Multicast implements transport.Transport.
-func (ep *Endpoint) Multicast(pkt []byte) error {
+// Multicast implements transport.Transport. Packets loop outermost and
+// destinations — ascending participant ID, so the fault generator's draw
+// sequence does not depend on map iteration order — innermost: exactly the
+// draw order of len(pkts) successive single sends.
+func (ep *Endpoint) Multicast(pkts [][]byte) error {
+	if len(pkts) == 0 {
+		return nil
+	}
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
@@ -355,21 +361,21 @@ func (ep *Endpoint) Multicast(pkt []byte) error {
 		targets = append(targets, other)
 	}
 	h.mu.RUnlock()
-	// Iterate destinations in ascending ID order so the fault generator's
-	// draw sequence does not depend on map iteration order.
 	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
 
-	kind, _ := wire.PeekKind(pkt) // malformed packets are kind 0: only unmasked faults match
-	for _, other := range targets {
-		v := h.decide(ep.id, other.id, kind)
-		if v.drop {
-			continue
-		}
-		ep.Out.Inc()
-		ep.Fanout.Inc()
-		other.deliver(other.dataIn, pkt, v.delay)
-		if v.dup {
+	for _, pkt := range pkts {
+		kind, _ := wire.PeekKind(pkt) // malformed packets are kind 0: only unmasked faults match
+		for _, other := range targets {
+			v := h.decide(ep.id, other.id, kind)
+			if v.drop {
+				continue
+			}
+			ep.Out.Inc()
+			ep.Fanout.Inc()
 			other.deliver(other.dataIn, pkt, v.delay)
+			if v.dup {
+				other.deliver(other.dataIn, pkt, v.delay)
+			}
 		}
 	}
 	return nil

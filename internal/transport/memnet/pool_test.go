@@ -25,7 +25,7 @@ func TestSenderBufferReuseSafe(t *testing.T) {
 		for j := range scratch {
 			scratch[j] = byte(i)
 		}
-		if err := a.Multicast(scratch); err != nil {
+		if err := a.Multicast([][]byte{scratch}); err != nil {
 			t.Fatal(err)
 		}
 		// Overwrite the scratch right away, before the delayed delivery

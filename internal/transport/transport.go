@@ -12,7 +12,9 @@ import (
 	"accelring/internal/wire"
 )
 
-// Transport moves encoded packets between participants. Implementations
+// Transport moves encoded packets between participants. It is the whole
+// contract between the runtime loop and a network substrate: there are no
+// optional side interfaces to discover by type assertion. Implementations
 // must be safe for one sender goroutine plus internal receivers.
 //
 // Buffer ownership: packets received from Data() and Token() belong to the
@@ -22,14 +24,25 @@ import (
 // after dispatching it — so a received packet must not be retained past
 // that handoff (decoders copy what the protocol keeps). External transports
 // need not use the pool: Put counts and drops foreign buffers instead of
-// recycling them. Conversely, Multicast and Unicast borrow pkt only for the
-// duration of the call; implementations that need it afterwards (queues,
-// retransmission) must copy, because callers reuse their encode scratch.
+// recycling them. Conversely, Multicast and Unicast borrow their packets
+// only for the duration of the call; implementations that need them
+// afterwards (queues, retransmission) must copy, because callers reuse
+// their encode buffers.
 type Transport interface {
-	// Multicast sends an encoded packet to every participant except the
-	// sender (participants hold their own messages already). pkt is only
-	// valid during the call.
-	Multicast(pkt []byte) error
+	// Multicast sends a vector of encoded packets. The protocol sends data
+	// in runs — the pre-token retransmission+window run and the post-token
+	// accelerated flush of up to AcceleratedWindow frames — so the unit of
+	// a data send is a vector, and a lone frame is a vector of one; a
+	// substrate that can move a run in fewer syscalls than one per packet
+	// (sendmmsg on Linux) does so here.
+	//
+	// Semantics are those of len(pkts) successive single sends, in order:
+	// every packet goes to every participant except the sender
+	// (participants hold their own messages already), each pkt is valid
+	// only during the call, and a failure for one packet (or one peer,
+	// under unicast emulation) must not abort delivery of the rest — the
+	// aggregated error reports what was lost. An empty vector is a no-op.
+	Multicast(pkts [][]byte) error
 	// Unicast sends an encoded packet to one participant. Sending to
 	// yourself must work (singleton rings pass the token to themselves).
 	// pkt is only valid during the call.
@@ -42,30 +55,17 @@ type Transport interface {
 	// (tokens and commit tokens). Ownership of each packet transfers to
 	// the receiver; see the buffer ownership note above.
 	Token() <-chan []byte
+	// MetricsSnapshot copies the transport's loss-accounting counters;
+	// the runtime includes it in Node metrics. Embedding Metrics provides
+	// it.
+	MetricsSnapshot() Snapshot
 	// Close releases the transport's resources; the receive channels are
 	// closed afterwards.
 	Close() error
 }
 
-// BatchSender is optionally implemented by transports that can hand a run
-// of multicast packets to the network in fewer syscalls than one per
-// packet (sendmmsg on Linux). The runtime loop accumulates the engine's
-// multicast bursts — the pre-token retransmission+window run and the
-// post-token accelerated flush of up to AcceleratedWindow frames — and
-// flushes each run through MulticastBatch when the transport supports it.
-//
-// Semantics match len(pkts) successive Multicast calls: every packet goes
-// to every participant except the sender, each pkt is borrowed only for
-// the duration of the call, and a failure for one packet (or one peer,
-// under unicast emulation) must not abort delivery of the rest — the
-// aggregated error reports what was lost.
-type BatchSender interface {
-	MulticastBatch(pkts [][]byte) error
-}
-
 // Snapshot is a point-in-time copy of a transport's loss-accounting
-// counters. Both built-in transports maintain one; external transports may
-// opt in by implementing MetricsSource.
+// counters.
 type Snapshot struct {
 	// DatagramsIn counts packets accepted off the network into the
 	// receive queues (data and token combined).
@@ -105,16 +105,10 @@ type Snapshot struct {
 	SendBatch metrics.BatchSnapshot `json:"send_batch"`
 }
 
-// MetricsSource is implemented by transports that keep loss-accounting
-// counters. The runtime includes the snapshot in Node metrics when the
-// transport supports it.
-type MetricsSource interface {
-	MetricsSnapshot() Snapshot
-}
-
 // Metrics is the shared counter set behind Snapshot; transports embed it
-// (anonymously) to satisfy MetricsSource. All counters are atomic — safe
-// from receive goroutines and the sending protocol loop concurrently.
+// (anonymously) to provide Transport.MetricsSnapshot. All counters are
+// atomic — safe from receive goroutines and the sending protocol loop
+// concurrently.
 type Metrics struct {
 	In           metrics.Counter
 	Out          metrics.Counter
@@ -132,7 +126,7 @@ type Metrics struct {
 	SendBatch     metrics.BatchHistogram
 }
 
-// MetricsSnapshot implements MetricsSource.
+// MetricsSnapshot implements Transport.
 func (m *Metrics) MetricsSnapshot() Snapshot {
 	return Snapshot{
 		DatagramsIn:         m.In.Load(),

@@ -12,8 +12,8 @@
 // The structs below must match the kernel's struct mmsghdr layout, which
 // on 64-bit targets is struct msghdr (56 bytes) + msg_len + 4 bytes of
 // padding. The build tag therefore pins this file to the 64-bit ports the
-// repo actually runs on; everything else (32-bit Linux included) takes the
-// portable one-datagram-at-a-time fallback in batchio_fallback.go.
+// repo actually runs on; everything else (32-bit Linux included) builds
+// the same types over one datagram per syscall from batchio_fallback.go.
 package udpnet
 
 import (
@@ -26,9 +26,6 @@ import (
 
 	"accelring/internal/transport"
 )
-
-// batchingSupported reports whether this build can use recvmmsg/sendmmsg.
-const batchingSupported = true
 
 // batchK is the vector length per syscall: the receive loop drains up to
 // batchK datagrams per recvmmsg, and senders chunk bursts into batchK

@@ -13,16 +13,6 @@ import (
 	"accelring/internal/transport"
 )
 
-func localConn(t *testing.T) *net.UDPConn {
-	t.Helper()
-	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 func addrPortOf(c *net.UDPConn) netip.AddrPort {
 	return unmapAddrPort(c.LocalAddr().(*net.UDPAddr).AddrPort())
 }
@@ -241,5 +231,33 @@ func TestBatchWriterFamilyMismatch(t *testing.T) {
 	got := collectDatagrams(t, recv, 2)
 	if got["ok-1"] != 1 || got["ok-2"] != 1 {
 		t.Fatalf("received %v, want ok-1 and ok-2", got)
+	}
+}
+
+// TestMulticastVectorAmortizesSyscalls: on the batched dataplane a
+// 12-packet vector must move in fewer send syscalls than packets, and the
+// send batch histogram must have seen a batch larger than one.
+func TestMulticastVectorAmortizesSyscalls(t *testing.T) {
+	a, b := pair(t)
+	const burst = 12
+	pkts := make([][]byte, burst)
+	for i := range pkts {
+		pkts[i] = []byte(fmt.Sprintf("burst-%02d", i))
+	}
+	if err := a.Multicast(pkts); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < burst; i++ {
+		recvWithin(t, b.Data(), 2*time.Second)
+	}
+	snap := a.MetricsSnapshot()
+	if snap.DatagramsOut != burst || snap.FanoutSends != burst {
+		t.Fatalf("out=%d fanout=%d, want %d/%d", snap.DatagramsOut, snap.FanoutSends, burst, burst)
+	}
+	if snap.SendSyscalls >= burst {
+		t.Fatalf("SendSyscalls = %d for a %d-packet vector: no amortization", snap.SendSyscalls, burst)
+	}
+	if snap.SendBatch.Max < 2 {
+		t.Fatalf("SendBatch.Max = %d, want >= 2", snap.SendBatch.Max)
 	}
 }

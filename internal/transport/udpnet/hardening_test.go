@@ -1,8 +1,6 @@
 package udpnet
 
 import (
-	"errors"
-	"fmt"
 	"net"
 	"net/netip"
 	"strings"
@@ -16,12 +14,20 @@ import (
 	"accelring/internal/wire"
 )
 
-// scriptedReader drives readLoopPortable through an exact sequence of
-// results — the deterministic stand-in for a socket hit by ICMP-induced
-// errors or momentary kernel memory pressure.
+// scriptedReader drives readLoop through an exact sequence of results —
+// the deterministic stand-in for a socket hit by ICMP-induced errors or
+// momentary kernel memory pressure. Each step is one read: a batch of one
+// datagram, or an error; past the script's end it returns loop (nil means
+// net.ErrClosed) forever. reads, when set, is signalled per read call
+// (without blocking, so an unwatched loop never wedges in the fake).
 type scriptedReader struct {
 	steps []readStep
-	i     int
+	loop  error
+	reads chan struct{}
+
+	i   int
+	buf []byte
+	n   int
 }
 
 type readStep struct {
@@ -29,24 +35,56 @@ type readStep struct {
 	err error
 }
 
-func (s *scriptedReader) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
-	if s.i >= len(s.steps) {
-		return 0, netip.AddrPort{}, net.ErrClosed
+func (s *scriptedReader) read() (int, error) {
+	select {
+	case s.reads <- struct{}{}:
+	default:
 	}
-	st := s.steps[s.i]
-	s.i++
+	st := readStep{err: s.loop}
+	if s.i < len(s.steps) {
+		st = s.steps[s.i]
+		s.i++
+	} else if st.err == nil {
+		st.err = net.ErrClosed
+	}
 	if st.err != nil {
-		return 0, netip.AddrPort{}, st.err
+		return 0, st.err
 	}
-	n := copy(b, st.pkt)
-	return n, netip.MustParseAddrPort("127.0.0.1:9999"), nil
+	if s.buf == nil {
+		s.buf = transport.Buffers.Get()
+	}
+	s.n = copy(s.buf, st.pkt)
+	return 1, nil
+}
+
+func (s *scriptedReader) length(int) int    { return s.n }
+func (s *scriptedReader) buffer(int) []byte { return s.buf }
+func (s *scriptedReader) addr(int) netip.AddrPort {
+	return netip.MustParseAddrPort("127.0.0.1:9999")
+}
+func (s *scriptedReader) detach(int) []byte { b := s.buf; s.buf = nil; return b }
+func (s *scriptedReader) release()          { transport.Buffers.Put(s.buf) }
+
+// loopTransport is a Transport just real enough to run readLoop against a
+// scripted reader and then Close: live (idle) sockets, no receive loops of
+// its own.
+func loopTransport(t *testing.T, logf func(string, ...any)) *Transport {
+	t.Helper()
+	return &Transport{
+		cfg:       Config{Logf: logf},
+		tokenConn: localConn(t),
+		dataConn:  localConn(t),
+		data:      make(chan []byte, 4),
+		token:     make(chan []byte, 4),
+		done:      make(chan struct{}),
+	}
 }
 
 // TestReadLoopSurvivesTransientErrors is the regression test for the
-// receive-loop resilience fix: the old loop returned on ANY read error, so
-// a single ICMP port-unreachable (surfaced as ECONNREFUSED) silently
-// killed the node's receive path forever. The loop must instead count the
-// error, log once per burst, back off, and keep serving — exiting only on
+// receive-loop resilience fix: a loop that returns on ANY read error lets
+// a single ICMP port-unreachable (surfaced as ECONNREFUSED) silently kill
+// the node's receive path forever. The loop must instead count the error,
+// log once per burst, back off, and keep serving — exiting only on
 // net.ErrClosed.
 func TestReadLoopSurvivesTransientErrors(t *testing.T) {
 	refused := &net.OpError{Op: "read", Net: "udp", Err: syscall.ECONNREFUSED}
@@ -57,16 +95,16 @@ func TestReadLoopSurvivesTransientErrors(t *testing.T) {
 		{pkt: []byte("first")},
 		{err: nobufs},
 		{pkt: []byte("second")},
-		{err: net.ErrClosed},
 	}}
 
 	var logCalls atomic.Int64
-	tr := &Transport{cfg: Config{Logf: func(string, ...any) { logCalls.Add(1) }}}
+	tr := loopTransport(t, func(string, ...any) { logCalls.Add(1) })
 	ch := make(chan []byte, 4)
 	done := make(chan struct{})
+	tr.wg.Add(1)
 	go func() {
 		defer close(done)
-		tr.readLoopPortable(reader, ch, netip.AddrPort{})
+		tr.readLoop(reader, ch, netip.AddrPort{})
 	}()
 
 	select {
@@ -92,6 +130,43 @@ func TestReadLoopSurvivesTransientErrors(t *testing.T) {
 	// One log line per error burst (two bursts), not one per error.
 	if got := logCalls.Load(); got != 2 {
 		t.Fatalf("logged %d times, want 2 (once per burst)", got)
+	}
+}
+
+// TestCloseDuringRecvBackoff: Close must not wait out a receive loop's
+// error backoff. A reader that always fails drives the loop up its backoff
+// ladder (1 ms doubling to 128 ms); Close issued while the loop sits in
+// the longest wait must still return promptly.
+func TestCloseDuringRecvBackoff(t *testing.T) {
+	reader := &scriptedReader{
+		loop:  &net.OpError{Op: "read", Net: "udp", Err: syscall.ENOBUFS},
+		reads: make(chan struct{}, 16),
+	}
+	tr := loopTransport(t, func(string, ...any) {})
+	tr.wg.Add(1)
+	go tr.readLoop(reader, tr.data, netip.AddrPort{})
+
+	// The backoff after the k-th failed read is 2^(k-1) ms, capped at 128:
+	// once the 8th read has been taken the loop is in (or about to enter)
+	// its 128 ms wait, and the 9th is 128 ms away.
+	for k := 0; k < 8; k++ {
+		select {
+		case <-reader.reads:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("read loop stalled after %d reads", k)
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // let the loop settle into the wait
+
+	start := time.Now()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 20*time.Millisecond {
+		t.Fatalf("Close took %v with a receive loop in error backoff, want < 20ms", took)
+	}
+	if got := tr.MetricsSnapshot().RecvTransientErrors; got != 8 {
+		t.Fatalf("RecvTransientErrors = %d, want 8", got)
 	}
 }
 
@@ -134,7 +209,7 @@ func mixedRing(t *testing.T) (sender, receiver *Transport) {
 // them.
 func TestMulticastFanOutContinuesPastFailure(t *testing.T) {
 	a, d := mixedRing(t)
-	err := a.Multicast([]byte("payload"))
+	err := a.Multicast([][]byte{[]byte("payload")})
 	if err == nil {
 		t.Fatal("multicast with unreachable peers reported no error")
 	}
@@ -155,14 +230,14 @@ func TestMulticastFanOutContinuesPastFailure(t *testing.T) {
 	}
 }
 
-// TestMulticastBatchContinuesPastFailure: the batched fan-out keeps the
+// TestMulticastVectorContinuesPastFailure: a multi-packet vector keeps the
 // same partial-failure contract — unencodable/unreachable destinations are
-// skipped and reported per peer, the rest of the burst is delivered.
-func TestMulticastBatchContinuesPastFailure(t *testing.T) {
+// skipped and reported per peer, the rest of the vector is delivered.
+func TestMulticastVectorContinuesPastFailure(t *testing.T) {
 	a, d := mixedRing(t)
-	err := a.MulticastBatch([][]byte{[]byte("m1"), []byte("m2")})
+	err := a.Multicast([][]byte{[]byte("m1"), []byte("m2")})
 	if err == nil {
-		t.Fatal("batched multicast with unreachable peers reported no error")
+		t.Fatal("multicast vector with unreachable peers reported no error")
 	}
 	if n := strings.Count(err.Error(), "emulated multicast to"); n != 4 {
 		t.Fatalf("aggregated error reports %d peer failures, want 4 (2 pkts x 2 bad peers):\n%v", n, err)
@@ -237,82 +312,9 @@ func TestSocketsBindConfiguredHost(t *testing.T) {
 	}
 }
 
-// TestMulticastBatchDelivers checks the burst path end to end in
-// emulation mode and, where batching is compiled in, that the burst moved
-// with amortized syscalls.
-func TestMulticastBatchDelivers(t *testing.T) {
-	a, b := pair(t)
-	const burst = 12
-	pkts := make([][]byte, burst)
-	for i := range pkts {
-		pkts[i] = []byte(fmt.Sprintf("burst-%02d", i))
-	}
-	if err := a.MulticastBatch(pkts); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{}
-	for _, p := range pkts {
-		want[string(p)] = true
-	}
-	for i := 0; i < burst; i++ {
-		got := string(recvWithin(t, b.Data(), 2*time.Second))
-		if !want[got] {
-			t.Fatalf("received unexpected or duplicate packet %q", got)
-		}
-		delete(want, got)
-	}
-	snap := a.MetricsSnapshot()
-	if snap.DatagramsOut != burst || snap.FanoutSends != burst {
-		t.Fatalf("out=%d fanout=%d, want %d/%d", snap.DatagramsOut, snap.FanoutSends, burst, burst)
-	}
-	if batchingSupported {
-		if snap.SendSyscalls >= burst {
-			t.Fatalf("SendSyscalls = %d for a %d-packet burst: no amortization", snap.SendSyscalls, burst)
-		}
-		if snap.SendBatch.Max < 2 {
-			t.Fatalf("SendBatch.Max = %d, want >= 2", snap.SendBatch.Max)
-		}
-	}
-}
-
-// TestMulticastBatchDisabled: DisableBatch falls back to one-at-a-time
-// sends with identical delivery semantics.
-func TestMulticastBatchDisabled(t *testing.T) {
-	ports := freePorts(t, 4)
-	peers := map[wire.ParticipantID]Peer{
-		1: {Host: "127.0.0.1", DataPort: ports[0], TokenPort: ports[1]},
-		2: {Host: "127.0.0.1", DataPort: ports[2], TokenPort: ports[3]},
-	}
-	a, err := New(Config{MyID: 1, Peers: peers, DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := New(Config{MyID: 2, Peers: peers, DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	pkts := [][]byte{[]byte("x1"), []byte("x2"), []byte("x3")}
-	if err := a.MulticastBatch(pkts); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(pkts); i++ {
-		recvWithin(t, b.Data(), 2*time.Second)
-	}
-	snap := a.MetricsSnapshot()
-	if snap.SendSyscalls != 3 {
-		t.Fatalf("SendSyscalls = %d with batching disabled, want 3", snap.SendSyscalls)
-	}
-	if mean := snap.SendBatch.Mean; mean != 1 {
-		t.Fatalf("SendBatch.Mean = %v with batching disabled, want 1", mean)
-	}
-}
-
-// TestMulticastBatchEmptyAndSingleton: edge cases — an empty burst is a
-// no-op, and a singleton ring (no peers to fan out to) succeeds silently.
-func TestMulticastBatchEmptyAndSingleton(t *testing.T) {
+// TestMulticastSingletonRing: with no peers to fan out to, a multicast
+// succeeds silently and hands nothing to the network.
+func TestMulticastSingletonRing(t *testing.T) {
 	ports := freePorts(t, 2)
 	peers := map[wire.ParticipantID]Peer{1: {Host: "127.0.0.1", DataPort: ports[0], TokenPort: ports[1]}}
 	tr, err := New(Config{MyID: 1, Peers: peers})
@@ -320,21 +322,16 @@ func TestMulticastBatchEmptyAndSingleton(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if err := tr.MulticastBatch(nil); err != nil {
-		t.Fatalf("empty burst: %v", err)
+	if err := tr.Multicast([][]byte{[]byte("solo")}); err != nil {
+		t.Fatalf("singleton ring multicast: %v", err)
 	}
-	if err := tr.MulticastBatch([][]byte{[]byte("solo")}); err != nil {
-		t.Fatalf("singleton ring burst: %v", err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.MulticastBatch([][]byte{[]byte("x")}); !errors.Is(err, transport.ErrClosed) {
-		t.Fatalf("MulticastBatch after close = %v, want ErrClosed", err)
+	if snap := tr.MetricsSnapshot(); snap.DatagramsOut != 0 || snap.SendSyscalls != 0 {
+		t.Fatalf("singleton ring multicast sent %d datagrams in %d syscalls, want 0/0",
+			snap.DatagramsOut, snap.SendSyscalls)
 	}
 }
 
-// TestCloseRacesConcurrentSends hammers every send path while Close runs.
+// TestCloseRacesConcurrentSends hammers the send paths while Close runs.
 // Run under -race (CI does): the invariants are no data race, no send on
 // a closed socket panic, and no pooled-buffer corruption — errors from
 // the losing senders are expected and ignored.
@@ -357,7 +354,7 @@ func TestCloseRacesConcurrentSends(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 200; i++ {
-					_ = a.Multicast([]byte("mc"))
+					_ = a.Multicast([][]byte{[]byte("mc")})
 				}
 			}()
 			go func() {
@@ -365,7 +362,7 @@ func TestCloseRacesConcurrentSends(t *testing.T) {
 				<-start
 				burst := [][]byte{[]byte("b1"), []byte("b2"), []byte("b3")}
 				for i := 0; i < 100; i++ {
-					_ = a.MulticastBatch(burst)
+					_ = a.Multicast(burst)
 				}
 			}()
 			go func() {

@@ -4,11 +4,12 @@
 // available (some container and cloud networks), the transport can emulate
 // it with unicast fan-out — the same option Spread provides.
 //
-// On Linux the receive and multicast-burst send paths run on batched
-// syscalls (recvmmsg/sendmmsg, see batchio_linux.go): up to batchK
-// datagrams move per syscall, which is what keeps the per-message network
-// cost sublinear once the hot path stops allocating. Other platforms (and
-// Config.DisableBatch) use the portable one-datagram-at-a-time paths with
+// The receive loop and the multicast send path are written once, against
+// the batchReader/batchWriter pair the build selects: on 64-bit Linux they
+// run on batched syscalls (recvmmsg/sendmmsg, batchio_linux.go) moving up
+// to batchK datagrams per syscall, which is what keeps the per-message
+// network cost sublinear once the hot path stops allocating; elsewhere the
+// same types move one datagram per syscall (batchio_fallback.go) with
 // identical semantics.
 package udpnet
 
@@ -58,10 +59,6 @@ type Config struct {
 	MulticastGroup string
 	// QueueLen overrides the receive channel depth (default 4096).
 	QueueLen int
-	// DisableBatch forces the portable one-datagram-per-syscall paths even
-	// where recvmmsg/sendmmsg are available — the control arm for syscall
-	// benchmarks and a safety hatch.
-	DisableBatch bool
 	// Logf, when set, receives the transport's rare diagnostics (transient
 	// receive errors survived with backoff). Nil uses the standard logger.
 	Logf func(format string, args ...any)
@@ -92,7 +89,6 @@ type Transport struct {
 	peers    map[wire.ParticipantID]netip.AddrPort // token addresses
 	emuPeers []emuPeer                             // data fan-out targets (emulation), self excluded
 
-	// Batched send state (nil when batching is unavailable or disabled):
 	// dataW wraps the data send socket — dataSend in multicast mode,
 	// dataConn in emulation mode. sendMu serializes use of the writer and
 	// its flattening scratch; the Transport contract promises a single
@@ -105,13 +101,15 @@ type Transport struct {
 	data  chan []byte
 	token chan []byte
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	// done is closed first thing in Close: it is the closed flag the send
+	// paths poll and the signal that cuts a receive loop's error backoff
+	// short.
+	done      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 var _ transport.Transport = (*Transport)(nil)
-var _ transport.BatchSender = (*Transport)(nil)
 
 // New opens the sockets and starts the receive loops.
 func New(cfg Config) (*Transport, error) {
@@ -128,6 +126,7 @@ func New(cfg Config) (*Transport, error) {
 		peers: make(map[wire.ParticipantID]netip.AddrPort, len(cfg.Peers)),
 		data:  make(chan []byte, queue),
 		token: make(chan []byte, queue),
+		done:  make(chan struct{}),
 	}
 	for id, p := range cfg.Peers {
 		// JoinHostPort (not "%s:%d") so IPv6 literal hosts resolve.
@@ -199,27 +198,39 @@ func New(cfg Config) (*Transport, error) {
 		t.dataConn = dataConn
 	}
 
-	if batchingSupported && !cfg.DisableBatch {
-		// Wrap the data send socket for sendmmsg bursts. Failure to get raw
-		// access is not fatal — the single-send paths remain correct.
-		sendSock := t.dataSend
-		if sendSock == nil {
-			sendSock = t.dataConn
+	// The data send socket is dataSend in multicast mode, dataConn under
+	// emulation.
+	sendSock := t.dataSend
+	if sendSock == nil {
+		sendSock = t.dataConn
+	}
+	w, err := newBatchWriter(sendSock)
+	if err != nil {
+		t.closeSockets()
+		return nil, err
+	}
+	w.onSyscall = func(sent int) {
+		t.SendSyscalls.Inc()
+		if sent > 0 {
+			t.SendBatch.Observe(sent)
 		}
-		if w, err := newBatchWriter(sendSock); err == nil {
-			w.onSyscall = func(sent int) {
-				t.SendSyscalls.Inc()
-				if sent > 0 {
-					t.SendBatch.Observe(sent)
-				}
-			}
-			t.dataW = w
-		}
+	}
+	t.dataW = w
+	dataR, err := newBatchReader(t.dataConn, transport.Buffers)
+	if err != nil {
+		t.closeSockets()
+		return nil, err
+	}
+	tokenR, err := newBatchReader(t.tokenConn, transport.Buffers)
+	if err != nil {
+		dataR.release()
+		t.closeSockets()
+		return nil, err
 	}
 
 	t.wg.Add(2)
-	go t.readLoop(t.dataConn, t.data, t.selfAddr)
-	go t.readLoop(t.tokenConn, t.token, netip.AddrPort{})
+	go t.readLoop(dataR, t.data, t.selfAddr)
+	go t.readLoop(tokenR, t.token, netip.AddrPort{})
 	return t, nil
 }
 
@@ -265,9 +276,12 @@ func isSelf(src, self netip.AddrPort) bool {
 }
 
 func (t *Transport) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (t *Transport) logf(format string, args ...any) {
@@ -293,9 +307,9 @@ func (rs *recvState) ok() { rs.logged = false; rs.backoff = 0 }
 // closed flag, for raw errnos surfaced after the fd was torn down) stops
 // it. Everything else — ICMP-induced socket errors, momentary ENOBUFS/
 // ENOMEM — is transient: counted, logged once per burst, and retried with
-// exponential backoff so a persistent fault cannot spin the CPU. The old
-// loop returned on ANY error, silently killing the receive path for the
-// node's remaining lifetime.
+// exponential backoff so a persistent fault cannot spin the CPU. The
+// backoff ends early when the transport closes, so Close never waits one
+// out.
 func (t *Transport) surviveRecvErr(err error, rs *recvState) bool {
 	if errors.Is(err, net.ErrClosed) || t.isClosed() {
 		return false
@@ -311,88 +325,47 @@ func (t *Transport) surviveRecvErr(err error, rs *recvState) bool {
 	case rs.backoff < 100*time.Millisecond:
 		rs.backoff *= 2
 	}
-	time.Sleep(rs.backoff)
-	return true
-}
-
-// readLoop pumps packets from a socket into a channel, choosing the
-// batched (recvmmsg) implementation when the build and configuration
-// allow it and raw socket access is available.
-func (t *Transport) readLoop(conn *net.UDPConn, ch chan []byte, self netip.AddrPort) {
-	defer t.wg.Done()
-	if batchingSupported && !t.cfg.DisableBatch {
-		if br, err := newBatchReader(conn, transport.Buffers); err == nil {
-			t.readLoopBatch(br, ch, self)
-			return
-		}
-	}
-	t.readLoopPortable(conn, ch, self)
-}
-
-// singleReader is the portable receive loop's socket dependency;
-// *net.UDPConn satisfies it and tests inject fakes to exercise the
-// loop's error handling deterministically.
-type singleReader interface {
-	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
-}
-
-// readLoopPortable is the one-datagram-per-syscall receive loop, counting
-// overflow drops (like a full kernel socket buffer, but accounted) and
-// filtering this endpoint's own multicast loopback copies.
-//
-// The loop reads into buffers from the shared pool and hands each accepted
-// packet to the channel still backed by its pooled buffer — ownership
-// transfers to the consumer, which returns it with transport.Buffers.Put.
-// A filtered or dropped packet's buffer is simply read into again, so the
-// steady state is one pool Get per accepted packet and zero allocations
-// (ReadFromUDPAddrPort returns the source as a value, unlike ReadFromUDP's
-// per-call *net.UDPAddr).
-func (t *Transport) readLoopPortable(conn singleReader, ch chan<- []byte, self netip.AddrPort) {
-	buf := transport.Buffers.Get()
-	defer func() { transport.Buffers.Put(buf) }()
-	var rs recvState
-	for {
-		n, src, err := conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			if !t.surviveRecvErr(err, &rs) {
-				return
-			}
-			continue
-		}
-		rs.ok()
-		t.RecvSyscalls.Inc()
-		t.RecvBatch.Observe(1)
-		buf = t.acceptPacket(ch, buf, n, src, self)
-	}
-}
-
-// acceptPacket applies the self-filter and queue handoff for one received
-// packet and returns the buffer to read into next: a fresh pooled buffer
-// when ownership moved to the channel, the same one otherwise.
-func (t *Transport) acceptPacket(ch chan<- []byte, buf []byte, n int, src, self netip.AddrPort) []byte {
-	if isSelf(src, self) {
-		t.SelfFiltered.Inc()
-		return buf
-	}
+	timer := time.NewTimer(rs.backoff)
+	defer timer.Stop()
 	select {
-	case ch <- buf[:n]:
-		t.In.Inc()
-		return transport.Buffers.Get()
-	default:
-		t.Drops.Inc()
-		return buf
+	case <-timer.C:
+		return true
+	case <-t.done:
+		return false
 	}
 }
 
-// readLoopBatch drains the socket with recvmmsg: one syscall moves up to
-// batchK datagrams. Accepted packets detach their pooled buffer (the
-// reader replaces it); filtered and dropped packets reuse theirs — the
-// same ownership contract as the portable loop, vectorized.
-func (t *Transport) readLoopBatch(br *batchReader, ch chan<- []byte, self netip.AddrPort) {
-	defer br.release()
+// packetReader is the receive loop's socket dependency: *batchReader in
+// production, fakes in tests that script the loop's error handling
+// deterministically. read blocks for at least one datagram and returns how
+// many arrived; datagram i of that read is buffer(i)[:length(i)] from
+// addr(i). detach hands buffer i to the caller and refills the slot from
+// the pool; release returns the reader's resident buffers.
+type packetReader interface {
+	read() (int, error)
+	length(i int) int
+	buffer(i int) []byte
+	addr(i int) netip.AddrPort
+	detach(i int) []byte
+	release()
+}
+
+// readLoop pumps packets from a socket into a channel, counting overflow
+// drops (like a full kernel socket buffer, but accounted) and filtering
+// this endpoint's own multicast loopback copies.
+//
+// The reader fills buffers from the shared pool and each accepted packet
+// goes to the channel still backed by its pooled buffer — ownership
+// transfers to the consumer, which returns it with transport.Buffers.Put,
+// and the reader replaces it. A filtered or dropped packet's buffer is
+// simply read into again, so the steady state is one pool Get per accepted
+// packet and zero allocations.
+func (t *Transport) readLoop(r packetReader, ch chan<- []byte, self netip.AddrPort) {
+	defer t.wg.Done()
+	defer r.release()
 	var rs recvState
 	for {
-		n, err := br.read()
+		n, err := r.read()
 		if err != nil {
 			if !t.surviveRecvErr(err, &rs) {
 				return
@@ -403,14 +376,14 @@ func (t *Transport) readLoopBatch(br *batchReader, ch chan<- []byte, self netip.
 		t.RecvSyscalls.Inc()
 		t.RecvBatch.Observe(n)
 		for i := 0; i < n; i++ {
-			if isSelf(br.addr(i), self) {
+			if isSelf(r.addr(i), self) {
 				t.SelfFiltered.Inc()
 				continue
 			}
 			select {
-			case ch <- br.buffer(i)[:br.length(i)]:
+			case ch <- r.buffer(i)[:r.length(i)]:
 				t.In.Inc()
-				br.detach(i)
+				r.detach(i)
 			default:
 				t.Drops.Inc()
 			}
@@ -418,46 +391,15 @@ func (t *Transport) readLoopBatch(br *batchReader, ch chan<- []byte, self netip.
 	}
 }
 
-// Multicast implements transport.Transport.
-func (t *Transport) Multicast(pkt []byte) error {
-	if t.isClosed() {
-		return transport.ErrClosed
-	}
-	if t.groupAddr != nil {
-		if _, err := t.dataSend.Write(pkt); err != nil {
-			return fmt.Errorf("udpnet: multicast: %w", err)
-		}
-		t.Out.Inc()
-		t.SendSyscalls.Inc()
-		t.SendBatch.Observe(1)
-		return nil
-	}
-	// Unicast emulation: fan out to every peer's data port. A failed peer
-	// must not starve the ones after it — the ring tolerates one receiver
-	// missing a message (retransmission recovers it), but a fan-out that
-	// aborts mid-iteration silently partitions every peer behind the
-	// failure. Errors aggregate instead.
-	var errs []error
-	for _, p := range t.emuPeers {
-		if _, err := t.dataConn.WriteToUDPAddrPort(pkt, p.addr); err != nil {
-			t.PeerSendErrs.Inc()
-			errs = append(errs, fmt.Errorf("udpnet: emulated multicast to %s: %w", p.id, err))
-			continue
-		}
-		t.Out.Inc()
-		t.Fanout.Inc()
-		t.SendSyscalls.Inc()
-		t.SendBatch.Observe(1)
-	}
-	return errors.Join(errs...)
-}
-
-// MulticastBatch implements transport.BatchSender: semantically identical
-// to calling Multicast for each packet, but the whole burst moves with
-// one sendmmsg per batchK datagrams. In emulation mode the flattened
-// (packet × peer) fan-out is batched the same way, so a K-message burst
-// to N peers costs ⌈K·N/batchK⌉ syscalls instead of K·N.
-func (t *Transport) MulticastBatch(pkts [][]byte) error {
+// Multicast implements transport.Transport: the whole vector moves with
+// one send syscall per batchK datagrams. In emulation mode the flattened
+// (packet × peer) fan-out is batched the same way, so a K-message run to N
+// peers costs ⌈K·N/batchK⌉ syscalls instead of K·N. A failed peer must not
+// starve the ones after it — the ring tolerates one receiver missing a
+// message (retransmission recovers it), but a fan-out that aborts
+// mid-vector silently partitions every peer behind the failure — so
+// per-destination errors aggregate instead.
+func (t *Transport) Multicast(pkts [][]byte) error {
 	if len(pkts) == 0 {
 		return nil
 	}
@@ -465,26 +407,13 @@ func (t *Transport) MulticastBatch(pkts [][]byte) error {
 		return transport.ErrClosed
 	}
 	t.sendMu.Lock()
-	w := t.dataW
-	t.sendMu.Unlock()
-	if w == nil {
-		// Portable fallback: one-at-a-time semantics, aggregated errors.
-		var errs []error
-		for _, pkt := range pkts {
-			if err := t.Multicast(pkt); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
-	}
-	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
 	var errs []error
 	failed := 0
 	if t.groupAddr != nil {
-		sendErr := w.send(pkts, nil, func(i int, e error) {
+		sendErr := t.dataW.send(pkts, nil, func(i int, e error) {
 			failed++
-			errs = append(errs, fmt.Errorf("udpnet: multicast (burst %d/%d): %w", i+1, len(pkts), e))
+			errs = append(errs, fmt.Errorf("udpnet: multicast (packet %d/%d): %w", i+1, len(pkts), e))
 		})
 		if sendErr != nil {
 			return t.sendFatal(sendErr)
@@ -495,7 +424,7 @@ func (t *Transport) MulticastBatch(pkts [][]byte) error {
 	if len(t.emuPeers) == 0 {
 		return nil // singleton ring: multicast reaches nobody but self
 	}
-	// Flatten burst × peers into one vector. The scratch slices are
+	// Flatten packets × peers into one vector. The scratch slices are
 	// retained across calls (guarded by sendMu) and the packet aliases
 	// cleared afterwards, so the steady state allocates nothing.
 	flatPkts := t.emuPkts[:0]
@@ -506,7 +435,7 @@ func (t *Transport) MulticastBatch(pkts [][]byte) error {
 			flatAddrs = append(flatAddrs, p.addr)
 		}
 	}
-	sendErr := w.send(flatPkts, flatAddrs, func(i int, e error) {
+	sendErr := t.dataW.send(flatPkts, flatAddrs, func(i int, e error) {
 		failed++
 		t.PeerSendErrs.Inc()
 		p := t.emuPeers[i%len(t.emuPeers)]
@@ -525,13 +454,13 @@ func (t *Transport) MulticastBatch(pkts [][]byte) error {
 	return errors.Join(errs...)
 }
 
-// sendFatal normalizes a terminal batch-send error (the raw socket went
-// away mid-call) to the transport's close semantics.
+// sendFatal normalizes a terminal send error (the socket went away
+// mid-call) to the transport's close semantics.
 func (t *Transport) sendFatal(err error) error {
 	if errors.Is(err, net.ErrClosed) || t.isClosed() {
 		return transport.ErrClosed
 	}
-	return fmt.Errorf("udpnet: batched multicast: %w", err)
+	return fmt.Errorf("udpnet: multicast: %w", err)
 }
 
 // Unicast implements transport.Transport.
@@ -560,21 +489,20 @@ func (t *Transport) Token() <-chan []byte { return t.token }
 
 // Close implements transport.Transport.
 func (t *Transport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
+	t.closeOnce.Do(func() {
+		close(t.done)
+		t.closeSockets()
+		t.wg.Wait()
+		close(t.data)
+		close(t.token)
+	})
+	return nil
+}
 
+func (t *Transport) closeSockets() {
 	t.tokenConn.Close()
 	t.dataConn.Close()
 	if t.dataSend != nil {
 		t.dataSend.Close()
 	}
-	t.wg.Wait()
-	close(t.data)
-	close(t.token)
-	return nil
 }

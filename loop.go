@@ -243,39 +243,28 @@ func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 	n.nm.tokenHandle.Observe(time.Since(start))
 }
 
-// execute carries out engine actions in order. Sends encode into the
-// node's reused scratch buffer: the Transport contract says sends borrow
-// pkt only for the duration of the call, so the buffer is free again by the
-// time the next action encodes.
+// execute carries out engine actions in order.
 //
-// Runs of two or more consecutive SendData actions are flushed through the
-// transport's batched multicast path when it offers one. The engine emits
-// exactly such runs at token hand-off — the pre-token retransmission+window
-// run, and the post-token accelerated flush of up to AcceleratedWindow
-// frames that overlaps with the successor's round — so batching here turns
-// the protocol's characteristic bursts into single sendmmsg calls without
-// changing action semantics or ordering.
+// Every maximal run of consecutive SendData actions goes to the transport
+// as one Multicast vector. The engine emits exactly such runs at token
+// hand-off — the pre-token retransmission+window run, and the post-token
+// accelerated flush of up to AcceleratedWindow frames that overlaps with
+// the successor's round — and the token Send between them is its own
+// action, so the run boundaries put the token on the wire where the
+// protocol wants it. A lone SendData is a run of one.
 func (n *Node) execute(ts *timerSet, actions []core.Action) {
 	for i := 0; i < len(actions); i++ {
-		if n.batcher != nil {
-			if _, ok := actions[i].(core.SendData); ok {
-				j := i + 1
-				for j < len(actions) {
-					if _, ok := actions[j].(core.SendData); !ok {
-						break
-					}
-					j++
-				}
-				if j-i >= 2 {
-					n.sendBurst(actions[i:j])
-					i = j - 1
-					continue
-				}
-			}
-		}
 		switch act := actions[i].(type) {
 		case core.SendData:
-			n.send(0, act.Msg)
+			j := i + 1
+			for j < len(actions) {
+				if _, ok := actions[j].(core.SendData); !ok {
+					break
+				}
+				j++
+			}
+			n.sendData(actions[i:j])
+			i = j - 1
 		case core.Send:
 			n.send(act.To, act.Frame)
 		case core.Deliver:
@@ -295,8 +284,12 @@ func (n *Node) execute(ts *timerSet, actions []core.Action) {
 	}
 }
 
-// send encodes one frame into the reused scratch and transmits it:
-// unicast to a participant, or multicast when to is zero.
+// send encodes one control-plane frame (token, join, commit, engine
+// control) into the node's reused scratch buffer and transmits it: unicast
+// to a participant, or — when to is zero — multicast as a vector of one.
+// The Transport contract says sends borrow their packets only for the
+// duration of the call, so the scratch is free again by the time the next
+// action encodes.
 func (n *Node) send(to wire.ParticipantID, f wire.Frame) {
 	pkt, err := f.AppendTo(n.encBuf[:0])
 	if err != nil {
@@ -306,7 +299,8 @@ func (n *Node) send(to wire.ParticipantID, f wire.Frame) {
 	}
 	n.encBuf = pkt
 	if to == 0 {
-		err = n.tr.Multicast(pkt)
+		n.encVec[0] = pkt
+		err = n.tr.Multicast(n.encVec[:])
 	} else {
 		err = n.tr.Unicast(to, pkt)
 	}
@@ -316,13 +310,12 @@ func (n *Node) send(to wire.ParticipantID, f wire.Frame) {
 	}
 }
 
-// sendBurst encodes a run of SendData actions into pooled buffers and
-// flushes them with one MulticastBatch call. The single-packet encode
-// scratch cannot back a whole burst (every packet must stay valid until
-// the batch call returns), so each frame gets its own pooled buffer,
-// borrowed for the duration of the call and recycled immediately after.
-// Encode failures skip that frame; the rest of the burst still goes out.
-func (n *Node) sendBurst(run []core.Action) {
+// sendData encodes a run of SendData actions and flushes it with one
+// Multicast call. Every packet must stay valid until the call returns, so
+// each frame gets its own pooled buffer, borrowed for the duration of the
+// call and recycled immediately after. Encode failures skip that frame;
+// the rest of the run still goes out.
+func (n *Node) sendData(run []core.Action) {
 	n.burstBufs = transport.Buffers.GetBatch(n.burstBufs[:0], len(run))
 	pkts := n.burstPkts[:0]
 	for k, a := range run {
@@ -337,7 +330,7 @@ func (n *Node) sendBurst(run []core.Action) {
 		pkts = append(pkts, pkt)
 	}
 	if len(pkts) > 0 {
-		if err := n.batcher.MulticastBatch(pkts); err != nil {
+		if err := n.tr.Multicast(pkts); err != nil {
 			n.nm.sendFailures.Inc()
 			n.noteErr(err)
 		}

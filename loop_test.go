@@ -135,7 +135,7 @@ func TestNodeIgnoresGarbagePackets(t *testing.T) {
 	// A rogue endpoint floods the ring with garbage on both sockets.
 	rogue := net.Endpoint(99)
 	for i := 0; i < 50; i++ {
-		if err := rogue.Multicast([]byte("not a protocol packet")); err != nil {
+		if err := rogue.Multicast([][]byte{[]byte("not a protocol packet")}); err != nil {
 			t.Fatal(err)
 		}
 		if err := rogue.Unicast(1, []byte{0xde, 0xad}); err != nil {
@@ -166,7 +166,7 @@ func TestErrorBurstIsAccounted(t *testing.T) {
 	rogue := net.Endpoint(98)
 	const garbage = 50
 	for i := 0; i < garbage; i++ {
-		if err := rogue.Multicast([]byte("garbage packet payload")); err != nil {
+		if err := rogue.Multicast([][]byte{[]byte("garbage packet payload")}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,11 +47,10 @@ type RuntimeMetrics struct {
 	// be carried out.
 	EncodeFailures uint64 `json:"encode_failures"`
 	SendFailures   uint64 `json:"send_failures"`
-	// SendBursts counts runs of consecutive SendData actions flushed
-	// through the transport's batched multicast path; SendBurstMsgs is the
-	// total frames those bursts carried (so SendBurstMsgs/SendBursts is
-	// the mean burst length the engine produced). Zero when the transport
-	// has no batch path.
+	// SendBursts counts the runs of consecutive SendData actions, each
+	// sent as one Multicast vector — every data run, runs of one included;
+	// SendBurstMsgs is the total frames those runs carried (so
+	// SendBurstMsgs/SendBursts is the mean run length the engine produced).
 	SendBursts    uint64 `json:"send_bursts"`
 	SendBurstMsgs uint64 `json:"send_burst_msgs"`
 	// TimerFires counts timer expiries executed; TimerStaleDrops counts
@@ -177,7 +176,7 @@ func (m *nodeMetrics) runtimeSnapshot(n *Node) RuntimeMetrics {
 
 // Metrics returns a full observability snapshot: the engine's protocol
 // counters (fetched synchronously from the protocol loop), the runtime's
-// atomic counters, and the transport's loss accounting when available.
+// atomic counters, and the transport's loss accounting.
 func (n *Node) Metrics() (MetricsSnapshot, error) {
 	st, err := n.statsSnapshot()
 	if err != nil {
@@ -191,10 +190,8 @@ func (n *Node) Metrics() (MetricsSnapshot, error) {
 		BufferPool: transport.Buffers.Snapshot(),
 		ErrorCount: n.nm.errors.Load(),
 	}
-	if src, ok := n.tr.(transport.MetricsSource); ok {
-		ts := src.MetricsSnapshot()
-		snap.Transport = &ts
-	}
+	ts := n.tr.MetricsSnapshot()
+	snap.Transport = &ts
 	n.mu.Lock()
 	fanoutSrc := n.fanoutSrc
 	n.mu.Unlock()

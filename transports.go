@@ -36,11 +36,6 @@ type UDPOptions struct {
 	// Leave empty to emulate multicast with unicast fan-out (for networks
 	// without IP-multicast, as Spread optionally does).
 	MulticastGroup string
-	// DisableBatch forces one-datagram-per-syscall send/receive paths even
-	// where batched syscalls (recvmmsg/sendmmsg) are available. The batched
-	// dataplane is on by default on Linux; this is the control arm for
-	// benchmarks and an escape hatch.
-	DisableBatch bool
 }
 
 // NewUDPTransport opens a UDP/IP-multicast transport.
@@ -53,7 +48,6 @@ func NewUDPTransport(opts UDPOptions) (Transport, error) {
 		MyID:           opts.ID,
 		Peers:          peers,
 		MulticastGroup: opts.MulticastGroup,
-		DisableBatch:   opts.DisableBatch,
 	})
 }
 
