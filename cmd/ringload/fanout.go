@@ -152,8 +152,9 @@ type mockClient struct {
 
 func (m *mockClient) readLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
+	rd := ipc.NewReader(m.conn)
 	for {
-		typ, _, err := ipc.ReadFrame(m.conn)
+		typ, _, err := rd.Next()
 		if err != nil {
 			return
 		}

@@ -52,9 +52,10 @@ func runSockets(logger *log.Logger, sockets []string, interval, connectWait time
 			var node accelring.MetricsSnapshot
 			if err := json.Unmarshal(snap.Node, &node); err == nil && node.Fanout != nil {
 				f := node.Fanout
-				fmt.Printf("%s %s fanout: published %d enqueued %d delivered %d maxBacklog %d/%d\n",
+				fmt.Printf("%s %s fanout: published %d enqueued %d delivered %d in %d writes maxBacklog %d/%d | ingest %d frames in %d bursts\n",
 					time.Now().Format("15:04:05.000"), sock,
-					f.Published, f.Enqueued, f.Delivered, f.MaxBacklog, f.QueueDepth)
+					f.Published, f.Enqueued, f.Delivered, f.Writes, f.MaxBacklog, f.QueueDepth,
+					f.BurstFrames, f.Bursts)
 			}
 			printTopClients(sock, snap)
 		}

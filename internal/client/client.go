@@ -171,15 +171,19 @@ type Conn struct {
 	opts                Options
 	managed             bool
 
-	events  chan Event
-	statsCh chan []byte
-	statsMu sync.Mutex
+	events   chan Event
+	statsCh  chan []byte
+	statsMu  sync.Mutex
 	done     chan struct{}
 	doneOnce sync.Once
 
-	mu        sync.Mutex
-	conn      net.Conn // nil while a managed connection is redialing
-	private   string
+	mu      sync.Mutex
+	conn    net.Conn // nil while a managed connection is redialing
+	private string
+	// wbuf is the encode scratch of every steady-state frame this
+	// connection writes: one frame is built in it under mu and leaves in
+	// one Write.
+	wbuf      []byte
 	sessionID uint64
 	closed    bool
 	// lastStamp and groupSeqs are the delivery cursors: the resume point
@@ -405,6 +409,9 @@ func (c *Conn) Unsubscribe(group string) error {
 // While a managed connection is redialing the update alone succeeds — the
 // supervisor reconciles the daemon on reconnect.
 func (c *Conn) interestOp(typ byte, group string) error {
+	if err := ipc.CheckGroup(group); err != nil {
+		return fmt.Errorf("client: %w", err)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -434,17 +441,16 @@ func (c *Conn) interestOp(typ byte, group string) error {
 			c.pendingUnsubs[group] = true
 		}
 	}
-	conn := c.conn
-	if conn == nil {
+	if c.conn == nil {
 		c.mu.Unlock()
 		if c.managed {
 			return nil
 		}
 		return ErrClosed
 	}
-	err := ipc.WriteFrame(conn, typ, ipc.PutString(nil, group))
+	err := c.writeLocked(ipc.AppendFrame(c.wbuf[:0], typ, ipc.PutString(nil, group)))
 	c.mu.Unlock()
-	return c.normalize(err)
+	return err
 }
 
 // MulticastOptions modify a multicast.
@@ -476,11 +482,14 @@ func (c *Conn) MulticastWith(opts MulticastOptions, service wire.Service, payloa
 	if opts.SelfDiscard {
 		flags |= 1 // keep in sync with the daemon's flagSelfDiscard
 	}
-	body := make([]byte, 0, 10+len(payload))
-	body = append(body, byte(service), flags)
-	body = ipc.PutStrings(body, groups)
-	body = append(body, payload...)
-	return c.sendFrame(ipc.CmdMulticast, body)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.liveLocked(); err != nil {
+		return err
+	}
+	// Validated and encoded header and all into the connection's scratch:
+	// what the daemon would drop fails here, with nothing sent.
+	return c.writeLocked(ipc.AppendMulticast(c.wbuf[:0], c.private, service, flags, groups, payload))
 }
 
 // Stats requests the daemon's observability snapshot: per-client submit
@@ -538,6 +547,15 @@ func (c *Conn) Close() error {
 func (c *Conn) sendFrame(typ byte, body []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.liveLocked(); err != nil {
+		return err
+	}
+	return c.writeLocked(ipc.AppendFrame(c.wbuf[:0], typ, body))
+}
+
+// liveLocked reports why a frame cannot be written now, if it cannot.
+// Caller holds c.mu.
+func (c *Conn) liveLocked() error {
 	if c.closed {
 		return ErrClosed
 	}
@@ -547,7 +565,19 @@ func (c *Conn) sendFrame(typ byte, body []byte) error {
 		}
 		return ErrClosed
 	}
-	return c.normalize(ipc.WriteFrame(c.conn, typ, body))
+	return nil
+}
+
+// writeLocked takes the result of an append-style encode into c.wbuf,
+// keeps the (possibly grown) scratch and writes the frame in one Write.
+// Caller holds c.mu and has checked liveLocked.
+func (c *Conn) writeLocked(frame []byte, err error) error {
+	if err != nil {
+		return fmt.Errorf("client: %w", err)
+	}
+	c.wbuf = frame
+	_, err = c.conn.Write(frame)
+	return c.normalize(err)
 }
 
 // normalize maps transport errors racing a Close to ErrClosed. Caller may
@@ -789,16 +819,19 @@ func putSeqs(dst []byte, seqs map[string]uint64) []byte {
 
 // readConn pumps frames from one transport until it fails, emitting
 // events; on managed connections it also dedups replayed messages by
-// stamp and flags per-group sequence gaps.
+// stamp and flags per-group sequence gaps. Frames are decoded in place
+// from the reader's buffer: what an event keeps is copied out of it.
 func (c *Conn) readConn(conn net.Conn) error {
+	rd := ipc.NewReader(conn)
+	names := make(nameTable)
 	for {
-		typ, body, err := ipc.ReadFrame(conn)
+		typ, body, err := rd.Next()
 		if err != nil {
 			return err
 		}
 		switch typ {
 		case ipc.EvtMessage:
-			m, err := decodeMessage(body)
+			m, err := decodeMessage(body, names)
 			if err != nil {
 				return err
 			}
@@ -810,31 +843,21 @@ func (c *Conn) readConn(conn net.Conn) error {
 				if dup {
 					continue
 				}
-				c.emit(m)
-			} else {
-				c.events <- m
 			}
+			c.emit(m)
 		case ipc.EvtView:
 			v, err := decodeView(body)
 			if err != nil {
 				return err
 			}
-			if c.managed {
-				c.emit(v)
-			} else {
-				c.events <- v
-			}
+			c.emit(v)
 		case ipc.EvtStats:
 			select {
-			case c.statsCh <- body:
+			case c.statsCh <- append([]byte(nil), body...):
 			default: // no Stats call waiting; drop the response
 			}
 		case ipc.EvtDrain:
-			if c.managed {
-				c.emit(Draining{})
-			} else {
-				c.events <- Draining{}
-			}
+			c.emit(Draining{})
 		case ipc.EvtResumed:
 			// Only expected during the reconnect handshake; mid-stream it
 			// is a protocol error, but harmless — ignore.
@@ -883,7 +906,40 @@ func jitter(d time.Duration) time.Duration {
 	return 3*d/4 + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
-func decodeMessage(body []byte) (Message, error) {
+// nameTable interns the sender and group names of one connection's
+// messages: the same few strings arrive with every message, so each is
+// allocated once and found again from the frame's bytes without
+// allocating. Bounded, so a stream of ever-new names cannot grow it
+// without limit; past the bound new names are simply not interned. A nil
+// table interns nothing.
+type nameTable map[string]string
+
+const nameTableMax = 1024
+
+func (t nameTable) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok { // no allocation: lookup only
+		return s
+	}
+	s := string(b)
+	if t != nil && len(t) < nameTableMax {
+		t[s] = s
+	}
+	return s
+}
+
+// getName consumes a length-prefixed name, interned through names.
+func getName(src []byte, names nameTable) (string, []byte, error) {
+	b, rest, err := ipc.GetBytes(src)
+	if err != nil {
+		return "", nil, err
+	}
+	return names.intern(b), rest, nil
+}
+
+// decodeMessage decodes an EvtMessage body borrowed from the reader: the
+// returned Message shares nothing with it — the payload is copied, names
+// come from the table.
+func decodeMessage(body []byte, names nameTable) (Message, error) {
 	var m Message
 	if len(body) < 1 {
 		return m, ipc.ErrBadFrame
@@ -895,7 +951,7 @@ func decodeMessage(body []byte) (Message, error) {
 	if err != nil {
 		return m, err
 	}
-	m.Sender, body, err = ipc.GetString(body)
+	m.Sender, body, err = getName(body, names)
 	if err != nil {
 		return m, err
 	}
@@ -912,7 +968,7 @@ func decodeMessage(body []byte) (Message, error) {
 	for i := 0; i < n; i++ {
 		var g string
 		var s uint64
-		g, body, err = ipc.GetString(body)
+		g, body, err = getName(body, names)
 		if err != nil {
 			return m, err
 		}
@@ -923,7 +979,8 @@ func decodeMessage(body []byte) (Message, error) {
 		m.Groups = append(m.Groups, g)
 		m.Seqs = append(m.Seqs, s)
 	}
-	m.Payload = body
+	m.Payload = make([]byte, len(body))
+	copy(m.Payload, body)
 	return m, nil
 }
 

@@ -27,7 +27,7 @@ func msgBody(svc wire.Service, stamp uint64, sender string, groups []string, seq
 
 func TestDecodeMessage(t *testing.T) {
 	body := msgBody(wire.ServiceSafe, 7, "alice@0.0.0.1", []string{"g1", "g2"}, []uint64{3, 9}, "payload")
-	m, err := decodeMessage(body)
+	m, err := decodeMessage(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDecodeMessage(t *testing.T) {
 func TestDecodeMessageTruncated(t *testing.T) {
 	full := msgBody(wire.ServiceAgreed, 5, "a@1", []string{"g"}, []uint64{1}, "")
 	for n := 0; n < len(full); n++ {
-		if _, err := decodeMessage(full[:n]); err == nil {
+		if _, err := decodeMessage(full[:n], nil); err == nil {
 			t.Errorf("decodeMessage of %d/%d bytes succeeded", n, len(full))
 		}
 	}

@@ -51,8 +51,9 @@ type Daemon struct {
 	ln   net.Listener
 	log  *log.Logger
 
-	// reqCh funnels client requests into the main loop.
-	reqCh chan request
+	// reqCh funnels client requests into the main loop, a burst per
+	// session wake-up.
+	reqCh chan *burst
 	// unregister removes a dead session.
 	unregCh chan *session
 
@@ -81,6 +82,10 @@ type Daemon struct {
 	resumeExpired atomic.Uint64
 	draining      atomic.Bool
 	drainMs       atomic.Int64
+	// bursts and burstFrames count the ingest side: hand-overs from session
+	// readers to the main loop, and the client frames in them.
+	bursts      atomic.Uint64
+	burstFrames atomic.Uint64
 
 	// state owned by the main loop
 	sessions map[*session]bool
@@ -94,15 +99,23 @@ type Daemon struct {
 	// total order, it is identical on every daemon and lets clients detect
 	// per-group gaps. Entries are never deleted: the map grows with the
 	// number of distinct group names ever addressed, which keeps a group's
-	// numbering stable across its membership going empty.
+	// numbering stable across its membership going empty — and makes the
+	// table the intern pool for group names on the delivery path: an
+	// entry's name is the one string allocated for that group, found from
+	// the bytes of an ordered message without allocating.
 	deliverySeq uint64
-	groupSeq    map[string]uint64
+	groupSeq    map[string]*groupStream
+	// routeGroups and routeSeqs are routeApp's scratch: the destination
+	// names of the message being routed and its number in each of their
+	// streams, valid until the next one.
+	routeGroups []string
+	routeSeqs   []uint64
 }
 
-type request struct {
-	sess *session
-	typ  byte
-	body []byte
+// groupStream is one group's entry in the groupSeq table.
+type groupStream struct {
+	name string
+	seq  uint64
 }
 
 // New creates a daemon and starts serving.
@@ -116,7 +129,7 @@ func New(cfg Config) (*Daemon, error) {
 		ln:           cfg.Listener,
 		log:          cfg.Logger,
 		tier:         fanout.NewTier(cfg.Fanout),
-		reqCh:        make(chan request, 256),
+		reqCh:        make(chan *burst, 256),
 		unregCh:      make(chan *session, 16),
 		stopCh:       make(chan struct{}),
 		resumeWindow: cfg.ResumeWindow,
@@ -126,7 +139,7 @@ func New(cfg Config) (*Daemon, error) {
 		detached:     make(map[uint64]*session),
 		groups:       make(map[string][]string),
 		local:        make(map[string]*session),
-		groupSeq:     make(map[string]uint64),
+		groupSeq:     make(map[string]*groupStream),
 	}
 	cfg.Node.AttachFanout(d)
 	d.wg.Add(2)
@@ -194,6 +207,33 @@ func (d *Daemon) acceptLoop() {
 	}
 }
 
+// eventRun bounds how many ring events the main loop applies between two
+// looks at its other inputs, so client requests are not starved behind a
+// long delivery.
+const eventRun = 64
+
+// applyRingRun applies ev and then the ring events already ready behind
+// it — a run, like a run of frames, is whatever is already there — without
+// paying for the main loop's six-way select per event. It reports false
+// when the node's event stream has closed.
+func (d *Daemon) applyRingRun(ev accelring.Event, events <-chan accelring.Event) bool {
+	for n := 1; ; n++ {
+		d.applyRingEvent(ev)
+		if n == eventRun {
+			return true
+		}
+		var ok bool
+		select {
+		case ev, ok = <-events:
+			if !ok {
+				return false
+			}
+		default:
+			return true
+		}
+	}
+}
+
 // mainLoop owns all daemon state: it applies ordered ring events and
 // serves client requests, strictly serialized.
 func (d *Daemon) mainLoop() {
@@ -203,12 +243,11 @@ func (d *Daemon) mainLoop() {
 	for {
 		select {
 		case ev, ok := <-events:
-			if !ok {
+			if !ok || !d.applyRingRun(ev, events) {
 				return
 			}
-			d.applyRingEvent(ev)
-		case req := <-d.reqCh:
-			d.applyRequest(req)
+		case b := <-d.reqCh:
+			d.applyBurst(b)
 		case s := <-d.unregCh:
 			d.sessionGone(s)
 		case id := <-d.expireCh:
@@ -236,12 +275,29 @@ func (d *Daemon) closeAllSessions() {
 	}
 }
 
-// applyRequest handles one client frame.
-func (d *Daemon) applyRequest(req request) {
-	s := req.sess
-	switch req.typ {
+// applyBurst handles one session wake-up's worth of client frames, in
+// order, and recycles the burst. A frame that closes the session ends the
+// burst: what a client sent behind its own goodbye or a malformed frame is
+// dropped with the connection.
+func (d *Daemon) applyBurst(b *burst) {
+	s, start := b.sess, 0
+	for _, f := range b.frames {
+		if s.isClosed() {
+			break
+		}
+		d.applyRequest(s, f.typ, b.slab[start:f.end])
+		start = f.end
+	}
+	b.sess = nil
+	burstPool.Put(b)
+}
+
+// applyRequest handles one client frame. body is borrowed from the burst:
+// nothing here may keep a slice of it.
+func (d *Daemon) applyRequest(s *session, typ byte, body []byte) {
+	switch typ {
 	case ipc.CmdConnect:
-		name, _, err := ipc.GetString(req.body)
+		name, _, err := ipc.GetString(body)
 		if err != nil || !validName(name) {
 			s.close()
 			return
@@ -263,7 +319,7 @@ func (d *Daemon) applyRequest(req request) {
 			s.close()
 			return
 		}
-		d.applyResume(s, req.body)
+		d.applyResume(s, body)
 	case ipc.CmdGoodbye:
 		// Deliberate close: tear down now instead of holding the session
 		// for the resume window.
@@ -274,17 +330,17 @@ func (d *Daemon) applyRequest(req request) {
 			s.close()
 			return
 		}
-		group, _, err := ipc.GetString(req.body)
-		if err != nil || group == "" || len(group) > wire.MaxGroupName {
+		group, _, err := ipc.GetString(body)
+		if err != nil || ipc.CheckGroup(group) != nil {
 			s.close()
 			return
 		}
-		typ := ringJoin
-		if req.typ == ipc.CmdLeave {
-			typ = ringLeave
+		op := ringJoin
+		if typ == ipc.CmdLeave {
+			op = ringLeave
 		}
 		p := membershipPayload{Member: s.member, Group: group}
-		if err := d.node.Submit(p.encode(typ), accelring.Agreed); err != nil {
+		if err := d.node.Submit(p.encode(op), accelring.Agreed); err != nil {
 			d.logf("daemon: submit membership: %v", err)
 		}
 	case ipc.CmdSubscribe, ipc.CmdUnsubscribe:
@@ -295,12 +351,12 @@ func (d *Daemon) applyRequest(req request) {
 			s.close()
 			return
 		}
-		group, _, err := ipc.GetString(req.body)
-		if err != nil || group == "" || len(group) > wire.MaxGroupName {
+		group, _, err := ipc.GetString(body)
+		if err != nil || ipc.CheckGroup(group) != nil {
 			s.close()
 			return
 		}
-		if req.typ == ipc.CmdSubscribe {
+		if typ == ipc.CmdSubscribe {
 			d.tier.Subscribe(s.sub, group, fanout.SourceExplicit)
 		} else {
 			d.tier.Unsubscribe(s.sub, group, fanout.SourceExplicit)
@@ -310,26 +366,7 @@ func (d *Daemon) applyRequest(req request) {
 			s.close()
 			return
 		}
-		if len(req.body) < 2 {
-			s.close()
-			return
-		}
-		svc := wire.Service(req.body[0])
-		flags := req.body[1]
-		if !svc.Valid() {
-			s.close()
-			return
-		}
-		groups, rest, err := ipc.GetStrings(req.body[2:])
-		if err != nil || len(groups) == 0 {
-			s.close()
-			return
-		}
-		p := appPayload{Sender: s.member, Flags: flags, Groups: groups, Payload: rest}
-		// The encoded payload must be a fresh allocation per submit: the
-		// engine retains it until the message stabilizes ring-wide, so no
-		// scratch reuse is possible here (encode sizes it exactly instead).
-		encoded, err := p.encode()
+		encoded, svc, err := encodeApp(body, s.member)
 		if err != nil {
 			s.close()
 			return
@@ -482,7 +519,7 @@ func (d *Daemon) applyResume(s *session, body []byte) {
 	s.member, s.id, s.submits = old.member, old.id, old.submits
 	d.sessions[s] = true
 	d.local[private] = s
-	if _, err := d.tier.Attach(s.sub, ipcSink{s.conn}, stamp, s.killFunc(), s.exitFunc()); err != nil {
+	if _, err := d.tier.Attach(s.sub, &ipcSink{conn: s.conn}, stamp, s.killFunc(), s.exitFunc()); err != nil {
 		d.dropSession(s)
 		return
 	}
@@ -614,6 +651,8 @@ func (d *Daemon) Snapshot() fanout.TierSnapshot {
 	fs.ResumeGaps = d.resumeGaps.Load()
 	fs.ResumeExpired = d.resumeExpired.Load()
 	fs.DrainMs = d.drainMs.Load()
+	fs.Bursts = d.bursts.Load()
+	fs.BurstFrames = d.burstFrames.Load()
 	return fs
 }
 
@@ -748,32 +787,50 @@ func (d *Daemon) applyRingMessage(m accelring.Message) {
 // frame body is encoded exactly once and routed to every local session
 // interested in any of the destination groups — members and explicit
 // subscribers alike — exactly once per session, with the tier's
-// backpressure policy deciding what happens at full queues. The body must
-// stay a fresh allocation because subscriber queues retain it until their
-// writers drain it.
-func (d *Daemon) routeApp(p *appPayload, svc wire.Service) {
+// backpressure policy deciding what happens at full queues. The body is
+// the one allocation here, fresh because subscriber queues retain it until
+// their writers drain it; sender and group names are read in place from p,
+// which aliases the ring event. The delivery stamp and every destination
+// group's sequence advance whether or not anyone local is listening —
+// they number the ring's order, identical on every daemon — but a daemon
+// with no local interest in any destination builds no body at all.
+func (d *Daemon) routeApp(p appMessage, svc wire.Service) {
 	d.deliverySeq++
 	stamp := d.deliverySeq
-	body := make([]byte, 0, 32+len(p.Sender)+len(p.Payload)+12*len(p.Groups))
+	groups, seqs := d.routeGroups[:0], d.routeSeqs[:0]
+	for names := p.groups; len(names) > 0; {
+		var name []byte
+		name, names, _ = ipc.GetBytes(names) // bounds checked by decodeApp
+		g := d.groupSeq[string(name)]        // no allocation: lookup only
+		if g == nil {
+			g = &groupStream{name: string(name)}
+			d.groupSeq[g.name] = g
+		}
+		g.seq++
+		groups, seqs = append(groups, g.name), append(seqs, g.seq)
+	}
+	d.routeGroups, d.routeSeqs = groups, seqs
+	if !d.tier.HasInterest(groups) {
+		return
+	}
+	body := make([]byte, 0, 1+8+2+len(p.sender)+2+len(p.groups)+8*len(groups)+len(p.payload))
 	body = append(body, byte(svc))
 	body = ipc.PutUint64(body, stamp)
-	body = ipc.PutString(body, p.Sender)
-	var cnt [2]byte
-	binary.BigEndian.PutUint16(cnt[:], uint16(len(p.Groups)))
-	body = append(body, cnt[:]...)
-	for _, g := range p.Groups {
-		d.groupSeq[g]++
+	body = binary.BigEndian.AppendUint16(body, uint16(len(p.sender)))
+	body = append(body, p.sender...)
+	body = binary.BigEndian.AppendUint16(body, uint16(len(groups)))
+	for i, g := range groups {
 		body = ipc.PutString(body, g)
-		body = ipc.PutUint64(body, d.groupSeq[g])
+		body = ipc.PutUint64(body, seqs[i])
 	}
-	body = append(body, p.Payload...)
+	body = append(body, p.payload...)
 	var skip *fanout.Subscriber
-	if p.Flags&flagSelfDiscard != 0 {
-		if s := d.local[p.Sender]; s != nil {
+	if p.flags&flagSelfDiscard != 0 {
+		if s := d.local[string(p.sender)]; s != nil {
 			skip = s.sub
 		}
 	}
-	d.tier.Publish(p.Groups, ipc.EvtMessage, body, stamp, skip)
+	d.tier.Publish(groups, ipc.EvtMessage, body, stamp, skip)
 }
 
 // applyJoin updates a group view and notifies local members. A local

@@ -6,7 +6,7 @@
 package daemon
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"accelring/internal/ipc"
 	"accelring/internal/wire"
@@ -28,43 +28,64 @@ const (
 	flagSelfDiscard byte = 1 << iota
 )
 
-// appPayload is a client message ordered through the ring.
-type appPayload struct {
-	Sender  string // private member name, e.g. "alice@0.0.0.1"
-	Flags   byte
-	Groups  []string
-	Payload []byte
-}
-
-func (p *appPayload) encode() ([]byte, error) {
-	if len(p.Groups) > wire.MaxGroups {
-		return nil, fmt.Errorf("daemon: %d groups exceeds %d", len(p.Groups), wire.MaxGroups)
+// encodeApp validates a CmdMulticast body from the client whose private
+// name is sender and returns the ring payload that orders it: ringApp, the
+// flags byte, the sender (length-prefixed), then the body's destination
+// group list and payload verbatim — the one copy on the ingest hop, into
+// the one allocation the engine retains until the message stabilizes
+// ring-wide. The ring payload is therefore the body plus the
+// length-prefixed sender, which is how ipc sizes its payload limit.
+func encodeApp(body []byte, sender string) ([]byte, wire.Service, error) {
+	svc, flags, rest, err := ipc.ParseMulticast(body, sender)
+	if err != nil {
+		return nil, 0, err
 	}
-	out := make([]byte, 0, 8+len(p.Sender)+len(p.Payload)+16*len(p.Groups))
-	out = append(out, ringApp, p.Flags)
-	out = ipc.PutString(out, p.Sender)
-	out = ipc.PutStrings(out, p.Groups)
-	return append(out, p.Payload...), nil
+	out := make([]byte, 0, 2+2+len(sender)+len(rest))
+	out = append(out, ringApp, flags)
+	out = ipc.PutString(out, sender)
+	return append(out, rest...), svc, nil
 }
 
-func decodeApp(body []byte) (*appPayload, error) {
+// appMessage is a client message ordered through the ring, decoded in
+// place: every field aliases the ring event's payload and is valid while
+// that is.
+type appMessage struct {
+	flags  byte
+	sender []byte // private member name, e.g. "alice@0.0.0.1"
+	// groups is the destination list without its count: length-prefixed
+	// names back to back, each validated to lie inside the slice.
+	groups  []byte
+	payload []byte
+}
+
+// decodeApp parses the body of a ringApp payload (everything after the
+// type byte) without allocating.
+func decodeApp(body []byte) (appMessage, error) {
+	var p appMessage
 	if len(body) < 1 {
-		return nil, ipc.ErrBadFrame
+		return p, ipc.ErrBadFrame
 	}
-	var p appPayload
-	p.Flags = body[0]
-	body = body[1:]
+	p.flags = body[0]
 	var err error
-	p.Sender, body, err = ipc.GetString(body)
-	if err != nil {
-		return nil, err
+	if p.sender, body, err = ipc.GetBytes(body[1:]); err != nil {
+		return p, err
 	}
-	p.Groups, body, err = ipc.GetStrings(body)
-	if err != nil {
-		return nil, err
+	if len(body) < 2 {
+		return p, ipc.ErrBadFrame
 	}
-	p.Payload = body
-	return &p, nil
+	count := int(binary.BigEndian.Uint16(body))
+	if count > wire.MaxGroups {
+		return p, ipc.ErrBadFrame
+	}
+	p.groups = body[2:]
+	rest := p.groups
+	for i := 0; i < count; i++ {
+		if _, rest, err = ipc.GetBytes(rest); err != nil {
+			return p, err
+		}
+	}
+	p.groups, p.payload = p.groups[:len(p.groups)-len(rest)], rest
+	return p, nil
 }
 
 // membershipPayload is a group join/leave ordered through the ring.

@@ -54,11 +54,24 @@ type session struct {
 	closed    chan struct{}
 }
 
-// ipcSink adapts a net.Conn to the fan-out tier's frame sink.
-type ipcSink struct{ conn net.Conn }
+// ipcSink adapts a net.Conn to the fan-out tier's frame sink: the frames
+// of a run are encoded back to back into one buffer — the one copy on the
+// delivery hop — and leave in one socket write at the end of the run. One
+// per attachment, used by that attachment's writer goroutine only.
+type ipcSink struct {
+	conn net.Conn
+	buf  []byte
+}
 
-func (k ipcSink) WriteFrame(typ byte, body []byte) error {
-	return ipc.WriteFrame(k.conn, typ, body)
+func (k *ipcSink) WriteFrame(typ byte, body []byte) (err error) {
+	k.buf, err = ipc.AppendFrame(k.buf, typ, body)
+	return err
+}
+
+func (k *ipcSink) Flush() error {
+	_, err := k.conn.Write(k.buf)
+	k.buf = k.buf[:0]
+	return err
 }
 
 func newSession(d *Daemon, conn net.Conn) *session {
@@ -67,7 +80,7 @@ func newSession(d *Daemon, conn net.Conn) *session {
 		conn:   conn,
 		closed: make(chan struct{}),
 	}
-	s.sub = d.tier.Register(ipcSink{conn}, s.killFunc(), s.exitFunc())
+	s.sub = d.tier.Register(&ipcSink{conn: conn}, s.killFunc(), s.exitFunc())
 	return s
 }
 
@@ -93,19 +106,66 @@ func (s *session) exitFunc() func(error) {
 	}
 }
 
-// readLoop pumps client frames into the daemon's main loop.
+// burst is what a session's reader hands the main loop per wake-up: every
+// complete frame that was already in its buffer, bodies back to back in
+// one slab. The bodies are borrowed: the main loop copies out what it
+// keeps (names into strings, a multicast into the payload it submits) and
+// returns the burst to burstPool when it has applied the last frame.
+type burst struct {
+	sess   *session
+	slab   []byte
+	frames []burstFrame
+}
+
+// burstFrame is one frame of a burst: its type and where its body ends in
+// the slab (it starts where the previous one ends).
+type burstFrame struct {
+	typ byte
+	end int
+}
+
+var burstPool = sync.Pool{New: func() any { return new(burst) }}
+
+// fill blocks for one frame and then takes every complete frame rd has
+// already buffered — a run is whatever is already there, so a lone frame
+// is a burst of one and waits for nothing.
+func (b *burst) fill(rd *ipc.Reader) error {
+	b.slab, b.frames = b.slab[:0], b.frames[:0]
+	for more := true; more; more = rd.Buffered() {
+		typ, body, err := rd.Next()
+		if err != nil {
+			return err
+		}
+		b.slab = append(b.slab, body...)
+		b.frames = append(b.frames, burstFrame{typ: typ, end: len(b.slab)})
+	}
+	return nil
+}
+
+// readLoop pumps client frames into the daemon's main loop, a burst per
+// wake-up. A malformed frame behind good ones ends the session after they
+// are handed over, as it would have frame by frame.
 func (s *session) readLoop() {
 	defer s.unregister()
+	rd := ipc.NewReader(s.conn)
 	for {
-		typ, body, err := ipc.ReadFrame(s.conn)
-		if err != nil {
+		b := burstPool.Get().(*burst)
+		b.sess = s
+		err := b.fill(rd)
+		if len(b.frames) == 0 {
+			burstPool.Put(b)
 			return
 		}
+		s.d.bursts.Add(1)
+		s.d.burstFrames.Add(uint64(len(b.frames)))
 		select {
-		case s.d.reqCh <- request{sess: s, typ: typ, body: body}:
+		case s.d.reqCh <- b:
 		case <-s.d.stopCh:
 			return
 		case <-s.closed:
+			return
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -125,6 +185,16 @@ func (s *session) unregister() {
 	case s.d.unregCh <- s:
 	case <-s.d.stopCh:
 		s.close()
+	}
+}
+
+// isClosed reports whether close has run.
+func (s *session) isClosed() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
 	}
 }
 

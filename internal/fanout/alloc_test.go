@@ -31,6 +31,11 @@ func TestPublishAllocs(t *testing.T) {
 	}
 	groups := []string{"hot", "warm"}
 	body := make([]byte, 256)
+	// Park every writer in its sink first: AllocsPerRun counts the whole
+	// process, and a writer still waking would pop (and size its run
+	// scratch) inside the measurement.
+	tier.Publish(groups, 1, body, 0, nil)
+	waitFor(t, "writers parked", func() bool { return tier.Backlog() == 0 })
 	allocs := testing.AllocsPerRun(200, func() {
 		tier.Publish(groups, 1, body, 0, nil)
 	})

@@ -140,8 +140,10 @@ type Tier struct {
 	disconnects   uint64
 	// deliveredGone accumulates the delivered counts of unregistered
 	// subscribers, so Snapshot's Delivered stays cumulative across client
-	// churn instead of dropping when a session ends.
+	// churn instead of dropping when a session ends; writesGone does the
+	// same for Writes.
 	deliveredGone uint64
+	writesGone    uint64
 }
 
 // NewTier creates an empty tier.
@@ -173,13 +175,13 @@ func (t *Tier) Policy() Policy { return t.cfg.Policy }
 // needs the publisher to make progress (it may, and typically does,
 // schedule an Unregister).
 func (t *Tier) Register(sink Sink, onKill func(), onExit func(error)) *Subscriber {
-	s := newSubscriber(t.cfg.QueueDepth, t.cfg.HistoryDepth, sink, onKill, onExit)
+	s := newSubscriber(t.cfg.QueueDepth, t.cfg.HistoryDepth, onKill, onExit)
 	s.resumable = t.cfg.Resumable
 	s.gen = 1
 	t.mu.Lock()
 	t.subs[s] = struct{}{}
 	t.mu.Unlock()
-	go s.writeLoop(1)
+	go s.writeLoop(1, sink)
 	return s
 }
 
@@ -214,7 +216,6 @@ func (t *Tier) Detach(s *Subscriber) bool {
 		s.detached = true
 		s.onKill = nil
 		s.onExit = nil
-		s.sink = nil
 		s.notEmpty.Broadcast()
 		s.notFull.Broadcast()
 	}
@@ -266,11 +267,10 @@ func (t *Tier) Attach(s *Subscriber, sink Sink, stamp uint64, onKill func(), onE
 	}
 	gap = s.rewind(stamp)
 	s.detached = false
-	s.sink = sink
 	s.onKill = onKill
 	s.onExit = onExit
 	s.gen++
-	go s.writeLoop(s.gen)
+	go s.writeLoop(s.gen, sink)
 	return gap, nil
 }
 
@@ -286,6 +286,7 @@ func (t *Tier) Unregister(s *Subscriber) {
 		}
 		t.subscriptions -= len(s.interests)
 		t.deliveredGone += s.delivered.Load()
+		t.writesGone += s.writes.Load()
 		clear(s.interests)
 		s.subCount.Store(0)
 	}
@@ -405,6 +406,21 @@ func (t *Tier) Publish(groups []string, typ byte, body []byte, stamp uint64, ski
 	return n
 }
 
+// HasInterest reports whether any subscriber is interested in any of the
+// groups, so a publisher with nobody to deliver to can skip building the
+// frame. The answer holds until the next Subscribe, Unsubscribe or
+// Unregister; the daemon runs all of them, and Publish, on one goroutine.
+func (t *Tier) HasInterest(groups []string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, group := range groups {
+		if len(t.groups[group]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TierSnapshot is a point-in-time aggregate view of the tier, suitable
 // for embedding in a metrics snapshot. Per-subscriber detail is the
 // owner's business (the daemon reports it per client in its stats
@@ -421,12 +437,15 @@ type TierSnapshot struct {
 	// Published counts Publish calls (ordered messages offered to the
 	// tier); Enqueued counts per-subscriber copies accepted into queues;
 	// Delivered counts frames actually written to sinks (all frame
-	// types, cumulative across departed subscribers); Shed counts
+	// types, cumulative across departed subscribers) and Writes the runs
+	// they were written in — one sink flush, for the daemon one socket
+	// write, each — so Delivered/Writes is frames per write; Shed counts
 	// message copies dropped by PolicyShed; Disconnects counts
 	// subscribers killed by PolicyDisconnect.
 	Published   uint64 `json:"published"`
 	Enqueued    uint64 `json:"enqueued"`
 	Delivered   uint64 `json:"delivered"`
+	Writes      uint64 `json:"writes"`
 	Shed        uint64 `json:"shed"`
 	Disconnects uint64 `json:"disconnects"`
 	// MaxBacklog is the deepest queue at snapshot time.
@@ -435,12 +454,16 @@ type TierSnapshot struct {
 	// queue is held for a resume. The remaining fields are filled by the
 	// tier's owner (the daemon), which runs the resume protocol and the
 	// drain: sessions resumed, resumed with a gap, expired unresumed, and
-	// the flush time of the last graceful drain.
+	// the flush time of the last graceful drain; and, on the ingest side,
+	// the bursts of client frames its sessions' readers handed over and the
+	// frames in them, so BurstFrames/Bursts is frames per socket wake-up.
 	Detached      int    `json:"detached,omitempty"`
 	Resumes       uint64 `json:"resumes,omitempty"`
 	ResumeGaps    uint64 `json:"resume_gaps,omitempty"`
 	ResumeExpired uint64 `json:"resume_expired,omitempty"`
 	DrainMs       int64  `json:"drain_ms,omitempty"`
+	Bursts        uint64 `json:"bursts,omitempty"`
+	BurstFrames   uint64 `json:"burst_frames,omitempty"`
 }
 
 // Snapshot assembles the tier-wide counters.
@@ -455,11 +478,13 @@ func (t *Tier) Snapshot() TierSnapshot {
 		Published:     t.published,
 		Enqueued:      t.enqueued,
 		Delivered:     t.deliveredGone,
+		Writes:        t.writesGone,
 		Shed:          t.shed,
 		Disconnects:   t.disconnects,
 	}
 	for s := range t.subs {
 		snap.Delivered += s.delivered.Load()
+		snap.Writes += s.writes.Load()
 		b, det := s.state()
 		if b > snap.MaxBacklog {
 			snap.MaxBacklog = b

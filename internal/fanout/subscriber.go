@@ -11,10 +11,29 @@ import (
 var ErrSlowClient = errors.New("fanout: subscriber exceeded its delivery queue")
 
 // Sink is where a subscriber's writer drains frames — for the daemon, the
-// client's IPC connection.
+// client's IPC connection. The writer hands it a run at a time: every
+// frame that was pending when the writer woke (a lone frame is a run of
+// one), in order, through WriteFrame. body is shared with other queues and
+// the replay history: a sink reads it during the call and never writes it.
+//
+// A sink that buffers also implements Flush() error, which the writer
+// calls once at the end of each run; the frames of a run count as
+// delivered only once Flush has returned nil. The method is optional —
+// resolved once per attachment, not per frame — because sinks outside
+// this module implement only WriteFrame.
 type Sink interface {
 	WriteFrame(typ byte, body []byte) error
 }
+
+// runBytes bounds one run by its encoded size: enough frames per socket
+// write to make the write cheap per frame, few enough that a run stays
+// inside a Unix socket's send buffer and a blocked publisher is woken
+// promptly.
+const runBytes = 64 << 10
+
+// frameOverhead is what the IPC framing adds to a body on the wire, counted
+// against runBytes.
+const frameOverhead = 5
 
 // frame is one queued delivery. stamp is the publisher's monotone delivery
 // stamp for message frames, 0 for control frames (views, stats, welcomes);
@@ -47,10 +66,10 @@ const (
 // from the history ring, so socket-buffer loss at disconnect does not
 // become a silent gap.
 type Subscriber struct {
-	// sink, onKill and onExit belong to the current attachment; after
-	// Register they are read and written only under s.mu (Detach, Attach,
-	// and the writer's self-detach on sink failure all hold it).
-	sink   Sink
+	// onKill and onExit belong to the current attachment, as does the sink
+	// its writer was started with; after Register they are read and written
+	// only under s.mu (Detach, Attach, and the writer's self-detach on sink
+	// failure all hold it).
 	onKill func()
 	onExit func(error)
 
@@ -90,10 +109,12 @@ type Subscriber struct {
 
 	// msgs counts message frames accepted into the queue (the daemon's
 	// per-client delivery counter), shed counts message frames dropped by
-	// PolicyShed, delivered counts frames the writer wrote to the sink.
+	// PolicyShed, delivered counts frames the writer wrote to the sink and
+	// writes the runs it wrote them in.
 	msgs      atomic.Uint64
 	shed      atomic.Uint64
 	delivered atomic.Uint64
+	writes    atomic.Uint64
 	// subCount mirrors len(interests) for lock-free Stats.
 	subCount atomic.Int64
 
@@ -108,13 +129,12 @@ type Subscriber struct {
 // carry tens of thousands of mostly-drained clients.
 const initialRing = 64
 
-func newSubscriber(depth, histCap int, sink Sink, onKill func(), onExit func(error)) *Subscriber {
+func newSubscriber(depth, histCap int, onKill func(), onExit func(error)) *Subscriber {
 	phys := depth
 	if phys > initialRing {
 		phys = initialRing
 	}
 	s := &Subscriber{
-		sink:      sink,
 		onKill:    onKill,
 		onExit:    onExit,
 		ring:      make([]frame, phys),
@@ -271,11 +291,40 @@ func (s *Subscriber) rewind(stamp uint64) (gap bool) {
 	return s.dropped > stamp
 }
 
-// writeLoop drains the queue onto the sink until the queue closes, the
+// popRun moves the pending run from the queue into run: every queued frame,
+// in order, up to runBytes of encoded size and — with a replay history —
+// up to histCap message frames, so the whole run is still in history, and
+// replayable, at every instant its write can fail. Each frame enters
+// history as it is popped. Caller holds s.mu and has checked count > 0.
+func (s *Subscriber) popRun(run []frame) []frame {
+	size, stamped := 0, 0
+	for s.count > 0 {
+		f := s.ring[s.head]
+		if len(run) > 0 && (size+len(f.body)+frameOverhead > runBytes ||
+			(f.stamp != 0 && s.histCap > 0 && stamped == s.histCap)) {
+			break
+		}
+		s.ring[s.head] = frame{} // drop the body reference
+		s.head = (s.head + 1) % len(s.ring)
+		s.count--
+		s.histPush(f)
+		run = append(run, f)
+		size += len(f.body) + frameOverhead
+		if f.stamp != 0 {
+			stamped++
+		}
+	}
+	return run
+}
+
+// writeLoop is one attachment's writer: it drains the queue onto the
+// attachment's sink, a run at a time, until the queue closes, the
 // subscriber detaches, or the sink fails; the exit callback of the
-// attachment it belongs to runs exactly once, and not at all when the
-// writer was superseded or deliberately detached.
-func (s *Subscriber) writeLoop(gen uint64) {
+// attachment runs exactly once, and not at all when the writer was
+// superseded or deliberately detached.
+func (s *Subscriber) writeLoop(gen uint64, sink Sink) {
+	flusher, _ := sink.(interface{ Flush() error }) // the optional end-of-run signal
+	var run []frame                                 // this writer's scratch, reused across runs
 	for {
 		s.mu.Lock()
 		for s.count == 0 && !s.closed && !s.detached && s.gen == gen {
@@ -294,18 +343,24 @@ func (s *Subscriber) writeLoop(gen uint64) {
 			}
 			return
 		}
-		f := s.ring[s.head]
-		s.ring[s.head] = frame{} // drop the body reference
-		s.head = (s.head + 1) % len(s.ring)
-		s.count--
-		s.histPush(f)
-		sink := s.sink
+		run = s.popRun(run[:0])
 		s.notFull.Broadcast()
 		s.mu.Unlock()
-		if werr := sink.WriteFrame(f.typ, f.body); werr != nil {
+		var werr error
+		for i := range run {
+			if werr = sink.WriteFrame(run[i].typ, run[i].body); werr != nil {
+				break
+			}
+		}
+		if werr == nil && flusher != nil {
+			werr = flusher.Flush()
+		}
+		n := len(run)
+		clear(run) // drop the body references
+		if werr != nil {
 			s.mu.Lock()
 			if s.gen != gen || s.detached {
-				// The failing write raced a detach or a resume; the frame is
+				// The failing write raced a detach or a resume; the run is
 				// already in history, so the next attachment replays it.
 				s.mu.Unlock()
 				return
@@ -316,7 +371,7 @@ func (s *Subscriber) writeLoop(gen uint64) {
 				// The exit callback still fires so the owner learns.
 				s.detached = true
 				exit := s.onExit
-				s.onKill, s.onExit, s.sink = nil, nil, nil
+				s.onKill, s.onExit = nil, nil
 				s.notFull.Broadcast()
 				s.mu.Unlock()
 				if exit != nil {
@@ -340,7 +395,8 @@ func (s *Subscriber) writeLoop(gen uint64) {
 			}
 			return
 		}
-		s.delivered.Add(1)
+		s.delivered.Add(uint64(n))
+		s.writes.Add(1)
 	}
 }
 
@@ -383,10 +439,12 @@ func (s *Subscriber) state() (backlog int, detached bool) {
 type Stats struct {
 	// Msgs counts message frames accepted into the queue; Shed counts
 	// message frames dropped by PolicyShed; Delivered counts frames of
-	// every type written to the sink.
+	// every type written to the sink and Writes the runs they were written
+	// in (one sink flush each), so Delivered/Writes is frames per write.
 	Msgs      uint64
 	Shed      uint64
 	Delivered uint64
+	Writes    uint64
 	// Backlog is the current queue depth, HighWater its maximum since
 	// registration, Subscriptions the current interest count.
 	Backlog       int
@@ -403,6 +461,7 @@ func (s *Subscriber) Stats() Stats {
 		Msgs:          s.msgs.Load(),
 		Shed:          s.shed.Load(),
 		Delivered:     s.delivered.Load(),
+		Writes:        s.writes.Load(),
 		Backlog:       backlog,
 		HighWater:     high,
 		Subscriptions: int(s.subCount.Load()),

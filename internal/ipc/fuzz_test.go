@@ -28,37 +28,55 @@ func seedFrames(f *testing.F) {
 	for _, fr := range frames {
 		var one bytes.Buffer
 		if err := WriteFrame(&one, fr.typ, fr.body); err == nil {
-			f.Add(one.Bytes())
+			f.Add(one.Bytes(), uint8(1))
 			stream.Write(one.Bytes())
 		}
 	}
-	f.Add(stream.Bytes()) // several frames back to back
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
+	f.Add(stream.Bytes(), uint8(7)) // several frames back to back, torn by the reads
+	f.Add(stream.Bytes(), uint8(255))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{0, 0, 0, 0}, uint8(2))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1}, uint8(3))
+	f.Add([]byte{0, 0, 0, 9, 1}, uint8(4)) // the stream ends inside a body
 }
 
-// FuzzFrameStream feeds arbitrary bytes through ReadFrame as a stream and
-// round-trips every frame it accepts.
+// FuzzFrameStream feeds arbitrary bytes through the two frame decoders as
+// a stream — ReadFrame, which reads exactly one frame's bytes, and Reader,
+// fed by a connection that returns 1..k bytes per read so frames tear at
+// every offset — and requires the identical (type, body) sequence and the
+// identical error at the identical frame. Every frame they accept must
+// also survive an encode→decode round trip.
 func FuzzFrameStream(f *testing.F) {
 	seedFrames(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
 		r := bytes.NewReader(data)
-		for {
+		sizes := make([]int, 0, 16)
+		for i := 0; i < cap(sizes); i++ {
+			sizes = append(sizes, 1+(i*31+int(k))%(int(k)+1))
+		}
+		rd := NewReader(&chunkReader{data: data, sizes: sizes})
+		for frame := 0; ; frame++ {
 			typ, body, err := ReadFrame(r)
+			typ2, body2, err2 := rd.Next()
+			if err != err2 {
+				t.Fatalf("frame %d: ReadFrame error %v, Reader error %v", frame, err, err2)
+			}
 			if err != nil {
 				return
 			}
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, typ, body); err != nil {
+			if typ2 != typ || !bytes.Equal(body2, body) {
+				t.Fatalf("frame %d: ReadFrame (%d, %x), Reader (%d, %x)", frame, typ, body, typ2, body2)
+			}
+			buf, err := AppendFrame(nil, typ, body)
+			if err != nil {
 				t.Fatalf("accepted frame does not re-encode: %v", err)
 			}
-			typ2, body2, err := ReadFrame(&buf)
+			typ3, body3, err := ReadFrame(bytes.NewReader(buf))
 			if err != nil {
 				t.Fatalf("re-encoded frame does not decode: %v", err)
 			}
-			if typ2 != typ || !bytes.Equal(body2, body) {
-				t.Fatalf("round-trip mismatch: (%d, %x) vs (%d, %x)", typ, body, typ2, body2)
+			if typ3 != typ || !bytes.Equal(body3, body) {
+				t.Fatalf("round-trip mismatch: (%d, %x) vs (%d, %x)", typ, body, typ3, body3)
 			}
 		}
 	})
