@@ -1,32 +1,24 @@
 // Command ringbench regenerates the paper's evaluation figures on the
 // discrete-event simulator and prints latency-vs-throughput tables (or CSV)
-// for each.
+// for each. Figures on the real stack come from `go run -C benchmark .`.
 //
 // Usage:
 //
 //	ringbench [-figure figure1|...|figure7|all] [-ablation <id>|all] [-csv] [-quick] [-claims]
-//	ringbench -multiring [-rings 1,2,4,8] [-multiring-nodes 3] [-multiring-payload 512] [-multiring-dur 1s] [-engine accelring|ringpaxos]
 //
 // Examples:
 //
 //	ringbench -figure figure1          # one figure, full accuracy
 //	ringbench -figure all -quick       # all figures, short measurement windows
 //	ringbench -figure figure3 -csv     # machine-readable output
-//	ringbench -multiring -metrics-json .   # ring-count scaling sweep -> BENCH_multiring.json
-//	ringbench -multiring -engine ringpaxos -rings 1,2,4 -metrics-json .   # Ring Paxos sweep -> BENCH_ringpaxos.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
-	"accelring"
 	"accelring/internal/bench"
-	"accelring/internal/clusterbench"
 )
 
 func main() {
@@ -39,35 +31,15 @@ func run() int {
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	quick := flag.Bool("quick", false, "short measurement windows (faster, noisier)")
 	claims := flag.Bool("claims", false, "print each figure's paper claim alongside the data")
-	metricsJSON := flag.String("metrics-json", "", "directory to write BENCH_<figure>.json reports into (token rotation, per-round sends, retransmissions, drops)")
-	multiring := flag.Bool("multiring", false, "run the multi-ring scaling sweep on real memnet clusters instead of the simulator figures")
-	ringsFlag := flag.String("rings", "1,2,4,8", "comma-separated ring counts for -multiring")
-	multiNodes := flag.Int("multiring-nodes", 3, "participants per ring for -multiring")
-	multiPayload := flag.Int("multiring-payload", 512, "payload bytes per message for -multiring")
-	multiDur := flag.Duration("multiring-dur", time.Second, "measurement window per -multiring point")
-	engineFlag := flag.String("engine", "", "ordering engine for -multiring: accelring (default) or ringpaxos; the ringpaxos sweep writes BENCH_ringpaxos.json")
 	flag.Parse()
-
-	engine, err := accelring.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ringbench: %v\n", err)
-		return 2
-	}
-	if *engineFlag != "" && !*multiring {
-		fmt.Fprintln(os.Stderr, "ringbench: -engine applies to the -multiring cluster sweep (the simulator figures model the accelerated ring)")
-		return 2
-	}
 
 	scale := bench.FullScale
 	if *quick {
 		scale = bench.QuickScale
 	}
 
-	if *multiring {
-		return runMultiRing(*ringsFlag, *multiNodes, *multiPayload, *multiDur, *quick, *metricsJSON, engine)
-	}
 	if *ablationID != "" {
-		return runAblations(*ablationID, *csv, *metricsJSON)
+		return runAblations(*ablationID, *csv)
 	}
 
 	var figures []bench.Figure
@@ -88,29 +60,16 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "ringbench: %v\n", err)
 			return 1
 		}
-		if *csv {
-			fmt.Printf("# %s\n", f.Title)
-			bench.WriteCSV(os.Stdout, points)
-		} else {
-			bench.WriteTable(os.Stdout, f.Title, points)
-		}
+		render(f.Title, points, *csv)
 		if *claims {
 			fmt.Printf("paper: %s\n", f.PaperClaim)
-		}
-		if *metricsJSON != "" {
-			path, err := bench.WriteJSONReport(*metricsJSON, f.ID, f.Title, points)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ringbench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("metrics report: %s\n", path)
 		}
 		fmt.Println()
 	}
 	return 0
 }
 
-func runAblations(id string, csv bool, metricsJSON string) int {
+func runAblations(id string, csv bool) int {
 	var ablations []bench.Ablation
 	if id == "all" {
 		ablations = bench.Ablations()
@@ -128,65 +87,17 @@ func runAblations(id string, csv bool, metricsJSON string) int {
 			fmt.Fprintf(os.Stderr, "ringbench: %v\n", err)
 			return 1
 		}
-		if csv {
-			fmt.Printf("# %s\n", a.Title)
-			bench.WriteCSV(os.Stdout, points)
-		} else {
-			bench.WriteTable(os.Stdout, a.Title, points)
-		}
-		if metricsJSON != "" {
-			path, err := bench.WriteJSONReport(metricsJSON, "ablation_"+a.ID, a.Title, points)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ringbench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("metrics report: %s\n", path)
-		}
+		render(a.Title, points, csv)
 		fmt.Printf("question: %s\n\n", a.Question)
 	}
 	return 0
 }
 
-// runMultiRing executes the ring-count scaling sweep and optionally writes
-// BENCH_multiring.json (or BENCH_<engine>.json for a non-default engine).
-func runMultiRing(ringsCSV string, nodes, payload int, dur time.Duration, quick bool, metricsJSON string, engine accelring.EngineKind) int {
-	var counts []int
-	for _, f := range strings.Split(ringsCSV, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 || n > 255 {
-			fmt.Fprintf(os.Stderr, "ringbench: bad ring count %q\n", f)
-			return 2
-		}
-		counts = append(counts, n)
+func render(title string, points []bench.Point, csv bool) {
+	if csv {
+		fmt.Printf("# %s\n", title)
+		bench.WriteCSV(os.Stdout, points)
+	} else {
+		bench.WriteTable(os.Stdout, title, points)
 	}
-	cfg := clusterbench.MultiRingConfig{
-		RingCounts:  counts,
-		Nodes:       nodes,
-		PayloadSize: payload,
-		Measure:     dur,
-		Engine:      engine,
-	}
-	if quick {
-		cfg.Warmup = 150 * time.Millisecond
-		cfg.Measure = dur / 4
-	}
-	points, err := clusterbench.RunMultiRingSweep(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ringbench: %v\n", err)
-		return 1
-	}
-	clusterbench.WriteMultiRingTable(os.Stdout, points)
-	if metricsJSON != "" {
-		path, err := clusterbench.WriteMultiRingReport(metricsJSON, engine, points)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ringbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("metrics report: %s\n", path)
-	}
-	return 0
 }

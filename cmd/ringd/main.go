@@ -25,7 +25,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"os"
@@ -40,11 +39,7 @@ import (
 	"accelring/internal/fanout"
 )
 
-const (
-	defaultDataPort  = 7411
-	defaultTokenPort = 7412
-	defaultMcast     = "239.192.74.11:7410"
-)
+const defaultMcast = "239.192.74.11:7410"
 
 func main() {
 	os.Exit(run())
@@ -81,7 +76,7 @@ func run() int {
 		logger.Print("missing -id")
 		return 2
 	}
-	peers, err := parsePeers(*peersFlag)
+	peers, err := accelring.ParsePeers(*peersFlag)
 	if err != nil {
 		logger.Print(err)
 		return 2
@@ -233,42 +228,4 @@ func maybeTracer(verbose bool, logger *log.Logger) accelring.Tracer {
 		return nil
 	}
 	return &logTracer{log: logger}
-}
-
-// parsePeers parses "1=hostA,2=hostB:7421:7422" into a peer map, applying
-// default ports where omitted.
-func parsePeers(s string) (map[accelring.ParticipantID]accelring.Peer, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing -peers")
-	}
-	peers := make(map[accelring.ParticipantID]accelring.Peer)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad -peers entry %q (want id=host[:dataPort:tokenPort])", part)
-		}
-		idv, err := strconv.ParseUint(kv[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
-		}
-		fields := strings.Split(kv[1], ":")
-		peer := accelring.Peer{Host: fields[0], DataPort: defaultDataPort, TokenPort: defaultTokenPort}
-		switch len(fields) {
-		case 1:
-		case 3:
-			dp, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("bad data port in %q: %v", part, err)
-			}
-			tp, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("bad token port in %q: %v", part, err)
-			}
-			peer.DataPort, peer.TokenPort = dp, tp
-		default:
-			return nil, fmt.Errorf("bad -peers entry %q (want id=host[:dataPort:tokenPort])", part)
-		}
-		peers[accelring.ParticipantID(idv)] = peer
-	}
-	return peers, nil
 }

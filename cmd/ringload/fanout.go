@@ -7,8 +7,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -37,104 +35,47 @@ type fanoutOpts struct {
 	size        int
 	duration    time.Duration
 
-	benchJSON      string
-	sweepClients   string
-	sweepInterest  string
 	requireHealthy float64
 }
 
-// benchPoint is one scenario's results, as recorded in BENCH_fanout.json.
-type benchPoint struct {
-	Subscribers int     `json:"subscribers"`
-	Groups      int     `json:"groups"`
-	Interest    float64 `json:"interest"`
-	Policy      string  `json:"policy"`
-	QueueDepth  int     `json:"queue_depth"`
-	Rate        float64 `json:"rate"`
-	DurationSec float64 `json:"duration_sec"`
-	SlowClients int     `json:"slow_clients"`
-	SlowFactor  int     `json:"slow_factor,omitempty"`
-
-	Sent            int     `json:"sent"`
-	Expected        uint64  `json:"expected"`
-	Delivered       uint64  `json:"delivered"`
-	DeliveredPerSec float64 `json:"delivered_per_sec"`
-	// HealthyRatio is delivered/expected over the non-slow subscribers:
+// fanoutResult is what one scenario measured.
+type fanoutResult struct {
+	sent            int
+	expected        uint64
+	delivered       uint64
+	deliveredPerSec float64
+	// healthyRatio is delivered/expected over the non-slow subscribers:
 	// 1.0 means the stragglers cost the healthy audience nothing.
-	HealthyRatio  float64 `json:"healthy_ratio"`
-	SlowDelivered uint64  `json:"slow_delivered,omitempty"`
-	Shed          uint64  `json:"shed"`
-	Disconnects   uint64  `json:"disconnects"`
-	MaxBacklog    int     `json:"max_backlog"`
+	healthyRatio float64
+	shed         uint64
+	disconnects  uint64
+	maxBacklog   int
 }
 
 func runFanout(logger *log.Logger, o fanoutOpts) int {
-	clientCounts, err := parseIntList(o.sweepClients, o.clients)
-	if err != nil {
-		logger.Printf("bad -sweep-clients: %v", err)
+	if o.interest <= 0 || o.interest > 1 {
+		logger.Printf("bad -interest %v (want 0 < f <= 1)", o.interest)
 		return 2
-	}
-	interests, err := parseFloatList(o.sweepInterest, o.interest)
-	if err != nil {
-		logger.Printf("bad -sweep-interest: %v", err)
-		return 2
-	}
-	for _, fr := range interests {
-		if fr <= 0 || fr > 1 {
-			logger.Printf("bad -interest %v (want 0 < f <= 1)", fr)
-			return 2
-		}
 	}
 	if o.groups < 1 {
 		logger.Printf("bad -mock-groups %d (want >= 1)", o.groups)
 		return 2
 	}
-	maxClients := 0
-	for _, n := range clientCounts {
-		if n > maxClients {
-			maxClients = n
-		}
-	}
 	// Every mock client is one socket on each side, plus headroom.
-	raiseFDLimit(logger, uint64(2*maxClients+512))
+	raiseFDLimit(logger, uint64(2*o.clients+512))
 
-	var points []benchPoint
-	for _, nc := range clientCounts {
-		for _, fr := range interests {
-			sc := o
-			sc.clients, sc.interest = nc, fr
-			pt, err := fanoutScenario(logger, sc)
-			if err != nil {
-				logger.Printf("scenario clients=%d interest=%.2f: %v", nc, fr, err)
-				return 1
-			}
-			points = append(points, pt)
-			fmt.Printf("clients=%d groups=%d interest=%.2f policy=%s: sent %d, delivered %d/%d (%.0f msg/s), healthy %.3f, shed %d, disconnects %d, maxBacklog %d\n",
-				pt.Subscribers, pt.Groups, pt.Interest, pt.Policy, pt.Sent,
-				pt.Delivered, pt.Expected, pt.DeliveredPerSec, pt.HealthyRatio,
-				pt.Shed, pt.Disconnects, pt.MaxBacklog)
-		}
+	res, err := fanoutScenario(logger, o)
+	if err != nil {
+		logger.Printf("scenario clients=%d interest=%.2f: %v", o.clients, o.interest, err)
+		return 1
 	}
-
-	if o.benchJSON != "" {
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err == nil {
-			err = os.WriteFile(o.benchJSON, append(data, '\n'), 0644)
-		}
-		if err != nil {
-			logger.Printf("writing %s: %v", o.benchJSON, err)
-			return 1
-		}
-		logger.Printf("wrote %d points to %s", len(points), o.benchJSON)
-	}
-	if o.requireHealthy > 0 {
-		for _, pt := range points {
-			if pt.HealthyRatio < o.requireHealthy {
-				logger.Printf("healthy ratio %.3f below required %.3f (clients=%d interest=%.2f)",
-					pt.HealthyRatio, o.requireHealthy, pt.Subscribers, pt.Interest)
-				return 1
-			}
-		}
+	fmt.Printf("clients=%d groups=%d interest=%.2f policy=%s: sent %d, delivered %d/%d (%.0f msg/s), healthy %.3f, shed %d, disconnects %d, maxBacklog %d\n",
+		o.clients, o.groups, o.interest, o.policy, res.sent,
+		res.delivered, res.expected, res.deliveredPerSec, res.healthyRatio,
+		res.shed, res.disconnects, res.maxBacklog)
+	if res.healthyRatio < o.requireHealthy {
+		logger.Printf("healthy ratio %.3f below required %.3f", res.healthyRatio, o.requireHealthy)
+		return 1
 	}
 	return 0
 }
@@ -167,13 +108,10 @@ func (m *mockClient) readLoop(wg *sync.WaitGroup) {
 	}
 }
 
-func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
+func fanoutScenario(logger *log.Logger, o fanoutOpts) (fanoutResult, error) {
 	policy, err := fanout.ParsePolicy(o.policy)
 	if err != nil {
-		return benchPoint{}, err
-	}
-	if o.groups < 1 {
-		return benchPoint{}, fmt.Errorf("need at least one group")
+		return fanoutResult{}, err
 	}
 
 	// Self-hosted single-node ring and daemon. Clients normally attach
@@ -189,7 +127,7 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 		Members:   []accelring.ParticipantID{1},
 	})
 	if err != nil {
-		return benchPoint{}, err
+		return fanoutResult{}, err
 	}
 	var ln net.Listener
 	var dial func() (net.Conn, error)
@@ -204,14 +142,14 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 		dir, err := os.MkdirTemp("", "ringload-fanout")
 		if err != nil {
 			node.Close()
-			return benchPoint{}, err
+			return fanoutResult{}, err
 		}
 		defer os.RemoveAll(dir)
 		sock := filepath.Join(dir, "d.sock")
 		ln, err = net.Listen("unix", sock)
 		if err != nil {
 			node.Close()
-			return benchPoint{}, err
+			return fanoutResult{}, err
 		}
 		dial = func() (net.Conn, error) {
 			// Retry transient dial failures under accept-queue pressure.
@@ -234,7 +172,7 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 	})
 	if err != nil {
 		node.Close()
-		return benchPoint{}, err
+		return fanoutResult{}, err
 	}
 	defer d.Close()
 
@@ -289,7 +227,7 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 	connectWg.Wait()
 	select {
 	case err := <-connectErr:
-		return benchPoint{}, err
+		return fanoutResult{}, err
 	default:
 	}
 	var readWg sync.WaitGroup
@@ -302,24 +240,24 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 	// opening the publisher's tap.
 	pubConn, err := dial()
 	if err != nil {
-		return benchPoint{}, err
+		return fanoutResult{}, err
 	}
 	pub, err := client.New(pubConn, "publisher")
 	if err != nil {
-		return benchPoint{}, err
+		return fanoutResult{}, err
 	}
 	defer pub.Close()
 	wantSubs := o.clients * k
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		snap, err := pub.Stats()
 		if err != nil {
-			return benchPoint{}, err
+			return fanoutResult{}, err
 		}
 		if snap.Subscriptions >= wantSubs {
 			break
 		}
 		if !time.Now().Before(deadline) {
-			return benchPoint{}, fmt.Errorf("subscriptions stuck at %d/%d", snap.Subscriptions, wantSubs)
+			return fanoutResult{}, fmt.Errorf("subscriptions stuck at %d/%d", snap.Subscriptions, wantSubs)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -343,7 +281,7 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 			g := sent % o.groups
 			if err := pub.Multicast(wire.ServiceAgreed, payload, groupName(g)); err != nil {
 				ticker.Stop()
-				return benchPoint{}, fmt.Errorf("multicast: %v", err)
+				return fanoutResult{}, fmt.Errorf("multicast: %v", err)
 			}
 			sentPerGroup[g]++
 			sent++
@@ -375,7 +313,7 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 
 	snap, err := pub.Stats()
 	if err != nil {
-		return benchPoint{}, err
+		return fanoutResult{}, err
 	}
 	var nodeSnap accelring.MetricsSnapshot
 	maxBacklog := 0
@@ -385,7 +323,7 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 
 	// Per-client expectation from the actual assignment — exact, not a
 	// fraction-of-total approximation.
-	var expected, delivered, healthyExp, healthyDel, slowDel uint64
+	var expected, delivered, healthyExp, healthyDel uint64
 	for i, m := range clients {
 		if m == nil {
 			continue
@@ -397,9 +335,7 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 		del := m.delivered.Load()
 		expected += exp
 		delivered += del
-		if i < o.slowClients {
-			slowDel += del
-		} else {
+		if i >= o.slowClients {
 			healthyExp += exp
 			healthyDel += del
 		}
@@ -416,25 +352,15 @@ func fanoutScenario(logger *log.Logger, o fanoutOpts) (benchPoint, error) {
 	}
 	readWg.Wait()
 
-	return benchPoint{
-		Subscribers:     o.clients,
-		Groups:          o.groups,
-		Interest:        o.interest,
-		Policy:          policy.String(),
-		QueueDepth:      o.queue,
-		Rate:            o.rate,
-		DurationSec:     elapsed.Seconds(),
-		SlowClients:     o.slowClients,
-		SlowFactor:      o.slowFactor,
-		Sent:            sent,
-		Expected:        expected,
-		Delivered:       delivered,
-		DeliveredPerSec: float64(delivered) / elapsed.Seconds(),
-		HealthyRatio:    healthyRatio,
-		SlowDelivered:   slowDel,
-		Shed:            snap.Shed,
-		Disconnects:     snap.Disconnects,
-		MaxBacklog:      maxBacklog,
+	return fanoutResult{
+		sent:            sent,
+		expected:        expected,
+		delivered:       delivered,
+		deliveredPerSec: float64(delivered) / elapsed.Seconds(),
+		healthyRatio:    healthyRatio,
+		shed:            snap.Shed,
+		disconnects:     snap.Disconnects,
+		maxBacklog:      maxBacklog,
 	}, nil
 }
 
@@ -539,34 +465,4 @@ func raiseFDLimit(logger *log.Logger, need uint64) {
 	} else if want < need {
 		logger.Printf("fd limit capped at hard max %d (wanted %d); large scenarios fall back to pipes", want, need)
 	}
-}
-
-func parseIntList(s string, fallback int) ([]int, error) {
-	if s == "" {
-		return []int{fallback}, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad entry %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloatList(s string, fallback float64) ([]float64, error) {
-	if s == "" {
-		return []float64{fallback}, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 || v > 1 {
-			return nil, fmt.Errorf("bad entry %q (want 0 < f <= 1)", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

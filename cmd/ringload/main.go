@@ -15,13 +15,12 @@
 // connects N raw IPC subscribers spread across -mock-groups groups (each
 // interested in an -interest fraction), optionally forces some of them
 // -slow-factor× too slow, floods the groups at -rate, and reports
-// delivered throughput, healthy-client delivery ratio and shed counts —
-// optionally sweeping client counts and interest fractions into a JSON
-// benchmark file:
+// delivered throughput, healthy-client delivery ratio and shed counts
+// (-require-healthy turns the ratio into the exit status):
 //
 //	ringload -mock-clients 10000 -mock-groups 64 -interest 0.25 \
 //	    -slow-clients 1 -slow-factor 100 -fanout-policy shed \
-//	    -rate 2000 -duration 10s -bench-json BENCH_fanout.json
+//	    -rate 2000 -duration 10s
 package main
 
 import (
@@ -58,10 +57,7 @@ func run() int {
 	slowFactor := flag.Int("slow-factor", 100, "fan-out mode: how many times too slow the slow clients read")
 	fanoutPolicy := flag.String("fanout-policy", "shed", "fan-out mode: backpressure policy (disconnect, shed, block)")
 	fanoutQueue := flag.Int("fanout-queue", 0, "fan-out mode: per-client delivery queue depth (0 = default)")
-	benchJSON := flag.String("bench-json", "", "fan-out mode: write scenario results to this JSON file")
-	sweepClients := flag.String("sweep-clients", "", "fan-out mode: comma-separated client counts to sweep (overrides -mock-clients after the first)")
-	sweepInterest := flag.String("sweep-interest", "", "fan-out mode: comma-separated interest fractions to sweep")
-	requireHealthy := flag.Float64("require-healthy", 0, "fan-out mode: fail unless every scenario's healthy delivery ratio reaches this (e.g. 0.99)")
+	requireHealthy := flag.Float64("require-healthy", 0, "fan-out mode: fail unless the healthy delivery ratio reaches this (e.g. 0.99)")
 	connectWait := flag.Duration("connect-wait", 0, "retry the initial daemon connection with capped backoff for this long (daemon may still be starting)")
 	reconnect := flag.Bool("reconnect", false, "survive daemon restarts: auto-reconnect with session resume instead of exiting on connection loss")
 	requireRecovery := flag.Bool("require-recovery", false, "fail unless the connection survived at least one daemon outage and delivered traffic afterwards (implies -reconnect)")
@@ -71,7 +67,7 @@ func run() int {
 	}
 
 	logger := log.New(os.Stderr, "ringload: ", log.LstdFlags)
-	if *mockClients > 0 || *sweepClients != "" {
+	if *mockClients > 0 {
 		return runFanout(logger, fanoutOpts{
 			clients:        *mockClients,
 			groups:         *mockGroups,
@@ -83,9 +79,6 @@ func run() int {
 			rate:           *rate,
 			size:           *size,
 			duration:       *duration,
-			benchJSON:      *benchJSON,
-			sweepClients:   *sweepClients,
-			sweepInterest:  *sweepInterest,
 			requireHealthy: *requireHealthy,
 		})
 	}

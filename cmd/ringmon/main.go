@@ -61,7 +61,7 @@ func run() int {
 		}
 		return runSockets(logger, sockets, *interval, *connectWait)
 	}
-	peers, err := parsePeers(*peersFlag)
+	peers, err := accelring.ParsePeers(*peersFlag)
 	if err != nil {
 		logger.Print(err)
 		return 2
@@ -280,38 +280,4 @@ func strideMcast(group string, delta int) (string, error) {
 		return "", fmt.Errorf("bad -mcast port %q: %v", portStr, err)
 	}
 	return net.JoinHostPort(host, strconv.Itoa(port+delta)), nil
-}
-
-// parsePeers parses "1=hostA,2=hostB:7421:7422" (same syntax as ringd).
-func parsePeers(s string) (map[accelring.ParticipantID]accelring.Peer, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing -peers")
-	}
-	peers := make(map[accelring.ParticipantID]accelring.Peer)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad -peers entry %q", part)
-		}
-		idv, err := strconv.ParseUint(kv[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
-		}
-		fields := strings.Split(kv[1], ":")
-		peer := accelring.Peer{Host: fields[0], DataPort: 7411, TokenPort: 7412}
-		switch len(fields) {
-		case 1:
-		case 3:
-			if peer.DataPort, err = strconv.Atoi(fields[1]); err != nil {
-				return nil, fmt.Errorf("bad data port in %q: %v", part, err)
-			}
-			if peer.TokenPort, err = strconv.Atoi(fields[2]); err != nil {
-				return nil, fmt.Errorf("bad token port in %q: %v", part, err)
-			}
-		default:
-			return nil, fmt.Errorf("bad -peers entry %q", part)
-		}
-		peers[accelring.ParticipantID(idv)] = peer
-	}
-	return peers, nil
 }

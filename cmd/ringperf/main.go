@@ -2,7 +2,10 @@
 // transport, mirroring the paper's library-prototype measurements: it runs
 // a ring of in-process nodes over UDP loopback sockets (or the in-memory
 // transport), injects fixed-size messages at a target aggregate rate, and
-// reports achieved throughput and delivery latency.
+// prints the rate it actually submitted, achieved throughput over the send
+// window, delivery latency, allocations and socket calls per message. It is
+// an interactive open-loop tool and writes no file; tracked performance
+// figures come from `go run -C benchmark .`.
 //
 //	ringperf -nodes 4 -rate 200 -size 1350 -duration 5s -protocol accelerated
 //	ringperf -transport mem -rate 500 -service safe
@@ -11,20 +14,17 @@ package main
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"accelring"
-	"accelring/internal/bench"
 	"accelring/internal/metrics"
 )
 
@@ -42,8 +42,6 @@ func run() int {
 	serviceFlag := flag.String("service", "agreed", "agreed or safe")
 	transportFlag := flag.String("transport", "udp", "udp (loopback sockets) or mem (in-memory)")
 	pack := flag.Int("pack", 0, "message packing threshold (0 disables)")
-	metricsJSON := flag.String("metrics-json", "", "directory to write a BENCH_ringperf.json report into (summary point plus per-node metrics snapshots)")
-	series := flag.String("series", "", "series label override for the report point (default transport/protocol/service)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "ringperf: ", log.LstdFlags)
@@ -168,6 +166,7 @@ func run() int {
 		}()
 	}
 	sendWg.Wait()
+	sendWindow := time.Since(start)
 	time.Sleep(300 * time.Millisecond) // drain in-flight deliveries
 	close(stop)
 	wg.Wait()
@@ -175,154 +174,89 @@ func run() int {
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
 	poolAfter := accelring.BufferPoolStats()
-	poolDelta := accelring.PoolSnapshot{
-		Hits:     poolAfter.Hits - poolBefore.Hits,
-		Misses:   poolAfter.Misses - poolBefore.Misses,
-		Puts:     poolAfter.Puts - poolBefore.Puts,
-		Discards: poolAfter.Discards - poolBefore.Discards,
-	}
 	allocsPerMsg := 0.0
 	if n := sent.Load(); n > 0 {
 		allocsPerMsg = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(n)
 	}
 
-	elapsed := time.Since(start).Seconds()
-	wantDeliveries := sent.Load() * uint64(*nodes)
-	achieved := float64(sent.Load()) * float64(*size) * 8 / 1e6 / elapsed
+	sum := summarize(sent.Load(), received.Load(), *nodes, *size, sendWindow)
 	fmt.Printf("sent %d messages; %d deliveries (%.1f%% of expected)\n",
-		sent.Load(), received.Load(), 100*float64(received.Load())/float64(wantDeliveries))
-	fmt.Printf("achieved %.1f Mbps aggregate payload\n", achieved)
+		sent.Load(), received.Load(), sum.deliveredPct)
+	fmt.Printf("submitted %.0f of %.0f msg/s/node target\n", sum.submittedPerNode, perNodeMsgs)
+	fmt.Printf("achieved %.1f Mbps aggregate payload\n", sum.achievedMbps)
 	fmt.Printf("allocs/msg %.1f | bufpool hits %d misses %d puts %d discards %d\n",
-		allocsPerMsg, poolDelta.Hits, poolDelta.Misses, poolDelta.Puts, poolDelta.Discards)
+		allocsPerMsg, poolAfter.Hits-poolBefore.Hits, poolAfter.Misses-poolBefore.Misses,
+		poolAfter.Puts-poolBefore.Puts, poolAfter.Discards-poolBefore.Discards)
 	mu.Lock()
 	defer mu.Unlock()
 	if lat.Count() > 0 {
 		fmt.Printf("latency: mean=%v p50=%v p99=%v max=%v (n=%d)\n",
 			lat.Mean(), lat.Percentile(50), lat.Percentile(99), lat.Max(), lat.Count())
 	}
-	if *metricsJSON != "" {
-		label := *series
-		if label == "" {
-			label = fmt.Sprintf("%s/%s/%s", *transportFlag, *protoFlag, *serviceFlag)
-			if engine == accelring.EngineRingPaxos {
-				label = fmt.Sprintf("%s/%s/%s", *transportFlag, engine, *serviceFlag)
-			}
-		}
-		path, point, err := writeMetricsReport(*metricsJSON, label, ring, *rate, achieved, &lat, sent.Load(), elapsed, poolDelta, allocsPerMsg)
-		if err != nil {
-			logger.Print(err)
-			return 1
-		}
-		if point.RecvSyscalls+point.SendSyscalls > 0 {
-			fmt.Printf("syscalls/msg %.3f (recv %d + send %d syscalls; batch mean recv=%.1f send=%.1f)\n",
-				point.SyscallsPerMsg, point.RecvSyscalls, point.SendSyscalls,
-				point.RecvBatchMean, point.SendBatchMean)
-		}
-		fmt.Printf("metrics report: %s\n", path)
+	if err := printSyscalls(ring); err != nil {
+		logger.Print(err)
+		return 1
 	}
 	return 0
 }
 
-// metricsReport is the on-disk report shape: the shared bench schema plus
-// every node's full metrics snapshot.
-type metricsReport struct {
-	bench.JSONReport
-	NodeMetrics []accelring.MetricsSnapshot `json:"node_metrics"`
+// summary is the arithmetic behind the report lines.
+type summary struct {
+	achievedMbps     float64
+	submittedPerNode float64 // msg/s each node actually submitted
+	deliveredPct     float64
 }
 
-// writeMetricsReport writes dir/BENCH_ringperf.json: one summary point
-// (series label) in the shared bench schema plus every node's full metrics
-// snapshot.
-func writeMetricsReport(dir, label string, ring []*accelring.Node, offered, achieved float64, lat *metrics.Sample, sent uint64, elapsed float64, pool accelring.PoolSnapshot, allocsPerMsg float64) (string, bench.JSONPoint, error) {
-	point := bench.JSONPoint{
-		Series:       label,
-		OfferedMbps:  offered,
-		AchievedMbps: achieved,
-		Stable:       achieved >= 0.97*offered,
-		AvgLatencyUs: float64(lat.Mean()) / float64(time.Microsecond),
-		P50LatencyUs: float64(lat.Percentile(50)) / float64(time.Microsecond),
-		P99LatencyUs: float64(lat.Percentile(99)) / float64(time.Microsecond),
-		Samples:      lat.Count(),
-		Nodes:        len(ring),
-		PoolHits:     pool.Hits,
-		PoolMisses:   pool.Misses,
-		PoolPuts:     pool.Puts,
-		PoolDiscards: pool.Discards,
-		AllocsPerMsg: allocsPerMsg,
+// summarize derives the rates over the send window — the time the senders
+// were submitting, not the drain that follows it — and the delivery share
+// from the counts taken after the drain (every node delivers every message).
+func summarize(sent, received uint64, nodes, size int, sendWindow time.Duration) summary {
+	var s summary
+	if secs := sendWindow.Seconds(); secs > 0 && nodes > 0 {
+		s.achievedMbps = float64(sent) * float64(size) * 8 / 1e6 / secs
+		s.submittedPerNode = float64(sent) / float64(nodes) / secs
 	}
-	snaps := make([]accelring.MetricsSnapshot, 0, len(ring))
-	var rotationNs, rotations int64
-	var datagrams, recvBatchSum, sendBatchSum, recvBatchCnt, sendBatchCnt uint64
+	if want := sent * uint64(nodes); want > 0 {
+		s.deliveredPct = 100 * float64(received) / float64(want)
+	}
+	return s
+}
+
+// printSyscalls sums every node's transport counters into the dataplane
+// line: socket calls per datagram moved and the mean batch per call.
+// Transports that make no syscalls (mem) print nothing.
+func printSyscalls(ring []*accelring.Node) error {
+	var recvSys, sendSys, datagrams, recvSum, recvCnt, sendSum, sendCnt uint64
 	for _, node := range ring {
 		snap, err := node.Metrics()
 		if err != nil {
-			return "", point, fmt.Errorf("metrics at %s: %w", node.ID(), err)
+			return fmt.Errorf("metrics at %s: %w", node.ID(), err)
 		}
-		snaps = append(snaps, snap)
-		point.TokensHandled += snap.Engine.TokensProcessed
-		point.Retransmits += snap.Engine.MsgsRetransmitted
-		point.PostTokenMsgs += snap.Engine.MsgsPostToken
-		point.AccelFlushes += snap.Engine.AccelFlushes
-		point.RTRDeferredRounds += snap.Engine.RTRDeferredRounds
-		point.FlowThrottledRounds += snap.Engine.FlowThrottledRounds
-		if snap.Transport != nil {
-			point.SockDrops += snap.Transport.RecvQueueDrops
-			point.RecvSyscalls += snap.Transport.RecvSyscalls
-			point.SendSyscalls += snap.Transport.SendSyscalls
-			datagrams += snap.Transport.DatagramsIn + snap.Transport.DatagramsOut
-			recvBatchSum += snap.Transport.RecvBatch.Sum
-			recvBatchCnt += snap.Transport.RecvBatch.Count
-			sendBatchSum += snap.Transport.SendBatch.Sum
-			sendBatchCnt += snap.Transport.SendBatch.Count
-			if m := snap.Transport.RecvBatch.Max; m > point.RecvBatchMax {
-				point.RecvBatchMax = m
-			}
-			if m := snap.Transport.SendBatch.Max; m > point.SendBatchMax {
-				point.SendBatchMax = m
-			}
+		t := snap.Transport
+		if t == nil {
+			continue
 		}
-		if c := int64(snap.Runtime.TokenRotation.Count); c > 0 {
-			rotationNs += snap.Runtime.TokenRotation.MeanNs * c
-			rotations += c
-		}
+		recvSys += t.RecvSyscalls
+		sendSys += t.SendSyscalls
+		datagrams += t.DatagramsIn + t.DatagramsOut
+		recvSum += t.RecvBatch.Sum
+		recvCnt += t.RecvBatch.Count
+		sendSum += t.SendBatch.Sum
+		sendCnt += t.SendBatch.Count
 	}
-	if rotations > 0 {
-		point.TokenRotationUs = float64(rotationNs) / float64(rotations) / 1e3
+	if recvSys+sendSys == 0 {
+		return nil
 	}
-	if rounds := float64(point.TokensHandled) / float64(len(ring)); rounds > 0 {
-		point.MsgsPerRound = float64(sent) / rounds
-	}
-	if datagrams > 0 {
-		point.SyscallsPerMsg = float64(point.RecvSyscalls+point.SendSyscalls) / float64(datagrams)
-	}
-	if elapsed > 0 {
-		point.MsgsPerSec = float64(sent) / elapsed
-	}
-	if recvBatchCnt > 0 {
-		point.RecvBatchMean = float64(recvBatchSum) / float64(recvBatchCnt)
-	}
-	if sendBatchCnt > 0 {
-		point.SendBatchMean = float64(sendBatchSum) / float64(sendBatchCnt)
-	}
+	fmt.Printf("syscalls/msg %.3f (recv %d + send %d syscalls; batch mean recv=%.1f send=%.1f)\n",
+		ratio(recvSys+sendSys, datagrams), recvSys, sendSys, ratio(recvSum, recvCnt), ratio(sendSum, sendCnt))
+	return nil
+}
 
-	rep := metricsReport{
-		JSONReport: bench.JSONReport{
-			Benchmark:     "ringperf",
-			Title:         "library-based deployment on a real transport",
-			GeneratedUnix: time.Now().Unix(),
-			Points:        []bench.JSONPoint{point},
-		},
-		NodeMetrics: snaps,
+func ratio(num, den uint64) float64 {
+	if den == 0 {
+		return 0
 	}
-	path := filepath.Join(dir, "BENCH_ringperf.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", point, err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", point, err
-	}
-	return path, point, nil
+	return float64(num) / float64(den)
 }
 
 // buildTransports creates one transport per member on the chosen backend.

@@ -156,14 +156,23 @@ func WriteTable(w io.Writer, title string, points []Point) {
 	}
 }
 
-// WriteCSV renders points as CSV with a header row.
+// csvHeader names WriteCSV's columns. New columns are appended: consumers
+// index the first ten by position.
+const csvHeader = "series,offered_mbps,achieved_mbps,avg_latency_us,p50_latency_us,p99_latency_us,stable,switch_drops,sock_drops,retransmits," +
+	"token_rotation_us,msgs_per_round,post_token_msgs,rtr_deferred_rounds,flow_throttled_rounds"
+
+// WriteCSV renders points as CSV with a header row: the latency/throughput
+// curve, loss accounting, then the rotation time, per-round send count and
+// round counters the paper's analysis reasons with.
 func WriteCSV(w io.Writer, points []Point) {
-	fmt.Fprintln(w, "series,offered_mbps,achieved_mbps,avg_latency_us,p50_latency_us,p99_latency_us,stable,switch_drops,sock_drops,retransmits")
+	fmt.Fprintln(w, csvHeader)
 	for _, p := range points {
-		fmt.Fprintf(w, "%s,%.0f,%.1f,%.1f,%.1f,%.1f,%v,%d,%d,%d\n",
+		fmt.Fprintf(w, "%s,%.0f,%.1f,%.1f,%.1f,%.1f,%v,%d,%d,%d,%.1f,%.1f,%d,%d,%d\n",
 			p.Series, p.OfferedMbps, p.AchievedMbps,
 			us(p.AvgLatency), us(p.P50Latency), us(p.P99Latency),
-			p.Stable, p.SwitchDrops, p.SockDrops, p.Retransmits)
+			p.Stable, p.SwitchDrops, p.SockDrops, p.Retransmits,
+			us(p.TokenRotation), p.MsgsPerRound, p.PostTokenMsgs,
+			p.RTRDeferredRounds, p.FlowThrottledRounds)
 	}
 }
 

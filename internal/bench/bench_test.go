@@ -146,6 +146,8 @@ func TestMaxStableAndLatencyAt(t *testing.T) {
 func TestWriteTableAndCSV(t *testing.T) {
 	pts := []Point{{Series: "x/y", Result: netsim.Result{
 		OfferedMbps: 100, AchievedMbps: 99.5, AvgLatency: 123 * time.Microsecond, Stable: true,
+		Retransmits: 7, TokenRotation: 160 * time.Microsecond, MsgsPerRound: 12.5,
+		PostTokenMsgs: 40, RTRDeferredRounds: 2, FlowThrottledRounds: 3,
 	}}}
 	var tbl bytes.Buffer
 	WriteTable(&tbl, "T", pts)
@@ -158,8 +160,17 @@ func TestWriteTableAndCSV(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("csv has %d lines", len(lines))
 	}
-	if !strings.HasPrefix(lines[1], "x/y,100,99.5,123.0") {
-		t.Fatalf("csv row = %q", lines[1])
+	// Consumers index the first ten columns by position: names and order
+	// are fixed, new columns only ever append.
+	const firstTen = "series,offered_mbps,achieved_mbps,avg_latency_us,p50_latency_us,p99_latency_us,stable,switch_drops,sock_drops,retransmits,"
+	if !strings.HasPrefix(lines[0], firstTen) {
+		t.Fatalf("csv header = %q, want prefix %q", lines[0], firstTen)
+	}
+	if want := "x/y,100,99.5,123.0,0.0,0.0,true,0,0,7,160.0,12.5,40,2,3"; lines[1] != want {
+		t.Fatalf("csv row = %q, want %q", lines[1], want)
+	}
+	if h, r := strings.Count(lines[0], ","), strings.Count(lines[1], ","); h != r {
+		t.Fatalf("header has %d columns, row %d", h+1, r+1)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // startMultiCluster boots n multi-ring nodes, each a participant of rings
-// independent memnet rings (one hub per shard). Skip leadership follows the
-// library default: the lowest member ID leads.
-func startMultiCluster(t *testing.T, n, rings int, seed int64) ([]*MultiNode, []*MemoryNetwork) {
+// independent memnet rings (one hub per shard), every ring on the given
+// ordering engine. Skip leadership follows the library default: the lowest
+// member ID leads.
+func startMultiCluster(t *testing.T, n, rings int, seed int64, engine EngineKind) ([]*MultiNode, []*MemoryNetwork) {
 	t.Helper()
 	hubs := make([]*MemoryNetwork, rings)
 	for r := range hubs {
@@ -31,6 +32,7 @@ func startMultiCluster(t *testing.T, n, rings int, seed int64) ([]*MultiNode, []
 			Node: Options{
 				ID:                 id,
 				Members:            members,
+				Engine:             engine,
 				TokenLossTimeout:   200 * time.Millisecond,
 				TokenRetransPeriod: 40 * time.Millisecond,
 				JoinPeriod:         20 * time.Millisecond,
@@ -101,10 +103,17 @@ func groupOnShard(t *testing.T, shard, rings int) string {
 // TestMultiRingTotalOrder is the tentpole's end-to-end check: three nodes
 // on two rings, traffic on both shards plus cross-shard messages, and every
 // node must emit the identical merged order — verified structurally and by
-// the cross-ring conformance checker in converged mode.
+// the cross-ring conformance checker in converged mode. It runs once with
+// every ring on each engine (TestMultiRingMixedEngines mixes one of each).
 func TestMultiRingTotalOrder(t *testing.T) {
+	for _, engine := range []EngineKind{EngineAccelRing, EngineRingPaxos} {
+		t.Run(string(engine), func(t *testing.T) { testMultiRingTotalOrder(t, engine) })
+	}
+}
+
+func testMultiRingTotalOrder(t *testing.T, engine EngineKind) {
 	const n, rings, perNode = 3, 2, 20
-	nodes, _ := startMultiCluster(t, n, rings, 7)
+	nodes, _ := startMultiCluster(t, n, rings, 7, engine)
 	g0 := groupOnShard(t, 0, rings)
 	g1 := groupOnShard(t, 1, rings)
 

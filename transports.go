@@ -1,6 +1,9 @@
 package accelring
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"accelring/internal/faultplan"
@@ -22,6 +25,49 @@ type Peer struct {
 	DataPort int
 	// TokenPort receives the unicast token.
 	TokenPort int
+}
+
+// Ports a -peers entry gets when it names only a host.
+const (
+	defaultDataPort  = 7411
+	defaultTokenPort = 7412
+)
+
+// ParsePeers parses the command-line peer list the CLIs share,
+// "1=hostA,2=hostB:7421:7422" — comma-separated id=host[:dataPort:tokenPort]
+// entries — into a peer map. An entry without ports gets 7411 (data) and
+// 7412 (token).
+func ParsePeers(s string) (map[ParticipantID]Peer, error) {
+	if s == "" {
+		return nil, fmt.Errorf("missing -peers")
+	}
+	peers := make(map[ParticipantID]Peer)
+	for _, part := range strings.Split(s, ",") {
+		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
+		if len(kv) != 2 {
+			return nil, fmt.Errorf("bad -peers entry %q (want id=host[:dataPort:tokenPort])", part)
+		}
+		idv, err := strconv.ParseUint(kv[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
+		}
+		fields := strings.Split(kv[1], ":")
+		peer := Peer{Host: fields[0], DataPort: defaultDataPort, TokenPort: defaultTokenPort}
+		switch len(fields) {
+		case 1:
+		case 3:
+			if peer.DataPort, err = strconv.Atoi(fields[1]); err != nil {
+				return nil, fmt.Errorf("bad data port in %q: %v", part, err)
+			}
+			if peer.TokenPort, err = strconv.Atoi(fields[2]); err != nil {
+				return nil, fmt.Errorf("bad token port in %q: %v", part, err)
+			}
+		default:
+			return nil, fmt.Errorf("bad -peers entry %q (want id=host[:dataPort:tokenPort])", part)
+		}
+		peers[ParticipantID(idv)] = peer
+	}
+	return peers, nil
 }
 
 // UDPOptions configures the real-network transport: IP-multicast for data

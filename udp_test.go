@@ -130,3 +130,41 @@ func TestUDPRealMulticast(t *testing.T) {
 		}
 	}
 }
+
+func TestParsePeers(t *testing.T) {
+	peers, err := ParsePeers("1=10.0.0.1,2=10.0.0.2:7421:7422, 3=hostc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(peers) != 3 {
+		t.Fatalf("got %d peers", len(peers))
+	}
+	if p := peers[1]; p.Host != "10.0.0.1" ||
+		p.DataPort != defaultDataPort || p.TokenPort != defaultTokenPort {
+		t.Fatalf("peer 1 = %+v", p)
+	}
+	if p := peers[2]; p.Host != "10.0.0.2" ||
+		p.DataPort != 7421 || p.TokenPort != 7422 {
+		t.Fatalf("peer 2 = %+v", p)
+	}
+	if p := peers[3]; p.Host != "hostc" {
+		t.Fatalf("peer 3 = %+v", p)
+	}
+}
+
+func TestParsePeersErrors(t *testing.T) {
+	cases := []string{
+		"",
+		"1",            // no =
+		"x=host",       // bad id
+		"1=host:1",     // partial ports
+		"1=host:a:2",   // bad data port
+		"1=host:1:b",   // bad token port
+		"1=host:1:2:3", // too many fields
+	}
+	for _, c := range cases {
+		if _, err := ParsePeers(c); err == nil {
+			t.Errorf("ParsePeers(%q) succeeded", c)
+		}
+	}
+}
