@@ -140,10 +140,10 @@ func run() int {
 				st.AccelFlushes, st.FlowThrottledRounds, st.RTRDeferredRounds,
 				snap.ErrorCount, snap.Runtime.TimerStaleDrops)
 			if tr := snap.Transport; tr != nil {
-				fmt.Printf("%s transport in %d out %d | queueDrops %d fanout %d selfFiltered %d\n",
+				fmt.Printf("%s transport in %d out %d | queueDrops %d kernelDrops %d fanout %d selfFiltered %d\n",
 					time.Now().Format("15:04:05.000"),
 					tr.DatagramsIn, tr.DatagramsOut,
-					tr.RecvQueueDrops, tr.FanoutSends, tr.SelfFiltered)
+					tr.RecvQueueDrops, tr.KernelRecvDrops, tr.FanoutSends, tr.SelfFiltered)
 			}
 			if bp := snap.BufferPool; bp.Hits+bp.Misses > 0 {
 				fmt.Printf("%s bufpool hits %d misses %d puts %d discards %d\n",

@@ -66,8 +66,9 @@ type View struct {
 }
 
 // Disconnected reports that a managed connection lost its transport; the
-// client is now redialing with backoff. Err is the read error that ended
-// the connection.
+// client is now redialing with backoff. Err is the read or write error that
+// ended the connection. Frames queued behind a failed write are dropped
+// with it.
 type Disconnected struct{ Err error }
 
 // Reconnected reports that a managed connection is serving again.
@@ -165,6 +166,13 @@ func (o *Options) fill() {
 // fall too far behind, so the client should drain Events promptly.
 const eventQueue = 8192
 
+// sendQueueBytes bounds the outbound queue: a frame is admitted while
+// fewer bytes than this are queued, so the queue holds at most this plus
+// one frame (and the writer as much again in the run it is writing). It is
+// about what the socket buffer held when every frame was its own write; a
+// sender that outruns the daemon blocks here as it blocked there.
+const sendQueueBytes = 256 << 10
+
 // Conn is a client connection to a daemon.
 type Conn struct {
 	network, addr, name string
@@ -180,10 +188,16 @@ type Conn struct {
 	mu      sync.Mutex
 	conn    net.Conn // nil while a managed connection is redialing
 	private string
-	// wbuf is the encode scratch of every steady-state frame this
-	// connection writes: one frame is built in it under mu and leaves in
-	// one Write.
-	wbuf      []byte
+	// out is the outbound queue: every frame this connection sends is
+	// encoded onto its end under mu, and the writer goroutine takes the
+	// whole of it — a run — in one Write. wake is signalled (on mu) when
+	// out gains a frame, when the writer takes a run, and when conn or
+	// closed changes: the writer waits on it for work, a sender for room.
+	out  []byte
+	wake *sync.Cond
+	// lost is the error that ended the last attachment, whichever of the
+	// reader and the writer met it first.
+	lost      error
 	sessionID uint64
 	closed    bool
 	// lastStamp and groupSeqs are the delivery cursors: the resume point
@@ -305,14 +319,16 @@ func newConn(conn net.Conn, name string) (*Conn, error) {
 		pendingLeaves: make(map[string]bool),
 		pendingUnsubs: make(map[string]bool),
 	}
+	c.wake = sync.NewCond(&c.mu)
 	return c, nil
 }
 
-// start launches the connection's reader (and, in managed mode, its
-// supervisor).
+// start launches the connection's writer and its reader (which, in managed
+// mode, becomes its supervisor).
 func (c *Conn) start() {
-	c.wg.Add(1)
-	go c.run()
+	c.wg.Add(2)
+	go c.writeLoop()
+	go c.run(c.conn)
 }
 
 // handshake performs the CmdConnect/EvtWelcome exchange. The welcome
@@ -405,7 +421,7 @@ func (c *Conn) Unsubscribe(group string) error {
 	return c.interestOp(ipc.CmdUnsubscribe, group)
 }
 
-// interestOp updates the tracked interest state and forwards the frame.
+// interestOp updates the tracked interest state and queues the frame.
 // While a managed connection is redialing the update alone succeeds — the
 // supervisor reconciles the daemon on reconnect.
 func (c *Conn) interestOp(typ byte, group string) error {
@@ -413,9 +429,11 @@ func (c *Conn) interestOp(typ byte, group string) error {
 		return fmt.Errorf("client: %w", err)
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+	defer c.mu.Unlock()
+	// Wait for room before touching the interest state, so the state
+	// changes and the frame is queued in one critical section.
+	if err := c.roomLocked(); err != nil && !errors.Is(err, ErrReconnecting) {
+		return err
 	}
 	switch typ {
 	case ipc.CmdJoin:
@@ -442,15 +460,9 @@ func (c *Conn) interestOp(typ byte, group string) error {
 		}
 	}
 	if c.conn == nil {
-		c.mu.Unlock()
-		if c.managed {
-			return nil
-		}
-		return ErrClosed
+		return nil
 	}
-	err := c.writeLocked(ipc.AppendFrame(c.wbuf[:0], typ, ipc.PutString(nil, group)))
-	c.mu.Unlock()
-	return err
+	return c.queueLocked(ipc.AppendFrame(c.out, typ, ipc.PutString(nil, group)))
 }
 
 // MulticastOptions modify a multicast.
@@ -463,14 +475,24 @@ type MulticastOptions struct {
 
 // Multicast sends a message to every member of every listed group, with
 // the requested delivery service. The sender need not be a member of any
-// of the groups (open-group semantics).
+// of the groups (open-group semantics). See MulticastWith for what a nil
+// return means.
 func (c *Conn) Multicast(service wire.Service, payload []byte, groups ...string) error {
 	return c.MulticastWith(MulticastOptions{}, service, payload, groups...)
 }
 
-// MulticastWith is Multicast with options. While a managed connection is
-// between attempts it fails with ErrReconnecting — messages are not
-// queued for an absent daemon.
+// MulticastWith is Multicast with options. A nil return means the message
+// is queued behind every frame this connection sent before it: a writer
+// goroutine sends whatever is queued when it wakes — a run — in one write,
+// so calls made while a write is in flight share the next one. It does not
+// mean the daemon has the message. A write that fails surfaces where a
+// dropped connection does — Disconnected on a managed connection, a closed
+// Events channel on an unmanaged one — and what was queued behind it is
+// dropped. While at least sendQueueBytes are queued the call blocks, until
+// the writer takes a run or the connection drops or is closed. While a
+// managed connection is between attempts it fails with ErrReconnecting —
+// messages are not queued for an absent daemon. payload and groups are
+// copied before the call returns.
 func (c *Conn) MulticastWith(opts MulticastOptions, service wire.Service, payload []byte, groups ...string) error {
 	if len(groups) == 0 {
 		return errors.New("client: no destination groups")
@@ -484,12 +506,12 @@ func (c *Conn) MulticastWith(opts MulticastOptions, service wire.Service, payloa
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.liveLocked(); err != nil {
+	if err := c.roomLocked(); err != nil {
 		return err
 	}
-	// Validated and encoded header and all into the connection's scratch:
-	// what the daemon would drop fails here, with nothing sent.
-	return c.writeLocked(ipc.AppendMulticast(c.wbuf[:0], c.private, service, flags, groups, payload))
+	// Validated and encoded header and all onto the end of the queue: what
+	// the daemon would drop fails here, with nothing queued.
+	return c.queueLocked(ipc.AppendMulticast(c.out, c.private, service, flags, groups, payload))
 }
 
 // Stats requests the daemon's observability snapshot: per-client submit
@@ -518,80 +540,122 @@ func (c *Conn) Stats() (ipc.StatsSnapshot, error) {
 	}
 }
 
-// Close terminates the connection: a best-effort goodbye tells the daemon
-// to drop the session now rather than hold it for the resume window.
-// Close is idempotent and concurrent-safe; operations after it return
-// ErrClosed.
+// Close terminates the connection: it sends what is still queued and then
+// a goodbye, which tells the daemon to drop the session now rather than
+// hold it for the resume window — best effort, bounded by one second.
+// Close is idempotent and concurrent-safe; operations after it, and
+// senders it finds blocked on a full queue, return ErrClosed.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
-	conn := c.conn
-	if conn != nil {
-		conn.SetWriteDeadline(time.Now().Add(time.Second))
-		ipc.WriteFrame(conn, ipc.CmdGoodbye, nil)
+	if c.conn != nil {
+		c.conn.SetWriteDeadline(time.Now().Add(time.Second))
+		c.out, _ = ipc.AppendFrame(c.out, ipc.CmdGoodbye, nil) // an empty body always fits
 	}
+	c.shutLocked()
 	c.mu.Unlock()
 	c.doneOnce.Do(func() { close(c.done) })
-	if conn != nil {
-		conn.Close()
-	}
+	// The writer closes the transport once the queue is out, which ends
+	// the reader.
 	c.wg.Wait()
 	return nil
 }
 
-// sendFrame writes one frame on the live transport.
+// sendFrame queues one frame for the live transport.
 func (c *Conn) sendFrame(typ byte, body []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.liveLocked(); err != nil {
+	if err := c.roomLocked(); err != nil {
 		return err
 	}
-	return c.writeLocked(ipc.AppendFrame(c.wbuf[:0], typ, body))
+	return c.queueLocked(ipc.AppendFrame(c.out, typ, body))
 }
 
-// liveLocked reports why a frame cannot be written now, if it cannot.
-// Caller holds c.mu.
-func (c *Conn) liveLocked() error {
-	if c.closed {
-		return ErrClosed
-	}
-	if c.conn == nil {
-		if c.managed {
+// roomLocked waits until the queue can take another frame and reports why
+// it cannot, if it cannot: the connection is closed, or has no transport.
+// Caller holds c.mu, which is released while waiting.
+func (c *Conn) roomLocked() error {
+	for {
+		switch {
+		case c.closed:
+			return ErrClosed
+		case c.conn == nil && c.managed:
 			return ErrReconnecting
+		case c.conn == nil:
+			return ErrClosed
+		case len(c.out) < sendQueueBytes:
+			return nil
 		}
-		return ErrClosed
+		c.wake.Wait()
 	}
-	return nil
 }
 
-// writeLocked takes the result of an append-style encode into c.wbuf,
-// keeps the (possibly grown) scratch and writes the frame in one Write.
-// Caller holds c.mu and has checked liveLocked.
-func (c *Conn) writeLocked(frame []byte, err error) error {
+// queueLocked takes the result of an append-style encode onto c.out: the
+// frame is now queued, in call order, and the writer is told. Caller holds
+// c.mu and has had a nil from roomLocked since taking it.
+func (c *Conn) queueLocked(out []byte, err error) error {
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	c.wbuf = frame
-	_, err = c.conn.Write(frame)
-	return c.normalize(err)
+	c.out = out
+	c.wake.Broadcast()
+	return nil
 }
 
-// normalize maps transport errors racing a Close to ErrClosed. Caller may
-// hold c.mu (closed is also checked locklessly under it).
-func (c *Conn) normalize(err error) error {
-	if err == nil {
-		return nil
+// writeLoop is the connection's one send path. A run is whatever is queued
+// when it wakes — no timer; a lone frame is a run of one — and leaves in
+// one Write while senders fill the other of the two buffers, so steady
+// state allocates nothing. A failed Write ends the attachment: the reader
+// is woken by closing the transport and reports it. On a closed connection
+// the loop writes out what is queued, closes the transport and returns.
+func (c *Conn) writeLoop() {
+	defer c.wg.Done()
+	var run []byte
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		for c.conn == nil || len(c.out) == 0 {
+			if c.closed {
+				if c.conn != nil {
+					c.conn.Close()
+				}
+				return
+			}
+			c.wake.Wait()
+		}
+		conn := c.conn
+		run, c.out = c.out, run[:0]
+		c.wake.Broadcast() // room
+		c.mu.Unlock()
+		_, err := conn.Write(run)
+		c.mu.Lock()
+		if err != nil {
+			c.detachLocked(conn, err)
+			conn.Close()
+		}
 	}
-	select {
-	case <-c.done:
-		return ErrClosed
-	default:
+}
+
+// detachLocked ends the attachment over conn unless something already
+// has: the connection has no transport from here on, err is why, and what
+// was queued for the lost transport is dropped — messages are not kept for
+// an absent daemon. Caller holds c.mu.
+func (c *Conn) detachLocked(conn net.Conn, err error) {
+	if c.conn != conn {
+		return
 	}
-	return fmt.Errorf("client: %w", err)
+	c.conn, c.lost, c.out = nil, err, c.out[:0]
+	c.wake.Broadcast()
+}
+
+// shutLocked marks the connection closed and tells the writer and any
+// blocked sender. Caller holds c.mu.
+func (c *Conn) shutLocked() {
+	c.closed = true
+	c.wake.Broadcast()
 }
 
 // emit delivers a lifecycle or data event, giving up when the connection
@@ -614,14 +678,18 @@ func (c *Conn) isClosed() bool {
 // run is the connection lifecycle: read until the transport drops, then —
 // unmanaged — close the Events channel, or — managed — hand the outage to
 // the supervisor.
-func (c *Conn) run() {
+func (c *Conn) run(conn net.Conn) {
 	defer c.wg.Done()
-	conn := c.conn // set before start; never nil here
 	err := c.readConn(conn)
 	if c.managed {
 		c.supervise(conn, err)
 		return
 	}
+	conn.Close()
+	c.mu.Lock()
+	c.detachLocked(conn, err)
+	c.shutLocked()
+	c.mu.Unlock()
 	c.doneOnce.Do(func() { close(c.done) })
 	close(c.events)
 }
@@ -633,19 +701,21 @@ func (c *Conn) run() {
 func (c *Conn) supervise(conn net.Conn, err error) {
 	defer close(c.events)
 	for {
-		if c.isClosed() {
-			return
-		}
 		conn.Close()
 		c.mu.Lock()
-		c.conn = nil
+		c.detachLocked(conn, err)
+		err = c.lost
+		closed := c.closed
 		c.mu.Unlock()
+		if closed {
+			return
+		}
 		c.emit(Disconnected{Err: err})
 		next, resumed, gap, attempts := c.reconnect()
 		if next == nil {
 			// Closed, or attempts exhausted: the connection is dead.
 			c.mu.Lock()
-			c.closed = true
+			c.shutLocked()
 			c.mu.Unlock()
 			c.doneOnce.Do(func() { close(c.done) })
 			return
@@ -744,6 +814,11 @@ func (c *Conn) tryConnect() (net.Conn, bool, bool, error) {
 	conn.SetDeadline(time.Time{})
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		conn.Close()
+		return nil, false, false, ErrClosed
+	}
 	c.private = private
 	if newSid != 0 {
 		c.sessionID = newSid
@@ -755,53 +830,38 @@ func (c *Conn) tryConnect() (net.Conn, bool, bool, error) {
 		c.pendingLeaves = make(map[string]bool)
 		c.pendingUnsubs = make(map[string]bool)
 	}
-	replay := c.replayFrames(resumed)
-	c.mu.Unlock()
-
-	for _, f := range replay {
-		if err := ipc.WriteFrame(conn, f.typ, f.body); err != nil {
-			conn.Close()
-			return nil, false, false, err
-		}
-	}
-	c.mu.Lock()
+	// Attach: the queue is empty (detach dropped it and nothing is admitted
+	// without a transport), so the interest replay goes out ahead of every
+	// frame the application sends on this attachment.
 	c.conn = conn
+	c.queueReplayLocked(resumed)
 	c.reconnects++
 	if resumed {
 		c.resumes++
 	}
-	c.mu.Unlock()
 	return conn, resumed, gap, nil
 }
 
-type rawFrame struct {
-	typ  byte
-	body []byte
-}
-
-// replayFrames assembles the interest reconciliation for a fresh
+// queueReplayLocked queues the interest reconciliation for a fresh
 // transport: joins and subscriptions always (idempotent at the daemon),
 // plus — on a resumed session — the leaves and unsubscribes issued while
-// disconnected. Caller holds c.mu.
-func (c *Conn) replayFrames(resumed bool) []rawFrame {
-	var out []rawFrame
-	for g := range c.joined {
-		out = append(out, rawFrame{ipc.CmdJoin, ipc.PutString(nil, g)})
+// disconnected. Group names were checked when they were recorded, so the
+// frames cannot fail to encode. Caller holds c.mu.
+func (c *Conn) queueReplayLocked(resumed bool) {
+	replay := func(typ byte, groups map[string]bool) {
+		for g := range groups {
+			c.out, _ = ipc.AppendFrame(c.out, typ, ipc.PutString(nil, g))
+		}
 	}
-	for g := range c.subscribed {
-		out = append(out, rawFrame{ipc.CmdSubscribe, ipc.PutString(nil, g)})
-	}
+	replay(ipc.CmdJoin, c.joined)
+	replay(ipc.CmdSubscribe, c.subscribed)
 	if resumed {
-		for g := range c.pendingLeaves {
-			out = append(out, rawFrame{ipc.CmdLeave, ipc.PutString(nil, g)})
-		}
-		for g := range c.pendingUnsubs {
-			out = append(out, rawFrame{ipc.CmdUnsubscribe, ipc.PutString(nil, g)})
-		}
+		replay(ipc.CmdLeave, c.pendingLeaves)
+		replay(ipc.CmdUnsubscribe, c.pendingUnsubs)
 	}
 	c.pendingLeaves = make(map[string]bool)
 	c.pendingUnsubs = make(map[string]bool)
-	return out
+	c.wake.Broadcast()
 }
 
 // putSeqs encodes the per-group cursor list of a CmdResume body.

@@ -149,7 +149,9 @@ func TestRejectedBeforeSending(t *testing.T) {
 }
 
 // TestMulticastAllocs gates the send path at zero allocations: header and
-// body are encoded into the connection's scratch and leave in one Write.
+// body are encoded onto the end of the connection's outbound queue, which
+// the writer empties as fast as the socket takes it (TestWriterAllocs gates
+// the writer with both of its buffers at a known size).
 func TestMulticastAllocs(t *testing.T) {
 	f := newFakeDaemon(t)
 	ch := f.serveWelcome("n@0.0.0.1", 1)

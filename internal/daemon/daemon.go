@@ -249,6 +249,13 @@ func (d *Daemon) mainLoop() {
 		case b := <-d.reqCh:
 			d.applyBurst(b)
 		case s := <-d.unregCh:
+			// A reader hands over its last burst before it unregisters, so
+			// whatever that session still has to say is in reqCh by now.
+			// Apply it first: select takes ready channels in no order, and
+			// a client that sends and leaves would lose its tail.
+			for n := len(d.reqCh); n > 0; n-- {
+				d.applyBurst(<-d.reqCh)
+			}
 			d.sessionGone(s)
 		case id := <-d.expireCh:
 			d.expireDetached(id)

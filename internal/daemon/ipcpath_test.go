@@ -115,6 +115,33 @@ func TestBurstCountersOverSocket(t *testing.T) {
 	}
 }
 
+// TestSendAndLeave is the publisher that multicasts and closes at once
+// (ringload's, the examples'): Multicast only queues, so it is Close that
+// must get the queue to the daemon, and the daemon must order every frame
+// it read ahead of the goodbye. A member on another daemon receives all of
+// them, in call order.
+func TestSendAndLeave(t *testing.T) {
+	const n = 2000
+	c := startDaemons(t, 2)
+	member := c.connect(0, "member")
+	if err := member.Join("topic"); err != nil {
+		t.Fatal(err)
+	}
+	waitView(t, member, "topic", 1)
+	pub := c.connect(1, "pub")
+	for i := 0; i < n; i++ {
+		if err := pub.Multicast(wire.ServiceAgreed, []byte(fmt.Sprint(i)), "topic"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub.Close()
+	for i, m := range collectMessages(t, member, n) {
+		if string(m.Payload) != fmt.Sprint(i) {
+			t.Fatalf("message %d carries %q", i, m.Payload)
+		}
+	}
+}
+
 // TestMalformedMulticastClosesSession is the daemon half of the validation
 // table: each shape a well-behaved client refuses to send gets the session
 // closed, as for every other malformed frame, and orders nothing.

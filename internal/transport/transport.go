@@ -73,10 +73,18 @@ type Snapshot struct {
 	// DatagramsOut counts packets handed to the network (an emulated
 	// multicast counts one per destination).
 	DatagramsOut uint64 `json:"datagrams_out"`
-	// RecvQueueDrops counts received packets discarded because a receive
-	// queue was full — the loss the kernel (or the in-memory hub) would
-	// otherwise inflict silently.
+	// RecvQueueDrops counts received packets the transport itself
+	// discarded because its receive queue (the channel behind Data or
+	// Token) was full. It does not see what was lost before the transport
+	// read it: that is KernelRecvDrops.
 	RecvQueueDrops uint64 `json:"recv_queue_drops"`
+	// KernelRecvDrops counts datagrams the kernel discarded because a
+	// socket's receive buffer was full, summed over the transport's
+	// receive sockets and read from them at snapshot time (SO_MEMINFO on
+	// Linux; zero where the platform does not say, and for in-memory
+	// transports). The protocol sees this loss only as retransmission
+	// requests.
+	KernelRecvDrops uint64 `json:"kernel_recv_drops"`
 	// FanoutSends counts the individual unicasts performed to emulate
 	// multicast (zero when real IP-multicast is in use).
 	FanoutSends uint64 `json:"fanout_sends"`

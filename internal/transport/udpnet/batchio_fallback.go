@@ -93,3 +93,7 @@ func (w *batchWriter) send(pkts [][]byte, addrs []netip.AddrPort, onErr func(i i
 	}
 	return nil
 }
+
+// sockDrops has no portable source for the kernel's receive-buffer drop
+// count; see batchio_linux.go.
+func sockDrops(*net.UDPConn) uint64 { return 0 }

@@ -318,3 +318,34 @@ func putSockaddr(dst *syscall.RawSockaddrInet6, ap netip.AddrPort, family uint16
 	b[0], b[1] = byte(ap.Port()>>8), byte(ap.Port())
 	return syscall.SizeofSockaddrInet6
 }
+
+// SO_MEMINFO (linux/socket.h, 4.12+) is missing from the stdlib's frozen
+// syscall tables. It fills an array of SK_MEMINFO_VARS uint32 counters;
+// SK_MEMINFO_DROPS (linux/sock_diag.h) indexes the datagrams the kernel
+// discarded because the socket's receive buffer was full — the figure
+// /proc/net/udp prints per socket and /proc/net/snmp sums as RcvbufErrors.
+const (
+	soMEMINFO      = 55
+	skMeminfoVars  = 9
+	skMeminfoDrops = 8
+)
+
+// sockDrops reads conn's kernel receive-drop counter; zero when the socket
+// cannot be read (it is closed).
+func sockDrops(conn *net.UDPConn) uint64 {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return 0
+	}
+	var info [skMeminfoVars]uint32
+	size := uint32(unsafe.Sizeof(info))
+	var errno syscall.Errno
+	err = rc.Control(func(fd uintptr) {
+		_, _, errno = syscall.Syscall6(syscall.SYS_GETSOCKOPT, fd, syscall.SOL_SOCKET, soMEMINFO,
+			uintptr(unsafe.Pointer(&info)), uintptr(unsafe.Pointer(&size)), 0)
+	})
+	if err != nil || errno != 0 || size < uint32(unsafe.Sizeof(info)) {
+		return 0
+	}
+	return uint64(info[skMeminfoDrops])
+}

@@ -261,3 +261,45 @@ func TestMulticastVectorAmortizesSyscalls(t *testing.T) {
 		t.Fatalf("SendBatch.Max = %d, want >= 2", snap.SendBatch.Max)
 	}
 }
+
+// TestSockDropsCountsKernelLoss overruns a small receive buffer nobody is
+// reading: every datagram sent is either still queued or counted by
+// sockDrops, and a Transport's snapshot reports its sockets' counts.
+func TestSockDropsCountsKernelLoss(t *testing.T) {
+	recv := localConn(t)
+	send := localConn(t)
+	if err := recv.SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if drops := sockDrops(recv); drops != 0 {
+		t.Fatalf("fresh socket: %d drops", drops)
+	}
+	// Loopback delivery is synchronous: when a send returns, its datagram
+	// has been queued on recv or dropped there.
+	const sent = 200
+	for i := 0; i < sent; i++ {
+		if _, err := send.WriteToUDPAddrPort(make([]byte, 1000), addrPortOf(recv)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drops := sockDrops(recv)
+	if drops == 0 {
+		t.Fatalf("%d KB into a 4 KB buffer and no drops counted", sent)
+	}
+	queued := 0
+	buf := make([]byte, 2048)
+	for {
+		recv.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		if _, _, err := recv.ReadFromUDPAddrPort(buf); err != nil {
+			break
+		}
+		queued++
+	}
+	if uint64(queued)+drops != sent {
+		t.Fatalf("%d read + %d dropped of %d sent", queued, drops, sent)
+	}
+	a, _ := pair(t)
+	if got := a.MetricsSnapshot().KernelRecvDrops; got != 0 {
+		t.Fatalf("idle transport: KernelRecvDrops = %d", got)
+	}
+}

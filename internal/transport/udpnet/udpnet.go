@@ -481,6 +481,15 @@ func (t *Transport) Unicast(to wire.ParticipantID, pkt []byte) error {
 	return nil
 }
 
+// MetricsSnapshot implements transport.Transport: the embedded counters
+// plus what the kernel dropped at the two receive sockets before the
+// receive loops could read it (zero once the sockets are closed).
+func (t *Transport) MetricsSnapshot() transport.Snapshot {
+	s := t.Metrics.MetricsSnapshot()
+	s.KernelRecvDrops = sockDrops(t.dataConn) + sockDrops(t.tokenConn)
+	return s
+}
+
 // Data implements transport.Transport.
 func (t *Transport) Data() <-chan []byte { return t.data }
 

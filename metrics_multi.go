@@ -121,6 +121,7 @@ func MergeMetricsSnapshots(snaps ...MetricsSnapshot) MetricsSnapshot {
 			tr.DatagramsIn += s.Transport.DatagramsIn
 			tr.DatagramsOut += s.Transport.DatagramsOut
 			tr.RecvQueueDrops += s.Transport.RecvQueueDrops
+			tr.KernelRecvDrops += s.Transport.KernelRecvDrops
 			tr.FanoutSends += s.Transport.FanoutSends
 			tr.SelfFiltered += s.Transport.SelfFiltered
 		}
