@@ -3,10 +3,10 @@ package metrics
 import "sync/atomic"
 
 // batchBuckets is the number of power-of-two buckets in a BatchHistogram:
-// sizes 1, 2, 3–4, 5–8, … up to 513–1024, plus one overflow bucket. A
-// syscall batch is bounded by the kernel-side vector length (tens of
-// messages), so eleven doublings cover every realistic batch with room to
-// spare.
+// sizes 1, 2, 3–4, 5–8, … up to 513–1024, plus one overflow bucket. The
+// largest batch a syscall moves is udpnet's vector length times the
+// kernel's segments per super-datagram, 16 × 64 = 1024 datagrams, which is
+// exactly the last sized bucket's bound; the overflow bucket stays empty.
 const batchBuckets = 12
 
 // BatchHistogram records a distribution of small positive sizes — syscall

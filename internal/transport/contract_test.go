@@ -35,13 +35,35 @@ func memnetRing(t *testing.T, n int) []transport.Transport {
 }
 
 func udpnetRing(t *testing.T, n int) []transport.Transport {
+	return udpnetRingMode(t, n, "")
+}
+
+// udpnetMulticastRing is a udpnet ring on a real multicast group. It skips
+// the test where the network delivers no multicast (some container
+// networks).
+func udpnetMulticastRing(t *testing.T, n int) []transport.Transport {
+	ring := udpnetRingMode(t, n, "239.192.77.43:17413")
+	if err := ring[0].Multicast([][]byte{[]byte("probe")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, peer := range ring[1:] {
+		select {
+		case <-peer.Data():
+		case <-time.After(time.Second):
+			t.Skip("multicast unavailable in this environment")
+		}
+	}
+	return ring
+}
+
+func udpnetRingMode(t *testing.T, n int, group string) []transport.Transport {
 	peers := make(map[wire.ParticipantID]udpnet.Peer, n)
 	for i := 0; i < n; i++ {
 		peers[wire.ParticipantID(i+1)] = udpnet.Peer{Host: "127.0.0.1", DataPort: freePort(t), TokenPort: freePort(t)}
 	}
 	ring := make([]transport.Transport, 0, n)
 	for i := 0; i < n; i++ {
-		tr, err := udpnet.New(udpnet.Config{MyID: wire.ParticipantID(i + 1), Peers: peers})
+		tr, err := udpnet.New(udpnet.Config{MyID: wire.ParticipantID(i + 1), Peers: peers, MulticastGroup: group})
 		if err != nil {
 			closeAll(ring)
 			t.Fatal(err)
@@ -112,10 +134,49 @@ func TestTransportContract(t *testing.T) {
 					testMulticastVector(t, sub.ring(t, 3), k)
 				})
 			}
+			t.Run("run of equal packets", func(t *testing.T) { testEqualRun(t, sub.ring(t, 3)) })
 			t.Run("unicast", func(t *testing.T) { testUnicast(t, sub.ring(t, 2)) })
 			t.Run("close", func(t *testing.T) { testClose(t, sub.ring(t, 2)) })
 		})
 	}
+	// The one row whose mechanism differs by udpnet mode: a run leaves a
+	// connected multicast socket as a group too.
+	t.Run("udpnet multicast group/run of equal packets", func(t *testing.T) {
+		testEqualRun(t, udpnetMulticastRing(t, 3))
+	})
+}
+
+// testEqualRun: the shape a substrate may move as one unit (udpnet hands
+// the kernel such a run as one super-datagram) — 30 full-size packets and a
+// shorter one — still arrives as 31 packets, byte-identical and in order,
+// at every participant but the sender.
+func testEqualRun(t *testing.T, ring []transport.Transport) {
+	sender, peers := ring[0], ring[1:]
+	run := make([][]byte, 31)
+	for i := range run {
+		run[i] = make([]byte, 1378)
+		for j := range run[i] {
+			run[i][j] = byte(i + j)
+		}
+	}
+	run[30] = run[30][:700]
+	if err := sender.Multicast(run); err != nil {
+		t.Fatalf("Multicast of the run: %v", err)
+	}
+	for i, peer := range peers {
+		for k, want := range run {
+			select {
+			case got := <-peer.Data():
+				if string(got) != string(want) {
+					t.Fatalf("peer %d packet %d: %d bytes, want the run's packet %d (%d bytes) unchanged", i+2, k, len(got), k, len(want))
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("peer %d received %d/%d packets before the deadline", i+2, k, len(run))
+			}
+		}
+		expectQuiet(t, peer.Data(), "peer data channel after the run")
+	}
+	expectQuiet(t, sender.Data(), "sender received its own run")
 }
 
 // testMulticastVector: a vector of k packets from endpoint 1 reaches every

@@ -41,8 +41,13 @@ func (r *batchReader) read() (int, error) {
 }
 
 func (r *batchReader) length(int) int          { return r.n }
+func (r *batchReader) segment(int) int         { return 0 }
 func (r *batchReader) buffer(int) []byte       { return r.buf }
 func (r *batchReader) addr(int) netip.AddrPort { return r.src }
+
+// coalesce is a no-op: one datagram per read is all this dataplane asks of
+// the kernel.
+func (r *batchReader) coalesce() {}
 
 func (r *batchReader) detach(int) []byte {
 	b := r.buf
@@ -60,6 +65,7 @@ func (r *batchReader) release() {
 type batchWriter struct {
 	conn      *net.UDPConn
 	onSyscall func(sent int)
+	logf      func(format string, args ...any) // unused here: nothing to downgrade from
 }
 
 func newBatchWriter(conn *net.UDPConn) (*batchWriter, error) {

@@ -9,6 +9,12 @@
 // describes, and it is what amortizes the per-datagram syscall cost that
 // dominates once the hot path stops allocating.
 //
+// A message of either syscall may be a group: consecutive equal-sized
+// packets of one run to one destination, handed to the kernel as one
+// super-datagram (UDP_SEGMENT) so it walks the IP stack once per group, and
+// handed back by it the same way (UDP_GRO) for readLoop to cut apart. The
+// bytes on the wire are those of the packets sent one by one.
+//
 // The structs below must match the kernel's struct mmsghdr layout, which
 // on 64-bit targets is struct msghdr (56 bytes) + msg_len + 4 bytes of
 // padding. The build tag therefore pins this file to the 64-bit ports the
@@ -34,6 +40,24 @@ import (
 // saturation.
 const batchK = 16
 
+// The limits of a group (see groupLen). groupMaxSegs and groupMaxBytes are
+// the kernel's: UDP_MAX_SEGMENTS and the largest UDP payload IPv4 carries.
+// groupFloor is ours: fewer packets than this go out one datagram each,
+// because a short group saves little stack work and costs tail latency
+// under packing (EXPERIMENTS.md "Super-datagram run").
+const (
+	groupMaxSegs  = 64
+	groupMaxBytes = 65507
+	groupFloor    = 8
+)
+
+// Socket options missing from the stdlib's frozen syscall tables
+// (linux/udp.h): UDP_SEGMENT since 4.18, UDP_GRO since 5.0.
+const (
+	udpSegment = 103
+	udpGRO     = 104
+)
+
 // errAddrFamily marks a destination the sending socket's address family
 // cannot encode (an IPv6 peer behind an IPv4-bound socket); the batch
 // sender skips the message and reports it per-destination instead of
@@ -47,6 +71,14 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
+// groCmsg is the one control message a receive slot has room for: the
+// segment size the kernel attaches to a coalesced buffer.
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+	_    [4]byte
+}
+
 // batchReader drains a UDP socket with recvmmsg. It permanently owns
 // batchK pooled buffers; when the transport accepts a packet it detaches
 // that buffer (ownership moves down the receive channel, exactly as in
@@ -57,6 +89,7 @@ type batchReader struct {
 	bufs  [batchK][]byte
 	iovs  [batchK]syscall.Iovec
 	names [batchK]syscall.RawSockaddrInet6
+	ctrl  [batchK]groCmsg
 	hdrs  [batchK]mmsghdr
 
 	// readFn is the RawConn.Read callback, built once so the steady-state
@@ -79,10 +112,12 @@ func newBatchReader(conn *net.UDPConn, pool *transport.Pool) (*batchReader, erro
 		r.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 		r.hdrs[i].hdr.Iov = &r.iovs[i]
 		r.hdrs[i].hdr.Iovlen = 1
+		r.hdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&r.ctrl[i]))
 	}
 	r.readFn = func(fd uintptr) bool {
 		for i := range r.hdrs {
 			r.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+			r.hdrs[i].hdr.SetControllen(int(unsafe.Sizeof(r.ctrl[i])))
 			r.hdrs[i].n = 0
 		}
 		for {
@@ -118,8 +153,30 @@ func (r *batchReader) read() (int, error) {
 	return r.n, nil
 }
 
+// coalesce asks the kernel to hand a run that arrived back to back over as
+// one buffer plus its segment size (UDP_GRO). The error is dropped: a
+// kernel without the option never attaches a segment size, and every
+// message stays the one datagram it has always been.
+func (r *batchReader) coalesce() {
+	_ = r.rc.Control(func(fd uintptr) {
+		_ = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
+	})
+}
+
 // length returns the byte count of message i from the last read.
 func (r *batchReader) length(i int) int { return int(r.hdrs[i].n) }
+
+// segment returns the size of the datagrams message i is made of — all of
+// that size but the last, which may be shorter — or 0 when it is one
+// datagram.
+func (r *batchReader) segment(i int) int {
+	c := &r.ctrl[i]
+	if r.hdrs[i].hdr.Controllen < syscall.SizeofCmsghdr+4 ||
+		c.hdr.Level != syscall.IPPROTO_UDP || c.hdr.Type != udpGRO {
+		return 0
+	}
+	return int(c.size)
+}
 
 // buffer returns the buffer holding message i, full-capacity.
 func (r *batchReader) buffer(i int) []byte { return r.bufs[i] }
@@ -156,6 +213,14 @@ func (r *batchReader) release() {
 	}
 }
 
+// segmentCmsg is the control message that makes a send slot a group: the
+// size at which the kernel cuts the gathered bytes back into datagrams.
+type segmentCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
+}
+
 // batchWriter pushes message vectors through sendmmsg. One writer serves
 // one socket; calls must be serialized by the owner (udpnet guards it
 // with the transport's send path, which the Transport contract already
@@ -163,13 +228,23 @@ func (r *batchReader) release() {
 type batchWriter struct {
 	rc     syscall.RawConn
 	family uint16 // socket address family, for encoding destinations
-	iovs   [batchK]syscall.Iovec
+	iovs   [batchK * groupMaxSegs]syscall.Iovec
 	names  [batchK]syscall.RawSockaddrInet6
+	ctrl   [batchK]segmentCmsg
 	hdrs   [batchK]mmsghdr
-	slot   [batchK]int // hdr slot → caller's message index
+	first  [batchK]int // hdr slot → caller's index of its first packet
+	count  [batchK]int // hdr slot → packets it carries (1: a lone datagram)
+
+	// segs is the most packets one slot may carry: groupMaxSegs, or 1 on a
+	// kernel without UDP_SEGMENT and, from then on, once the kernel has
+	// refused a group (refused counts that; the downgrade is sticky, so it
+	// is 0 or 1). logf, when set, is told about the refusal.
+	segs    int
+	refused int
+	logf    func(format string, args ...any)
 
 	// onSyscall, when set, is invoked once per sendmmsg syscall with the
-	// number of messages it transmitted (0 for a syscall that failed with
+	// number of datagrams it transmitted (0 for a syscall that failed with
 	// an errno) — the feed for the SendSyscalls counter and the send
 	// batch-size histogram.
 	onSyscall func(sent int)
@@ -187,13 +262,21 @@ func newBatchWriter(conn *net.UDPConn) (*batchWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udpnet: raw send socket: %w", err)
 	}
-	w := &batchWriter{rc: rc, family: syscall.AF_INET6}
+	w := &batchWriter{rc: rc, family: syscall.AF_INET6, segs: 1}
 	if la, ok := conn.LocalAddr().(*net.UDPAddr); ok && la.IP.To4() != nil {
 		w.family = syscall.AF_INET
 	}
-	for i := range w.hdrs {
-		w.hdrs[i].hdr.Iov = &w.iovs[i]
-		w.hdrs[i].hdr.Iovlen = 1
+	// A kernel that knows the option can send groups; one that does not
+	// (or a socket already closed) keeps the limit of one.
+	_ = rc.Control(func(fd uintptr) {
+		if _, err := syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment); err == nil {
+			w.segs = groupMaxSegs
+		}
+	})
+	for i := range w.ctrl {
+		w.ctrl[i].hdr.Level = syscall.IPPROTO_UDP
+		w.ctrl[i].hdr.Type = udpSegment
+		w.ctrl[i].hdr.SetLen(syscall.CmsgLen(2))
 	}
 	w.writeFn = func(fd uintptr) bool {
 		for {
@@ -214,41 +297,95 @@ func newBatchWriter(conn *net.UDPConn) (*batchWriter, error) {
 	return w, nil
 }
 
+// groupLen returns how many packets from the front of pkts leave as one
+// message. More than one is a group: consecutive packets to one destination
+// (addrs is nil on a connected socket), all the size of the first except
+// that the last may be shorter — the shape UDP_SEGMENT cuts back into the
+// same datagrams — within maxSegs packets and groupMaxBytes bytes. A
+// zero-length packet ends a group without joining it (the sender skips
+// those), and a group that would hold fewer than groupFloor packets is not
+// formed: the answer is then 1. pkts[0] must not be empty.
+func groupLen(pkts [][]byte, addrs []netip.AddrPort, maxSegs int) int {
+	size := len(pkts[0])
+	n, bytes := 1, size
+	for n < len(pkts) && n < maxSegs {
+		l := len(pkts[n])
+		if l == 0 || l > size || bytes+l > groupMaxBytes || (addrs != nil && addrs[n] != addrs[0]) {
+			break
+		}
+		n++
+		bytes += l
+		if l < size {
+			break
+		}
+	}
+	if n < groupFloor {
+		return 1
+	}
+	return n
+}
+
 // send transmits pkts (to addrs[i] each, or to the connected destination
-// when addrs is nil) in chunks of batchK, surviving partial sends. A
-// failed message is reported through onErr with its index and skipped —
-// the rest of the burst still goes out, the batched analogue of the
-// fan-out completing past one bad peer. The returned error is terminal
-// only (socket closed mid-call).
+// when addrs is nil), batchK messages per syscall and groupLen packets per
+// message, surviving partial sends. A failed packet is reported through
+// onErr with its index and skipped — the rest of the burst still goes out,
+// the batched analogue of the fan-out completing past one bad peer. The
+// returned error is terminal only (socket closed mid-call).
 func (w *batchWriter) send(pkts [][]byte, addrs []netip.AddrPort, onErr func(i int, err error)) error {
-	next := 0
+	if onErr == nil {
+		onErr = func(int, error) {}
+	}
+	// A refused group rewinds next; told keeps what loading already
+	// reported beyond it from being reported twice.
+	next, told := 0, 0
 	for next < len(pkts) {
 		// Load up to batchK messages, skipping unencodable destinations.
-		cnt := 0
-		for ; next < len(pkts) && cnt < batchK; next++ {
+		cnt, niov := 0, 0
+		for next < len(pkts) && cnt < batchK {
 			pkt := pkts[next]
 			if len(pkt) == 0 {
+				next++
 				continue
 			}
+			h := &w.hdrs[cnt].hdr
+			var dst []netip.AddrPort
 			if addrs != nil {
 				size := putSockaddr(&w.names[cnt], addrs[next], w.family)
 				if size == 0 {
-					if onErr != nil {
+					if next >= told {
 						onErr(next, errAddrFamily)
+						told = next + 1
 					}
+					next++
 					continue
 				}
-				w.hdrs[cnt].hdr.Name = (*byte)(unsafe.Pointer(&w.names[cnt]))
-				w.hdrs[cnt].hdr.Namelen = size
+				h.Name = (*byte)(unsafe.Pointer(&w.names[cnt]))
+				h.Namelen = size
+				dst = addrs[next:]
 			} else {
-				w.hdrs[cnt].hdr.Name = nil
-				w.hdrs[cnt].hdr.Namelen = 0
+				h.Name = nil
+				h.Namelen = 0
 			}
-			w.iovs[cnt].Base = &pkt[0]
-			w.iovs[cnt].Len = uint64(len(pkt))
+			n := groupLen(pkts[next:], dst, w.segs)
+			h.Iov = &w.iovs[niov]
+			h.Iovlen = uint64(n)
+			for _, p := range pkts[next : next+n] {
+				w.iovs[niov].Base = &p[0]
+				w.iovs[niov].Len = uint64(len(p))
+				niov++
+			}
+			if n > 1 {
+				w.ctrl[cnt].size = uint16(len(pkt))
+				h.Control = (*byte)(unsafe.Pointer(&w.ctrl[cnt]))
+				h.SetControllen(int(unsafe.Sizeof(w.ctrl[cnt])))
+			} else {
+				h.Control = nil
+				h.SetControllen(0)
+			}
 			w.hdrs[cnt].n = 0
-			w.slot[cnt] = next
+			w.first[cnt], w.count[cnt] = next, n
 			cnt++
+			next += n
 		}
 		// Transmit the chunk, resuming after partial sends and skipping
 		// past per-message failures.
@@ -259,28 +396,46 @@ func (w *batchWriter) send(pkts [][]byte, addrs []netip.AddrPort, onErr func(i i
 			if err := w.rc.Write(w.writeFn); err != nil {
 				return err
 			}
-			if w.operr != 0 {
+			if w.operr == 0 && w.sent > 0 {
+				if w.onSyscall != nil {
+					datagrams := 0
+					for _, c := range w.count[off : off+w.sent] {
+						datagrams += c
+					}
+					w.onSyscall(datagrams)
+				}
+				off += w.sent
+				continue
+			}
+			errno := w.operr
+			if errno == 0 {
+				// Defensive: a zero-progress success would spin forever.
+				errno = syscall.EIO
+			} else {
 				if w.onSyscall != nil {
 					w.onSyscall(0)
 				}
-				if onErr != nil {
-					onErr(w.slot[off], w.operr)
+				if w.count[off] > 1 && (errno == syscall.EINVAL || errno == syscall.EMSGSIZE || errno == syscall.EIO) {
+					// The kernel will not segment on this path: a segment
+					// exceeds the path MTU (EINVAL; EMSGSIZE from newer
+					// kernels — a group's total never earns it), the
+					// socket sends without checksums (EINVAL) or the device
+					// cannot checksum (EIO). Stop grouping and reload from
+					// this group's first packet; a packet that fails alone
+					// too is reported then.
+					w.segs = 1
+					w.refused++
+					if w.logf != nil {
+						w.logf("udpnet: kernel refused a %d-packet group (%v); sending one datagram each from now on", w.count[off], errno)
+					}
+					next = w.first[off]
+					break
 				}
-				off++
-				continue
 			}
-			if w.sent <= 0 {
-				// Defensive: a zero-progress success would spin forever.
-				if onErr != nil {
-					onErr(w.slot[off], syscall.EIO)
-				}
-				off++
-				continue
+			for i := w.first[off]; i < w.first[off]+w.count[off]; i++ {
+				onErr(i, errno)
 			}
-			if w.onSyscall != nil {
-				w.onSyscall(w.sent)
-			}
-			off += w.sent
+			off++
 		}
 	}
 	return nil

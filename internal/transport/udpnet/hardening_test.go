@@ -28,10 +28,14 @@ type scriptedReader struct {
 	i   int
 	buf []byte
 	n   int
+	seg int
 }
 
+// readStep is one read: an error, or pkt as one message — a datagram, or
+// with seg set a coalesced run of seg-byte datagrams.
 type readStep struct {
 	pkt []byte
+	seg int
 	err error
 }
 
@@ -53,11 +57,12 @@ func (s *scriptedReader) read() (int, error) {
 	if s.buf == nil {
 		s.buf = transport.Buffers.Get()
 	}
-	s.n = copy(s.buf, st.pkt)
+	s.n, s.seg = copy(s.buf, st.pkt), st.seg
 	return 1, nil
 }
 
 func (s *scriptedReader) length(int) int    { return s.n }
+func (s *scriptedReader) segment(int) int   { return s.seg }
 func (s *scriptedReader) buffer(int) []byte { return s.buf }
 func (s *scriptedReader) addr(int) netip.AddrPort {
 	return netip.MustParseAddrPort("127.0.0.1:9999")
@@ -130,6 +135,42 @@ func TestReadLoopSurvivesTransientErrors(t *testing.T) {
 	// One log line per error burst (two bursts), not one per error.
 	if got := logCalls.Load(); got != 2 {
 		t.Fatalf("logged %d times, want 2 (once per burst)", got)
+	}
+}
+
+// TestReadLoopCutsCoalescedMessage: a message that carries a segment size
+// reaches the channel as its datagrams, in order, each in a buffer of its
+// own; the counters count datagrams, and one that finds the queue full is a
+// counted drop like any other.
+func TestReadLoopCutsCoalescedMessage(t *testing.T) {
+	reader := &scriptedReader{steps: []readStep{
+		{pkt: []byte("aaaabbbbcc"), seg: 4},
+		{pkt: []byte("lone"), seg: 4}, // a segment size that cuts nothing
+		{pkt: []byte("ddddeeee"), seg: 4},
+	}}
+	tr := loopTransport(t, func(string, ...any) {})
+	ch := make(chan []byte, 5)
+	tr.wg.Add(1)
+	tr.readLoop(reader, ch, netip.AddrPort{})
+
+	var got []string
+	for len(ch) > 0 {
+		pkt := <-ch
+		if cap(pkt) != transport.MaxPacket {
+			t.Fatalf("packet %q is not in a pooled buffer of its own (cap %d)", pkt, cap(pkt))
+		}
+		got = append(got, string(pkt))
+		transport.Buffers.Put(pkt)
+	}
+	if want := "aaaa bbbb cc lone dddd"; strings.Join(got, " ") != want {
+		t.Fatalf("delivered %q, want %q", got, want)
+	}
+	snap := tr.MetricsSnapshot()
+	if snap.DatagramsIn != 5 || snap.RecvQueueDrops != 1 {
+		t.Fatalf("DatagramsIn = %d, RecvQueueDrops = %d, want 5 and 1", snap.DatagramsIn, snap.RecvQueueDrops)
+	}
+	if rb := snap.RecvBatch; rb.Count != 3 || rb.Sum != 6 || rb.Max != 3 {
+		t.Fatalf("RecvBatch = %d reads, %d datagrams, max %d; want 3, 6, 3", rb.Count, rb.Sum, rb.Max)
 	}
 }
 

@@ -7,10 +7,11 @@
 // The receive loop and the multicast send path are written once, against
 // the batchReader/batchWriter pair the build selects: on 64-bit Linux they
 // run on batched syscalls (recvmmsg/sendmmsg, batchio_linux.go) moving up
-// to batchK datagrams per syscall, which is what keeps the per-message
-// network cost sublinear once the hot path stops allocating; elsewhere the
-// same types move one datagram per syscall (batchio_fallback.go) with
-// identical semantics.
+// to batchK messages per syscall, each a datagram or a group of them the
+// kernel carries as one (UDP_SEGMENT/UDP_GRO), which is what keeps the
+// per-message network cost sublinear once the hot path stops allocating;
+// elsewhere the same types move one datagram per syscall
+// (batchio_fallback.go) with identical semantics.
 package udpnet
 
 import (
@@ -215,12 +216,14 @@ func New(cfg Config) (*Transport, error) {
 			t.SendBatch.Observe(sent)
 		}
 	}
+	w.logf = t.logf
 	t.dataW = w
 	dataR, err := newBatchReader(t.dataConn, transport.Buffers)
 	if err != nil {
 		t.closeSockets()
 		return nil, err
 	}
+	dataR.coalesce()
 	tokenR, err := newBatchReader(t.tokenConn, transport.Buffers)
 	if err != nil {
 		dataR.release()
@@ -338,12 +341,15 @@ func (t *Transport) surviveRecvErr(err error, rs *recvState) bool {
 // packetReader is the receive loop's socket dependency: *batchReader in
 // production, fakes in tests that script the loop's error handling
 // deterministically. read blocks for at least one datagram and returns how
-// many arrived; datagram i of that read is buffer(i)[:length(i)] from
-// addr(i). detach hands buffer i to the caller and refills the slot from
-// the pool; release returns the reader's resident buffers.
+// many messages arrived; message i of that read is buffer(i)[:length(i)]
+// from addr(i) — one datagram when segment(i) is 0, else back-to-back
+// datagrams of segment(i) bytes each (the last may be shorter) that the
+// kernel coalesced. detach hands buffer i to the caller and refills the
+// slot from the pool; release returns the reader's resident buffers.
 type packetReader interface {
 	read() (int, error)
 	length(i int) int
+	segment(i int) int
 	buffer(i int) []byte
 	addr(i int) netip.AddrPort
 	detach(i int) []byte
@@ -359,7 +365,9 @@ type packetReader interface {
 // transfers to the consumer, which returns it with transport.Buffers.Put,
 // and the reader replaces it. A filtered or dropped packet's buffer is
 // simply read into again, so the steady state is one pool Get per accepted
-// packet and zero allocations.
+// packet and zero allocations. A coalesced message is cut back into its
+// datagrams, each copied into a pooled buffer of its own, so the channel
+// carries what it always has; the counters count datagrams either way.
 func (t *Transport) readLoop(r packetReader, ch chan<- []byte, self netip.AddrPort) {
 	defer t.wg.Done()
 	defer r.release()
@@ -374,27 +382,53 @@ func (t *Transport) readLoop(r packetReader, ch chan<- []byte, self netip.AddrPo
 		}
 		rs.ok()
 		t.RecvSyscalls.Inc()
-		t.RecvBatch.Observe(n)
+		datagrams := 0
 		for i := 0; i < n; i++ {
+			msg, seg := r.buffer(i)[:r.length(i)], r.segment(i)
+			count := 1
+			if seg > 0 && seg < len(msg) {
+				count = (len(msg) + seg - 1) / seg
+			}
+			datagrams += count
 			if isSelf(r.addr(i), self) {
-				t.SelfFiltered.Inc()
+				t.SelfFiltered.Add(uint64(count))
 				continue
 			}
-			select {
-			case ch <- r.buffer(i)[:r.length(i)]:
-				t.In.Inc()
-				r.detach(i)
-			default:
-				t.Drops.Inc()
+			if count == 1 {
+				select {
+				case ch <- msg:
+					t.In.Inc()
+					r.detach(i)
+				default:
+					t.Drops.Inc()
+				}
+				continue
+			}
+			for len(msg) > 0 {
+				pkt := transport.Buffers.Get()
+				pkt = pkt[:copy(pkt, msg[:min(seg, len(msg))])]
+				msg = msg[len(pkt):]
+				select {
+				case ch <- pkt:
+					t.In.Inc()
+				default:
+					t.Drops.Inc()
+					transport.Buffers.Put(pkt)
+				}
 			}
 		}
+		t.RecvBatch.Observe(datagrams)
 	}
 }
 
 // Multicast implements transport.Transport: the whole vector moves with
-// one send syscall per batchK datagrams. In emulation mode the flattened
-// (packet × peer) fan-out is batched the same way, so a K-message run to N
-// peers costs ⌈K·N/batchK⌉ syscalls instead of K·N. A failed peer must not
+// one send syscall per batchK messages, and a run of groupFloor or more
+// equal-sized packets is one message (see groupLen). In emulation mode the
+// flattened fan-out is batched the same way and is peer-major — the whole
+// run to one peer, then to the next — because a group has one destination;
+// the order each peer sees, which is all the contract promises, is the
+// vector's. A K-packet run to N peers costs ⌈K·N/batchK⌉ syscalls at most,
+// and one when K reaches the floor and N ≤ batchK. A failed peer must not
 // starve the ones after it — the ring tolerates one receiver missing a
 // message (retransmission recovers it), but a fan-out that aborts
 // mid-vector silently partitions every peer behind the failure — so
@@ -424,13 +458,13 @@ func (t *Transport) Multicast(pkts [][]byte) error {
 	if len(t.emuPeers) == 0 {
 		return nil // singleton ring: multicast reaches nobody but self
 	}
-	// Flatten packets × peers into one vector. The scratch slices are
+	// Flatten peers × packets into one vector. The scratch slices are
 	// retained across calls (guarded by sendMu) and the packet aliases
 	// cleared afterwards, so the steady state allocates nothing.
 	flatPkts := t.emuPkts[:0]
 	flatAddrs := t.emuAddrs[:0]
-	for _, pkt := range pkts {
-		for _, p := range t.emuPeers {
+	for _, p := range t.emuPeers {
+		for _, pkt := range pkts {
 			flatPkts = append(flatPkts, pkt)
 			flatAddrs = append(flatAddrs, p.addr)
 		}
@@ -438,7 +472,7 @@ func (t *Transport) Multicast(pkts [][]byte) error {
 	sendErr := t.dataW.send(flatPkts, flatAddrs, func(i int, e error) {
 		failed++
 		t.PeerSendErrs.Inc()
-		p := t.emuPeers[i%len(t.emuPeers)]
+		p := t.emuPeers[i/len(pkts)]
 		errs = append(errs, fmt.Errorf("udpnet: emulated multicast to %s: %w", p.id, e))
 	})
 	sent := len(flatPkts) - failed
@@ -472,11 +506,14 @@ func (t *Transport) Unicast(to wire.ParticipantID, pkt []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", transport.ErrUnknownPeer, to)
 	}
-	if _, err := t.tokenConn.WriteToUDPAddrPort(pkt, addr); err != nil {
+	_, err := t.tokenConn.WriteToUDPAddrPort(pkt, addr)
+	// A failed sendto is still a syscall, as a failed sendmmsg is on the
+	// data path: syscalls per message must not improve when sends fail.
+	t.SendSyscalls.Inc()
+	if err != nil {
 		return fmt.Errorf("udpnet: unicast to %s: %w", to, err)
 	}
 	t.Out.Inc()
-	t.SendSyscalls.Inc()
 	t.SendBatch.Observe(1)
 	return nil
 }

@@ -43,16 +43,22 @@ func localConn(t *testing.T) *net.UDPConn {
 // pair opens two emulation-mode transports on loopback.
 func pair(t *testing.T) (*Transport, *Transport) {
 	t.Helper()
+	return pairLogf(t, nil)
+}
+
+// pairLogf is pair with the transports' diagnostics sent to logf.
+func pairLogf(t *testing.T, logf func(string, ...any)) (*Transport, *Transport) {
+	t.Helper()
 	ports := freePorts(t, 4)
 	peers := map[wire.ParticipantID]Peer{
 		1: {Host: "127.0.0.1", DataPort: ports[0], TokenPort: ports[1]},
 		2: {Host: "127.0.0.1", DataPort: ports[2], TokenPort: ports[3]},
 	}
-	a, err := New(Config{MyID: 1, Peers: peers})
+	a, err := New(Config{MyID: 1, Peers: peers, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{MyID: 2, Peers: peers})
+	b, err := New(Config{MyID: 2, Peers: peers, Logf: logf})
 	if err != nil {
 		a.Close()
 		t.Fatal(err)

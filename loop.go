@@ -27,10 +27,18 @@ type timerSet struct {
 
 	mu      sync.Mutex
 	gens    map[core.TimerKind]uint64
-	timers  map[core.TimerKind]*time.Timer
+	timers  map[core.TimerKind]*armedTimer
 	pending map[core.TimerKind]uint64 // kind → generation of an unconsumed fire
 
 	stale *metrics.Counter // expiries discarded as stale (never nil)
+}
+
+// armedTimer is a runtime timer and the generation its next expiry stands
+// for (guarded by timerSet.mu). Holding the generation beside the timer,
+// not in the callback's closure, is what lets set re-arm the same timer.
+type armedTimer struct {
+	t   *time.Timer
+	gen uint64
 }
 
 func newTimerSet(stale *metrics.Counter) *timerSet {
@@ -40,7 +48,7 @@ func newTimerSet(stale *metrics.Counter) *timerSet {
 	return &timerSet{
 		wake:    make(chan struct{}, 1),
 		gens:    make(map[core.TimerKind]uint64),
-		timers:  make(map[core.TimerKind]*time.Timer),
+		timers:  make(map[core.TimerKind]*armedTimer),
 		pending: make(map[core.TimerKind]uint64),
 		stale:   stale,
 	}
@@ -50,23 +58,32 @@ func (ts *timerSet) set(kind core.TimerKind, after time.Duration) {
 	ts.mu.Lock()
 	ts.gens[kind]++
 	gen := ts.gens[kind]
-	if t, ok := ts.timers[kind]; ok {
-		t.Stop()
-	}
 	if _, ok := ts.pending[kind]; ok {
 		// An unconsumed fire of the previous generation is stale now.
 		delete(ts.pending, kind)
 		ts.stale.Inc()
 	}
-	ts.timers[kind] = time.AfterFunc(after, func() { ts.fire(kind, gen) })
+	if a := ts.timers[kind]; a != nil && a.t.Stop() {
+		// The common case, twice per token hop: re-armed long before
+		// expiry. Stop prevented the callback, so nothing else reads a.gen
+		// until the Reset below fires.
+		a.gen = gen
+		a.t.Reset(after)
+	} else {
+		// No timer yet, or its callback may already be running with the
+		// old generation still to read: leave that one to go stale.
+		fresh := &armedTimer{gen: gen}
+		fresh.t = time.AfterFunc(after, func() { ts.fire(kind, fresh) })
+		ts.timers[kind] = fresh
+	}
 	ts.mu.Unlock()
 }
 
 func (ts *timerSet) cancel(kind core.TimerKind) {
 	ts.mu.Lock()
 	ts.gens[kind]++
-	if t, ok := ts.timers[kind]; ok {
-		t.Stop()
+	if a, ok := ts.timers[kind]; ok {
+		a.t.Stop()
 		delete(ts.timers, kind)
 	}
 	if _, ok := ts.pending[kind]; ok {
@@ -77,8 +94,9 @@ func (ts *timerSet) cancel(kind core.TimerKind) {
 }
 
 // fire records an expiry and wakes the loop. Runs on the timer goroutine.
-func (ts *timerSet) fire(kind core.TimerKind, gen uint64) {
+func (ts *timerSet) fire(kind core.TimerKind, a *armedTimer) {
 	ts.mu.Lock()
+	gen := a.gen
 	if ts.gens[kind] != gen {
 		ts.mu.Unlock()
 		ts.stale.Inc()
@@ -128,8 +146,8 @@ func (ts *timerSet) pendingFires() int {
 func (ts *timerSet) stopAll() {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	for _, t := range ts.timers {
-		t.Stop()
+	for _, a := range ts.timers {
+		a.t.Stop()
 	}
 }
 

@@ -53,6 +53,29 @@ func TestTimerSetRearmInvalidatesPendingFire(t *testing.T) {
 	}
 }
 
+// TestTimerSetRearmReusesTimer: re-arming a timer long before it expires —
+// twice per token hop — resets the one already there, and the re-armed
+// generation is the one that fires.
+func TestTimerSetRearmReusesTimer(t *testing.T) {
+	ts := newTimerSet(nil)
+	defer ts.stopAll()
+	ts.set(core.TimerTokenLoss, time.Hour)
+	first := ts.timers[core.TimerTokenLoss]
+	for i := 0; i < 100; i++ {
+		ts.set(core.TimerTokenLoss, time.Hour)
+	}
+	if ts.timers[core.TimerTokenLoss] != first {
+		t.Fatal("re-arming an unexpired timer replaced it")
+	}
+	ts.set(core.TimerTokenLoss, time.Millisecond)
+	if kind, ok := takeWithin(t, ts, 5*time.Second); !ok || kind != core.TimerTokenLoss {
+		t.Fatalf("got (%v, %v), want the last re-arm's fire", kind, ok)
+	}
+	if got := ts.stale.Load(); got != 0 {
+		t.Fatalf("%d stale fires from re-arming a timer that never expired", got)
+	}
+}
+
 // waitPending blocks until an expiry of kind has been recorded.
 func waitPending(t *testing.T, ts *timerSet, kind core.TimerKind) {
 	t.Helper()
