@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/flowctl"
 	"accelring/internal/ringpaxos"
 	"accelring/internal/transport"
@@ -41,7 +42,7 @@ type (
 	// Service selects a delivery guarantee.
 	Service = wire.Service
 	// Configuration is a membership view.
-	Configuration = core.Configuration
+	Configuration = engine.Configuration
 	// Protocol selects the ordering protocol variant.
 	Protocol = core.Protocol
 	// Stats exposes the engine's counters.

@@ -24,6 +24,7 @@ import (
 
 	"accelring/internal/bench"
 	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/msgbuf"
 	"accelring/internal/wire"
 )
@@ -334,7 +335,7 @@ func BenchmarkEngineTokenRound(b *testing.B) {
 			RingID: ringID, TokenSeq: uint64(i + 1), Round: wire.Round(i),
 			Seq: seq, ARU: seq,
 		}
-		if actions := eng.Step(core.Input{Frame: tok}); len(actions) == 0 {
+		if actions := eng.Step(engine.Input{Frame: tok}); len(actions) == 0 {
 			b.Fatal("token produced no actions")
 		}
 	}
@@ -358,7 +359,7 @@ func BenchmarkEngineDataHandling(b *testing.B) {
 			RingID: ringID, Seq: wire.Seq(i + 1), PID: 1, Round: 1,
 			Service: wire.ServiceAgreed, Payload: payload,
 		}
-		eng.Step(core.Input{Frame: m})
+		eng.Step(engine.Input{Frame: m})
 	}
 }
 

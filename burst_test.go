@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
 )
@@ -51,8 +51,8 @@ func decodePayload(pkt []byte) string {
 	return string(m.Payload)
 }
 
-func dataAction(payload string) core.SendData {
-	return core.SendData{Msg: &wire.DataMessage{
+func dataAction(payload string) engine.SendData {
+	return engine.SendData{Msg: &wire.DataMessage{
 		RingID:  wire.RingID{Rep: 1, Seq: 1},
 		Seq:     1,
 		PID:     1,
@@ -72,14 +72,14 @@ func TestBurstEachDataRunIsOneVector(t *testing.T) {
 	n := &Node{tr: ft, nm: newNodeMetrics()}
 	tok := &wire.Token{RingID: wire.RingID{Rep: 1, Seq: 1}}
 
-	n.execute(nil, []core.Action{
+	n.execute(nil, []engine.Action{
 		dataAction("pre-1"),
 		dataAction("pre-2"),
 		dataAction("pre-3"),
-		core.Send{To: 2, Frame: tok},
+		engine.Send{To: 2, Frame: tok},
 		dataAction("post-1"),
 		dataAction("post-2"),
-		core.Send{To: 2, Frame: tok},
+		engine.Send{To: 2, Frame: tok},
 		dataAction("lone"),
 	})
 
@@ -106,7 +106,7 @@ func TestBurstEachDataRunIsOneVector(t *testing.T) {
 func TestBurstControlFrameIsVectorOfOne(t *testing.T) {
 	ft := &recordingTransport{}
 	n := &Node{tr: ft, nm: newNodeMetrics()}
-	n.execute(nil, []core.Action{core.Send{To: 0, Frame: dataAction("ctl").Msg}})
+	n.execute(nil, []engine.Action{engine.Send{To: 0, Frame: dataAction("ctl").Msg}})
 	want := []sendCall{{op: "Multicast", payloads: []string{"ctl"}}}
 	if !reflect.DeepEqual(ft.calls, want) {
 		t.Fatalf("transport saw %v, want %v", ft.calls, want)
@@ -124,7 +124,7 @@ func TestBurstRecyclesBuffers(t *testing.T) {
 	for _, runLen := range []int{1, 2, 4, 17} {
 		ft := &recordingTransport{}
 		n := &Node{tr: ft, nm: newNodeMetrics()}
-		run := make([]core.Action, runLen)
+		run := make([]engine.Action, runLen)
 		for i := range run {
 			run[i] = dataAction("r")
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/engine"
 	"accelring/internal/flowctl"
 	"accelring/internal/wire"
 )
@@ -27,7 +28,7 @@ func TestAdaptiveWindowHalvesOnRetransBurst(t *testing.T) {
 	for s := wire.Seq(1); s <= 10; s++ {
 		tok.RTR = append(tok.RTR, s)
 	}
-	e.HandleToken(tok)
+	e.Step(engine.Input{Frame: tok})
 	if got := e.Snapshot().Stats.AccelWindow; got != 10 {
 		t.Fatalf("window after burst = %d, want 10", got)
 	}
@@ -41,7 +42,7 @@ func TestAdaptiveWindowHalvesOnRetransBurst(t *testing.T) {
 		for s := wire.Seq(1); s <= 10; s++ {
 			tok.RTR = append(tok.RTR, s)
 		}
-		e.HandleToken(tok)
+		e.Step(engine.Input{Frame: tok})
 	}
 	if got := e.Snapshot().Stats.AccelWindow; got != 0 {
 		t.Fatalf("window after sustained bursts = %d, want 0", got)
@@ -55,13 +56,13 @@ func TestAdaptiveWindowGrowsAfterCleanStreak(t *testing.T) {
 	for s := wire.Seq(1); s <= 10; s++ {
 		tok.RTR = append(tok.RTR, s)
 	}
-	e.HandleToken(tok)
+	e.Step(engine.Input{Frame: tok})
 	if e.Snapshot().Stats.AccelWindow != 10 {
 		t.Fatalf("window = %d, want 10", e.Snapshot().Stats.AccelWindow)
 	}
 	// 64 clean rounds → +1.
 	for i := 0; i < 64; i++ {
-		e.HandleToken(ringToken(e, uint64(6+i), wire.Round(4+3*i), 100, 100))
+		e.Step(engine.Input{Frame: ringToken(e, uint64(6+i), wire.Round(4+3*i), 100, 100)})
 	}
 	if got := e.Snapshot().Stats.AccelWindow; got != 11 {
 		t.Fatalf("window after clean streak = %d, want 11", got)
@@ -77,7 +78,7 @@ func TestAdaptiveWindowCappedByPersonalWindow(t *testing.T) {
 	e := newMember(t, 2, 3, cfg)
 	// 2 × 64 clean rounds: one increase to 21, then capped.
 	for i := 0; i < 128; i++ {
-		e.HandleToken(ringToken(e, uint64(5+i), wire.Round(1+3*i), 100, 100))
+		e.Step(engine.Input{Frame: ringToken(e, uint64(5+i), wire.Round(1+3*i), 100, 100)})
 	}
 	if got := e.Snapshot().Stats.AccelWindow; got != 21 {
 		t.Fatalf("window = %d, want capped at 21", got)
@@ -90,7 +91,7 @@ func TestAdaptiveWindowDisabledByDefault(t *testing.T) {
 	for s := wire.Seq(1); s <= 10; s++ {
 		tok.RTR = append(tok.RTR, s)
 	}
-	e.HandleToken(tok)
+	e.Step(engine.Input{Frame: tok})
 	if got := e.Snapshot().Stats.AccelWindow; got != flowctl.DefaultAcceleratedWindow {
 		t.Fatalf("window moved without AdaptiveWindow: %d", got)
 	}
@@ -102,14 +103,14 @@ func TestAdaptiveWindowDisabledByDefault(t *testing.T) {
 func TestAdaptiveClusterStillOrders(t *testing.T) {
 	cfg := adaptiveConfig()
 	h := newHarness(t, 4, cfg)
-	h.dropData = randomLoss(99, 0.05)
-	h.startStatic()
+	h.Fault = randomLoss(99, 0.05)
+	h.Start()
 	for i := 0; i < 40; i++ {
 		for id := wire.ParticipantID(1); id <= 4; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(5 * time.Second)
+	h.Run(5 * time.Second)
 	h.checkAllDelivered(160, 1, 2, 3, 4)
 	h.checkTotalOrder(1, 2, 3, 4)
 }

@@ -1,23 +1,26 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"accelring/internal/diffconform"
+	"accelring/internal/enginetest"
 	"accelring/internal/evscheck"
 	"accelring/internal/faultplan"
 	"accelring/internal/wire"
 )
 
-// Chaos soak: each seed deterministically generates a fault program (loss
-// bursts, duplication, reordering delay, a partition with heal, a crash
-// with restart), runs a five-node ring under deterministic traffic while
-// the program executes, then demands a clean EVS verdict on the merged
+// Chaos soak, for both ordering engines: each seed deterministically
+// generates a fault program (loss bursts, duplication, reordering delay, a
+// partition with heal, a crash with restart), runs a five-node cluster
+// under deterministic traffic while the program executes, then demands a
+// clean verdict under the engine's own evscheck profile on the merged
 // delivery logs of every incarnation. Every seed runs twice and the two
 // event traces must be bit-identical — a failure therefore reproduces with
 //
-//	go test ./internal/core -run 'TestChaosCampaign/seed=<N>' -v
+//	go test ./internal/core -run 'TestChaosCampaign/seed=<N>/<engine>' -v
 //
 // chaosNodes and chaosFaultWindow are part of the reproduction contract:
 // changing them changes every seed's trace.
@@ -27,54 +30,64 @@ const (
 	chaosMsgsPerNode = 40
 )
 
+var chaosEngines = []diffconform.Engine{diffconform.AccelRing, diffconform.RingPaxos}
+
 // runChaosSeed executes one seeded chaos run to quiescence and returns the
 // digest of the full event trace.
-func runChaosSeed(t *testing.T, seed int64) string {
+func runChaosSeed(t *testing.T, e diffconform.Engine, seed int64) string {
 	t.Helper()
 	plan := faultplan.Generate(seed, chaosNodes, chaosFaultWindow, faultplan.ClassAll)
-	h := newHarness(t, chaosNodes, accelConfig())
-	h.applyPlan(&plan)
-	h.startStatic()
+	c := enginetest.New(chaosNodes, e.New)
+	c.ApplyPlan(&plan)
+	c.Start()
+	if e.Profile == evscheck.ProfileEVS {
+		// A restarted node rejoins the statically formed ring through
+		// membership discovery; Ring Paxos restarts on its static acceptor
+		// set.
+		c.Members = nil
+	}
 
 	// Deterministic traffic: every node submits a message each 10ms of
 	// virtual time, staggered per node, every fifth one with Safe service.
 	// Submissions at crashed nodes are silently lost, as in a real outage.
 	for id := wire.ParticipantID(1); id <= chaosNodes; id++ {
 		for i := 0; i < chaosMsgsPerNode; i++ {
-			id, i := id, i
-			at := time.Duration(i)*10*time.Millisecond + time.Duration(id)*time.Millisecond
 			svc := wire.ServiceAgreed
 			if i%5 == 0 {
 				svc = wire.ServiceSafe
 			}
-			h.schedule(at, func() { h.trySubmit(id, payload(id, i), svc) })
+			at := time.Duration(i)*10*time.Millisecond + time.Duration(id)*time.Millisecond
+			c.After(at, func() { _ = c.Submit(id, enginetest.Payload(id, i), svc) })
 		}
 	}
 
 	// Run through the fault window, then settle: all faults end and all
-	// crashed nodes restart within the window, so the full ring re-forms
-	// and drains every pending message well within the settle period.
-	h.run(chaosFaultWindow + 5*time.Second)
-	h.checkEVSQuiescent()
-	return evscheck.Digest(h.evLog())
+	// crashed nodes restart within the window, so the cluster re-forms and
+	// drains every pending message well within the settle period.
+	c.Run(chaosFaultWindow + 5*time.Second)
+	if err := c.Check(evscheck.Options{Quiescent: true, Profile: e.Profile}); err != nil {
+		t.Fatalf("%s seed %d (%s):\n%v", e.Name, seed, &plan, err)
+	}
+	return evscheck.Digest(c.Log())
+}
+
+// runChaosTwice runs one seed twice and requires identical traces.
+func runChaosTwice(t *testing.T, e diffconform.Engine, seed int64) {
+	if first, again := runChaosSeed(t, e, seed), runChaosSeed(t, e, seed); first != again {
+		t.Fatalf("%s seed %d is not deterministic: two runs produced different event traces\n"+
+			"first:  %s\nsecond: %s", e.Name, seed, first, again)
+	}
 }
 
 func TestChaosCampaign(t *testing.T) {
-	seeds := make([]int64, 24)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
+	seeds := 24
 	if testing.Short() {
-		seeds = seeds[:6]
+		seeds = 6
 	}
-	for _, seed := range seeds {
-		seed := seed
+	for seed := int64(1); seed <= int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			first := runChaosSeed(t, seed)
-			again := runChaosSeed(t, seed)
-			if first != again {
-				t.Fatalf("seed %d is not deterministic: two runs produced different event traces\n"+
-					"first:  %s\nsecond: %s", seed, first, again)
+			for _, e := range chaosEngines {
+				t.Run(e.Name, func(t *testing.T) { runChaosTwice(t, e, seed) })
 			}
 		})
 	}
@@ -82,34 +95,30 @@ func TestChaosCampaign(t *testing.T) {
 
 // TestChaosCrashPartitionSeedStable picks the first seed whose generated
 // plan combines a partition with a crash/restart (the heaviest fault mix)
-// and verifies that seed replays to an identical trace. The search is
-// deterministic, so the chosen seed is stable for a given generator.
+// and verifies that seed replays to an identical trace on both engines.
+// The search is deterministic, so the chosen seed is stable for a given
+// generator.
 func TestChaosCrashPartitionSeedStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	pin := int64(-1)
-	for seed := int64(1); seed <= 200; seed++ {
+	for seed := int64(1); seed <= 200 && pin < 0; seed++ {
 		plan := faultplan.Generate(seed, chaosNodes, chaosFaultWindow, faultplan.ClassAll)
 		var hasCrash, hasPartition bool
 		for _, ev := range plan.Events {
-			switch ev.Kind {
-			case faultplan.EventCrash:
-				hasCrash = true
-			case faultplan.EventPartition:
-				hasPartition = true
-			}
+			hasCrash = hasCrash || ev.Kind == faultplan.EventCrash
+			hasPartition = hasPartition || ev.Kind == faultplan.EventPartition
 		}
 		if hasCrash && hasPartition {
 			pin = seed
-			break
 		}
 	}
 	if pin < 0 {
 		t.Fatal("no seed in 1..200 generates crash+partition; generator probabilities broken")
 	}
 	t.Logf("pinned crash+partition seed: %d", pin)
-	if runChaosSeed(t, pin) != runChaosSeed(t, pin) {
-		t.Fatalf("seed %d is not deterministic", pin)
+	for _, e := range chaosEngines {
+		t.Run(e.Name, func(t *testing.T) { runChaosTwice(t, e, pin) })
 	}
 }

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
-// HandleData processes a received data message.
-func (e *Engine) HandleData(m *wire.DataMessage) []Action {
+// handleData processes a received data message.
+func (e *Engine) handleData(m *wire.DataMessage) []engine.Action {
 	switch e.state {
 	case StateOperational, StateGather, StateCommit:
 		// In Gather/Commit the previous ring's data messages are still
@@ -25,7 +26,7 @@ func (e *Engine) HandleData(m *wire.DataMessage) []Action {
 }
 
 // handleRingData processes a data message belonging to the current ring.
-func (e *Engine) handleRingData(m *wire.DataMessage) []Action {
+func (e *Engine) handleRingData(m *wire.DataMessage) []engine.Action {
 	if !e.buf.Insert(m) {
 		e.stats.MsgsDuplicate++
 		return nil
@@ -34,9 +35,9 @@ func (e *Engine) handleRingData(m *wire.DataMessage) []Action {
 	e.maybeRaiseTokenPriority(m)
 	// Evidence of downstream progress: somebody processed a later token
 	// than ours, so the token we forwarded was not lost.
-	var actions []Action
+	var actions []engine.Action
 	if m.Round > e.round && e.sentToken != nil {
-		actions = append(actions, CancelTimer{Kind: TimerTokenRetrans})
+		actions = append(actions, engine.CancelTimer{Kind: engine.TimerTokenRetrans})
 	}
 	return e.deliverReady(actions)
 }
@@ -62,7 +63,7 @@ func (e *Engine) maybeRaiseTokenPriority(m *wire.DataMessage) {
 // handleForeignData reacts to a data message from a different ring: either
 // a stale packet from an earlier configuration of ours, or evidence of a
 // foreign ring that should trigger a membership merge.
-func (e *Engine) handleForeignData(m *wire.DataMessage) []Action {
+func (e *Engine) handleForeignData(m *wire.DataMessage) []engine.Action {
 	if m.RingID.Seq < e.ring.ID.Seq && e.ring.Contains(m.PID) {
 		// A straggler from one of our own earlier rings; ignore.
 		return nil
@@ -78,7 +79,7 @@ func (e *Engine) handleForeignData(m *wire.DataMessage) []Action {
 // the ring being formed are buffered (and wrapped old-ring messages
 // unwrapped into the old buffer), while old-ring stragglers are added to
 // the old buffer directly. Nothing is delivered until recovery completes.
-func (e *Engine) handleRecoveryData(m *wire.DataMessage) []Action {
+func (e *Engine) handleRecoveryData(m *wire.DataMessage) []engine.Action {
 	switch m.RingID {
 	case e.ring.ID:
 		if !e.buf.Insert(m) {
@@ -94,7 +95,7 @@ func (e *Engine) handleRecoveryData(m *wire.DataMessage) []Action {
 			}
 		}
 		if m.Round > e.round && e.sentToken != nil {
-			return []Action{CancelTimer{Kind: TimerTokenRetrans}}
+			return []engine.Action{engine.CancelTimer{Kind: engine.TimerTokenRetrans}}
 		}
 	case e.oldRing.ID:
 		if e.oldBuf != nil {

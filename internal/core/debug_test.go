@@ -14,9 +14,9 @@ import (
 // must be preserved across failed attempts.
 func TestFiveNodeCrashReformation(t *testing.T) {
 	h := newHarness(t, 5, accelConfig())
-	h.startStatic()
-	h.run(100 * time.Millisecond)
-	h.crash(5)
+	h.Start()
+	h.Run(100 * time.Millisecond)
+	h.Crash(5)
 	h.waitConfig(3*time.Second, []wire.ParticipantID{1, 2, 3, 4}, 1, 2, 3, 4)
 
 	for i := 0; i < 10; i++ {
@@ -24,7 +24,7 @@ func TestFiveNodeCrashReformation(t *testing.T) {
 			h.submit(id, payload(id, i), wire.ServiceSafe)
 		}
 	}
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	h.checkAllDelivered(40, 1, 2, 3, 4)
 	h.checkTotalOrder(1, 2, 3, 4)
 }

@@ -16,7 +16,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"accelring/internal/engine"
 	"accelring/internal/flowctl"
 	"accelring/internal/msgbuf"
 	"accelring/internal/wire"
@@ -71,7 +73,7 @@ type Engine struct {
 	// Current ring (the ring whose token circulates; during Recovery this
 	// is already the ring being formed, even though the application-level
 	// configuration change is delivered only when recovery completes).
-	ring    Configuration
+	ring    engine.Configuration
 	myIndex int
 	buf     *msgbuf.Buffer
 
@@ -110,9 +112,9 @@ type Engine struct {
 	maxRingSeq uint64
 
 	// Commit / Recovery state.
-	pendingRing     Configuration
+	pendingRing     engine.Configuration
 	commitInfo      []wire.CommitMember
-	oldRing         Configuration
+	oldRing         engine.Configuration
 	oldBuf          *msgbuf.Buffer
 	oldSafeBound    wire.Seq
 	obligations     []*wire.DataMessage
@@ -147,7 +149,7 @@ func (e *Engine) pendingLen() int { return len(e.pending) - e.pendingHead }
 // back to all ring members (including this one). Submit fails when the
 // backlog is full, providing backpressure. It never returns actions: the
 // token ring sends only while holding the token.
-func (e *Engine) Submit(payload []byte, service wire.Service) ([]Action, error) {
+func (e *Engine) Submit(payload []byte, service wire.Service) ([]engine.Action, error) {
 	if !service.Valid() {
 		return nil, fmt.Errorf("core: invalid service %d", uint8(service))
 	}
@@ -190,7 +192,7 @@ func (e *Engine) popPending() submission {
 // assumes membership has been established and the first regular token
 // sent. The installed configuration is delivered as an application-visible
 // event.
-func (e *Engine) Start(members []wire.ParticipantID) ([]Action, error) {
+func (e *Engine) Start(members []wire.ParticipantID) ([]engine.Action, error) {
 	if len(members) == 0 {
 		return e.enterGather(), nil
 	}
@@ -202,9 +204,9 @@ func (e *Engine) Start(members []wire.ParticipantID) ([]Action, error) {
 	e.setState(StateOperational)
 	e.stats.MembershipChanges++
 	e.traceConfig(cfg, false)
-	actions := []Action{
-		DeliverConfig{Config: cfg.Clone(), Transitional: false},
-		SetTimer{Kind: TimerTokenLoss, After: e.cfg.TokenLossTimeout},
+	actions := []engine.Action{
+		engine.DeliverConfig{Config: cfg.Clone(), Transitional: false},
+		engine.SetTimer{Kind: engine.TimerTokenLoss, After: e.cfg.TokenLossTimeout},
 	}
 	if idx == 0 {
 		// The representative injects the first token by processing a
@@ -219,29 +221,29 @@ func (e *Engine) Start(members []wire.ParticipantID) ([]Action, error) {
 // configuration every engine started with that list reports — members in
 // ascending order, the smallest ID as representative, ring sequence 4 —
 // together with me's position in it.
-func StaticConfiguration(members []wire.ParticipantID, me wire.ParticipantID) (Configuration, int, error) {
+func StaticConfiguration(members []wire.ParticipantID, me wire.ParticipantID) (engine.Configuration, int, error) {
 	if len(members) == 0 || len(members) > wire.MaxMembers {
-		return Configuration{}, 0, fmt.Errorf("%w: %d members", ErrBadMembership, len(members))
+		return engine.Configuration{}, 0, fmt.Errorf("%w: %d members", ErrBadMembership, len(members))
 	}
 	sorted := sortedIDs(members)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
-			return Configuration{}, 0, fmt.Errorf("%w: duplicate member %s", ErrBadMembership, sorted[i])
+			return engine.Configuration{}, 0, fmt.Errorf("%w: duplicate member %s", ErrBadMembership, sorted[i])
 		}
 	}
-	cfg := Configuration{ID: wire.RingID{Rep: sorted[0], Seq: 4}, Members: sorted}
-	idx := cfg.indexOf(me)
+	cfg := engine.Configuration{ID: wire.RingID{Rep: sorted[0], Seq: 4}, Members: sorted}
+	idx := slices.Index(cfg.Members, me)
 	if idx < 0 {
-		return Configuration{}, 0, fmt.Errorf("%w: %s not in member list", ErrBadMembership, me)
+		return engine.Configuration{}, 0, fmt.Errorf("%w: %s not in member list", ErrBadMembership, me)
 	}
 	return cfg, idx, nil
 }
 
 // installRing resets all per-ring protocol state for a newly installed or
 // forming ring. The caller sets e.state.
-func (e *Engine) installRing(cfg Configuration) {
+func (e *Engine) installRing(cfg engine.Configuration) {
 	e.ring = cfg
-	e.myIndex = cfg.indexOf(e.cfg.MyID)
+	e.myIndex = slices.Index(cfg.Members, e.cfg.MyID)
 	e.buf = msgbuf.New(0)
 	e.round = 0
 	e.lastTokenSeq = 0
@@ -268,18 +270,18 @@ func (e *Engine) predecessor() wire.ParticipantID {
 
 // Step dispatches one input to its handler. Control frames are not part of
 // this protocol and are ignored.
-func (e *Engine) Step(in Input) []Action {
+func (e *Engine) Step(in engine.Input) []engine.Action {
 	switch f := in.Frame.(type) {
 	case nil:
-		return e.HandleTimer(in.Timer)
+		return e.handleTimer(in.Timer)
 	case *wire.DataMessage:
-		return e.HandleData(f)
+		return e.handleData(f)
 	case *wire.Token:
-		return e.HandleToken(f)
+		return e.handleToken(f)
 	case *wire.JoinMessage:
-		return e.HandleJoin(f)
+		return e.handleJoin(f)
 	case *wire.CommitToken:
-		return e.HandleCommit(f)
+		return e.handleCommit(f)
 	}
 	return nil
 }
@@ -305,33 +307,33 @@ func (e *Engine) Snapshot() Snapshot {
 	return Snapshot{Config: e.cfg, State: e.state, Ring: e.ring.Clone(), Stats: st}
 }
 
-// HandleTimer processes a timer expiry previously requested via SetTimer.
-func (e *Engine) HandleTimer(kind TimerKind) []Action {
+// handleTimer processes a timer expiry previously requested via SetTimer.
+func (e *Engine) handleTimer(kind engine.TimerKind) []engine.Action {
 	switch kind {
-	case TimerTokenLoss:
+	case engine.TimerTokenLoss:
 		if e.state == StateOperational || e.state == StateRecovery {
 			return e.enterGather()
 		}
-	case TimerTokenRetrans:
+	case engine.TimerTokenRetrans:
 		if (e.state == StateOperational || e.state == StateRecovery) && e.sentToken != nil {
 			e.stats.TokenRetransmits++
-			return []Action{
-				Send{To: e.successor(), Frame: e.sentToken.Clone()},
-				SetTimer{Kind: TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
+			return []engine.Action{
+				engine.Send{To: e.successor(), Frame: e.sentToken.Clone()},
+				engine.SetTimer{Kind: engine.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
 			}
 		}
-	case TimerJoin:
+	case engine.TimerJoin:
 		if e.state == StateGather {
-			return []Action{
-				Send{Frame: e.makeJoin()},
-				SetTimer{Kind: TimerJoin, After: e.cfg.JoinPeriod},
+			return []engine.Action{
+				engine.Send{Frame: e.makeJoin()},
+				engine.SetTimer{Kind: engine.TimerJoin, After: e.cfg.JoinPeriod},
 			}
 		}
-	case TimerConsensus:
+	case engine.TimerConsensus:
 		if e.state == StateGather {
 			return e.consensusTimeout()
 		}
-	case TimerCommit:
+	case engine.TimerCommit:
 		if e.state == StateCommit {
 			return e.enterGather()
 		}

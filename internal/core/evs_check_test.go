@@ -4,51 +4,26 @@ import (
 	"testing"
 	"time"
 
-	"accelring/internal/evscheck"
+	"accelring/internal/faultplan"
 	"accelring/internal/wire"
 )
 
 // The EVS conformance checker itself lives in internal/evscheck (with its
-// own mutation self-tests); the harness exposes it as one call so every
-// scenario and chaos campaign ends with the same machine-checked verdict.
-
-// checkEVS applies the EVS axioms across all nodes (and all incarnations)
-// of the harness.
-func (h *harness) checkEVS() {
-	h.t.Helper()
-	h.checkEVSOptions(evscheck.Options{})
-}
-
-// checkEVSQuiescent additionally enforces end-of-run completeness: every
-// live node sharing the final configuration must have delivered the
-// identical message sequence. Only valid after the run has settled with no
-// traffic in flight.
-func (h *harness) checkEVSQuiescent() {
-	h.t.Helper()
-	h.checkEVSOptions(evscheck.Options{Quiescent: true})
-}
-
-func (h *harness) checkEVSOptions(opt evscheck.Options) {
-	h.t.Helper()
-	if vs := evscheck.Check(h.evLog(), opt); len(vs) > 0 {
-		for _, v := range vs {
-			h.t.Errorf("EVS violation: %v", v)
-		}
-		h.t.FailNow()
-	}
-}
+// own mutation self-tests); harness.checkEVS runs it over every node and
+// incarnation, so every scenario and chaos campaign ends with the same
+// machine-checked verdict.
 
 func TestEVSCheckerOnCleanRun(t *testing.T) {
 	h := newHarness(t, 4, accelConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 20; i++ {
 		for id := wire.ParticipantID(1); id <= 4; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	h.checkAllDelivered(80, 1, 2, 3, 4)
-	h.checkEVS()
+	h.checkEVS(false)
 }
 
 func TestEVSUnderMixedFaults(t *testing.T) {
@@ -56,13 +31,14 @@ func TestEVSUnderMixedFaults(t *testing.T) {
 	// more traffic in both halves, then a merge — EVS axioms must hold
 	// throughout for every node that is still alive.
 	h := newHarness(t, 5, accelConfig())
-	h.dropData = randomLoss(1234, 0.03)
-	h.startStatic()
+	loss := randomLoss(1234, 0.03)
+	h.Fault = loss
+	h.Start()
 
 	send := func(base int) {
 		for i := 0; i < 10; i++ {
 			for id := wire.ParticipantID(1); id <= 5; id++ {
-				if h.node(id).crashed {
+				if h.Node(id).Crashed {
 					continue
 				}
 				h.submit(id, payload(id, base+i), wire.ServiceAgreed)
@@ -70,33 +46,32 @@ func TestEVSUnderMixedFaults(t *testing.T) {
 		}
 	}
 	send(0)
-	h.run(5 * time.Millisecond)
-	h.crash(5)
+	h.Run(5 * time.Millisecond)
+	h.Crash(5)
 	h.waitConfig(5*time.Second, []wire.ParticipantID{1, 2, 3, 4}, 1, 2, 3, 4)
 	send(100)
-	h.run(500 * time.Millisecond)
+	h.Run(500 * time.Millisecond)
 
 	// Partition {1,2} / {3,4}.
-	h.partition[3] = 1
-	h.partition[4] = 1
+	h.Fault = partitioned(map[wire.ParticipantID]int{3: 1, 4: 1}, loss)
 	h.waitConfig(5*time.Second, []wire.ParticipantID{1, 2}, 1, 2)
 	h.waitConfig(5*time.Second, []wire.ParticipantID{3, 4}, 3, 4)
 	for i := 0; i < 10; i++ {
 		h.submit(1, payload(1, 200+i), wire.ServiceSafe)
 		h.submit(3, payload(3, 200+i), wire.ServiceSafe)
 	}
-	h.run(1 * time.Second)
+	h.Run(1 * time.Second)
 
 	// Merge back and push more traffic.
-	h.partition = map[wire.ParticipantID]int{}
+	h.Fault = loss
 	h.submit(2, payload(2, 300), wire.ServiceAgreed)
 	h.waitConfig(10*time.Second, []wire.ParticipantID{1, 2, 3, 4}, 1, 2, 3, 4)
 	send(400)
-	h.run(3 * time.Second)
+	h.Run(3 * time.Second)
 
 	// The crashed node's history must also satisfy the axioms up to its
 	// death; checkEVS covers all nodes including it.
-	h.checkEVS()
+	h.checkEVS(false)
 }
 
 func TestEVSUnderTokenLossStorm(t *testing.T) {
@@ -105,17 +80,20 @@ func TestEVSUnderTokenLossStorm(t *testing.T) {
 	// consistent.
 	h := newHarness(t, 3, accelConfig())
 	dropped := 0
-	h.dropToken = func(from, to wire.ParticipantID, tok *wire.Token) bool {
+	h.Fault = func(_ time.Duration, _, _ wire.ParticipantID, f wire.Frame) faultplan.Verdict {
+		if f.Kind() != wire.KindToken {
+			return faultplan.Verdict{}
+		}
 		dropped++
-		return dropped%40 == 0 // periodic token loss bursts past retransmission
+		return faultplan.Verdict{Drop: dropped%40 == 0} // periodic token loss bursts past retransmission
 	}
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 60; i++ {
 		for id := wire.ParticipantID(1); id <= 3; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(10 * time.Second)
+	h.Run(10 * time.Second)
 	h.checkAllDelivered(180, 1, 2, 3)
-	h.checkEVS()
+	h.checkEVS(false)
 }

@@ -1,6 +1,9 @@
 package core
 
-import "accelring/internal/wire"
+import (
+	"accelring/internal/engine"
+	"accelring/internal/wire"
+)
 
 // OrderingEngine is the engine ⇄ runtime contract every total-order
 // protocol implementation in this repository satisfies. An engine is a
@@ -31,27 +34,20 @@ type OrderingEngine interface {
 	// Start begins operation: with a static member list (every participant
 	// must be started with the identical list), or, when members is nil,
 	// with dynamic membership discovery.
-	Start(members []wire.ParticipantID) ([]Action, error)
+	Start(members []wire.ParticipantID) ([]engine.Action, error)
 	// Submit queues one application payload for total ordering and returns
 	// whatever protocol output that enables right away (nothing for the
 	// token ring, which sends only while holding the token; the value
 	// multicast for a Ring Paxos proposer).
-	Submit(payload []byte, service wire.Service) ([]Action, error)
+	Submit(payload []byte, service wire.Service) ([]engine.Action, error)
 	// Step feeds the engine one input — a received frame or a timer expiry
 	// — and returns its reaction.
-	Step(in Input) []Action
+	Step(in engine.Input) []engine.Action
 	// Progress is the cheap always-current view the runtime steers by.
 	Progress() Progress
 	// Snapshot reports configuration, state and counters for tracing,
 	// metrics and reports.
 	Snapshot() Snapshot
-}
-
-// Input is one engine input: a received frame, or, when Frame is nil, the
-// expiry of timer Timer. Passed by value; building one never allocates.
-type Input struct {
-	Frame wire.Frame
-	Timer TimerKind
 }
 
 // Progress is what a runtime needs from the engine between inputs.
@@ -82,7 +78,7 @@ type Snapshot struct {
 	// State is the membership/protocol state.
 	State State
 	// Ring is the current configuration (view).
-	Ring Configuration
+	Ring engine.Configuration
 	// Stats is the shared counter set. Engines map their own notions onto
 	// it (for Ring Paxos, TokensProcessed counts Phase 2 circulation acks)
 	// so bench reports work unchanged across engines.

@@ -4,11 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/enginetest"
 	"accelring/internal/wire"
 )
 
 // checkInvariants asserts the engine's internal consistency conditions.
-// The harness calls it after every handler invocation (see execute), so
+// The harness calls it after every handler invocation (AfterStep), so
 // any protocol step that breaks an invariant fails the test at the exact
 // step that broke it.
 func (e *Engine) checkInvariants(t *testing.T) {
@@ -63,9 +64,9 @@ func (e *Engine) checkInvariants(t *testing.T) {
 // checking enabled on every step of every node.
 func TestInvariantsUnderLoad(t *testing.T) {
 	h := newHarness(t, 4, accelConfig())
-	h.checkInvariantsEveryStep = true
-	h.dropData = randomLoss(5, 0.05)
-	h.startStatic()
+	h.AfterStep = func(n *enginetest.Node) { eng(n).checkInvariants(t) }
+	h.Fault = randomLoss(5, 0.05)
+	h.Start()
 	for i := 0; i < 30; i++ {
 		for id := wire.ParticipantID(1); id <= 4; id++ {
 			svc := wire.ServiceAgreed
@@ -75,10 +76,10 @@ func TestInvariantsUnderLoad(t *testing.T) {
 			h.submit(id, payload(id, i), svc)
 		}
 	}
-	h.run(5 * time.Millisecond)
-	h.crash(4)
+	h.Run(5 * time.Millisecond)
+	h.Crash(4)
 	h.waitConfig(5*time.Second, []wire.ParticipantID{1, 2, 3}, 1, 2, 3)
-	h.run(3 * time.Second)
+	h.Run(3 * time.Second)
 	h.checkTotalOrder(1, 2, 3)
 }
 
@@ -86,22 +87,21 @@ func TestInvariantsUnderLoad(t *testing.T) {
 // merge cycle.
 func TestInvariantsUnderPartitionMerge(t *testing.T) {
 	h := newHarness(t, 4, accelConfig())
-	h.checkInvariantsEveryStep = true
-	h.startStatic()
-	h.run(50 * time.Millisecond)
-	h.partition[3] = 1
-	h.partition[4] = 1
+	h.AfterStep = func(n *enginetest.Node) { eng(n).checkInvariants(t) }
+	h.Start()
+	h.Run(50 * time.Millisecond)
+	h.Fault = partitioned(map[wire.ParticipantID]int{3: 1, 4: 1}, nil)
 	h.waitConfig(3*time.Second, []wire.ParticipantID{1, 2}, 1, 2)
 	h.waitConfig(3*time.Second, []wire.ParticipantID{3, 4}, 3, 4)
 	for i := 0; i < 5; i++ {
 		h.submit(1, payload(1, i), wire.ServiceSafe)
 		h.submit(3, payload(3, i), wire.ServiceSafe)
 	}
-	h.run(500 * time.Millisecond)
-	h.partition = map[wire.ParticipantID]int{}
+	h.Run(500 * time.Millisecond)
+	h.Fault = nil
 	h.submit(2, payload(2, 50), wire.ServiceAgreed)
 	all := []wire.ParticipantID{1, 2, 3, 4}
 	h.waitConfig(10*time.Second, all, all...)
-	h.run(1 * time.Second)
-	h.checkEVS()
+	h.Run(1 * time.Second)
+	h.checkEVS(false)
 }

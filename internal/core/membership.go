@@ -1,7 +1,9 @@
 package core
 
 import (
+	"accelring/internal/engine"
 	"accelring/internal/wire"
+	"slices"
 )
 
 // ringSeqIncrement is added to the largest known ring sequence number when
@@ -15,7 +17,7 @@ const ringSeqIncrement = 4
 // so from the application's perspective the old configuration is still the
 // current one and its undelivered messages must survive into the next
 // recovery attempt.
-func (e *Engine) enterGather() []Action {
+func (e *Engine) enterGather() []engine.Action {
 	// A formation attempt that failed (from Commit or Recovery) keeps the
 	// gathered proc/fail sets: resetting them to {me} makes this node's
 	// next join advertise a smaller set, bouncing already-committed peers
@@ -26,10 +28,10 @@ func (e *Engine) enterGather() []Action {
 	preserve := e.state == StateCommit || e.state == StateRecovery
 	if e.state == StateRecovery {
 		e.ring = e.oldRing
-		e.myIndex = e.ring.indexOf(e.cfg.MyID)
+		e.myIndex = slices.Index(e.ring.Members, e.cfg.MyID)
 		e.buf = e.oldBuf
 		e.safeBound = e.oldSafeBound
-		e.oldRing = Configuration{}
+		e.oldRing = engine.Configuration{}
 		e.oldBuf = nil
 		e.obligations = nil
 		e.obligationsHead = 0
@@ -52,13 +54,13 @@ func (e *Engine) enterGather() []Action {
 	if e.ring.ID.Seq > e.maxRingSeq {
 		e.maxRingSeq = e.ring.ID.Seq
 	}
-	return []Action{
-		Send{Frame: e.makeJoin()},
-		SetTimer{Kind: TimerJoin, After: e.cfg.JoinPeriod},
-		SetTimer{Kind: TimerConsensus, After: e.cfg.ConsensusTimeout},
-		CancelTimer{Kind: TimerTokenLoss},
-		CancelTimer{Kind: TimerTokenRetrans},
-		CancelTimer{Kind: TimerCommit},
+	return []engine.Action{
+		engine.Send{Frame: e.makeJoin()},
+		engine.SetTimer{Kind: engine.TimerJoin, After: e.cfg.JoinPeriod},
+		engine.SetTimer{Kind: engine.TimerConsensus, After: e.cfg.ConsensusTimeout},
+		engine.CancelTimer{Kind: engine.TimerTokenLoss},
+		engine.CancelTimer{Kind: engine.TimerTokenRetrans},
+		engine.CancelTimer{Kind: engine.TimerCommit},
 	}
 }
 
@@ -72,8 +74,8 @@ func (e *Engine) makeJoin() *wire.JoinMessage {
 	}
 }
 
-// HandleJoin processes a received membership join message.
-func (e *Engine) HandleJoin(j *wire.JoinMessage) []Action {
+// handleJoin processes a received membership join message.
+func (e *Engine) handleJoin(j *wire.JoinMessage) []engine.Action {
 	if j.Sender == e.cfg.MyID {
 		return nil // our own multicast looped back
 	}
@@ -117,7 +119,7 @@ func (e *Engine) HandleJoin(j *wire.JoinMessage) []Action {
 
 // processJoin merges a join message into the Gather state and checks for
 // consensus.
-func (e *Engine) processJoin(j *wire.JoinMessage) []Action {
+func (e *Engine) processJoin(j *wire.JoinMessage) []engine.Action {
 	for _, p := range j.FailSet {
 		if p == e.cfg.MyID {
 			// The sender has declared us failed; we cannot join it.
@@ -146,13 +148,13 @@ func (e *Engine) processJoin(j *wire.JoinMessage) []Action {
 	}
 	e.joins[j.Sender] = j
 
-	var actions []Action
+	var actions []engine.Action
 	if changed {
 		// Our proposal grew: re-advertise and give consensus more time.
 		actions = append(actions,
-			Send{Frame: e.makeJoin()},
-			SetTimer{Kind: TimerJoin, After: e.cfg.JoinPeriod},
-			SetTimer{Kind: TimerConsensus, After: e.cfg.ConsensusTimeout},
+			engine.Send{Frame: e.makeJoin()},
+			engine.SetTimer{Kind: engine.TimerJoin, After: e.cfg.JoinPeriod},
+			engine.SetTimer{Kind: engine.TimerConsensus, After: e.cfg.ConsensusTimeout},
 		)
 	}
 	return append(actions, e.checkConsensus()...)
@@ -161,7 +163,7 @@ func (e *Engine) processJoin(j *wire.JoinMessage) []Action {
 // checkConsensus tests whether every live proposed member has advertised
 // identical proc and fail sets; if so the membership is agreed and the
 // commit phase begins.
-func (e *Engine) checkConsensus() []Action {
+func (e *Engine) checkConsensus() []engine.Action {
 	live := e.liveSet()
 	if len(live) == 0 {
 		return nil
@@ -194,7 +196,7 @@ func (e *Engine) liveSet() []wire.ParticipantID {
 // consensusTimeout declares every proposed member that has not sent any
 // join failed, re-advertises, and re-arms the timer. A participant that is
 // alone (or whose peers all already match) can reach consensus here.
-func (e *Engine) consensusTimeout() []Action {
+func (e *Engine) consensusTimeout() []engine.Action {
 	changed := false
 	for _, p := range e.liveSet() {
 		if p != e.cfg.MyID && e.joins[p] == nil {
@@ -202,25 +204,25 @@ func (e *Engine) consensusTimeout() []Action {
 			changed = true
 		}
 	}
-	var actions []Action
+	var actions []engine.Action
 	if changed {
-		actions = append(actions, Send{Frame: e.makeJoin()})
+		actions = append(actions, engine.Send{Frame: e.makeJoin()})
 	}
-	actions = append(actions, SetTimer{Kind: TimerConsensus, After: e.cfg.ConsensusTimeout})
+	actions = append(actions, engine.SetTimer{Kind: engine.TimerConsensus, After: e.cfg.ConsensusTimeout})
 	return append(actions, e.checkConsensus()...)
 }
 
 // formRing begins the commit phase for the agreed membership. The
 // representative (smallest ID) creates the commit token and circulates it;
 // everyone else waits for it.
-func (e *Engine) formRing(live []wire.ParticipantID) []Action {
+func (e *Engine) formRing(live []wire.ParticipantID) []engine.Action {
 	ringID := wire.RingID{Rep: live[0], Seq: e.maxRingSeq + ringSeqIncrement}
-	e.pendingRing = Configuration{ID: ringID, Members: live}
+	e.pendingRing = engine.Configuration{ID: ringID, Members: live}
 	e.setState(StateCommit)
-	actions := []Action{
-		CancelTimer{Kind: TimerJoin},
-		CancelTimer{Kind: TimerConsensus},
-		SetTimer{Kind: TimerCommit, After: e.cfg.CommitTimeout},
+	actions := []engine.Action{
+		engine.CancelTimer{Kind: engine.TimerJoin},
+		engine.CancelTimer{Kind: engine.TimerConsensus},
+		engine.SetTimer{Kind: engine.TimerCommit, After: e.cfg.CommitTimeout},
 	}
 	if live[0] != e.cfg.MyID {
 		return actions
@@ -234,7 +236,7 @@ func (e *Engine) formRing(live []wire.ParticipantID) []Action {
 		// Singleton ring: both rotations are trivially complete.
 		return append(actions, e.repCompleteRotation1(ct)...)
 	}
-	return append(actions, Send{To: live[1], Frame: ct})
+	return append(actions, engine.Send{To: live[1], Frame: ct})
 }
 
 // fillCommitEntry records this participant's old-ring state in its commit
@@ -256,8 +258,8 @@ func (e *Engine) fillCommitEntry(ct *wire.CommitToken) {
 	}
 }
 
-// HandleCommit processes a received commit token.
-func (e *Engine) HandleCommit(ct *wire.CommitToken) []Action {
+// handleCommit processes a received commit token.
+func (e *Engine) handleCommit(ct *wire.CommitToken) []engine.Action {
 	idx := -1
 	for i := range ct.Members {
 		if ct.Members[i].ID == e.cfg.MyID {
@@ -290,11 +292,11 @@ func (e *Engine) HandleCommit(ct *wire.CommitToken) []Action {
 			e.setState(StateCommit)
 			e.pendingRing = commitConfiguration(ct)
 			next := ct.Members[(idx+1)%len(ct.Members)].ID
-			return []Action{
-				CancelTimer{Kind: TimerJoin},
-				CancelTimer{Kind: TimerConsensus},
-				SetTimer{Kind: TimerCommit, After: e.cfg.CommitTimeout},
-				Send{To: next, Frame: ct},
+			return []engine.Action{
+				engine.CancelTimer{Kind: engine.TimerJoin},
+				engine.CancelTimer{Kind: engine.TimerConsensus},
+				engine.SetTimer{Kind: engine.TimerCommit, After: e.cfg.CommitTimeout},
+				engine.Send{To: next, Frame: ct},
 			}
 		case 2:
 			if rep || e.state != StateCommit || !allFilled(ct) {
@@ -304,7 +306,7 @@ func (e *Engine) HandleCommit(ct *wire.CommitToken) []Action {
 			// pass the confirmation on.
 			actions := e.enterRecovery(ct)
 			next := ct.Members[(idx+1)%len(ct.Members)].ID
-			return append(actions, Send{To: next, Frame: ct.Clone()})
+			return append(actions, engine.Send{To: next, Frame: ct.Clone()})
 		}
 	case StateRecovery:
 		if rep && ct.Rotation == 2 && ct.RingID == e.ring.ID && e.lastTokenSeq == 0 {
@@ -322,7 +324,7 @@ func (e *Engine) HandleCommit(ct *wire.CommitToken) []Action {
 // commit token's collection rotation: switch to recovery and start the
 // confirmation rotation (or, on a singleton ring, inject the first regular
 // token immediately).
-func (e *Engine) repCompleteRotation1(ct *wire.CommitToken) []Action {
+func (e *Engine) repCompleteRotation1(ct *wire.CommitToken) []engine.Action {
 	ct = ct.Clone()
 	ct.Rotation = 2
 	actions := e.enterRecovery(ct)
@@ -330,17 +332,17 @@ func (e *Engine) repCompleteRotation1(ct *wire.CommitToken) []Action {
 		initial := &wire.Token{RingID: e.ring.ID, TokenSeq: 1}
 		return append(actions, e.handleRegularToken(initial)...)
 	}
-	return append(actions, Send{To: ct.Members[1].ID, Frame: ct})
+	return append(actions, engine.Send{To: ct.Members[1].ID, Frame: ct})
 }
 
 // commitConfiguration extracts the new ring's configuration from a commit
 // token.
-func commitConfiguration(ct *wire.CommitToken) Configuration {
+func commitConfiguration(ct *wire.CommitToken) engine.Configuration {
 	members := make([]wire.ParticipantID, len(ct.Members))
 	for i := range ct.Members {
 		members[i] = ct.Members[i].ID
 	}
-	return Configuration{ID: ct.RingID, Members: members}
+	return engine.Configuration{ID: ct.RingID, Members: members}
 }
 
 func allFilled(ct *wire.CommitToken) bool {
@@ -358,7 +360,7 @@ func allFilled(ct *wire.CommitToken) bool {
 // retransmission obligations: the old-ring messages it must re-multicast so
 // that every member arriving from the same old ring ends up with identical
 // message sets (Extended Virtual Synchrony).
-func (e *Engine) enterRecovery(ct *wire.CommitToken) []Action {
+func (e *Engine) enterRecovery(ct *wire.CommitToken) []engine.Action {
 	e.commitInfo = make([]wire.CommitMember, len(ct.Members))
 	copy(e.commitInfo, ct.Members)
 
@@ -372,11 +374,11 @@ func (e *Engine) enterRecovery(ct *wire.CommitToken) []Action {
 	e.obligationsHead = 0
 	e.recoveryMarkers = make(map[wire.ParticipantID]wire.Seq, len(e.ring.Members))
 
-	return []Action{
-		CancelTimer{Kind: TimerJoin},
-		CancelTimer{Kind: TimerConsensus},
-		CancelTimer{Kind: TimerCommit},
-		SetTimer{Kind: TimerTokenLoss, After: e.cfg.TokenLossTimeout},
+	return []engine.Action{
+		engine.CancelTimer{Kind: engine.TimerJoin},
+		engine.CancelTimer{Kind: engine.TimerConsensus},
+		engine.CancelTimer{Kind: engine.TimerCommit},
+		engine.SetTimer{Kind: engine.TimerTokenLoss, After: e.cfg.TokenLossTimeout},
 	}
 }
 
@@ -438,7 +440,7 @@ func (e *Engine) computeObligations() []*wire.DataMessage {
 // configuration's guarantees can be met. Members that complete early and
 // begin sending application traffic do not disturb stragglers — the safe
 // bound keeps advancing regardless.
-func (e *Engine) recoveryRoundEnd(actions []Action) []Action {
+func (e *Engine) recoveryRoundEnd(actions []engine.Action) []engine.Action {
 	if len(e.recoveryMarkers) < len(e.ring.Members) {
 		return actions
 	}
@@ -460,7 +462,7 @@ func (e *Engine) recoveryRoundEnd(actions []Action) []Action {
 // that could only be recovered under the transitional guarantees, then the
 // new regular configuration — and finally anything already buffered on the
 // new ring.
-func (e *Engine) completeRecovery(actions []Action) []Action {
+func (e *Engine) completeRecovery(actions []engine.Action) []engine.Action {
 	if e.oldBuf != nil && e.oldRing.ID != (wire.RingID{}) {
 		// Messages deliverable under the old configuration's own rules:
 		// contiguous, with Safe messages only up to the old safe bound.
@@ -486,9 +488,9 @@ func (e *Engine) completeRecovery(actions []Action) []Action {
 				transMembers = append(transMembers, m.ID)
 			}
 		}
-		trans := Configuration{ID: e.oldRing.ID, Members: transMembers}
+		trans := engine.Configuration{ID: e.oldRing.ID, Members: transMembers}
 		e.traceConfig(trans, true)
-		actions = append(actions, DeliverConfig{Config: trans, Transitional: true})
+		actions = append(actions, engine.DeliverConfig{Config: trans, Transitional: true})
 		// Everything else we hold from the old ring, in sequence order.
 		// Recovery quiescence guarantees every transitional member holds
 		// these, so Safe messages now satisfy their guarantee with respect
@@ -502,7 +504,7 @@ func (e *Engine) completeRecovery(actions []Action) []Action {
 		})
 	}
 
-	e.oldRing = Configuration{}
+	e.oldRing = engine.Configuration{}
 	e.oldBuf = nil
 	e.obligations = nil
 	e.obligationsHead = 0
@@ -511,7 +513,7 @@ func (e *Engine) completeRecovery(actions []Action) []Action {
 	e.setState(StateOperational)
 	e.stats.MembershipChanges++
 	e.traceConfig(e.ring, false)
-	actions = append(actions, DeliverConfig{Config: e.ring.Clone(), Transitional: false})
+	actions = append(actions, engine.DeliverConfig{Config: e.ring.Clone(), Transitional: false})
 	// Members that completed earlier may already be sending application
 	// messages on the new ring.
 	return e.deliverReady(actions)

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/enginetest"
+	"accelring/internal/faultplan"
 	"accelring/internal/wire"
 )
 
@@ -26,13 +28,13 @@ func TestStaticRingDeliversInTotalOrder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, 4, tc.cfg)
-			h.startStatic()
+			h.Start()
 			for i := 0; i < 25; i++ {
 				for id := wire.ParticipantID(1); id <= 4; id++ {
 					h.submit(id, payload(id, i), wire.ServiceAgreed)
 				}
 			}
-			h.run(2 * time.Second)
+			h.Run(2 * time.Second)
 			h.checkAllDelivered(100, 1, 2, 3, 4)
 			h.checkTotalOrder(1, 2, 3, 4)
 		})
@@ -41,34 +43,34 @@ func TestStaticRingDeliversInTotalOrder(t *testing.T) {
 
 func TestStaticRingDeliversConfigEventFirst(t *testing.T) {
 	h := newHarness(t, 3, accelConfig())
-	h.startStatic()
-	h.run(100 * time.Millisecond)
-	for _, n := range h.nodes {
-		if len(n.delivered) == 0 || n.delivered[0].msg != nil {
-			t.Fatalf("node %s: first event is not a configuration", n.id)
+	h.Start()
+	h.Run(100 * time.Millisecond)
+	for _, n := range h.Nodes {
+		if len(n.Events()) == 0 || n.Events()[0].Msg != nil {
+			t.Fatalf("node %s: first event is not a configuration", n.ID)
 		}
-		cfg := n.delivered[0].config
-		if n.delivered[0].trans {
-			t.Fatalf("node %s: initial configuration marked transitional", n.id)
+		cfg := n.Events()[0].Config
+		if n.Events()[0].Transitional {
+			t.Fatalf("node %s: initial configuration marked transitional", n.ID)
 		}
 		if len(cfg.Members) != 3 {
-			t.Fatalf("node %s: initial configuration has %d members, want 3", n.id, len(cfg.Members))
+			t.Fatalf("node %s: initial configuration has %d members, want 3", n.ID, len(cfg.Members))
 		}
 	}
 }
 
 func TestSafeDeliveryReachesAll(t *testing.T) {
 	h := newHarness(t, 3, accelConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 10; i++ {
 		h.submit(1, payload(1, i), wire.ServiceSafe)
 	}
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	h.checkAllDelivered(10, 1, 2, 3)
 	h.checkTotalOrder(1, 2, 3)
-	for _, n := range h.nodes {
-		if got := n.eng.Snapshot().Stats.SafeDelivered; got != 10 {
-			t.Fatalf("node %s SafeDelivered = %d, want 10", n.id, got)
+	for _, n := range h.Nodes {
+		if got := eng(n).Snapshot().Stats.SafeDelivered; got != 10 {
+			t.Fatalf("node %s SafeDelivered = %d, want 10", n.ID, got)
 		}
 	}
 }
@@ -81,42 +83,42 @@ func TestSafeDeliveryLagsAgreed(t *testing.T) {
 	// delivery still happens, which is the liveness half; the ordering
 	// half is covered by checkTotalOrder).
 	h := newHarness(t, 3, accelConfig())
-	h.startStatic()
+	h.Start()
 	h.submit(1, []byte("safe"), wire.ServiceSafe)
 	h.submit(2, []byte("agreed"), wire.ServiceAgreed)
-	h.run(1 * time.Second)
+	h.Run(1 * time.Second)
 	h.checkAllDelivered(2, 1, 2, 3)
 	h.checkTotalOrder(1, 2, 3)
 }
 
 func TestMixedServicesPreserveTotalOrder(t *testing.T) {
 	h := newHarness(t, 4, accelConfig())
-	h.startStatic()
+	h.Start()
 	svcs := []wire.Service{wire.ServiceAgreed, wire.ServiceSafe, wire.ServiceFIFO, wire.ServiceCausal}
 	for i := 0; i < 20; i++ {
 		for id := wire.ParticipantID(1); id <= 4; id++ {
 			h.submit(id, payload(id, i), svcs[(i+int(id))%len(svcs)])
 		}
 	}
-	h.run(3 * time.Second)
+	h.Run(3 * time.Second)
 	h.checkAllDelivered(80, 1, 2, 3, 4)
 	h.checkTotalOrder(1, 2, 3, 4)
 }
 
 func TestDeliveryRespectsSenderFIFO(t *testing.T) {
 	h := newHarness(t, 3, accelConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 30; i++ {
 		h.submit(2, payload(2, i), wire.ServiceAgreed)
 	}
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	h.checkAllDelivered(30, 1, 2, 3)
 	// Messages from one sender must be delivered in submission order.
-	for _, n := range h.nodes {
-		msgs := n.appMsgs()
+	for _, n := range h.Nodes {
+		msgs := n.Payloads()
 		for i, m := range msgs {
-			if string(m.Payload) != string(payload(2, i)) {
-				t.Fatalf("node %s: position %d has %q, want %q", n.id, i, m.Payload, payload(2, i))
+			if m != string(payload(2, i)) {
+				t.Fatalf("node %s: position %d has %q, want %q", n.ID, i, m, payload(2, i))
 			}
 		}
 	}
@@ -124,19 +126,19 @@ func TestDeliveryRespectsSenderFIFO(t *testing.T) {
 
 func TestRetransmissionRecoversLoss(t *testing.T) {
 	h := newHarness(t, 4, accelConfig())
-	h.dropData = lossEvery(7) // drop every 7th data transmission
-	h.startStatic()
+	h.Fault = lossEvery(7) // drop every 7th data transmission
+	h.Start()
 	for i := 0; i < 50; i++ {
 		for id := wire.ParticipantID(1); id <= 4; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(5 * time.Second)
+	h.Run(5 * time.Second)
 	h.checkAllDelivered(200, 1, 2, 3, 4)
 	h.checkTotalOrder(1, 2, 3, 4)
 	retrans := uint64(0)
-	for _, n := range h.nodes {
-		retrans += n.eng.Snapshot().Stats.MsgsRetransmitted
+	for _, n := range h.Nodes {
+		retrans += eng(n).Snapshot().Stats.MsgsRetransmitted
 	}
 	if retrans == 0 {
 		t.Fatal("loss was injected but no retransmissions happened")
@@ -146,14 +148,14 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 func TestHeavyRandomLossStillConsistent(t *testing.T) {
 	for _, proto := range []Config{accelConfig(), origConfig()} {
 		h := newHarness(t, 4, proto)
-		h.dropData = randomLoss(42, 0.10)
-		h.startStatic()
+		h.Fault = randomLoss(42, 0.10)
+		h.Start()
 		for i := 0; i < 40; i++ {
 			for id := wire.ParticipantID(1); id <= 4; id++ {
 				h.submit(id, payload(id, i), wire.ServiceSafe)
 			}
 		}
-		h.run(10 * time.Second)
+		h.Run(10 * time.Second)
 		h.checkAllDelivered(160, 1, 2, 3, 4)
 		h.checkTotalOrder(1, 2, 3, 4)
 	}
@@ -162,19 +164,19 @@ func TestHeavyRandomLossStillConsistent(t *testing.T) {
 func TestTokenRetransmissionSurvivesTokenLoss(t *testing.T) {
 	h := newHarness(t, 3, accelConfig())
 	dropped := 0
-	h.dropToken = func(from, to wire.ParticipantID, tok *wire.Token) bool {
+	h.Fault = func(_ time.Duration, _, _ wire.ParticipantID, f wire.Frame) faultplan.Verdict {
 		// Drop exactly two token transmissions early on.
-		if dropped < 2 && tok.TokenSeq > 3 {
+		if tok, ok := f.(*wire.Token); ok && dropped < 2 && tok.TokenSeq > 3 {
 			dropped++
-			return true
+			return faultplan.Verdict{Drop: true}
 		}
-		return false
+		return faultplan.Verdict{}
 	}
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 20; i++ {
 		h.submit(1, payload(1, i), wire.ServiceAgreed)
 	}
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	if dropped != 2 {
 		t.Fatalf("wanted to drop 2 tokens, dropped %d", dropped)
 	}
@@ -182,9 +184,9 @@ func TestTokenRetransmissionSurvivesTokenLoss(t *testing.T) {
 	h.checkTotalOrder(1, 2, 3)
 	retrans := uint64(0)
 	changes := uint64(0)
-	for _, n := range h.nodes {
-		retrans += n.eng.Snapshot().Stats.TokenRetransmits
-		changes += n.eng.Snapshot().Stats.MembershipChanges
+	for _, n := range h.Nodes {
+		retrans += eng(n).Snapshot().Stats.TokenRetransmits
+		changes += eng(n).Snapshot().Stats.MembershipChanges
 	}
 	if retrans == 0 {
 		t.Fatal("tokens were dropped but never retransmitted")
@@ -198,16 +200,16 @@ func TestTokenRetransmissionSurvivesTokenLoss(t *testing.T) {
 
 func TestAcceleratedSendsPostToken(t *testing.T) {
 	h := newHarness(t, 3, accelConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 100; i++ {
 		for id := wire.ParticipantID(1); id <= 3; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(3 * time.Second)
+	h.Run(3 * time.Second)
 	post := uint64(0)
-	for _, n := range h.nodes {
-		post += n.eng.Snapshot().Stats.MsgsPostToken
+	for _, n := range h.Nodes {
+		post += eng(n).Snapshot().Stats.MsgsPostToken
 	}
 	if post == 0 {
 		t.Fatal("accelerated protocol sent no post-token messages")
@@ -216,51 +218,51 @@ func TestAcceleratedSendsPostToken(t *testing.T) {
 
 func TestOriginalSendsNothingPostToken(t *testing.T) {
 	h := newHarness(t, 3, origConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 100; i++ {
 		for id := wire.ParticipantID(1); id <= 3; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(3 * time.Second)
-	for _, n := range h.nodes {
-		if got := n.eng.Snapshot().Stats.MsgsPostToken; got != 0 {
-			t.Fatalf("original protocol node %s sent %d post-token messages", n.id, got)
+	h.Run(3 * time.Second)
+	for _, n := range h.Nodes {
+		if got := eng(n).Snapshot().Stats.MsgsPostToken; got != 0 {
+			t.Fatalf("original protocol node %s sent %d post-token messages", n.ID, got)
 		}
 	}
 }
 
 func TestSingletonRing(t *testing.T) {
 	h := newHarness(t, 1, accelConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 10; i++ {
 		h.submit(1, payload(1, i), wire.ServiceSafe)
 	}
-	h.run(1 * time.Second)
+	h.Run(1 * time.Second)
 	h.checkAllDelivered(10, 1)
 }
 
 func TestTwoNodeRing(t *testing.T) {
 	h := newHarness(t, 2, accelConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 20; i++ {
 		h.submit(1, payload(1, i), wire.ServiceAgreed)
 		h.submit(2, payload(2, i), wire.ServiceSafe)
 	}
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	h.checkAllDelivered(40, 1, 2)
 	h.checkTotalOrder(1, 2)
 }
 
 func TestLargeRing(t *testing.T) {
 	h := newHarness(t, 12, accelConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 5; i++ {
 		for id := wire.ParticipantID(1); id <= 12; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(3 * time.Second)
+	h.Run(3 * time.Second)
 	ids := make([]wire.ParticipantID, 0, 12)
 	for i := wire.ParticipantID(1); i <= 12; i++ {
 		ids = append(ids, i)
@@ -289,20 +291,20 @@ func TestBacklogBackpressure(t *testing.T) {
 
 func TestGarbageCollectionBoundsBuffers(t *testing.T) {
 	h := newHarness(t, 3, accelConfig())
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 200; i++ {
 		for id := wire.ParticipantID(1); id <= 3; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(5 * time.Second)
+	h.Run(5 * time.Second)
 	h.checkAllDelivered(600, 1, 2, 3)
-	for _, n := range h.nodes {
-		if got := n.eng.Snapshot().Stats.Discarded; got == 0 {
-			t.Fatalf("node %s never garbage-collected stable messages", n.id)
+	for _, n := range h.Nodes {
+		if got := eng(n).Snapshot().Stats.Discarded; got == 0 {
+			t.Fatalf("node %s never garbage-collected stable messages", n.ID)
 		}
-		if n.eng.buf.Len() > n.eng.cfg.Flow.MaxSeqGap {
-			t.Fatalf("node %s buffer holds %d messages, beyond the seq gap bound", n.id, n.eng.buf.Len())
+		if eng(n).buf.Len() > eng(n).cfg.Flow.MaxSeqGap {
+			t.Fatalf("node %s buffer holds %d messages, beyond the seq gap bound", n.ID, eng(n).buf.Len())
 		}
 	}
 }
@@ -310,22 +312,22 @@ func TestGarbageCollectionBoundsBuffers(t *testing.T) {
 func TestDuplicatedPacketsAreIdempotent(t *testing.T) {
 	h := newHarness(t, 3, accelConfig())
 	count := 0
-	h.dupData = func(from, to wire.ParticipantID, m *wire.DataMessage) bool {
+	h.Fault = dataFault(func() faultplan.Verdict {
 		count++
-		return count%3 == 0 // duplicate every third delivery
-	}
-	h.startStatic()
+		return faultplan.Verdict{Dup: count%3 == 0} // duplicate every third delivery
+	})
+	h.Start()
 	for i := 0; i < 40; i++ {
 		for id := wire.ParticipantID(1); id <= 3; id++ {
 			h.submit(id, payload(id, i), wire.ServiceSafe)
 		}
 	}
-	h.run(3 * time.Second)
+	h.Run(3 * time.Second)
 	h.checkAllDelivered(120, 1, 2, 3)
 	h.checkTotalOrder(1, 2, 3)
 	dups := uint64(0)
-	for _, n := range h.nodes {
-		dups += n.eng.Snapshot().Stats.MsgsDuplicate
+	for _, n := range h.Nodes {
+		dups += eng(n).Snapshot().Stats.MsgsDuplicate
 	}
 	if dups == 0 {
 		t.Fatal("duplicates were injected but never detected")
@@ -335,41 +337,38 @@ func TestDuplicatedPacketsAreIdempotent(t *testing.T) {
 func TestReorderedPacketsStillTotallyOrdered(t *testing.T) {
 	h := newHarness(t, 4, accelConfig())
 	rng := rand.New(rand.NewSource(77))
-	h.jitter = func() time.Duration {
+	h.Fault = dataFault(func() faultplan.Verdict {
 		// Up to 3 hop-delays of jitter: heavy in-flight reordering.
-		return time.Duration(rng.Intn(3)) * defaultHopDelay
-	}
-	h.startStatic()
+		return faultplan.Verdict{Delay: time.Duration(rng.Intn(3)) * enginetest.Delay}
+	})
+	h.Start()
 	for i := 0; i < 40; i++ {
 		for id := wire.ParticipantID(1); id <= 4; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(5 * time.Second)
+	h.Run(5 * time.Second)
 	h.checkAllDelivered(160, 1, 2, 3, 4)
 	h.checkTotalOrder(1, 2, 3, 4)
-	h.checkEVS()
+	h.checkEVS(false)
 }
 
 func TestReorderingPlusLossPlusDuplication(t *testing.T) {
 	// The full UDP pathology menu at once.
 	h := newHarness(t, 3, accelConfig())
-	rng := rand.New(rand.NewSource(99))
-	h.dropData = randomLoss(3, 0.05)
-	h.dupData = func(from, to wire.ParticipantID, m *wire.DataMessage) bool {
-		return rng.Intn(10) == 0
-	}
-	h.jitter = func() time.Duration {
-		return time.Duration(rng.Intn(2)) * defaultHopDelay
-	}
-	h.startStatic()
+	loss, rng := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(99))
+	h.Fault = dataFault(func() faultplan.Verdict {
+		return faultplan.Verdict{Drop: loss.Float64() < 0.05, Dup: rng.Intn(10) == 0,
+			Delay: time.Duration(rng.Intn(2)) * enginetest.Delay}
+	})
+	h.Start()
 	for i := 0; i < 30; i++ {
 		for id := wire.ParticipantID(1); id <= 3; id++ {
 			h.submit(id, payload(id, i), wire.ServiceSafe)
 		}
 	}
-	h.run(10 * time.Second)
+	h.Run(10 * time.Second)
 	h.checkAllDelivered(90, 1, 2, 3)
 	h.checkTotalOrder(1, 2, 3)
-	h.checkEVS()
+	h.checkEVS(false)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
@@ -21,7 +22,7 @@ func TestPackingCombinesSmallMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	sends := dataSends(actions)
 	if len(sends) != 1 {
 		t.Fatalf("sent %d packets, want 1 packed container", len(sends))
@@ -58,7 +59,7 @@ func TestPackingRespectsThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	sends := dataSends(actions)
 	if len(sends) != 3 {
 		t.Fatalf("sent %d packets, want 3 containers of 2", len(sends))
@@ -89,7 +90,7 @@ func TestPackingNeverMixesServices(t *testing.T) {
 	if _, err := e.Submit([]byte("a3"), wire.ServiceAgreed); err != nil {
 		t.Fatal(err)
 	}
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	sends := dataSends(actions)
 	// a1+a2 pack; s1 alone (different service); a3 alone (after the break).
 	if len(sends) != 3 {
@@ -113,7 +114,7 @@ func TestPackingDisabledByDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	if got := len(dataSends(actions)); got != 5 {
 		t.Fatalf("sent %d packets without packing, want 5", got)
 	}
@@ -130,7 +131,7 @@ func TestPackingLargeMessagePassesThrough(t *testing.T) {
 	if _, err := e.Submit([]byte("tiny"), wire.ServiceAgreed); err != nil {
 		t.Fatal(err)
 	}
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	sends := dataSends(actions)
 	if len(sends) != 2 {
 		t.Fatalf("sent %d packets, want 2", len(sends))
@@ -146,19 +147,19 @@ func TestPackingLargeMessagePassesThrough(t *testing.T) {
 func TestPackedClusterEndToEnd(t *testing.T) {
 	cfg := packedConfig(1350)
 	h := newHarness(t, 3, cfg)
-	h.startStatic()
+	h.Start()
 	const perNode = 50
 	for i := 0; i < perNode; i++ {
 		for id := wire.ParticipantID(1); id <= 3; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	h.checkAllDelivered(perNode*3, 1, 2, 3)
 	h.checkTotalOrder(1, 2, 3)
 	packed := uint64(0)
-	for _, n := range h.nodes {
-		packed += n.eng.Snapshot().Stats.PayloadsPacked
+	for _, n := range h.Nodes {
+		packed += eng(n).Snapshot().Stats.PayloadsPacked
 	}
 	if packed == 0 {
 		t.Fatal("no payloads travelled packed")
@@ -168,15 +169,15 @@ func TestPackedClusterEndToEnd(t *testing.T) {
 func TestPackedClusterSafeDelivery(t *testing.T) {
 	cfg := packedConfig(1350)
 	h := newHarness(t, 3, cfg)
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 30; i++ {
 		h.submit(1, payload(1, i), wire.ServiceSafe)
 	}
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	h.checkAllDelivered(30, 1, 2, 3)
-	for _, n := range h.nodes {
-		if got := n.eng.Snapshot().Stats.SafeDelivered; got != 30 {
-			t.Fatalf("node %s SafeDelivered = %d, want 30", n.id, got)
+	for _, n := range h.Nodes {
+		if got := eng(n).Snapshot().Stats.SafeDelivered; got != 30 {
+			t.Fatalf("node %s SafeDelivered = %d, want 30", n.ID, got)
 		}
 	}
 }
@@ -184,14 +185,14 @@ func TestPackedClusterSafeDelivery(t *testing.T) {
 func TestPackedSurvivesLossAndRetransmission(t *testing.T) {
 	cfg := packedConfig(1350)
 	h := newHarness(t, 3, cfg)
-	h.dropData = lossEvery(5)
-	h.startStatic()
+	h.Fault = lossEvery(5)
+	h.Start()
 	for i := 0; i < 40; i++ {
 		for id := wire.ParticipantID(1); id <= 3; id++ {
 			h.submit(id, payload(id, i), wire.ServiceAgreed)
 		}
 	}
-	h.run(5 * time.Second)
+	h.Run(5 * time.Second)
 	h.checkAllDelivered(120, 1, 2, 3)
 	h.checkTotalOrder(1, 2, 3)
 }
@@ -199,15 +200,15 @@ func TestPackedSurvivesLossAndRetransmission(t *testing.T) {
 func TestPackedSurvivesMembershipChange(t *testing.T) {
 	cfg := packedConfig(1350)
 	h := newHarness(t, 3, cfg)
-	h.startStatic()
+	h.Start()
 	for i := 0; i < 30; i++ {
 		h.submit(1, payload(1, i), wire.ServiceAgreed)
 		h.submit(2, payload(2, i), wire.ServiceAgreed)
 	}
-	h.run(2 * time.Millisecond)
-	h.crash(3)
+	h.Run(2 * time.Millisecond)
+	h.Crash(3)
 	h.waitConfig(3*time.Second, []wire.ParticipantID{1, 2}, 1, 2)
-	h.run(2 * time.Second)
+	h.Run(2 * time.Second)
 	h.checkAllDelivered(60, 1, 2)
 	h.checkTotalOrder(1, 2)
 }

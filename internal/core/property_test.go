@@ -20,8 +20,8 @@ func TestQuickTotalOrderUnderRandomLoss(t *testing.T) {
 		size := int(sizeRaw%4) + 2          // 2..5 nodes
 		loss := float64(lossRaw%20) / 100.0 // 0..19% loss
 		h := newHarness(t, size, accelConfig())
-		h.dropData = randomLoss(seed, loss)
-		h.startStatic()
+		h.Fault = randomLoss(seed, loss)
+		h.Start()
 		perNode := 15
 		for i := 0; i < perNode; i++ {
 			for id := 1; id <= size; id++ {
@@ -32,31 +32,31 @@ func TestQuickTotalOrderUnderRandomLoss(t *testing.T) {
 				h.submit(wire.ParticipantID(id), payload(wire.ParticipantID(id), i), svc)
 			}
 		}
-		h.run(20 * time.Second)
+		h.Run(20 * time.Second)
 
 		want := perNode * size
-		for _, n := range h.nodes {
-			msgs := n.appMsgs()
+		for _, n := range h.Nodes {
+			msgs := n.Payloads()
 			if len(msgs) != want {
 				t.Logf("seed %d size %d loss %.2f: node %s delivered %d, want %d",
-					seed, size, loss, n.id, len(msgs), want)
+					seed, size, loss, n.ID, len(msgs), want)
 				return false
 			}
 			seen := map[string]bool{}
 			for _, m := range msgs {
-				if seen[string(m.Payload)] {
-					t.Logf("duplicate delivery %q at node %s", m.Payload, n.id)
+				if seen[m] {
+					t.Logf("duplicate delivery %q at node %s", m, n.ID)
 					return false
 				}
-				seen[string(m.Payload)] = true
+				seen[m] = true
 			}
 		}
-		ref := h.nodes[0].appMsgs()
-		for _, n := range h.nodes[1:] {
-			msgs := n.appMsgs()
+		ref := h.Nodes[0].Payloads()
+		for _, n := range h.Nodes[1:] {
+			msgs := n.Payloads()
 			for k := range ref {
-				if string(msgs[k].Payload) != string(ref[k].Payload) {
-					t.Logf("order divergence at %d between nodes 1 and %s", k, n.id)
+				if msgs[k] != ref[k] {
+					t.Logf("order divergence at %d between nodes 1 and %s", k, n.ID)
 					return false
 				}
 			}
@@ -80,16 +80,16 @@ func TestQuickConsistencyUnderCrash(t *testing.T) {
 		victim := wire.ParticipantID(victimRaw%size) + 1
 		when := time.Duration(whenRaw%40) * 100 * time.Microsecond
 		h := newHarness(t, size, accelConfig())
-		h.dropData = randomLoss(seed, 0.03)
-		h.startStatic()
+		h.Fault = randomLoss(seed, 0.03)
+		h.Start()
 		for i := 0; i < 20; i++ {
 			for id := 1; id <= size; id++ {
 				h.submit(wire.ParticipantID(id), payload(wire.ParticipantID(id), i), wire.ServiceAgreed)
 			}
 		}
-		h.run(when)
-		h.crash(victim)
-		h.run(20 * time.Second)
+		h.Run(when)
+		h.Crash(victim)
+		h.Run(20 * time.Second)
 
 		var survivors []wire.ParticipantID
 		for id := wire.ParticipantID(1); id <= size; id++ {
@@ -98,15 +98,15 @@ func TestQuickConsistencyUnderCrash(t *testing.T) {
 			}
 		}
 		// Prefix consistency across survivors.
-		ref := h.node(survivors[0]).appMsgs()
+		ref := h.Node(survivors[0]).Payloads()
 		for _, id := range survivors[1:] {
-			msgs := h.node(id).appMsgs()
+			msgs := h.Node(id).Payloads()
 			n := len(ref)
 			if len(msgs) < n {
 				n = len(msgs)
 			}
 			for k := 0; k < n; k++ {
-				if string(msgs[k].Payload) != string(ref[k].Payload) {
+				if msgs[k] != ref[k] {
 					t.Logf("seed %d victim %s when %v: divergence at %d", seed, victim, when, k)
 					return false
 				}
@@ -115,8 +115,8 @@ func TestQuickConsistencyUnderCrash(t *testing.T) {
 		// Survivors' own messages must all be delivered at every survivor.
 		for _, id := range survivors {
 			seen := map[string]bool{}
-			for _, m := range h.node(id).appMsgs() {
-				seen[string(m.Payload)] = true
+			for _, m := range h.Node(id).Payloads() {
+				seen[m] = true
 			}
 			for _, sender := range survivors {
 				for i := 0; i < 20; i++ {

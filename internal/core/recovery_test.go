@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"accelring/internal/engine"
 	"accelring/internal/msgbuf"
 	"accelring/internal/wire"
 )
@@ -18,7 +19,7 @@ func buildRecoveryEngine(t *testing.T, myID wire.ParticipantID, have []wire.Seq,
 		t.Fatal(err)
 	}
 	oldRing := wire.RingID{Rep: 1, Seq: 4}
-	eng.oldRing = Configuration{ID: oldRing, Members: []wire.ParticipantID{1, 2, 3}}
+	eng.oldRing = engine.Configuration{ID: oldRing, Members: []wire.ParticipantID{1, 2, 3}}
 	eng.oldBuf = msgbuf.New(0)
 	for _, s := range have {
 		eng.oldBuf.Insert(&wire.DataMessage{RingID: oldRing, Seq: s, PID: 1, Service: wire.ServiceAgreed})
@@ -119,7 +120,7 @@ func TestTokenIgnoredOutsideOperational(t *testing.T) {
 	}
 	eng.Start(nil) // Gather
 	tok := &wire.Token{RingID: wire.RingID{Rep: 1, Seq: 4}, TokenSeq: 1}
-	if got := eng.HandleToken(tok); got != nil {
+	if got := eng.Step(engine.Input{Frame: tok}); got != nil {
 		t.Fatalf("token in Gather produced %d actions", len(got))
 	}
 }
@@ -135,7 +136,7 @@ func TestCommitIgnoredWhenNotMember(t *testing.T) {
 		Rotation: 1,
 		Members:  []wire.CommitMember{{ID: 1}, {ID: 2}},
 	}
-	if got := eng.HandleCommit(ct); got != nil {
+	if got := eng.Step(engine.Input{Frame: ct}); got != nil {
 		t.Fatalf("foreign commit produced %d actions", len(got))
 	}
 }
@@ -151,13 +152,13 @@ func TestForeignDataTriggersGather(t *testing.T) {
 		RingID: wire.RingID{Rep: 9, Seq: 100}, Seq: 1, PID: 9,
 		Service: wire.ServiceAgreed,
 	}
-	actions := e.HandleData(m)
+	actions := e.Step(engine.Input{Frame: m})
 	if e.state != StateGather {
 		t.Fatalf("state = %s, want gather", e.state)
 	}
 	foundJoin := false
 	for _, a := range actions {
-		if st, ok := a.(Send); ok && st.Frame.Kind() == wire.KindJoin {
+		if st, ok := a.(engine.Send); ok && st.Frame.Kind() == wire.KindJoin {
 			foundJoin = true
 		}
 	}
@@ -174,7 +175,7 @@ func TestStaleOwnRingDataIgnored(t *testing.T) {
 		RingID: wire.RingID{Rep: 1, Seq: 0}, Seq: 1, PID: 3,
 		Service: wire.ServiceAgreed,
 	}
-	if got := e.HandleData(m); got != nil {
+	if got := e.Step(engine.Input{Frame: m}); got != nil {
 		t.Fatalf("stale data produced %d actions", len(got))
 	}
 	if e.state != StateOperational {

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
-// HandleToken processes a received regular token.
-func (e *Engine) HandleToken(tok *wire.Token) []Action {
+// handleToken processes a received regular token.
+func (e *Engine) handleToken(tok *wire.Token) []engine.Action {
 	switch e.state {
 	case StateOperational, StateRecovery:
 		if tok.RingID != e.ring.ID {
@@ -35,7 +36,7 @@ func (e *Engine) HandleToken(tok *wire.Token) []Action {
 // The returned action order is the protocol: everything appended before the
 // token Send action is the pre-token phase, everything after it the
 // post-token phase.
-func (e *Engine) handleRegularToken(tok *wire.Token) []Action {
+func (e *Engine) handleRegularToken(tok *wire.Token) []engine.Action {
 	e.stats.TokensProcessed++
 	e.adaptWindow(len(tok.RTR))
 	e.lastTokenSeq = tok.TokenSeq
@@ -43,7 +44,7 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []Action {
 	tok.Round = e.round
 	tok.TokenSeq++
 
-	actions := make([]Action, 0, 8)
+	actions := make([]engine.Action, 0, 8)
 
 	// --- Pre-token phase 1: answer retransmission requests. All
 	// retransmissions must be sent before the token; otherwise they may be
@@ -54,7 +55,7 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []Action {
 		if m := e.buf.Get(s); m != nil {
 			rm := *m
 			rm.Retrans = true
-			actions = append(actions, SendData{Msg: &rm})
+			actions = append(actions, engine.SendData{Msg: &rm})
 			numRetrans++
 		} else {
 			unanswered = append(unanswered, s)
@@ -163,13 +164,13 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []Action {
 
 	// --- Emit: pre-token messages, the token, then the post-token phase.
 	for _, m := range newMsgs[:preCount] {
-		actions = append(actions, SendData{Msg: m})
+		actions = append(actions, engine.SendData{Msg: m})
 	}
 	e.sentToken = tok.CloneInto(e.sentToken)
 	e.traceTokenForwarded(e.successor(), tok, numRetrans, len(newMsgs))
-	actions = append(actions, Send{To: e.successor(), Frame: tok})
+	actions = append(actions, engine.Send{To: e.successor(), Frame: tok})
 	for _, m := range newMsgs[preCount:] {
-		actions = append(actions, SendData{Msg: m})
+		actions = append(actions, engine.SendData{Msg: m})
 	}
 
 	// --- Delivery and discard (Section III-A4). A Safe message is
@@ -195,8 +196,8 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []Action {
 	e.tokenPriority = false
 
 	actions = append(actions,
-		SetTimer{Kind: TimerTokenLoss, After: e.cfg.TokenLossTimeout},
-		SetTimer{Kind: TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
+		engine.SetTimer{Kind: engine.TimerTokenLoss, After: e.cfg.TokenLossTimeout},
+		engine.SetTimer{Kind: engine.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
 	)
 	// Keep the (possibly grown) new-message list as next round's scratch.
 	// Only the individual *DataMessage pointers escaped into actions; the
@@ -339,7 +340,7 @@ func (e *Engine) appendMissing(rtr []wire.Seq, bound wire.Seq) []wire.Seq {
 // deliverReady drains every message that is now deliverable in total order,
 // appending Deliver actions. Wrapped recovery messages left over in the
 // buffer from the recovery phase are consumed silently.
-func (e *Engine) deliverReady(actions []Action) []Action {
+func (e *Engine) deliverReady(actions []engine.Action) []engine.Action {
 	for {
 		m := e.buf.NextDeliverable(e.safeBound)
 		if m == nil {
@@ -355,13 +356,13 @@ func (e *Engine) deliverReady(actions []Action) []Action {
 
 // emitDeliver appends the Deliver action(s) for one ordered message,
 // unpacking containers into their individual application messages.
-func (e *Engine) emitDeliver(actions []Action, m *wire.DataMessage) []Action {
+func (e *Engine) emitDeliver(actions []engine.Action, m *wire.DataMessage) []engine.Action {
 	if !m.Packed {
 		e.stats.Delivered++
 		if m.Service.RequiresSafe() {
 			e.stats.SafeDelivered++
 		}
-		return append(actions, Deliver{Msg: m})
+		return append(actions, engine.Deliver{Msg: m})
 	}
 	payloads, err := wire.UnpackPayloads(m.Payload)
 	if err != nil {
@@ -382,7 +383,7 @@ func (e *Engine) emitDeliver(actions []Action, m *wire.DataMessage) []Action {
 		if m.Service.RequiresSafe() {
 			e.stats.SafeDelivered++
 		}
-		actions = append(actions, Deliver{Msg: sub})
+		actions = append(actions, engine.Deliver{Msg: sub})
 	}
 	return actions
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"accelring/internal/engine"
 	"accelring/internal/flowctl"
 	"accelring/internal/wire"
 )
@@ -39,9 +40,9 @@ func ringToken(e *Engine, tokenSeq uint64, round wire.Round, seq, aru wire.Seq) 
 }
 
 // actionsByType splits an action list for inspection.
-func findToken(actions []Action) (*wire.Token, int) {
+func findToken(actions []engine.Action) (*wire.Token, int) {
 	for i, a := range actions {
-		if st, ok := a.(Send); ok {
+		if st, ok := a.(engine.Send); ok {
 			if tok, ok := st.Frame.(*wire.Token); ok {
 				return tok, i
 			}
@@ -50,20 +51,20 @@ func findToken(actions []Action) (*wire.Token, int) {
 	return nil, -1
 }
 
-func dataSends(actions []Action) []SendData {
-	var out []SendData
+func dataSends(actions []engine.Action) []engine.SendData {
+	var out []engine.SendData
 	for _, a := range actions {
-		if sd, ok := a.(SendData); ok {
+		if sd, ok := a.(engine.SendData); ok {
 			out = append(out, sd)
 		}
 	}
 	return out
 }
 
-func deliveries(actions []Action) []Deliver {
-	var out []Deliver
+func deliveries(actions []engine.Action) []engine.Deliver {
+	var out []engine.Deliver
 	for _, a := range actions {
-		if d, ok := a.(Deliver); ok {
+		if d, ok := a.(engine.Deliver); ok {
 			out = append(out, d)
 		}
 	}
@@ -85,7 +86,7 @@ func TestTokenSplitsPreAndPostPhases(t *testing.T) {
 	e := newMember(t, 2, 3, cfg)
 	mustSubmit(t, e, 10, wire.ServiceAgreed)
 
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	tok, ti := findToken(actions)
 	if tok == nil {
 		t.Fatal("no token forwarded")
@@ -96,7 +97,7 @@ func TestTokenSplitsPreAndPostPhases(t *testing.T) {
 	}
 	pre, post := 0, 0
 	for i, a := range actions {
-		sd, ok := a.(SendData)
+		sd, ok := a.(engine.SendData)
 		if !ok {
 			continue
 		}
@@ -126,10 +127,10 @@ func TestTokenAllWithinAcceleratedWindow(t *testing.T) {
 	e := newMember(t, 2, 3, cfg)
 	mustSubmit(t, e, 4, wire.ServiceAgreed)
 
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	_, ti := findToken(actions)
 	for i, a := range actions {
-		if _, ok := a.(SendData); ok && i < ti {
+		if _, ok := a.(engine.SendData); ok && i < ti {
 			t.Fatal("messages within the accelerated window must all go post-token")
 		}
 	}
@@ -142,10 +143,10 @@ func TestOriginalProtocolSendsAllPreToken(t *testing.T) {
 	e := newMember(t, 2, 3, Config{Protocol: ProtocolOriginalRing})
 	mustSubmit(t, e, 10, wire.ServiceAgreed)
 
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	_, ti := findToken(actions)
 	for i, a := range actions {
-		if _, ok := a.(SendData); ok && i > ti {
+		if _, ok := a.(engine.SendData); ok && i > ti {
 			t.Fatal("original protocol multicast after forwarding the token")
 		}
 	}
@@ -156,9 +157,9 @@ func TestOriginalProtocolSendsAllPreToken(t *testing.T) {
 
 func TestTokenForwardedToSuccessor(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	for _, a := range actions {
-		if st, ok := a.(Send); ok {
+		if st, ok := a.(engine.Send); ok {
 			if st.To != 3 {
 				t.Fatalf("token sent to %s, want 3", st.To)
 			}
@@ -170,10 +171,10 @@ func TestTokenForwardedToSuccessor(t *testing.T) {
 
 func TestLastMemberWrapsToRepresentative(t *testing.T) {
 	e := newMember(t, 3, 3, accelConfig())
-	actions := e.HandleToken(ringToken(e, 5, 2, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 2, 0, 0)})
 	tok, _ := findToken(actions)
 	for _, a := range actions {
-		if st, ok := a.(Send); ok && st.To != 1 {
+		if st, ok := a.(engine.Send); ok && st.To != 1 {
 			t.Fatalf("token sent to %s, want 1", st.To)
 		}
 	}
@@ -184,10 +185,10 @@ func TestLastMemberWrapsToRepresentative(t *testing.T) {
 
 func TestDuplicateTokenDiscarded(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	if got := e.HandleToken(ringToken(e, 5, 1, 0, 0)); len(got) == 0 {
+	if got := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)}); len(got) == 0 {
 		t.Fatal("first token produced no actions")
 	}
-	if got := e.HandleToken(ringToken(e, 5, 1, 0, 0)); got != nil {
+	if got := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)}); got != nil {
 		t.Fatalf("duplicate token produced %d actions", len(got))
 	}
 	if e.Snapshot().Stats.TokensDuplicate != 1 {
@@ -199,14 +200,14 @@ func TestForeignTokenIgnored(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	tok := ringToken(e, 5, 1, 0, 0)
 	tok.RingID = wire.RingID{Rep: 9, Seq: 99}
-	if got := e.HandleToken(tok); got != nil {
+	if got := e.Step(engine.Input{Frame: tok}); got != nil {
 		t.Fatalf("foreign token produced %d actions", len(got))
 	}
 }
 
 func TestTokenSeqAndRoundAdvance(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	actions := e.HandleToken(ringToken(e, 5, 7, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 7, 0, 0)})
 	tok, _ := findToken(actions)
 	if tok.TokenSeq != 6 {
 		t.Fatalf("forwarded TokenSeq = %d, want 6", tok.TokenSeq)
@@ -220,18 +221,18 @@ func TestRetransmissionAnsweredPreToken(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	// Receive message 1 from node 3 so we can answer a request for it.
 	m := &wire.DataMessage{RingID: e.ring.ID, Seq: 1, PID: 3, Round: 1, Service: wire.ServiceAgreed, Payload: []byte("x")}
-	e.HandleData(m)
+	e.Step(engine.Input{Frame: m})
 
 	tok := ringToken(e, 5, 3, 1, 0)
 	tok.RTR = []wire.Seq{1}
-	actions := e.HandleToken(tok)
+	actions := e.Step(engine.Input{Frame: tok})
 	_, ti := findToken(actions)
 	sends := dataSends(actions)
 	if len(sends) != 1 || !sends[0].Msg.Retrans || sends[0].Msg.Seq != 1 {
 		t.Fatalf("expected one retransmission of seq 1, got %+v", sends)
 	}
 	for i, a := range actions {
-		if sd, ok := a.(SendData); ok && sd.Msg.Retrans && i > ti {
+		if sd, ok := a.(engine.SendData); ok && sd.Msg.Retrans && i > ti {
 			t.Fatal("retransmission sent after the token")
 		}
 	}
@@ -248,7 +249,7 @@ func TestUnansweredRequestStaysOnToken(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	tok := ringToken(e, 5, 3, 2, 0)
 	tok.RTR = []wire.Seq{1, 2}
-	actions := e.HandleToken(tok)
+	actions := e.Step(engine.Input{Frame: tok})
 	out, _ := findToken(actions)
 	if len(out.RTR) != 2 {
 		t.Fatalf("token RTR = %v, want both requests kept", out.RTR)
@@ -264,7 +265,7 @@ func TestRTROnlyRequestsUpToPreviousTokenSeq(t *testing.T) {
 
 	// Round 1: token says seq=5, we have nothing. prevTokenSeq was 0, so
 	// no requests are allowed yet.
-	actions := e.HandleToken(ringToken(e, 5, 1, 5, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 5, 0)})
 	out, _ := findToken(actions)
 	if len(out.RTR) != 0 {
 		t.Fatalf("round 1 requested %v; must not request beyond previous token seq", out.RTR)
@@ -272,7 +273,7 @@ func TestRTROnlyRequestsUpToPreviousTokenSeq(t *testing.T) {
 
 	// Round 2: token seq=9. Now requests up to 5 (last round's seq) are
 	// allowed, but not 6..9.
-	actions = e.HandleToken(ringToken(e, 6, 4, 9, 0))
+	actions = e.Step(engine.Input{Frame: ringToken(e, 6, 4, 9, 0)})
 	out, _ = findToken(actions)
 	want := []wire.Seq{1, 2, 3, 4, 5}
 	if len(out.RTR) != len(want) {
@@ -290,11 +291,11 @@ func TestRTROnlyRequestsUpToPreviousTokenSeq(t *testing.T) {
 
 func TestRTRNoDuplicateRequests(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	e.HandleToken(ringToken(e, 5, 1, 3, 0))
+	e.Step(engine.Input{Frame: ringToken(e, 5, 1, 3, 0)})
 	// Someone else already requested 2; we miss 1,2,3 up to prev seq 3.
 	tok := ringToken(e, 6, 4, 3, 0)
 	tok.RTR = []wire.Seq{2}
-	actions := e.HandleToken(tok)
+	actions := e.Step(engine.Input{Frame: tok})
 	out, _ := findToken(actions)
 	seen := map[wire.Seq]int{}
 	for _, s := range out.RTR {
@@ -312,7 +313,7 @@ func TestRTRNoDuplicateRequests(t *testing.T) {
 
 func TestARULoweredWhenMissingMessages(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	actions := e.HandleToken(ringToken(e, 5, 1, 5, 5))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 5, 5)})
 	out, _ := findToken(actions)
 	if out.ARU != 0 {
 		t.Fatalf("token ARU = %d, want 0 (we have nothing)", out.ARU)
@@ -325,15 +326,15 @@ func TestARULoweredWhenMissingMessages(t *testing.T) {
 func TestARURaisedByPreviousLowerer(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	// Round 1: lower aru to 0.
-	e.HandleToken(ringToken(e, 5, 1, 5, 5))
+	e.Step(engine.Input{Frame: ringToken(e, 5, 1, 5, 5)})
 	// We catch up on messages 1..5.
 	for s := wire.Seq(1); s <= 5; s++ {
-		e.HandleData(&wire.DataMessage{RingID: e.ring.ID, Seq: s, PID: 3, Round: 1, Service: wire.ServiceAgreed})
+		e.Step(engine.Input{Frame: &wire.DataMessage{RingID: e.ring.ID, Seq: s, PID: 3, Round: 1, Service: wire.ServiceAgreed}})
 	}
 	// Round 2: aru still held down by us; we must raise it.
 	tok := ringToken(e, 6, 4, 5, 0)
 	tok.ARUID = 2
-	actions := e.HandleToken(tok)
+	actions := e.Step(engine.Input{Frame: tok})
 	out, _ := findToken(actions)
 	if out.ARU != 5 {
 		t.Fatalf("token ARU = %d, want 5 (raised to local aru)", out.ARU)
@@ -346,7 +347,7 @@ func TestARURaisedByPreviousLowerer(t *testing.T) {
 func TestARURidesWithSeqWhenCaughtUp(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	mustSubmit(t, e, 5, wire.ServiceAgreed)
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	out, _ := findToken(actions)
 	if out.Seq != 5 {
 		t.Fatalf("token seq = %d, want 5", out.Seq)
@@ -362,9 +363,9 @@ func TestARUDoesNotRideWhenBehind(t *testing.T) {
 	// Received token aru (2) != seq (4): aru must not jump with our sends.
 	// We hold 1..2 only.
 	for s := wire.Seq(1); s <= 2; s++ {
-		e.HandleData(&wire.DataMessage{RingID: e.ring.ID, Seq: s, PID: 3, Round: 1, Service: wire.ServiceAgreed})
+		e.Step(engine.Input{Frame: &wire.DataMessage{RingID: e.ring.ID, Seq: s, PID: 3, Round: 1, Service: wire.ServiceAgreed}})
 	}
-	actions := e.HandleToken(ringToken(e, 5, 1, 4, 2))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 4, 2)})
 	out, _ := findToken(actions)
 	if out.Seq != 9 {
 		t.Fatalf("token seq = %d, want 9", out.Seq)
@@ -377,7 +378,7 @@ func TestARUDoesNotRideWhenBehind(t *testing.T) {
 func TestFCCAccounting(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	mustSubmit(t, e, 8, wire.ServiceAgreed)
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	out, _ := findToken(actions)
 	if out.FCC != 8 {
 		t.Fatalf("round 1 FCC = %d, want 8", out.FCC)
@@ -387,7 +388,7 @@ func TestFCCAccounting(t *testing.T) {
 	mustSubmit(t, e, 3, wire.ServiceAgreed)
 	tok := ringToken(e, 6, 4, 20, 0)
 	tok.FCC = 20
-	actions = e.HandleToken(tok)
+	actions = e.Step(engine.Input{Frame: tok})
 	out, _ = findToken(actions)
 	if out.FCC != 15 {
 		t.Fatalf("round 2 FCC = %d, want 20-8+3 = 15", out.FCC)
@@ -399,7 +400,7 @@ func TestPersonalWindowLimitsRound(t *testing.T) {
 		Flow: flowctl.Config{PersonalWindow: 4, GlobalWindow: 100, AcceleratedWindow: 2, MaxSeqGap: 500}}
 	e := newMember(t, 2, 3, cfg)
 	mustSubmit(t, e, 50, wire.ServiceAgreed)
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	if got := len(dataSends(actions)); got != 4 {
 		t.Fatalf("sent %d, want personal window 4", got)
 	}
@@ -415,7 +416,7 @@ func TestGlobalWindowLimitsRound(t *testing.T) {
 	mustSubmit(t, e, 50, wire.ServiceAgreed)
 	tok := ringToken(e, 5, 1, 100, 100)
 	tok.FCC = 55
-	actions := e.HandleToken(tok)
+	actions := e.Step(engine.Input{Frame: tok})
 	if got := len(dataSends(actions)); got != 5 {
 		t.Fatalf("sent %d, want 60-55 = 5", got)
 	}
@@ -428,7 +429,7 @@ func TestSeqGapLimitsRound(t *testing.T) {
 	mustSubmit(t, e, 50, wire.ServiceAgreed)
 	// Token aru is 0 after we lower it (we hold nothing of 1..95), so the
 	// gap budget is 0+100-95 = 5.
-	actions := e.HandleToken(ringToken(e, 5, 1, 95, 95))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 95, 95)})
 	if got := len(dataSends(actions)); got != 5 {
 		t.Fatalf("sent %d, want gap budget 5", got)
 	}
@@ -437,7 +438,7 @@ func TestSeqGapLimitsRound(t *testing.T) {
 func TestAgreedDeliveredImmediatelyWhenContiguous(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	mustSubmit(t, e, 3, wire.ServiceAgreed)
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	if got := len(deliveries(actions)); got != 3 {
 		t.Fatalf("delivered %d own messages, want 3", got)
 	}
@@ -446,13 +447,13 @@ func TestAgreedDeliveredImmediatelyWhenContiguous(t *testing.T) {
 func TestSafeNotDeliveredUntilStable(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	mustSubmit(t, e, 3, wire.ServiceSafe)
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	if got := len(deliveries(actions)); got != 0 {
 		t.Fatalf("delivered %d safe messages without stability, want 0", got)
 	}
 	// Next round: the token comes back with aru == seq == 3 (everyone got
 	// them). Safe bound becomes min(3, 3) = 3 → deliverable.
-	actions = e.HandleToken(ringToken(e, 6, 4, 3, 3))
+	actions = e.Step(engine.Input{Frame: ringToken(e, 6, 4, 3, 3)})
 	if got := len(deliveries(actions)); got != 3 {
 		t.Fatalf("delivered %d, want 3 after stability", got)
 	}
@@ -463,12 +464,12 @@ func TestSafeBoundIsMinOfTwoRounds(t *testing.T) {
 	mustSubmit(t, e, 2, wire.ServiceSafe)
 	// Round 1: we send 2; aru rides to 2 (sent aru=2). safeBound =
 	// min(2, aruSentLast=0) = 0.
-	e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	if e.safeBound != 0 {
 		t.Fatalf("safeBound = %d, want 0 after one round", e.safeBound)
 	}
 	// Round 2: token back with aru=seq=2: safeBound = min(2, 2) = 2.
-	actions := e.HandleToken(ringToken(e, 6, 4, 2, 2))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 6, 4, 2, 2)})
 	if e.safeBound != 2 {
 		t.Fatalf("safeBound = %d, want 2", e.safeBound)
 	}
@@ -480,8 +481,8 @@ func TestSafeBoundIsMinOfTwoRounds(t *testing.T) {
 func TestStableMessagesDiscarded(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	mustSubmit(t, e, 3, wire.ServiceAgreed)
-	e.HandleToken(ringToken(e, 5, 1, 0, 0))
-	e.HandleToken(ringToken(e, 6, 4, 3, 3))
+	e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
+	e.Step(engine.Input{Frame: ringToken(e, 6, 4, 3, 3)})
 	if e.buf.Len() != 0 {
 		t.Fatalf("buffer holds %d messages after stability, want 0", e.buf.Len())
 	}
@@ -492,19 +493,19 @@ func TestStableMessagesDiscarded(t *testing.T) {
 
 func TestTimerActionsOnToken(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
-	var kinds []TimerKind
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
+	var kinds []engine.TimerKind
 	for _, a := range actions {
-		if st, ok := a.(SetTimer); ok {
+		if st, ok := a.(engine.SetTimer); ok {
 			kinds = append(kinds, st.Kind)
 		}
 	}
 	hasLoss, hasRetrans := false, false
 	for _, k := range kinds {
-		if k == TimerTokenLoss {
+		if k == engine.TimerTokenLoss {
 			hasLoss = true
 		}
-		if k == TimerTokenRetrans {
+		if k == engine.TimerTokenRetrans {
 			hasRetrans = true
 		}
 	}
@@ -515,9 +516,9 @@ func TestTimerActionsOnToken(t *testing.T) {
 
 func TestTokenRetransTimerResendsSavedToken(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	sent, _ := findToken(actions)
-	retry := e.HandleTimer(TimerTokenRetrans)
+	retry := e.Step(engine.Input{Timer: engine.TimerTokenRetrans})
 	rt, _ := findToken(retry)
 	if rt == nil {
 		t.Fatal("retransmission timer did not resend the token")
@@ -532,12 +533,12 @@ func TestTokenRetransTimerResendsSavedToken(t *testing.T) {
 
 func TestDownstreamProgressCancelsRetransTimer(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
-	e.HandleToken(ringToken(e, 5, 3, 0, 0)) // we process round 4
+	e.Step(engine.Input{Frame: ringToken(e, 5, 3, 0, 0)}) // we process round 4
 	// A message from node 3 in round 5 proves the token moved on.
-	actions := e.HandleData(&wire.DataMessage{RingID: e.ring.ID, Seq: 1, PID: 3, Round: 5, Service: wire.ServiceAgreed})
+	actions := e.Step(engine.Input{Frame: &wire.DataMessage{RingID: e.ring.ID, Seq: 1, PID: 3, Round: 5, Service: wire.ServiceAgreed}})
 	found := false
 	for _, a := range actions {
-		if ct, ok := a.(CancelTimer); ok && ct.Kind == TimerTokenRetrans {
+		if ct, ok := a.(engine.CancelTimer); ok && ct.Kind == engine.TimerTokenRetrans {
 			found = true
 		}
 	}
@@ -600,8 +601,8 @@ func TestRTRBoundedByMaxRTR(t *testing.T) {
 	// list rather than an unbounded token.
 	e := newMember(t, 2, 3, accelConfig())
 	wideSeq := wire.Seq(wire.MaxRTR + 500)
-	e.HandleToken(ringToken(e, 5, 1, wideSeq, 0))
-	actions := e.HandleToken(ringToken(e, 6, 4, wideSeq, 0))
+	e.Step(engine.Input{Frame: ringToken(e, 5, 1, wideSeq, 0)})
+	actions := e.Step(engine.Input{Frame: ringToken(e, 6, 4, wideSeq, 0)})
 	out, _ := findToken(actions)
 	if len(out.RTR) > wire.MaxRTR {
 		t.Fatalf("token carries %d rtr entries, cap is %d", len(out.RTR), wire.MaxRTR)
@@ -619,7 +620,7 @@ func TestMaxPayloadSubmission(t *testing.T) {
 	if _, err := e.Submit(make([]byte, wire.MaxPayload), wire.ServiceAgreed); err != nil {
 		t.Fatalf("max payload rejected: %v", err)
 	}
-	actions := e.HandleToken(ringToken(e, 5, 1, 0, 0))
+	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
 	sends := dataSends(actions)
 	if len(sends) != 1 || len(sends[0].Msg.Payload) != wire.MaxPayload {
 		t.Fatalf("max payload not sent intact")
@@ -633,9 +634,9 @@ func TestTokenRetransStopsAfterMembershipChange(t *testing.T) {
 	// Once the engine abandons a ring, a stale token-retransmission timer
 	// must not resend the old ring's token.
 	e := newMember(t, 2, 3, accelConfig())
-	e.HandleToken(ringToken(e, 5, 1, 0, 0))
-	e.HandleTimer(TimerTokenLoss) // enter gather
-	if got := e.HandleTimer(TimerTokenRetrans); got != nil {
+	e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
+	e.Step(engine.Input{Timer: engine.TimerTokenLoss}) // enter gather
+	if got := e.Step(engine.Input{Timer: engine.TimerTokenRetrans}); got != nil {
 		t.Fatalf("token retransmitted while gathering: %d actions", len(got))
 	}
 }
@@ -643,9 +644,9 @@ func TestTokenRetransStopsAfterMembershipChange(t *testing.T) {
 func TestDuplicateDataCounted(t *testing.T) {
 	e := newMember(t, 2, 3, accelConfig())
 	m := &wire.DataMessage{RingID: e.ring.ID, Seq: 1, PID: 3, Round: 1, Service: wire.ServiceAgreed}
-	e.HandleData(m)
+	e.Step(engine.Input{Frame: m})
 	cp := *m
-	e.HandleData(&cp)
+	e.Step(engine.Input{Frame: &cp})
 	if e.Snapshot().Stats.MsgsDuplicate != 1 {
 		t.Fatalf("MsgsDuplicate = %d, want 1", e.Snapshot().Stats.MsgsDuplicate)
 	}

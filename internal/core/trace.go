@@ -1,6 +1,7 @@
 package core
 
 import (
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
@@ -17,7 +18,7 @@ type Tracer interface {
 	TokenForwarded(to wire.ParticipantID, seq, aru wire.Seq, retrans, newMsgs int)
 	// ConfigurationInstalled reports a configuration delivery (regular or
 	// transitional).
-	ConfigurationInstalled(cfg Configuration, transitional bool)
+	ConfigurationInstalled(cfg engine.Configuration, transitional bool)
 }
 
 // setState transitions the membership state, notifying the tracer.
@@ -37,7 +38,7 @@ func (e *Engine) traceTokenForwarded(to wire.ParticipantID, tok *wire.Token, ret
 	}
 }
 
-func (e *Engine) traceConfig(cfg Configuration, transitional bool) {
+func (e *Engine) traceConfig(cfg engine.Configuration, transitional bool) {
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.ConfigurationInstalled(cfg, transitional)
 	}

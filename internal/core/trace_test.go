@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
@@ -23,7 +24,7 @@ func (r *recordingTracer) TokenForwarded(to wire.ParticipantID, seq, aru wire.Se
 	r.tokens++
 }
 
-func (r *recordingTracer) ConfigurationInstalled(cfg Configuration, transitional bool) {
+func (r *recordingTracer) ConfigurationInstalled(cfg engine.Configuration, transitional bool) {
 	kind := "regular"
 	if transitional {
 		kind = "transitional"
@@ -36,8 +37,8 @@ func TestTracerSeesTokenForwards(t *testing.T) {
 	cfg := accelConfig()
 	cfg.Tracer = tr
 	e := newMember(t, 2, 3, cfg)
-	e.HandleToken(ringToken(e, 5, 1, 0, 0))
-	e.HandleToken(ringToken(e, 6, 4, 0, 0))
+	e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
+	e.Step(engine.Input{Frame: ringToken(e, 6, 4, 0, 0)})
 	if tr.tokens != 2 {
 		t.Fatalf("tracer saw %d token forwards, want 2", tr.tokens)
 	}
@@ -57,18 +58,18 @@ func TestTracerSeesMembershipCycle(t *testing.T) {
 	// Attach tracers post-construction is impossible (config is copied),
 	// so rebuild node 1's engine with one.
 	tr := &recordingTracer{}
-	cfg := h.nodes[0].eng.cfg
+	cfg := eng(h.Nodes[0]).cfg
 	cfg.Tracer = tr
-	eng, err := New(cfg)
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.nodes[0].eng = eng
+	h.Nodes[0].Engine = e
 	tracers[1] = tr
 
-	h.startStatic()
-	h.run(100 * time.Millisecond)
-	h.crash(3)
+	h.Start()
+	h.Run(100 * time.Millisecond)
+	h.Crash(3)
 	h.waitConfig(3*time.Second, []wire.ParticipantID{1, 2}, 1, 2)
 
 	// Node 1 must have walked operational -> gather -> commit -> recovery

@@ -1,10 +1,11 @@
 // Package diffconform is the cross-engine differential conformance
 // suite: the same seeded faultplan schedule is driven through the
-// Accelerated Ring engine and the Ring Paxos engine on memnet, and the
-// checker asserts both engines deliver the identical totally-ordered
-// sequence of surviving submissions. Any divergence is reported as a
-// seed-reproducible counterexample, minimized to the shortest failing
-// schedule within a bounded re-run budget.
+// Accelerated Ring engine and the Ring Paxos engine on the virtual-time
+// cluster driver (internal/enginetest), and the checker asserts both
+// engines deliver the identical totally-ordered sequence of surviving
+// submissions. A run is a pure function of its Scenario, so any divergence
+// is reported as a seed-reproducible counterexample, minimized to the
+// shortest failing schedule within a bounded re-run budget.
 //
 // The oracle rests on a closed-loop chain schedule. The driver keeps at
 // most one submission step outstanding: step k (one message, or one
@@ -30,21 +31,60 @@ package diffconform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"accelring"
+	"accelring/internal/core"
+	"accelring/internal/enginetest"
 	"accelring/internal/evscheck"
 	"accelring/internal/faultplan"
+	"accelring/internal/ringpaxos"
 	"accelring/internal/wire"
 )
+
+// Engine is one ordering engine under differential test.
+type Engine struct {
+	// Name labels runs and counterexamples.
+	Name string
+	// Profile is the evscheck axiom set the engine promises.
+	Profile evscheck.Profile
+	// New builds one node incarnation.
+	New enginetest.Factory
+}
+
+// The two engines, with the suite's protocol timers.
+var (
+	AccelRing = Engine{Name: "accelring", Profile: evscheck.ProfileEVS,
+		New: timed(func(c core.Config) (enginetest.Engine, error) { return core.New(c) })}
+	RingPaxos = Engine{Name: "ringpaxos", Profile: evscheck.ProfileTotalOrder,
+		New: timed(func(c core.Config) (enginetest.Engine, error) { return ringpaxos.New(c) })}
+)
+
+// timed adapts an engine constructor to a Factory with the suite's timers.
+func timed(build func(core.Config) (enginetest.Engine, error)) enginetest.Factory {
+	return func(id wire.ParticipantID, inc uint32) enginetest.Engine {
+		e, err := build(core.Config{
+			MyID:               id,
+			Incarnation:        inc,
+			TokenLossTimeout:   120 * time.Millisecond,
+			TokenRetransPeriod: 25 * time.Millisecond,
+			JoinPeriod:         10 * time.Millisecond,
+			ConsensusTimeout:   60 * time.Millisecond,
+			CommitTimeout:      50 * time.Millisecond,
+		})
+		if err != nil {
+			panic(err) // the config is constant
+		}
+		return e
+	}
+}
 
 // Scenario is one deterministic differential schedule: everything a
 // counterexample needs to reproduce a run.
 type Scenario struct {
-	// Seed drives the fault plan and the memnet hub's random streams.
+	// Seed drives the fault plan.
 	Seed int64
 	// Nodes is the cluster size (IDs 1..Nodes).
 	Nodes int
@@ -60,9 +100,9 @@ type Scenario struct {
 	// FaultWindow is the horizon faults are generated over; every fault
 	// ends before it. Zero selects one second.
 	FaultWindow time.Duration
-	// StepTimeout bounds how long the driver waits for one chain step to
-	// deliver. Zero selects 20 seconds (hit only on real liveness bugs —
-	// every generated fault expires before FaultWindow).
+	// StepTimeout bounds the virtual time the driver waits for one chain
+	// step to deliver. Zero selects 20 seconds (hit only on real liveness
+	// bugs — every generated fault expires before FaultWindow).
 	StepTimeout time.Duration
 }
 
@@ -94,21 +134,28 @@ func Canonical(sc Scenario) []string {
 	sc = sc.withDefaults()
 	out := make([]string, sc.Messages)
 	for k := range out {
-		out[k] = payloadOf(k)
+		out[k] = payloadOf(sc, k)
 	}
 	return out
 }
 
-func payloadOf(k int) string { return fmt.Sprintf("m%05d", k) }
+// payloadOf is chain message k in enginetest's payload convention, which
+// carries its sender and per-sender counter to evscheck's FIFO axiom.
+func payloadOf(sc Scenario, k int) string {
+	step := k / sc.Burst
+	return string(enginetest.Payload(senderOf(sc, k), step/sc.Nodes*sc.Burst+k%sc.Burst))
+}
 
 // senderOf maps chain message k to its submitting node: bursts stay on
 // one sender, steps rotate round-robin.
-func senderOf(sc Scenario, k int) int { return (k / sc.Burst) % sc.Nodes }
+func senderOf(sc Scenario, k int) wire.ParticipantID {
+	return wire.ParticipantID(k/sc.Burst%sc.Nodes + 1)
+}
 
 // Result is one engine's run outcome.
 type Result struct {
 	// Engine is the engine that produced the run.
-	Engine accelring.EngineKind
+	Engine Engine
 	// Orders maps node label ("1".."N") to its delivered payload
 	// sequence.
 	Orders map[string][]string
@@ -117,152 +164,71 @@ type Result struct {
 	Log evscheck.Log
 }
 
-// Run executes the scenario on the given engine over a faulted memnet
-// and returns every node's delivery order. It fails only on harness
-// errors (start/submit) or a liveness timeout; ordering verdicts are the
-// checker's job.
-func Run(engine accelring.EngineKind, sc Scenario) (*Result, error) {
+// Run executes the scenario on the given engine in virtual time and
+// returns every node's delivery order. It fails only on a liveness
+// timeout; ordering verdicts are the checker's job.
+func Run(e Engine, sc Scenario) (*Result, error) {
 	sc = sc.withDefaults()
-	net := accelring.NewMemoryNetwork(sc.Seed)
+	c := enginetest.New(sc.Nodes, e.New)
 	plan := faultplan.Generate(sc.Seed, sc.Nodes, sc.FaultWindow, sc.Classes)
-	net.ApplyFaults(&plan)
+	c.ApplyPlan(&plan)
+	c.Start()
 
-	members := make([]accelring.ParticipantID, sc.Nodes)
-	for i := range members {
-		members[i] = accelring.ParticipantID(i + 1)
-	}
-
-	res := &Result{
-		Engine: engine,
-		Orders: make(map[string][]string, sc.Nodes),
-		Log:    evscheck.Log{},
-	}
-	// senderSeqOf precomputes each payload's (sender, per-sender counter)
-	// so collectors can feed evscheck's FIFO axiom.
-	type origin struct {
-		sender wire.ParticipantID
-		seq    uint64
-	}
-	origins := make(map[string]origin, sc.Messages)
-	perSender := make([]uint64, sc.Nodes)
-	for k := 0; k < sc.Messages; k++ {
-		s := senderOf(sc, k)
-		perSender[s]++
-		origins[payloadOf(k)] = origin{sender: wire.ParticipantID(s + 1), seq: perSender[s]}
-	}
-
-	var (
-		mu        sync.Mutex
-		collected = make(map[string][]string, sc.Nodes)
-	)
-	nodes := make([]*accelring.Node, 0, sc.Nodes)
-	var wg sync.WaitGroup
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-		wg.Wait()
-	}()
-
-	for _, id := range members {
-		n, err := accelring.Start(accelring.Options{
-			ID:                 id,
-			Transport:          net.Endpoint(id),
-			Members:            members,
-			Engine:             engine,
-			TokenLossTimeout:   120 * time.Millisecond,
-			TokenRetransPeriod: 25 * time.Millisecond,
-			JoinPeriod:         10 * time.Millisecond,
-			ConsensusTimeout:   60 * time.Millisecond,
-			CommitTimeout:      50 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("diffconform: start %s node %d: %w", engine, id, err)
-		}
-		nodes = append(nodes, n)
-		label := fmt.Sprint(uint32(id))
-		nl := res.Log.Node(label)
-		wg.Add(1)
-		go func(n *accelring.Node, label string, nl *evscheck.NodeLog) {
-			defer wg.Done()
-			for ev := range n.Events() {
-				mu.Lock()
-				switch e := ev.(type) {
-				case accelring.Message:
-					p := string(e.Payload)
-					o := origins[p]
-					collected[label] = append(collected[label], p)
-					nl.Deliver(p, o.sender, o.seq, e.Service)
-				case accelring.ConfigChange:
-					nl.Install(e.Config.ID, e.Config.Members, e.Transitional)
-				}
-				mu.Unlock()
-			}
-		}(n, label, nl)
-	}
-
-	deliveredCount := func(payload string) int {
-		mu.Lock()
-		defer mu.Unlock()
-		cnt := 0
-		for _, seq := range collected {
-			for _, p := range seq {
-				if p == payload {
-					cnt++
-					break
-				}
+	// reached counts the nodes that delivered payload p.
+	reached := func(p string) (cnt int) {
+		for _, n := range c.Nodes {
+			if slices.Contains(n.Payloads(), p) {
+				cnt++
 			}
 		}
 		return cnt
 	}
 
-	// Drive the chain: submit step k's burst, then wait until its last
-	// message is delivered somewhere before opening step k+1.
+	// Drive the chain: submit step k's burst, then run until its last
+	// message is delivered somewhere before opening step k+1. Steps are
+	// paced across the fault window, so the plan acts on the chain rather
+	// than after it.
+	steps := (sc.Messages + sc.Burst - 1) / sc.Burst
 	for k := 0; k < sc.Messages; k++ {
-		n := nodes[senderOf(sc, k)]
-		payload := payloadOf(k)
-		deadline := time.Now().Add(sc.StepTimeout)
+		if k%sc.Burst == 0 {
+			if at := sc.FaultWindow * time.Duration(k/sc.Burst) / time.Duration(steps); at > c.Now() {
+				c.Run(at - c.Now())
+			}
+		}
+		p := payloadOf(sc, k)
+		deadline := c.Now() + sc.StepTimeout
 		for {
-			err := n.Submit([]byte(payload), accelring.Agreed)
+			err := c.Submit(senderOf(sc, k), []byte(p), wire.ServiceAgreed)
 			if err == nil {
 				break
 			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("diffconform: %s: submit %q never accepted: %w (%s)",
-					engine, payload, err, sc)
+			if c.Now() >= deadline {
+				return nil, fmt.Errorf("diffconform: %s: submit %q never accepted: %w (%s)", e.Name, p, err, sc)
 			}
-			time.Sleep(2 * time.Millisecond)
+			c.Run(2 * time.Millisecond)
 		}
 		if (k+1)%sc.Burst != 0 && k != sc.Messages-1 {
 			continue // within a burst: keep submitting back-to-back
 		}
-		for deliveredCount(payload) == 0 {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("diffconform: %s: chain stalled at %q (%s)",
-					engine, payload, sc)
-			}
-			time.Sleep(time.Millisecond)
+		if !c.RunUntil(deadline-c.Now(), func() bool { return reached(p) > 0 }) {
+			return nil, fmt.Errorf("diffconform: %s: chain stalled at %q (%s)", e.Name, p, sc)
 		}
 	}
 
-	// Quiescence: every node catches up on the full chain.
-	last := payloadOf(sc.Messages - 1)
-	deadline := time.Now().Add(sc.StepTimeout)
-	for sc.Messages > 0 && deliveredCount(last) < sc.Nodes {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("diffconform: %s: nodes never converged on %q (%s)",
-				engine, last, sc)
+	// Quiescence: every node catches up on the full chain, then one settle
+	// pass lets trailing duplicates and retransmissions drain.
+	if sc.Messages > 0 {
+		last := payloadOf(sc, sc.Messages-1)
+		if !c.RunUntil(sc.StepTimeout, func() bool { return reached(last) == sc.Nodes }) {
+			return nil, fmt.Errorf("diffconform: %s: nodes never converged on %q (%s)", e.Name, last, sc)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	// One settle pass so trailing duplicates/retransmits drain.
-	time.Sleep(20 * time.Millisecond)
+	c.Run(20 * time.Millisecond)
 
-	mu.Lock()
-	for label, seq := range collected {
-		res.Orders[label] = append([]string(nil), seq...)
+	res := &Result{Engine: e, Orders: make(map[string][]string, sc.Nodes), Log: c.Log()}
+	for _, n := range c.Nodes {
+		res.Orders[fmt.Sprint(uint32(n.ID))] = n.Payloads()
 	}
-	mu.Unlock()
 	return res, nil
 }
 
@@ -270,7 +236,7 @@ func Run(engine accelring.EngineKind, sc Scenario) (*Result, error) {
 // order.
 type Divergence struct {
 	// Engine and Node locate the offending delivery stream.
-	Engine accelring.EngineKind
+	Engine string
 	Node   string
 	// Index is the position of the first deviation; Want and Got are the
 	// canonical and observed payloads there ("<none>" for a short log).
@@ -312,7 +278,7 @@ func CheckStrict(res *Result, sc Scenario) *Divergence {
 				g = got[i]
 			}
 			if w != g {
-				return &Divergence{Engine: res.Engine, Node: label, Index: i, Want: w, Got: g}
+				return &Divergence{Engine: res.Engine.Name, Node: label, Index: i, Want: w, Got: g}
 			}
 		}
 	}
@@ -327,12 +293,8 @@ func CheckConverged(a, b *Result, sc Scenario) error {
 	sc = sc.withDefaults()
 	var problems []string
 	for _, r := range []*Result{a, b} {
-		opt := evscheck.Options{Quiescent: false}
-		if r.Engine == accelring.EngineRingPaxos {
-			opt.Profile = evscheck.ProfileTotalOrder
-		}
-		for _, v := range evscheck.Check(r.Log, opt) {
-			problems = append(problems, fmt.Sprintf("engine %s: %s", r.Engine, v))
+		for _, v := range evscheck.Check(r.Log, evscheck.Options{Profile: r.Engine.Profile}) {
+			problems = append(problems, fmt.Sprintf("engine %s: %s", r.Engine.Name, v))
 		}
 	}
 	want := make(map[string]bool, sc.Messages)
@@ -343,13 +305,13 @@ func CheckConverged(a, b *Result, sc Scenario) error {
 		for label, seq := range r.Orders {
 			if len(seq) != len(want) {
 				problems = append(problems, fmt.Sprintf(
-					"engine %s node %s: delivered %d of %d messages", r.Engine, label, len(seq), len(want)))
+					"engine %s node %s: delivered %d of %d messages", r.Engine.Name, label, len(seq), len(want)))
 				continue
 			}
 			for _, p := range seq {
 				if !want[p] {
 					problems = append(problems, fmt.Sprintf(
-						"engine %s node %s: delivered unknown message %q", r.Engine, label, p))
+						"engine %s node %s: delivered unknown message %q", r.Engine.Name, label, p))
 				}
 			}
 		}
@@ -364,7 +326,7 @@ func CheckConverged(a, b *Result, sc Scenario) error {
 
 // Counterexample is a failing scenario minimized for reproduction.
 type Counterexample struct {
-	// Scenario reproduces the failure: Run(Divergence.Engine, Scenario)
+	// Scenario reproduces the failure: Run(engine, Scenario)
 	// diverges from Canonical(Scenario).
 	Scenario Scenario
 	// Divergence is the verdict on the minimized scenario.
@@ -383,16 +345,16 @@ func (c *Counterexample) String() string {
 // count that still diverges, within a re-run budget (each probe is a
 // full run). The returned counterexample always reproduces: its final
 // scenario was re-run and observed to fail.
-func Minimize(engine accelring.EngineKind, sc Scenario, firstDiv *Divergence, budget int) *Counterexample {
+func Minimize(e Engine, sc Scenario, firstDiv *Divergence, budget int) *Counterexample {
 	sc = sc.withDefaults()
 	best := sc
 	bestDiv := firstDiv
 	reruns := 0
 	fails := func(probe Scenario) *Divergence {
-		res, err := Run(engine, probe)
+		res, err := Run(e, probe)
 		if err != nil {
 			// A liveness failure is a reproducible failure too.
-			return &Divergence{Engine: engine, Node: "-", Want: "<live run>", Got: err.Error()}
+			return &Divergence{Engine: e.Name, Node: "-", Want: "<live run>", Got: err.Error()}
 		}
 		return CheckStrict(res, probe)
 	}

@@ -3,14 +3,13 @@ package diffconform
 import (
 	"testing"
 
-	"accelring"
 	"accelring/internal/faultplan"
 )
 
 // FuzzEngineEquivalence is the differential fuzz target: a fuzzed
 // faultplan seed and submission-schedule shape are clamped into a small
 // Scenario, the identical scenario is driven through both ordering
-// engines on memnet, and every node of both runs must deliver the
+// engines in virtual time, and every node of both runs must deliver the
 // canonical submission order. Fault classes are masked to link faults
 // (loss/dup/delay) so the strict positional oracle applies — partitions
 // get the weaker converged verdict in the seeded tests instead.
@@ -33,10 +32,10 @@ func FuzzEngineEquivalence(f *testing.F) {
 			Burst:    1 + int(burst%3),     // 1..3
 			Classes:  faultplan.Class(classes) & faultplan.ClassLink,
 		}
-		for _, engine := range []accelring.EngineKind{accelring.EngineAccelRing, accelring.EngineRingPaxos} {
-			res, err := Run(engine, sc)
+		for _, e := range bothEngines {
+			res, err := Run(e, sc)
 			if err != nil {
-				t.Fatalf("%s %s: %v", engine, sc, err)
+				t.Fatalf("%s %s: %v", e.Name, sc, err)
 			}
 			if d := CheckStrict(res, sc); d != nil {
 				t.Fatalf("engines diverge on %s: %v", sc, d)

@@ -1,11 +1,27 @@
-package core
+// Package engine holds the types that cross an ordering engine's Step
+// boundary: the Input a runtime feeds in, the Actions it must carry out,
+// the shared TimerKind set and the Configuration view. It imports only
+// wire, so the engines (internal/core, internal/ringpaxos), every runtime
+// (the root loop, internal/netsim) and the cluster test driver
+// (internal/enginetest) share one vocabulary without importing each other.
+// The contract itself — core.OrderingEngine — stays in core, because its
+// Progress and Snapshot carry core's Config and Stats.
+package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"accelring/internal/wire"
 )
+
+// Input is one engine input: a received frame, or, when Frame is nil, the
+// expiry of timer Timer. Passed by value; building one never allocates.
+type Input struct {
+	Frame wire.Frame
+	Timer TimerKind
+}
 
 // Action is an instruction the engine hands back to its runtime (real
 // sockets, the in-memory test transport, or the discrete-event simulator).
@@ -116,30 +132,8 @@ type Configuration struct {
 
 // Clone returns a deep copy of the configuration.
 func (c Configuration) Clone() Configuration {
-	out := Configuration{ID: c.ID}
-	if c.Members != nil {
-		out.Members = make([]wire.ParticipantID, len(c.Members))
-		copy(out.Members, c.Members)
-	}
-	return out
+	return Configuration{ID: c.ID, Members: slices.Clone(c.Members)}
 }
 
 // Contains reports whether id is a member of the configuration.
-func (c Configuration) Contains(id wire.ParticipantID) bool {
-	for _, m := range c.Members {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
-
-// indexOf returns the position of id in the member list, or -1.
-func (c Configuration) indexOf(id wire.ParticipantID) int {
-	for i, m := range c.Members {
-		if m == id {
-			return i
-		}
-	}
-	return -1
-}
+func (c Configuration) Contains(id wire.ParticipantID) bool { return slices.Contains(c.Members, id) }

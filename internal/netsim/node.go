@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
@@ -40,7 +41,7 @@ type simNode struct {
 
 	sendSeq uint32 // per-node submission counter for captured runs
 
-	timers map[core.TimerKind]time.Duration
+	timers map[engine.TimerKind]time.Duration
 }
 
 func newSimNode(s *Sim, idx int, eng core.OrderingEngine) *simNode {
@@ -48,7 +49,7 @@ func newSimNode(s *Sim, idx int, eng core.OrderingEngine) *simNode {
 		sim:    s,
 		eng:    eng,
 		idx:    idx,
-		timers: make(map[core.TimerKind]time.Duration),
+		timers: make(map[engine.TimerKind]time.Duration),
 	}
 }
 
@@ -143,7 +144,7 @@ func (n *simNode) processToken(prof *Profile) {
 	n.tokenQ = n.tokenQ[1:]
 	n.tokenQBytes -= p.bytes
 	n.cpuFree += prof.TokenCost
-	n.execute(n.eng.Step(core.Input{Frame: p.frame}))
+	n.execute(n.eng.Step(engine.Input{Frame: p.frame}))
 }
 
 func (n *simNode) processData(prof *Profile) {
@@ -157,7 +158,7 @@ func (n *simNode) processData(prof *Profile) {
 	if p.frags > 0 {
 		n.cpuFree += time.Duration(p.frags) * prof.RecvPerFrag
 	}
-	n.execute(n.eng.Step(core.Input{Frame: p.frame}))
+	n.execute(n.eng.Step(engine.Input{Frame: p.frame}))
 }
 
 func (n *simNode) processSubmissions(prof *Profile, limit int) {
@@ -196,34 +197,34 @@ func (n *simNode) processSubmissions(prof *Profile, limit int) {
 // CPU for every send and delivery. The position of the token send among the
 // data sends is what produces (or, for the original protocol, forbids)
 // sending overlap between ring neighbours.
-func (n *simNode) execute(actions []core.Action) {
+func (n *simNode) execute(actions []engine.Action) {
 	prof := &n.sim.cfg.Profile
 	for _, a := range actions {
 		switch act := a.(type) {
-		case core.SendData:
+		case engine.SendData:
 			n.cpuFree += prof.SendCost + perKB(prof.SendPerKB, n.sim.cfg.PayloadSize)
 			body := prof.HeaderBytes + n.sim.cfg.PayloadSize
 			pkt := packet{frame: act.Msg, bytes: n.sim.wireBytes(body), frags: n.sim.fragments(body)}
 			n.transmit(pkt, -1)
-		case core.Send:
+		case engine.Send:
 			// Everything but client data is modeled at its encoded size,
 			// with no per-payload cost. A zero To multicasts (dst -1).
 			n.cpuFree += prof.SendCost
 			pkt := packet{frame: act.Frame, unicast: act.To != 0, bytes: n.sim.wireBytes(act.Frame.EncodedSize())}
 			n.transmit(pkt, int(act.To)-1)
-		case core.Deliver:
+		case engine.Deliver:
 			n.cpuFree += prof.DeliverCost + perKB(prof.DeliverPerKB, n.sim.cfg.PayloadSize)
 			n.recordDelivery(act.Msg)
 			n.captureDelivery(act.Msg)
-		case core.DeliverConfig:
+		case engine.DeliverConfig:
 			// Configuration events are not measured, but captured runs log
 			// them so the conformance checker can segment delivery epochs.
 			if n.sim.capture != nil {
 				n.sim.capture.Node(n.logName()).Install(act.Config.ID, act.Config.Members, act.Transitional)
 			}
-		case core.SetTimer:
+		case engine.SetTimer:
 			n.setTimer(act.Kind, act.After)
-		case core.CancelTimer:
+		case engine.CancelTimer:
 			delete(n.timers, act.Kind)
 		}
 	}
@@ -317,7 +318,7 @@ func perKB(d time.Duration, bytes int) time.Duration {
 	return d * time.Duration(bytes) / 1024
 }
 
-func (n *simNode) setTimer(kind core.TimerKind, after time.Duration) {
+func (n *simNode) setTimer(kind engine.TimerKind, after time.Duration) {
 	deadline := n.sim.now + after
 	if n.cpuFree > n.sim.now {
 		deadline = n.cpuFree + after
@@ -326,7 +327,7 @@ func (n *simNode) setTimer(kind core.TimerKind, after time.Duration) {
 	n.sim.schedule(deadline, func() {
 		if d, ok := n.timers[kind]; ok && d == deadline {
 			delete(n.timers, kind)
-			n.execute(n.eng.Step(core.Input{Timer: kind}))
+			n.execute(n.eng.Step(engine.Input{Timer: kind}))
 		}
 	})
 }

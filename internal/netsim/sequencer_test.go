@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/evscheck"
 	"accelring/internal/wire"
 )
@@ -19,7 +20,7 @@ import (
 // no loss; the test runs it on a clean network.
 type fixedSequencer struct {
 	cfg     core.Config
-	ring    core.Configuration
+	ring    engine.Configuration
 	mySeq   uint64 // own submissions so far
 	pending int    // own submissions not yet delivered
 	lastPos uint64 // sequencer only: last global position assigned
@@ -42,23 +43,23 @@ func newFixedSequencer(cfg core.Config) *fixedSequencer {
 	return &fixedSequencer{cfg: cfg, values: map[seqKey]*wire.DataMessage{}, order: map[uint64]seqKey{}}
 }
 
-func (e *fixedSequencer) Start(members []wire.ParticipantID) ([]core.Action, error) {
+func (e *fixedSequencer) Start(members []wire.ParticipantID) ([]engine.Action, error) {
 	if len(members) == 0 {
 		return nil, errors.New("sequencer: static membership required")
 	}
-	e.ring = core.Configuration{ID: wire.RingID{Rep: members[0], Seq: 4}, Members: members}
-	return []core.Action{core.DeliverConfig{Config: e.ring.Clone()}}, nil
+	e.ring = engine.Configuration{ID: wire.RingID{Rep: members[0], Seq: 4}, Members: members}
+	return []engine.Action{engine.DeliverConfig{Config: e.ring.Clone()}}, nil
 }
 
-func (e *fixedSequencer) Submit(payload []byte, svc wire.Service) ([]core.Action, error) {
+func (e *fixedSequencer) Submit(payload []byte, svc wire.Service) ([]engine.Action, error) {
 	e.mySeq++
 	e.pending++
 	e.stats.MsgsSent++
 	m := &wire.DataMessage{RingID: e.ring.ID, PID: e.cfg.MyID, Seq: wire.Seq(e.mySeq), Service: svc, Payload: payload}
-	return e.learn(m, []core.Action{core.SendData{Msg: m}}), nil
+	return e.learn(m, []engine.Action{engine.SendData{Msg: m}}), nil
 }
 
-func (e *fixedSequencer) Step(in core.Input) []core.Action {
+func (e *fixedSequencer) Step(in engine.Input) []engine.Action {
 	switch f := in.Frame.(type) {
 	case *wire.DataMessage:
 		return e.learn(f, nil)
@@ -73,7 +74,7 @@ func (e *fixedSequencer) Step(in core.Input) []core.Action {
 
 // learn stores a proposal; the sequencer (the first member) also assigns it
 // the next global position and announces that in a control frame.
-func (e *fixedSequencer) learn(m *wire.DataMessage, acts []core.Action) []core.Action {
+func (e *fixedSequencer) learn(m *wire.DataMessage, acts []engine.Action) []engine.Action {
 	k := seqKey{m.PID, uint64(m.Seq)}
 	e.values[k] = m
 	if e.cfg.MyID == e.ring.Members[0] {
@@ -82,14 +83,14 @@ func (e *fixedSequencer) learn(m *wire.DataMessage, acts []core.Action) []core.A
 		body := binary.BigEndian.AppendUint32(nil, uint32(k.pid))
 		body = binary.BigEndian.AppendUint64(body, k.seq)
 		body = binary.BigEndian.AppendUint64(body, e.lastPos)
-		acts = append(acts, core.Send{Frame: &wire.Control{RingID: e.ring.ID, Sender: e.cfg.MyID, Sub: subOrder, Body: body}})
+		acts = append(acts, engine.Send{Frame: &wire.Control{RingID: e.ring.ID, Sender: e.cfg.MyID, Sub: subOrder, Body: body}})
 	}
 	return e.deliver(acts)
 }
 
 // deliver hands over every message whose position and value are both known,
 // in position order.
-func (e *fixedSequencer) deliver(acts []core.Action) []core.Action {
+func (e *fixedSequencer) deliver(acts []engine.Action) []engine.Action {
 	for {
 		m, ok := e.values[e.order[e.next+1]] // unknown position → zero key → no value
 		if !ok {
@@ -100,7 +101,7 @@ func (e *fixedSequencer) deliver(acts []core.Action) []core.Action {
 		if m.PID == e.cfg.MyID {
 			e.pending--
 		}
-		acts = append(acts, core.Deliver{Msg: m})
+		acts = append(acts, engine.Deliver{Msg: m})
 	}
 }
 

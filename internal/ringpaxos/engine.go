@@ -43,10 +43,12 @@ package ringpaxos
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
@@ -71,14 +73,6 @@ const perTokenRTRAdds = 128
 // final decided watermark made one full lap in the ARU field first, so
 // every active member delivered everything before the ring goes quiet.
 const idlePauseCirculations = 2
-
-// TestMutateAssignOrder is a test-only fault injector: when set, the
-// coordinator swaps the first two value assignments of every batch of two
-// or more — a deliberate total-order bug that every honest learner
-// follows identically. The cross-engine differential suite must catch it
-// as a divergence from the Accelerated Ring engine's order; nothing else
-// in the repository sets it.
-var TestMutateAssignOrder atomic.Bool
 
 // valKey identifies one proposed value: proposer and proposer-local
 // 64-bit submission sequence. The sequence's high 32 bits are the
@@ -105,8 +99,13 @@ type proposal struct {
 // entry is one instance's accepted assignment.
 type entry struct {
 	key  valKey
-	view uint64 // view in which the assignment was accepted
+	view uint64 // view in which the assignment was accepted, or decidedView
 }
+
+// decidedView marks an entry learned from a catch-up answer: the decided
+// value itself, not an acceptance. It outranks every real view, so no
+// assignment replaces it and a Phase 1 report of it wins the merge.
+const decidedView = math.MaxUint64
 
 // Engine is a Ring Paxos participant. Deterministic single-goroutine
 // state machine per the core.OrderingEngine contract.
@@ -130,6 +129,7 @@ type Engine struct {
 	inViewChange bool
 	vcView       uint64
 	vcReports    map[wire.ParticipantID]*report
+	vcCatchUp    uint64 // elect only: decided watermark it is fetching values up to
 
 	// Instance log. Instances are 1-based; log holds accepted assignments
 	// (sparse below the decided watermark after a view change or restart),
@@ -139,6 +139,7 @@ type Engine struct {
 	high      uint64 // highest instance known assigned (token Seq field)
 	decided   uint64 // instances ≤ decided are decided
 	delivered uint64 // instances ≤ delivered are delivered (or skipped)
+	staleHigh uint64 // entries accepted before the current view lie ≤ staleHigh
 
 	// Delivery dedup: the highest proposer-sequence delivered per
 	// proposer. A value re-assigned after a view change (its first
@@ -198,7 +199,7 @@ type Engine struct {
 	// persists (off-ring learners have no token to put requests on).
 	nackArmed bool
 
-	scratch []core.Action
+	scratch []engine.Action
 
 	stats core.Stats
 	px    Stats
@@ -269,7 +270,7 @@ func (e *Engine) Snapshot() core.Snapshot {
 	return core.Snapshot{
 		Config: e.cfg,
 		State:  state,
-		Ring:   core.Configuration{ID: e.ringID, Members: append([]wire.ParticipantID(nil), e.members...)},
+		Ring:   engine.Configuration{ID: e.ringID, Members: append([]wire.ParticipantID(nil), e.members...)},
 		Stats:  st,
 		Extra:  px,
 	}
@@ -295,7 +296,7 @@ func (e *Engine) Progress() core.Progress {
 // first value needs ordering. Dynamic discovery (no member list) is not
 // supported: Ring Paxos needs the static acceptor set to compute
 // majorities.
-func (e *Engine) Start(members []wire.ParticipantID) ([]core.Action, error) {
+func (e *Engine) Start(members []wire.ParticipantID) ([]engine.Action, error) {
 	if len(members) == 0 {
 		return nil, ErrNeedsMembers
 	}
@@ -313,13 +314,14 @@ func (e *Engine) Start(members []wire.ParticipantID) ([]core.Action, error) {
 	e.installActiveRing(0, e.members)
 	e.paused = true
 	e.provenRing = e.n == 1
-	return []core.Action{core.DeliverConfig{Config: cfg.Clone()}}, nil
+	return []engine.Action{engine.DeliverConfig{Config: cfg.Clone()}}, nil
 }
 
 // installActiveRing records a view's coordinator and active ring.
 func (e *Engine) installActiveRing(view uint64, active []wire.ParticipantID) {
 	prev := e.coordinator
 	e.view = view
+	e.staleHigh = e.high
 	if view > e.promised {
 		e.promised = view
 	}
@@ -366,7 +368,7 @@ func (e *Engine) isCoordinator() bool { return e.coordinator == e.cfg.MyID }
 // Submit queues one value for total ordering and returns its protocol
 // output: the value multicast, and — on the coordinator — the assignment
 // work it enables.
-func (e *Engine) Submit(payload []byte, service wire.Service) ([]core.Action, error) {
+func (e *Engine) Submit(payload []byte, service wire.Service) ([]engine.Action, error) {
 	if !e.started {
 		return nil, ErrNeedsMembers
 	}
@@ -386,7 +388,7 @@ func (e *Engine) Submit(payload []byte, service wire.Service) ([]core.Action, er
 	e.myPendOrd = append(e.myPendOrd, k)
 	e.stats.MsgsSent++
 
-	acts := append(e.scratch[:0], core.SendData{Msg: e.proposalFrame(k, false)})
+	acts := append(e.scratch[:0], engine.SendData{Msg: e.proposalFrame(k, false)})
 	if e.isCoordinator() && !e.inViewChange {
 		for _, k := range e.myPendOrd {
 			if e.myPending[k] {
@@ -440,8 +442,9 @@ func (e *Engine) offerToPool(k valKey) {
 	e.poolSize++
 }
 
-// advanceDecided raises the decided watermark and delivers what it can.
-func (e *Engine) advanceDecided(d uint64, acts []core.Action) []core.Action {
+// advanceDecided raises the decided watermark to d, learned in the current
+// view, and delivers what it can.
+func (e *Engine) advanceDecided(d uint64, acts []engine.Action) []engine.Action {
 	if d > e.decided {
 		if e.isCoordinator() {
 			for i := e.decided + 1; i <= d; i++ {
@@ -452,28 +455,48 @@ func (e *Engine) advanceDecided(d uint64, acts []core.Action) []core.Action {
 				}
 			}
 		}
+		prev := e.decided
 		e.decided = d
-		retain := uint64(e.cfg.Flow.MaxSeqGap)
-		if e.delivered == 0 && e.px.FastForwards == 0 && d > retain {
-			// Fresh incarnation joining mid-stream, too far behind for
-			// catch-up (peers have garbage-collected the old values):
-			// start delivering from inside the retention window. The
-			// no-double-decide invariant (see assignBatch) makes the
-			// skipped prefix irrecoverable but harmless — no skipped value
-			// can reappear later in the order.
-			e.delivered = d - retain/2
-			e.gcFloor = e.delivered
+		if f := e.deliveryFloor(d); f > e.delivered {
+			e.delivered = f
+			e.gcFloor = f
 			e.px.FastForwards++
+		}
+		// An acceptance from a view older than the current one may hold a
+		// value the decision superseded (a cut-off coordinator's
+		// assignment): drop it and catch up on the decided value instead,
+		// which the coordinator that raised the watermark holds (see
+		// maybeInstall). Entries below the watermark are therefore always
+		// decided values, and in a steady view the walk is empty.
+		for i := max(prev, e.delivered) + 1; i <= min(d, e.staleHigh); i++ {
+			if ent, ok := e.log[i]; ok && ent.view < e.view {
+				delete(e.log, i)
+				acts = e.superseded(ent, acts)
+			}
 		}
 	}
 	return e.advanceDelivery(acts)
+}
+
+// deliveryFloor is the delivered watermark once decided reaches d. A fresh
+// incarnation joining mid-stream, too far behind for catch-up (peers have
+// garbage-collected the old values), starts delivering from inside the
+// retention window. The no-double-decide invariant (see assignBatch) makes
+// the skipped prefix irrecoverable but harmless — no skipped value can
+// reappear later in the order.
+func (e *Engine) deliveryFloor(d uint64) uint64 {
+	retain := uint64(e.cfg.Flow.MaxSeqGap)
+	if e.delivered == 0 && e.px.FastForwards == 0 && d > retain {
+		return d - retain/2
+	}
+	return e.delivered
 }
 
 // advanceDelivery delivers decided instances in order, as far as local
 // assignments and values allow. The per-proposer dedup skip is identical
 // at every learner (same instance walk, same rule), so skipping preserves
 // agreement.
-func (e *Engine) advanceDelivery(acts []core.Action) []core.Action {
+func (e *Engine) advanceDelivery(acts []engine.Action) []engine.Action {
 	for e.delivered < e.decided {
 		i := e.delivered + 1
 		ent, ok := e.log[i]
@@ -503,7 +526,7 @@ func (e *Engine) advanceDelivery(acts []core.Action) []core.Action {
 		if p.service.RequiresSafe() {
 			e.stats.SafeDelivered++
 		}
-		acts = append(acts, core.Deliver{Msg: &wire.DataMessage{
+		acts = append(acts, engine.Deliver{Msg: &wire.DataMessage{
 			RingID:  e.ringID,
 			Seq:     wire.Seq(i),
 			PID:     ent.key.pid,
@@ -526,6 +549,31 @@ func (e *Engine) clearMyPending(k valKey) {
 			e.myPendOrd = append(e.myPendOrd[:i], e.myPendOrd[i+1:]...)
 			break
 		}
+	}
+}
+
+// superseded handles an entry this node discards, or overwrites with
+// another value, before delivering it: an own value in it is proposed
+// again.
+func (e *Engine) superseded(ent entry, acts []engine.Action) []engine.Action {
+	if ent.key.pid == e.cfg.MyID && ent.key.seq > e.lastDelivered[e.cfg.MyID] {
+		e.repend(ent.key)
+		acts = e.armPacing(acts)
+	}
+	return acts
+}
+
+// repend puts own value k back among the unassigned: retransmitted by the
+// pacing timer in submission order, and pooled if this node coordinates.
+func (e *Engine) repend(k valKey) {
+	if _, ok := e.values[k]; !ok || e.myPending[k] {
+		return
+	}
+	e.myPending[k] = true
+	i := sort.Search(len(e.myPendOrd), func(i int) bool { return e.myPendOrd[i].seq > k.seq })
+	e.myPendOrd = slices.Insert(e.myPendOrd, i, k)
+	if e.isCoordinator() && !e.inViewChange {
+		e.offerToPool(k)
 	}
 }
 
@@ -577,7 +625,7 @@ func (e *Engine) outstanding() bool {
 // therefore extended only when the engine observed ordering progress
 // (decides or token arrivals) since the last arm: a live coordinator
 // keeps resetting it for free, a dead one lets it expire.
-func (e *Engine) armLiveness(acts []core.Action) []core.Action {
+func (e *Engine) armLiveness(acts []engine.Action) []engine.Action {
 	if e.inViewChange {
 		return acts
 	}
@@ -588,22 +636,22 @@ func (e *Engine) armLiveness(acts []core.Action) []core.Action {
 		}
 		e.liveArmed = true
 		e.liveMark = mark
-		return append(acts, core.SetTimer{Kind: core.TimerTokenLoss, After: e.cfg.TokenLossTimeout})
+		return append(acts, engine.SetTimer{Kind: engine.TimerTokenLoss, After: e.cfg.TokenLossTimeout})
 	}
 	if e.liveArmed {
 		e.liveArmed = false
-		return append(acts, core.CancelTimer{Kind: core.TimerTokenLoss})
+		return append(acts, engine.CancelTimer{Kind: engine.TimerTokenLoss})
 	}
 	return acts
 }
 
 // armPacing arms the JoinPeriod pacing timer when this node has proposals
 // to retransmit or a delivery gap to nack about.
-func (e *Engine) armPacing(acts []core.Action) []core.Action {
+func (e *Engine) armPacing(acts []engine.Action) []engine.Action {
 	want := len(e.myPendOrd) > 0 || e.deliveryGap()
 	if want && !e.nackArmed {
 		e.nackArmed = true
-		return append(acts, core.SetTimer{Kind: core.TimerJoin, After: e.cfg.JoinPeriod})
+		return append(acts, engine.SetTimer{Kind: engine.TimerJoin, After: e.cfg.JoinPeriod})
 	}
 	return acts
 }
@@ -614,18 +662,18 @@ func (e *Engine) deliveryGap() bool { return e.delivered < e.decided }
 
 // armExpansion schedules the deferred ring-expansion view change when an
 // off-ring member has shown signs of life.
-func (e *Engine) armExpansion(acts []core.Action) []core.Action {
+func (e *Engine) armExpansion(acts []engine.Action) []engine.Action {
 	if e.expansionWanted && !e.expansionArmed && e.isCoordinator() && !e.inViewChange {
 		e.expansionArmed = true
-		return append(acts, core.SetTimer{Kind: core.TimerCommit, After: e.cfg.CommitTimeout})
+		return append(acts, engine.SetTimer{Kind: engine.TimerCommit, After: e.cfg.CommitTimeout})
 	}
 	return acts
 }
 
 // handleTimer dispatches the engine's five timer kinds.
-func (e *Engine) handleTimer(kind core.TimerKind) []core.Action {
+func (e *Engine) handleTimer(kind engine.TimerKind) []engine.Action {
 	switch kind {
-	case core.TimerTokenLoss:
+	case engine.TimerTokenLoss:
 		e.liveArmed = false
 		if e.inViewChange || !e.outstanding() {
 			return nil
@@ -633,9 +681,12 @@ func (e *Engine) handleTimer(kind core.TimerKind) []core.Action {
 		// The coordinator is unresponsive (or we are the coordinator and
 		// the ring is broken): start Phase 1 for the next view.
 		return e.initiateViewChange(e.promised + 1)
-	case core.TimerTokenRetrans:
+	case engine.TimerTokenRetrans:
 		e.retransArmed = false
-		if e.inViewChange || e.sentToken == nil || e.paused {
+		// Not gated on paused, which every member starts with: that
+		// silenced non-coordinators in view 0, so one lost token cost a
+		// view change. A paused coordinator holds no sentToken.
+		if e.inViewChange || e.sentToken == nil {
 			return nil
 		}
 		if e.sentRetrans >= maxTokenRetrans {
@@ -648,21 +699,21 @@ func (e *Engine) handleTimer(kind core.TimerKind) []core.Action {
 		e.stats.TokenRetransmits++
 		tok := e.sentToken.Clone()
 		e.retransArmed = true
-		return []core.Action{
-			core.Send{To: e.sentTokenTo, Frame: tok},
-			core.SetTimer{Kind: core.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
+		return []engine.Action{
+			engine.Send{To: e.sentTokenTo, Frame: tok},
+			engine.SetTimer{Kind: engine.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
 		}
-	case core.TimerJoin:
+	case engine.TimerJoin:
 		e.nackArmed = false
 		return e.pacingFire()
-	case core.TimerConsensus:
+	case engine.TimerConsensus:
 		if !e.inViewChange {
 			return nil
 		}
 		// The view we were forming did not install (its coordinator-elect
 		// may be the next casualty): try the following view.
 		return e.initiateViewChange(e.promised + 1)
-	case core.TimerCommit:
+	case engine.TimerCommit:
 		e.expansionArmed = false
 		if e.expansionWanted && !e.inViewChange && e.isCoordinator() {
 			e.expansionWanted = false
@@ -676,12 +727,12 @@ func (e *Engine) handleTimer(kind core.TimerKind) []core.Action {
 
 // pacingFire is the JoinPeriod tick outside view changes: retransmit
 // unassigned own proposals and nack persistent delivery gaps.
-func (e *Engine) pacingFire() []core.Action {
+func (e *Engine) pacingFire() []engine.Action {
 	if e.inViewChange {
 		// View-change report pacing is handled in viewchange.go.
 		return e.viewChangePacing()
 	}
-	var acts []core.Action
+	var acts []engine.Action
 	const maxRetrans = 16
 	for i, k := range e.myPendOrd {
 		if i >= maxRetrans {
@@ -691,7 +742,7 @@ func (e *Engine) pacingFire() []core.Action {
 			continue
 		}
 		e.stats.MsgsRetransmitted++
-		acts = append(acts, core.SendData{Msg: e.proposalFrame(k, true)})
+		acts = append(acts, engine.SendData{Msg: e.proposalFrame(k, true)})
 	}
 	if e.deliveryGap() {
 		acts = append(acts, e.nackFrame(false))

@@ -3,7 +3,7 @@ package ringpaxos
 import (
 	"encoding/binary"
 
-	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
@@ -57,8 +57,8 @@ func newBody(view uint64, n int) []byte {
 }
 
 // control wraps a finished body in the send action for its frame.
-func (e *Engine) control(sub uint8, body []byte) core.Action {
-	return core.Send{Frame: &wire.Control{RingID: e.ringID, Sender: e.cfg.MyID, Sub: sub, Body: body}}
+func (e *Engine) control(sub uint8, body []byte) engine.Action {
+	return engine.Send{Frame: &wire.Control{RingID: e.ringID, Sender: e.cfg.MyID, Sub: sub, Body: body}}
 }
 
 // keyWireSize is the encoded size of one valKey: proposer ID (u32) plus
@@ -76,7 +76,7 @@ func getKey(b []byte) valKey {
 // assignFrame encodes a Phase 2a batch: count consecutive instances from
 // base, in key order. The decided watermark rides along so off-ring
 // learners (who never see the token) still learn decisions.
-func (e *Engine) assignFrame(base uint64, keys []valKey) core.Action {
+func (e *Engine) assignFrame(base uint64, keys []valKey) engine.Action {
 	b := newBody(e.view, 20+keyWireSize*len(keys))
 	b = be.AppendUint64(b, e.decided)
 	b = be.AppendUint64(b, base)
@@ -114,7 +114,7 @@ const reportEntrySize = 16 + keyWireSize
 // instance that may have been decided lies inside some majority
 // reporter's window, so the cut-off above decided+MaxSeqGap never drops
 // a decided entry — see the safety note on maxReportEntries.
-func (e *Engine) reportFrame(view uint64) core.Action {
+func (e *Engine) reportFrame(view uint64) engine.Action {
 	r := e.localReport()
 	b := newBody(view, 20+reportEntrySize*len(r.entries))
 	b = be.AppendUint64(b, r.decided)
@@ -161,13 +161,24 @@ const maxNackInstances = 256
 // nackFrame encodes a catch-up request: the instances in (delivered,
 // decided] this node cannot deliver, plus optionally a view-install
 // request.
-func (e *Engine) nackFrame(needInstall bool) core.Action {
-	var missing []uint64
-	for i := e.delivered + 1; i <= e.decided && len(missing) < maxNackInstances; i++ {
+func (e *Engine) nackFrame(needInstall bool) engine.Action {
+	return e.nackOf(needInstall, e.missing(e.delivered, e.decided))
+}
+
+// missing lists, up to maxNackInstances, the instances in (lo, hi] whose
+// decided value this node does not hold.
+func (e *Engine) missing(lo, hi uint64) []uint64 {
+	var out []uint64
+	for i := lo + 1; i <= hi && len(out) < maxNackInstances; i++ {
 		if !e.canDeliver(i) {
-			missing = append(missing, i)
+			out = append(out, i)
 		}
 	}
+	return out
+}
+
+// nackOf encodes a catch-up request for the given instances.
+func (e *Engine) nackOf(needInstall bool, missing []uint64) engine.Action {
 	b := newBody(e.view, 13+8*len(missing))
 	var flags uint8
 	if needInstall {
@@ -198,11 +209,12 @@ func parseNack(p []byte) (needInstall bool, promised uint64, missing []uint64, o
 	return p[0]&nackFlagNeedInstall != 0, getU64(p[1:]), missing, true
 }
 
-// canDeliver reports whether instance i's assignment and value are both
-// locally available (noop slots need no value).
+// canDeliver reports whether instance i's decided value is locally
+// available: its entry is at or below the decided watermark or came from a
+// catch-up answer, and its value is here (noop slots need no value).
 func (e *Engine) canDeliver(i uint64) bool {
 	ent, ok := e.log[i]
-	if !ok {
+	if !ok || (i > e.decided && ent.view != decidedView) {
 		return false
 	}
 	if ent.key.pid == 0 {
@@ -216,7 +228,7 @@ func (e *Engine) canDeliver(i uint64) bool {
 // the sender's decided watermark so a rejoiner immediately knows how far
 // the log extends (off-ring members never see the token's ARU, and an
 // idle ring may never send another frame).
-func (e *Engine) installFrame(view uint64, active []wire.ParticipantID) core.Action {
+func (e *Engine) installFrame(view uint64, active []wire.ParticipantID) engine.Action {
 	b := newBody(view, 12+4*len(active))
 	b = be.AppendUint64(b, e.decided)
 	b = be.AppendUint32(b, uint32(len(active)))
@@ -243,7 +255,7 @@ func parseInstall(p []byte) (decided uint64, active []wire.ParticipantID, ok boo
 }
 
 // decidedFrame encodes a catch-up answer for one decided instance.
-func (e *Engine) decidedFrame(i uint64) core.Action {
+func (e *Engine) decidedFrame(i uint64) engine.Action {
 	ent := e.log[i]
 	var val []byte
 	var svc wire.Service
@@ -276,7 +288,7 @@ func parseDecided(p []byte) (instance uint64, key valKey, svc wire.Service, val 
 // Step dispatches one input: a timer expiry, a Phase 2 token, a proposal
 // (value frame) or one of the five control subkinds. Join and commit
 // frames belong to another protocol and are ignored.
-func (e *Engine) Step(in core.Input) []core.Action {
+func (e *Engine) Step(in engine.Input) []engine.Action {
 	if !e.started {
 		return nil
 	}
@@ -307,7 +319,7 @@ func (e *Engine) Step(in core.Input) []core.Action {
 		case subInstall:
 			return e.handleInstall(f.Sender, view, p)
 		case subDecided:
-			return e.handleDecided(p)
+			return e.handleDecided(view, p)
 		}
 	}
 	return nil
@@ -315,23 +327,30 @@ func (e *Engine) Step(in core.Input) []core.Action {
 
 // handleValue stores a proposed value and, on the coordinator, feeds the
 // assignment pool.
-func (e *Engine) handleValue(m *wire.DataMessage) []core.Action {
+func (e *Engine) handleValue(m *wire.DataMessage) []engine.Action {
 	if m.PID == 0 || m.Seq == 0 {
 		return nil
 	}
 	k := valKey{pid: m.PID, seq: uint64(m.Seq)}
-	if _, ok := e.values[k]; ok {
-		e.stats.MsgsDuplicate++
-		return nil
-	}
 	if k.seq <= e.lastDelivered[k.pid] {
 		e.stats.MsgsDuplicate++
 		return nil
 	}
-	// Data frames are the engine's to keep (read-only): no copy.
-	e.values[k] = &proposal{service: m.Service, payload: m.Payload}
+	if _, ok := e.values[k]; ok {
+		e.stats.MsgsDuplicate++
+		// A retransmission means the proposer has not seen the value
+		// assigned. A coordinator that heard the value before it led has
+		// never pooled it, and must now: dropping the copy stalled the
+		// value until its own proposer became coordinator.
+		if !e.isCoordinator() || e.inViewChange {
+			return nil
+		}
+	} else {
+		// Data frames are the engine's to keep (read-only): no copy.
+		e.values[k] = &proposal{service: m.Service, payload: m.Payload}
+	}
 
-	var acts []core.Action
+	var acts []engine.Action
 	if e.isCoordinator() && !e.inViewChange {
 		e.offerToPool(k)
 		e.noteAlive(m.PID)
@@ -345,7 +364,7 @@ func (e *Engine) handleValue(m *wire.DataMessage) []core.Action {
 }
 
 // handleAssign applies a Phase 2a batch.
-func (e *Engine) handleAssign(view uint64, p []byte) []core.Action {
+func (e *Engine) handleAssign(view uint64, p []byte) []engine.Action {
 	decided, base, keys, ok := parseAssign(p)
 	if !ok {
 		return nil
@@ -357,21 +376,26 @@ func (e *Engine) handleAssign(view uint64, p []byte) []core.Action {
 	if view > e.promised || e.inViewChange {
 		// We missed this view's installation: ask for it.
 		if view > e.promised {
-			return []core.Action{e.nackFrame(true)}
+			return []engine.Action{e.nackFrame(true)}
 		}
 		return nil
 	}
 	if view != e.view {
 		return nil
 	}
-	var acts []core.Action
+	var acts []engine.Action
 	for i, k := range keys {
 		inst := base + uint64(i)
 		if inst <= e.decided {
 			continue
 		}
-		if ent, ok := e.log[inst]; ok && ent.view >= view {
-			continue
+		if ent, ok := e.log[inst]; ok {
+			if ent.view >= view {
+				continue
+			}
+			if ent.key != k {
+				acts = e.superseded(ent, acts)
+			}
 		}
 		e.log[inst] = entry{key: k, view: view}
 		if inst > e.high {
@@ -390,18 +414,25 @@ func (e *Engine) handleAssign(view uint64, p []byte) []core.Action {
 // coordinator itself (catching up after taking over a view) is answered
 // by every active-ring member — duplication across a handful of members
 // is preferable to electing an answerer nobody can verify has the data.
-func (e *Engine) handleNack(from wire.ParticipantID, p []byte) []core.Action {
+// During a view change only the elect's nack is answered: it fetches the
+// values its reports say are decided before it installs (maybeInstall).
+func (e *Engine) handleNack(from wire.ParticipantID, p []byte) []engine.Action {
 	needInstall, promised, missing, ok := parseNack(p)
-	if !ok || e.inViewChange {
+	if !ok {
 		return nil
 	}
-	var acts []core.Action
-	if e.isCoordinator() {
+	var acts []engine.Action
+	switch {
+	case e.inViewChange:
+		if from != e.coordinatorOf(e.vcView) {
+			return nil
+		}
+	case e.isCoordinator():
 		if needInstall && promised < e.view {
 			acts = append(acts, e.installFrame(e.view, e.active))
 		}
 		e.noteAlive(from)
-	} else if from != e.coordinator || e.myActiveIdx < 0 {
+	case from != e.coordinator || e.myActiveIdx < 0:
 		return nil
 	}
 	answered := 0
@@ -409,7 +440,7 @@ func (e *Engine) handleNack(from wire.ParticipantID, p []byte) []core.Action {
 		if answered >= perTokenRTRAnswers {
 			break
 		}
-		if inst <= e.decided && e.canDeliver(inst) {
+		if e.canDeliver(inst) {
 			e.px.ValueRetransmits++
 			acts = append(acts, e.decidedFrame(inst))
 			answered++
@@ -418,16 +449,22 @@ func (e *Engine) handleNack(from wire.ParticipantID, p []byte) []core.Action {
 	return e.armExpansion(acts)
 }
 
-// handleDecided applies a catch-up answer: the instance is decided at the
-// answerer, hence decided.
-func (e *Engine) handleDecided(p []byte) []core.Action {
+// handleDecided applies a catch-up answer, sent in the answerer's view:
+// the instance is decided at the answerer, hence decided. The watermark
+// moves only when that view is not ahead of this node's, because only then
+// is every acceptance of this node's view below the instance a decided
+// value (advanceDecided drops the older ones), and never during a view
+// change, where an elect installs once it holds every value it fetched.
+func (e *Engine) handleDecided(view uint64, p []byte) []engine.Action {
 	inst, k, svc, val, ok := parseDecided(p)
-	if !ok || inst == 0 {
+	if !ok || inst <= e.delivered {
 		return nil
 	}
-	if ent, have := e.log[inst]; !have || ent.key != k || inst > e.decided {
-		e.log[inst] = entry{key: k, view: e.view}
+	var acts []engine.Action
+	if ent, have := e.log[inst]; have && ent.key != k {
+		acts = e.superseded(ent, acts)
 	}
+	e.log[inst] = entry{key: k, view: decidedView}
 	if k.pid != 0 {
 		if _, have := e.values[k]; !have && svc.Valid() {
 			// val aliases the control frame, which is runtime scratch.
@@ -437,7 +474,12 @@ func (e *Engine) handleDecided(p []byte) []core.Action {
 	if inst > e.high {
 		e.high = inst
 	}
-	var acts []core.Action
+	switch {
+	case e.inViewChange && e.coordinatorOf(e.vcView) == e.cfg.MyID:
+		return e.maybeInstall(acts)
+	case e.inViewChange || view > e.view:
+		return acts
+	}
 	acts = e.advanceDecided(inst, acts)
 	acts = e.armLiveness(acts)
 	acts = e.armPacing(acts)

@@ -3,7 +3,7 @@ package ringpaxos
 import (
 	"sort"
 
-	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
@@ -55,20 +55,20 @@ func (e *Engine) buildToken() *wire.Token {
 
 // sendTokenTo emits the token to its destination and retains a clone for
 // retransmission until evidence of onward progress arrives.
-func (e *Engine) sendTokenTo(to wire.ParticipantID, tok *wire.Token, acts []core.Action) []core.Action {
+func (e *Engine) sendTokenTo(to wire.ParticipantID, tok *wire.Token, acts []engine.Action) []engine.Action {
 	e.sentToken = tok.Clone()
 	e.sentTokenTo = to
 	e.sentRetrans = 0
-	acts = append(acts, core.Send{To: to, Frame: tok})
+	acts = append(acts, engine.Send{To: to, Frame: tok})
 	if !e.retransArmed {
 		e.retransArmed = true
-		acts = append(acts, core.SetTimer{Kind: core.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod})
+		acts = append(acts, engine.SetTimer{Kind: engine.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod})
 	}
 	return acts
 }
 
 // handleToken processes a received Phase 2 token.
-func (e *Engine) handleToken(t *wire.Token) []core.Action {
+func (e *Engine) handleToken(t *wire.Token) []engine.Action {
 	if t.RingID != e.ringID || e.inViewChange {
 		return nil
 	}
@@ -76,7 +76,7 @@ func (e *Engine) handleToken(t *wire.Token) []core.Action {
 	if view != e.view || len(t.RTR) == 0 {
 		if view > e.promised {
 			// Circulating traffic for a view we never installed.
-			return []core.Action{e.nackFrame(true)}
+			return []engine.Action{e.nackFrame(true)}
 		}
 		e.px.StaleTokens++
 		return nil
@@ -99,7 +99,7 @@ func (e *Engine) handleToken(t *wire.Token) []core.Action {
 	e.stats.TokensProcessed++
 	e.px.Phase2Tokens++
 
-	var acts []core.Action
+	var acts []engine.Action
 	// Learn: everything up to the coordinator's decided watermark is
 	// decided.
 	acts = e.advanceDecided(uint64(t.ARU), acts)
@@ -130,13 +130,14 @@ func (e *Engine) handleToken(t *wire.Token) []core.Action {
 }
 
 // votePrefix computes this member's Phase 2b vote: the end of the
-// consecutive run of current-view acceptances just above the decided
+// consecutive run of current-view acceptances (or decided values, which
+// any current-view assignment must match) just above the decided
 // watermark.
 func (e *Engine) votePrefix() uint64 {
 	p := e.decided
 	for {
 		ent, ok := e.log[p+1]
-		if !ok || ent.view != e.view {
+		if !ok || (ent.view != e.view && ent.view != decidedView) {
 			return p
 		}
 		p++
@@ -145,12 +146,12 @@ func (e *Engine) votePrefix() uint64 {
 
 // answerTokenRTR serves requests from the token's RTR tail (RTR[0] is the
 // vote slot). Answered requests are removed; the rest are carried on.
-func (e *Engine) answerTokenRTR(acts []core.Action, rtr []wire.Seq) ([]core.Action, []wire.Seq) {
+func (e *Engine) answerTokenRTR(acts []engine.Action, rtr []wire.Seq) ([]engine.Action, []wire.Seq) {
 	kept := rtr[:1]
 	answered := 0
 	for _, s := range rtr[1:] {
 		inst := uint64(s)
-		if answered < perTokenRTRAnswers && inst <= e.decided && e.canDeliver(inst) {
+		if answered < perTokenRTRAnswers && e.canDeliver(inst) {
 			e.px.ValueRetransmits++
 			acts = append(acts, e.decidedFrame(inst))
 			answered++
@@ -188,7 +189,7 @@ func (e *Engine) appendMissing(rtr []wire.Seq) []wire.Seq {
 // handleTokenReturn is the coordinator's side of a completed circulation:
 // the aggregate vote decides, new work is assigned, and either the next
 // circulation starts or an idle ring pauses.
-func (e *Engine) handleTokenReturn(t *wire.Token) []core.Action {
+func (e *Engine) handleTokenReturn(t *wire.Token) []engine.Action {
 	if !e.awaitReturn || t.TokenSeq != e.circ {
 		e.stats.TokensDuplicate++
 		return nil
@@ -200,7 +201,7 @@ func (e *Engine) handleTokenReturn(t *wire.Token) []core.Action {
 	e.px.Phase2Tokens++
 	e.sentToken = nil // stop retransmitting the circulation we got back
 
-	var acts []core.Action
+	var acts []engine.Action
 	prevDecided := e.decided
 
 	// Decide: the aggregate vote is the full ring's accepted prefix.
@@ -223,7 +224,7 @@ func (e *Engine) handleTokenReturn(t *wire.Token) []core.Action {
 		// made a full lap in the ARU field: quiesce. maybeResume restarts
 		// the circulation on new work.
 		e.paused = true
-		acts = append(acts, core.CancelTimer{Kind: core.TimerTokenRetrans})
+		acts = append(acts, engine.CancelTimer{Kind: engine.TimerTokenRetrans})
 		e.retransArmed = false
 	} else {
 		acts = e.circulate(acts, voteMin)
@@ -235,7 +236,7 @@ func (e *Engine) handleTokenReturn(t *wire.Token) []core.Action {
 
 // circulate assigns new instances, repairs assignment loss, and opens the
 // next circulation.
-func (e *Engine) circulate(acts []core.Action, voteMin uint64) []core.Action {
+func (e *Engine) circulate(acts []engine.Action, voteMin uint64) []engine.Action {
 	// Repair: a vote short of the window means some member is missing
 	// assignments — re-multicast a slice of the window above the vote.
 	if voteMin < e.high {
@@ -260,7 +261,7 @@ func (e *Engine) circulate(acts []core.Action, voteMin uint64) []core.Action {
 }
 
 // reassignRange re-multicasts the (dense) assignment window [lo, hi].
-func (e *Engine) reassignRange(lo, hi uint64) []core.Action {
+func (e *Engine) reassignRange(lo, hi uint64) []engine.Action {
 	if hi < lo {
 		return nil
 	}
@@ -276,7 +277,7 @@ func (e *Engine) reassignRange(lo, hi uint64) []core.Action {
 		return nil
 	}
 	e.stats.MsgsRetransmitted++
-	return []core.Action{e.assignFrame(lo, keys)}
+	return []engine.Action{e.assignFrame(lo, keys)}
 }
 
 // assignBatch drains the pool into consecutive fresh instances. Fresh
@@ -368,9 +369,6 @@ func (e *Engine) assignBatch() []valKey {
 	if len(keys) == 0 {
 		return nil
 	}
-	if TestMutateAssignOrder.Load() && len(keys) >= 2 {
-		keys[0], keys[1] = keys[1], keys[0]
-	}
 	// Accept locally: the coordinator is an acceptor too.
 	for _, k := range keys {
 		e.high++
@@ -414,7 +412,7 @@ func incarnationHead(sp map[uint64]*proposal, floor uint64) (uint64, bool) {
 
 // maybeResume restarts a paused circulation when the coordinator has new
 // work: pooled values, an unfinished window, or undelivered decisions.
-func (e *Engine) maybeResume(acts []core.Action) []core.Action {
+func (e *Engine) maybeResume(acts []engine.Action) []engine.Action {
 	if !e.isCoordinator() || e.inViewChange || !e.paused {
 		return acts
 	}
@@ -434,7 +432,7 @@ func (e *Engine) maybeResume(acts []core.Action) []core.Action {
 // soloRounds handles the degenerate single-member active ring: the
 // coordinator is the entire quorum, so assignment is decision. Loops
 // until the pool is drained, then pauses again.
-func (e *Engine) soloRounds(acts []core.Action) []core.Action {
+func (e *Engine) soloRounds(acts []engine.Action) []engine.Action {
 	for {
 		e.circ++
 		batch := e.assignBatch()

@@ -3,7 +3,7 @@ package ringpaxos
 import (
 	"sort"
 
-	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/wire"
 )
 
@@ -14,6 +14,9 @@ import (
 // coordinator-elect — members[view mod n] — collects reports; once a
 // majority (its own included) is in, it installs the view:
 //
+//   - It first fetches the value of every instance up to the highest
+//     reported decided watermark that it lacks (the install makes members
+//     drop older acceptances there).
 //   - The reporters become the active ring (they are provably alive, and
 //     a majority of them is exactly the quorum Phase 2 needs).
 //   - The merged reports reconstruct the log: per instance, the
@@ -29,12 +32,13 @@ import (
 //
 // If the install does not arrive in time (the elect died too), the
 // ConsensusTimeout retries with the next view, rotating the elect.
-func (e *Engine) initiateViewChange(target uint64) []core.Action {
+func (e *Engine) initiateViewChange(target uint64) []engine.Action {
 	if target <= e.promised {
 		target = e.promised + 1
 	}
 	e.inViewChange = true
 	e.vcView = target
+	e.vcCatchUp = 0
 	e.promised = target
 	for p := range e.vcReports {
 		delete(e.vcReports, p)
@@ -46,28 +50,39 @@ func (e *Engine) initiateViewChange(target uint64) []core.Action {
 	e.idleCircs = 0
 	e.px.Phase1Rounds++
 
-	var acts []core.Action
+	var acts []engine.Action
 	acts = append(acts, e.reportFrame(target))
 	if e.coordinatorOf(target) == e.cfg.MyID {
 		e.vcReports[e.cfg.MyID] = e.localReport()
 		acts = e.maybeInstall(acts)
 	}
-	acts = append(acts, core.SetTimer{Kind: core.TimerConsensus, After: e.cfg.ConsensusTimeout})
+	acts = append(acts, engine.SetTimer{Kind: engine.TimerConsensus, After: e.cfg.ConsensusTimeout})
 	if !e.nackArmed {
 		e.nackArmed = true
-		acts = append(acts, core.SetTimer{Kind: core.TimerJoin, After: e.cfg.JoinPeriod})
+		acts = append(acts, engine.SetTimer{Kind: engine.TimerJoin, After: e.cfg.JoinPeriod})
 	}
 	return acts
 }
 
 // viewChangePacing is the JoinPeriod tick while a view change is in
-// progress: keep the report flowing until the install (or the retry).
-func (e *Engine) viewChangePacing() []core.Action {
+// progress: keep the report flowing, and an elect's catch-up requests,
+// until the install (or the retry).
+func (e *Engine) viewChangePacing() []engine.Action {
 	e.nackArmed = true
-	return []core.Action{
+	acts := []engine.Action{
 		e.reportFrame(e.vcView),
-		core.SetTimer{Kind: core.TimerJoin, After: e.cfg.JoinPeriod},
+		engine.SetTimer{Kind: engine.TimerJoin, After: e.cfg.JoinPeriod},
 	}
+	if missing := e.catchUpMissing(e.vcCatchUp); len(missing) > 0 {
+		acts = append(acts, e.nackOf(false, missing))
+	}
+	return acts
+}
+
+// catchUpMissing lists the instances up to d, decided according to the
+// Phase 1 reports, whose values this elect does not hold yet.
+func (e *Engine) catchUpMissing(d uint64) []uint64 {
+	return e.missing(max(e.decided, e.deliveryFloor(d)), d)
 }
 
 // localReport builds this member's Phase 1b report: everything accepted in
@@ -84,12 +99,12 @@ func (e *Engine) localReport() *report {
 }
 
 // handleReport processes a received Phase 1b report.
-func (e *Engine) handleReport(from wire.ParticipantID, view uint64, p []byte) []core.Action {
+func (e *Engine) handleReport(from wire.ParticipantID, view uint64, p []byte) []engine.Action {
 	r, ok := parseReport(p)
 	if !ok {
 		return nil
 	}
-	var acts []core.Action
+	var acts []engine.Action
 	switch {
 	case view > e.promised:
 		// Someone is ahead of us: join their view change.
@@ -114,7 +129,7 @@ func (e *Engine) handleReport(from wire.ParticipantID, view uint64, p []byte) []
 }
 
 // maybeInstall installs the pending view once a majority has reported.
-func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
+func (e *Engine) maybeInstall(acts []engine.Action) []engine.Action {
 	if len(e.vcReports) < e.major {
 		return acts
 	}
@@ -146,6 +161,21 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 		hStar = dStar
 	}
 
+	// Install only holding every value up to dStar. The install makes the
+	// members drop acceptances below it (advanceDecided), so the reporter
+	// that knew those values decided must not be their last live holder.
+	// Until they arrive the watermark stays put everywhere: if the elect
+	// dies, or the holders do and the ConsensusTimeout moves on, the next
+	// view's reports still carry the acceptances, and Phase 1 re-proposes
+	// them like any undecided instance.
+	if missing := e.catchUpMissing(dStar); len(missing) > 0 {
+		if e.vcCatchUp == 0 {
+			acts = append(acts, e.nackOf(false, missing)) // then every JoinPeriod
+		}
+		e.vcCatchUp = dStar
+		return acts
+	}
+
 	// Key dedup across the merged log: for each key, the highest-view
 	// occurrence is the live one (induction: later coordinators always
 	// noop superseded duplicates). Losing occurrences above the decided
@@ -166,19 +196,9 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 		}
 	}
 
-	// Adopt the merged decided prefix (keeping reported views: these
-	// instances are settled and never voted on again), then re-assign the
-	// window (dStar, hStar] in the new view.
-	for inst, ent := range merged {
-		if inst <= e.decided {
-			continue
-		}
-		if inst <= dStar {
-			if cur, ok := e.log[inst]; !ok || cur.view < ent.view {
-				e.log[inst] = ent
-			}
-		}
-	}
+	// Re-assign the window (dStar, hStar] in the new view. Instances up to
+	// dStar are decided and this coordinator holds their values; members
+	// that lack them catch up from it.
 	e.nextAssign = make(map[wire.ParticipantID]uint64)
 	winKeys := make([]valKey, 0, hStar-dStar)
 	for inst := dStar + 1; inst <= hStar; inst++ {
@@ -191,6 +211,9 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 			ent = entry{} // never reported: provably undecided, noop
 		}
 		ent.view = view
+		if cur, ok := e.log[inst]; ok && cur.key != ent.key {
+			acts = e.superseded(cur, acts)
+		}
 		e.log[inst] = ent
 		winKeys = append(winKeys, ent.key)
 		if ent.key.pid != 0 {
@@ -200,21 +223,20 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 		}
 	}
 
-	if dStar > e.decided {
-		e.decided = dStar
-	}
 	e.high = hStar
 	e.installActiveRing(view, reporters)
 	e.inViewChange = false
 	e.provenRing = true // a majority of Phase 1 reports proves this view
 	e.circ = 0
+	e.assignCirc = make(map[uint64]uint64) // circulation counts restart per view
 	e.lastTokSeq = 0
 	e.px.ViewInstalls++
 	for p := range e.vcReports {
 		delete(e.vcReports, p)
 	}
 
-	acts = append(acts, core.CancelTimer{Kind: core.TimerConsensus})
+	acts = append(acts, engine.CancelTimer{Kind: engine.TimerConsensus})
+	acts = e.advanceDecided(dStar, acts) // before the frames that carry it
 	acts = append(acts, e.installFrame(view, e.active))
 	if len(winKeys) > 0 {
 		acts = append(acts, e.assignFrame(dStar+1, winKeys))
@@ -227,7 +249,6 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 		}
 	}
 
-	acts = e.advanceDelivery(acts)
 	if len(e.active) == 1 {
 		acts = e.soloRounds(acts)
 	} else {
@@ -242,7 +263,7 @@ func (e *Engine) maybeInstall(acts []core.Action) []core.Action {
 }
 
 // handleInstall applies a view installation multicast by its coordinator.
-func (e *Engine) handleInstall(from wire.ParticipantID, view uint64, p []byte) []core.Action {
+func (e *Engine) handleInstall(from wire.ParticipantID, view uint64, p []byte) []engine.Action {
 	decided, active, ok := parseInstall(p)
 	if !ok || len(active) < e.major || view < e.promised {
 		return nil
@@ -266,7 +287,7 @@ func (e *Engine) handleInstall(from wire.ParticipantID, view uint64, p []byte) [
 		delete(e.vcReports, p)
 	}
 
-	acts := []core.Action{core.CancelTimer{Kind: core.TimerConsensus}}
+	acts := []engine.Action{engine.CancelTimer{Kind: engine.TimerConsensus}}
 	acts = e.advanceDecided(decided, acts)
 	if e.deliveryGap() {
 		acts = append(acts, e.nackFrame(false))

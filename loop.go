@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"accelring/internal/core"
+	"accelring/internal/engine"
 	"accelring/internal/metrics"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
@@ -26,9 +27,9 @@ type timerSet struct {
 	wake chan struct{}
 
 	mu      sync.Mutex
-	gens    map[core.TimerKind]uint64
-	timers  map[core.TimerKind]*armedTimer
-	pending map[core.TimerKind]uint64 // kind → generation of an unconsumed fire
+	gens    map[engine.TimerKind]uint64
+	timers  map[engine.TimerKind]*armedTimer
+	pending map[engine.TimerKind]uint64 // kind → generation of an unconsumed fire
 
 	stale *metrics.Counter // expiries discarded as stale (never nil)
 }
@@ -47,14 +48,14 @@ func newTimerSet(stale *metrics.Counter) *timerSet {
 	}
 	return &timerSet{
 		wake:    make(chan struct{}, 1),
-		gens:    make(map[core.TimerKind]uint64),
-		timers:  make(map[core.TimerKind]*armedTimer),
-		pending: make(map[core.TimerKind]uint64),
+		gens:    make(map[engine.TimerKind]uint64),
+		timers:  make(map[engine.TimerKind]*armedTimer),
+		pending: make(map[engine.TimerKind]uint64),
 		stale:   stale,
 	}
 }
 
-func (ts *timerSet) set(kind core.TimerKind, after time.Duration) {
+func (ts *timerSet) set(kind engine.TimerKind, after time.Duration) {
 	ts.mu.Lock()
 	ts.gens[kind]++
 	gen := ts.gens[kind]
@@ -79,7 +80,7 @@ func (ts *timerSet) set(kind core.TimerKind, after time.Duration) {
 	ts.mu.Unlock()
 }
 
-func (ts *timerSet) cancel(kind core.TimerKind) {
+func (ts *timerSet) cancel(kind engine.TimerKind) {
 	ts.mu.Lock()
 	ts.gens[kind]++
 	if a, ok := ts.timers[kind]; ok {
@@ -94,7 +95,7 @@ func (ts *timerSet) cancel(kind core.TimerKind) {
 }
 
 // fire records an expiry and wakes the loop. Runs on the timer goroutine.
-func (ts *timerSet) fire(kind core.TimerKind, a *armedTimer) {
+func (ts *timerSet) fire(kind engine.TimerKind, a *armedTimer) {
 	ts.mu.Lock()
 	gen := a.gen
 	if ts.gens[kind] != gen {
@@ -114,11 +115,11 @@ func (ts *timerSet) fire(kind core.TimerKind, a *armedTimer) {
 // freshness at consumption time (an earlier fire's engine step may have
 // re-armed a kind that is also pending). The lowest kind goes first so
 // multi-fire draining is deterministic.
-func (ts *timerSet) takeOne() (core.TimerKind, bool) {
+func (ts *timerSet) takeOne() (engine.TimerKind, bool) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for len(ts.pending) > 0 {
-		kinds := make([]core.TimerKind, 0, len(ts.pending))
+		kinds := make([]engine.TimerKind, 0, len(ts.pending))
 		for k := range ts.pending {
 			kinds = append(kinds, k)
 		}
@@ -154,7 +155,7 @@ func (ts *timerSet) stopAll() {
 // loop is the single protocol goroutine: it owns the engine, reads packets
 // honoring the token/data priority policy, executes engine actions, and
 // serves submissions and stats requests.
-func (n *Node) loop(eng core.OrderingEngine, initial []core.Action) {
+func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	ts := n.timers
 	defer func() {
 		ts.stopAll()
@@ -203,7 +204,7 @@ func (n *Node) loop(eng core.OrderingEngine, initial []core.Action) {
 					break
 				}
 				n.nm.timerFires.Inc()
-				n.execute(ts, eng.Step(core.Input{Timer: kind}))
+				n.execute(ts, eng.Step(engine.Input{Timer: kind}))
 			}
 		case req := <-n.submitCh:
 			actions, err := eng.Submit(req.payload, req.service)
@@ -239,7 +240,7 @@ func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 	kind := f.Kind()
 	n.nm.pkts[kind].Inc()
 	if kind != wire.KindToken {
-		n.execute(ts, eng.Step(core.Input{Frame: f}))
+		n.execute(ts, eng.Step(engine.Input{Frame: f}))
 		return
 	}
 	// Token rotation time is the interval between consecutive accepted
@@ -248,7 +249,7 @@ func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 	// execution.
 	start := time.Now()
 	before := eng.Progress().Rotations
-	actions := eng.Step(core.Input{Frame: f})
+	actions := eng.Step(engine.Input{Frame: f})
 	if eng.Progress().Rotations == before {
 		n.execute(ts, actions)
 		return
@@ -270,32 +271,32 @@ func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 // the successor's round — and the token Send between them is its own
 // action, so the run boundaries put the token on the wire where the
 // protocol wants it. A lone SendData is a run of one.
-func (n *Node) execute(ts *timerSet, actions []core.Action) {
+func (n *Node) execute(ts *timerSet, actions []engine.Action) {
 	for i := 0; i < len(actions); i++ {
 		switch act := actions[i].(type) {
-		case core.SendData:
+		case engine.SendData:
 			j := i + 1
 			for j < len(actions) {
-				if _, ok := actions[j].(core.SendData); !ok {
+				if _, ok := actions[j].(engine.SendData); !ok {
 					break
 				}
 				j++
 			}
 			n.sendData(actions[i:j])
 			i = j - 1
-		case core.Send:
+		case engine.Send:
 			n.send(act.To, act.Frame)
-		case core.Deliver:
+		case engine.Deliver:
 			n.deliver(Message{
 				Sender:  act.Msg.PID,
 				Service: act.Msg.Service,
 				Payload: act.Msg.Payload,
 			})
-		case core.DeliverConfig:
+		case engine.DeliverConfig:
 			n.deliver(ConfigChange{Config: act.Config, Transitional: act.Transitional})
-		case core.SetTimer:
+		case engine.SetTimer:
 			ts.set(act.Kind, act.After)
-		case core.CancelTimer:
+		case engine.CancelTimer:
 			n.nm.timerCancels.Inc()
 			ts.cancel(act.Kind)
 		}
@@ -333,11 +334,11 @@ func (n *Node) send(to wire.ParticipantID, f wire.Frame) {
 // each frame gets its own pooled buffer, borrowed for the duration of the
 // call and recycled immediately after. Encode failures skip that frame;
 // the rest of the run still goes out.
-func (n *Node) sendData(run []core.Action) {
+func (n *Node) sendData(run []engine.Action) {
 	n.burstBufs = transport.Buffers.GetBatch(n.burstBufs[:0], len(run))
 	pkts := n.burstPkts[:0]
 	for k, a := range run {
-		act := a.(core.SendData)
+		act := a.(engine.SendData)
 		pkt, err := wire.AppendData(n.burstBufs[k][:0], act.Msg)
 		if err != nil {
 			n.nm.encodeFailures.Inc()

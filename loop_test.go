@@ -4,11 +4,11 @@ import (
 	"testing"
 	"time"
 
-	"accelring/internal/core"
+	"accelring/internal/engine"
 )
 
 // takeWithin waits for the timer set to deliver one current fire.
-func takeWithin(t *testing.T, ts *timerSet, d time.Duration) (core.TimerKind, bool) {
+func takeWithin(t *testing.T, ts *timerSet, d time.Duration) (engine.TimerKind, bool) {
 	t.Helper()
 	deadline := time.After(d)
 	for {
@@ -28,9 +28,9 @@ func takeWithin(t *testing.T, ts *timerSet, d time.Duration) (core.TimerKind, bo
 func TestTimerSetDeliversCurrentFire(t *testing.T) {
 	ts := newTimerSet(nil)
 	defer ts.stopAll()
-	ts.set(core.TimerTokenLoss, time.Millisecond)
+	ts.set(engine.TimerTokenLoss, time.Millisecond)
 	kind, ok := takeWithin(t, ts, 5*time.Second)
-	if !ok || kind != core.TimerTokenLoss {
+	if !ok || kind != engine.TimerTokenLoss {
 		t.Fatalf("got (%v, %v), want token-loss fire", kind, ok)
 	}
 }
@@ -38,14 +38,14 @@ func TestTimerSetDeliversCurrentFire(t *testing.T) {
 func TestTimerSetRearmInvalidatesPendingFire(t *testing.T) {
 	ts := newTimerSet(nil)
 	defer ts.stopAll()
-	ts.set(core.TimerTokenLoss, 0)
+	ts.set(engine.TimerTokenLoss, 0)
 	// Wait until the expiry has been recorded, then re-arm: the pending
 	// fire must be discarded as stale, and the new generation must still
 	// be deliverable.
-	waitPending(t, ts, core.TimerTokenLoss)
-	ts.set(core.TimerTokenLoss, time.Millisecond)
+	waitPending(t, ts, engine.TimerTokenLoss)
+	ts.set(engine.TimerTokenLoss, time.Millisecond)
 	kind, ok := takeWithin(t, ts, 5*time.Second)
-	if !ok || kind != core.TimerTokenLoss {
+	if !ok || kind != engine.TimerTokenLoss {
 		t.Fatalf("got (%v, %v), want the re-armed generation's fire", kind, ok)
 	}
 	if ts.stale.Load() == 0 {
@@ -59,16 +59,16 @@ func TestTimerSetRearmInvalidatesPendingFire(t *testing.T) {
 func TestTimerSetRearmReusesTimer(t *testing.T) {
 	ts := newTimerSet(nil)
 	defer ts.stopAll()
-	ts.set(core.TimerTokenLoss, time.Hour)
-	first := ts.timers[core.TimerTokenLoss]
+	ts.set(engine.TimerTokenLoss, time.Hour)
+	first := ts.timers[engine.TimerTokenLoss]
 	for i := 0; i < 100; i++ {
-		ts.set(core.TimerTokenLoss, time.Hour)
+		ts.set(engine.TimerTokenLoss, time.Hour)
 	}
-	if ts.timers[core.TimerTokenLoss] != first {
+	if ts.timers[engine.TimerTokenLoss] != first {
 		t.Fatal("re-arming an unexpired timer replaced it")
 	}
-	ts.set(core.TimerTokenLoss, time.Millisecond)
-	if kind, ok := takeWithin(t, ts, 5*time.Second); !ok || kind != core.TimerTokenLoss {
+	ts.set(engine.TimerTokenLoss, time.Millisecond)
+	if kind, ok := takeWithin(t, ts, 5*time.Second); !ok || kind != engine.TimerTokenLoss {
 		t.Fatalf("got (%v, %v), want the last re-arm's fire", kind, ok)
 	}
 	if got := ts.stale.Load(); got != 0 {
@@ -77,7 +77,7 @@ func TestTimerSetRearmReusesTimer(t *testing.T) {
 }
 
 // waitPending blocks until an expiry of kind has been recorded.
-func waitPending(t *testing.T, ts *timerSet, kind core.TimerKind) {
+func waitPending(t *testing.T, ts *timerSet, kind engine.TimerKind) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -97,8 +97,8 @@ func waitPending(t *testing.T, ts *timerSet, kind core.TimerKind) {
 func TestTimerSetCancel(t *testing.T) {
 	ts := newTimerSet(nil)
 	defer ts.stopAll()
-	ts.set(core.TimerJoin, time.Millisecond)
-	ts.cancel(core.TimerJoin)
+	ts.set(engine.TimerJoin, time.Millisecond)
+	ts.cancel(engine.TimerJoin)
 	if kind, ok := takeWithin(t, ts, 20*time.Millisecond); ok {
 		t.Fatalf("cancelled timer delivered a fire: %v", kind)
 	}
@@ -115,10 +115,10 @@ func TestTimerFireSurvivesRearmBurst(t *testing.T) {
 	// Each re-arm with a zero duration races its own expiry; many of the
 	// expiries land as stale entries. Nothing is drained meanwhile.
 	for i := 0; i < 64; i++ {
-		ts.set(core.TimerTokenLoss, 0)
+		ts.set(engine.TimerTokenLoss, 0)
 	}
 	kind, ok := takeWithin(t, ts, 5*time.Second)
-	if !ok || kind != core.TimerTokenLoss {
+	if !ok || kind != engine.TimerTokenLoss {
 		t.Fatalf("got (%v, %v); the current-generation token-loss fire was lost", kind, ok)
 	}
 }
@@ -130,19 +130,19 @@ func TestTimerFireSurvivesRearmBurst(t *testing.T) {
 func TestTokenLossFiresUnderTimerSaturation(t *testing.T) {
 	ts := newTimerSet(nil)
 	defer ts.stopAll()
-	kinds := []core.TimerKind{
-		core.TimerTokenRetrans, core.TimerJoin, core.TimerConsensus, core.TimerCommit,
+	kinds := []engine.TimerKind{
+		engine.TimerTokenRetrans, engine.TimerJoin, engine.TimerConsensus, engine.TimerCommit,
 	}
 	for i := 0; i < 16; i++ {
 		for _, k := range kinds {
 			ts.set(k, 0)
 		}
 	}
-	ts.set(core.TimerTokenLoss, time.Millisecond)
+	ts.set(engine.TimerTokenLoss, time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		kind, ok := takeWithin(t, ts, 50*time.Millisecond)
-		if ok && kind == core.TimerTokenLoss {
+		if ok && kind == engine.TimerTokenLoss {
 			return
 		}
 		if time.Now().After(deadline) {
