@@ -1,12 +1,15 @@
 // Command ringchaos runs seeded fault-injection campaigns against the
-// discrete-event network simulator and checks every run's delivery log
-// against the Extended Virtual Synchrony axioms: total order of agreed
-// delivery, duplicate freedom, per-sender FIFO, virtual synchrony and
-// safe-delivery stability.
+// network simulator (internal/netsim's cost model on the internal/enginetest
+// core) and checks every run's delivery log, every incarnation's, against
+// the Extended Virtual Synchrony axioms: total order of agreed delivery,
+// duplicate freedom, per-sender FIFO, virtual synchrony and safe-delivery
+// stability.
 //
 // Each seed deterministically generates a fault program — loss bursts,
-// duplication, reordering delay, a partition with heal — so a failing
-// campaign is reproduced exactly by rerunning its seed:
+// duplication, reordering delay, a partition with heal, a crash with
+// restart (by membership discovery for accelring, on the static acceptor
+// set for Ring Paxos) — so a failing campaign is reproduced exactly by
+// rerunning its seed:
 //
 //	ringchaos                      # seeds 1..20, default cluster
 //	ringchaos -seeds 100           # longer campaign
@@ -86,10 +89,7 @@ func run() int {
 
 // runSeed executes one seeded campaign and reports conformance.
 func runSeed(seed int64, nodes int, dur time.Duration, offered float64, engine accelring.EngineKind, verbose bool) bool {
-	// The simulator has no crash/restart path (its nodes never leave), so
-	// campaigns draw from every class but crash; the core harness's chaos
-	// tests (go test ./internal/core -run Chaos) cover crash/restart.
-	plan := faultplan.Generate(seed, nodes, dur, faultplan.ClassAll&^faultplan.ClassCrash)
+	plan := faultplan.Generate(seed, nodes, dur, faultplan.ClassAll)
 	cfg := netsim.Config{
 		Nodes:       nodes,
 		Network:     netsim.Net1G,
@@ -101,18 +101,18 @@ func runSeed(seed int64, nodes int, dur time.Duration, offered float64, engine a
 		Warmup:      50 * time.Millisecond,
 		Measure:     dur,
 		Faults:      &plan,
-		Capture:     true,
 	}
 	check := evscheck.Options{}
 	if engine == accelring.EngineRingPaxos {
 		cfg.EngineFactory = func(c core.Config) (core.OrderingEngine, error) { return ringpaxos.New(c) }
 		check.Profile = evscheck.ProfileTotalOrder
 	}
-	res, log, err := netsim.RunCapture(cfg)
+	res, c, err := netsim.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seed %d: %v\n", seed, err)
 		return false
 	}
+	log := c.Log()
 	if verbose {
 		fmt.Printf("seed %4d: %s\n", seed, &plan)
 		for _, f := range plan.Links {

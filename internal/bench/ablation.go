@@ -93,7 +93,7 @@ func runAccelWindowSweep(sc Scale) ([]Point, error) {
 			Warmup:      sc.Warmup,
 			Measure:     sc.Measure,
 		}
-		res, err := netsim.Run(cfg)
+		res, _, err := netsim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: accel window %d: %w", window, err)
 		}
@@ -119,7 +119,7 @@ func runPriorityComparison(sc Scale) ([]Point, error) {
 				Warmup:      sc.Warmup,
 				Measure:     sc.Measure,
 			}
-			res, err := netsim.Run(cfg)
+			res, _, err := netsim.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: priority %s at %.0f: %w", method, offered, err)
 			}
@@ -144,7 +144,7 @@ func runRingSizeSweep(sc Scale) ([]Point, error) {
 				Warmup:      sc.Warmup,
 				Measure:     sc.Measure,
 			}
-			res, err := netsim.Run(cfg)
+			res, _, err := netsim.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: ring size %d: %w", nodes, err)
 			}
@@ -176,7 +176,7 @@ func runJumboComparison(sc Scale) ([]Point, error) {
 					Warmup:      sc.Warmup,
 					Measure:     sc.Measure,
 				}
-				res, err := netsim.Run(cfg)
+				res, _, err := netsim.Run(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("bench: jumbo %v at %.0f: %w", jumbo, offered, err)
 				}
@@ -210,7 +210,7 @@ func runArrivalComparison(sc Scale) ([]Point, error) {
 				Warmup:      sc.Warmup,
 				Measure:     sc.Measure,
 			}
-			res, err := netsim.Run(cfg)
+			res, _, err := netsim.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: arrivals %s at %.0f: %w", name, offered, err)
 			}

@@ -82,7 +82,7 @@ func RunSeries(s Series, sc Scale) ([]Point, error) {
 			Warmup:      sc.Warmup,
 			Measure:     sc.Measure,
 		}
-		res, err := netsim.Run(cfg)
+		res, _, err := netsim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: series %s at %.0f Mbps: %w", s.Label, off, err)
 		}

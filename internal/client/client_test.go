@@ -106,9 +106,9 @@ func TestJitterBounds(t *testing.T) {
 
 func TestTrackMessageDedupAndGap(t *testing.T) {
 	c := &Conn{
-		managed:   true,
-		groupSeqs: map[string]uint64{},
-		joined:    map[string]bool{"g": true},
+		managed:    true,
+		groupSeqs:  map[string]uint64{},
+		joined:     map[string]bool{"g": true},
 		subscribed: map[string]bool{},
 	}
 	deliver := func(stamp, seq uint64) ([]Event, bool) {

@@ -121,13 +121,15 @@ func lastRegularConfig(n *enginetest.Node) (engine.Configuration, bool) {
 }
 
 // dataFault applies verdict to every data transmission and leaves every
-// other frame kind alone.
+// other frame kind alone; every copy also takes the default link's Delay.
 func dataFault(verdict func() faultplan.Verdict) enginetest.Fault {
 	return func(_ time.Duration, _, _ wire.ParticipantID, f wire.Frame) faultplan.Verdict {
-		if f.Kind() != wire.KindData {
-			return faultplan.Verdict{}
+		var v faultplan.Verdict
+		if f.Kind() == wire.KindData {
+			v = verdict()
 		}
-		return verdict()
+		v.Delay += enginetest.Delay
+		return v
 	}
 }
 
@@ -154,6 +156,6 @@ func partitioned(groups map[wire.ParticipantID]int, link enginetest.Fault) engin
 		if link != nil {
 			return link(now, from, to, f)
 		}
-		return faultplan.Verdict{}
+		return faultplan.Verdict{Delay: enginetest.Delay}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/enginetest"
 	"accelring/internal/faultplan"
 	"accelring/internal/wire"
 )
@@ -82,10 +83,10 @@ func TestEVSUnderTokenLossStorm(t *testing.T) {
 	dropped := 0
 	h.Fault = func(_ time.Duration, _, _ wire.ParticipantID, f wire.Frame) faultplan.Verdict {
 		if f.Kind() != wire.KindToken {
-			return faultplan.Verdict{}
+			return faultplan.Verdict{Delay: enginetest.Delay}
 		}
 		dropped++
-		return faultplan.Verdict{Drop: dropped%40 == 0} // periodic token loss bursts past retransmission
+		return faultplan.Verdict{Drop: dropped%40 == 0, Delay: enginetest.Delay} // periodic token loss bursts past retransmission
 	}
 	h.Start()
 	for i := 0; i < 60; i++ {

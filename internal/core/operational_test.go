@@ -170,7 +170,7 @@ func TestTokenRetransmissionSurvivesTokenLoss(t *testing.T) {
 			dropped++
 			return faultplan.Verdict{Drop: true}
 		}
-		return faultplan.Verdict{}
+		return faultplan.Verdict{Delay: enginetest.Delay}
 	}
 	h.Start()
 	for i := 0; i < 20; i++ {

@@ -67,9 +67,9 @@ type chaosResult struct {
 //     reported the discontinuity first.
 func chaosSubscriber(c *client.Conn, name string, out chan<- chaosResult) {
 	res := chaosResult{name: name}
-	var last uint64    // highest payload seen overall
-	newEpoch := true   // next message may start anywhere (boundary reported)
-	var prev uint64    // previous payload within this epoch
+	var last uint64  // highest payload seen overall
+	newEpoch := true // next message may start anywhere (boundary reported)
+	var prev uint64  // previous payload within this epoch
 	deadline := time.After(60 * time.Second)
 	for !res.gotEnd {
 		var ev client.Event

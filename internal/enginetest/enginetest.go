@@ -1,20 +1,25 @@
-// Package enginetest is the one cluster test driver: it runs N ordering
+// Package enginetest is the one discrete-event core: it runs N ordering
 // engines — anything with Start, Submit and Step — as a cluster in
 // deterministic virtual time, with no goroutines and no wall clock, so a
 // run is a pure function of its inputs and a failure reproduces from its
 // seed alone. It does what the runtime loop does and no more: every frame
 // is encoded once and decoded per receiver through a wire.Decoder, so each
 // engine meets the aliasing rules it meets in production; armed timers
-// fire at their deadlines; one per-transmission hook decides loss,
-// duplication and delay; a crashed node stops receiving, sending and
+// fire at their deadlines; a crashed node stops receiving, sending and
 // firing timers, while frames it already sent are still delivered, as a
 // network would; and deliveries are recorded per incarnation.
+//
+// Two hooks carry a cost model, internal/netsim's, and their defaults cost
+// nothing: Fault decides each transmission's fate and latency (the link),
+// and a node's CPU queues its input and prices its work.
 package enginetest
 
 import (
+	"bytes"
 	"container/heap"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"accelring/internal/engine"
@@ -26,7 +31,7 @@ import (
 // ErrCrashed is returned when submitting to a crashed node.
 var ErrCrashed = errors.New("enginetest: node is crashed")
 
-// Delay is the latency of every transmission; a Fault verdict adds to it.
+// Delay is the latency of every transmission on the default link.
 const Delay = 100 * time.Microsecond
 
 // Engine is the part of the engine contract (core.OrderingEngine) the
@@ -40,9 +45,24 @@ type Engine interface {
 // Factory builds incarnation inc (0 for the first) of node id.
 type Factory func(id wire.ParticipantID, inc uint32) Engine
 
-// Fault decides the fate of one transmission of f at virtual time now; a
-// multicast asks once per destination.
+// Fault decides the fate of one transmission of f, leaving node from for
+// node to at virtual time now: dropped, delivered once or twice, and its
+// whole latency in Verdict.Delay. A multicast asks once per destination.
 type Fault func(now time.Duration, from, to wire.ParticipantID, f wire.Frame) faultplan.Verdict
+
+// CPU models one node's processor. Nil, the default, takes every frame
+// the moment it arrives and costs nothing.
+type CPU interface {
+	// Arrive queues pkt, a frame that reached the node just now — on its
+	// token socket when unicast — until the model hands it to Receive.
+	Arrive(pkt []byte, unicast bool)
+	// Stamp prices action a, just returned by the node's engine, and
+	// returns the virtual time it takes effect: when a send leaves, when
+	// a timer starts to run, when a delivery happens.
+	Stamp(a engine.Action) time.Duration
+	// Crash drops everything the node has queued.
+	Crash()
+}
 
 // Event is one application-visible event: a delivered message, or, when
 // Msg is nil, a configuration install.
@@ -56,6 +76,7 @@ type Event struct {
 type Node struct {
 	ID      wire.ParticipantID
 	Engine  Engine
+	CPU     CPU
 	Crashed bool
 	// Incarnations holds each incarnation's events, the current one last.
 	Incarnations [][]Event
@@ -82,8 +103,12 @@ type Cluster struct {
 	// Members is what Start and Restart pass to the engines: every node's
 	// ID unless changed before Start, nil for membership discovery.
 	Members []wire.ParticipantID
-	// Fault, when set, decides every transmission.
+	// Fault, when set, decides every transmission; the default link
+	// delivers every copy once, after Delay.
 	Fault Fault
+	// FaultDrops and FaultDups count the copies ApplyPlan's injector
+	// dropped and duplicated.
+	FaultDrops, FaultDups uint64
 	// AfterStep, when set, runs after every call into an engine, before
 	// its actions execute.
 	AfterStep func(*Node)
@@ -146,10 +171,11 @@ func (c *Cluster) Submit(id wire.ParticipantID, payload []byte, svc wire.Service
 	return nil
 }
 
-// After schedules fn at d past the current virtual time.
+// After schedules fn at d past the current virtual time, or now when d
+// is negative.
 func (c *Cluster) After(d time.Duration, fn func()) {
 	c.seq++
-	heap.Push(&c.events, &event{at: c.now + d, seq: c.seq, fn: fn})
+	heap.Push(&c.events, &event{at: c.now + max(d, 0), seq: c.seq, fn: fn})
 }
 
 // Run advances virtual time by d, processing every event due in that span.
@@ -177,6 +203,9 @@ func (c *Cluster) Crash(id wire.ParticipantID) {
 	n := c.Node(id)
 	n.Crashed = true
 	n.timers = map[engine.TimerKind]uint64{}
+	if n.CPU != nil {
+		n.CPU.Crash()
+	}
 }
 
 // Restart starts crashed node id's next incarnation with Members, keeping
@@ -204,13 +233,32 @@ func (c *Cluster) Fire(id wire.ParticipantID, kind engine.TimerKind) bool {
 	return true
 }
 
-// ApplyPlan installs the plan's injector as the Fault hook and schedules
-// its crashes and restarts; partitions and heals act through the
-// injector. Call it before Start.
+// ApplyPlan composes the plan's injector after the Fault hook — a copy
+// the hook delivers takes the injector's draw at the same instant, and
+// the injector's delay adds to the hook's — and schedules the plan's
+// crashes and restarts; partitions and heals act through the injector.
+// Call it before Start.
 func (c *Cluster) ApplyPlan(p *faultplan.Plan) {
-	inj := p.Injector()
+	inj, hop := p.Injector(), c.Fault
 	c.Fault = func(now time.Duration, from, to wire.ParticipantID, f wire.Frame) faultplan.Verdict {
-		return inj.Decide(now, from, to, f.Kind())
+		v := faultplan.Verdict{Delay: Delay}
+		if hop != nil {
+			v = hop(now, from, to, f)
+		}
+		if v.Drop {
+			return v
+		}
+		w := inj.Decide(now, from, to, f.Kind())
+		if w.Drop {
+			c.FaultDrops++
+			return w
+		}
+		if w.Dup {
+			c.FaultDups++
+			v.Dup = true
+		}
+		v.Delay += w.Delay
+		return v
 	}
 	for _, ev := range p.NodeEvents() {
 		switch ev.Kind {
@@ -222,18 +270,34 @@ func (c *Cluster) ApplyPlan(p *faultplan.Plan) {
 	}
 }
 
-// apply executes one engine call's actions in order.
+// Receive decodes pkt and steps node id's engine with it: what a CPU
+// model calls when the node takes a queued frame.
+func (c *Cluster) Receive(id wire.ParticipantID, pkt []byte) {
+	n := c.Node(id)
+	frame, err := c.dec.Decode(pkt)
+	if err != nil {
+		panic(fmt.Sprintf("enginetest: decode at %s: %v", id, err))
+	}
+	c.apply(n, n.Engine.Step(engine.Input{Frame: frame}))
+}
+
+// apply executes one engine call's actions in order, each at the time the
+// node's CPU stamps it.
 func (c *Cluster) apply(n *Node, acts []engine.Action) {
 	if c.AfterStep != nil {
 		c.AfterStep(n)
 	}
 	inc := len(n.Incarnations) - 1
 	for _, a := range acts {
+		at := c.now
+		if n.CPU != nil {
+			at = n.CPU.Stamp(a)
+		}
 		switch a := a.(type) {
 		case engine.SendData:
-			c.send(n, 0, a.Msg)
+			c.send(n, 0, a.Msg, at)
 		case engine.Send:
-			c.send(n, a.To, a.Frame)
+			c.send(n, a.To, a.Frame, at)
 		case engine.Deliver:
 			n.Incarnations[inc] = append(n.Incarnations[inc], Event{Msg: a.Msg})
 		case engine.DeliverConfig:
@@ -243,7 +307,7 @@ func (c *Cluster) apply(n *Node, acts []engine.Action) {
 			// cancel or crash in between makes the event a no-op.
 			kind, seq := a.Kind, c.seq+1
 			n.timers[kind] = seq
-			c.After(a.After, func() {
+			c.After(at-c.now+a.After, func() {
 				if n.timers[kind] == seq {
 					delete(n.timers, kind)
 					c.apply(n, n.Engine.Step(engine.Input{Timer: kind}))
@@ -257,9 +321,9 @@ func (c *Cluster) apply(n *Node, acts []engine.Action) {
 	}
 }
 
-// send encodes f and schedules its arrival at node to, or at every other
-// node when to is zero.
-func (c *Cluster) send(from *Node, to wire.ParticipantID, f wire.Frame) {
+// send encodes f, leaving at virtual time at, and schedules its arrival
+// at node to, or at every other node when to is zero.
+func (c *Cluster) send(from *Node, to wire.ParticipantID, f wire.Frame, at time.Duration) {
 	pkt, err := wire.Encode(f)
 	if err != nil {
 		panic(fmt.Sprintf("enginetest: %s sent an unencodable %v frame: %v", from.ID, f.Kind(), err))
@@ -268,26 +332,25 @@ func (c *Cluster) send(from *Node, to wire.ParticipantID, f wire.Frame) {
 		if n.ID != to && (to != 0 || n == from) {
 			continue
 		}
-		var v faultplan.Verdict
+		v := faultplan.Verdict{Delay: Delay}
 		if c.Fault != nil {
-			v = c.Fault(c.now, from.ID, n.ID, f)
+			v = c.Fault(at, from.ID, n.ID, f)
 		}
 		if v.Drop {
 			continue
 		}
 		arrive := func() {
-			if n.Crashed {
-				return
+			switch {
+			case n.Crashed:
+			case n.CPU != nil:
+				n.CPU.Arrive(pkt, to != 0)
+			default:
+				c.Receive(n.ID, pkt)
 			}
-			frame, err := c.dec.Decode(pkt)
-			if err != nil {
-				panic(fmt.Sprintf("enginetest: decode at %s: %v", n.ID, err))
-			}
-			c.apply(n, n.Engine.Step(engine.Input{Frame: frame}))
 		}
-		c.After(Delay+v.Delay, arrive)
+		c.After(at-c.now+v.Delay, arrive)
 		if v.Dup {
-			c.After(Delay+v.Delay, arrive)
+			c.After(at-c.now+v.Delay, arrive)
 		}
 	}
 }
@@ -296,6 +359,19 @@ func (c *Cluster) send(from *Node, to wire.ParticipantID, f wire.Frame) {
 // message i of sender is "m-<sender>-<i>".
 func Payload(sender wire.ParticipantID, i int) []byte {
 	return []byte(fmt.Sprintf("m-%d-%d", sender, i))
+}
+
+// Origin parses a payload built by Payload back into its sender and i;
+// for any other payload it returns 0, -1 and false.
+func Origin(p []byte) (sender wire.ParticipantID, i int, ok bool) {
+	rest, ok := bytes.CutPrefix(p, []byte("m-"))
+	a, b, cut := bytes.Cut(rest, []byte("-"))
+	s, errS := strconv.Atoi(string(a))
+	i, errI := strconv.Atoi(string(b))
+	if !ok || !cut || errS != nil || errI != nil {
+		return 0, -1, false
+	}
+	return wire.ParticipantID(s), i, true
 }
 
 // Log converts every incarnation's events into the conformance checker's
@@ -318,12 +394,8 @@ func (c *Cluster) Log() evscheck.Log {
 					nl.Install(ev.Config.ID, ev.Config.Members, ev.Transitional)
 					continue
 				}
-				var sender, i int
-				var seq uint64
-				if _, err := fmt.Sscanf(string(ev.Msg.Payload), "m-%d-%d", &sender, &i); err == nil {
-					seq = uint64(i) + 1
-				}
-				nl.Deliver(string(ev.Msg.Payload), wire.ParticipantID(sender), seq, ev.Msg.Service)
+				sender, i, _ := Origin(ev.Msg.Payload)
+				nl.Deliver(string(ev.Msg.Payload), sender, uint64(i+1), ev.Msg.Service)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"accelring/internal/core"
 	"accelring/internal/evscheck"
 	"accelring/internal/faultplan"
+	"accelring/internal/ringpaxos"
 )
 
 // lossyPlan injects a steady mix of loss, duplication and reordering delay
@@ -26,11 +27,11 @@ func lossyPlan(seed int64) *faultplan.Plan {
 func TestLossyRunRecoversAndConforms(t *testing.T) {
 	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 200)
 	cfg.Faults = lossyPlan(42)
-	cfg.Capture = true
-	res, log, err := RunCapture(cfg)
+	res, c, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := c.Log()
 	if res.FaultDrops == 0 {
 		t.Fatal("fault plan injected no drops")
 	}
@@ -59,11 +60,11 @@ func TestLossyRunIsDeterministic(t *testing.T) {
 	run := func() (Result, string) {
 		cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 150)
 		cfg.Faults = lossyPlan(7)
-		cfg.Capture = true
-		res, log, err := RunCapture(cfg)
+		res, c, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		log := c.Log()
 		return res, evscheck.Digest(log)
 	}
 	resA, digA := run()
@@ -76,22 +77,55 @@ func TestLossyRunIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestCrashPlanRejected(t *testing.T) {
-	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 100)
-	cfg.Faults = &faultplan.Plan{Events: []faultplan.NodeEvent{
-		{At: time.Millisecond, Kind: faultplan.EventCrash, Node: 1},
-	}}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("crash events must be rejected by the simulator")
-	}
-}
-
-func TestCaptureRequiresRoomForTag(t *testing.T) {
-	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 100)
-	cfg.PayloadSize = 12
-	cfg.Capture = true
-	if _, _, err := RunCapture(cfg); err == nil {
-		t.Fatal("capture with a 12-byte payload must be rejected")
+// TestCrashRestartOnCostModel crashes one node of a loaded ring and
+// restarts it, for both engines: the merged log of every incarnation must
+// conform to the engine's profile, and the restarted incarnation must
+// deliver.
+func TestCrashRestartOnCostModel(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		factory func(core.Config) (core.OrderingEngine, error)
+		profile evscheck.Profile
+	}{
+		{"accelring", nil, evscheck.ProfileEVS},
+		{"ringpaxos", func(c core.Config) (core.OrderingEngine, error) { return ringpaxos.New(c) }, evscheck.ProfileTotalOrder},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 100)
+			cfg.Nodes = 5
+			cfg.EngineFactory = tc.factory
+			cfg.Engine.TokenLossTimeout = 50 * time.Millisecond
+			cfg.Engine.TokenRetransPeriod = 10 * time.Millisecond
+			cfg.Engine.JoinPeriod = 5 * time.Millisecond
+			cfg.Engine.ConsensusTimeout = 25 * time.Millisecond
+			cfg.Engine.CommitTimeout = 25 * time.Millisecond
+			cfg.Faults = &faultplan.Plan{Events: []faultplan.NodeEvent{
+				{At: 50 * time.Millisecond, Kind: faultplan.EventCrash, Node: 3},
+				{At: 120 * time.Millisecond, Kind: faultplan.EventRestart, Node: 3},
+			}}
+			_, c, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := c.Log()
+			for _, v := range evscheck.Check(log, evscheck.Options{Profile: tc.profile}) {
+				t.Errorf("violation: %v", v)
+			}
+			first, again := log["3"], log["3#2"]
+			if first == nil || !first.Crashed || again == nil || again.Crashed {
+				t.Fatalf("want a crashed first and a live second incarnation of node 3, log has %v and %v", first, again)
+			}
+			delivered := 0
+			for _, ev := range again.Events {
+				if !ev.Config {
+					delivered++
+				}
+			}
+			if delivered == 0 {
+				t.Fatal("the restarted incarnation delivered nothing")
+			}
+			t.Logf("restarted incarnation delivered %d messages", delivered)
+		})
 	}
 }
 
@@ -99,11 +133,11 @@ func TestCaptureRequiresRoomForTag(t *testing.T) {
 // captured run must conform and deliver every submission at every node.
 func TestCapturedCleanRunQuiescent(t *testing.T) {
 	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 100)
-	cfg.Capture = true
-	res, log, err := RunCapture(cfg)
+	res, c, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := c.Log()
 	if res.Samples == 0 {
 		t.Fatal("no deliveries captured")
 	}

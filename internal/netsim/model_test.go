@@ -8,9 +8,9 @@ import (
 	"accelring/internal/wire"
 )
 
-func testSim(network Network) *Sim {
+func testSim(network Network) *sim {
 	cfg := Config{Network: network, Profile: ProfileLibrary, OfferedMbps: 100, PayloadSize: 1350}
-	return &Sim{cfg: cfg.withDefaults(), ports: make([]swPort, 8)}
+	return &sim{cfg: cfg.withDefaults(), ports: make([]time.Duration, 8)}
 }
 
 func TestWireBytesSingleFrame(t *testing.T) {
@@ -83,8 +83,7 @@ func TestForwardDropsOnBufferOverflow(t *testing.T) {
 		t.Fatalf("drop counter %d, want %d", s.switchDrops, drops)
 	}
 	// After the backlog drains, forwarding works again.
-	s.now = s.ports[0].freeAt + time.Millisecond
-	if _, dropped := s.forward(s.now, 0, pkt); dropped {
+	if _, dropped := s.forward(s.ports[0]+time.Millisecond, 0, pkt); dropped {
 		t.Fatal("packet dropped after the backlog drained")
 	}
 }
@@ -122,7 +121,7 @@ func TestAcceleratedBeatsOriginalAtHighLoad1G(t *testing.T) {
 	// at 800 Mbps on 1GbE, the accelerated protocol's latency is well
 	// below the original's.
 	run := func(proto core.Protocol) Result {
-		res, err := Run(Config{
+		res, _, err := Run(Config{
 			Network: Net1G, Profile: ProfileSpread,
 			Engine:      core.Config{Protocol: proto},
 			PayloadSize: 1350, OfferedMbps: 800, Service: wire.ServiceAgreed,
@@ -145,7 +144,7 @@ func TestFigure7CrossoverMechanism(t *testing.T) {
 	// At very low Safe-delivery load the original protocol must win (the
 	// accelerated aru lags seq and costs an extra round), per Figure 7.
 	run := func(proto core.Protocol) Result {
-		res, err := Run(Config{
+		res, _, err := Run(Config{
 			Network: Net10G, Profile: ProfileSpread,
 			Engine:      core.Config{Protocol: proto},
 			PayloadSize: 1350, OfferedMbps: 100, Service: wire.ServiceSafe,
@@ -182,7 +181,7 @@ func TestJumboNetworkSingleFragment(t *testing.T) {
 
 func TestJumboReducesLargePayloadLatency(t *testing.T) {
 	run := func(network Network) Result {
-		res, err := Run(Config{
+		res, _, err := Run(Config{
 			Network: network, Profile: ProfileSpread,
 			Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 			PayloadSize: 8850, OfferedMbps: 4000, Service: wire.ServiceAgreed,
@@ -201,7 +200,7 @@ func TestJumboReducesLargePayloadLatency(t *testing.T) {
 }
 
 func TestPoissonArrivalsDeliverTheLoad(t *testing.T) {
-	res, err := Run(Config{
+	res, _, err := Run(Config{
 		Network: Net10G, Profile: ProfileLibrary,
 		Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 		PayloadSize: 1350, OfferedMbps: 1000, Service: wire.ServiceAgreed,
@@ -222,7 +221,7 @@ func TestPoissonArrivalsDeliverTheLoad(t *testing.T) {
 
 func TestPoissonLatencyExceedsCBR(t *testing.T) {
 	run := func(a Arrivals) Result {
-		res, err := Run(Config{
+		res, _, err := Run(Config{
 			Network: Net10G, Profile: ProfileSpread,
 			Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 			PayloadSize: 1350, OfferedMbps: 1500, Service: wire.ServiceAgreed,

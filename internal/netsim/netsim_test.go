@@ -23,13 +23,13 @@ func quickCfg(protocol core.Protocol, network Network, profile Profile, offered 
 }
 
 func TestRunValidatesConfig(t *testing.T) {
-	if _, err := Run(Config{OfferedMbps: -1, Network: Net1G, Profile: ProfileLibrary}); err == nil {
+	if _, _, err := Run(Config{OfferedMbps: -1, Network: Net1G, Profile: ProfileLibrary}); err == nil {
 		t.Fatal("accepted negative offered load")
 	}
 }
 
 func TestModestLoadIsStable(t *testing.T) {
-	res, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 300))
+	res, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestModestLoadIsStable(t *testing.T) {
 }
 
 func TestOverloadIsDetected(t *testing.T) {
-	res, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 2000))
+	res, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +61,14 @@ func TestOverloadIsDetected(t *testing.T) {
 }
 
 func TestAcceleratedUsesPostTokenPhase(t *testing.T) {
-	res, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 500))
+	res, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.PostTokenMsgs == 0 {
 		t.Fatal("accelerated run sent nothing post-token")
 	}
-	orig, err := Run(quickCfg(core.ProtocolOriginalRing, Net1G, ProfileLibrary, 500))
+	orig, _, err := Run(quickCfg(core.ProtocolOriginalRing, Net1G, ProfileLibrary, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestAcceleratedUsesPostTokenPhase(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net10G, ProfileDaemon, 800))
+	a, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net10G, ProfileDaemon, 800))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net10G, ProfileDaemon, 800))
+	b, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net10G, ProfileDaemon, 800))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestSafeLatencyExceedsAgreed(t *testing.T) {
-	agreed, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileSpread, 400))
+	agreed, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileSpread, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileSpread, 400)
 	cfg.Service = wire.ServiceSafe
-	safe, err := Run(cfg)
+	safe, _, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestSafeLatencyExceedsAgreed(t *testing.T) {
 
 func TestLargePayloadsRaiseMaxThroughput(t *testing.T) {
 	small := quickCfg(core.ProtocolAcceleratedRing, Net10G, ProfileSpread, 4000)
-	res1350, err := Run(small)
+	res1350, _, err := Run(small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	large := small
 	large.PayloadSize = 8850
-	res8850, err := Run(large)
+	res8850, _, err := Run(large)
 	if err != nil {
 		t.Fatal(err)
 	}

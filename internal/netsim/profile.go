@@ -1,10 +1,12 @@
-// Package netsim is a discrete-event simulator that runs the real protocol
-// engine (internal/core) over a modeled data-center network: NICs that
-// serialize at line rate, a store-and-forward switch with bounded per-port
-// output buffers, and single-threaded protocol CPUs with per-message
-// processing costs. It stands in for the paper's 8-server 1-gigabit /
-// 10-gigabit testbed (see DESIGN.md §3 for the substitution argument) and
-// regenerates the latency-vs-throughput profiles of the paper's figures.
+// Package netsim runs the real protocol engines over a modeled data-center
+// network: NICs that serialize at line rate, a store-and-forward switch
+// with bounded per-port output buffers, and single-threaded protocol CPUs
+// with per-message processing costs. It is a cost model, not a simulator
+// of its own: the switch is internal/enginetest's Fault hook and each
+// node's NIC and CPU its CPU hook, so engines run exactly as in the cluster
+// tests. It stands in for the paper's 8-server 1-gigabit / 10-gigabit
+// testbed (see DESIGN.md §3 for the substitution argument) and regenerates
+// the latency-vs-throughput profiles of the paper's figures.
 package netsim
 
 import "time"

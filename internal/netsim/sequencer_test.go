@@ -116,12 +116,12 @@ func (e *fixedSequencer) Snapshot() core.Snapshot {
 func TestThirdEngineFitsTheContract(t *testing.T) {
 	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 100)
 	cfg.Nodes = 4
-	cfg.Capture = true
 	cfg.EngineFactory = func(c core.Config) (core.OrderingEngine, error) { return newFixedSequencer(c), nil }
-	res, log, err := RunCapture(cfg)
+	res, c, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := c.Log()
 	if res.SwitchDrops+res.SockDrops != 0 {
 		t.Fatalf("test premise broken: the clean network dropped packets (%+v)", res)
 	}

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -9,7 +8,7 @@ import (
 	"time"
 
 	"accelring/internal/core"
-	"accelring/internal/evscheck"
+	"accelring/internal/enginetest"
 	"accelring/internal/faultplan"
 	"accelring/internal/metrics"
 	"accelring/internal/wire"
@@ -24,8 +23,8 @@ type Config struct {
 	Network Network
 	// Profile selects the implementation cost profile.
 	Profile Profile
-	// Engine is the protocol configuration template (MyID is overwritten
-	// per node). Zero value means accelerated-ring defaults.
+	// Engine is the protocol configuration template (MyID and Incarnation
+	// are filled in per node). Zero value means accelerated-ring defaults.
 	Engine core.Config
 	// EngineFactory, when non-nil, constructs each node's ordering engine
 	// from its per-node config — the hook that runs a different protocol
@@ -47,14 +46,10 @@ type Config struct {
 	Arrivals Arrivals
 	// Seed drives the Poisson arrival process (ignored for CBR).
 	Seed int64
-	// Faults optionally injects link faults (loss, duplication, delay) and
-	// partitions per the plan. Crash/restart events are not supported by
-	// the simulator (its nodes have no rejoin path) and are rejected.
+	// Faults optionally injects the plan's link faults, partitions,
+	// crashes and restarts. A restarted node of the default engine rejoins
+	// by membership discovery; an EngineFactory one on the static ring.
 	Faults *faultplan.Plan
-	// Capture records every delivery and configuration change into an
-	// evscheck.Log so the run's total-order guarantees can be verified.
-	// Captured runs embed a sender/sequence tag in each payload.
-	Capture bool
 }
 
 // Arrivals selects the workload's arrival process.
@@ -145,42 +140,13 @@ func (r Result) String() string {
 		float64(r.P99Latency)/float64(time.Microsecond), r.Stable)
 }
 
-// event is one entry of the simulator's virtual-time agenda.
-type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Sim is one simulation run.
-type Sim struct {
-	cfg    Config
-	now    time.Duration
-	events eventQueue
-	evSeq  uint64
-
-	nodes []*simNode
-	ports []swPort // switch output port per node (index = node index)
+// sim is the network half of one run: the switch, the measurement and the
+// counters. The nodes are the CPU half; enginetest.Cluster is the clock.
+type sim struct {
+	cfg   Config
+	c     *enginetest.Cluster
+	nodes []*node
+	ports []time.Duration // when each switch output port drains its backlog
 
 	latency     metrics.Sample
 	submitted   uint64
@@ -188,100 +154,58 @@ type Sim struct {
 	switchDrops uint64
 	sockDrops   uint64
 
-	fault      *faultplan.Injector
-	faultDrops uint64
-	faultDups  uint64
-	capture    evscheck.Log // nil unless Config.Capture
-
-	measureFrom time.Duration
-	measureTo   time.Duration
+	measureTo time.Duration // end of the measurement window, from Warmup
 }
 
-// swPort is a switch output port: a drop-tail queue draining at line rate.
-type swPort struct {
-	freeAt time.Duration // when the port finishes its current backlog
-}
-
-// Errors returned by Run.
-var errBadConfig = errors.New("netsim: invalid configuration")
-
-// Run executes one experiment and returns its result.
-func Run(cfg Config) (Result, error) {
-	res, _, err := RunCapture(cfg)
-	return res, err
-}
-
-// RunCapture executes one experiment and additionally returns the captured
-// delivery log (nil unless cfg.Capture), suitable for evscheck.Check.
-func RunCapture(cfg Config) (Result, evscheck.Log, error) {
+// Run executes one experiment and returns its result and the cluster it
+// ran on, whose Log is every incarnation's deliveries for evscheck.Check.
+func Run(cfg Config) (Result, *enginetest.Cluster, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Nodes <= 0 || cfg.PayloadSize <= 8 || cfg.OfferedMbps <= 0 {
-		return Result{}, nil, fmt.Errorf("%w: nodes %d payload %d offered %.1f",
-			errBadConfig, cfg.Nodes, cfg.PayloadSize, cfg.OfferedMbps)
+	if cfg.Nodes <= 0 || cfg.PayloadSize <= 0 || cfg.OfferedMbps <= 0 {
+		return Result{}, nil, fmt.Errorf("netsim: invalid configuration: nodes %d payload %d offered %.1f",
+			cfg.Nodes, cfg.PayloadSize, cfg.OfferedMbps)
 	}
-	if cfg.Capture && cfg.PayloadSize < 16 {
-		return Result{}, nil, fmt.Errorf("%w: capture needs PayloadSize >= 16", errBadConfig)
+	s := &sim{
+		cfg:       cfg,
+		nodes:     make([]*node, cfg.Nodes),
+		ports:     make([]time.Duration, cfg.Nodes),
+		measureTo: cfg.Warmup + cfg.Measure,
 	}
-	if cfg.Faults != nil {
-		for _, ev := range cfg.Faults.Events {
-			if ev.Kind == faultplan.EventCrash || ev.Kind == faultplan.EventRestart {
-				return Result{}, nil, fmt.Errorf("%w: simulator does not support %v events", errBadConfig, ev.Kind)
-			}
-		}
-	}
-	s := &Sim{
-		cfg:         cfg,
-		nodes:       make([]*simNode, cfg.Nodes),
-		ports:       make([]swPort, cfg.Nodes),
-		measureFrom: cfg.Warmup,
-		measureTo:   cfg.Warmup + cfg.Measure,
-	}
-	if cfg.Faults != nil {
-		s.fault = cfg.Faults.Injector()
-	}
-	if cfg.Capture {
-		s.capture = evscheck.Log{}
-	}
-
-	members := make([]wire.ParticipantID, cfg.Nodes)
-	for i := range members {
-		members[i] = wire.ParticipantID(i + 1)
+	for i := range s.nodes {
+		s.nodes[i] = &node{s: s, id: wire.ParticipantID(i + 1)}
 	}
 	newEngine := cfg.EngineFactory
 	if newEngine == nil {
 		newEngine = func(c core.Config) (core.OrderingEngine, error) { return core.New(c) }
 	}
-	for i := range s.nodes {
+	var err error
+	s.c = enginetest.New(cfg.Nodes, func(id wire.ParticipantID, inc uint32) enginetest.Engine {
 		ecfg := cfg.Engine
-		ecfg.MyID = members[i]
-		eng, err := newEngine(ecfg)
-		if err != nil {
-			return Result{}, nil, fmt.Errorf("netsim: %w", err)
-		}
-		s.nodes[i] = newSimNode(s, i, eng)
+		ecfg.MyID, ecfg.Incarnation = id, inc
+		eng, e := newEngine(ecfg)
+		s.nodes[id-1].eng, err = eng, errors.Join(err, e)
+		return eng
+	})
+	if err != nil {
+		return Result{}, nil, fmt.Errorf("netsim: %w", err)
 	}
 	for _, n := range s.nodes {
-		actions, err := n.eng.Start(members)
-		if err != nil {
-			return Result{}, nil, fmt.Errorf("netsim: %w", err)
-		}
-		n.execute(actions)
+		s.c.Node(n.id).CPU = n
 	}
-
+	s.c.Fault = s.link
+	if cfg.Faults != nil {
+		s.c.ApplyPlan(cfg.Faults)
+	}
+	s.c.Start()
+	if cfg.EngineFactory == nil {
+		s.c.Members = nil // restarts rejoin by discovery
+	}
 	s.startGenerators()
 
 	// Run to the end of the measurement window plus a drain period so that
 	// in-flight measured messages can complete.
 	end := s.measureTo + 100*time.Millisecond
-	for s.events.Len() > 0 {
-		ev := s.events[0]
-		if ev.at > end {
-			break
-		}
-		heap.Pop(&s.events)
-		s.now = ev.at
-		ev.fn()
-	}
+	s.c.Run(end)
 
 	res := Result{
 		OfferedMbps: cfg.OfferedMbps,
@@ -291,13 +215,14 @@ func RunCapture(cfg Config) (Result, evscheck.Log, error) {
 		Samples:     s.latency.Count(),
 		SwitchDrops: s.switchDrops,
 		SockDrops:   s.sockDrops,
+		Submitted:   s.submitted,
+		FaultDrops:  s.c.FaultDrops,
+		FaultDups:   s.c.FaultDups,
+		Nodes:       cfg.Nodes,
 	}
 	res.AchievedMbps = float64(s.delivered*uint64(cfg.PayloadSize)*8) /
 		(cfg.Measure.Seconds() * 1e6)
 	res.Stable = res.AchievedMbps >= 0.97*cfg.OfferedMbps
-	res.Submitted = s.submitted
-	res.FaultDrops = s.faultDrops
-	res.FaultDups = s.faultDups
 	for _, n := range s.nodes {
 		st := n.eng.Snapshot().Stats
 		res.TokensHandled += st.TokensProcessed
@@ -308,28 +233,19 @@ func RunCapture(cfg Config) (Result, evscheck.Log, error) {
 		res.AccelFlushes += st.AccelFlushes
 		res.BacklogLeft += n.eng.Progress().Pending
 	}
-	res.Nodes = cfg.Nodes
 	if rounds := float64(res.TokensHandled) / float64(cfg.Nodes); rounds > 0 {
 		res.TokenRotation = time.Duration(float64(end) / rounds)
 		res.MsgsPerRound = float64(res.Submitted) * float64(res.TokenRotation) /
 			float64(cfg.Measure)
 	}
-	return res, s.capture, nil
-}
-
-func (s *Sim) schedule(at time.Duration, fn func()) {
-	if at < s.now {
-		at = s.now
-	}
-	s.evSeq++
-	heap.Push(&s.events, &event{at: at, seq: s.evSeq, fn: fn})
+	return res, s.c, nil
 }
 
 // startGenerators schedules the sending clients: each node's client injects
 // equal-size messages at the configured rate — constant-rate with per-node
 // phase offsets (the paper's benchmark clients), or Poisson for a burstier
 // open-loop workload.
-func (s *Sim) startGenerators() {
+func (s *sim) startGenerators() {
 	perNodeBps := s.cfg.OfferedMbps * 1e6 / float64(s.cfg.Nodes)
 	interval := time.Duration(float64(s.cfg.PayloadSize*8) / perNodeBps * float64(time.Second))
 	if interval <= 0 {
@@ -338,46 +254,69 @@ func (s *Sim) startGenerators() {
 	for i, n := range s.nodes {
 		if s.cfg.Arrivals == ArrivalPoisson {
 			rng := rand.New(rand.NewSource(s.cfg.Seed + int64(i)))
-			s.schedulePoisson(n, expDelay(rng, interval), interval, rng)
+			// Exponential interarrival times with the same mean.
+			next := func() time.Duration {
+				return max(time.Duration(-math.Log(1-rng.Float64())*float64(interval)), time.Nanosecond)
+			}
+			s.inject(n, next(), next)
 			continue
 		}
 		phase := interval * time.Duration(i) / time.Duration(s.cfg.Nodes)
-		s.scheduleInjection(n, phase, interval)
+		s.inject(n, phase, func() time.Duration { return interval })
 	}
 }
 
-func (s *Sim) scheduleInjection(n *simNode, at time.Duration, interval time.Duration) {
+// inject schedules n's client to submit at virtual time at, and again
+// next() later, until the measurement window closes; each submission
+// reaches the daemon's queue one IPC delay after its timestamp.
+func (s *sim) inject(n *node, at time.Duration, next func() time.Duration) {
 	if at > s.measureTo {
 		return
 	}
-	s.schedule(at, func() {
-		n.injectSubmission(s.now)
-		s.scheduleInjection(n, at+interval, interval)
+	s.c.After(at-s.c.Now(), func() {
+		if at >= s.cfg.Warmup {
+			s.submitted++
+		}
+		s.c.After(s.cfg.Profile.IPCDelay, func() {
+			n.sent = append(n.sent, at)
+			n.wake()
+		})
+		s.inject(n, at+next(), next)
 	})
 }
 
-func (s *Sim) schedulePoisson(n *simNode, at time.Duration, mean time.Duration, rng *rand.Rand) {
-	if at > s.measureTo {
+// record samples the latency of a delivery made at virtual time at, from
+// the client's submit time (its node's side table) to one IPC delay after
+// at; the reference node's deliveries also make achieved throughput.
+func (s *sim) record(m *wire.DataMessage, at time.Duration, reference bool) {
+	sender, i, ok := enginetest.Origin(m.Payload)
+	if !ok {
 		return
 	}
-	s.schedule(at, func() {
-		n.injectSubmission(s.now)
-		s.schedulePoisson(n, at+expDelay(rng, mean), mean, rng)
-	})
+	clientTime := s.nodes[sender-1].sent[i]
+	if clientTime < s.cfg.Warmup || clientTime > s.measureTo {
+		return
+	}
+	s.latency.Add(at + s.cfg.Profile.IPCDelay - clientTime)
+	if reference {
+		s.delivered++
+	}
 }
 
-// expDelay draws an exponentially distributed delay with the given mean.
-func expDelay(rng *rand.Rand, mean time.Duration) time.Duration {
-	d := time.Duration(-math.Log(1-rng.Float64()) * float64(mean))
-	if d <= 0 {
-		return time.Nanosecond
+// size returns the modeled wire bytes of a frame of kind k encoding to
+// encoded bytes and, for client data, how many frames carry it: client data
+// is priced at PayloadSize (it carries only a short tag in memory).
+func (s *sim) size(k wire.Kind, encoded int) (bytes, frags int) {
+	if k != wire.KindData {
+		return s.wireBytes(encoded), 0
 	}
-	return d
+	body := s.cfg.Profile.HeaderBytes + s.cfg.PayloadSize
+	return s.wireBytes(body), s.fragments(body)
 }
 
 // fragments returns how many network frames carry body bytes of protocol
 // payload on this network's MTU.
-func (s *Sim) fragments(body int) int {
+func (s *sim) fragments(body int) int {
 	mtuPayload := s.cfg.Network.MTU - 28 // IP+UDP headers per fragment
 	frags := (body + mtuPayload - 1) / mtuPayload
 	if frags < 1 {
@@ -389,31 +328,42 @@ func (s *Sim) fragments(body int) int {
 // wireBytes returns the on-the-wire size of a packet carrying body bytes of
 // protocol payload (headers included), accounting for kernel fragmentation
 // of datagrams larger than the MTU.
-func (s *Sim) wireBytes(body int) int {
+func (s *sim) wireBytes(body int) int {
 	return body + s.fragments(body)*s.cfg.Network.FrameOverhead
 }
 
 // txDuration returns the serialization time of n wire bytes at line rate.
-func (s *Sim) txDuration(n int) time.Duration {
+func (s *sim) txDuration(n int) time.Duration {
 	return time.Duration(float64(n) * 8 / s.cfg.Network.RateBps * float64(time.Second))
+}
+
+// link is the cluster's Fault hook: a copy leaving the NIC at txEnd crosses
+// the switch, except a unicast to self (singleton ring), looped back.
+func (s *sim) link(txEnd time.Duration, from, to wire.ParticipantID, f wire.Frame) faultplan.Verdict {
+	if from == to {
+		return faultplan.Verdict{}
+	}
+	bytes, _ := s.size(f.Kind(), f.EncodedSize())
+	arrive, dropped := s.forward(txEnd, int(to)-1, bytes)
+	return faultplan.Verdict{Drop: dropped, Delay: arrive - txEnd}
 }
 
 // forward models the switch: the packet leaves the sender's NIC at txEnd,
 // then queues at the destination's output port, which drains at line rate
 // with a bounded drop-tail buffer. It returns the arrival time at the
 // destination and whether the packet was dropped.
-func (s *Sim) forward(txEnd time.Duration, dst int, bytes int) (time.Duration, bool) {
+func (s *sim) forward(txEnd time.Duration, dst int, bytes int) (time.Duration, bool) {
 	port := &s.ports[dst]
-	backlog := port.freeAt - txEnd
+	backlog := *port - txEnd
 	if backlog < 0 {
 		backlog = 0
-		port.freeAt = txEnd
+		*port = txEnd
 	}
 	backlogBytes := float64(backlog) / float64(time.Second) * s.cfg.Network.RateBps / 8
 	if int(backlogBytes)+bytes > s.cfg.Network.SwitchPortBuf {
 		s.switchDrops++
 		return 0, true
 	}
-	port.freeAt += s.txDuration(bytes)
-	return port.freeAt + s.cfg.Network.PropDelay, false
+	*port += s.txDuration(bytes)
+	return *port + s.cfg.Network.PropDelay, false
 }

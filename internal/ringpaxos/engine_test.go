@@ -221,7 +221,7 @@ func TestLaggingLearnerCatchUp(t *testing.T) {
 	c := newCluster(t, 3)
 	const laggard = 3
 	c.Fault = func(_ time.Duration, _, to wire.ParticipantID, _ wire.Frame) faultplan.Verdict {
-		return faultplan.Verdict{Drop: to == laggard}
+		return faultplan.Verdict{Drop: to == laggard, Delay: enginetest.Delay}
 	}
 	for i := 0; i < 8; i++ {
 		submit(t, c, 1, fmt.Sprintf("v%d", i))
@@ -251,7 +251,7 @@ func TestLaggingLearnerCatchUp(t *testing.T) {
 func TestDuplicateFramesSuppressed(t *testing.T) {
 	c := newCluster(t, 3)
 	c.Fault = func(time.Duration, wire.ParticipantID, wire.ParticipantID, wire.Frame) faultplan.Verdict {
-		return faultplan.Verdict{Dup: true}
+		return faultplan.Verdict{Dup: true, Delay: enginetest.Delay}
 	}
 	for i := 0; i < 6; i++ {
 		submit(t, c, wire.ParticipantID(i%3+1), fmt.Sprintf("v%d", i))
@@ -289,7 +289,7 @@ func TestTokenLossRepairedByRetransmission(t *testing.T) {
 			losses--
 			return faultplan.Verdict{Drop: true}
 		}
-		return faultplan.Verdict{}
+		return faultplan.Verdict{Delay: enginetest.Delay}
 	}
 	for i := 0; i < 5; i++ {
 		submit(t, c, 1, fmt.Sprintf("v%d", i))
@@ -497,7 +497,7 @@ func TestMinorityCannotDeliverStaleAcceptances(t *testing.T) {
 
 	minority := map[wire.ParticipantID]bool{1: true, 5: true}
 	c.Fault = func(_ time.Duration, from, to wire.ParticipantID, _ wire.Frame) faultplan.Verdict {
-		return faultplan.Verdict{Drop: minority[from] != minority[to]}
+		return faultplan.Verdict{Drop: minority[from] != minority[to], Delay: enginetest.Delay}
 	}
 	submit(t, c, 1, "minority-1")
 	submit(t, c, 5, "minority-5")
@@ -535,11 +535,11 @@ func TestCatchUpAnswerFromNewerViewMovesNoWatermark(t *testing.T) {
 		if minority[from] == minority[to] {
 			// Node 4 misses majority-3's value, so it asks for instance 3.
 			m, ok := f.(*wire.DataMessage)
-			return faultplan.Verdict{Drop: ok && to == 4 && string(m.Payload) == "majority-3"}
+			return faultplan.Verdict{Drop: ok && to == 4 && string(m.Payload) == "majority-3", Delay: enginetest.Delay}
 		}
 		// Across the cut only catch-up answers reach node 5.
 		ctl, ok := f.(*wire.Control)
-		return faultplan.Verdict{Drop: !ok || ctl.Sub != subDecided || to != 5}
+		return faultplan.Verdict{Drop: !ok || ctl.Sub != subDecided || to != 5, Delay: enginetest.Delay}
 	}
 	submit(t, c, 2, "majority-2")
 	submit(t, c, 3, "majority-3")
@@ -579,15 +579,15 @@ func TestDecidedValueSurvivesHolderCrashAfterReport(t *testing.T) {
 	c.Fault = func(_ time.Duration, from, to wire.ParticipantID, f wire.Frame) faultplan.Verdict {
 		switch from {
 		case coord: // once x is decided, only the holder hears from node 1
-			return faultplan.Verdict{Drop: engineOf(c, coord).decided >= x && to != holder}
+			return faultplan.Verdict{Drop: engineOf(c, coord).decided >= x && to != holder, Delay: enginetest.Delay}
 		case holder: // the report reaches the elect; the holder dies
 			if report(f, 1) && to == elect {
 				c.After(0, func() { c.Crash(holder) })
 			}
 		case other: // view 1's majority is nodes 2, 3 and the holder
-			return faultplan.Verdict{Drop: report(f, 1) && to == elect}
+			return faultplan.Verdict{Drop: report(f, 1) && to == elect, Delay: enginetest.Delay}
 		}
-		return faultplan.Verdict{}
+		return faultplan.Verdict{Delay: enginetest.Delay}
 	}
 	submit(t, c, 3, "x")
 	c.Run(2 * enginetest.Delay)
