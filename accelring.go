@@ -324,12 +324,12 @@ func Start(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Stamp the incarnation from the wall clock so a restarted process
+	// never reuses its predecessor's ring IDs or proposer sequence space
+	// (one-second resolution; see core.Config.Incarnation).
+	cfg.Incarnation = uint32(time.Now().Unix())
 	var eng core.OrderingEngine
 	if engine == EngineRingPaxos {
-		// Stamp the incarnation from the wall clock so a restarted
-		// process never reuses its predecessor's proposer sequence space
-		// (one-second resolution; see core.Config.Incarnation).
-		cfg.Incarnation = uint32(time.Now().Unix())
 		eng, err = ringpaxos.New(cfg)
 	} else {
 		eng, err = core.New(cfg)

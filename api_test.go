@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"accelring/internal/faultplan"
 )
 
 // startCluster boots n nodes over one in-memory network with a static ring.
@@ -124,7 +126,7 @@ func TestSafeDeliveryOverMemoryNetwork(t *testing.T) {
 
 func TestClusterSurvivesPacketLoss(t *testing.T) {
 	net := NewMemoryNetwork(3)
-	net.SetLossRate(0.05)
+	net.ApplyFaults(&faultplan.Plan{Seed: 3, Links: []faultplan.LinkFault{{Loss: 0.05}}})
 	nodes := startCluster(t, net, 3, AcceleratedRing)
 	const perNode = 30
 	for i := 0; i < perNode; i++ {

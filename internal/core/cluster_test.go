@@ -25,12 +25,12 @@ type harness struct {
 var payload = enginetest.Payload
 
 // newHarness builds n engines with IDs 1..n from the config template (MyID
-// is filled in per node). Nothing is started.
+// and Incarnation are filled in per node). Nothing is started.
 func newHarness(t *testing.T, n int, tmpl Config) *harness {
 	t.Helper()
-	c := enginetest.New(n, func(id wire.ParticipantID, _ uint32) enginetest.Engine {
+	c := enginetest.New(n, func(id wire.ParticipantID, inc uint32) enginetest.Engine {
 		cfg := tmpl
-		cfg.MyID = id
+		cfg.MyID, cfg.Incarnation = id, inc
 		cfg.TokenLossTimeout = 50 * time.Millisecond
 		cfg.TokenRetransPeriod = 10 * time.Millisecond
 		cfg.JoinPeriod = 5 * time.Millisecond

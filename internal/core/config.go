@@ -126,14 +126,20 @@ type Config struct {
 	PackThreshold int
 
 	// Incarnation distinguishes successive restarts of the same
-	// participant. The ring engines derive freshness from their membership
-	// protocol and ignore it; the Ring Paxos engine folds it into the high
-	// bits of its proposer sequence numbers so a restarted proposer never
-	// collides with its previous incarnation's value keys. The root
-	// runtime stamps it from the wall clock at one-second resolution
-	// (restarts inside the same second fall back to pre-incarnation
-	// behaviour); the simulator and tests leave it zero or set it
-	// explicitly to stay deterministic.
+	// participant; it must exceed every incarnation that ran before it
+	// anywhere in the ring. Both engines fold it into the high 32 bits of
+	// a sequence space. The Accelerated Ring starts its ring sequence
+	// there: the sequences an earlier incarnation saw were formed from
+	// lower incarnations' bases plus 4 per formation, so every ring a
+	// restarted node forms is new, as Totem requires. Ring Paxos starts
+	// its proposer sequence there, so a restarted proposer never collides
+	// with its previous incarnation's value keys. A static ring ignores it
+	// (every member computes the same ID). The root runtime stamps it from
+	// the wall clock at one-second resolution, which orders incarnations
+	// across nodes whose clocks agree to within a restart (restarts inside
+	// the same second fall back to pre-incarnation behaviour);
+	// internal/enginetest numbers restarts cluster-wide to stay
+	// deterministic.
 	Incarnation uint32
 }
 
@@ -181,6 +187,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// ringSeqBase is the lowest ring sequence this incarnation may form a ring
+// above (see Incarnation).
+func (c Config) ringSeqBase() uint64 { return uint64(c.Incarnation) << 32 }
 
 // validate checks a defaulted config.
 func (c Config) validate() error {

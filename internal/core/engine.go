@@ -106,9 +106,14 @@ type Engine struct {
 	packBatch      [][]byte
 
 	// Gather state.
-	procSet    map[wire.ParticipantID]bool
-	failSet    map[wire.ParticipantID]bool
-	joins      map[wire.ParticipantID]*wire.JoinMessage
+	procSet map[wire.ParticipantID]bool
+	failSet map[wire.ParticipantID]bool
+	joins   map[wire.ParticipantID]*wire.JoinMessage
+	// maxRingSeq is the largest ring sequence seen; the next ring formed is
+	// it plus ringSeqIncrement. It starts at the incarnation's base, above
+	// every sequence an earlier incarnation of this node can have seen, so
+	// a fresh incarnation never forms a ring ID an earlier one formed or
+	// delivered in (see Config.Incarnation).
 	maxRingSeq uint64
 
 	// Commit / Recovery state.
@@ -138,6 +143,7 @@ func New(cfg Config) (*Engine, error) {
 		flow:          flowctl.NewController(cfg.Flow),
 		accelWindow:   cfg.Flow.AcceleratedWindow,
 		tokenPriority: true,
+		maxRingSeq:    cfg.ringSeqBase(),
 	}, nil
 }
 

@@ -64,13 +64,16 @@ func (e *Engine) enterGather() []engine.Action {
 	}
 }
 
-// makeJoin builds this participant's current join message.
+// makeJoin builds this participant's current join message. Until it
+// installs a ring above its incarnation's base, it advertises the base:
+// every member then forms the ring above it, so the ring ID a non-
+// representative expects is the one the representative sends.
 func (e *Engine) makeJoin() *wire.JoinMessage {
 	return &wire.JoinMessage{
 		Sender:  e.cfg.MyID,
 		ProcSet: setToSorted(e.procSet),
 		FailSet: setToSorted(e.failSet),
-		RingSeq: e.ring.ID.Seq,
+		RingSeq: max(e.ring.ID.Seq, e.cfg.ringSeqBase()),
 	}
 }
 

@@ -57,6 +57,34 @@ func TestRestartRejoinsRing(t *testing.T) {
 	}
 }
 
+// TestRestartedSingletonFormsNewRing restarts node 1 while it is cut off
+// from the others, so its fresh incarnation can only form a singleton. That
+// ring must be new: with the ring sequence restarting at zero it was
+// {1, 4}, the static ring the first incarnation delivered in, and two
+// histories in one ring ID broke EVS agreement.
+func TestRestartedSingletonFormsNewRing(t *testing.T) {
+	h := newHarness(t, 3, accelConfig())
+	h.Start()
+	h.Members = nil // rejoin after restarts by discovery
+	for id := wire.ParticipantID(1); id <= 3; id++ {
+		h.submit(id, payload(id, 0), wire.ServiceAgreed)
+	}
+	h.Run(50 * time.Millisecond)
+
+	h.Fault = partitioned(map[wire.ParticipantID]int{1: 1}, nil)
+	h.Crash(1)
+	h.Restart(1)
+	h.waitConfig(5*time.Second, []wire.ParticipantID{1}, 1)
+
+	singleton, _ := lastRegularConfig(h.Node(1))
+	for _, ev := range h.Node(1).Incarnations[0] {
+		if ev.Msg == nil && ev.Config.ID == singleton.ID {
+			t.Fatalf("restarted node 1 formed ring %s, which its first incarnation delivered in", singleton.ID)
+		}
+	}
+	h.checkEVS(false)
+}
+
 // TestRestartAfterTotalSilence restarts a node that crashed before the
 // survivors noticed: the membership merge must still converge.
 func TestDoubleRestart(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"accelring"
 	"accelring/internal/client"
 	"accelring/internal/evscheck"
+	"accelring/internal/faultplan"
 	"accelring/internal/wire"
 )
 
@@ -110,9 +111,9 @@ func TestFloodUnderNetworkFaults(t *testing.T) {
 		perClientMsgs = 20
 	)
 	net0 := accelring.NewMemoryNetwork(777)
-	net0.SetLossRate(0.005)
-	net0.SetDupRate(0.02)
-	net0.SetReorder(0.02, 300*time.Microsecond)
+	net0.ApplyFaults(&faultplan.Plan{Seed: 777, Links: []faultplan.LinkFault{
+		{Loss: 0.005, Dup: 0.02, DelayProb: 0.02, Delay: 300 * time.Microsecond},
+	}})
 	c := startDaemonsOn(t, daemons, net0)
 
 	var conns []*client.Conn

@@ -27,6 +27,11 @@
 // check: per-engine axiom conformance (each engine against its own
 // evscheck profile) plus cross-engine set equality of surviving
 // submissions at quiescence.
+//
+// The package's tests also hold the seeded chaos campaign (chaos_test.go):
+// every fault class, crash and restart included, through both engines on
+// two links, enginetest's default link and netsim's cost model, each run
+// checked against the engine's own evscheck profile.
 package diffconform
 
 import (
@@ -62,18 +67,21 @@ var (
 		New: timed(func(c core.Config) (enginetest.Engine, error) { return ringpaxos.New(c) })}
 )
 
+// suiteTimers is the protocol timer template every run here uses.
+var suiteTimers = core.Config{
+	TokenLossTimeout:   120 * time.Millisecond,
+	TokenRetransPeriod: 25 * time.Millisecond,
+	JoinPeriod:         10 * time.Millisecond,
+	ConsensusTimeout:   60 * time.Millisecond,
+	CommitTimeout:      50 * time.Millisecond,
+}
+
 // timed adapts an engine constructor to a Factory with the suite's timers.
 func timed(build func(core.Config) (enginetest.Engine, error)) enginetest.Factory {
 	return func(id wire.ParticipantID, inc uint32) enginetest.Engine {
-		e, err := build(core.Config{
-			MyID:               id,
-			Incarnation:        inc,
-			TokenLossTimeout:   120 * time.Millisecond,
-			TokenRetransPeriod: 25 * time.Millisecond,
-			JoinPeriod:         10 * time.Millisecond,
-			ConsensusTimeout:   60 * time.Millisecond,
-			CommitTimeout:      50 * time.Millisecond,
-		})
+		cfg := suiteTimers
+		cfg.MyID, cfg.Incarnation = id, inc
+		e, err := build(cfg)
 		if err != nil {
 			panic(err) // the config is constant
 		}

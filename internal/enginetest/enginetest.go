@@ -42,7 +42,10 @@ type Engine interface {
 	Step(in engine.Input) []engine.Action
 }
 
-// Factory builds incarnation inc (0 for the first) of node id.
+// Factory builds incarnation inc of node id. Every node's first
+// incarnation is 0; each restart takes the next number cluster-wide, as a
+// wall-clock stamp would, so a restarted engine's incarnation exceeds every
+// incarnation that ran before it (core.Config.Incarnation).
 type Factory func(id wire.ParticipantID, inc uint32) Engine
 
 // Fault decides the fate of one transmission of f, leaving node from for
@@ -114,11 +117,12 @@ type Cluster struct {
 	AfterStep func(*Node)
 	Nodes     []*Node
 
-	factory Factory
-	now     time.Duration
-	events  eventQueue
-	seq     uint64
-	dec     wire.Decoder
+	factory  Factory
+	restarts uint32 // the last incarnation number Restart handed out
+	now      time.Duration
+	events   eventQueue
+	seq      uint64
+	dec      wire.Decoder
 }
 
 // New builds a cluster of n nodes with IDs 1..n; nothing is started.
@@ -208,14 +212,16 @@ func (c *Cluster) Crash(id wire.ParticipantID) {
 	}
 }
 
-// Restart starts crashed node id's next incarnation with Members, keeping
-// the earlier incarnations' events. Restarting a live node panics.
+// Restart starts crashed node id's next incarnation, numbered as Factory
+// says, with Members, keeping the earlier incarnations' events. Restarting
+// a live node panics.
 func (c *Cluster) Restart(id wire.ParticipantID) {
 	n := c.Node(id)
 	if !n.Crashed {
 		panic(fmt.Sprintf("enginetest: restart %s: not crashed", id))
 	}
-	n.Engine = c.factory(id, uint32(len(n.Incarnations)))
+	c.restarts++
+	n.Engine = c.factory(id, c.restarts)
 	n.Incarnations = append(n.Incarnations, nil)
 	n.Crashed = false
 	c.StartNode(id, c.Members)

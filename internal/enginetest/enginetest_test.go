@@ -150,8 +150,8 @@ func TestFramesOutliveCrashedSender(t *testing.T) {
 }
 
 // TestRestartNumbersIncarnation: each restart builds the next incarnation
-// number, and the log names every incarnation, all but the live one
-// crashed.
+// number cluster-wide, not per node, and the log names every incarnation,
+// all but the live one crashed.
 func TestRestartNumbersIncarnation(t *testing.T) {
 	var built []uint32
 	c := toys(2, func(e *toy, inc uint32) {
@@ -159,15 +159,15 @@ func TestRestartNumbersIncarnation(t *testing.T) {
 		e.start = []engine.Action{engine.DeliverConfig{Config: engine.Configuration{Members: []wire.ParticipantID{e.id}}}}
 	})
 	c.Start()
-	for i := 0; i < 2; i++ {
-		c.Crash(2)
-		c.Restart(2)
+	for _, id := range []wire.ParticipantID{2, 1, 2} {
+		c.Crash(id)
+		c.Restart(id)
 	}
-	if !slices.Equal(built, []uint32{0, 0, 1, 2}) {
-		t.Fatalf("factory built incarnations %v, want [0 0 1 2]", built)
+	if !slices.Equal(built, []uint32{0, 0, 1, 2, 3}) {
+		t.Fatalf("factory built incarnations %v, want [0 0 1 2 3]", built)
 	}
 	log := c.Log()
-	for name, crashed := range map[string]bool{"1": false, "2": true, "2#2": true, "2#3": false} {
+	for name, crashed := range map[string]bool{"1": true, "1#2": false, "2": true, "2#2": true, "2#3": false} {
 		if nl := log[name]; nl == nil || nl.Crashed != crashed || len(nl.Events) != 1 {
 			t.Fatalf("log entry %s = %+v, want crashed=%v with its configuration", name, nl, crashed)
 		}

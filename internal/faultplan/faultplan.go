@@ -1,7 +1,7 @@
-// Package faultplan defines seeded, deterministic fault programs for the
-// protocol's three execution substrates: the virtual-time cluster harness
-// in internal/core, the discrete-event network simulator in
-// internal/netsim, and the in-memory transport hub in
+// Package faultplan defines seeded, deterministic fault programs, the only
+// way faults are described to the protocol's execution substrates: the
+// discrete-event core in internal/enginetest (its default link, and
+// internal/netsim's cost model on it) and the in-memory transport hub in
 // internal/transport/memnet.
 //
 // A Plan is a declarative schedule: link faults (loss, duplication, extra

@@ -47,8 +47,10 @@ type Config struct {
 	// Seed drives the Poisson arrival process (ignored for CBR).
 	Seed int64
 	// Faults optionally injects the plan's link faults, partitions,
-	// crashes and restarts. A restarted node of the default engine rejoins
-	// by membership discovery; an EngineFactory one on the static ring.
+	// crashes and restarts, on top of the modelled switch. A restarted
+	// node of the default engine rejoins by membership discovery; an
+	// EngineFactory one on the static ring. internal/diffconform's chaos
+	// campaign runs every seed's plan through here (its net1g link).
 	Faults *faultplan.Plan
 }
 

@@ -484,7 +484,8 @@ func TestBacklogBounded(t *testing.T) {
 }
 
 // TestMinorityCannotDeliverStaleAcceptances is the regression test for
-// chaos seed 24 (TestChaosCampaign/seed=24/ringpaxos in internal/core):
+// chaos seed 24 (TestChaosCampaign/seed=24/ringpaxos/default in
+// internal/diffconform):
 // the view-0 coordinator is cut off with one other member and keeps
 // assigning their values, which both accept in view 0, while the majority
 // changes view and decides its own values at the same instances. After the

@@ -25,7 +25,7 @@ var substrates = []struct {
 }
 
 func memnetRing(t *testing.T, n int) []transport.Transport {
-	hub := memnet.NewHub(1)
+	hub := memnet.NewHub()
 	ring := make([]transport.Transport, n)
 	for i := range ring {
 		ring[i] = hub.Join(wire.ParticipantID(i + 1))

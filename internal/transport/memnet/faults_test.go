@@ -16,6 +16,11 @@ func wirePkt(kind wire.Kind, body string) []byte {
 	return append(pkt, body...)
 }
 
+// onEveryLink is a plan of one link fault on every link, drawing from seed.
+func onEveryLink(seed int64, f faultplan.LinkFault) *faultplan.Plan {
+	return &faultplan.Plan{Seed: seed, Links: []faultplan.LinkFault{f}}
+}
+
 func drain(ch <-chan []byte, d time.Duration) []string {
 	var got []string
 	deadline := time.After(d)
@@ -30,9 +35,9 @@ func drain(ch <-chan []byte, d time.Duration) []string {
 }
 
 func TestDuplicationDeliversTwice(t *testing.T) {
-	h := NewHub(3)
+	h := NewHub()
 	h.SetLatency(0)
-	h.SetDupRate(0.9999999)
+	h.ApplyFaults(onEveryLink(3, faultplan.LinkFault{Dup: 1}))
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
 	defer b.Close()
@@ -46,18 +51,18 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 }
 
 func TestReorderOvertakesDelayedPacket(t *testing.T) {
-	h := NewHub(3)
+	h := NewHub()
 	h.SetLatency(0)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
 	defer b.Close()
 
-	// Delay every packet sent while reordering is on, then send a fast one.
-	h.SetReorder(0.9999999, 50*time.Millisecond)
+	// Delay every packet sent while the plan is on, then send a fast one.
+	h.ApplyFaults(onEveryLink(3, faultplan.LinkFault{DelayProb: 1, Delay: 50 * time.Millisecond}))
 	if err := a.Multicast([][]byte{[]byte("slow")}); err != nil {
 		t.Fatal(err)
 	}
-	h.SetReorder(0, 0)
+	h.ApplyFaults(nil)
 	if err := a.Multicast([][]byte{[]byte("fast")}); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +73,7 @@ func TestReorderOvertakesDelayedPacket(t *testing.T) {
 }
 
 func TestFIFOPreservedWithoutReordering(t *testing.T) {
-	h := NewHub(3)
+	h := NewHub()
 	h.SetLatency(time.Millisecond)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
@@ -90,14 +95,18 @@ func TestFIFOPreservedWithoutReordering(t *testing.T) {
 	}
 }
 
-func TestScheduleHeal(t *testing.T) {
-	h := NewHub(3)
+// TestPlannedHeal: a plan's heal event reconnects its partition at its
+// time, with no timer of the test's own.
+func TestPlannedHeal(t *testing.T) {
+	h := NewHub()
 	h.SetLatency(0)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
 	defer b.Close()
-	h.SetPartition(2, 1)
-	h.ScheduleHeal(30 * time.Millisecond)
+	h.ApplyFaults(&faultplan.Plan{Events: []faultplan.NodeEvent{
+		{Kind: faultplan.EventPartition, Node: 2, Group: 1},
+		{At: 30 * time.Millisecond, Kind: faultplan.EventHeal},
+	}})
 
 	if err := a.Multicast([][]byte{[]byte("lost")}); err != nil {
 		t.Fatal(err)
@@ -111,12 +120,12 @@ func TestScheduleHeal(t *testing.T) {
 	}
 	got := drain(b.Data(), 100*time.Millisecond)
 	if len(got) != 1 || got[0] != "healed" {
-		t.Fatalf("after scheduled heal got %v", got)
+		t.Fatalf("after the planned heal got %v", got)
 	}
 }
 
 func TestApplyFaultsDropsByKind(t *testing.T) {
-	h := NewHub(3)
+	h := NewHub()
 	h.SetLatency(0)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
@@ -156,7 +165,7 @@ func TestApplyFaultsDropsByKind(t *testing.T) {
 // is not, and a packet with no valid header — kind 0 — only by unmasked
 // faults.
 func TestApplyFaultsClassifiesByWireHeader(t *testing.T) {
-	h := NewHub(3)
+	h := NewHub()
 	h.SetLatency(0)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
@@ -183,15 +192,15 @@ func TestApplyFaultsClassifiesByWireHeader(t *testing.T) {
 	}
 }
 
-// TestSameSeedSameFaultSequence feeds two identically seeded hubs the same
-// single-threaded packet sequence and requires the identical loss pattern:
-// the fault decisions must depend only on the seed and the packet
-// sequence, never on timing or map iteration order.
+// TestSameSeedSameFaultSequence feeds two hubs with identically seeded
+// plans the same single-threaded packet sequence and requires the same
+// survivors at every endpoint: the fault decisions must depend only on the
+// seed and the packet sequence, never on timing or map iteration order.
 func TestSameSeedSameFaultSequence(t *testing.T) {
-	pattern := func(seed int64) []bool {
-		h := NewHub(seed)
+	survivors := func(seed int64) string {
+		h := NewHub()
 		h.SetLatency(0)
-		h.SetLossRate(0.5)
+		h.ApplyFaults(onEveryLink(seed, faultplan.LinkFault{Loss: 0.5}))
 		a := h.Join(1)
 		defer a.Close()
 		eps := make([]*Endpoint, 0, 4)
@@ -200,58 +209,41 @@ func TestSameSeedSameFaultSequence(t *testing.T) {
 			defer ep.Close()
 			eps = append(eps, ep)
 		}
-		var got []bool
 		for i := 0; i < 40; i++ {
 			if err := a.Multicast([][]byte{{byte(i)}}); err != nil {
 				t.Fatal(err)
 			}
-			// Collect synchronously so arrival is unambiguous per round.
-			time.Sleep(2 * time.Millisecond)
-			for _, ep := range eps {
-				select {
-				case <-ep.Data():
-					got = append(got, true)
-				default:
-					got = append(got, false)
-				}
+		}
+		// With no latency every surviving copy is queued long before this;
+		// reading after the last send makes the result independent of when
+		// each one arrived.
+		time.Sleep(50 * time.Millisecond)
+		var got []byte
+		for _, ep := range eps {
+			for len(ep.Data()) > 0 {
+				got = append(got, (<-ep.Data())[0])
 			}
+			got = append(got, '|')
 		}
-		return got
+		return string(got)
 	}
-	a, b := pattern(99), pattern(99)
-	if len(a) != len(b) {
-		t.Fatalf("pattern lengths differ: %d vs %d", len(a), len(b))
+	a, b := survivors(99), survivors(99)
+	if a != b {
+		t.Fatalf("same seed, different survivors:\n%q\n%q", a, b)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at draw %d", i)
-		}
-	}
-	c := pattern(100)
-	same := len(a) == len(c)
-	if same {
-		diff := false
-		for i := range a {
-			if a[i] != c[i] {
-				diff = true
-				break
-			}
-		}
-		if !diff {
-			t.Fatal("different seeds produced the identical 160-draw loss pattern")
-		}
+	if survivors(100) == a {
+		t.Fatal("different seeds produced the identical 160-draw loss pattern")
 	}
 }
 
-// TestVectorDrawsLikeSuccessiveSingles: a vector Multicast must consume the
-// seeded fault generator exactly as the same packets sent one call at a
-// time — packets outer, ascending destination inner — so seed digests
-// recorded against single sends stay valid.
+// TestVectorDrawsLikeSuccessiveSingles: a vector Multicast must consume
+// each link's fault stream exactly as the same packets sent one call at a
+// time, so seed digests recorded against single sends stay valid.
 func TestVectorDrawsLikeSuccessiveSingles(t *testing.T) {
 	survivors := func(vector bool) [][]string {
-		h := NewHub(7)
+		h := NewHub()
 		h.SetLatency(0)
-		h.SetLossRate(0.5)
+		h.ApplyFaults(onEveryLink(7, faultplan.LinkFault{Loss: 0.5}))
 		a := h.Join(1)
 		defer a.Close()
 		var eps []*Endpoint

@@ -1,15 +1,14 @@
 // Package memnet is an in-memory transport for tests and in-process
 // clusters: a hub connects participant endpoints, replicating multicasts
 // and routing unicasts over buffered channels, with a configurable per-hop
-// latency and optional fault injection (packet loss, duplication,
-// reordering delay, network partitions, and declarative faultplan
-// programs).
+// latency. Faults come only from a faultplan.Plan (ApplyFaults): its link
+// faults (loss, duplication, reordering delay) and its partitions and
+// heals, timed from the moment the plan is applied.
 //
-// Every probabilistic fault decision is drawn from the hub's single seeded
-// generator, serialized under one lock and — for multicast — applied to
-// destinations in ascending participant order, so a fixed packet sequence
-// from one goroutine hits the identical fault sequence on every run with
-// the same seed.
+// Every fault decision is the plan injector's, drawn from a seeded stream
+// per link and serialized under the hub's lock, so a fixed packet sequence
+// on each link hits the identical fault sequence on every run with the
+// same plan, whatever the order the hub visits destinations in.
 //
 // The latency matters beyond realism: a token ring with zero network
 // latency spins at memory speed, wasting CPU on millions of idle token
@@ -18,8 +17,6 @@ package memnet
 
 import (
 	"container/heap"
-	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,31 +35,19 @@ const DefaultLatency = 100 * time.Microsecond
 // Hub is an in-memory network connecting endpoints. The zero value is not
 // usable; create with NewHub.
 type Hub struct {
-	latency time.Duration
-
-	mu           sync.RWMutex
-	endpoints    map[wire.ParticipantID]*Endpoint
-	partition    map[wire.ParticipantID]int
-	lossRate     float64
-	dupRate      float64
-	reorderProb  float64
-	reorderExtra time.Duration
-	fault        *faultplan.Injector
-	faultEpoch   time.Time
-	healTimer    *time.Timer
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	mu         sync.RWMutex
+	latency    time.Duration
+	endpoints  map[wire.ParticipantID]*Endpoint
+	fault      *faultplan.Injector
+	faultEpoch time.Time
 }
 
-// NewHub creates an empty hub with the default per-hop latency. seed
-// drives the loss generator, making fault-injecting tests reproducible.
-func NewHub(seed int64) *Hub {
+// NewHub creates an empty, fault-free hub with the default per-hop
+// latency.
+func NewHub() *Hub {
 	return &Hub{
 		latency:   DefaultLatency,
 		endpoints: make(map[wire.ParticipantID]*Endpoint),
-		partition: make(map[wire.ParticipantID]int),
-		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -75,67 +60,10 @@ func (h *Hub) SetLatency(d time.Duration) {
 	h.latency = d
 }
 
-// SetLossRate makes the hub drop each delivered packet independently with
-// probability p (0 ≤ p < 1). Token packets are subject to loss as well.
-func (h *Hub) SetLossRate(p float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.lossRate = p
-}
-
-// SetDupRate makes the hub deliver each packet twice independently with
-// probability p (0 ≤ p < 1). Duplicates exercise the protocol's duplicate
-// suppression.
-func (h *Hub) SetDupRate(p float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.dupRate = p
-}
-
-// SetReorder makes the hub delay each packet independently with
-// probability p by an extra duration, letting later packets overtake it —
-// the UDP reordering the real networks exhibit under load.
-func (h *Hub) SetReorder(p float64, extra time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.reorderProb = p
-	h.reorderExtra = extra
-}
-
-// SetPartition assigns a participant to a partition group; traffic only
-// flows between participants in the same group. All participants start in
-// group 0.
-func (h *Hub) SetPartition(id wire.ParticipantID, group int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.partition[id] = group
-}
-
-// Heal reconnects all partitions.
-func (h *Hub) Heal() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.partition = make(map[wire.ParticipantID]int)
-}
-
-// ScheduleHeal arranges for Heal to run after the given duration,
-// replacing any previously scheduled heal. It lets a test script a
-// partition window without running its own timer goroutine.
-func (h *Hub) ScheduleHeal(after time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.healTimer != nil {
-		h.healTimer.Stop()
-	}
-	h.healTimer = time.AfterFunc(after, h.Heal)
-}
-
-// ApplyFaults evaluates a declarative fault plan on every subsequent
-// packet, in addition to the hub's own loss/dup/reorder rates. Plan time
-// zero is the moment of this call. Partition and heal events inside the
-// plan are honored by the plan's injector; crash and restart events are
-// ignored (the hub cannot stop a process — that is the caller's job). A
-// nil plan clears fault-plan evaluation.
+// ApplyFaults evaluates a fault plan on every subsequent packet, replacing
+// the previous plan; plan time zero is the moment of this call. Crash and
+// restart events are ignored (the hub cannot stop a process — that is the
+// caller's job). A nil plan clears every fault, partitions included.
 func (h *Hub) ApplyFaults(plan *faultplan.Plan) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -182,49 +110,16 @@ func (h *Hub) remove(ep *Endpoint) {
 	}
 }
 
-// verdict is the hub's combined fault decision for one packet copy.
-type verdict struct {
-	drop  bool
-	dup   bool
-	delay time.Duration
-}
-
-// decide draws the fault verdict for one packet copy from from to to. All
-// probabilistic draws — the hub's own rates and the fault plan's link
-// streams — happen under one lock, in a fixed order, so a deterministic
-// packet sequence receives a deterministic fault sequence.
-func (h *Hub) decide(from, to wire.ParticipantID, kind wire.Kind) verdict {
-	h.mu.RLock()
-	loss, dup := h.lossRate, h.dupRate
-	rp, rd := h.reorderProb, h.reorderExtra
-	fault, epoch := h.fault, h.faultEpoch
-	h.mu.RUnlock()
-
-	var v verdict
-	if loss <= 0 && dup <= 0 && rp <= 0 && fault == nil {
-		return v
+// decide draws the fault verdict for one packet copy from from to to: the
+// plan injector's call, under the hub's lock because the injector is not
+// safe for concurrent use.
+func (h *Hub) decide(from, to wire.ParticipantID, kind wire.Kind) faultplan.Verdict {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.fault == nil {
+		return faultplan.Verdict{}
 	}
-	h.rngMu.Lock()
-	defer h.rngMu.Unlock()
-	if loss > 0 && h.rng.Float64() < loss {
-		v.drop = true
-	}
-	if dup > 0 && h.rng.Float64() < dup {
-		v.dup = true
-	}
-	if rp > 0 && h.rng.Float64() < rp {
-		v.delay += rd
-	}
-	if fault != nil {
-		fv := fault.Decide(time.Since(epoch), from, to, kind)
-		v.drop = v.drop || fv.Drop
-		v.dup = v.dup || fv.Dup
-		v.delay += fv.Delay
-	}
-	if v.drop {
-		return verdict{drop: true}
-	}
-	return v
+	return h.fault.Decide(time.Since(h.faultEpoch), from, to, kind)
 }
 
 // timedPkt is a packet scheduled for delivery at a due time. seq breaks
@@ -335,10 +230,9 @@ func (ep *Endpoint) pump(in chan timedPkt, out chan []byte) {
 	}
 }
 
-// Multicast implements transport.Transport. Packets loop outermost and
-// destinations — ascending participant ID, so the fault generator's draw
-// sequence does not depend on map iteration order — innermost: exactly the
-// draw order of len(pkts) successive single sends.
+// Multicast implements transport.Transport. Each link draws its faults
+// from its own stream, so a vector draws exactly as len(pkts) successive
+// single sends, and the order destinations are visited in does not matter.
 func (ep *Endpoint) Multicast(pkts [][]byte) error {
 	if len(pkts) == 0 {
 		return nil
@@ -352,36 +246,34 @@ func (ep *Endpoint) Multicast(pkts [][]byte) error {
 
 	h := ep.hub
 	h.mu.RLock()
-	myGroup := h.partition[ep.id]
 	targets := make([]*Endpoint, 0, len(h.endpoints))
 	for id, other := range h.endpoints {
-		if id == ep.id || h.partition[id] != myGroup {
-			continue
+		if id != ep.id {
+			targets = append(targets, other)
 		}
-		targets = append(targets, other)
 	}
 	h.mu.RUnlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
 
 	for _, pkt := range pkts {
 		kind, _ := wire.PeekKind(pkt) // malformed packets are kind 0: only unmasked faults match
 		for _, other := range targets {
 			v := h.decide(ep.id, other.id, kind)
-			if v.drop {
+			if v.Drop {
 				continue
 			}
 			ep.Out.Inc()
 			ep.Fanout.Inc()
-			other.deliver(other.dataIn, pkt, v.delay)
-			if v.dup {
-				other.deliver(other.dataIn, pkt, v.delay)
+			other.deliver(other.dataIn, pkt, v.Delay)
+			if v.Dup {
+				other.deliver(other.dataIn, pkt, v.Delay)
 			}
 		}
 	}
 	return nil
 }
 
-// Unicast implements transport.Transport.
+// Unicast implements transport.Transport. A unicast to self is never
+// faulted; one across a partition vanishes silently, like a real network.
 func (ep *Endpoint) Unicast(to wire.ParticipantID, pkt []byte) error {
 	ep.mu.Lock()
 	if ep.closed {
@@ -393,24 +285,19 @@ func (ep *Endpoint) Unicast(to wire.ParticipantID, pkt []byte) error {
 	h := ep.hub
 	h.mu.RLock()
 	target := h.endpoints[to]
-	connected := target != nil && h.partition[to] == h.partition[ep.id]
 	h.mu.RUnlock()
-
 	if target == nil {
 		return transport.ErrUnknownPeer
 	}
-	if !connected && to != ep.id {
-		return nil // silently partitioned, like a real network
-	}
 	kind, _ := wire.PeekKind(pkt) // as in Multicast
 	v := h.decide(ep.id, to, kind)
-	if v.drop {
+	if v.Drop {
 		return nil
 	}
 	ep.Out.Inc()
-	target.deliver(target.tokenIn, pkt, v.delay)
-	if v.dup {
-		target.deliver(target.tokenIn, pkt, v.delay)
+	target.deliver(target.tokenIn, pkt, v.Delay)
+	if v.Dup {
+		target.deliver(target.tokenIn, pkt, v.Delay)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package memnet
 import (
 	"testing"
 	"time"
+
+	"accelring/internal/faultplan"
 )
 
 func recvWithin(t *testing.T, ch <-chan []byte, d time.Duration) []byte {
@@ -26,12 +28,14 @@ func expectNothing(t *testing.T, ch <-chan []byte, d time.Duration) {
 }
 
 func TestPartitionBlocksTraffic(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub()
 	h.SetLatency(0)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
 	defer b.Close()
-	h.SetPartition(2, 1)
+	h.ApplyFaults(&faultplan.Plan{Events: []faultplan.NodeEvent{
+		{Kind: faultplan.EventPartition, Node: 2, Group: 1},
+	}})
 	if err := a.Multicast([][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +45,7 @@ func TestPartitionBlocksTraffic(t *testing.T) {
 	expectNothing(t, b.Data(), 20*time.Millisecond)
 	expectNothing(t, b.Token(), 20*time.Millisecond)
 
-	h.Heal()
+	h.ApplyFaults(nil) // clears the partition too
 	if err := a.Multicast([][]byte{[]byte("z")}); err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +55,9 @@ func TestPartitionBlocksTraffic(t *testing.T) {
 }
 
 func TestFullLossDropsEverything(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub()
 	h.SetLatency(0)
-	h.SetLossRate(0.9999999)
+	h.ApplyFaults(onEveryLink(1, faultplan.LinkFault{Loss: 1}))
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
 	defer b.Close()
@@ -66,7 +70,7 @@ func TestFullLossDropsEverything(t *testing.T) {
 }
 
 func TestLatencyDelaysDelivery(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub()
 	h.SetLatency(30 * time.Millisecond)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
@@ -82,7 +86,7 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 }
 
 func TestCloseStopsDeliveryToEndpoint(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub()
 	h.SetLatency(0)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
@@ -94,7 +98,7 @@ func TestCloseStopsDeliveryToEndpoint(t *testing.T) {
 }
 
 func TestRejoinReplacesEndpoint(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub()
 	h.SetLatency(0)
 	old := h.Join(1)
 	fresh := h.Join(1)
@@ -116,7 +120,7 @@ func TestRejoinReplacesEndpoint(t *testing.T) {
 // counter instead of vanishing silently: accepted + dropped must equal
 // sent, and no more than the queue capacity can ever be accepted.
 func TestOverflowDropsAreCounted(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub()
 	h.SetLatency(0)
 	sender := h.Join(1)
 	receiver := h.Join(2)

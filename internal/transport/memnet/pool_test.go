@@ -14,7 +14,7 @@ import (
 // corrupting in-flight deliveries (which the hub copies into pooled
 // buffers).
 func TestSenderBufferReuseSafe(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub()
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()
 	defer b.Close()
@@ -52,7 +52,7 @@ func TestSenderBufferReuseSafe(t *testing.T) {
 // the pool's working set recycling (hits accumulate) instead of allocating
 // per delivery, and queue-full drops return their buffers too.
 func TestDeliveryRecyclesPool(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub()
 	h.SetLatency(0)
 	a, b := h.Join(1), h.Join(2)
 	defer a.Close()

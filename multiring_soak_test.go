@@ -190,7 +190,6 @@ func TestMultiRingChaosSoak(t *testing.T) {
 	// cluster time to reform and drain in-flight traffic.
 	time.Sleep(soak / 2)
 	hubs[hurtRing].ApplyFaults(nil)
-	hubs[hurtRing].Heal()
 	time.Sleep(soak / 2)
 	close(stop)
 	wg.Wait()

@@ -179,7 +179,6 @@ func TestRingPaxosChaosSoak(t *testing.T) {
 	net.ApplyFaults(&plan)
 	time.Sleep(phase + phase/2)
 	net.ApplyFaults(nil)
-	net.Heal()
 	time.Sleep(phase / 2)
 
 	// Act 3: restart-rejoin as a fresh incarnation of the same identity.

@@ -98,17 +98,18 @@ func NewUDPTransport(opts UDPOptions) (Transport, error) {
 }
 
 // MemoryNetwork is an in-process network hub for tests, simulations and
-// single-process demos. It supports fault injection: packet loss,
-// duplication, reordering, network partitions, and declarative fault
-// plans — every probabilistic decision drawn from one seeded generator.
+// single-process demos. Faults come from a declarative fault plan:
+// packet loss, duplication, reordering delay and network partitions, each
+// decision drawn from the plan's seeded per-link streams.
 type MemoryNetwork struct {
 	hub *memnet.Hub
 }
 
-// NewMemoryNetwork creates an in-process network. The seed drives the loss
-// generator, making fault injection reproducible.
+// NewMemoryNetwork creates an in-process network. The seed is unused —
+// a fault plan carries its own — and stays because benchmark/stack.go,
+// which changes only with the benchmark, calls it.
 func NewMemoryNetwork(seed int64) *MemoryNetwork {
-	return &MemoryNetwork{hub: memnet.NewHub(seed)}
+	return &MemoryNetwork{hub: memnet.NewHub()}
 }
 
 // Endpoint attaches a participant to the network.
@@ -116,35 +117,11 @@ func (m *MemoryNetwork) Endpoint(id ParticipantID) Transport {
 	return m.hub.Join(id)
 }
 
-// SetLossRate drops each delivered packet independently with probability p.
-func (m *MemoryNetwork) SetLossRate(p float64) { m.hub.SetLossRate(p) }
-
 // SetLatency sets the per-hop delivery latency for endpoints created
 // afterwards (default 100µs, a fast LAN).
 func (m *MemoryNetwork) SetLatency(d time.Duration) { m.hub.SetLatency(d) }
 
-// SetPartition assigns a participant to a partition group; traffic flows
-// only within a group. All participants start in group 0.
-func (m *MemoryNetwork) SetPartition(id ParticipantID, group int) {
-	m.hub.SetPartition(id, group)
-}
-
-// Heal reconnects all partitions.
-func (m *MemoryNetwork) Heal() { m.hub.Heal() }
-
-// SetDupRate delivers each packet twice independently with probability p.
-func (m *MemoryNetwork) SetDupRate(p float64) { m.hub.SetDupRate(p) }
-
-// SetReorder delays each packet independently with probability p by extra,
-// letting later packets overtake it.
-func (m *MemoryNetwork) SetReorder(p float64, extra time.Duration) {
-	m.hub.SetReorder(p, extra)
-}
-
-// ScheduleHeal arranges for Heal to run after the given duration.
-func (m *MemoryNetwork) ScheduleHeal(after time.Duration) { m.hub.ScheduleHeal(after) }
-
 // ApplyFaults evaluates a declarative fault plan on every subsequent
-// packet; crash and restart events in the plan are ignored. A nil plan
-// clears it.
+// packet, replacing the previous one; crash and restart events in the plan
+// are ignored. A nil plan clears every fault, partitions included.
 func (m *MemoryNetwork) ApplyFaults(plan *faultplan.Plan) { m.hub.ApplyFaults(plan) }
