@@ -218,12 +218,7 @@ type Node struct {
 	id     ParticipantID
 	tr     transport.Transport
 	engine EngineKind
-	// steadyRotation records whether the engine keeps its token rotating
-	// even when idle (core.Progress.SteadyRotation): true for accelring,
-	// false for event-driven engines like ringpaxos. The shard watchdog
-	// picks its stall heuristic from it.
-	steadyRotation bool
-	events         chan Event
+	events chan Event
 
 	submitCh chan submitReq
 	statsCh  chan chan core.Snapshot
@@ -352,7 +347,6 @@ func Start(opts Options) (*Node, error) {
 		done:     make(chan struct{}),
 		nm:       newNodeMetrics(),
 	}
-	n.steadyRotation = eng.Progress().SteadyRotation
 	n.timers = newTimerSet(&n.nm.timerStale)
 
 	initial, err := eng.Start(opts.Members)

@@ -297,10 +297,9 @@ func (e *Engine) Step(in engine.Input) []engine.Action {
 // (Section III-C).
 func (e *Engine) Progress() Progress {
 	return Progress{
-		Rotations:      e.stats.TokensProcessed,
-		Pending:        e.pendingLen(),
-		TokenPriority:  e.tokenPriority,
-		SteadyRotation: true,
+		Rotations:     e.stats.TokensProcessed,
+		Pending:       e.pendingLen(),
+		TokenPriority: e.tokenPriority,
 	}
 }
 

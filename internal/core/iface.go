@@ -62,13 +62,6 @@ type Progress struct {
 	// TokenPriority reports whether the runtime should prefer the token
 	// socket over the data socket right now (Section III-C).
 	TokenPriority bool
-	// SteadyRotation is true when the ring frame keeps rotating even when
-	// idle (the token ring: loss of rotation is loss of liveness), so the
-	// shard watchdog may treat a frozen counter as a wedge whenever a
-	// sibling ring advanced; false for engines that quiesce when idle
-	// (Ring Paxos pauses Phase 2 circulation with nothing to decide), for
-	// which it falls back to progress-with-pending-work detection.
-	SteadyRotation bool
 }
 
 // Snapshot is the engine's reportable state.

@@ -138,69 +138,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// MergeHistograms combines snapshots of histograms into one, as if every
-// observation had landed in a single histogram. Snapshots with identical
-// bucket shapes (the common case: one histogram per ring, all constructed
-// alike) merge exactly — bucket counts add and quantiles are re-estimated
-// from the merged buckets. A snapshot with a different shape degrades
-// gracefully: its count and sum still contribute to Count and MeanNs, and
-// the quantiles of the highest-count contributor win.
-func MergeHistograms(snaps ...HistogramSnapshot) HistogramSnapshot {
-	var out HistogramSnapshot
-	var sumNs int64
-	var quantileSrc HistogramSnapshot
-	shapeBroken := false
-	for _, s := range snaps {
-		if s.Count == 0 {
-			continue
-		}
-		sumNs += s.MeanNs * int64(s.Count)
-		out.Count += s.Count
-		switch {
-		case shapeBroken:
-		case sameBuckets(out.Buckets, s.Buckets):
-			for i := range s.Buckets {
-				out.Buckets[i].Count += s.Buckets[i].Count
-			}
-		case out.Buckets == nil && len(s.Buckets) > 0:
-			out.Buckets = make([]Bucket, len(s.Buckets))
-			copy(out.Buckets, s.Buckets)
-		default:
-			// Shape mismatch: drop the buckets, keep the aggregate stats.
-			out.Buckets = nil
-			shapeBroken = true
-		}
-		if s.Count > quantileSrc.Count {
-			quantileSrc = s
-		}
-	}
-	if out.Count > 0 {
-		out.MeanNs = sumNs / int64(out.Count)
-	}
-	if out.Buckets != nil {
-		out.P50Ns = int64(out.quantile(0.50))
-		out.P99Ns = int64(out.quantile(0.99))
-	} else {
-		out.P50Ns = quantileSrc.P50Ns
-		out.P99Ns = quantileSrc.P99Ns
-	}
-	return out
-}
-
-// sameBuckets reports whether two bucket lists share bounds (and a is
-// non-empty, so a zero accumulator never matches).
-func sameBuckets(a, b []Bucket) bool {
-	if len(a) == 0 || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].UpperNs != b[i].UpperNs {
-			return false
-		}
-	}
-	return true
-}
-
 // quantile estimates the q-th quantile from the snapshot's buckets.
 func (s HistogramSnapshot) quantile(q float64) time.Duration {
 	if s.Count == 0 {

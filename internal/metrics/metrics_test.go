@@ -134,81 +134,3 @@ func TestSnapshotMarshalsToJSON(t *testing.T) {
 		t.Fatalf("round-tripped count = %d, want 1", back.Count)
 	}
 }
-
-func TestMergeHistogramsSameShape(t *testing.T) {
-	h1 := NewHistogram(time.Millisecond, 4)
-	h2 := NewHistogram(time.Millisecond, 4)
-	for i := 0; i < 10; i++ {
-		h1.Observe(500 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h2.Observe(3 * time.Millisecond)
-	}
-	m := MergeHistograms(h1.Snapshot(), h2.Snapshot())
-	if m.Count != 20 {
-		t.Fatalf("count = %d, want 20", m.Count)
-	}
-	// Bucket-wise merge: 10 in bucket 0, 10 in bucket 2.
-	if m.Buckets[0].Count != 10 || m.Buckets[2].Count != 10 {
-		t.Fatalf("merged buckets: %+v", m.Buckets)
-	}
-	// Quantiles re-estimated from the merged distribution: the median sits
-	// at the boundary between the two groups, the p99 in the upper group.
-	if m.P99() != 4*time.Millisecond {
-		t.Fatalf("p99 = %v, want 4ms (upper bound of [2ms,4ms))", m.P99())
-	}
-	wantMean := (10*int64(500*time.Microsecond) + 10*int64(3*time.Millisecond)) / 20
-	if m.MeanNs != wantMean {
-		t.Fatalf("mean = %d, want %d", m.MeanNs, wantMean)
-	}
-}
-
-func TestMergeHistogramsSkipsEmpty(t *testing.T) {
-	h := NewHistogram(time.Millisecond, 4)
-	h.Observe(time.Millisecond)
-	empty := NewHistogram(time.Second, 2) // different shape but zero count
-	m := MergeHistograms(empty.Snapshot(), h.Snapshot(), HistogramSnapshot{})
-	if m.Count != 1 || m.Buckets == nil {
-		t.Fatalf("merge with empties: %+v", m)
-	}
-	if m.P50Ns != h.Snapshot().P50Ns {
-		t.Fatalf("p50 = %d, want %d", m.P50Ns, h.Snapshot().P50Ns)
-	}
-}
-
-func TestMergeHistogramsShapeMismatch(t *testing.T) {
-	big := NewHistogram(time.Millisecond, 4)
-	for i := 0; i < 100; i++ {
-		big.Observe(3 * time.Millisecond)
-	}
-	odd := NewHistogram(time.Second, 2)
-	odd.Observe(2 * time.Second)
-	same := NewHistogram(time.Millisecond, 4)
-	same.Observe(time.Millisecond)
-
-	// The mismatched snapshot drops the buckets for good: a later
-	// same-shape-as-first snapshot must not resurrect them (its counts
-	// would be missing the mismatched contribution).
-	m := MergeHistograms(big.Snapshot(), odd.Snapshot(), same.Snapshot())
-	if m.Count != 102 {
-		t.Fatalf("count = %d, want 102", m.Count)
-	}
-	if m.Buckets != nil {
-		t.Fatalf("buckets survived a shape mismatch: %+v", m.Buckets)
-	}
-	// Quantiles fall back to the highest-count contributor.
-	if m.P99Ns != big.Snapshot().P99Ns {
-		t.Fatalf("p99 = %d, want fallback %d", m.P99Ns, big.Snapshot().P99Ns)
-	}
-}
-
-func TestMergeHistogramsEmptyResult(t *testing.T) {
-	m := MergeHistograms()
-	if m.Count != 0 || m.Buckets != nil || m.MeanNs != 0 {
-		t.Fatalf("empty merge: %+v", m)
-	}
-	m = MergeHistograms(HistogramSnapshot{}, HistogramSnapshot{})
-	if m.Count != 0 || m.P50Ns != 0 {
-		t.Fatalf("all-empty merge: %+v", m)
-	}
-}

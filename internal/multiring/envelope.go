@@ -7,8 +7,9 @@ import (
 	"accelring/internal/wire"
 )
 
-// The shard envelope is the small header the router prepends to every
-// payload it submits to a ring, inside the ring's ordinary data message.
+// The shard envelope is the small header a sharded submitter prepends to
+// every payload it submits to a ring, inside the ring's ordinary data
+// message.
 // It carries what the merge layer needs: the unit kind (message or skip),
 // the message identity (sender + submission counter, shared by all copies
 // of a multi-shard message), the shard fan-out, and the destination

@@ -1,22 +1,16 @@
-// Package multiring partitions the group namespace across M independent
-// Accelerated Ring engines and merges their per-ring total orders into one
-// total order across shards.
+// Package multiring holds the two pure algorithms of parked multi-ring
+// sharding (docs/PROTOCOL.md §8): the deterministic merge that interleaves
+// M per-ring total orders into one total order across shards (this file),
+// and the shard envelope codec (envelope.go). No runtime drives them; the
+// benchmark module times both as per-layer figures.
 //
-// Each ring is a complete protocol instance — its own token, membership,
-// flow control, transport sockets and metrics. The router (router.go)
-// hashes destination groups onto rings, so a message only occupies
-// ordering capacity on the rings it addresses (FlexCast's genuineness
-// principle), and a deterministic merge layer (this file) interleaves the
-// per-ring delivery streams round-robin into a single cross-shard order.
 // Because the merge is a pure function of the per-ring sequences — never
 // of arrival timing — every node that consumes the same per-ring streams
 // produces the identical merged stream, which is what makes the result a
-// total order rather than M unrelated ones.
-//
-// An idle ring would stall the round-robin at its turn, so the skip-leader
-// node multicasts skip units on starved rings (Multi-Ring Paxos's
-// round-robin-with-skip, "Stretching Multi-Ring Paxos"). A skip is an
-// ordinary ordered message on its ring, so all nodes agree on exactly
+// total order rather than M unrelated ones. An idle ring would stall the
+// round-robin at its turn, so it is padded with skip units (Multi-Ring
+// Paxos's round-robin-with-skip, "Stretching Multi-Ring Paxos"). A skip is
+// an ordinary ordered message on its ring, so all nodes agree on exactly
 // which turns it pads; it carries a count so one message can cover a
 // backlog of turns.
 package multiring
@@ -78,8 +72,6 @@ type fifo struct {
 
 func (q *fifo) push(u Unit) { q.buf = append(q.buf, u) }
 
-func (q *fifo) len() int { return len(q.buf) - q.head }
-
 func (q *fifo) pop() (Unit, bool) {
 	if q.head >= len(q.buf) {
 		return Unit{}, false
@@ -96,7 +88,7 @@ func (q *fifo) pop() (Unit, bool) {
 }
 
 // Merger deterministically interleaves M per-ring unit streams. It is not
-// safe for concurrent use; the router owns one on its merge goroutine.
+// safe for concurrent use.
 //
 // The merge rule: global turn t belongs to ring t mod M. At its turn a
 // ring consumes one unit of skip credit if it has any; otherwise it
@@ -124,12 +116,6 @@ func NewMerger(rings int) *Merger {
 		pending: make(map[MsgKey]int),
 	}
 }
-
-// Rings returns the number of rings the merger interleaves.
-func (m *Merger) Rings() int { return m.rings }
-
-// Turn returns the current global merge turn (the next turn to consume).
-func (m *Merger) Turn() uint64 { return m.turn }
 
 // Push appends one unit to a ring's stream. Units of one ring must be
 // pushed in that ring's delivery order; interleaving across rings is
@@ -170,66 +156,4 @@ func (m *Merger) Next() (Merged, bool) {
 		}
 		return Merged{Unit: u, Ring: r, Turn: t}, true
 	}
-}
-
-// Starved returns the rings the merge is waiting on — no queued unit and
-// no skip credit — while at least one other ring has units queued. The
-// skip leader answers a starved ring with a skip unit. When every queue is
-// empty the merge is idle, not starved, and the result is empty: skipping
-// then would only breed skips (each skip is itself a queued unit on
-// arrival, starving the other rings in turn).
-func (m *Merger) Starved() []int {
-	busy := false
-	for i := range m.queues {
-		if m.queues[i].len() > 0 {
-			busy = true
-			break
-		}
-	}
-	if !busy {
-		return nil
-	}
-	var out []int
-	for i := range m.queues {
-		if m.queues[i].len() == 0 && m.credit[i] == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Backlog returns the largest queued unit count across rings — the skip
-// batch size that would let the merge drain the busiest ring without
-// another skip round-trip.
-func (m *Merger) Backlog() int {
-	max := 0
-	for i := range m.queues {
-		if n := m.queues[i].len(); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// QueueLen returns the number of units queued for one ring.
-func (m *Merger) QueueLen(ring int) int { return m.queues[ring].len() }
-
-// PendingMultiShard returns the number of multi-shard messages waiting for
-// copies on further rings.
-func (m *Merger) PendingMultiShard() int { return len(m.pending) }
-
-// ShardOf maps a group name onto one of rings shards (FNV-1a). Every node
-// must agree on the mapping, so it is a pure function of the name and the
-// ring count.
-func ShardOf(group string, rings int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(group); i++ {
-		h ^= uint32(group[i])
-		h *= prime32
-	}
-	return int(h % uint32(rings))
 }

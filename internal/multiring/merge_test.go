@@ -2,7 +2,6 @@ package multiring
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -223,95 +222,10 @@ func TestMergeStallsWithoutInput(t *testing.T) {
 	if _, ok := m.Next(); ok {
 		t.Fatal("merge advanced past a starved ring")
 	}
-	if got := m.Starved(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Starved() = %v, want [1]", got)
-	}
 	m.Push(1, skip(1))
 	d, ok = m.Next()
 	if !ok || d.Turn != 2 || d.Key != (MsgKey{Sender: 1, Seq: 2}) {
 		t.Fatalf("after skip: got %+v ok=%v", d, ok)
-	}
-}
-
-func TestStarvedIsEmptyWhenIdle(t *testing.T) {
-	m := NewMerger(4)
-	if got := m.Starved(); got != nil {
-		t.Fatalf("idle merger reported starvation: %v", got)
-	}
-	// Credit alone (queues all empty) is still idle, not starved: skipping
-	// idle rings would breed skips forever.
-	m.Push(0, skip(8))
-	for {
-		if _, ok := m.Next(); !ok {
-			break
-		}
-	}
-	if m.QueueLen(0) != 0 {
-		t.Fatalf("skip not consumed: queue len %d", m.QueueLen(0))
-	}
-	if got := m.Starved(); got != nil {
-		t.Fatalf("credit-only merger reported starvation: %v", got)
-	}
-}
-
-func TestStarvedIgnoresCreditedRings(t *testing.T) {
-	m := NewMerger(2)
-	m.Push(1, skip(4))
-	m.Push(1, msg(2, 1))
-	// Ring 1 has queued units; ring 0 is starved (no credit, no queue).
-	if got := m.Starved(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("Starved() = %v, want [0]", got)
-	}
-	// Ring 0's skip(4) covers its turns 0,2,4,6; ring 1's covers 1,3,5,7.
-	// The merge then stalls at turn 8 with ring 1's message still queued
-	// behind its credits — ring 0 is starved again, ring 1 (queued) is not.
-	m.Push(0, skip(4))
-	for {
-		if _, ok := m.Next(); !ok {
-			break
-		}
-	}
-	if got := m.Starved(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("Starved() = %v, want [0]", got)
-	}
-	// One more turn of ring-0 padding and the message merges at turn 9.
-	m.Push(0, skip(1))
-	d, ok := m.Next()
-	if !ok || d.Turn != 9 || d.Key != (MsgKey{Sender: 2, Seq: 1}) {
-		t.Fatalf("got %+v ok=%v", d, ok)
-	}
-}
-
-func TestBacklogAndQueueLen(t *testing.T) {
-	m := NewMerger(3)
-	for i := 0; i < 5; i++ {
-		m.Push(2, msg(1, uint64(i+1)))
-	}
-	m.Push(0, msg(2, 1))
-	if m.Backlog() != 5 {
-		t.Fatalf("Backlog() = %d, want 5", m.Backlog())
-	}
-	if m.QueueLen(2) != 5 || m.QueueLen(0) != 1 || m.QueueLen(1) != 0 {
-		t.Fatalf("queue lens = %d,%d,%d", m.QueueLen(0), m.QueueLen(1), m.QueueLen(2))
-	}
-}
-
-func TestPendingMultiShard(t *testing.T) {
-	m := NewMerger(2)
-	m.Push(0, multi(1, 1, 2))
-	if _, ok := m.Next(); ok {
-		t.Fatal("half-arrived multi-shard message was emitted")
-	}
-	if m.PendingMultiShard() != 1 {
-		t.Fatalf("PendingMultiShard() = %d, want 1", m.PendingMultiShard())
-	}
-	m.Push(1, multi(1, 1, 2))
-	d, ok := m.Next()
-	if !ok || d.Shards != 2 || d.Turn != 1 {
-		t.Fatalf("multi-shard emission: %+v ok=%v", d, ok)
-	}
-	if m.PendingMultiShard() != 0 {
-		t.Fatalf("PendingMultiShard() = %d after emission", m.PendingMultiShard())
 	}
 }
 
@@ -334,23 +248,5 @@ func TestFifoCompaction(t *testing.T) {
 				t.Fatalf("turn %d, want %d", d.Turn, want)
 			}
 		}
-	}
-}
-
-func TestShardOf(t *testing.T) {
-	// Pin the hash to FNV-1a so a silent change — which would split the
-	// cluster's routing — fails loudly.
-	for _, g := range []string{"orders", "users", "a", "the-longest-group-name-in-the-test"} {
-		h := fnv.New32a()
-		h.Write([]byte(g))
-		for _, rings := range []int{1, 2, 4, 8, 255} {
-			want := int(h.Sum32() % uint32(rings))
-			if got := ShardOf(g, rings); got != want {
-				t.Fatalf("ShardOf(%q, %d) = %d, want %d", g, rings, got, want)
-			}
-		}
-	}
-	if ShardOf("anything", 1) != 0 {
-		t.Fatal("single-ring shard must be 0")
 	}
 }

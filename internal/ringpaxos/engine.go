@@ -4,8 +4,7 @@
 // contract (core.OrderingEngine). Proposals travel as data frames, the
 // ring-circulated Phase 2 ack as the token frame, and the protocol's
 // control messages as engine-opaque control frames (messages.go) — so it
-// runs over memnet, netsim and udpnet unmodified and slots behind
-// multiring.RingHandle.
+// runs over memnet, netsim and udpnet unmodified.
 //
 // Protocol shape, mapped onto the paper:
 //
@@ -281,8 +280,6 @@ func (e *Engine) Snapshot() core.Snapshot {
 // 2b ack should always be processed promptly (a held ack delays every
 // decision a full extra circulation), and unlike the token ring there is
 // no post-token sending phase whose receipt should outrank it.
-// SteadyRotation is false: an idle Ring Paxos ring pauses its circulation
-// entirely, so a frozen rotation counter is not evidence of a wedge.
 func (e *Engine) Progress() core.Progress {
 	return core.Progress{
 		Rotations:     e.stats.TokensProcessed,

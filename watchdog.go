@@ -1,10 +1,6 @@
 package accelring
 
-import (
-	"time"
-
-	"accelring/internal/wire"
-)
+import "time"
 
 // Liveness watchdog. The protocol loop is a single goroutine; if it
 // wedges — most plausibly blocked handing an ordered event to an
@@ -17,9 +13,6 @@ import (
 
 // StallReport describes one stalled watchdog check.
 type StallReport struct {
-	// Ring is the shard index when a multi-ring shard watchdog flagged one
-	// frozen ring, and -1 for a single node's own protocol loop.
-	Ring int
 	// Interval is the watchdog's check interval: no progress was observed
 	// for at least this long.
 	Interval time.Duration
@@ -77,7 +70,6 @@ func (n *Node) watchdog(interval time.Duration, onStall func(StallReport)) {
 			n.nm.watchdogStalls.Inc()
 			if onStall != nil {
 				onStall(StallReport{
-					Ring:           -1,
 					Interval:       interval,
 					PendingData:    data,
 					PendingToken:   token,
@@ -87,88 +79,5 @@ func (n *Node) watchdog(interval time.Duration, onStall func(StallReport)) {
 			}
 		}
 		last = cur
-	}
-}
-
-// shardWatchdog is the multi-ring cross-check: each ring already runs its
-// own single-node watchdog, but a ring can also freeze in ways that look
-// idle from inside (token lost with failure detection disarmed, transport
-// silently dead). Relative progress exposes it: if any ring kept making
-// progress over an interval while another ring — previously progressing —
-// froze, that shard is stalled relative to the deployment and the merged
-// total order is held up behind its skip units.
-//
-// The per-ring progress probe depends on the engine. A steady-rotation
-// engine (accelring) circulates its token even when idle, so a frozen
-// token counter alone is a stall. An event-driven engine (ringpaxos)
-// deliberately pauses its ring when there is nothing to order, so a
-// frozen counter is normal; such a ring is flagged only when its overall
-// progress is frozen while it still owes work (queued packets, pending
-// timer fires, or a full events channel).
-func (mn *MultiNode) shardWatchdog(interval time.Duration, onStall func(StallReport)) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	probe := func(n *Node) uint64 {
-		if n.steadyRotation {
-			return n.nm.pkts[wire.KindToken].Load()
-		}
-		return n.nm.progress()
-	}
-	last := make([]uint64, len(mn.nodes))
-	cur := make([]uint64, len(mn.nodes))
-	for i, n := range mn.nodes {
-		last[i] = probe(n)
-	}
-	for {
-		select {
-		case <-mn.router.Done():
-			return
-		case <-tick.C:
-		}
-		mn.shardChecks.Add(1)
-		advanced := false
-		for i, n := range mn.nodes {
-			cur[i] = probe(n)
-			if cur[i] > last[i] {
-				advanced = true
-			}
-		}
-		if advanced {
-			for i, n := range mn.nodes {
-				if cur[i] != last[i] {
-					continue
-				}
-				if n.steadyRotation {
-					// Only a ring that was rotating before (last > 0) can
-					// stall; a ring that never formed is a startup
-					// condition, not a wedge.
-					if last[i] == 0 {
-						continue
-					}
-					mn.shardStalls.Add(1)
-					if onStall != nil {
-						onStall(StallReport{Ring: i, Interval: interval})
-					}
-					continue
-				}
-				// Event-driven ring: frozen is fine unless it owes work.
-				data, token, timers, evFull := n.pendingWork()
-				if data == 0 && token == 0 && timers == 0 && !evFull {
-					continue
-				}
-				mn.shardStalls.Add(1)
-				if onStall != nil {
-					onStall(StallReport{
-						Ring:           i,
-						Interval:       interval,
-						PendingData:    data,
-						PendingToken:   token,
-						PendingTimers:  timers,
-						EventQueueFull: evFull,
-					})
-				}
-			}
-		}
-		copy(last, cur)
 	}
 }
