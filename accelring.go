@@ -207,10 +207,6 @@ type Options struct {
 	// Called from the watchdog goroutine; must not block on the stalled
 	// loop (Submit, Stats, Metrics all round-trip it).
 	OnStall func(StallReport)
-	// AdaptiveWindow enables AIMD adaptation of the accelerated window
-	// between 0 and the personal window, replacing hand-tuning: it halves
-	// on retransmission bursts and creeps back up on clean streaks.
-	AdaptiveWindow bool
 }
 
 // Node is one ring participant embedded in the application process.
@@ -297,7 +293,6 @@ func Start(opts Options) (*Node, error) {
 		CommitTimeout:      opts.CommitTimeout,
 		PackThreshold:      opts.PackThreshold,
 		Tracer:             opts.Tracer,
-		AdaptiveWindow:     opts.AdaptiveWindow,
 	}
 	if opts.Windows != (Windows{}) {
 		flow := flowctl.Default()

@@ -57,7 +57,6 @@ func run() int {
 	personalWindow := flag.Int("personal-window", 0, "personal window override")
 	pack := flag.Int("pack", 1350, "message packing threshold in bytes (0 disables); small client messages sharing a service are packed into one protocol packet")
 	verbose := flag.Bool("verbose", false, "log protocol state transitions and configuration installs")
-	adaptive := flag.Bool("adaptive-window", false, "adapt the accelerated window automatically (AIMD) instead of hand-tuning")
 	fanoutPolicy := flag.String("fanout-policy", "disconnect", "slow-client backpressure policy: disconnect, shed or block")
 	fanoutQueue := flag.Int("fanout-queue", 0, "per-client delivery queue depth in frames (0 = default 8192)")
 	tokenLoss := flag.Duration("token-loss", 0, "token loss (failure detection) timeout; 0 = protocol default")
@@ -146,7 +145,6 @@ func run() int {
 		CommitTimeout:      *commitTimeout,
 		PackThreshold:      *pack,
 		Tracer:             maybeTracer(*verbose, logger),
-		AdaptiveWindow:     *adaptive,
 		WatchdogInterval:   *watchdogInterval,
 		OnStall: func(r accelring.StallReport) {
 			logger.Printf("watchdog: protocol loop stalled for %s (data=%d token=%d timers=%d eventsFull=%v)",

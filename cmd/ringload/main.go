@@ -9,18 +9,6 @@
 // Example, 8 daemons each with one sender at 100 Mbps aggregate / 8:
 //
 //	ringload -socket /tmp/ringd.sock -name probe1 -rate 1157 -size 1350 -duration 10s -service agreed
-//
-// With -mock-clients N it instead benchmarks the daemon's client fan-out
-// tier at serving scale: it self-hosts a single-node ring plus daemon,
-// connects N raw IPC subscribers spread across -mock-groups groups (each
-// interested in an -interest fraction), optionally forces some of them
-// -slow-factor× too slow, floods the groups at -rate, and reports
-// delivered throughput, healthy-client delivery ratio and shed counts
-// (-require-healthy turns the ratio into the exit status):
-//
-//	ringload -mock-clients 10000 -mock-groups 64 -interest 0.25 \
-//	    -slow-clients 1 -slow-factor 100 -fanout-policy shed \
-//	    -rate 2000 -duration 10s
 package main
 
 import (
@@ -50,14 +38,6 @@ func run() int {
 	duration := flag.Duration("duration", 10*time.Second, "measurement duration")
 	serviceFlag := flag.String("service", "agreed", "delivery service: fifo, causal, agreed or safe")
 	recvOnly := flag.Bool("recv-only", false, "only receive and count; inject nothing")
-	mockClients := flag.Int("mock-clients", 0, "fan-out mode: number of mock subscriber clients (0 = classic load mode)")
-	mockGroups := flag.Int("mock-groups", 16, "fan-out mode: number of groups")
-	interest := flag.Float64("interest", 0.25, "fan-out mode: fraction of groups each mock client subscribes to")
-	slowClients := flag.Int("slow-clients", 0, "fan-out mode: how many mock clients read too slowly")
-	slowFactor := flag.Int("slow-factor", 100, "fan-out mode: how many times too slow the slow clients read")
-	fanoutPolicy := flag.String("fanout-policy", "shed", "fan-out mode: backpressure policy (disconnect, shed, block)")
-	fanoutQueue := flag.Int("fanout-queue", 0, "fan-out mode: per-client delivery queue depth (0 = default)")
-	requireHealthy := flag.Float64("require-healthy", 0, "fan-out mode: fail unless the healthy delivery ratio reaches this (e.g. 0.99)")
 	connectWait := flag.Duration("connect-wait", 0, "retry the initial daemon connection with capped backoff for this long (daemon may still be starting)")
 	reconnect := flag.Bool("reconnect", false, "survive daemon restarts: auto-reconnect with session resume instead of exiting on connection loss")
 	requireRecovery := flag.Bool("require-recovery", false, "fail unless the connection survived at least one daemon outage and delivered traffic afterwards (implies -reconnect)")
@@ -67,24 +47,15 @@ func run() int {
 	}
 
 	logger := log.New(os.Stderr, "ringload: ", log.LstdFlags)
-	if *mockClients > 0 {
-		return runFanout(logger, fanoutOpts{
-			clients:        *mockClients,
-			groups:         *mockGroups,
-			interest:       *interest,
-			slowClients:    *slowClients,
-			slowFactor:     *slowFactor,
-			policy:         *fanoutPolicy,
-			queue:          *fanoutQueue,
-			rate:           *rate,
-			size:           *size,
-			duration:       *duration,
-			requireHealthy: *requireHealthy,
-		})
-	}
 	if *size < 16 {
 		logger.Print("-size must be at least 16")
 		return 2
+	}
+	if !*recvOnly {
+		if err := checkRate(*rate); err != nil {
+			logger.Print(err)
+			return 2
+		}
 	}
 	var service wire.Service
 	switch *serviceFlag {
@@ -214,4 +185,17 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// maxRate is the highest -rate whose send interval is still at least one
+// nanosecond, the finest a ticker can tick.
+const maxRate = float64(time.Second)
+
+// checkRate rejects an injection rate the send ticker cannot run at: zero,
+// negative, NaN, or so high that the interval rounds to zero.
+func checkRate(rate float64) error {
+	if !(rate > 0 && rate <= maxRate) {
+		return fmt.Errorf("-rate %v out of range (0, %g] msg/s", rate, maxRate)
+	}
+	return nil
 }

@@ -104,14 +104,6 @@ type Config struct {
 	// messages; Submit fails once it is full. Zero means the default.
 	MaxPending int
 
-	// AdaptiveWindow enables AIMD adaptation of the accelerated window:
-	// the window starts at Flow.AcceleratedWindow, halves when a received
-	// token carries a burst of retransmission requests (evidence that the
-	// sending overlap is overrunning buffers), and creeps back up by one
-	// after every clean streak, bounded by the personal window. It
-	// automates the hand-tuning the paper performs per deployment.
-	AdaptiveWindow bool
-
 	// Tracer, when non-nil, receives protocol-level events (state
 	// transitions, token forwards, configuration installs) synchronously
 	// on the protocol goroutine.
@@ -259,11 +251,4 @@ type Stats struct {
 	Discarded uint64
 	// MembershipChanges counts regular configuration installations.
 	MembershipChanges uint64
-	// AccelWindow is the current effective accelerated window (a gauge;
-	// it only moves when AdaptiveWindow is enabled).
-	AccelWindow int
-	// WindowDecreases counts multiplicative decreases of the adaptive
-	// window; WindowIncreases counts additive increases.
-	WindowDecreases uint64
-	WindowIncreases uint64
 }

@@ -81,13 +81,6 @@ type Engine struct {
 	pending     []submission
 	pendingHead int
 
-	// accelWindow is the effective accelerated window; fixed at
-	// Flow.AcceleratedWindow unless AdaptiveWindow is enabled.
-	accelWindow int
-	// cleanRounds counts consecutive token receipts without a
-	// retransmission burst, for adaptive window increase.
-	cleanRounds int
-
 	// Operational/recovery per-ring state.
 	round        wire.Round // hop count of the last token processed
 	lastTokenSeq uint64     // highest TokenSeq accepted (duplicate filter)
@@ -141,7 +134,6 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{
 		cfg:           cfg,
 		flow:          flowctl.NewController(cfg.Flow),
-		accelWindow:   cfg.Flow.AcceleratedWindow,
 		tokenPriority: true,
 		maxRingSeq:    cfg.ringSeqBase(),
 	}, nil
@@ -307,9 +299,7 @@ func (e *Engine) Progress() Progress {
 // the last ring whose token circulated (possibly the ring being formed,
 // before its configuration event has been delivered).
 func (e *Engine) Snapshot() Snapshot {
-	st := e.stats
-	st.AccelWindow = e.accelWindow
-	return Snapshot{Config: e.cfg, State: e.state, Ring: e.ring.Clone(), Stats: st}
+	return Snapshot{Config: e.cfg, State: e.state, Ring: e.ring.Clone(), Stats: e.stats}
 }
 
 // handleTimer processes a timer expiry previously requested via SetTimer.

@@ -38,7 +38,6 @@ func (e *Engine) handleToken(tok *wire.Token) []engine.Action {
 // post-token phase.
 func (e *Engine) handleRegularToken(tok *wire.Token) []engine.Action {
 	e.stats.TokensProcessed++
-	e.adaptWindow(len(tok.RTR))
 	e.lastTokenSeq = tok.TokenSeq
 	e.round = tok.Round + 1
 	tok.Round = e.round
@@ -115,9 +114,9 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []engine.Action {
 		}
 		newMsgs = append(newMsgs, m)
 	}
-	// The last accelWindow packets of the round go out after the token
-	// (Section III-A1); everything before them is the pre-token phase.
-	preCount := len(newMsgs) - e.accelWindow
+	// The last AcceleratedWindow packets of the round go out after the
+	// token (Section III-A1); everything before them is the pre-token phase.
+	preCount := len(newMsgs) - e.cfg.Flow.AcceleratedWindow
 	if preCount < 0 {
 		preCount = 0
 	}
@@ -204,34 +203,6 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []engine.Action {
 	// slice itself is round-local.
 	e.newMsgsScratch = newMsgs
 	return actions
-}
-
-// adaptWindow applies AIMD control to the accelerated window: a burst of
-// retransmission requests on the received token is evidence that the
-// ring's sending overlap is overrunning buffers, so the window halves; a
-// long clean streak grows it back by one, up to the personal window.
-func (e *Engine) adaptWindow(rtrLen int) {
-	if !e.cfg.AdaptiveWindow {
-		return
-	}
-	const (
-		burstThreshold = 8  // rtr entries on one token that count as a burst
-		cleanStreak    = 64 // clean rounds per additive increase
-	)
-	if rtrLen >= burstThreshold {
-		e.cleanRounds = 0
-		if e.accelWindow > 0 {
-			e.accelWindow /= 2
-			e.stats.WindowDecreases++
-		}
-		return
-	}
-	e.cleanRounds++
-	if e.cleanRounds >= cleanStreak && e.accelWindow < e.cfg.Flow.PersonalWindow {
-		e.cleanRounds = 0
-		e.accelWindow++
-		e.stats.WindowIncreases++
-	}
 }
 
 // sourceLen returns the number of messages waiting to be initiated: the

@@ -137,6 +137,24 @@ func TestTokenAllWithinAcceleratedWindow(t *testing.T) {
 	if got := len(dataSends(actions)); got != 4 {
 		t.Fatalf("sent %d, want 4", got)
 	}
+
+	// A burst of retransmission requests nobody can answer leaves the
+	// window alone: with more pending than it holds, the post-token flush
+	// is still exactly AcceleratedWindow messages.
+	e = newMember(t, 2, 3, cfg)
+	mustSubmit(t, e, 10, wire.ServiceAgreed)
+	tok := ringToken(e, 5, 1, 100, 0)
+	for s := wire.Seq(1); s <= 10; s++ {
+		tok.RTR = append(tok.RTR, s)
+	}
+	actions = e.Step(engine.Input{Frame: tok})
+	_, ti = findToken(actions)
+	if ti < 0 {
+		t.Fatal("no token forwarded")
+	}
+	if got := len(dataSends(actions[ti+1:])); got != 5 {
+		t.Fatalf("post-token flush after an RTR burst = %d messages, want 5", got)
+	}
 }
 
 func TestOriginalProtocolSendsAllPreToken(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,68 +107,149 @@ func countMessages(c *client.Conn, window time.Duration, max int) int {
 
 // TestShedPolicyIsolatesSlowClient: under PolicyShed a subscriber that
 // stops reading has its overflow dropped — bounded backlog, shed counter
-// ticking — while a healthy member of the same group receives the full
-// stream undisturbed.
+// ticking, nobody disconnected — while the healthy subscribers keep
+// receiving their groups' streams. Subscriber i subscribes to interests
+// consecutive groups starting at group i (rotated by index); subscriber 0
+// never reads. The serving-scale row is the daemon at a thousand raw
+// subscribers; the daemon reports per-client stats only up to
+// statsClientCap sessions, so delivery is counted on the client side.
 func TestShedPolicyIsolatesSlowClient(t *testing.T) {
-	const depth = 64
-	c := startDaemonsWith(t, 1, accelring.NewMemoryNetwork(21),
-		fanout.Config{QueueDepth: depth, Policy: fanout.PolicyShed})
-
-	healthy := c.connect(0, "healthy")
-	if err := healthy.Join("feed"); err != nil {
-		t.Fatal(err)
+	servingScale := 1000
+	if testing.Short() {
+		servingScale = 128
 	}
-	waitView(t, healthy, "feed", 1)
+	for _, tc := range []struct {
+		name                           string
+		subscribers, groups, interests int
+		sent                           int
+		minHealthy                     float64 // healthy delivered / expected
+	}{
+		{name: "one-group", subscribers: 2, groups: 1, interests: 1, sent: 400, minHealthy: 1},
+		{name: "serving-scale", subscribers: servingScale, groups: 64, interests: 16, sent: 1024, minHealthy: 0.95},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const depth = 64
+			c := startDaemonsWith(t, 1, accelring.NewMemoryNetwork(21),
+				fanout.Config{QueueDepth: depth, Policy: fanout.PolicyShed})
+			group := func(g int) string { return fmt.Sprintf("feed%02d", g) }
 
-	slow := rawConnect(t, c.socks[0], "slow")
-	slow.subscribe("feed")
-	waitSubscriptions(t, healthy, slow.private, 1)
-	// From here on the slow client never reads: its socket buffer fills,
-	// its writer wedges, its queue fills, and the tier starts shedding.
-
-	// Paced flood: read back each message before sending the next, so the
-	// healthy client provably keeps up (an unpaced burst can overrun even
-	// the healthy queue on a slow box, and the shed policy would rightly
-	// shed it too). The slow client still never reads.
-	const sent = 400
-	payload := bytes.Repeat([]byte("x"), 2048)
-	for i := 0; i < sent; i++ {
-		if err := healthy.Multicast(wire.ServiceAgreed, payload, "feed"); err != nil {
-			t.Fatal(err)
-		}
-		collectMessages(t, healthy, 1)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap, err := healthy.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := snap.Clients[slow.private]
-		if cs.Shed > 0 {
-			if cs.Backlog > depth {
-				t.Fatalf("slow backlog %d exceeds queue depth %d", cs.Backlog, depth)
+			// The publisher taps every group and paces the flood on its own
+			// deliveries: an unpaced burst can overrun even healthy queues on
+			// a slow box, and the shed policy would rightly shed them too.
+			pub := c.connect(0, "pub")
+			for g := 0; g < tc.groups; g++ {
+				if err := pub.Subscribe(group(g)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if snap.Shed < cs.Shed {
-				t.Fatalf("daemon shed total %d below client shed %d", snap.Shed, cs.Shed)
+			// Registered before the connections, so it runs after their
+			// cleanups have closed them and the readers have returned.
+			var readers sync.WaitGroup
+			t.Cleanup(readers.Wait)
+			subs := make([]*rawClient, tc.subscribers)
+			for i := range subs {
+				subs[i] = rawConnect(t, c.socks[0], fmt.Sprintf("s%d", i))
+				for j := 0; j < tc.interests; j++ {
+					subs[i].subscribe(group((i + j) % tc.groups))
+				}
 			}
-			if snap.FanoutPolicy != "shed" {
-				t.Fatalf("fanout policy = %q, want shed", snap.FanoutPolicy)
+			waitTotalSubscriptions(t, pub, tc.subscribers*tc.interests+tc.groups)
+
+			// From here on subs[0] never reads: its socket buffer fills, its
+			// writer wedges, its queue fills, and the tier starts shedding.
+			delivered := make([]atomic.Uint64, tc.subscribers)
+			for i := 1; i < tc.subscribers; i++ {
+				readers.Add(1)
+				go func(i int) {
+					defer readers.Done()
+					rd := ipc.NewReader(subs[i].conn)
+					for {
+						typ, _, err := rd.Next()
+						if err != nil {
+							return
+						}
+						if typ == ipc.EvtMessage {
+							delivered[i].Add(1)
+						}
+					}
+				}(i)
+			}
+
+			payload := bytes.Repeat([]byte("x"), 2048)
+			sentTo := make([]uint64, tc.groups)
+			for m := 0; m < tc.sent; m++ {
+				g := m % tc.groups
+				if err := pub.Multicast(wire.ServiceAgreed, payload, group(g)); err != nil {
+					t.Fatal(err)
+				}
+				sentTo[g]++
+				collectMessages(t, pub, 1)
+			}
+
+			var expected uint64
+			for i := 1; i < tc.subscribers; i++ {
+				for j := 0; j < tc.interests; j++ {
+					expected += sentTo[(i+j)%tc.groups]
+				}
+			}
+			healthy := func() uint64 {
+				var n uint64
+				for i := 1; i < tc.subscribers; i++ {
+					n += delivered[i].Load()
+				}
+				return n
+			}
+			// Let the healthy readers drain: they catch up, or stop moving
+			// for a second.
+			got := healthy()
+			for idle := 0; got < expected && idle < 50; idle++ {
+				time.Sleep(20 * time.Millisecond)
+				if cur := healthy(); cur != got {
+					got, idle = cur, 0
+				}
+			}
+			if ratio := float64(got) / float64(expected); ratio < tc.minHealthy {
+				t.Fatalf("healthy subscribers got %d of %d messages (%.3f), want >= %.2f", got, expected, ratio, tc.minHealthy)
+			}
+
+			// Every healthy copy shed is also missing from got, so shedding
+			// beyond that is subs[0]'s.
+			snap := c.daemons[0].Snapshot()
+			t.Logf("healthy %d/%d, shed %d, max backlog %d", got, expected, snap.Shed, snap.MaxBacklog)
+			if snap.Policy != "shed" {
+				t.Fatalf("fanout policy = %q, want shed", snap.Policy)
+			}
+			if snap.Shed <= expected-got {
+				t.Fatalf("slow subscriber never shed: %d shed, %d healthy copies missing", snap.Shed, expected-got)
 			}
 			if snap.Disconnects != 0 {
 				t.Fatalf("shed policy disconnected %d clients", snap.Disconnects)
 			}
-			hs := snap.Clients[healthy.PrivateName()]
-			if hs.Shed != 0 {
-				t.Fatalf("healthy client shed %d messages", hs.Shed)
+			if snap.MaxBacklog > depth {
+				t.Fatalf("backlog %d exceeds queue depth %d", snap.MaxBacklog, depth)
 			}
+		})
+	}
+}
+
+// waitTotalSubscriptions polls the daemon's stats until its subscription
+// total reaches want: past statsClientCap sessions the per-client counts
+// waitSubscriptions reads are not reported.
+func waitTotalSubscriptions(t *testing.T, via *client.Conn, want int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		snap, err := via.Stats()
+		if err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		if snap.Subscriptions == want {
 			return
 		}
 		if !time.Now().Before(deadline) {
-			t.Fatalf("slow client never shed (stats: %+v)", cs)
+			t.Fatalf("subscriptions stuck at %d of %d", snap.Subscriptions, want)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -88,6 +88,26 @@ func TestUDPUnicastEmulationCluster(t *testing.T) {
 			}
 		}
 	}
+	// Every node reports its own dataplane, and a syscall carries at least
+	// one datagram: equal on the portable dataplane, fewer syscalls where
+	// recvmmsg/sendmmsg batch.
+	for _, node := range nodes {
+		snap, err := node.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := snap.Transport
+		if tr == nil {
+			t.Fatalf("node %s: no transport snapshot", node.ID())
+		}
+		if tr.DatagramsIn == 0 || tr.DatagramsOut == 0 || tr.SendSyscalls == 0 || tr.RecvSyscalls == 0 {
+			t.Fatalf("node %s: dataplane counters missing: %+v", node.ID(), *tr)
+		}
+		if tr.SendSyscalls+tr.RecvSyscalls > tr.DatagramsIn+tr.DatagramsOut {
+			t.Fatalf("node %s: %d send + %d recv syscalls for %d in + %d out datagrams",
+				node.ID(), tr.SendSyscalls, tr.RecvSyscalls, tr.DatagramsIn, tr.DatagramsOut)
+		}
+	}
 }
 
 func TestUDPSafeDelivery(t *testing.T) {
