@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"accelring/internal/core"
@@ -220,6 +221,7 @@ type Node struct {
 	statsCh  chan chan core.Snapshot
 	stopCh   chan struct{}
 	stopOnce sync.Once
+	closing  atomic.Bool // set by Close; the loop checks it every pass
 	done     chan struct{}
 
 	// nm is the runtime instrumentation (atomic; shared between the
@@ -310,7 +312,7 @@ func Start(opts Options) (*Node, error) {
 		}
 		cfg.Flow = flow
 	}
-	engine, err := ParseEngine(string(opts.Engine))
+	kind, err := ParseEngine(string(opts.Engine))
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +321,7 @@ func Start(opts Options) (*Node, error) {
 	// (one-second resolution; see core.Config.Incarnation).
 	cfg.Incarnation = uint32(time.Now().Unix())
 	var eng core.OrderingEngine
-	if engine == EngineRingPaxos {
+	if kind == EngineRingPaxos {
 		eng, err = ringpaxos.New(cfg)
 	} else {
 		eng, err = core.New(cfg)
@@ -332,12 +334,14 @@ func Start(opts Options) (*Node, error) {
 		buf = 16384
 	}
 	n := &Node{
-		id:       opts.ID,
-		tr:       opts.Transport,
-		engine:   engine,
-		events:   make(chan Event, buf),
-		submitCh: make(chan submitReq),
-		statsCh:  make(chan chan core.Snapshot),
+		id:     opts.ID,
+		tr:     opts.Transport,
+		engine: kind,
+		events: make(chan Event, buf),
+		// Room for one engine.SubmitQuota: the loop counts what waits with
+		// len and takes it without a select.
+		submitCh: make(chan submitReq, engine.SubmitQuota),
+		statsCh:  make(chan chan core.Snapshot, 1),
 		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
 		nm:       newNodeMetrics(),
@@ -380,11 +384,16 @@ func (n *Node) Submit(payload []byte, service Service) error {
 	req := submitReq{payload: payload, service: service, errCh: errCh}
 	select {
 	case n.submitCh <- req:
-		err := <-errCh
+	case <-n.done:
+		errChPool.Put(errCh)
+		return ErrClosed
+	}
+	select {
+	case err := <-errCh:
 		errChPool.Put(errCh)
 		return err
 	case <-n.done:
-		errChPool.Put(errCh)
+		// The loop exited, perhaps after answering: errCh is not pooled.
 		return ErrClosed
 	}
 }
@@ -409,7 +418,12 @@ func (n *Node) statsSnapshot() (core.Snapshot, error) {
 	ch := make(chan core.Snapshot, 1)
 	select {
 	case n.statsCh <- ch:
-		return <-ch, nil
+	case <-n.done:
+		return core.Snapshot{}, ErrClosed
+	}
+	select {
+	case snap := <-ch:
+		return snap, nil
 	case <-n.done:
 		return core.Snapshot{}, ErrClosed
 	}
@@ -449,7 +463,10 @@ func (n *Node) RecentErrors() []error {
 
 // Close stops the protocol loop and releases the transport.
 func (n *Node) Close() error {
-	n.stopOnce.Do(func() { close(n.stopCh) })
+	n.stopOnce.Do(func() {
+		n.closing.Store(true)
+		close(n.stopCh)
+	})
 	<-n.done
 	return nil
 }

@@ -1,6 +1,7 @@
 // Package engine holds the types that cross an ordering engine's Step
-// boundary: the Input a runtime feeds in, the Actions it must carry out,
-// the shared TimerKind set and the Configuration view. It imports only
+// boundary: the Input a runtime feeds in (and Pick, the one rule that
+// chooses it), the Actions it must carry out, the shared TimerKind set and
+// the Configuration view. It imports only
 // wire, so the engines (internal/core, internal/ringpaxos), every runtime
 // (the root loop, internal/netsim) and the cluster test driver
 // (internal/enginetest) share one vocabulary without importing each other.
@@ -21,6 +22,50 @@ import (
 type Input struct {
 	Frame wire.Frame
 	Timer TimerKind
+}
+
+// Queued counts the inputs a node has in hand: frames waiting on its token
+// and data sockets, and client submissions waiting for the engine.
+type Queued struct {
+	Token, Data, Submits int
+}
+
+// Source names where a runtime takes its next input from.
+type Source uint8
+
+// Input sources. SourceNone means nothing is in hand.
+const (
+	SourceNone Source = iota
+	SourceToken
+	SourceData
+	SourceSubmits
+)
+
+// The submission quotas. Submissions are an input of their own only while
+// no frame is queued, SubmitQuota at a time; after every input, up to
+// SubmitsPerInput more follow, so clients are not starved while the
+// network is busy.
+const (
+	SubmitQuota     = 8
+	SubmitsPerInput = 2
+)
+
+// Pick is the one input scheduler every runtime shares (paper §III-C/D).
+// It returns the source of the next input and how many to take: one token
+// frame if one is queued and either no data is queued or tokenPriority is
+// set (the engine's Progress().TokenPriority, which priority methods 1 and
+// 2 switch); otherwise one data frame; otherwise up to SubmitQuota
+// submissions. It does no I/O and reads no clock.
+func Pick(q Queued, tokenPriority bool) (Source, int) {
+	switch {
+	case q.Token > 0 && (q.Data == 0 || tokenPriority):
+		return SourceToken, 1
+	case q.Data > 0:
+		return SourceData, 1
+	case q.Submits > 0:
+		return SourceSubmits, min(q.Submits, SubmitQuota)
+	}
+	return SourceNone, 0
 }
 
 // Action is an instruction the engine hands back to its runtime (real

@@ -69,28 +69,26 @@ func (n *node) wake() {
 	}
 }
 
-// run takes exactly one input (token, data message, or a small batch of
-// client submissions) per invocation, honoring the engine's token/data
-// priority policy, then re-schedules itself while work remains.
+// run takes one input per invocation — the one engine.Pick chooses from the
+// node's sockets and submission queue — then up to engine.SubmitsPerInput
+// submissions, paying each its price, and re-schedules itself while work
+// remains.
 func (n *node) run() {
 	n.running = false
 	n.cpuFree = max(n.cpuFree, n.s.c.Now())
 
-	sock, cost := &n.data, n.s.cfg.Profile.DataRecvCost
-	if len(n.token.queue) > 0 && (len(n.data.queue) == 0 || n.eng.Progress().TokenPriority) {
-		sock, cost = &n.token, n.s.cfg.Profile.TokenCost
-	}
-	switch {
-	case len(sock.queue) > 0:
-		n.receive(sock, cost)
-	case n.taken < len(n.sent):
-		n.submit(8)
+	q := engine.Queued{Token: len(n.token.queue), Data: len(n.data.queue), Submits: len(n.sent) - n.taken}
+	switch src, k := engine.Pick(q, n.eng.Progress().TokenPriority); src {
+	case engine.SourceToken:
+		n.receive(&n.token, n.s.cfg.Profile.TokenCost)
+	case engine.SourceData:
+		n.receive(&n.data, n.s.cfg.Profile.DataRecvCost)
+	case engine.SourceSubmits:
+		n.submit(k)
 	default:
 		return
 	}
-	// Keep client submissions from starving while the network is busy:
-	// after each network message, accept a couple of queued submissions.
-	n.submit(2)
+	n.submit(engine.SubmitsPerInput)
 
 	if len(n.token.queue) > 0 || len(n.data.queue) > 0 || n.taken < len(n.sent) {
 		n.wake()

@@ -2,7 +2,6 @@ package accelring
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -113,24 +112,20 @@ func (ts *timerSet) fire(kind engine.TimerKind, a *armedTimer) {
 
 // takeOne removes and returns one still-current pending fire, validating
 // freshness at consumption time (an earlier fire's engine step may have
-// re-armed a kind that is also pending). The lowest kind goes first so
-// multi-fire draining is deterministic.
+// re-armed a kind that is also pending). It scans the fixed kind range in
+// ascending order: the lowest kind goes first, so multi-fire draining is
+// deterministic, and taking a fire allocates nothing.
 func (ts *timerSet) takeOne() (engine.TimerKind, bool) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	for len(ts.pending) > 0 {
-		kinds := make([]engine.TimerKind, 0, len(ts.pending))
-		for k := range ts.pending {
-			kinds = append(kinds, k)
+	for k := engine.TimerTokenLoss; k <= engine.TimerCommit && len(ts.pending) > 0; k++ {
+		if gen, ok := ts.pending[k]; ok {
+			delete(ts.pending, k)
+			if ts.gens[k] == gen {
+				return k, true
+			}
+			ts.stale.Inc()
 		}
-		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-		k := kinds[0]
-		gen := ts.pending[k]
-		delete(ts.pending, k)
-		if ts.gens[k] == gen {
-			return k, true
-		}
-		ts.stale.Inc()
 	}
 	return 0, false
 }
@@ -152,9 +147,12 @@ func (ts *timerSet) stopAll() {
 	}
 }
 
-// loop is the single protocol goroutine: it owns the engine, reads packets
-// honoring the token/data priority policy, executes engine actions, and
-// serves submissions and stats requests.
+// loop is the single protocol goroutine: it owns the engine. Each pass takes
+// the input engine.Pick chooses from what is in hand (the frames queued on
+// the token and data sockets, the queued submissions), as netsim's CPU does,
+// then up to SubmitsPerInput more submissions; a timer fire (the wake
+// channel here, driver events in netsim), a stats request or Close goes
+// first. The one select waits when nothing is in hand.
 func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	ts := n.timers
 	defer func() {
@@ -169,58 +167,60 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	dataCh := n.tr.Data()
 	tokenCh := n.tr.Token()
 
-	for {
-		// Priority pass (Section III-C): while the token has high
-		// priority, prefer the token socket; otherwise prefer data.
-		preferred := dataCh
-		if eng.Progress().TokenPriority {
-			preferred = tokenCh
-		}
-		select {
-		case pkt, ok := <-preferred:
-			if !ok {
-				return
-			}
-			n.handlePacket(eng, ts, pkt)
-			continue
+	for !n.closing.Load() {
+		q := engine.Queued{Token: len(tokenCh), Data: len(dataCh), Submits: len(n.submitCh)}
+		src, k := engine.Pick(q, eng.Progress().TokenPriority)
+		kind, fired := ts.takeOne()
+		submits := engine.SubmitsPerInput
+		switch {
+		case fired:
+			n.nm.timerFires.Inc()
+			n.execute(ts, eng.Step(engine.Input{Timer: kind}))
+		case len(n.statsCh) > 0:
+			(<-n.statsCh) <- eng.Snapshot()
+		case src == engine.SourceToken:
+			n.handlePacket(eng, ts, <-tokenCh)
+		case src == engine.SourceData:
+			n.handlePacket(eng, ts, <-dataCh)
+		case src == engine.SourceSubmits:
+			submits += k // Pick's quota, then the per-input one
 		default:
-		}
-
-		select {
-		case pkt, ok := <-dataCh:
-			if !ok {
-				return
-			}
-			n.handlePacket(eng, ts, pkt)
-		case pkt, ok := <-tokenCh:
-			if !ok {
-				return
-			}
-			n.handlePacket(eng, ts, pkt)
-		case <-ts.wake:
-			for {
-				kind, ok := ts.takeOne()
+			select {
+			case pkt, ok := <-dataCh:
 				if !ok {
-					break
+					return
 				}
-				n.nm.timerFires.Inc()
-				n.execute(ts, eng.Step(engine.Input{Timer: kind}))
+				n.handlePacket(eng, ts, pkt)
+			case pkt, ok := <-tokenCh:
+				if !ok {
+					return
+				}
+				n.handlePacket(eng, ts, pkt)
+			case <-ts.wake: // the recorded fire is taken on the next pass
+			case req := <-n.submitCh:
+				n.submit(eng, ts, req)
+			case ch := <-n.statsCh:
+				ch <- eng.Snapshot()
+			case <-n.stopCh:
+				return
 			}
-		case req := <-n.submitCh:
-			actions, err := eng.Submit(req.payload, req.service)
-			if err != nil {
-				n.nm.submitErrors.Inc()
-			} else {
-				n.nm.submits.Inc()
-			}
-			req.errCh <- err
-			n.execute(ts, actions)
-		case ch := <-n.statsCh:
-			ch <- eng.Snapshot()
-		case <-n.stopCh:
-			return
+		}
+		for ; submits > 0 && len(n.submitCh) > 0; submits-- {
+			n.submit(eng, ts, <-n.submitCh)
 		}
 	}
+}
+
+// submit hands one submission to the engine and answers its submitter.
+func (n *Node) submit(eng core.OrderingEngine, ts *timerSet, req submitReq) {
+	actions, err := eng.Submit(req.payload, req.service)
+	if err != nil {
+		n.nm.submitErrors.Inc()
+	} else {
+		n.nm.submits.Inc()
+	}
+	req.errCh <- err
+	n.execute(ts, actions)
 }
 
 // handlePacket decodes one packet and feeds it to the engine. The packet

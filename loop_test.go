@@ -1,9 +1,13 @@
 package accelring
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"accelring/internal/core"
 	"accelring/internal/engine"
 )
 
@@ -32,6 +36,17 @@ func TestTimerSetDeliversCurrentFire(t *testing.T) {
 	kind, ok := takeWithin(t, ts, 5*time.Second)
 	if !ok || kind != engine.TimerTokenLoss {
 		t.Fatalf("got (%v, %v), want token-loss fire", kind, ok)
+	}
+	// Taking a fire allocates nothing: the loop tries on every pass.
+	ts.set(engine.TimerCommit, time.Hour)
+	armed := ts.timers[engine.TimerCommit]
+	if allocs := testing.AllocsPerRun(100, func() {
+		ts.fire(engine.TimerCommit, armed)
+		if _, ok := ts.takeOne(); !ok {
+			t.Fatal("recorded fire not taken")
+		}
+	}); allocs != 0 {
+		t.Fatalf("taking a timer fire costs %v allocations, want 0", allocs)
 	}
 }
 
@@ -334,6 +349,77 @@ func TestWindowsArePassedThrough(t *testing.T) {
 	msgs, _ := collect(t, node, 1, 5*time.Second)
 	if string(msgs[0].Payload) != "x" {
 		t.Fatalf("got %q", msgs[0].Payload)
+	}
+}
+
+// TestLoopServesStatsAndCloseUnderLoad saturates a 3-node ring with four
+// tight-loop submitters per node. The loop's one select only waits, so
+// queued frames and submissions must not starve Stats or Close, and a
+// submission still queued when its node closes must return ErrClosed
+// instead of hanging.
+func TestLoopServesStatsAndCloseUnderLoad(t *testing.T) {
+	net := NewMemoryNetwork(15)
+	nodes := startCluster(t, net, 3, AcceleratedRing)
+	const perNode = 4
+	var accepted atomic.Int64
+	var submitters, drainers sync.WaitGroup
+	results := make(chan error, perNode*len(nodes))
+	for _, node := range nodes {
+		drainers.Add(1)
+		go func() {
+			defer drainers.Done()
+			for range node.Events() {
+			}
+		}()
+		for i := 0; i < perNode; i++ {
+			submitters.Add(1)
+			go func() {
+				defer submitters.Done()
+				for {
+					err := node.Submit([]byte("load"), Agreed)
+					if err == nil {
+						accepted.Add(1)
+					} else if !errors.Is(err, core.ErrBacklogFull) {
+						results <- err
+						return
+					}
+				}
+			}()
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); accepted.Load() < 2000; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("load never built up: %d submissions accepted", accepted.Load())
+		}
+	}
+	for _, node := range nodes {
+		returnsWithin(t, "Stats", func() error { _, err := node.Stats(); return err })
+	}
+	for _, node := range nodes {
+		returnsWithin(t, "Close", node.Close)
+	}
+	returnsWithin(t, "every submitter", func() error { submitters.Wait(); return nil })
+	close(results)
+	for err := range results {
+		if err != nil && !errors.Is(err, ErrClosed) {
+			t.Errorf("submitter returned %v, want nil or ErrClosed", err)
+		}
+	}
+	drainers.Wait()
+}
+
+// returnsWithin fails the test unless f returns nil within 2 s.
+func returnsWithin(t *testing.T, what string, f func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s did not return within 2 s under load", what)
 	}
 }
 
