@@ -44,8 +44,6 @@ type (
 	Service = wire.Service
 	// Configuration is a membership view.
 	Configuration = engine.Configuration
-	// Protocol selects the ordering protocol variant.
-	Protocol = core.Protocol
 	// Stats exposes the engine's counters.
 	Stats = core.Stats
 	// Tracer receives protocol-level events (state transitions, token
@@ -69,12 +67,18 @@ const (
 	Safe = wire.ServiceSafe
 )
 
+// Protocol selects the ordering protocol variant of the EngineAccelRing
+// engine.
+type Protocol uint8
+
 // Protocol variants.
 const (
-	// OriginalRing is the Totem-style baseline protocol.
-	OriginalRing = core.ProtocolOriginalRing
 	// AcceleratedRing is the paper's contribution and the default.
-	AcceleratedRing = core.ProtocolAcceleratedRing
+	AcceleratedRing Protocol = iota
+	// OriginalRing is the Totem-style baseline protocol: the accelerated
+	// engine with no accelerated window and the conservative priority
+	// method, which the paper shows is the original Ring protocol.
+	OriginalRing
 )
 
 // EngineKind selects the ordering engine a node runs. Both engines
@@ -150,11 +154,9 @@ type Windows struct {
 	// Global bounds the total multicasts per token round, ring-wide.
 	Global int
 	// Accelerated is the maximum number of messages multicast after
-	// forwarding the token. Zero with the AcceleratedRing protocol means
-	// the default; it is forced to zero by OriginalRing.
+	// forwarding the token. Zero means the default; OriginalRing has no
+	// accelerated window and rejects a non-zero one.
 	Accelerated int
-	// MaxSeqGap bounds how far sequencing may run ahead of stability.
-	MaxSeqGap int
 }
 
 // Options configures a Node.
@@ -167,8 +169,8 @@ type Options struct {
 	// node must be started with the identical list). When empty the node
 	// discovers peers through the membership protocol.
 	Members []ParticipantID
-	// Protocol selects AcceleratedRing (default) or OriginalRing. It only
-	// applies to the EngineAccelRing engine.
+	// Protocol selects AcceleratedRing (default) or OriginalRing.
+	// OriginalRing applies only to the EngineAccelRing engine.
 	Protocol Protocol
 	// Engine selects the ordering engine: EngineAccelRing (default) or
 	// EngineRingPaxos. Ring Paxos requires a non-empty Members list.
@@ -206,7 +208,7 @@ type Options struct {
 	WatchdogInterval time.Duration
 	// OnStall, when non-nil, receives a report for every stalled check.
 	// Called from the watchdog goroutine; must not block on the stalled
-	// loop (Submit, Stats, Metrics all round-trip it).
+	// loop (Submit and Metrics both round-trip it).
 	OnStall func(StallReport)
 }
 
@@ -265,15 +267,6 @@ type submitReq struct {
 	errCh   chan error
 }
 
-// paxosStatsOf extracts the Ring Paxos counters an engine snapshot carries,
-// or nil when the snapshot is another engine's.
-func paxosStatsOf(snap core.Snapshot) *PaxosStats {
-	if px, ok := snap.Extra.(PaxosStats); ok {
-		return &px
-	}
-	return nil
-}
-
 // Errors.
 var (
 	// ErrClosed is returned by operations on a closed node.
@@ -287,7 +280,6 @@ func Start(opts Options) (*Node, error) {
 	}
 	cfg := core.Config{
 		MyID:               opts.ID,
-		Protocol:           opts.Protocol,
 		TokenLossTimeout:   opts.TokenLossTimeout,
 		TokenRetransPeriod: opts.TokenRetransPeriod,
 		JoinPeriod:         opts.JoinPeriod,
@@ -307,14 +299,24 @@ func Start(opts Options) (*Node, error) {
 		if opts.Windows.Accelerated != 0 {
 			flow.AcceleratedWindow = opts.Windows.Accelerated
 		}
-		if opts.Windows.MaxSeqGap != 0 {
-			flow.MaxSeqGap = opts.Windows.MaxSeqGap
-		}
 		cfg.Flow = flow
 	}
 	kind, err := ParseEngine(string(opts.Engine))
 	if err != nil {
 		return nil, err
+	}
+	switch opts.Protocol {
+	case AcceleratedRing:
+	case OriginalRing:
+		if opts.Windows.Accelerated != 0 {
+			return nil, errors.New("accelring: OriginalRing has no accelerated window; leave Windows.Accelerated zero")
+		}
+		if kind != EngineAccelRing {
+			return nil, fmt.Errorf("accelring: OriginalRing applies only to engine %q", EngineAccelRing)
+		}
+		cfg = core.OriginalRing(cfg)
+	default:
+		return nil, fmt.Errorf("accelring: unknown protocol %d", opts.Protocol)
 	}
 	// Stamp the incarnation from the wall clock so a restarted process
 	// never reuses its predecessor's ring IDs or proposer sequence space
@@ -398,22 +400,6 @@ func (n *Node) Submit(payload []byte, service Service) error {
 	}
 }
 
-// Engine reports which ordering engine this node runs.
-func (n *Node) Engine() EngineKind { return n.engine }
-
-// Stats returns a snapshot of the protocol counters.
-func (n *Node) Stats() (Stats, error) {
-	snap, err := n.statsSnapshot()
-	return snap.Stats, err
-}
-
-// PaxosStats returns the Ring Paxos-specific counters, or nil when the
-// node runs the Accelerated Ring engine.
-func (n *Node) PaxosStats() (*PaxosStats, error) {
-	snap, err := n.statsSnapshot()
-	return paxosStatsOf(snap), err
-}
-
 func (n *Node) statsSnapshot() (core.Snapshot, error) {
 	ch := make(chan core.Snapshot, 1)
 	select {
@@ -427,38 +413,6 @@ func (n *Node) statsSnapshot() (core.Snapshot, error) {
 	case <-n.done:
 		return core.Snapshot{}, ErrClosed
 	}
-}
-
-// Err returns the most recent transport or decode error observed by the
-// protocol loop, if any. Transient UDP errors do not stop the loop; use
-// RecentErrors or Metrics for a fuller picture of an error burst.
-func (n *Node) Err() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.errs) == 0 {
-		return nil
-	}
-	if len(n.errs) < errRingCap {
-		return n.errs[len(n.errs)-1]
-	}
-	return n.errs[(n.errHead+errRingCap-1)%errRingCap]
-}
-
-// RecentErrors returns a copy of the bounded ring of recent errors the
-// protocol loop observed, oldest first. The total (unbounded) error count
-// is in Metrics.
-func (n *Node) RecentErrors() []error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.errs) == 0 {
-		return nil
-	}
-	out := make([]error, 0, len(n.errs))
-	if len(n.errs) < errRingCap {
-		return append(out, n.errs...)
-	}
-	out = append(out, n.errs[n.errHead:]...)
-	return append(out, n.errs[:n.errHead]...)
 }
 
 // Close stops the protocol loop and releases the transport.

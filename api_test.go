@@ -2,6 +2,7 @@ package accelring
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,10 +70,13 @@ func collect(t *testing.T, node *Node, want int, deadline time.Duration) ([]Mess
 }
 
 func TestLibraryClusterTotalOrder(t *testing.T) {
-	for _, proto := range []Protocol{AcceleratedRing, OriginalRing} {
-		t.Run(fmt.Sprint(proto), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		proto Protocol
+	}{{"accelerated", AcceleratedRing}, {"original", OriginalRing}} {
+		t.Run(tc.name, func(t *testing.T) {
 			net := NewMemoryNetwork(1)
-			nodes := startCluster(t, net, 3, proto)
+			nodes := startCluster(t, net, 3, tc.proto)
 
 			const perNode = 40
 			for i := 0; i < perNode; i++ {
@@ -227,11 +231,11 @@ func TestStatsAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect(t, nodes[0], 1, 5*time.Second)
-	st, err := nodes[0].Stats()
+	snap, err := nodes[0].Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MsgsSent == 0 || st.Delivered == 0 {
+	if st := snap.Engine; st.MsgsSent == 0 || st.Delivered == 0 {
 		t.Fatalf("stats not counting: %+v", st)
 	}
 	if err := nodes[0].Close(); err != nil {
@@ -240,8 +244,8 @@ func TestStatsAndClose(t *testing.T) {
 	if err := nodes[0].Submit([]byte("y"), Agreed); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
-	if _, err := nodes[0].Stats(); err != ErrClosed {
-		t.Fatalf("Stats after Close = %v, want ErrClosed", err)
+	if _, err := nodes[0].Metrics(); err != ErrClosed {
+		t.Fatalf("Metrics after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -255,5 +259,34 @@ func TestStartValidation(t *testing.T) {
 	}
 	if _, err := Start(Options{ID: 1, Transport: net.Endpoint(1), Members: []ParticipantID{2, 3}}); err == nil {
 		t.Fatal("Start with membership excluding self succeeded")
+	}
+}
+
+// TestStartRejectsInapplicableProtocol: Start refuses protocol settings it
+// would otherwise have to ignore.
+func TestStartRejectsInapplicableProtocol(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string // in the error
+	}{
+		{"original with accelerated window", Options{Protocol: OriginalRing, Windows: Windows{Accelerated: 5}}, "accelerated window"},
+		{"original on ringpaxos", Options{Protocol: OriginalRing, Engine: EngineRingPaxos}, "applies only"},
+		{"unknown protocol", Options{Protocol: OriginalRing + 1}, "unknown protocol"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := NewMemoryNetwork(8)
+			tc.opts.ID = 1
+			tc.opts.Transport = net.Endpoint(1)
+			tc.opts.Members = []ParticipantID{1}
+			node, err := Start(tc.opts)
+			if err == nil {
+				node.Close()
+				t.Fatal("Start accepted the options")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Start: %v, want an error about %q", err, tc.want)
+			}
+		})
 	}
 }

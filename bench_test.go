@@ -313,7 +313,7 @@ func BenchmarkWireDecodeInto(b *testing.B) {
 // BenchmarkEngineTokenRound measures one full engine token round: 8 new
 // messages sequenced, the token updated and forwarded, deliveries drained.
 func BenchmarkEngineTokenRound(b *testing.B) {
-	eng, err := core.New(core.Config{MyID: 2, Protocol: core.ProtocolAcceleratedRing})
+	eng, err := core.New(core.Config{MyID: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func BenchmarkEngineTokenRound(b *testing.B) {
 
 // BenchmarkEngineDataHandling measures the receive path: insert + deliver.
 func BenchmarkEngineDataHandling(b *testing.B) {
-	eng, err := core.New(core.Config{MyID: 2, Protocol: core.ProtocolAcceleratedRing})
+	eng, err := core.New(core.Config{MyID: 2})
 	if err != nil {
 		b.Fatal(err)
 	}

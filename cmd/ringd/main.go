@@ -57,7 +57,7 @@ func run() int {
 	personalWindow := flag.Int("personal-window", 0, "personal window override")
 	pack := flag.Int("pack", 1350, "message packing threshold in bytes (0 disables); small client messages sharing a service are packed into one protocol packet")
 	verbose := flag.Bool("verbose", false, "log protocol state transitions and configuration installs")
-	fanoutPolicy := flag.String("fanout-policy", "disconnect", "slow-client backpressure policy: disconnect, shed or block")
+	fanoutPolicy := flag.String("fanout-policy", "disconnect", "slow-client backpressure policy: disconnect or shed")
 	fanoutQueue := flag.Int("fanout-queue", 0, "per-client delivery queue depth in frames (0 = default 8192)")
 	tokenLoss := flag.Duration("token-loss", 0, "token loss (failure detection) timeout; 0 = protocol default")
 	tokenRetrans := flag.Duration("token-retrans", 0, "token retransmission period; 0 = protocol default")

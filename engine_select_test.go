@@ -112,33 +112,22 @@ func TestRingPaxosClusterTotalOrder(t *testing.T) {
 		}
 	}
 
-	if got := nodes[0].Engine(); got != EngineRingPaxos {
-		t.Fatalf("Engine() = %q, want %q", got, EngineRingPaxos)
-	}
-	px, err := nodes[0].PaxosStats()
-	if err != nil {
-		t.Fatalf("PaxosStats: %v", err)
-	}
-	if px == nil || px.Delivered == 0 {
-		t.Fatalf("PaxosStats = %+v, want non-nil with deliveries", px)
-	}
 	var decides uint64
-	for _, node := range nodes {
-		p, err := node.PaxosStats()
+	for i, node := range nodes {
+		snap, err := node.Metrics()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Metrics: %v", err)
 		}
-		decides += p.QuorumDecides
+		if snap.EngineName != string(EngineRingPaxos) || snap.Paxos == nil {
+			t.Fatalf("Metrics engine section = %q/%v, want labeled paxos stats", snap.EngineName, snap.Paxos)
+		}
+		if i == 0 && snap.Paxos.Delivered == 0 {
+			t.Fatalf("Paxos = %+v, want deliveries", snap.Paxos)
+		}
+		decides += snap.Paxos.QuorumDecides
 	}
 	if decides == 0 {
 		t.Fatal("no node recorded a quorum decide")
-	}
-	snap, err := nodes[0].Metrics()
-	if err != nil {
-		t.Fatalf("Metrics: %v", err)
-	}
-	if snap.EngineName != string(EngineRingPaxos) || snap.Paxos == nil {
-		t.Fatalf("Metrics engine section = %q/%v, want labeled paxos stats", snap.EngineName, snap.Paxos)
 	}
 }
 
@@ -147,16 +136,6 @@ func TestRingPaxosClusterTotalOrder(t *testing.T) {
 func TestAccelRingReportsNoPaxosStats(t *testing.T) {
 	net := NewMemoryNetwork(1)
 	nodes := startEngineCluster(t, net, 2, EngineAccelRing)
-	if got := nodes[0].Engine(); got != EngineAccelRing {
-		t.Fatalf("Engine() = %q, want %q", got, EngineAccelRing)
-	}
-	px, err := nodes[0].PaxosStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if px != nil {
-		t.Fatalf("PaxosStats = %+v, want nil for accelring", px)
-	}
 	snap, err := nodes[0].Metrics()
 	if err != nil {
 		t.Fatal(err)

@@ -86,7 +86,7 @@ func runAccelWindowSweep(sc Scale) ([]Point, error) {
 		cfg := netsim.Config{
 			Network:     netsim.Net10G,
 			Profile:     netsim.ProfileDaemon,
-			Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing, Flow: flow},
+			Engine:      core.Config{Flow: flow},
 			PayloadSize: 1350,
 			OfferedMbps: 2500,
 			Service:     wire.ServiceAgreed,
@@ -107,12 +107,9 @@ func runPriorityComparison(sc Scale) ([]Point, error) {
 	for _, method := range []core.PriorityMethod{core.PriorityAggressive, core.PriorityConservative} {
 		for _, offered := range []float64{500, 1000, 1500, 2000} {
 			cfg := netsim.Config{
-				Network: netsim.Net10G,
-				Profile: netsim.ProfileSpread,
-				Engine: core.Config{
-					Protocol: core.ProtocolAcceleratedRing,
-					Priority: method,
-				},
+				Network:     netsim.Net10G,
+				Profile:     netsim.ProfileSpread,
+				Engine:      core.Config{Priority: method},
 				PayloadSize: 1350,
 				OfferedMbps: offered,
 				Service:     wire.ServiceSafe,
@@ -132,12 +129,12 @@ func runPriorityComparison(sc Scale) ([]Point, error) {
 func runRingSizeSweep(sc Scale) ([]Point, error) {
 	var out []Point
 	for _, nodes := range []int{2, 4, 8, 16, 24} {
-		for _, proto := range []core.Protocol{core.ProtocolOriginalRing, core.ProtocolAcceleratedRing} {
+		for _, v := range variants {
 			cfg := netsim.Config{
 				Nodes:       nodes,
 				Network:     netsim.Net10G,
 				Profile:     netsim.ProfileLibrary,
-				Engine:      core.Config{Protocol: proto},
+				Engine:      v.cfg,
 				PayloadSize: 1350,
 				OfferedMbps: 2000,
 				Service:     wire.ServiceAgreed,
@@ -149,7 +146,7 @@ func runRingSizeSweep(sc Scale) ([]Point, error) {
 				return nil, fmt.Errorf("bench: ring size %d: %w", nodes, err)
 			}
 			out = append(out, Point{
-				Series: fmt.Sprintf("n=%d/%s", nodes, protoNames[proto]),
+				Series: fmt.Sprintf("n=%d/%s", nodes, v.name),
 				Result: res,
 			})
 		}
@@ -169,7 +166,6 @@ func runJumboComparison(sc Scale) ([]Point, error) {
 				cfg := netsim.Config{
 					Network:     network,
 					Profile:     prof,
-					Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 					PayloadSize: 8850,
 					OfferedMbps: offered,
 					Service:     wire.ServiceAgreed,
@@ -201,7 +197,6 @@ func runArrivalComparison(sc Scale) ([]Point, error) {
 			cfg := netsim.Config{
 				Network:     netsim.Net10G,
 				Profile:     netsim.ProfileSpread,
-				Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 				PayloadSize: 1350,
 				OfferedMbps: offered,
 				Service:     wire.ServiceAgreed,

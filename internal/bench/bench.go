@@ -34,9 +34,10 @@ var (
 type Series struct {
 	// Label names the curve, e.g. "spread/accelerated".
 	Label string
-	// Profile and Protocol select the simulated implementation.
-	Profile  netsim.Profile
-	Protocol core.Protocol
+	// Profile selects the simulated implementation and Engine the
+	// protocol variant (core.OriginalRing for the baseline).
+	Profile netsim.Profile
+	Engine  core.Config
 	// PayloadSize is the clean payload per message.
 	PayloadSize int
 	// Service is the delivery service measured.
@@ -75,7 +76,7 @@ func RunSeries(s Series, sc Scale) ([]Point, error) {
 		cfg := netsim.Config{
 			Network:     s.Network,
 			Profile:     s.Profile,
-			Engine:      core.Config{Protocol: s.Protocol},
+			Engine:      s.Engine,
 			PayloadSize: s.PayloadSize,
 			OfferedMbps: off,
 			Service:     s.Service,

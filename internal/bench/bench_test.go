@@ -19,7 +19,6 @@ func tinySeries() Series {
 	return Series{
 		Label:       "library/accelerated",
 		Profile:     netsim.ProfileLibrary,
-		Protocol:    core.ProtocolAcceleratedRing,
 		PayloadSize: 1350,
 		Service:     wire.ServiceAgreed,
 		Network:     netsim.Net1G,
@@ -96,7 +95,7 @@ func TestProtocolFiguresHaveBothVariants(t *testing.T) {
 	f, _ := FigureByID("figure1")
 	var orig, accel int
 	for _, s := range f.Series {
-		if s.Protocol == core.ProtocolOriginalRing {
+		if s.Engine == core.OriginalRing(core.Config{}) {
 			orig++
 		} else {
 			accel++
@@ -112,7 +111,7 @@ func TestPayloadFiguresCompareSizes(t *testing.T) {
 	sizes := map[int]int{}
 	for _, s := range f.Series {
 		sizes[s.PayloadSize]++
-		if s.Protocol != core.ProtocolAcceleratedRing {
+		if s.Engine != (core.Config{}) {
 			t.Fatal("payload comparison figures use the accelerated protocol only")
 		}
 	}

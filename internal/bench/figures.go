@@ -16,20 +16,28 @@ var (
 
 var allProfiles = []netsim.Profile{netsim.ProfileLibrary, netsim.ProfileDaemon, netsim.ProfileSpread}
 
-var protoNames = map[core.Protocol]string{
-	core.ProtocolOriginalRing:    "original",
-	core.ProtocolAcceleratedRing: "accelerated",
+// variant is one of the two protocols the paper compares, named as its
+// series labels name it.
+type variant struct {
+	name string
+	cfg  core.Config
+}
+
+// variants lists the original Ring protocol first, then the accelerated.
+var variants = []variant{
+	{"original", core.OriginalRing(core.Config{})},
+	{"accelerated", core.Config{}},
 }
 
 // protocolSeries builds one series per implementation × protocol.
 func protocolSeries(network netsim.Network, payload int, svc wire.Service, grid []float64) []Series {
 	var out []Series
 	for _, prof := range allProfiles {
-		for _, proto := range []core.Protocol{core.ProtocolOriginalRing, core.ProtocolAcceleratedRing} {
+		for _, v := range variants {
 			out = append(out, Series{
-				Label:       prof.Name + "/" + protoNames[proto],
+				Label:       prof.Name + "/" + v.name,
 				Profile:     prof,
-				Protocol:    proto,
+				Engine:      v.cfg,
 				PayloadSize: payload,
 				Service:     svc,
 				Network:     network,
@@ -53,7 +61,6 @@ func payloadSeries(network netsim.Network, svc wire.Service) []Series {
 			out = append(out, Series{
 				Label:       fmt8(prof.Name, payload),
 				Profile:     prof,
-				Protocol:    core.ProtocolAcceleratedRing,
 				PayloadSize: payload,
 				Service:     svc,
 				Network:     network,

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"accelring/internal/core"
 	"accelring/internal/evscheck"
 	"accelring/internal/faultplan"
 	"accelring/internal/netsim"
@@ -31,11 +30,11 @@ func TestSimulatorGolden(t *testing.T) {
 	var out bytes.Buffer
 	var pts []Point
 	for _, prof := range []netsim.Profile{netsim.ProfileLibrary, netsim.ProfileSpread} {
-		for _, proto := range []core.Protocol{core.ProtocolOriginalRing, core.ProtocolAcceleratedRing} {
+		for _, v := range variants {
 			s := Series{
-				Label:       prof.Name + "/" + protoNames[proto],
+				Label:       prof.Name + "/" + v.name,
 				Profile:     prof,
-				Protocol:    proto,
+				Engine:      v.cfg,
 				PayloadSize: 1350,
 				Service:     wire.ServiceAgreed,
 				Network:     netsim.Net1G,
@@ -51,7 +50,6 @@ func TestSimulatorGolden(t *testing.T) {
 	cfg := netsim.Config{
 		Network:     netsim.Net1G,
 		Profile:     netsim.ProfileLibrary,
-		Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 		PayloadSize: 1350,
 		OfferedMbps: 500,
 		Service:     wire.ServiceAgreed,

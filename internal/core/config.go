@@ -9,30 +9,6 @@ import (
 	"accelring/internal/wire"
 )
 
-// Protocol selects the ordering protocol variant.
-type Protocol uint8
-
-// Protocol variants. ProtocolOriginalRing is the Totem-style baseline the
-// paper compares against: it is exactly the accelerated engine with an
-// accelerated window of zero and the conservative priority method, which
-// the paper notes is identical to the original Ring protocol.
-const (
-	ProtocolOriginalRing Protocol = iota + 1
-	ProtocolAcceleratedRing
-)
-
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolOriginalRing:
-		return "original"
-	case ProtocolAcceleratedRing:
-		return "accelerated"
-	default:
-		return fmt.Sprintf("protocol(%d)", uint8(p))
-	}
-}
-
 // PriorityMethod selects how a participant decides when to raise the
 // processing priority of a received token above received data messages
 // (Section III-C of the paper).
@@ -79,16 +55,10 @@ const (
 type Config struct {
 	// MyID is this participant's unique, non-zero identifier.
 	MyID wire.ParticipantID
-	// Protocol selects accelerated or original-ring behaviour. If it is
-	// ProtocolOriginalRing the accelerated window is forced to zero and
-	// the priority method to PriorityConservative.
-	Protocol Protocol
 	// Flow carries the flow control windows. Zero value means defaults.
 	Flow flowctl.Config
 	// Priority selects the token/data priority switching method. Zero
-	// value means PriorityAggressive for the accelerated protocol (the
-	// paper's prototype setting) and PriorityConservative for the
-	// original.
+	// value means PriorityAggressive (the paper's prototype setting).
 	Priority PriorityMethod
 
 	// TokenLossTimeout, TokenRetransPeriod, JoinPeriod, ConsensusTimeout
@@ -138,23 +108,28 @@ type Config struct {
 // Config validation errors.
 var (
 	ErrNoID          = errors.New("core: participant ID must be non-zero")
-	ErrBadProtocol   = errors.New("core: unknown protocol variant")
 	ErrBacklogFull   = errors.New("core: pending message backlog is full")
 	ErrBadMembership = errors.New("core: invalid ring membership")
 )
 
-// withDefaults returns a copy of c with zero values replaced by defaults
-// and the protocol variant's constraints applied.
-func (c Config) withDefaults() Config {
-	if c.Protocol == 0 {
-		c.Protocol = ProtocolAcceleratedRing
+// OriginalRing returns cfg set up as the original Ring protocol, the
+// Totem-style baseline the paper compares against. The paper notes
+// (Section III-C) that the accelerated engine with an accelerated window
+// of zero and the conservative priority method is identical to it, so
+// that is all this sets: zero Flow windows take their defaults first.
+func OriginalRing(cfg Config) Config {
+	if cfg.Flow == (flowctl.Config{}) {
+		cfg.Flow = flowctl.Default()
 	}
+	cfg.Flow.AcceleratedWindow = 0
+	cfg.Priority = PriorityConservative
+	return cfg
+}
+
+// withDefaults returns a copy of c with zero values replaced by defaults.
+func (c Config) withDefaults() Config {
 	if c.Flow == (flowctl.Config{}) {
 		c.Flow = flowctl.Default()
-	}
-	if c.Protocol == ProtocolOriginalRing {
-		c.Flow.AcceleratedWindow = 0
-		c.Priority = PriorityConservative
 	}
 	if c.Priority == 0 {
 		c.Priority = PriorityAggressive
@@ -188,9 +163,6 @@ func (c Config) ringSeqBase() uint64 { return uint64(c.Incarnation) << 32 }
 func (c Config) validate() error {
 	if c.MyID == 0 {
 		return ErrNoID
-	}
-	if c.Protocol != ProtocolOriginalRing && c.Protocol != ProtocolAcceleratedRing {
-		return fmt.Errorf("%w: %d", ErrBadProtocol, uint8(c.Protocol))
 	}
 	if err := c.Flow.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -11,11 +11,11 @@ import (
 )
 
 func accelConfig() Config {
-	return Config{Protocol: ProtocolAcceleratedRing}
+	return Config{}
 }
 
 func origConfig() Config {
-	return Config{Protocol: ProtocolOriginalRing}
+	return OriginalRing(Config{})
 }
 
 func TestStaticRingDeliversInTotalOrder(t *testing.T) {
@@ -274,7 +274,7 @@ func TestLargeRing(t *testing.T) {
 func TestBacklogBackpressure(t *testing.T) {
 	cfg := accelConfig()
 	cfg.MaxPending = 5
-	eng, err := New(Config{MyID: 1, Protocol: ProtocolAcceleratedRing, MaxPending: 5})
+	eng, err := New(Config{MyID: 1, MaxPending: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

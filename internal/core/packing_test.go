@@ -10,7 +10,7 @@ import (
 )
 
 func packedConfig(threshold int) Config {
-	return Config{Protocol: ProtocolAcceleratedRing, PackThreshold: threshold}
+	return Config{PackThreshold: threshold}
 }
 
 func TestPackingCombinesSmallMessages(t *testing.T) {

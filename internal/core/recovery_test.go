@@ -14,7 +14,7 @@ import (
 // ring.
 func buildRecoveryEngine(t *testing.T, myID wire.ParticipantID, have []wire.Seq, info []wire.CommitMember) *Engine {
 	t.Helper()
-	eng, err := New(Config{MyID: myID, Protocol: ProtocolAcceleratedRing})
+	eng, err := New(Config{MyID: myID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestObligationsLonelySurvivor(t *testing.T) {
 }
 
 func TestObligationsFreshEngineNone(t *testing.T) {
-	eng, err := New(Config{MyID: 5, Protocol: ProtocolAcceleratedRing})
+	eng, err := New(Config{MyID: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestObligationsFreshEngineNone(t *testing.T) {
 }
 
 func TestTokenIgnoredOutsideOperational(t *testing.T) {
-	eng, err := New(Config{MyID: 1, Protocol: ProtocolAcceleratedRing})
+	eng, err := New(Config{MyID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTokenIgnoredOutsideOperational(t *testing.T) {
 }
 
 func TestCommitIgnoredWhenNotMember(t *testing.T) {
-	eng, err := New(Config{MyID: 9, Protocol: ProtocolAcceleratedRing})
+	eng, err := New(Config{MyID: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

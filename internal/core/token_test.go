@@ -81,7 +81,7 @@ func mustSubmit(t *testing.T, e *Engine, n int, svc wire.Service) {
 }
 
 func TestTokenSplitsPreAndPostPhases(t *testing.T) {
-	cfg := Config{Protocol: ProtocolAcceleratedRing,
+	cfg := Config{
 		Flow: flowctl.Config{PersonalWindow: 50, GlobalWindow: 200, AcceleratedWindow: 3, MaxSeqGap: 1000}}
 	e := newMember(t, 2, 3, cfg)
 	mustSubmit(t, e, 10, wire.ServiceAgreed)
@@ -122,7 +122,7 @@ func TestTokenSplitsPreAndPostPhases(t *testing.T) {
 }
 
 func TestTokenAllWithinAcceleratedWindow(t *testing.T) {
-	cfg := Config{Protocol: ProtocolAcceleratedRing,
+	cfg := Config{
 		Flow: flowctl.Config{PersonalWindow: 50, GlobalWindow: 200, AcceleratedWindow: 5, MaxSeqGap: 1000}}
 	e := newMember(t, 2, 3, cfg)
 	mustSubmit(t, e, 4, wire.ServiceAgreed)
@@ -158,7 +158,7 @@ func TestTokenAllWithinAcceleratedWindow(t *testing.T) {
 }
 
 func TestOriginalProtocolSendsAllPreToken(t *testing.T) {
-	e := newMember(t, 2, 3, Config{Protocol: ProtocolOriginalRing})
+	e := newMember(t, 2, 3, OriginalRing(Config{}))
 	mustSubmit(t, e, 10, wire.ServiceAgreed)
 
 	actions := e.Step(engine.Input{Frame: ringToken(e, 5, 1, 0, 0)})
@@ -414,7 +414,7 @@ func TestFCCAccounting(t *testing.T) {
 }
 
 func TestPersonalWindowLimitsRound(t *testing.T) {
-	cfg := Config{Protocol: ProtocolAcceleratedRing,
+	cfg := Config{
 		Flow: flowctl.Config{PersonalWindow: 4, GlobalWindow: 100, AcceleratedWindow: 2, MaxSeqGap: 500}}
 	e := newMember(t, 2, 3, cfg)
 	mustSubmit(t, e, 50, wire.ServiceAgreed)
@@ -428,7 +428,7 @@ func TestPersonalWindowLimitsRound(t *testing.T) {
 }
 
 func TestGlobalWindowLimitsRound(t *testing.T) {
-	cfg := Config{Protocol: ProtocolAcceleratedRing,
+	cfg := Config{
 		Flow: flowctl.Config{PersonalWindow: 50, GlobalWindow: 60, AcceleratedWindow: 5, MaxSeqGap: 500}}
 	e := newMember(t, 2, 3, cfg)
 	mustSubmit(t, e, 50, wire.ServiceAgreed)
@@ -441,7 +441,7 @@ func TestGlobalWindowLimitsRound(t *testing.T) {
 }
 
 func TestSeqGapLimitsRound(t *testing.T) {
-	cfg := Config{Protocol: ProtocolAcceleratedRing,
+	cfg := Config{
 		Flow: flowctl.Config{PersonalWindow: 50, GlobalWindow: 100, AcceleratedWindow: 5, MaxSeqGap: 100}}
 	e := newMember(t, 2, 3, cfg)
 	mustSubmit(t, e, 50, wire.ServiceAgreed)
@@ -576,7 +576,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestStartStaticValidation(t *testing.T) {
-	eng, err := New(Config{MyID: 5, Protocol: ProtocolAcceleratedRing})
+	eng, err := New(Config{MyID: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,21 +596,24 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.Protocol != ProtocolAcceleratedRing {
-		t.Fatal("default protocol should be accelerated")
+	if e.cfg.Flow.AcceleratedWindow != flowctl.DefaultAcceleratedWindow {
+		t.Fatal("default accelerated window should be flowctl's")
 	}
 	if e.cfg.Priority != PriorityAggressive {
-		t.Fatal("default priority for accelerated should be aggressive")
+		t.Fatal("default priority should be aggressive")
 	}
-	o, err := New(Config{MyID: 1, Protocol: ProtocolOriginalRing})
+	o, err := New(OriginalRing(Config{MyID: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.cfg.Flow.AcceleratedWindow != 0 {
-		t.Fatal("original protocol must force accelerated window to 0")
+		t.Fatal("original protocol must set accelerated window to 0")
+	}
+	if o.cfg.Flow.PersonalWindow != flowctl.DefaultPersonalWindow {
+		t.Fatal("original protocol must keep the other default windows")
 	}
 	if o.cfg.Priority != PriorityConservative {
-		t.Fatal("original protocol must force conservative priority")
+		t.Fatal("original protocol must set conservative priority")
 	}
 }
 

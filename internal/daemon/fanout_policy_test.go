@@ -253,71 +253,6 @@ func waitTotalSubscriptions(t *testing.T, via *client.Conn, want int) {
 	}
 }
 
-// TestBlockPolicyStallsDelivery is the acceptance scenario proving the
-// policy knob matters: under PolicyBlock one non-reading subscriber stalls
-// the daemon's whole delivery path (the publisher blocks on the full
-// queue), and draining that subscriber releases the stall with nothing
-// lost.
-func TestBlockPolicyStallsDelivery(t *testing.T) {
-	c := startDaemonsWith(t, 1, accelring.NewMemoryNetwork(22),
-		fanout.Config{QueueDepth: 8, Policy: fanout.PolicyBlock})
-
-	healthy := c.connect(0, "healthy")
-	if err := healthy.Join("feed"); err != nil {
-		t.Fatal(err)
-	}
-	waitView(t, healthy, "feed", 1)
-
-	slow := rawConnect(t, c.socks[0], "slow")
-	slow.subscribe("feed")
-	waitSubscriptions(t, healthy, slow.private, 1)
-
-	// 300 × 8KB ≈ 2.4MB per subscriber: far beyond the slow client's
-	// 8-frame queue plus whatever the socket buffers absorb.
-	const sent = 300
-	payload := bytes.Repeat([]byte("y"), 8192)
-	sendErr := make(chan error, 1)
-	go func() {
-		for i := 0; i < sent; i++ {
-			if err := healthy.Multicast(wire.ServiceAgreed, payload, "feed"); err != nil {
-				sendErr <- err
-				return
-			}
-		}
-		sendErr <- nil
-	}()
-
-	// The healthy member must stall well short of the full stream while
-	// the slow subscriber refuses to read.
-	got := countMessages(healthy, 3*time.Second, sent)
-	if got >= sent {
-		t.Fatalf("block policy did not stall: healthy received all %d messages with a wedged subscriber", sent)
-	}
-	t.Logf("stalled at %d/%d messages with the slow subscriber wedged", got, sent)
-
-	// Drain the slow client; the stall must release and every message
-	// reach both subscribers.
-	drained := make(chan error, 1)
-	go func() {
-		_, err := slow.readFrames(sent)
-		drained <- err
-	}()
-	collectMessages(t, healthy, sent-got)
-	if err := <-sendErr; err != nil {
-		t.Fatalf("publisher: %v", err)
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("slow client draining: %v", err)
-	}
-	snap, err := healthy.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Shed != 0 || snap.Disconnects != 0 {
-		t.Fatalf("block policy shed %d / disconnected %d", snap.Shed, snap.Disconnects)
-	}
-}
-
 // TestDisconnectPolicyDropsSlowClient: the default Spread-style policy
 // severs a subscriber that exceeds its queue, keeping the rest of the
 // daemon flowing.

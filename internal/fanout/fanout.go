@@ -5,8 +5,7 @@
 // backpressure policy.
 //
 // The tier exists so the daemon's protocol loop never blocks on a slow
-// client socket (unless explicitly configured to, via PolicyBlock) and
-// never pays per-subscriber allocations on the delivery hot path: Publish
+// client socket and never pays per-subscriber allocations on the delivery hot path: Publish
 // performs one registry walk with stamp-based duplicate suppression and
 // one ring-buffer slot write per interested subscriber, nothing else.
 // FlexCast's genuineness principle, applied at the serving tier: only the
@@ -37,12 +36,6 @@ const (
 	// counting it as shed; healthy subscribers are unaffected and the slow
 	// subscriber's backlog stays bounded by the queue depth.
 	PolicyShed
-	// PolicyBlock makes Publish wait until the subscriber drains a slot
-	// (or dies). This stalls the publisher — typically the daemon's
-	// protocol loop — and therefore every other client behind it; it
-	// exists for deployments that would rather apply global backpressure
-	// than lose or disconnect anything.
-	PolicyBlock
 )
 
 // String returns the flag-friendly policy name.
@@ -52,22 +45,17 @@ func (p Policy) String() string {
 		return "disconnect"
 	case PolicyShed:
 		return "shed"
-	case PolicyBlock:
-		return "block"
 	}
 	return "unknown"
 }
 
-// ParsePolicy parses a flag-friendly policy name ("disconnect", "shed" or
-// "drop" for drop-newest, "block").
+// ParsePolicy parses a flag-friendly policy name: "disconnect" or "shed".
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "disconnect":
 		return PolicyDisconnect, nil
-	case "shed", "drop":
+	case "shed":
 		return PolicyShed, nil
-	case "block":
-		return PolicyBlock, nil
 	}
 	return 0, errors.New("fanout: unknown policy " + s)
 }
@@ -196,8 +184,8 @@ var ErrNotDetached = errors.New("fanout: subscriber is not detached")
 
 // Detach stops the subscriber's writer without closing its queue: the
 // connection is gone but the session may come back. Interests stay
-// registered, the queue keeps accumulating under the backpressure policy
-// (PolicyBlock degrades to shed — see enqueueMessage), and the kill/exit
+// registered, the queue keeps accumulating under the backpressure policy,
+// and the kill/exit
 // callbacks are cleared so nothing fires into the departed owner. It
 // reports false when the subscriber is closed or unregistered (nothing to
 // resume later).
@@ -217,7 +205,6 @@ func (t *Tier) Detach(s *Subscriber) bool {
 		s.onKill = nil
 		s.onExit = nil
 		s.notEmpty.Broadcast()
-		s.notFull.Broadcast()
 	}
 	return true
 }

@@ -174,39 +174,6 @@ func TestShedPolicyBoundsBacklog(t *testing.T) {
 	tier.Unregister(subHealthy)
 }
 
-func TestBlockPolicyBlocksPublisher(t *testing.T) {
-	tier := NewTier(Config{QueueDepth: 1, Policy: PolicyBlock})
-	slow := &recordSink{gate: make(chan error)}
-	sub := tier.Register(slow, nil, nil)
-	tier.Subscribe(sub, "g", SourceMember)
-
-	// First publish is popped by the writer (now stuck in the gate),
-	// second fills the queue, third must block.
-	tier.Publish([]string{"g"}, 1, []byte("1"), 0, nil)
-	waitFor(t, "writer holding frame", func() bool { return sub.Backlog() == 0 })
-	tier.Publish([]string{"g"}, 1, []byte("2"), 0, nil)
-	done := make(chan struct{})
-	go func() {
-		tier.Publish([]string{"g"}, 1, []byte("3"), 0, nil)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("publish did not block on a full queue under PolicyBlock")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(slow.gate) // drain
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("publish never unblocked after the queue drained")
-	}
-	waitFor(t, "all delivered", func() bool { return len(slow.snapshot()) == 3 })
-	if st := sub.Stats(); st.Shed != 0 {
-		t.Fatalf("block policy shed %d messages", st.Shed)
-	}
-}
-
 func TestDisconnectPolicyKillsSlowSubscriber(t *testing.T) {
 	tier := NewTier(Config{QueueDepth: 1, Policy: PolicyDisconnect})
 	slow := &recordSink{gate: make(chan error, 1)}

@@ -47,7 +47,7 @@ func expectStamps(t *testing.T, sink *recordSink, want ...byte) {
 // subscriber was away is queued, nothing is dropped, and the resumed sink
 // sees exactly the suffix after its stamp.
 func TestResumeExactSuffix(t *testing.T) {
-	for _, policy := range []Policy{PolicyDisconnect, PolicyShed, PolicyBlock} {
+	for _, policy := range []Policy{PolicyDisconnect, PolicyShed} {
 		t.Run(policy.String(), func(t *testing.T) {
 			tier := NewTier(Config{QueueDepth: 64, Policy: policy, HistoryDepth: 64})
 			old := &recordSink{}
@@ -131,33 +131,6 @@ func TestShedWhileAwayReportsGap(t *testing.T) {
 		t.Fatal("Attach reported no gap after shedding while away")
 	}
 	expectStamps(t, replacement, 3, 4, 5, 6)
-}
-
-// TestBlockPolicyDegradesToShedWhileDetached: with no writer draining, a
-// blocking queue would wedge the publisher (the daemon main loop — the
-// very goroutine that serves the resume). Publish must return, shedding.
-func TestBlockPolicyDegradesToShedWhileDetached(t *testing.T) {
-	tier := NewTier(Config{QueueDepth: 4, Policy: PolicyBlock, HistoryDepth: 8})
-	sub := tier.Register(&recordSink{}, nil, nil)
-	tier.Subscribe(sub, "g", SourceMember)
-	tier.Detach(sub)
-
-	done := make(chan uint64, 1)
-	go func() { done <- publishSeq(tier, "g", 0, 8) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Publish blocked on a detached subscriber")
-	}
-	replacement := &recordSink{}
-	gap, err := tier.Attach(sub, replacement, 0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gap {
-		t.Fatal("Attach reported no gap after shed-while-detached")
-	}
-	expectStamps(t, replacement, 1, 2, 3, 4)
 }
 
 // TestDisconnectPolicyKillsDetached: under PolicyDisconnect an overflow

@@ -166,43 +166,6 @@ func TestRunBoundedByHistory(t *testing.T) {
 	}
 }
 
-// TestBlockedPublisherWakesPerRun: under PolicyBlock a publisher stuck on
-// a full queue is released by the pop of one run — while the writer is
-// still inside that run's write, not after the queue has drained.
-func TestBlockedPublisherWakesPerRun(t *testing.T) {
-	const depth = 4
-	tier := NewTier(Config{QueueDepth: depth, Policy: PolicyBlock})
-	sink := &runSink{gate: make(chan struct{})}
-	sub := tier.Register(sink, nil, nil)
-	tier.Subscribe(sub, "g", SourceMember)
-	parkWriter(t, tier, sub)
-	publishSeq(tier, "g", 1, depth) // queue full
-	done := make(chan struct{})
-	go func() {
-		publishSeq(tier, "g", 1+depth, 1)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("publish did not block on a full queue under PolicyBlock")
-	case <-time.After(50 * time.Millisecond):
-	}
-	sink.gate <- struct{}{} // primer run completes; the writer pops the next run and parks in it
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("publisher still blocked after a run was popped")
-	}
-	if _, runs := sink.record(); len(runs) != 1 {
-		t.Fatalf("publisher woke after %d completed runs, want 1 (the primer): the wake-up must come from the pop", len(runs))
-	}
-	close(sink.gate)
-	waitFor(t, "drain", func() bool { seen, _ := sink.record(); return len(seen) == 2+depth })
-	if st := sub.Stats(); st.Shed != 0 {
-		t.Fatalf("block policy shed %d messages", st.Shed)
-	}
-}
-
 // TestControlFrameKeepsItsPlaceInRun: a control frame queued between
 // messages leaves in the same run, at the same position.
 func TestControlFrameKeepsItsPlaceInRun(t *testing.T) {

@@ -27,8 +27,7 @@ type Sink interface {
 
 // runBytes bounds one run by its encoded size: enough frames per socket
 // write to make the write cheap per frame, few enough that a run stays
-// inside a Unix socket's send buffer and a blocked publisher is woken
-// promptly.
+// inside a Unix socket's send buffer.
 const runBytes = 64 << 10
 
 // frameOverhead is what the IPC framing adds to a body on the wire, counted
@@ -79,7 +78,6 @@ type Subscriber struct {
 
 	mu       sync.Mutex
 	notEmpty sync.Cond // frame enqueued, or queue closed/detached
-	notFull  sync.Cond // frame dequeued, or queue closed
 	ring     []frame   // circular; len(ring) is physical capacity
 	head     int
 	count    int
@@ -143,40 +141,29 @@ func newSubscriber(depth, histCap int, onKill func(), onExit func(error)) *Subsc
 		interests: make(map[string]Source),
 	}
 	s.notEmpty.L = &s.mu
-	s.notFull.L = &s.mu
 	return s
 }
 
-// enqueueMessage applies the backpressure policy and, when there is (or
-// becomes) room, appends a message frame. While the subscriber is
-// detached, PolicyBlock degrades to PolicyShed: the publisher is the
-// daemon's main loop, which is also the goroutine that would serve the
-// resume that unblocks the queue — blocking it would deadlock the daemon.
+// enqueueMessage applies the backpressure policy and, when there is room,
+// appends a message frame.
 func (s *Subscriber) enqueueMessage(typ byte, body []byte, stamp uint64, policy Policy) enqResult {
 	s.mu.Lock()
-	if policy == PolicyBlock && !s.detached {
-		for s.count >= s.depth && !s.closed && !s.detached {
-			s.notFull.Wait()
-		}
-	}
 	if s.closed {
 		s.mu.Unlock()
 		return enqDead
 	}
 	if s.count >= s.depth {
-		switch {
-		case policy == PolicyShed || (policy == PolicyBlock && s.detached):
+		if policy == PolicyShed {
 			if stamp > s.dropped {
 				s.dropped = stamp
 			}
 			s.mu.Unlock()
 			s.shed.Add(1)
 			return enqShed
-		default: // PolicyDisconnect
-			s.closeLocked(ErrSlowClient)
-			s.mu.Unlock()
-			return enqKilled
 		}
+		s.closeLocked(ErrSlowClient) // PolicyDisconnect
+		s.mu.Unlock()
+		return enqKilled
 	}
 	if s.count == len(s.ring) {
 		s.grow()
@@ -344,7 +331,6 @@ func (s *Subscriber) writeLoop(gen uint64, sink Sink) {
 			return
 		}
 		run = s.popRun(run[:0])
-		s.notFull.Broadcast()
 		s.mu.Unlock()
 		var werr error
 		for i := range run {
@@ -372,15 +358,14 @@ func (s *Subscriber) writeLoop(gen uint64, sink Sink) {
 				s.detached = true
 				exit := s.onExit
 				s.onKill, s.onExit = nil, nil
-				s.notFull.Broadcast()
 				s.mu.Unlock()
 				if exit != nil {
 					exit(werr)
 				}
 				return
 			}
-			// Mark closed so a publisher blocked in PolicyBlock (or the
-			// owner) learns this subscriber is gone. If the queue was
+			// Mark closed so the publisher and the owner learn this
+			// subscriber is gone. If the queue was
 			// already killed (PolicyDisconnect severing a stuck write),
 			// the kill reason outranks the resulting socket error.
 			if s.closed && s.killErr != nil {
@@ -417,7 +402,6 @@ func (s *Subscriber) closeLocked(reason error) {
 	s.closed = true
 	s.killErr = reason
 	s.notEmpty.Broadcast()
-	s.notFull.Broadcast()
 }
 
 // Backlog returns the current queue depth.

@@ -25,7 +25,7 @@ func lossyPlan(seed int64) *faultplan.Plan {
 }
 
 func TestLossyRunRecoversAndConforms(t *testing.T) {
-	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 200)
+	cfg := quickCfg(core.Config{}, Net1G, ProfileLibrary, 200)
 	cfg.Faults = lossyPlan(42)
 	res, c, err := Run(cfg)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestLossyRunRecoversAndConforms(t *testing.T) {
 
 func TestLossyRunIsDeterministic(t *testing.T) {
 	run := func() (Result, string) {
-		cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 150)
+		cfg := quickCfg(core.Config{}, Net1G, ProfileLibrary, 150)
 		cfg.Faults = lossyPlan(7)
 		res, c, err := Run(cfg)
 		if err != nil {
@@ -91,7 +91,7 @@ func TestCrashRestartOnCostModel(t *testing.T) {
 		{"ringpaxos", func(c core.Config) (core.OrderingEngine, error) { return ringpaxos.New(c) }, evscheck.ProfileTotalOrder},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 100)
+			cfg := quickCfg(core.Config{}, Net1G, ProfileLibrary, 100)
 			cfg.Nodes = 5
 			cfg.EngineFactory = tc.factory
 			cfg.Engine.TokenLossTimeout = 50 * time.Millisecond
@@ -132,7 +132,7 @@ func TestCrashRestartOnCostModel(t *testing.T) {
 // TestCapturedCleanRunQuiescent verifies the capture path itself: a clean
 // captured run must conform and deliver every submission at every node.
 func TestCapturedCleanRunQuiescent(t *testing.T) {
-	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 100)
+	cfg := quickCfg(core.Config{}, Net1G, ProfileLibrary, 100)
 	res, c, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -120,10 +120,10 @@ func TestAcceleratedBeatsOriginalAtHighLoad1G(t *testing.T) {
 	// The headline qualitative claim of Figures 1-2 in one assertion:
 	// at 800 Mbps on 1GbE, the accelerated protocol's latency is well
 	// below the original's.
-	run := func(proto core.Protocol) Result {
+	run := func(eng core.Config) Result {
 		res, _, err := Run(Config{
 			Network: Net1G, Profile: ProfileSpread,
-			Engine:      core.Config{Protocol: proto},
+			Engine:      eng,
 			PayloadSize: 1350, OfferedMbps: 800, Service: wire.ServiceAgreed,
 			Warmup: 100 * time.Millisecond, Measure: 200 * time.Millisecond,
 		})
@@ -132,8 +132,8 @@ func TestAcceleratedBeatsOriginalAtHighLoad1G(t *testing.T) {
 		}
 		return res
 	}
-	orig := run(core.ProtocolOriginalRing)
-	accel := run(core.ProtocolAcceleratedRing)
+	orig := run(core.OriginalRing(core.Config{}))
+	accel := run(core.Config{})
 	if accel.AvgLatency*2 >= orig.AvgLatency {
 		t.Fatalf("accelerated %v vs original %v at 800 Mbps: want at least 2x better",
 			accel.AvgLatency, orig.AvgLatency)
@@ -143,10 +143,10 @@ func TestAcceleratedBeatsOriginalAtHighLoad1G(t *testing.T) {
 func TestFigure7CrossoverMechanism(t *testing.T) {
 	// At very low Safe-delivery load the original protocol must win (the
 	// accelerated aru lags seq and costs an extra round), per Figure 7.
-	run := func(proto core.Protocol) Result {
+	run := func(eng core.Config) Result {
 		res, _, err := Run(Config{
 			Network: Net10G, Profile: ProfileSpread,
-			Engine:      core.Config{Protocol: proto},
+			Engine:      eng,
 			PayloadSize: 1350, OfferedMbps: 100, Service: wire.ServiceSafe,
 			Warmup: 100 * time.Millisecond, Measure: 200 * time.Millisecond,
 		})
@@ -155,8 +155,8 @@ func TestFigure7CrossoverMechanism(t *testing.T) {
 		}
 		return res
 	}
-	orig := run(core.ProtocolOriginalRing)
-	accel := run(core.ProtocolAcceleratedRing)
+	orig := run(core.OriginalRing(core.Config{}))
+	accel := run(core.Config{})
 	if orig.AvgLatency >= accel.AvgLatency {
 		t.Fatalf("at 100 Mbps safe: original %v should beat accelerated %v",
 			orig.AvgLatency, accel.AvgLatency)
@@ -183,7 +183,6 @@ func TestJumboReducesLargePayloadLatency(t *testing.T) {
 	run := func(network Network) Result {
 		res, _, err := Run(Config{
 			Network: network, Profile: ProfileSpread,
-			Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 			PayloadSize: 8850, OfferedMbps: 4000, Service: wire.ServiceAgreed,
 			Warmup: 60 * time.Millisecond, Measure: 150 * time.Millisecond,
 		})
@@ -202,7 +201,6 @@ func TestJumboReducesLargePayloadLatency(t *testing.T) {
 func TestPoissonArrivalsDeliverTheLoad(t *testing.T) {
 	res, _, err := Run(Config{
 		Network: Net10G, Profile: ProfileLibrary,
-		Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 		PayloadSize: 1350, OfferedMbps: 1000, Service: wire.ServiceAgreed,
 		Arrivals: ArrivalPoisson, Seed: 7,
 		Warmup: 60 * time.Millisecond, Measure: 200 * time.Millisecond,
@@ -223,7 +221,6 @@ func TestPoissonLatencyExceedsCBR(t *testing.T) {
 	run := func(a Arrivals) Result {
 		res, _, err := Run(Config{
 			Network: Net10G, Profile: ProfileSpread,
-			Engine:      core.Config{Protocol: core.ProtocolAcceleratedRing},
 			PayloadSize: 1350, OfferedMbps: 1500, Service: wire.ServiceAgreed,
 			Arrivals: a, Seed: 11,
 			Warmup: 60 * time.Millisecond, Measure: 200 * time.Millisecond,

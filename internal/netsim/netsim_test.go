@@ -8,12 +8,12 @@ import (
 	"accelring/internal/wire"
 )
 
-func quickCfg(protocol core.Protocol, network Network, profile Profile, offered float64) Config {
+func quickCfg(eng core.Config, network Network, profile Profile, offered float64) Config {
 	return Config{
 		Nodes:       8,
 		Network:     network,
 		Profile:     profile,
-		Engine:      core.Config{Protocol: protocol},
+		Engine:      eng,
 		PayloadSize: 1350,
 		OfferedMbps: offered,
 		Service:     wire.ServiceAgreed,
@@ -29,7 +29,7 @@ func TestRunValidatesConfig(t *testing.T) {
 }
 
 func TestModestLoadIsStable(t *testing.T) {
-	res, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 300))
+	res, _, err := Run(quickCfg(core.Config{}, Net1G, ProfileLibrary, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestModestLoadIsStable(t *testing.T) {
 }
 
 func TestOverloadIsDetected(t *testing.T) {
-	res, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 2000))
+	res, _, err := Run(quickCfg(core.Config{}, Net1G, ProfileLibrary, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +61,14 @@ func TestOverloadIsDetected(t *testing.T) {
 }
 
 func TestAcceleratedUsesPostTokenPhase(t *testing.T) {
-	res, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 500))
+	res, _, err := Run(quickCfg(core.Config{}, Net1G, ProfileLibrary, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.PostTokenMsgs == 0 {
 		t.Fatal("accelerated run sent nothing post-token")
 	}
-	orig, _, err := Run(quickCfg(core.ProtocolOriginalRing, Net1G, ProfileLibrary, 500))
+	orig, _, err := Run(quickCfg(core.OriginalRing(core.Config{}), Net1G, ProfileLibrary, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestAcceleratedUsesPostTokenPhase(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net10G, ProfileDaemon, 800))
+	a, _, err := Run(quickCfg(core.Config{}, Net10G, ProfileDaemon, 800))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net10G, ProfileDaemon, 800))
+	b, _, err := Run(quickCfg(core.Config{}, Net10G, ProfileDaemon, 800))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestSafeLatencyExceedsAgreed(t *testing.T) {
-	agreed, _, err := Run(quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileSpread, 400))
+	agreed, _, err := Run(quickCfg(core.Config{}, Net1G, ProfileSpread, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileSpread, 400)
+	cfg := quickCfg(core.Config{}, Net1G, ProfileSpread, 400)
 	cfg.Service = wire.ServiceSafe
 	safe, _, err := Run(cfg)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestSafeLatencyExceedsAgreed(t *testing.T) {
 }
 
 func TestLargePayloadsRaiseMaxThroughput(t *testing.T) {
-	small := quickCfg(core.ProtocolAcceleratedRing, Net10G, ProfileSpread, 4000)
+	small := quickCfg(core.Config{}, Net10G, ProfileSpread, 4000)
 	res1350, _, err := Run(small)
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,7 @@ func (e *fixedSequencer) Snapshot() core.Snapshot {
 // TestThirdEngineFitsTheContract runs the sequencer through the unmodified
 // simulator and requires one agreed order, complete at every node.
 func TestThirdEngineFitsTheContract(t *testing.T) {
-	cfg := quickCfg(core.ProtocolAcceleratedRing, Net1G, ProfileLibrary, 100)
+	cfg := quickCfg(core.Config{}, Net1G, ProfileLibrary, 100)
 	cfg.Nodes = 4
 	cfg.EngineFactory = func(c core.Config) (core.OrderingEngine, error) { return newFixedSequencer(c), nil }
 	res, c, err := Run(cfg)

@@ -189,8 +189,12 @@ func TestNodeIgnoresGarbagePackets(t *testing.T) {
 		t.Fatalf("got %q", msgs[0].Payload)
 	}
 	// The garbage was noticed, not swallowed silently.
-	if nodes[0].Err() == nil {
-		t.Fatal("garbage packets left no trace in Err()")
+	snap, err := nodes[0].Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ErrorCount == 0 || len(snap.RecentErrors) == 0 {
+		t.Fatal("garbage packets left no trace in Metrics")
 	}
 }
 
@@ -227,18 +231,12 @@ func TestErrorBurstIsAccounted(t *testing.T) {
 	if snap.Runtime.DecodeFailures < garbage {
 		t.Fatalf("decode failures = %d, want >= %d", snap.Runtime.DecodeFailures, garbage)
 	}
-	recent := nodes[0].RecentErrors()
+	recent := snap.RecentErrors
 	if len(recent) < 2 {
 		t.Fatalf("recent errors = %d, want a ring of several", len(recent))
 	}
 	if len(recent) > errRingCap {
 		t.Fatalf("recent errors = %d, want bounded by %d", len(recent), errRingCap)
-	}
-	if nodes[0].Err() == nil {
-		t.Fatal("Err() broke: most recent error missing")
-	}
-	if len(snap.RecentErrors) == 0 {
-		t.Fatal("metrics snapshot carries no recent errors")
 	}
 }
 
@@ -337,7 +335,7 @@ func TestWindowsArePassedThrough(t *testing.T) {
 		ID:        1,
 		Transport: net.Endpoint(1),
 		Members:   []ParticipantID{1},
-		Windows:   Windows{Personal: 10, Global: 50, Accelerated: 5, MaxSeqGap: 100},
+		Windows:   Windows{Personal: 10, Global: 50, Accelerated: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +352,7 @@ func TestWindowsArePassedThrough(t *testing.T) {
 
 // TestLoopServesStatsAndCloseUnderLoad saturates a 3-node ring with four
 // tight-loop submitters per node. The loop's one select only waits, so
-// queued frames and submissions must not starve Stats or Close, and a
+// queued frames and submissions must not starve Metrics or Close, and a
 // submission still queued when its node closes must return ErrClosed
 // instead of hanging.
 func TestLoopServesStatsAndCloseUnderLoad(t *testing.T) {
@@ -393,7 +391,7 @@ func TestLoopServesStatsAndCloseUnderLoad(t *testing.T) {
 		}
 	}
 	for _, node := range nodes {
-		returnsWithin(t, "Stats", func() error { _, err := node.Stats(); return err })
+		returnsWithin(t, "Metrics", func() error { _, err := node.Metrics(); return err })
 	}
 	for _, node := range nodes {
 		returnsWithin(t, "Close", node.Close)

@@ -183,12 +183,15 @@ func (n *Node) Metrics() (MetricsSnapshot, error) {
 		return MetricsSnapshot{}, err
 	}
 	snap := MetricsSnapshot{
-		EngineName: string(n.engine),
-		Engine:     st.Stats,
-		Paxos:      paxosStatsOf(st),
-		Runtime:    n.nm.runtimeSnapshot(n),
-		BufferPool: transport.Buffers.Snapshot(),
-		ErrorCount: n.nm.errors.Load(),
+		EngineName:   string(n.engine),
+		Engine:       st.Stats,
+		Runtime:      n.nm.runtimeSnapshot(n),
+		BufferPool:   transport.Buffers.Snapshot(),
+		ErrorCount:   n.nm.errors.Load(),
+		RecentErrors: n.recentErrors(),
+	}
+	if px, ok := st.Extra.(PaxosStats); ok {
+		snap.Paxos = &px
 	}
 	ts := n.tr.MetricsSnapshot()
 	snap.Transport = &ts
@@ -199,10 +202,19 @@ func (n *Node) Metrics() (MetricsSnapshot, error) {
 		fs := fanoutSrc.Snapshot()
 		snap.Fanout = &fs
 	}
-	for _, e := range n.RecentErrors() {
-		snap.RecentErrors = append(snap.RecentErrors, e.Error())
-	}
 	return snap, nil
+}
+
+// recentErrors returns the messages of the recent-error ring, oldest
+// first.
+func (n *Node) recentErrors() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var out []string
+	for i := range n.errs {
+		out = append(out, n.errs[(n.errHead+i)%len(n.errs)].Error())
+	}
+	return out
 }
 
 // AttachFanout registers a client fan-out tier as a metrics source, so
@@ -214,9 +226,3 @@ func (n *Node) AttachFanout(src FanoutSource) {
 	n.fanoutSrc = src
 	n.mu.Unlock()
 }
-
-// BufferPoolStats returns the process-wide packet buffer pool counters
-// without requiring a running node, so harnesses can difference the
-// counters around a measurement window. Node.Metrics embeds the same
-// snapshot.
-func BufferPoolStats() PoolSnapshot { return transport.Buffers.Snapshot() }

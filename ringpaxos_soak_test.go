@@ -207,9 +207,13 @@ func TestRingPaxosChaosSoak(t *testing.T) {
 
 	// Engine-labeled evidence of the chaos before shutdown: the survivors
 	// must have run Phase 1 and moved the coordinator off the crashed node.
-	px, err := nodes[1].PaxosStats()
+	snap, err := nodes[1].Metrics()
 	if err != nil {
-		t.Fatalf("PaxosStats: %v", err)
+		t.Fatalf("Metrics: %v", err)
+	}
+	px := snap.Paxos
+	if px == nil {
+		t.Fatal("Metrics carries no Paxos section on a ringpaxos node")
 	}
 	if px.Phase1Rounds == 0 || px.ViewInstalls == 0 {
 		t.Errorf("no view change recorded on a survivor: %+v", px)

@@ -36,7 +36,8 @@ const (
 // ParsePeers parses the command-line peer list the CLIs share,
 // "1=hostA,2=hostB:7421:7422" — comma-separated id=host[:dataPort:tokenPort]
 // entries — into a peer map. An entry without ports gets 7411 (data) and
-// 7412 (token).
+// 7412 (token). IDs must be non-zero and distinct, hosts non-empty and
+// ports in 1–65535.
 func ParsePeers(s string) (map[ParticipantID]Peer, error) {
 	if s == "" {
 		return nil, fmt.Errorf("missing -peers")
@@ -48,26 +49,42 @@ func ParsePeers(s string) (map[ParticipantID]Peer, error) {
 			return nil, fmt.Errorf("bad -peers entry %q (want id=host[:dataPort:tokenPort])", part)
 		}
 		idv, err := strconv.ParseUint(kv[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
+		if err != nil || idv == 0 {
+			return nil, fmt.Errorf("bad peer id %q (want a non-zero 32-bit integer)", kv[0])
+		}
+		id := ParticipantID(idv)
+		if _, dup := peers[id]; dup {
+			return nil, fmt.Errorf("peer id %d listed twice", id)
 		}
 		fields := strings.Split(kv[1], ":")
 		peer := Peer{Host: fields[0], DataPort: defaultDataPort, TokenPort: defaultTokenPort}
+		if peer.Host == "" {
+			return nil, fmt.Errorf("empty host in %q", part)
+		}
 		switch len(fields) {
 		case 1:
 		case 3:
-			if peer.DataPort, err = strconv.Atoi(fields[1]); err != nil {
+			if peer.DataPort, err = parsePort(fields[1]); err != nil {
 				return nil, fmt.Errorf("bad data port in %q: %v", part, err)
 			}
-			if peer.TokenPort, err = strconv.Atoi(fields[2]); err != nil {
+			if peer.TokenPort, err = parsePort(fields[2]); err != nil {
 				return nil, fmt.Errorf("bad token port in %q: %v", part, err)
 			}
 		default:
 			return nil, fmt.Errorf("bad -peers entry %q (want id=host[:dataPort:tokenPort])", part)
 		}
-		peers[ParticipantID(idv)] = peer
+		peers[id] = peer
 	}
 	return peers, nil
+}
+
+// parsePort parses a UDP port number, 1–65535.
+func parsePort(s string) (int, error) {
+	p, err := strconv.ParseUint(s, 10, 16)
+	if err == nil && p == 0 {
+		err = fmt.Errorf("port 0")
+	}
+	return int(p), err
 }
 
 // UDPOptions configures the real-network transport: IP-multicast for data

@@ -175,12 +175,18 @@ func TestParsePeers(t *testing.T) {
 func TestParsePeersErrors(t *testing.T) {
 	cases := []string{
 		"",
-		"1",            // no =
-		"x=host",       // bad id
-		"1=host:1",     // partial ports
-		"1=host:a:2",   // bad data port
-		"1=host:1:b",   // bad token port
-		"1=host:1:2:3", // too many fields
+		"1",              // no =
+		"x=host",         // bad id
+		"1=host:1",       // partial ports
+		"1=host:a:2",     // bad data port
+		"1=host:1:b",     // bad token port
+		"1=host:1:2:3",   // too many fields
+		"0=host",         // zero id
+		"1=a,1=b",        // repeated id
+		"1=",             // empty host
+		"1=host:-5:7",    // negative port
+		"1=host:0:70000", // ports outside 1-65535
+		"1=host:7:70000", // token port above 65535
 	}
 	for _, c := range cases {
 		if _, err := ParsePeers(c); err == nil {
