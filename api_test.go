@@ -260,6 +260,9 @@ func TestStartValidation(t *testing.T) {
 	if _, err := Start(Options{ID: 1, Transport: net.Endpoint(1), Members: []ParticipantID{2, 3}}); err == nil {
 		t.Fatal("Start with membership excluding self succeeded")
 	}
+	if _, err := Start(Options{ID: 1, Transport: net.Endpoint(1), Members: []ParticipantID{0, 1, 2}}); err == nil {
+		t.Fatal("Start with member ID 0 succeeded")
+	}
 }
 
 // TestStartRejectsInapplicableProtocol: Start refuses protocol settings it

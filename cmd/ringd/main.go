@@ -25,6 +25,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"os"
@@ -84,16 +85,10 @@ func run() int {
 		logger.Printf("-peers has no entry for -id %d", *id)
 		return 2
 	}
-	var members []accelring.ParticipantID
-	if *membersFlag != "" {
-		for _, part := range strings.Split(*membersFlag, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
-			if err != nil {
-				logger.Printf("bad -members entry %q: %v", part, err)
-				return 2
-			}
-			members = append(members, accelring.ParticipantID(v))
-		}
+	members, err := parseMembers(*membersFlag, peers)
+	if err != nil {
+		logger.Print(err)
+		return 2
 	}
 	var protocol accelring.Protocol
 	switch *protoFlag {
@@ -198,6 +193,28 @@ func run() int {
 		d.Close()
 		return 1
 	}
+}
+
+// parseMembers parses -members: comma-separated IDs, each of which must
+// have a -peers entry, or the token could never be sent to it. Empty means
+// dynamic discovery (nil).
+func parseMembers(s string, peers map[accelring.ParticipantID]accelring.Peer) ([]accelring.ParticipantID, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var members []accelring.ParticipantID
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("bad -members entry %q: %v", part, err)
+		}
+		id := accelring.ParticipantID(v)
+		if _, ok := peers[id]; !ok {
+			return nil, fmt.Errorf("-members names %d, which has no -peers entry", v)
+		}
+		members = append(members, id)
+	}
+	return members, nil
 }
 
 // logTracer logs protocol state transitions and configuration installs.

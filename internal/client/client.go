@@ -5,7 +5,7 @@
 //
 // Connections come in two flavors. Connect/New give the classic
 // fail-stop connection: when it drops, the Events channel closes and the
-// Conn is dead. Dial/DialContext with Options.Reconnect give a managed
+// Conn is dead. Dial with Options.Reconnect gives a managed
 // connection that survives daemon restarts: it redials with capped
 // exponential backoff, resumes its session (CmdResume) so the daemon
 // replays the delivery stream from the client's last acknowledged stamp,
@@ -16,7 +16,6 @@
 package client
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -106,9 +105,8 @@ func (Draining) isEvent()     {}
 
 // Errors returned by connection operations.
 var (
-	// ErrClosed is returned by operations on a closed connection — closed
-	// by Close, a dead unmanaged connection, or a managed connection that
-	// exhausted Options.MaxAttempts.
+	// ErrClosed is returned by operations on a closed connection: closed
+	// by Close, or an unmanaged connection that dropped.
 	ErrClosed = errors.New("client: connection closed")
 	// ErrReconnecting is returned by operations that need a live transport
 	// (Multicast, Stats) while a managed connection is between attempts.
@@ -124,7 +122,7 @@ const (
 	DefaultBackoffMax  = 5 * time.Second
 )
 
-// Options configures Dial/DialContext.
+// Options configures Dial.
 type Options struct {
 	// DialTimeout bounds each dial attempt; zero selects
 	// DefaultDialTimeout.
@@ -142,9 +140,6 @@ type Options struct {
 	// reconnect attempts; zeroes select DefaultBackoffMin/Max.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// MaxAttempts caps the dials per outage; past it the connection gives
-	// up and behaves as closed. Zero means retry forever.
-	MaxAttempts int
 }
 
 func (o *Options) fill() {
@@ -230,17 +225,11 @@ func Connect(network, addr, name string) (*Conn, error) {
 
 // Dial connects to a daemon with the given options.
 func Dial(network, addr, name string, opts Options) (*Conn, error) {
-	return DialContext(context.Background(), network, addr, name, opts)
-}
-
-// DialContext connects to a daemon, bounded by ctx: dialing (including
-// the Options.ConnectWait retry window) stops when ctx is done.
-func DialContext(ctx context.Context, network, addr, name string, opts Options) (*Conn, error) {
 	if name == "" {
 		return nil, errors.New("client: empty name")
 	}
 	opts.fill()
-	conn, err := dialInitial(ctx, network, addr, opts)
+	conn, err := dialInitial(network, addr, opts)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
@@ -257,23 +246,18 @@ func DialContext(ctx context.Context, network, addr, name string, opts Options) 
 // dialInitial dials with the per-attempt timeout, retrying transport
 // errors for up to opts.ConnectWait (the daemon socket may not be up
 // yet).
-func dialInitial(ctx context.Context, network, addr string, opts Options) (net.Conn, error) {
-	d := net.Dialer{Timeout: opts.DialTimeout}
+func dialInitial(network, addr string, opts Options) (net.Conn, error) {
 	deadline := time.Now().Add(opts.ConnectWait)
 	backoff := opts.BackoffMin
 	for {
-		conn, err := d.DialContext(ctx, network, addr)
+		conn, err := net.DialTimeout(network, addr, opts.DialTimeout)
 		if err == nil {
 			return conn, nil
 		}
 		if opts.ConnectWait <= 0 || !time.Now().Add(backoff).Before(deadline) {
 			return nil, err
 		}
-		select {
-		case <-time.After(jitter(backoff)):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		time.Sleep(jitter(backoff))
 		if backoff *= 2; backoff > opts.BackoffMax {
 			backoff = opts.BackoffMax
 		}
@@ -294,7 +278,7 @@ func New(conn net.Conn, name string) (*Conn, error) {
 }
 
 // newConn performs the handshake and builds the Conn without starting its
-// reader, so DialContext can flip it to managed mode first.
+// reader, so Dial can flip it to managed mode first.
 func newConn(conn net.Conn, name string) (*Conn, error) {
 	if name == "" {
 		conn.Close()
@@ -363,14 +347,6 @@ func (c *Conn) PrivateName() string {
 	return c.private
 }
 
-// SessionID returns the daemon-issued resume session ID (0 when the
-// daemon has resume disabled).
-func (c *Conn) SessionID() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sessionID
-}
-
 // Reconnects returns how many outages this managed connection has
 // survived; Resumes how many of those kept the session.
 func (c *Conn) Reconnects() uint64 {
@@ -388,7 +364,7 @@ func (c *Conn) Resumes() uint64 {
 
 // Events returns the stream of ordered messages and views, plus lifecycle
 // events on managed connections. It closes when the connection is dead:
-// dropped (unmanaged), Closed, or out of reconnect attempts (managed).
+// dropped (unmanaged) or Closed.
 func (c *Conn) Events() <-chan Event { return c.events }
 
 // Join subscribes this client to a group. The resulting view arrives on
@@ -668,7 +644,7 @@ func (c *Conn) emit(ev Event) {
 	}
 }
 
-// isClosed reports whether Close ran or reconnects are exhausted.
+// isClosed reports whether Close ran.
 func (c *Conn) isClosed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -713,12 +689,7 @@ func (c *Conn) supervise(conn net.Conn, err error) {
 		c.emit(Disconnected{Err: err})
 		next, resumed, gap, attempts := c.reconnect()
 		if next == nil {
-			// Closed, or attempts exhausted: the connection is dead.
-			c.mu.Lock()
-			c.shutLocked()
-			c.mu.Unlock()
-			c.doneOnce.Do(func() { close(c.done) })
-			return
+			return // Close ran while redialing and has shut the connection
 		}
 		c.emit(Reconnected{Resumed: resumed, Attempts: attempts})
 		if gap {
@@ -732,14 +703,11 @@ func (c *Conn) supervise(conn net.Conn, err error) {
 // reconnect dials until a session is serving again. It returns the new
 // transport, whether the session was resumed, whether stream continuity
 // broke (fresh session, or the daemon dropped frames while away), and the
-// attempt count — or a nil transport when closed or out of attempts.
+// attempt count — or a nil transport once the connection is closed.
 func (c *Conn) reconnect() (conn net.Conn, resumed, gap bool, attempts int) {
 	backoff := c.opts.BackoffMin
 	for {
 		if c.isClosed() {
-			return nil, false, false, attempts
-		}
-		if c.opts.MaxAttempts > 0 && attempts >= c.opts.MaxAttempts {
 			return nil, false, false, attempts
 		}
 		attempts++
@@ -762,18 +730,13 @@ func (c *Conn) reconnect() (conn net.Conn, resumed, gap bool, attempts int) {
 // exists (CmdResume), fall back to a fresh handshake otherwise, reconcile
 // interest state, and install the transport.
 func (c *Conn) tryConnect() (net.Conn, bool, bool, error) {
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
-	conn, err := d.Dial(c.network, c.addr)
+	conn, err := net.DialTimeout(c.network, c.addr, c.opts.DialTimeout)
 	if err != nil {
 		return nil, false, false, err
 	}
 	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
 	c.mu.Lock()
 	sid, stamp, name := c.sessionID, c.lastStamp, c.name
-	seqs := make(map[string]uint64, len(c.groupSeqs))
-	for g, s := range c.groupSeqs {
-		seqs[g] = s
-	}
 	c.mu.Unlock()
 
 	resumed, gap := false, false
@@ -783,7 +746,6 @@ func (c *Conn) tryConnect() (net.Conn, bool, bool, error) {
 		body := ipc.PutString(nil, name)
 		body = ipc.PutUint64(body, sid)
 		body = ipc.PutUint64(body, stamp)
-		body = putSeqs(body, seqs)
 		if err := ipc.WriteFrame(conn, ipc.CmdResume, body); err != nil {
 			conn.Close()
 			return nil, false, false, err
@@ -862,19 +824,6 @@ func (c *Conn) queueReplayLocked(resumed bool) {
 	c.pendingLeaves = make(map[string]bool)
 	c.pendingUnsubs = make(map[string]bool)
 	c.wake.Broadcast()
-}
-
-// putSeqs encodes the per-group cursor list of a CmdResume body.
-func putSeqs(dst []byte, seqs map[string]uint64) []byte {
-	var cnt [2]byte
-	cnt[0] = byte(len(seqs) >> 8)
-	cnt[1] = byte(len(seqs))
-	dst = append(dst, cnt[:]...)
-	for g, s := range seqs {
-		dst = ipc.PutString(dst, g)
-		dst = ipc.PutUint64(dst, s)
-	}
-	return dst
 }
 
 // readConn pumps frames from one transport until it fails, emitting

@@ -273,7 +273,7 @@ func TestWriteErrorUnmanaged(t *testing.T) {
 func TestWriteErrorManaged(t *testing.T) {
 	f := newFakeDaemon(t)
 	ch := f.serveWelcome("n@0.0.0.1", 42)
-	// DialContext, with the transport wrapped before the handshake.
+	// Dial, with the transport wrapped before the handshake.
 	raw, err := net.Dial("unix", f.addr)
 	if err != nil {
 		t.Fatal(err)

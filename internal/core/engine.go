@@ -218,12 +218,18 @@ func (e *Engine) Start(members []wire.ParticipantID) ([]engine.Action, error) {
 // StaticConfiguration validates a static member list and returns the
 // configuration every engine started with that list reports — members in
 // ascending order, the smallest ID as representative, ring sequence 4 —
-// together with me's position in it.
+// together with me's position in it. A list with ID 0, a duplicate, more
+// than wire.MaxMembers IDs, or without me is ErrBadMembership.
 func StaticConfiguration(members []wire.ParticipantID, me wire.ParticipantID) (engine.Configuration, int, error) {
 	if len(members) == 0 || len(members) > wire.MaxMembers {
 		return engine.Configuration{}, 0, fmt.Errorf("%w: %d members", ErrBadMembership, len(members))
 	}
 	sorted := sortedIDs(members)
+	if sorted[0] == 0 {
+		// No node runs as ID 0, so the representative would never inject
+		// the first token.
+		return engine.Configuration{}, 0, fmt.Errorf("%w: member ID 0", ErrBadMembership)
+	}
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
 			return engine.Configuration{}, 0, fmt.Errorf("%w: duplicate member %s", ErrBadMembership, sorted[i])

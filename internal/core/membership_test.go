@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -47,6 +48,42 @@ func (h *harness) waitConfig(d time.Duration, members []wire.ParticipantID, ids 
 		h.t.Logf("node %s: state %s config %v", id, eng(h.Node(id)).state, cfg)
 	}
 	h.t.Fatalf("nodes %v did not install config %v within %v", ids, members, d)
+}
+
+// TestStaticConfiguration: a valid list installs sorted with the smallest
+// ID as representative; every list a node could not run is
+// ErrBadMembership, a list naming ID 0 included — its representative would
+// be an ID no node may take, and nobody would inject the first token.
+func TestStaticConfiguration(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		members []wire.ParticipantID
+		me      wire.ParticipantID
+		ok      bool
+	}{
+		{"valid", []wire.ParticipantID{3, 1, 2}, 2, true},
+		{"empty", nil, 1, false},
+		{"duplicate", []wire.ParticipantID{1, 2, 2}, 1, false},
+		{"without me", []wire.ParticipantID{2, 3}, 1, false},
+		{"member ID 0", []wire.ParticipantID{0, 1, 2}, 1, false},
+		{"too many", make([]wire.ParticipantID, wire.MaxMembers+1), 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, idx, err := StaticConfiguration(tc.members, tc.me)
+			if !tc.ok {
+				if !errors.Is(err, ErrBadMembership) {
+					t.Fatalf("err = %v, want ErrBadMembership", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.ID.Rep != 1 || !idSliceEqual(cfg.Members, []wire.ParticipantID{1, 2, 3}) || idx != 1 {
+				t.Fatalf("got %v at index %d, want ring {1,2,3} rep 1, index 1", cfg, idx)
+			}
+		})
+	}
 }
 
 func TestGatherFormsRingFromScratch(t *testing.T) {

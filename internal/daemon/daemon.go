@@ -455,27 +455,9 @@ func (d *Daemon) applyResume(s *session, body []byte) {
 		return
 	}
 	stamp, rest, err := ipc.GetUint64(rest)
-	if err != nil {
+	if err != nil || len(rest) != 0 {
 		s.close()
 		return
-	}
-	// Per-group cursors ride along for diagnostics; replay is driven by
-	// the global stamp, so they are only validated here.
-	if len(rest) < 2 {
-		s.close()
-		return
-	}
-	n := int(binary.BigEndian.Uint16(rest))
-	rest = rest[2:]
-	for i := 0; i < n; i++ {
-		if _, rest, err = ipc.GetString(rest); err != nil {
-			s.close()
-			return
-		}
-		if _, rest, err = ipc.GetUint64(rest); err != nil {
-			s.close()
-			return
-		}
 	}
 	private := d.memberName(name)
 	old := d.detached[id]

@@ -12,6 +12,7 @@ import (
 	"accelring"
 	"accelring/internal/client"
 	"accelring/internal/fanout"
+	"accelring/internal/ipc"
 	"accelring/internal/wire"
 )
 
@@ -165,6 +166,43 @@ func wantPayloads(t *testing.T, c *client.Conn, want ...string) {
 			}
 			break
 		}
+	}
+}
+
+// TestResumeBodyIsNameSessionStamp: a CmdResume body is exactly the
+// name, the session ID and the stamp. That body is answered (here with a
+// fresh session, the ID being unknown); a body with anything after the
+// stamp, or one cut short, gets the connection closed.
+func TestResumeBodyIsNameSessionStamp(t *testing.T) {
+	exact := ipc.PutUint64(ipc.PutUint64(ipc.PutString(nil, "r"), 12345), 7)
+	for _, tc := range []struct {
+		name     string
+		body     []byte
+		answered bool
+	}{
+		{"name, session and stamp", exact, true},
+		{"trailing bytes", append(append([]byte(nil), exact...), 0, 0), false},
+		{"stamp cut short", exact[:len(exact)-1], false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := startDaemonsResume(t, 1, 5*time.Second, fanout.Config{})
+			conn, err := net.Dial("unix", cl.socks[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := ipc.WriteFrame(conn, ipc.CmdResume, tc.body); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			typ, _, err := ipc.ReadFrame(conn)
+			switch {
+			case tc.answered && (err != nil || typ != ipc.EvtResumed):
+				t.Fatalf("resume not answered: frame %d, %v", typ, err)
+			case !tc.answered && (err == nil || isTimeout(err)):
+				t.Fatalf("session still open after a bad resume body (frame %d, %v)", typ, err)
+			}
+		})
 	}
 }
 

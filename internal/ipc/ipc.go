@@ -40,10 +40,9 @@ const (
 	CmdUnsubscribe
 	// CmdResume (client → daemon) is the session-resume handshake, sent as
 	// the first frame of a reconnected connection instead of CmdConnect.
-	// Body: client name (length-prefixed), session ID (8 bytes), the last
-	// delivered global stamp (8 bytes), then a counted list of
-	// (group, last-delivered per-group sequence) pairs — each a
-	// length-prefixed group name followed by 8 bytes. The daemon answers
+	// Body: client name (length-prefixed), session ID (8 bytes) and the
+	// last delivered global stamp (8 bytes), and nothing more; the daemon
+	// closes a session whose resume body is longer. The daemon answers
 	// with one EvtResumed frame and, when the session was found alive,
 	// replays its fan-out queue from the first frame after the stamp.
 	CmdResume

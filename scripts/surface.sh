@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Prints the size of the repo's public surface, the figures ROADMAP's
-# [user-path] item is judged on: non-test Go lines outside benchmark/,
-# accelring.Options fields, exported Node methods, and flags per main.
+# [user-path] item is judged on: non-test Go lines and main programs
+# outside benchmark/, accelring.Options fields, exported Node methods,
+# exported funcs and methods of internal/client, and flags per main.
 # It reports and never fails on the figures. Run from anywhere:
 #
 #	bash scripts/surface.sh
@@ -10,6 +11,10 @@ cd "$(dirname "$0")/.."
 
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
 echo "non-test Go lines: $lines"
+
+programs=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 |
+	xargs -0 grep -lx 'package main' | xargs -n1 dirname | sort -u | wc -l)
+echo "main programs: $programs"
 
 # One field per name: "A, B int" declares two.
 fields=$(awk '/^type Options struct/ {inside=1; next}
@@ -21,6 +26,10 @@ echo "accelring.Options fields: $fields"
 methods=$(find . -maxdepth 1 -name '*.go' -not -name '*_test.go' -print0 |
 	xargs -0 grep -hoE '^func \([a-z]+ \*Node\) [A-Z][A-Za-z0-9]*' | awk '{print $NF}' | sort)
 echo "Node methods: $(echo "$methods" | grep -c .) ($(echo $methods))"
+
+client=$(find internal/client -name '*.go' -not -name '*_test.go' -print0 |
+	xargs -0 grep -hcE '^func (\([^)]*\) )?[A-Z]' | awk '{n += $1} END {print n}')
+echo "internal/client exported funcs and methods: $client"
 
 total=0
 for dir in cmd/*/; do
