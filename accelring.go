@@ -208,7 +208,8 @@ type Options struct {
 	WatchdogInterval time.Duration
 	// OnStall, when non-nil, receives a report for every stalled check.
 	// Called from the watchdog goroutine; must not block on the stalled
-	// loop (Submit and Metrics both round-trip it).
+	// loop (Metrics round-trips it, and Submit blocks once its queue is
+	// full).
 	OnStall func(StallReport)
 }
 
@@ -220,11 +221,17 @@ type Node struct {
 	events chan Event
 
 	submitCh chan submitReq
-	statsCh  chan chan core.Snapshot
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	closing  atomic.Bool // set by Close; the loop checks it every pass
-	done     chan struct{}
+	// reserved counts submissions Submit accepted and the loop has not
+	// stepped, parked submitters included; backlog is the engine's backlog
+	// as the loop last stored it. Submit keeps their sum within maxPending.
+	reserved   atomic.Int64
+	backlog    atomic.Int64
+	maxPending int64
+	statsCh    chan chan core.Snapshot
+	stopCh     chan struct{}
+	stopOnce   sync.Once
+	closing    atomic.Bool // set by Close and by the exiting loop; checked every pass
+	done       chan struct{}
 
 	// nm is the runtime instrumentation (atomic; shared between the
 	// protocol goroutine and Metrics callers). lastTokenAt is owned by the
@@ -245,12 +252,13 @@ type Node struct {
 	// never retains those pointers — it copies what it keeps). burstBufs
 	// and burstPkts back a data run in flight — pooled buffers, one per
 	// frame, and the vector handed to Multicast; their headers are retained
-	// across runs.
+	// across runs. runActs collects a run of submissions' actions (submit).
 	encBuf    []byte
 	encVec    [1][]byte
 	dec       wire.Decoder
 	burstBufs [][]byte
 	burstPkts [][]byte
+	runActs   []engine.Action
 
 	mu      sync.Mutex
 	errs    []error // ring of recent protocol-loop errors
@@ -264,7 +272,6 @@ type Node struct {
 type submitReq struct {
 	payload []byte
 	service Service
-	errCh   chan error
 }
 
 // Errors.
@@ -331,6 +338,20 @@ func Start(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("accelring: %w", err)
 	}
+	n, initial, err := newNode(opts, kind, eng)
+	if err != nil {
+		return nil, err
+	}
+	go n.loop(eng, initial)
+	if opts.WatchdogInterval > 0 {
+		go n.watchdog(opts.WatchdogInterval, opts.OnStall)
+	}
+	return n, nil
+}
+
+// newNode builds the node that runs eng over opts.Transport and starts the
+// engine, returning the engine's initial actions for the loop to execute.
+func newNode(opts Options, kind EngineKind, eng core.OrderingEngine) (*Node, []engine.Action, error) {
 	buf := opts.EventBuffer
 	if buf <= 0 {
 		buf = 16384
@@ -342,24 +363,20 @@ func Start(opts Options) (*Node, error) {
 		events: make(chan Event, buf),
 		// Room for one engine.SubmitQuota: the loop counts what waits with
 		// len and takes it without a select.
-		submitCh: make(chan submitReq, engine.SubmitQuota),
-		statsCh:  make(chan chan core.Snapshot, 1),
-		stopCh:   make(chan struct{}),
-		done:     make(chan struct{}),
-		nm:       newNodeMetrics(),
+		submitCh:   make(chan submitReq, engine.SubmitQuota),
+		maxPending: int64(eng.Snapshot().Config.MaxPending),
+		statsCh:    make(chan chan core.Snapshot, 1),
+		stopCh:     make(chan struct{}),
+		done:       make(chan struct{}),
+		nm:         newNodeMetrics(),
 	}
 	n.timers = newTimerSet(&n.nm.timerStale)
 
 	initial, err := eng.Start(opts.Members)
 	if err != nil {
-		return nil, fmt.Errorf("accelring: %w", err)
+		return nil, nil, fmt.Errorf("accelring: %w", err)
 	}
-
-	go n.loop(eng, initial)
-	if opts.WatchdogInterval > 0 {
-		go n.watchdog(opts.WatchdogInterval, opts.OnStall)
-	}
-	return n, nil
+	return n, initial, nil
 }
 
 // ID returns this node's participant ID.
@@ -369,33 +386,40 @@ func (n *Node) ID() ParticipantID { return n.id }
 // The channel is closed when the node shuts down.
 func (n *Node) Events() <-chan Event { return n.events }
 
-// errChPool recycles Submit reply channels. A reply channel is strictly
-// request-scoped — the loop answers exactly once and the submitter reads
-// that answer before returning — so pooling it removes one allocation per
-// Submit on the steady-state send path.
-var errChPool = sync.Pool{New: func() any { return make(chan error, 1) }}
-
 // Submit queues an application message for totally ordered multicast to
-// the ring (including back to this node). It blocks while the protocol
-// loop is busy and fails once the engine's backlog is full.
+// the ring (including back to this node) and returns without waiting for
+// the protocol loop: nil means the message is queued, and the loop hands
+// it to the engine with whatever else is queued, as one run whose data
+// frames leave in one Multicast. Submit answers its own errors before it
+// queues: an invalid service or a payload over the wire maximum, ErrClosed
+// once Close has begun, and core.ErrBacklogFull when the engine's backlog
+// plus the messages still queued would exceed the engine's bound. It blocks
+// while engine.SubmitQuota messages are queued. A message still queued when
+// the node closes is dropped.
 //
 // The engine retains payload until the message stabilizes, so the caller
 // must not modify it after Submit returns nil.
 func (n *Node) Submit(payload []byte, service Service) error {
-	errCh := errChPool.Get().(chan error)
-	req := submitReq{payload: payload, service: service, errCh: errCh}
-	select {
-	case n.submitCh <- req:
-	case <-n.done:
-		errChPool.Put(errCh)
+	if !service.Valid() {
+		return fmt.Errorf("accelring: invalid service %d", uint8(service))
+	}
+	if len(payload) > wire.MaxPayload {
+		return fmt.Errorf("accelring: payload %d exceeds maximum %d", len(payload), wire.MaxPayload)
+	}
+	// Checked before the send: a select between a free slot and a closed
+	// done would pick either.
+	if n.closing.Load() {
 		return ErrClosed
 	}
+	if n.reserved.Add(1)+n.backlog.Load() > n.maxPending {
+		n.reserved.Add(-1)
+		return core.ErrBacklogFull
+	}
 	select {
-	case err := <-errCh:
-		errChPool.Put(errCh)
-		return err
+	case n.submitCh <- submitReq{payload: payload, service: service}:
+		return nil
 	case <-n.done:
-		// The loop exited, perhaps after answering: errCh is not pooled.
+		n.reserved.Add(-1)
 		return ErrClosed
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/core"
 	"accelring/internal/faultplan"
+	"accelring/internal/wire"
 )
 
 // startCluster boots n nodes over one in-memory network with a static ring.
@@ -246,6 +248,64 @@ func TestStatsAndClose(t *testing.T) {
 	}
 	if _, err := nodes[0].Metrics(); err != ErrClosed {
 		t.Fatalf("Metrics after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestSubmitAnswersSynchronously: Submit answers an invalid message, a
+// closed node and a full backlog itself, before it queues anything, on both
+// engines. The node's backlog bound is 4 and its ring never orders, so four
+// accepted submissions fill it: the fifth is refused while they still wait
+// for the loop, and again once the loop has stepped them. No refusal
+// reaches the engine, so SubmitErrors stays zero.
+func TestSubmitAnswersSynchronously(t *testing.T) {
+	const maxPending = 4
+	for _, kind := range []EngineKind{EngineAccelRing, EngineRingPaxos} {
+		for _, tc := range []struct {
+			name    string
+			payload []byte
+			service Service
+			fill    int  // submissions accepted first
+			close   bool // Close before the checked Submit
+			want    string
+		}{
+			{"invalid service", []byte("x"), Service(0), 0, false, "invalid service"},
+			{"oversized payload", make([]byte, wire.MaxPayload+1), Agreed, 0, false, "exceeds maximum"},
+			{"closed", []byte("x"), Agreed, 0, true, ErrClosed.Error()},
+			{"backlog full", []byte("x"), Agreed, maxPending, false, core.ErrBacklogFull.Error()},
+		} {
+			t.Run(string(kind)+"/"+tc.name, func(t *testing.T) {
+				n := startTestNode(t, kind, &recordingTransport{}, maxPending)
+				for i := 0; i < tc.fill; i++ {
+					if err := n.Submit([]byte("fill"), Agreed); err != nil {
+						t.Fatalf("fill %d: %v", i, err)
+					}
+				}
+				if tc.close {
+					n.Close()
+				}
+				check := func(when string) {
+					t.Helper()
+					err := n.Submit(tc.payload, tc.service)
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("Submit %s = %v, want an error containing %q", when, err, tc.want)
+					}
+				}
+				check("at once")
+				if tc.close {
+					return
+				}
+				waitSubmits(t, n, uint64(tc.fill))
+				check("once the loop stepped the fill")
+				m, err := n.Metrics()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Runtime.Submits != uint64(tc.fill) || m.Runtime.SubmitErrors != 0 {
+					t.Fatalf("Submits/SubmitErrors = %d/%d, want %d/0",
+						m.Runtime.Submits, m.Runtime.SubmitErrors, tc.fill)
+				}
+			})
+		}
 	}
 }
 

@@ -1,10 +1,14 @@
 package accelring
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
+	"accelring/internal/core"
 	"accelring/internal/engine"
+	"accelring/internal/ringpaxos"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
 )
@@ -12,10 +16,15 @@ import (
 // recordingTransport records every send the runtime hands it, in order, so
 // the tests can pin the one send path: each maximal run of consecutive
 // SendData actions arrives as one Multicast vector, everything else as its
-// own call.
+// own call. A test that runs the loop reads calls only after Close.
 type recordingTransport struct {
 	transport.Metrics
 	calls []sendCall
+	// gate, when non-nil, holds every Multicast until it is closed, and
+	// held (buffered) is signalled as each one starts waiting: a loop
+	// blocked in a pathological transport call, on demand.
+	gate chan struct{}
+	held chan struct{}
 }
 
 // sendCall is one transport send: a Multicast carrying the decoded
@@ -26,6 +35,13 @@ type sendCall struct {
 }
 
 func (r *recordingTransport) Multicast(pkts [][]byte) error {
+	if r.gate != nil {
+		select {
+		case r.held <- struct{}{}:
+		default:
+		}
+		<-r.gate
+	}
 	c := sendCall{op: "Multicast"}
 	for _, p := range pkts {
 		c.payloads = append(c.payloads, decodePayload(p))
@@ -150,4 +166,107 @@ func TestBurstRecyclesBuffers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// startTestNode runs an engine of the given kind as participant 2 of the
+// static ring {1, 2} over tr, with participant 1 absent: no token ever
+// arrives and no value is ever decided, so the backlog only grows, and
+// with hour-long timers nothing fires. maxPending zero keeps the default.
+// The node closes when the test ends.
+func startTestNode(t *testing.T, kind EngineKind, tr transport.Transport, maxPending int) *Node {
+	t.Helper()
+	cfg := core.Config{
+		MyID:               2,
+		MaxPending:         maxPending,
+		TokenLossTimeout:   time.Hour,
+		TokenRetransPeriod: time.Hour,
+		JoinPeriod:         time.Hour,
+		ConsensusTimeout:   time.Hour,
+		CommitTimeout:      time.Hour,
+	}
+	var eng core.OrderingEngine
+	var err error
+	if kind == EngineRingPaxos {
+		eng, err = ringpaxos.New(cfg)
+	} else {
+		eng, err = core.New(cfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, initial, err := newNode(Options{ID: 2, Transport: tr, Members: []ParticipantID{1, 2}}, kind, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go n.loop(eng, initial)
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// waitHeld waits until the loop is held inside a gated Multicast.
+func waitHeld(t *testing.T, rt *recordingTransport) {
+	t.Helper()
+	select {
+	case <-rt.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the loop never reached the gated Multicast")
+	}
+}
+
+// waitSubmits waits until the loop has stepped want submissions.
+func waitSubmits(t *testing.T, n *Node, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); n.nm.submits.Load() < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("loop stepped %d submissions, want %d", n.nm.submits.Load(), want)
+		}
+	}
+}
+
+// TestSubmissionRunIsOneMulticast: the submissions a loop pass takes are
+// one run, executed once, so Ring Paxos's proposals — one SendData per
+// Submit — reach the transport as one Multicast in submission order. The
+// loop is held inside a lone submission's Multicast (a run of one) while
+// SubmitQuota more queue behind it; released, it takes all of them in its
+// next pass. Accelerated Ring queues a submission until the token visits,
+// so its Submit makes no transport call at all.
+func TestSubmissionRunIsOneMulticast(t *testing.T) {
+	t.Run("ringpaxos", func(t *testing.T) {
+		rt := &recordingTransport{gate: make(chan struct{}), held: make(chan struct{}, 1)}
+		n := startTestNode(t, EngineRingPaxos, rt, 0)
+		if err := n.Submit([]byte("lone"), Agreed); err != nil {
+			t.Fatal(err)
+		}
+		waitHeld(t, rt)
+		run := []string{}
+		for i := 0; i < engine.SubmitQuota; i++ {
+			p := fmt.Sprintf("run-%d", i)
+			if err := n.Submit([]byte(p), Agreed); err != nil {
+				t.Fatal(err)
+			}
+			run = append(run, p)
+		}
+		close(rt.gate)
+		waitSubmits(t, n, 1+engine.SubmitQuota)
+		n.Close()
+		want := []sendCall{
+			{op: "Multicast", payloads: []string{"lone"}},
+			{op: "Multicast", payloads: run},
+		}
+		if !reflect.DeepEqual(rt.calls, want) {
+			t.Fatalf("transport saw\n %v\nwant\n %v", rt.calls, want)
+		}
+	})
+	t.Run("accelring", func(t *testing.T) {
+		rt := &recordingTransport{}
+		n := startTestNode(t, EngineAccelRing, rt, 0)
+		if err := n.Submit([]byte("queued"), Agreed); err != nil {
+			t.Fatal(err)
+		}
+		waitSubmits(t, n, 1)
+		n.Close()
+		if len(rt.calls) != 0 {
+			t.Fatalf("Submit reached the transport: %v", rt.calls)
+		}
+	})
 }

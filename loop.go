@@ -152,10 +152,12 @@ func (ts *timerSet) stopAll() {
 // the token and data sockets, the queued submissions), as netsim's CPU does,
 // then up to SubmitsPerInput more submissions; a timer fire (the wake
 // channel here, driver events in netsim), a stats request or Close goes
-// first. The one select waits when nothing is in hand.
+// first. The one select waits when nothing is in hand. The submissions a
+// pass takes are one run (submit).
 func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	ts := n.timers
 	defer func() {
+		n.closing.Store(true) // Submit answers ErrClosed from here on
 		ts.stopAll()
 		n.tr.Close()
 		close(n.events)
@@ -168,8 +170,10 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	tokenCh := n.tr.Token()
 
 	for !n.closing.Load() {
+		p := eng.Progress()
+		n.backlog.Store(int64(p.Pending))
 		q := engine.Queued{Token: len(tokenCh), Data: len(dataCh), Submits: len(n.submitCh)}
-		src, k := engine.Pick(q, eng.Progress().TokenPriority)
+		src, k := engine.Pick(q, p.TokenPriority)
 		kind, fired := ts.takeOne()
 		submits := engine.SubmitsPerInput
 		switch {
@@ -198,29 +202,51 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 				n.handlePacket(eng, ts, pkt)
 			case <-ts.wake: // the recorded fire is taken on the next pass
 			case req := <-n.submitCh:
-				n.submit(eng, ts, req)
+				n.submit(eng, ts, req, engine.SubmitQuota-1)
+				continue
 			case ch := <-n.statsCh:
 				ch <- eng.Snapshot()
 			case <-n.stopCh:
 				return
 			}
 		}
-		for ; submits > 0 && len(n.submitCh) > 0; submits-- {
-			n.submit(eng, ts, <-n.submitCh)
+		if len(n.submitCh) > 0 {
+			n.submit(eng, ts, <-n.submitCh, submits-1)
 		}
 	}
 }
 
-// submit hands one submission to the engine and answers its submitter.
-func (n *Node) submit(eng core.OrderingEngine, ts *timerSet, req submitReq) {
-	actions, err := eng.Submit(req.payload, req.service)
-	if err != nil {
-		n.nm.submitErrors.Inc()
-	} else {
-		n.nm.submits.Inc()
+// submit steps a run of submissions: first, then up to more of those queued
+// behind it. Each one's actions are appended in order to the loop-owned
+// runActs — copied, because an engine may reuse the slice it returns — and
+// the run is executed once, so its consecutive data frames leave as one
+// Multicast. The run's reservations are released only after the engine's
+// grown backlog is stored, so Submit never sees room the engine lacks. The
+// engine should never refuse a submission Submit accepted; if it does, the
+// refusal is counted and recorded like any loop error.
+func (n *Node) submit(eng core.OrderingEngine, ts *timerSet, first submitReq, more int) {
+	run := n.runActs[:0]
+	taken := int64(0)
+	for req := first; ; req = <-n.submitCh {
+		taken++
+		actions, err := eng.Submit(req.payload, req.service)
+		if err != nil {
+			n.nm.submitErrors.Inc()
+			n.noteErr(err)
+		} else {
+			n.nm.submits.Inc()
+		}
+		run = append(run, actions...)
+		if more == 0 || len(n.submitCh) == 0 {
+			break
+		}
+		more--
 	}
-	req.errCh <- err
-	n.execute(ts, actions)
+	n.backlog.Store(int64(eng.Progress().Pending))
+	n.reserved.Add(-taken)
+	n.execute(ts, run)
+	clear(run)
+	n.runActs = run[:0]
 }
 
 // handlePacket decodes one packet and feeds it to the engine. The packet

@@ -59,8 +59,10 @@ type RuntimeMetrics struct {
 	TimerFires      uint64 `json:"timer_fires"`
 	TimerStaleDrops uint64 `json:"timer_stale_drops"`
 	TimerCancels    uint64 `json:"timer_cancels"`
-	// Submits and SubmitErrors count application submissions accepted and
-	// rejected (backlog full, invalid service) by the engine.
+	// Submits and SubmitErrors count queued submissions the engine accepted
+	// and refused. Submit answers invalid ones and a full backlog itself,
+	// before queueing, so SubmitErrors stays zero unless the engine
+	// disagrees with Submit's checks.
 	Submits      uint64 `json:"submits"`
 	SubmitErrors uint64 `json:"submit_errors"`
 	// EventsDelivered counts ordered events handed to the application.

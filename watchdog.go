@@ -5,8 +5,8 @@ import "time"
 // Liveness watchdog. The protocol loop is a single goroutine; if it
 // wedges — most plausibly blocked handing an ordered event to an
 // application that stopped draining Events, or stuck in a pathological
-// transport call — every in-band health check (Submit, Stats, Metrics)
-// hangs with it. The watchdog therefore never touches the loop: it
+// transport call — every in-band health check (Stats, Metrics) hangs with
+// it, and Submit does once its queue is full. The watchdog therefore never touches the loop: it
 // samples the loop's atomic progress counters and the queues feeding it,
 // and flags a stall when a full interval passes with pending work but no
 // progress. An idle ring (no pending work) is never a stall.
@@ -22,6 +22,9 @@ type StallReport struct {
 	PendingData   int
 	PendingToken  int
 	PendingTimers int
+	// PendingSubmits is the number of submissions Submit accepted that
+	// wait for the loop: messages the application was told are queued.
+	PendingSubmits int
 	// EventQueueFull reports that the Events channel was at capacity — the
 	// classic wedge: the application stopped draining and the loop is
 	// blocked mid-delivery.
@@ -41,10 +44,11 @@ func (m *nodeMetrics) progress() uint64 {
 
 // pendingWork samples the work queued for the protocol loop without
 // involving it.
-func (n *Node) pendingWork() (data, token, timers int, evFull bool) {
+func (n *Node) pendingWork() (data, token, timers, submits int, evFull bool) {
 	data = len(n.tr.Data())
 	token = len(n.tr.Token())
 	timers = n.timers.pendingFires()
+	submits = len(n.submitCh)
 	evFull = len(n.events) == cap(n.events)
 	return
 }
@@ -65,8 +69,8 @@ func (n *Node) watchdog(interval time.Duration, onStall func(StallReport)) {
 		}
 		n.nm.watchdogChecks.Inc()
 		cur := n.nm.progress()
-		data, token, timers, evFull := n.pendingWork()
-		if cur == last && (data > 0 || token > 0 || timers > 0 || evFull) {
+		data, token, timers, submits, evFull := n.pendingWork()
+		if cur == last && (data > 0 || token > 0 || timers > 0 || submits > 0 || evFull) {
 			n.nm.watchdogStalls.Inc()
 			if onStall != nil {
 				onStall(StallReport{
@@ -74,6 +78,7 @@ func (n *Node) watchdog(interval time.Duration, onStall func(StallReport)) {
 					PendingData:    data,
 					PendingToken:   token,
 					PendingTimers:  timers,
+					PendingSubmits: submits,
 					EventQueueFull: evFull,
 				})
 			}

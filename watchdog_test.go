@@ -171,3 +171,52 @@ func testWatchdogQuietWhenHealthy(t *testing.T, engine EngineKind) {
 		}
 	}
 }
+
+// TestWatchdogSeesQueuedSubmissions: a loop wedged with only accepted
+// submissions waiting holds messages the application was told are queued,
+// so it is a stall. A solo Ring Paxos node's loop is held inside the first
+// submission's Multicast while two more queue behind it: the watchdog must
+// report within two intervals, naming the queued submissions. They are the
+// only pending work it sees — no frames, timer fires or full event queue —
+// so without PendingSubmits the wedge would go unreported.
+func TestWatchdogSeesQueuedSubmissions(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	stalls := make(chan StallReport, 16)
+	rt := &recordingTransport{gate: make(chan struct{}), held: make(chan struct{}, 1)}
+	n, err := Start(Options{
+		ID:               1,
+		Transport:        rt,
+		Members:          []ParticipantID{1},
+		Engine:           EngineRingPaxos,
+		WatchdogInterval: interval,
+		OnStall:          func(r StallReport) { stalls <- r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	defer close(rt.gate)
+	if err := n.Submit([]byte("held"), Agreed); err != nil {
+		t.Fatal(err)
+	}
+	waitHeld(t, rt)
+	for _, p := range []string{"queued-1", "queued-2"} {
+		if err := n.Submit([]byte(p), Agreed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wedgedAt := time.Now()
+
+	select {
+	case r := <-stalls:
+		if elapsed := time.Since(wedgedAt); elapsed > 2*interval+100*time.Millisecond {
+			t.Fatalf("stall reported after %v, want within 2×%v of the wedge", elapsed, interval)
+		}
+		want := StallReport{Interval: interval, PendingSubmits: 2}
+		if r != want {
+			t.Fatalf("stall report %+v, want %+v", r, want)
+		}
+	case <-time.After(3 * interval):
+		t.Fatalf("watchdog never reported the wedged loop (checks=%d)", n.nm.watchdogChecks.Load())
+	}
+}
