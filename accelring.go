@@ -239,10 +239,9 @@ type Node struct {
 	nm          *nodeMetrics
 	lastTokenAt time.Time
 
-	// timers is the runtime timer set. It lives on the Node (not the loop)
-	// so the watchdog can count pending unconsumed fires without touching
-	// the possibly-wedged protocol goroutine.
-	timers *timerSet
+	// timers holds the engine's timers (deadlines); the protocol goroutine
+	// owns all of it but the wake channel, whose length the watchdog reads.
+	timers *deadlines
 
 	// Protocol-goroutine-owned scratch state keeping the steady-state hot
 	// path allocation-free: encBuf is the reused encode buffer for every
@@ -369,8 +368,8 @@ func newNode(opts Options, kind EngineKind, eng core.OrderingEngine) (*Node, []e
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
 		nm:         newNodeMetrics(),
+		timers:     newDeadlines(),
 	}
-	n.timers = newTimerSet(&n.nm.timerStale)
 
 	initial, err := eng.Start(opts.Members)
 	if err != nil {

@@ -88,7 +88,7 @@ func TestBurstEachDataRunIsOneVector(t *testing.T) {
 	n := &Node{tr: ft, nm: newNodeMetrics()}
 	tok := &wire.Token{RingID: wire.RingID{Rep: 1, Seq: 1}}
 
-	n.execute(nil, []engine.Action{
+	n.execute([]engine.Action{
 		dataAction("pre-1"),
 		dataAction("pre-2"),
 		dataAction("pre-3"),
@@ -122,7 +122,7 @@ func TestBurstEachDataRunIsOneVector(t *testing.T) {
 func TestBurstControlFrameIsVectorOfOne(t *testing.T) {
 	ft := &recordingTransport{}
 	n := &Node{tr: ft, nm: newNodeMetrics()}
-	n.execute(nil, []engine.Action{engine.Send{To: 0, Frame: dataAction("ctl").Msg}})
+	n.execute([]engine.Action{engine.Send{To: 0, Frame: dataAction("ctl").Msg}})
 	want := []sendCall{{op: "Multicast", payloads: []string{"ctl"}}}
 	if !reflect.DeepEqual(ft.calls, want) {
 		t.Fatalf("transport saw %v, want %v", ft.calls, want)
@@ -145,7 +145,7 @@ func TestBurstRecyclesBuffers(t *testing.T) {
 			run[i] = dataAction("r")
 		}
 		before := transport.Buffers.Snapshot()
-		n.execute(nil, run)
+		n.execute(run)
 		after := transport.Buffers.Snapshot()
 		gets := (after.Hits + after.Misses) - (before.Hits + before.Misses)
 		puts := after.Puts - before.Puts

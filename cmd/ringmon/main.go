@@ -118,11 +118,11 @@ func run() int {
 				float64(bytes)*8/1e6/elapsed,
 				st.TokensProcessed, st.MsgsRetransmitted, st.RTRRequested, st.MembershipChanges)
 			rot := snap.Runtime.TokenRotation
-			fmt.Printf("%s rotation p50 %v p99 %v (n=%d) | accelFlushes %d throttled %d rtrDeferred %d | errs %d staleTimers %d\n",
+			fmt.Printf("%s rotation p50 %v p99 %v (n=%d) | accelFlushes %d throttled %d rtrDeferred %d | errs %d\n",
 				time.Now().Format("15:04:05.000"),
 				rot.P50(), rot.P99(), rot.Count,
 				st.AccelFlushes, st.FlowThrottledRounds, st.RTRDeferredRounds,
-				snap.ErrorCount, snap.Runtime.TimerStaleDrops)
+				snap.ErrorCount)
 			if tr := snap.Transport; tr != nil {
 				fmt.Printf("%s transport in %d out %d | queueDrops %d kernelDrops %d fanout %d selfFiltered %d\n",
 					time.Now().Format("15:04:05.000"),

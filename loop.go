@@ -2,169 +2,108 @@ package accelring
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"accelring/internal/core"
 	"accelring/internal/engine"
-	"accelring/internal/metrics"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
 )
 
-// timerSet tracks the runtime's armed timers on behalf of the engine.
-//
-// Expiries are recorded per kind in a pending map and the loop is woken
-// through a one-slot channel, so a current-generation fire can never be
-// lost: the pending entry persists until the loop consumes it, no matter
-// how busy the loop is. (The earlier design pushed fires through a bounded
-// channel and dropped on overflow — a burst of stale fires could then
-// swallow a valid token-loss expiry and stall failure detection until some
-// unrelated packet arrived.) The generation number invalidates expiries of
-// timers that were re-armed or cancelled after the expiry was recorded.
-type timerSet struct {
-	wake chan struct{}
-
-	mu      sync.Mutex
-	gens    map[engine.TimerKind]uint64
-	timers  map[engine.TimerKind]*armedTimer
-	pending map[engine.TimerKind]uint64 // kind → generation of an unconsumed fire
-
-	stale *metrics.Counter // expiries discarded as stale (never nil)
+// deadlines holds the engine's timers as deadlines the loop owns: one per
+// kind (zero when not armed) and one runtime timer armed at or before the
+// earliest. The timer's callback only signals wake, the one timer state
+// another goroutine touches; the signal stays in its slot until a pass
+// finds nothing due. A fire is not a message, so it cannot go stale: a
+// kind an earlier step re-armed or cancelled is simply not due.
+type deadlines struct {
+	at    [engine.TimerCommit + 1]time.Time // by kind; zero when not armed
+	t     *time.Timer
+	armed time.Time // when t fires for a deadline; zero when none is left
+	wake  chan struct{}
 }
 
-// armedTimer is a runtime timer and the generation its next expiry stands
-// for (guarded by timerSet.mu). Holding the generation beside the timer,
-// not in the callback's closure, is what lets set re-arm the same timer.
-type armedTimer struct {
-	t   *time.Timer
-	gen uint64
+func newDeadlines() *deadlines {
+	d := &deadlines{wake: make(chan struct{}, 1)}
+	d.t = time.AfterFunc(time.Hour, d.signal)
+	d.t.Stop()
+	return d
 }
 
-func newTimerSet(stale *metrics.Counter) *timerSet {
-	if stale == nil {
-		stale = &metrics.Counter{}
-	}
-	return &timerSet{
-		wake:    make(chan struct{}, 1),
-		gens:    make(map[engine.TimerKind]uint64),
-		timers:  make(map[engine.TimerKind]*armedTimer),
-		pending: make(map[engine.TimerKind]uint64),
-		stale:   stale,
-	}
-}
-
-func (ts *timerSet) set(kind engine.TimerKind, after time.Duration) {
-	ts.mu.Lock()
-	ts.gens[kind]++
-	gen := ts.gens[kind]
-	if _, ok := ts.pending[kind]; ok {
-		// An unconsumed fire of the previous generation is stale now.
-		delete(ts.pending, kind)
-		ts.stale.Inc()
-	}
-	if a := ts.timers[kind]; a != nil && a.t.Stop() {
-		// The common case, twice per token hop: re-armed long before
-		// expiry. Stop prevented the callback, so nothing else reads a.gen
-		// until the Reset below fires.
-		a.gen = gen
-		a.t.Reset(after)
-	} else {
-		// No timer yet, or its callback may already be running with the
-		// old generation still to read: leave that one to go stale.
-		fresh := &armedTimer{gen: gen}
-		fresh.t = time.AfterFunc(after, func() { ts.fire(kind, fresh) })
-		ts.timers[kind] = fresh
-	}
-	ts.mu.Unlock()
-}
-
-func (ts *timerSet) cancel(kind engine.TimerKind) {
-	ts.mu.Lock()
-	ts.gens[kind]++
-	if a, ok := ts.timers[kind]; ok {
-		a.t.Stop()
-		delete(ts.timers, kind)
-	}
-	if _, ok := ts.pending[kind]; ok {
-		delete(ts.pending, kind)
-		ts.stale.Inc()
-	}
-	ts.mu.Unlock()
-}
-
-// fire records an expiry and wakes the loop. Runs on the timer goroutine.
-func (ts *timerSet) fire(kind engine.TimerKind, a *armedTimer) {
-	ts.mu.Lock()
-	gen := a.gen
-	if ts.gens[kind] != gen {
-		ts.mu.Unlock()
-		ts.stale.Inc()
-		return
-	}
-	ts.pending[kind] = gen
-	ts.mu.Unlock()
+// signal fills wake's slot if it is empty: the runtime timer's callback,
+// and the loop's select putting back the signal it took, for take.
+func (d *deadlines) signal() {
 	select {
-	case ts.wake <- struct{}{}:
-	default: // already signalled; the pending entry is what matters
+	case d.wake <- struct{}{}:
+	default:
 	}
 }
 
-// takeOne removes and returns one still-current pending fire, validating
-// freshness at consumption time (an earlier fire's engine step may have
-// re-armed a kind that is also pending). It scans the fixed kind range in
-// ascending order: the lowest kind goes first, so multi-fire draining is
-// deterministic, and taking a fire allocates nothing.
-func (ts *timerSet) takeOne() (engine.TimerKind, bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for k := engine.TimerTokenLoss; k <= engine.TimerCommit && len(ts.pending) > 0; k++ {
-		if gen, ok := ts.pending[k]; ok {
-			delete(ts.pending, k)
-			if ts.gens[k] == gen {
-				return k, true
-			}
-			ts.stale.Inc()
+// set arms kind after the given delay. The runtime timer moves only when
+// the new deadline is earlier than the one it is armed for, so a deadline
+// that moves later — the token-loss re-arm on every hop — is an array
+// write. A timer armed in the past has signalled, or is about to, and the
+// loop re-arms it when the wake finds nothing due.
+func (d *deadlines) set(kind engine.TimerKind, after time.Duration) {
+	at := time.Now().Add(after)
+	d.at[kind] = at
+	if d.armed.IsZero() || at.Before(d.armed) {
+		d.armed = at
+		d.t.Reset(after)
+	}
+}
+
+// cancel disarms kind. The runtime timer is left alone: an early wake
+// finds nothing due and re-arms it.
+func (d *deadlines) cancel(kind engine.TimerKind) {
+	d.at[kind] = time.Time{}
+}
+
+// take fires (returns and disarms) the lowest kind due while wake is
+// signalled, one per call, so each fire is its own loop pass; with no wake
+// it costs a len. The call that finds nothing due drains wake and re-arms
+// the runtime timer at the earliest deadline left, if any: with none, the
+// timer may wake the loop once more, early and harmlessly.
+func (d *deadlines) take() (engine.TimerKind, bool) {
+	if len(d.wake) == 0 {
+		return 0, false
+	}
+	now := time.Now()
+	var next time.Time
+	for k := engine.TimerTokenLoss; k <= engine.TimerCommit; k++ {
+		switch at := d.at[k]; {
+		case at.IsZero():
+		case !now.Before(at):
+			d.at[k] = time.Time{}
+			return k, true
+		case next.IsZero() || at.Before(next):
+			next = at
 		}
 	}
-	return 0, false
-}
-
-// pendingFires counts expiries recorded but not yet consumed by the loop
-// — work the loop owes. The watchdog reads it from outside the protocol
-// goroutine.
-func (ts *timerSet) pendingFires() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.pending)
-}
-
-func (ts *timerSet) stopAll() {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for _, a := range ts.timers {
-		a.t.Stop()
+	<-d.wake
+	if d.armed = next; !next.IsZero() {
+		d.t.Reset(next.Sub(now))
 	}
+	return 0, false
 }
 
 // loop is the single protocol goroutine: it owns the engine. Each pass takes
 // the input engine.Pick chooses from what is in hand (the frames queued on
 // the token and data sockets, the queued submissions), as netsim's CPU does,
-// then up to SubmitsPerInput more submissions; a timer fire (the wake
-// channel here, driver events in netsim), a stats request or Close goes
-// first. The one select waits when nothing is in hand. The submissions a
-// pass takes are one run (submit).
+// then up to SubmitsPerInput more submissions; a due timer (after a wake
+// here, driver events in netsim), a stats request or Close goes first. The
+// one select waits when nothing is in hand. The submissions a pass takes
+// are one run (submit).
 func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
-	ts := n.timers
 	defer func() {
 		n.closing.Store(true) // Submit answers ErrClosed from here on
-		ts.stopAll()
+		n.timers.t.Stop()
 		n.tr.Close()
 		close(n.events)
 		close(n.done)
 	}()
 
-	n.execute(ts, initial)
+	n.execute(initial)
 
 	dataCh := n.tr.Data()
 	tokenCh := n.tr.Token()
@@ -174,18 +113,18 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 		n.backlog.Store(int64(p.Pending))
 		q := engine.Queued{Token: len(tokenCh), Data: len(dataCh), Submits: len(n.submitCh)}
 		src, k := engine.Pick(q, p.TokenPriority)
-		kind, fired := ts.takeOne()
+		kind, fired := n.timers.take()
 		submits := engine.SubmitsPerInput
 		switch {
 		case fired:
 			n.nm.timerFires.Inc()
-			n.execute(ts, eng.Step(engine.Input{Timer: kind}))
+			n.execute(eng.Step(engine.Input{Timer: kind}))
 		case len(n.statsCh) > 0:
 			(<-n.statsCh) <- eng.Snapshot()
 		case src == engine.SourceToken:
-			n.handlePacket(eng, ts, <-tokenCh)
+			n.handlePacket(eng, <-tokenCh)
 		case src == engine.SourceData:
-			n.handlePacket(eng, ts, <-dataCh)
+			n.handlePacket(eng, <-dataCh)
 		case src == engine.SourceSubmits:
 			submits += k // Pick's quota, then the per-input one
 		default:
@@ -194,15 +133,16 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 				if !ok {
 					return
 				}
-				n.handlePacket(eng, ts, pkt)
+				n.handlePacket(eng, pkt)
 			case pkt, ok := <-tokenCh:
 				if !ok {
 					return
 				}
-				n.handlePacket(eng, ts, pkt)
-			case <-ts.wake: // the recorded fire is taken on the next pass
+				n.handlePacket(eng, pkt)
+			case <-n.timers.wake:
+				n.timers.signal() // kept for take: the due kinds fire from the next pass
 			case req := <-n.submitCh:
-				n.submit(eng, ts, req, engine.SubmitQuota-1)
+				n.submit(eng, req, engine.SubmitQuota-1)
 				continue
 			case ch := <-n.statsCh:
 				ch <- eng.Snapshot()
@@ -211,7 +151,7 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 			}
 		}
 		if len(n.submitCh) > 0 {
-			n.submit(eng, ts, <-n.submitCh, submits-1)
+			n.submit(eng, <-n.submitCh, submits-1)
 		}
 	}
 }
@@ -224,7 +164,7 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 // grown backlog is stored, so Submit never sees room the engine lacks. The
 // engine should never refuse a submission Submit accepted; if it does, the
 // refusal is counted and recorded like any loop error.
-func (n *Node) submit(eng core.OrderingEngine, ts *timerSet, first submitReq, more int) {
+func (n *Node) submit(eng core.OrderingEngine, first submitReq, more int) {
 	run := n.runActs[:0]
 	taken := int64(0)
 	for req := first; ; req = <-n.submitCh {
@@ -244,7 +184,7 @@ func (n *Node) submit(eng core.OrderingEngine, ts *timerSet, first submitReq, mo
 	}
 	n.backlog.Store(int64(eng.Progress().Pending))
 	n.reserved.Add(-taken)
-	n.execute(ts, run)
+	n.execute(run)
 	clear(run)
 	n.runActs = run[:0]
 }
@@ -255,7 +195,7 @@ func (n *Node) submit(eng core.OrderingEngine, ts *timerSet, first submitReq, mo
 // pkt (wire.Decoder) — so recycling here is safe and closes the
 // Get-per-receive / Put-per-dispatch cycle that keeps the hot path
 // allocation-free.
-func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
+func (n *Node) handlePacket(eng core.OrderingEngine, pkt []byte) {
 	defer transport.Buffers.Put(pkt)
 	f, err := n.dec.Decode(pkt)
 	if err != nil {
@@ -266,7 +206,7 @@ func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 	kind := f.Kind()
 	n.nm.pkts[kind].Inc()
 	if kind != wire.KindToken {
-		n.execute(ts, eng.Step(engine.Input{Frame: f}))
+		n.execute(eng.Step(engine.Input{Frame: f}))
 		return
 	}
 	// Token rotation time is the interval between consecutive accepted
@@ -277,14 +217,14 @@ func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 	before := eng.Progress().Rotations
 	actions := eng.Step(engine.Input{Frame: f})
 	if eng.Progress().Rotations == before {
-		n.execute(ts, actions)
+		n.execute(actions)
 		return
 	}
 	if !n.lastTokenAt.IsZero() {
 		n.nm.tokenRotation.Observe(start.Sub(n.lastTokenAt))
 	}
 	n.lastTokenAt = start
-	n.execute(ts, actions)
+	n.execute(actions)
 	n.nm.tokenHandle.Observe(time.Since(start))
 }
 
@@ -297,7 +237,7 @@ func (n *Node) handlePacket(eng core.OrderingEngine, ts *timerSet, pkt []byte) {
 // the successor's round — and the token Send between them is its own
 // action, so the run boundaries put the token on the wire where the
 // protocol wants it. A lone SendData is a run of one.
-func (n *Node) execute(ts *timerSet, actions []engine.Action) {
+func (n *Node) execute(actions []engine.Action) {
 	for i := 0; i < len(actions); i++ {
 		switch act := actions[i].(type) {
 		case engine.SendData:
@@ -321,10 +261,10 @@ func (n *Node) execute(ts *timerSet, actions []engine.Action) {
 		case engine.DeliverConfig:
 			n.deliver(ConfigChange{Config: act.Config, Transitional: act.Transitional})
 		case engine.SetTimer:
-			ts.set(act.Kind, act.After)
+			n.timers.set(act.Kind, act.After)
 		case engine.CancelTimer:
 			n.nm.timerCancels.Inc()
-			ts.cancel(act.Kind)
+			n.timers.cancel(act.Kind)
 		}
 	}
 }

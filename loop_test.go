@@ -11,158 +11,190 @@ import (
 	"accelring/internal/engine"
 )
 
-// takeWithin waits for the timer set to deliver one current fire.
-func takeWithin(t *testing.T, ts *timerSet, d time.Duration) (engine.TimerKind, bool) {
+// takeWithin runs the loop's side of the deadlines until a kind fires or
+// wait passes: take on every pass, and between passes block on the wake
+// channel and put the signal back, as Node.loop's select does.
+func takeWithin(t *testing.T, d *deadlines, wait time.Duration) (engine.TimerKind, bool) {
 	t.Helper()
-	deadline := time.After(d)
+	deadline := time.After(wait)
 	for {
+		if kind, ok := d.take(); ok {
+			return kind, true
+		}
 		select {
-		case <-ts.wake:
-			if kind, ok := ts.takeOne(); ok {
-				return kind, true
-			}
+		case <-d.wake:
+			d.signal()
 		case <-deadline:
-			// One final poll: the wake signal may have been consumed by an
-			// earlier iteration while the pending entry persisted.
-			return ts.takeOne()
+			return 0, false
 		}
 	}
 }
 
 func TestTimerSetDeliversCurrentFire(t *testing.T) {
-	ts := newTimerSet(nil)
-	defer ts.stopAll()
-	ts.set(engine.TimerTokenLoss, time.Millisecond)
-	kind, ok := takeWithin(t, ts, 5*time.Second)
+	d := newDeadlines()
+	defer d.t.Stop()
+	d.set(engine.TimerTokenLoss, time.Millisecond)
+	kind, ok := takeWithin(t, d, 5*time.Second)
 	if !ok || kind != engine.TimerTokenLoss {
 		t.Fatalf("got (%v, %v), want token-loss fire", kind, ok)
 	}
-	// Taking a fire allocates nothing: the loop tries on every pass.
-	ts.set(engine.TimerCommit, time.Hour)
-	armed := ts.timers[engine.TimerCommit]
-	if allocs := testing.AllocsPerRun(100, func() {
-		ts.fire(engine.TimerCommit, armed)
-		if _, ok := ts.takeOne(); !ok {
-			t.Fatal("recorded fire not taken")
-		}
-	}); allocs != 0 {
-		t.Fatalf("taking a timer fire costs %v allocations, want 0", allocs)
+	if kind, ok := takeWithin(t, d, 20*time.Millisecond); ok {
+		t.Fatalf("a fired kind fired again: %v", kind)
 	}
 }
 
+// TestTimerSetRearmInvalidatesPendingFire: a kind re-armed later after
+// its old deadline passed, but before the loop looked, does not fire at
+// the old deadline, and does fire at the new one.
 func TestTimerSetRearmInvalidatesPendingFire(t *testing.T) {
-	ts := newTimerSet(nil)
-	defer ts.stopAll()
-	ts.set(engine.TimerTokenLoss, 0)
-	// Wait until the expiry has been recorded, then re-arm: the pending
-	// fire must be discarded as stale, and the new generation must still
-	// be deliverable.
-	waitPending(t, ts, engine.TimerTokenLoss)
-	ts.set(engine.TimerTokenLoss, time.Millisecond)
-	kind, ok := takeWithin(t, ts, 5*time.Second)
-	if !ok || kind != engine.TimerTokenLoss {
-		t.Fatalf("got (%v, %v), want the re-armed generation's fire", kind, ok)
+	d := newDeadlines()
+	defer d.t.Stop()
+	d.set(engine.TimerTokenLoss, 0)
+	waitWake(t, d)
+	const later = 300 * time.Millisecond
+	rearmed := time.Now()
+	d.set(engine.TimerTokenLoss, later)
+	if kind, ok := d.take(); ok {
+		t.Fatalf("re-armed %v fired at its old deadline", kind)
 	}
-	if ts.stale.Load() == 0 {
-		t.Fatal("stale fire was not counted")
+	kind, ok := takeWithin(t, d, 5*time.Second)
+	if !ok || kind != engine.TimerTokenLoss {
+		t.Fatalf("got (%v, %v), want the re-armed deadline's fire", kind, ok)
+	}
+	if waited := time.Since(rearmed); waited < later {
+		t.Fatalf("re-armed kind fired after %v, before its new deadline %v", waited, later)
 	}
 }
 
-// TestTimerSetRearmReusesTimer: re-arming a timer long before it expires —
-// twice per token hop — resets the one already there, and the re-armed
-// generation is the one that fires.
+// TestTimerSetRearmReusesTimer: re-arming a kind later — twice per token
+// hop — writes its deadline and leaves the runtime timer where it is, and
+// the last re-arm is the one that fires.
 func TestTimerSetRearmReusesTimer(t *testing.T) {
-	ts := newTimerSet(nil)
-	defer ts.stopAll()
-	ts.set(engine.TimerTokenLoss, time.Hour)
-	first := ts.timers[engine.TimerTokenLoss]
+	d := newDeadlines()
+	defer d.t.Stop()
+	d.set(engine.TimerTokenLoss, time.Hour)
+	armed := d.armed
 	for i := 0; i < 100; i++ {
-		ts.set(engine.TimerTokenLoss, time.Hour)
+		d.set(engine.TimerTokenLoss, time.Hour)
 	}
-	if ts.timers[engine.TimerTokenLoss] != first {
-		t.Fatal("re-arming an unexpired timer replaced it")
+	if d.armed != armed {
+		t.Fatal("re-arming a kind later moved the runtime timer")
 	}
-	ts.set(engine.TimerTokenLoss, time.Millisecond)
-	if kind, ok := takeWithin(t, ts, 5*time.Second); !ok || kind != engine.TimerTokenLoss {
+	d.set(engine.TimerTokenLoss, time.Millisecond)
+	if kind, ok := takeWithin(t, d, 5*time.Second); !ok || kind != engine.TimerTokenLoss {
 		t.Fatalf("got (%v, %v), want the last re-arm's fire", kind, ok)
 	}
-	if got := ts.stale.Load(); got != 0 {
-		t.Fatalf("%d stale fires from re-arming a timer that never expired", got)
+}
+
+// TestTimerEarlierDeadlineFiresOnTime: a kind armed earlier than the one
+// the runtime timer waits for moves the timer, so it fires on time.
+func TestTimerEarlierDeadlineFiresOnTime(t *testing.T) {
+	d := newDeadlines()
+	defer d.t.Stop()
+	d.set(engine.TimerTokenLoss, time.Hour)
+	d.set(engine.TimerTokenRetrans, time.Millisecond)
+	kind, ok := takeWithin(t, d, 5*time.Second)
+	if !ok || kind != engine.TimerTokenRetrans {
+		t.Fatalf("got (%v, %v), want the token-retransmit fire", kind, ok)
 	}
 }
 
-// waitPending blocks until an expiry of kind has been recorded.
-func waitPending(t *testing.T, ts *timerSet, kind engine.TimerKind) {
+// waitWake blocks until the runtime timer has signalled the loop.
+func waitWake(t *testing.T, d *deadlines) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ts.mu.Lock()
-		_, ok := ts.pending[kind]
-		ts.mu.Unlock()
-		if ok {
-			return
-		}
+	for deadline := time.Now().Add(5 * time.Second); len(d.wake) == 0; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("timer never fired")
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 }
 
 func TestTimerSetCancel(t *testing.T) {
-	ts := newTimerSet(nil)
-	defer ts.stopAll()
-	ts.set(engine.TimerJoin, time.Millisecond)
-	ts.cancel(engine.TimerJoin)
-	if kind, ok := takeWithin(t, ts, 20*time.Millisecond); ok {
+	d := newDeadlines()
+	defer d.t.Stop()
+	d.set(engine.TimerJoin, time.Millisecond)
+	d.cancel(engine.TimerJoin)
+	if kind, ok := takeWithin(t, d, 20*time.Millisecond); ok {
 		t.Fatalf("cancelled timer delivered a fire: %v", kind)
 	}
 }
 
 // TestTimerFireSurvivesRearmBurst is the regression test for the lost
-// timer-fire bug: the old design pushed expiries through a bounded channel
-// and dropped on overflow, so a burst of stale fires (rapid re-arms) could
+// timer-fire bug: an early design pushed expiries through a bounded
+// channel and dropped on overflow, so a burst of rapid re-arms could
 // swallow the one valid token-loss expiry and stall failure detection.
-// The pending-map design must always deliver the latest generation.
 func TestTimerFireSurvivesRearmBurst(t *testing.T) {
-	ts := newTimerSet(nil)
-	defer ts.stopAll()
-	// Each re-arm with a zero duration races its own expiry; many of the
-	// expiries land as stale entries. Nothing is drained meanwhile.
+	d := newDeadlines()
+	defer d.t.Stop()
+	// Each zero-length re-arm races the timer's signal for the one before.
+	// Nothing is taken meanwhile.
 	for i := 0; i < 64; i++ {
-		ts.set(engine.TimerTokenLoss, 0)
+		d.set(engine.TimerTokenLoss, 0)
 	}
-	kind, ok := takeWithin(t, ts, 5*time.Second)
+	kind, ok := takeWithin(t, d, 5*time.Second)
 	if !ok || kind != engine.TimerTokenLoss {
-		t.Fatalf("got (%v, %v); the current-generation token-loss fire was lost", kind, ok)
+		t.Fatalf("got (%v, %v); the token-loss fire was lost", kind, ok)
 	}
 }
 
-// TestTokenLossFiresUnderTimerSaturation floods the timer set with
-// expiries of every kind without draining, then checks that a token-loss
-// fire is still delivered — the scenario in which the old bounded channel
-// dropped valid fires.
+// TestTokenLossFiresUnderTimerSaturation arms every kind at once, most of
+// them already due, and checks that the token-loss fire is still
+// delivered — the scenario in which the old bounded channel dropped valid
+// fires.
 func TestTokenLossFiresUnderTimerSaturation(t *testing.T) {
-	ts := newTimerSet(nil)
-	defer ts.stopAll()
+	d := newDeadlines()
+	defer d.t.Stop()
 	kinds := []engine.TimerKind{
 		engine.TimerTokenRetrans, engine.TimerJoin, engine.TimerConsensus, engine.TimerCommit,
 	}
 	for i := 0; i < 16; i++ {
 		for _, k := range kinds {
-			ts.set(k, 0)
+			d.set(k, 0)
 		}
 	}
-	ts.set(engine.TimerTokenLoss, time.Millisecond)
+	d.set(engine.TimerTokenLoss, time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		kind, ok := takeWithin(t, ts, 50*time.Millisecond)
+		kind, ok := takeWithin(t, d, 50*time.Millisecond)
 		if ok && kind == engine.TimerTokenLoss {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("token-loss fire lost under saturation")
 		}
+	}
+}
+
+// TestTimerHopAllocs: one token hop's timer work — re-arm token loss,
+// arm the token retransmission, cancel it when the successor's data
+// arrives — and the loop's side of a fire allocates nothing: taking the
+// due kind, then the pass that finds nothing due, drains the wake and
+// re-arms the runtime timer. The fire is made due by hand and signalled
+// as the timer's callback would, so the runtime's own callback goroutine
+// is not counted.
+func TestTimerHopAllocs(t *testing.T) {
+	d := newDeadlines()
+	defer d.t.Stop()
+	if allocs := testing.AllocsPerRun(100, func() {
+		d.set(engine.TimerTokenLoss, time.Hour)
+		d.set(engine.TimerTokenRetrans, time.Minute)
+		d.cancel(engine.TimerTokenRetrans)
+		if _, ok := d.take(); ok {
+			t.Fatal("a kind fired with no wake signalled")
+		}
+		d.at[engine.TimerCommit] = time.Now()
+		d.signal()
+		if kind, ok := d.take(); !ok || kind != engine.TimerCommit {
+			t.Fatalf("got (%v, %v), want the due commit fire", kind, ok)
+		}
+		if kind, ok := d.take(); ok {
+			t.Fatalf("%v fired with nothing due", kind)
+		}
+		if len(d.wake) != 0 {
+			t.Fatal("a pass that found nothing due left the wake signalled")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a token hop's timer work costs %v allocations, want 0", allocs)
 	}
 }
 

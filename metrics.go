@@ -53,12 +53,10 @@ type RuntimeMetrics struct {
 	// SendBurstMsgs/SendBursts is the mean run length the engine produced).
 	SendBursts    uint64 `json:"send_bursts"`
 	SendBurstMsgs uint64 `json:"send_burst_msgs"`
-	// TimerFires counts timer expiries executed; TimerStaleDrops counts
-	// expiries discarded because the timer was re-armed or cancelled while
-	// the fire was in flight; TimerCancels counts CancelTimer actions.
-	TimerFires      uint64 `json:"timer_fires"`
-	TimerStaleDrops uint64 `json:"timer_stale_drops"`
-	TimerCancels    uint64 `json:"timer_cancels"`
+	// TimerFires counts timer expiries executed; TimerCancels counts
+	// CancelTimer actions.
+	TimerFires   uint64 `json:"timer_fires"`
+	TimerCancels uint64 `json:"timer_cancels"`
 	// Submits and SubmitErrors count queued submissions the engine accepted
 	// and refused. Submit answers invalid ones and a full backlog itself,
 	// before queueing, so SubmitErrors stays zero unless the engine
@@ -125,7 +123,6 @@ type nodeMetrics struct {
 	sendBursts      metrics.Counter
 	sendBurstMsgs   metrics.Counter
 	timerFires      metrics.Counter
-	timerStale      metrics.Counter
 	timerCancels    metrics.Counter
 	submits         metrics.Counter
 	submitErrors    metrics.Counter
@@ -161,7 +158,6 @@ func (m *nodeMetrics) runtimeSnapshot(n *Node) RuntimeMetrics {
 		SendBursts:      m.sendBursts.Load(),
 		SendBurstMsgs:   m.sendBurstMsgs.Load(),
 		TimerFires:      m.timerFires.Load(),
-		TimerStaleDrops: m.timerStale.Load(),
 		TimerCancels:    m.timerCancels.Load(),
 		Submits:         m.submits.Load(),
 		SubmitErrors:    m.submitErrors.Load(),

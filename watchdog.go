@@ -16,11 +16,12 @@ type StallReport struct {
 	// Interval is the watchdog's check interval: no progress was observed
 	// for at least this long.
 	Interval time.Duration
-	// PendingData, PendingToken and PendingTimers are the queue depths the
-	// stalled loop owes work for: undrained data and token packets, and
-	// timer expiries recorded but not consumed.
-	PendingData   int
-	PendingToken  int
+	// PendingData and PendingToken are the queue depths the stalled loop
+	// owes work for: undrained data and token packets.
+	PendingData  int
+	PendingToken int
+	// PendingTimers is 1 while the loop owes timer work: a kind is due or a
+	// timer's step runs. An early wake holds it until the loop's next pass.
 	PendingTimers int
 	// PendingSubmits is the number of submissions Submit accepted that
 	// wait for the loop: messages the application was told are queued.
@@ -32,10 +33,11 @@ type StallReport struct {
 }
 
 // progress sums the counters that advance whenever the protocol loop
-// completes work of any kind. Strictly monotone; sampled lock-free.
+// completes work of any kind — a packet it could not decode and discarded
+// included. Strictly monotone; sampled lock-free.
 func (m *nodeMetrics) progress() uint64 {
-	sum := m.timerFires.Load() + m.submits.Load() +
-		m.submitErrors.Load() + m.eventsDelivered.Load()
+	sum := m.timerFires.Load() + m.submits.Load() + m.submitErrors.Load() +
+		m.eventsDelivered.Load() + m.decodeFailures.Load()
 	for i := range m.pkts {
 		sum += m.pkts[i].Load()
 	}
@@ -47,7 +49,7 @@ func (m *nodeMetrics) progress() uint64 {
 func (n *Node) pendingWork() (data, token, timers, submits int, evFull bool) {
 	data = len(n.tr.Data())
 	token = len(n.tr.Token())
-	timers = n.timers.pendingFires()
+	timers = len(n.timers.wake)
 	submits = len(n.submitCh)
 	evFull = len(n.events) == cap(n.events)
 	return

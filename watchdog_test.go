@@ -3,6 +3,8 @@ package accelring
 import (
 	"testing"
 	"time"
+
+	"accelring/internal/transport"
 )
 
 // watchdogEngines is the engine dimension of the watchdog tests: the
@@ -213,6 +215,68 @@ func TestWatchdogSeesQueuedSubmissions(t *testing.T) {
 			t.Fatalf("stall reported after %v, want within 2×%v of the wedge", elapsed, interval)
 		}
 		want := StallReport{Interval: interval, PendingSubmits: 2}
+		if r != want {
+			t.Fatalf("stall report %+v, want %+v", r, want)
+		}
+	case <-time.After(3 * interval):
+		t.Fatalf("watchdog never reported the wedged loop (checks=%d)", n.nm.watchdogChecks.Load())
+	}
+}
+
+// TestWatchdogCountsDiscardedPackets: discarding a packet that does not
+// decode is work done, so it advances progress. Without that, a loop busy
+// discarding a flood of garbage with the data queue full was reported as
+// stalled.
+func TestWatchdogCountsDiscardedPackets(t *testing.T) {
+	n := &Node{tr: &recordingTransport{}, nm: newNodeMetrics()}
+	before := n.nm.progress()
+	pkt := append(transport.Buffers.Get()[:0], "not a protocol packet"...)
+	n.handlePacket(nil, pkt)
+	if n.nm.decodeFailures.Load() != 1 {
+		t.Fatalf("decode failures = %d, want 1", n.nm.decodeFailures.Load())
+	}
+	if n.nm.progress() == before {
+		t.Fatal("a discarded packet did not advance the watchdog's progress")
+	}
+}
+
+// TestWatchdogSeesWedgedTimerStep: a loop wedged inside a timer's step
+// owes that timer's work, so it is a stall. Node 2 of a two-member
+// accelerated ring whose peer never answers loses the token, and the
+// token-loss step's join Multicast is held. Nothing else is queued: the
+// wake signal, which stays in its slot until a pass finds nothing due, is
+// the only pending work the watchdog sees, so it must report within two
+// intervals, naming it.
+func TestWatchdogSeesWedgedTimerStep(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	stalls := make(chan StallReport, 16)
+	rt := &recordingTransport{gate: make(chan struct{}), held: make(chan struct{}, 1)}
+	n, err := Start(Options{
+		ID:               2,
+		Transport:        rt,
+		Members:          []ParticipantID{1, 2},
+		Engine:           EngineAccelRing,
+		TokenLossTimeout: 50 * time.Millisecond,
+		WatchdogInterval: interval,
+		OnStall:          func(r StallReport) { stalls <- r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	defer close(rt.gate)
+	waitHeld(t, rt)
+	wedgedAt := time.Now()
+	if fires := n.nm.timerFires.Load(); fires != 1 {
+		t.Fatalf("timer fires = %d when the Multicast was held, want the token-loss fire", fires)
+	}
+
+	select {
+	case r := <-stalls:
+		if elapsed := time.Since(wedgedAt); elapsed > 2*interval+100*time.Millisecond {
+			t.Fatalf("stall reported after %v, want within 2×%v of the wedge", elapsed, interval)
+		}
+		want := StallReport{Interval: interval, PendingTimers: 1}
 		if r != want {
 			t.Fatalf("stall report %+v, want %+v", r, want)
 		}
