@@ -46,9 +46,10 @@ type (
 	Configuration = engine.Configuration
 	// Stats exposes the engine's counters.
 	Stats = core.Stats
-	// Tracer receives protocol-level events (state transitions, token
-	// forwards, configuration installs) synchronously on the protocol
-	// goroutine; implementations must be fast and non-blocking.
+	// Tracer receives the engine's membership state transitions
+	// synchronously on the protocol goroutine; implementations must be
+	// fast and non-blocking. Configuration installs arrive on Events as
+	// ConfigChange.
 	Tracer = core.Tracer
 	// State is the engine's membership state, as reported to tracers.
 	State = core.State
@@ -186,16 +187,13 @@ type Options struct {
 	JoinPeriod         time.Duration
 	ConsensusTimeout   time.Duration
 	CommitTimeout      time.Duration
-	// EventBuffer is the capacity of the Events channel (default 16384).
-	// The application must drain Events; a full buffer blocks the
-	// protocol rather than dropping ordered messages.
-	EventBuffer int
 	// PackThreshold enables Spread-style message packing: consecutive
 	// pending same-service messages are packed into one protocol packet
 	// while the container stays at or below this many bytes. Zero
 	// disables packing; 1350 packs one MTU frame's worth.
 	PackThreshold int
-	// Tracer, when non-nil, observes protocol-level events.
+	// Tracer, when non-nil, observes the accelring engine's membership
+	// state transitions.
 	Tracer Tracer
 	// WatchdogInterval enables the liveness watchdog: a sampling goroutine
 	// that checks every interval whether the protocol loop made progress
@@ -262,10 +260,6 @@ type Node struct {
 	mu      sync.Mutex
 	errs    []error // ring of recent protocol-loop errors
 	errHead int     // index of the oldest entry once the ring is full
-	// fanoutSrc, when attached, contributes a client fan-out tier
-	// snapshot to Metrics (daemon deployments attach their tier here so
-	// one snapshot carries the whole serving path).
-	fanoutSrc FanoutSource
 }
 
 type submitReq struct {
@@ -351,15 +345,11 @@ func Start(opts Options) (*Node, error) {
 // newNode builds the node that runs eng over opts.Transport and starts the
 // engine, returning the engine's initial actions for the loop to execute.
 func newNode(opts Options, kind EngineKind, eng core.OrderingEngine) (*Node, []engine.Action, error) {
-	buf := opts.EventBuffer
-	if buf <= 0 {
-		buf = 16384
-	}
 	n := &Node{
 		id:     opts.ID,
 		tr:     opts.Transport,
 		engine: kind,
-		events: make(chan Event, buf),
+		events: make(chan Event, eventBuffer),
 		// Room for one engine.SubmitQuota: the loop counts what waits with
 		// len and takes it without a select.
 		submitCh:   make(chan submitReq, engine.SubmitQuota),
@@ -381,7 +371,12 @@ func newNode(opts Options, kind EngineKind, eng core.OrderingEngine) (*Node, []e
 // ID returns this node's participant ID.
 func (n *Node) ID() ParticipantID { return n.id }
 
+// eventBuffer is the capacity of the Events channel.
+const eventBuffer = 16384
+
 // Events returns the stream of ordered deliveries and membership changes.
+// The channel holds 16 384 events; the application must drain it, because
+// a full channel blocks the protocol rather than dropping ordered messages.
 // The channel is closed when the node shuts down.
 func (n *Node) Events() <-chan Event { return n.events }
 

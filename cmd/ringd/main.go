@@ -57,7 +57,7 @@ func run() int {
 	accelWindow := flag.Int("accel-window", 0, "accelerated window override (messages sent post-token)")
 	personalWindow := flag.Int("personal-window", 0, "personal window override")
 	pack := flag.Int("pack", 1350, "message packing threshold in bytes (0 disables); small client messages sharing a service are packed into one protocol packet")
-	verbose := flag.Bool("verbose", false, "log protocol state transitions and configuration installs")
+	verbose := flag.Bool("verbose", false, "log protocol state transitions (configuration installs are always logged)")
 	fanoutPolicy := flag.String("fanout-policy", "disconnect", "slow-client backpressure policy: disconnect or shed")
 	fanoutQueue := flag.Int("fanout-queue", 0, "per-client delivery queue depth in frames (0 = default 8192)")
 	tokenLoss := flag.Duration("token-loss", 0, "token loss (failure detection) timeout; 0 = protocol default")
@@ -142,8 +142,7 @@ func run() int {
 		Tracer:             maybeTracer(*verbose, logger),
 		WatchdogInterval:   *watchdogInterval,
 		OnStall: func(r accelring.StallReport) {
-			logger.Printf("watchdog: protocol loop stalled for %s (data=%d token=%d timers=%d eventsFull=%v)",
-				r.Interval, r.PendingData, r.PendingToken, r.PendingTimers, r.EventQueueFull)
+			logger.Printf("watchdog: protocol loop stalled: %+v", r)
 		},
 	})
 	if err != nil {
@@ -217,25 +216,14 @@ func parseMembers(s string, peers map[accelring.ParticipantID]accelring.Peer) ([
 	return members, nil
 }
 
-// logTracer logs protocol state transitions and configuration installs.
+// logTracer logs protocol state transitions. The daemon logs
+// configuration installs itself, from the node's events.
 type logTracer struct {
 	log *log.Logger
 }
 
 func (t *logTracer) StateChanged(from, to accelring.State) {
 	t.log.Printf("state %s -> %s", from, to)
-}
-
-func (t *logTracer) TokenForwarded(accelring.ParticipantID, accelring.Seq, accelring.Seq, int, int) {
-	// Token forwards are far too frequent to log.
-}
-
-func (t *logTracer) ConfigurationInstalled(cfg accelring.Configuration, transitional bool) {
-	kind := "regular"
-	if transitional {
-		kind = "transitional"
-	}
-	t.log.Printf("%s configuration %s: %v", kind, cfg.ID, cfg.Members)
 }
 
 func maybeTracer(verbose bool, logger *log.Logger) accelring.Tracer {

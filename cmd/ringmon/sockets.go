@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"syscall"
 	"time"
 
-	"accelring"
 	"accelring/internal/client"
 	"accelring/internal/ipc"
 )
@@ -36,27 +34,24 @@ func runSockets(logger *log.Logger, sockets []string, interval, connectWait time
 				fmt.Printf("%s %s: %v\n", time.Now().Format("15:04:05.000"), sock, err)
 				continue
 			}
-			shedDelta := snap.Shed - lastShed[sock]
-			discDelta := snap.Disconnects - lastDisc[sock]
-			lastShed[sock], lastDisc[sock] = snap.Shed, snap.Disconnects
+			f := snap.Fanout
+			shedDelta := f.Shed - lastShed[sock]
+			discDelta := f.Disconnects - lastDisc[sock]
+			lastShed[sock], lastDisc[sock] = f.Shed, f.Disconnects
 			fmt.Printf("%s %s [%s]: sessions %d groups %d subscriptions %d | shed %d (+%d) disconnects %d (+%d) policy %s\n",
 				time.Now().Format("15:04:05.000"), sock, snap.Daemon,
-				snap.Sessions, snap.Groups, snap.Subscriptions,
-				snap.Shed, shedDelta, snap.Disconnects, discDelta, snap.FanoutPolicy)
-			if snap.Detached > 0 || snap.Resumes > 0 || snap.Draining || snap.DrainMs > 0 {
+				snap.Sessions, snap.Groups, f.Subscriptions,
+				f.Shed, shedDelta, f.Disconnects, discDelta, f.Policy)
+			if snap.Detached > 0 || f.Resumes > 0 || snap.Draining || f.DrainMs > 0 {
 				fmt.Printf("%s %s resume: detached %d resumes %d gaps %d expired %d draining %v drainMs %d\n",
 					time.Now().Format("15:04:05.000"), sock,
-					snap.Detached, snap.Resumes, snap.ResumeGaps, snap.ResumeExpired,
-					snap.Draining, snap.DrainMs)
+					snap.Detached, f.Resumes, f.ResumeGaps, f.ResumeExpired,
+					snap.Draining, f.DrainMs)
 			}
-			var node accelring.MetricsSnapshot
-			if err := json.Unmarshal(snap.Node, &node); err == nil && node.Fanout != nil {
-				f := node.Fanout
-				fmt.Printf("%s %s fanout: published %d enqueued %d delivered %d in %d writes maxBacklog %d/%d | ingest %d frames in %d bursts\n",
-					time.Now().Format("15:04:05.000"), sock,
-					f.Published, f.Enqueued, f.Delivered, f.Writes, f.MaxBacklog, f.QueueDepth,
-					f.BurstFrames, f.Bursts)
-			}
+			fmt.Printf("%s %s fanout: published %d enqueued %d delivered %d in %d writes maxBacklog %d/%d | ingest %d frames in %d bursts\n",
+				time.Now().Format("15:04:05.000"), sock,
+				f.Published, f.Enqueued, f.Delivered, f.Writes, f.MaxBacklog, f.QueueDepth,
+				f.BurstFrames, f.Bursts)
 			printTopClients(sock, snap)
 		}
 		select {
@@ -82,7 +77,7 @@ func pollStats(sock string, connectWait time.Duration) (ipc.StatsSnapshot, error
 }
 
 // printTopClients lists the busiest client sessions by backlog then
-// deliveries — the ones a backpressure policy would act on first. At
+// messages queued — the ones a backpressure policy would act on first. At
 // serving scale the daemon omits the per-client map (ClientsOmitted);
 // then only the aggregate lines above are available.
 func printTopClients(sock string, snap ipc.StatsSnapshot) {
@@ -103,8 +98,8 @@ func printTopClients(sock string, snap ipc.StatsSnapshot) {
 		if list[i].st.Backlog != list[j].st.Backlog {
 			return list[i].st.Backlog > list[j].st.Backlog
 		}
-		if list[i].st.Deliveries != list[j].st.Deliveries {
-			return list[i].st.Deliveries > list[j].st.Deliveries
+		if list[i].st.Msgs != list[j].st.Msgs {
+			return list[i].st.Msgs > list[j].st.Msgs
 		}
 		return list[i].name < list[j].name
 	})
@@ -115,9 +110,9 @@ func printTopClients(sock string, snap ipc.StatsSnapshot) {
 				time.Now().Format("15:04:05.000"), sock, len(list)-top)
 			break
 		}
-		fmt.Printf("%s %s   %s: subs %d submits %d deliveries %d shed %d backlog %d (hw %d)\n",
+		fmt.Printf("%s %s   %s: subs %d submits %d msgs %d delivered %d in %d writes shed %d backlog %d (hw %d)\n",
 			time.Now().Format("15:04:05.000"), sock, c.name,
-			c.st.Subscriptions, c.st.Submits, c.st.Deliveries, c.st.Shed,
+			c.st.Subscriptions, c.st.Submits, c.st.Msgs, c.st.Delivered, c.st.Writes, c.st.Shed,
 			c.st.Backlog, c.st.HighWater)
 	}
 }

@@ -491,9 +491,10 @@ func (c *Conn) MulticastWith(opts MulticastOptions, service wire.Service, payloa
 }
 
 // Stats requests the daemon's observability snapshot: per-client submit
-// and delivery counters, group/session totals, and the ring node's full
-// metrics (StatsSnapshot.Node, as raw JSON decodable into
-// accelring.MetricsSnapshot). Concurrent callers are serialized.
+// and delivery counters, group/session totals, the fan-out tier's
+// snapshot, and the ring node's full metrics (StatsSnapshot.Node, as raw
+// JSON decodable into accelring.MetricsSnapshot). Concurrent callers are
+// serialized.
 func (c *Conn) Stats() (ipc.StatsSnapshot, error) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()

@@ -74,9 +74,8 @@ type Config struct {
 	// messages; Submit fails once it is full. Zero means the default.
 	MaxPending int
 
-	// Tracer, when non-nil, receives protocol-level events (state
-	// transitions, token forwards, configuration installs) synchronously
-	// on the protocol goroutine.
+	// Tracer, when non-nil, receives membership state transitions
+	// synchronously on the protocol goroutine.
 	Tracer Tracer
 
 	// PackThreshold enables Spread-style message packing: consecutive

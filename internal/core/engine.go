@@ -201,7 +201,6 @@ func (e *Engine) Start(members []wire.ParticipantID) ([]engine.Action, error) {
 	e.installRing(cfg)
 	e.setState(StateOperational)
 	e.stats.MembershipChanges++
-	e.traceConfig(cfg, false)
 	actions := []engine.Action{
 		engine.DeliverConfig{Config: cfg.Clone(), Transitional: false},
 		engine.SetTimer{Kind: engine.TimerTokenLoss, After: e.cfg.TokenLossTimeout},

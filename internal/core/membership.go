@@ -492,7 +492,6 @@ func (e *Engine) completeRecovery(actions []engine.Action) []engine.Action {
 			}
 		}
 		trans := engine.Configuration{ID: e.oldRing.ID, Members: transMembers}
-		e.traceConfig(trans, true)
 		actions = append(actions, engine.DeliverConfig{Config: trans, Transitional: true})
 		// Everything else we hold from the old ring, in sequence order.
 		// Recovery quiescence guarantees every transitional member holds
@@ -515,7 +514,6 @@ func (e *Engine) completeRecovery(actions []engine.Action) []engine.Action {
 	e.recoveryMarkers = nil
 	e.setState(StateOperational)
 	e.stats.MembershipChanges++
-	e.traceConfig(e.ring, false)
 	actions = append(actions, engine.DeliverConfig{Config: e.ring.Clone(), Transitional: false})
 	// Members that completed earlier may already be sending application
 	// messages on the new ring.

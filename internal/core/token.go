@@ -166,7 +166,6 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []engine.Action {
 		actions = append(actions, engine.SendData{Msg: m})
 	}
 	e.sentToken = tok.CloneInto(e.sentToken)
-	e.traceTokenForwarded(e.successor(), tok, numRetrans, len(newMsgs))
 	actions = append(actions, engine.Send{To: e.successor(), Frame: tok})
 	for _, m := range newMsgs[preCount:] {
 		actions = append(actions, engine.SendData{Msg: m})

@@ -141,7 +141,6 @@ func New(cfg Config) (*Daemon, error) {
 		local:        make(map[string]*session),
 		groupSeq:     make(map[string]*groupStream),
 	}
-	cfg.Node.AttachFanout(d)
 	d.wg.Add(2)
 	go d.acceptLoop()
 	go d.mainLoop()
@@ -630,10 +629,9 @@ func (d *Daemon) Drain(timeout time.Duration) error {
 	return d.Close()
 }
 
-// Snapshot implements accelring.FanoutSource: the delivery tier's
-// aggregate counters plus the daemon's resume and drain accounting, so
-// Node.Metrics (and CmdStats, ringmon, BENCH reports on top of it) carry
-// the serving tier's availability counters.
+// Snapshot is the delivery tier's aggregate counters plus the daemon's
+// resume, drain and ingest accounting: the Fanout section of every
+// CmdStats reply.
 func (d *Daemon) Snapshot() fanout.TierSnapshot {
 	fs := d.tier.Snapshot()
 	fs.Resumes = d.resumes.Load()
@@ -652,39 +650,22 @@ func (d *Daemon) Snapshot() fanout.TierSnapshot {
 const statsClientCap = 256
 
 // encodeStats assembles the daemon's StatsSnapshot as JSON: client
-// counters (including each client's fan-out queue state), group/session
-// and subscription totals, and the ring node's metrics.
+// counters (including each client's fan-out queue state), group and
+// session totals, the tier's snapshot, and the ring node's metrics.
 func (d *Daemon) encodeStats() []byte {
-	fs := d.Snapshot()
 	snap := ipc.StatsSnapshot{
-		Daemon:        d.node.ID().String(),
-		Sessions:      len(d.sessions),
-		Groups:        len(d.groups),
-		Subscriptions: fs.Subscriptions,
-		Shed:          fs.Shed,
-		Disconnects:   fs.Disconnects,
-		FanoutPolicy:  fs.Policy,
-		Detached:      len(d.detached),
-		Resumes:       fs.Resumes,
-		ResumeGaps:    fs.ResumeGaps,
-		ResumeExpired: fs.ResumeExpired,
-		Draining:      d.draining.Load(),
-		DrainMs:       fs.DrainMs,
+		Daemon:   d.node.ID().String(),
+		Sessions: len(d.sessions),
+		Groups:   len(d.groups),
+		Detached: len(d.detached),
+		Draining: d.draining.Load(),
+		Fanout:   d.Snapshot(),
 	}
 	if len(d.sessions) <= statsClientCap {
 		snap.Clients = make(map[string]ipc.ClientStats, len(d.sessions))
 		for s := range d.sessions {
-			if s.member == "" {
-				continue
-			}
-			st := s.sub.Stats()
-			snap.Clients[s.member] = ipc.ClientStats{
-				Submits:       s.submits,
-				Deliveries:    st.Msgs,
-				Shed:          st.Shed,
-				Backlog:       st.Backlog,
-				HighWater:     st.HighWater,
-				Subscriptions: st.Subscriptions,
+			if s.member != "" {
+				snap.Clients[s.member] = ipc.ClientStats{Submits: s.submits, Stats: s.sub.Stats()}
 			}
 		}
 	} else {
@@ -739,9 +720,12 @@ func (d *Daemon) applyRingEvent(ev accelring.Event) {
 	case accelring.Message:
 		d.applyRingMessage(e)
 	case accelring.ConfigChange:
-		if !e.Transitional {
-			d.applyRingConfig(e.Config)
+		if e.Transitional {
+			d.logf("daemon: transitional configuration %s: %v", e.Config.ID, e.Config.Members)
+			return
 		}
+		d.logf("daemon: regular configuration %s: %v", e.Config.ID, e.Config.Members)
+		d.applyRingConfig(e.Config)
 	}
 }
 

@@ -342,8 +342,9 @@ func TestSameNameDifferentDaemons(t *testing.T) {
 }
 
 // TestDaemonStatsSnapshot exercises the stats round trip: per-client
-// submit/deliver counters over IPC, plus the embedded node's metrics
-// snapshot decodable from the raw JSON.
+// submit/deliver counters over IPC, the fan-out tier's snapshot, plus the
+// embedded node's metrics snapshot decodable from the raw JSON, which
+// carries the ring only: the tier has one route, StatsSnapshot.Fanout.
 func TestDaemonStatsSnapshot(t *testing.T) {
 	c := startDaemons(t, 2)
 	alice := c.connect(0, "alice")
@@ -372,12 +373,22 @@ func TestDaemonStatsSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatalf("no counters for %s in %+v", alice.PrivateName(), snap.Clients)
 	}
-	if cs.Deliveries != sent || cs.Submits != 0 {
-		t.Fatalf("alice counters = %+v, want %d deliveries / 0 submits", cs, sent)
+	if cs.Msgs != sent || cs.Submits != 0 {
+		t.Fatalf("alice counters = %+v, want %d msgs / 0 submits", cs, sent)
+	}
+	if snap.Fanout.Policy != "disconnect" || snap.Fanout.Subscriptions < 1 {
+		t.Fatalf("daemon 0 fanout = %+v, want policy disconnect and >= 1 subscription", snap.Fanout)
 	}
 	var node accelring.MetricsSnapshot
 	if err := json.Unmarshal(snap.Node, &node); err != nil {
 		t.Fatalf("decoding node metrics: %v", err)
+	}
+	var nodeKeys map[string]json.RawMessage
+	if err := json.Unmarshal(snap.Node, &nodeKeys); err != nil {
+		t.Fatalf("decoding node metrics keys: %v", err)
+	}
+	if _, ok := nodeKeys["fanout"]; ok {
+		t.Fatal("node metrics carry a fanout section; the tier reports only in StatsSnapshot.Fanout")
 	}
 	if node.Engine.TokensProcessed == 0 {
 		t.Fatal("node metrics carry no engine counters")
@@ -396,8 +407,8 @@ func TestDaemonStatsSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatalf("no counters for %s in %+v", bob.PrivateName(), snap.Clients)
 	}
-	if cs.Submits != sent || cs.Deliveries != 0 {
-		t.Fatalf("bob counters = %+v, want %d submits / 0 deliveries", cs, sent)
+	if cs.Submits != sent || cs.Msgs != 0 {
+		t.Fatalf("bob counters = %+v, want %d submits / 0 msgs", cs, sent)
 	}
 
 	// A second request keeps working (the stats channel does not wedge).

@@ -243,11 +243,11 @@ func waitTotalSubscriptions(t *testing.T, via *client.Conn, want int) {
 		if err != nil {
 			t.Fatalf("stats: %v", err)
 		}
-		if snap.Subscriptions == want {
+		if snap.Fanout.Subscriptions == want {
 			return
 		}
 		if !time.Now().Before(deadline) {
-			t.Fatalf("subscriptions stuck at %d of %d", snap.Subscriptions, want)
+			t.Fatalf("subscriptions stuck at %d of %d", snap.Fanout.Subscriptions, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -298,7 +298,7 @@ func TestDisconnectPolicyDropsSlowClient(t *testing.T) {
 		if serr != nil {
 			t.Fatal(serr)
 		}
-		if snap.Disconnects >= 1 && snap.Sessions == 1 {
+		if snap.Fanout.Disconnects >= 1 && snap.Sessions == 1 {
 			break
 		}
 		if !time.Now().Before(deadline) {

@@ -275,8 +275,8 @@ func TestDaemonResumeMidBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Resumes != 1 || snap.ResumeGaps != 0 {
-		t.Fatalf("daemon stats resumes=%d gaps=%d, want 1/0", snap.Resumes, snap.ResumeGaps)
+	if snap.Fanout.Resumes != 1 || snap.Fanout.ResumeGaps != 0 {
+		t.Fatalf("daemon stats resumes=%d gaps=%d, want 1/0", snap.Fanout.Resumes, snap.Fanout.ResumeGaps)
 	}
 	if got := sub.Resumes(); got != 1 {
 		t.Fatalf("client resumes=%d, want 1", got)
@@ -336,7 +336,7 @@ func TestDaemonResumeExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.ResumeExpired == 0 {
+	if snap.Fanout.ResumeExpired == 0 {
 		t.Fatal("daemon never counted the expired session")
 	}
 }
@@ -393,7 +393,7 @@ func TestDaemonShedWhileDetachedReportsGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.ResumeGaps == 0 {
+	if snap.Fanout.ResumeGaps == 0 {
 		t.Fatal("daemon never counted the resume gap")
 	}
 }

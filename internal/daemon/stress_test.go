@@ -188,6 +188,9 @@ func TestFloodUnderNetworkFaults(t *testing.T) {
 
 // TestClientReconnectSameName verifies a client can disconnect and
 // reconnect under the same name once the daemon has processed the drop.
+// The daemon refuses the name while the first session holds it, so a
+// second client watches the daemon's session count fall to itself alone,
+// and then one Connect must succeed.
 func TestClientReconnectSameName(t *testing.T) {
 	c := startDaemons(t, 1)
 	first := c.connect(0, "phoenix")
@@ -195,17 +198,24 @@ func TestClientReconnectSameName(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitView(t, first, "g", 1)
+	watcher := c.connect(0, "watcher")
 	first.Close()
 
-	// Reconnection races the daemon noticing the disconnect; retry briefly.
-	var second *client.Conn
-	var err error
-	for attempt := 0; attempt < 100; attempt++ {
-		second, err = client.Connect("unix", c.socks[0], "phoenix")
-		if err == nil {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		snap, err := watcher.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Sessions == 1 {
 			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon still holds %d sessions 10s after the first client closed", snap.Sessions)
+		}
+		time.Sleep(time.Millisecond)
 	}
+	second, err := client.Connect("unix", c.socks[0], "phoenix")
 	if err != nil {
 		t.Fatalf("reconnect failed: %v", err)
 	}

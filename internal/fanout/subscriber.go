@@ -425,15 +425,15 @@ type Stats struct {
 	// message frames dropped by PolicyShed; Delivered counts frames of
 	// every type written to the sink and Writes the runs they were written
 	// in (one sink flush each), so Delivered/Writes is frames per write.
-	Msgs      uint64
-	Shed      uint64
-	Delivered uint64
-	Writes    uint64
+	Msgs      uint64 `json:"msgs"`
+	Shed      uint64 `json:"shed,omitempty"`
+	Delivered uint64 `json:"delivered"`
+	Writes    uint64 `json:"writes"`
 	// Backlog is the current queue depth, HighWater its maximum since
 	// registration, Subscriptions the current interest count.
-	Backlog       int
-	HighWater     int
-	Subscriptions int
+	Backlog       int `json:"backlog,omitempty"`
+	HighWater     int `json:"high_water,omitempty"`
+	Subscriptions int `json:"subscriptions,omitempty"`
 }
 
 // Stats snapshots the subscriber's counters.

@@ -1,31 +1,24 @@
 package ipc
 
-import "encoding/json"
+import (
+	"encoding/json"
 
-// ClientStats is one connected client's activity as the daemon sees it.
+	"accelring/internal/fanout"
+)
+
+// ClientStats is one connected client's activity as the daemon sees it:
+// its submissions into the ring and its fan-out subscriber's counters.
 type ClientStats struct {
 	// Submits counts multicasts this client submitted into the ring.
 	Submits uint64 `json:"submits"`
-	// Deliveries counts ordered messages the daemon accepted into this
-	// client's delivery queue.
-	Deliveries uint64 `json:"deliveries"`
-	// Shed counts ordered messages dropped for this client by the fan-out
-	// tier's shed policy because its queue was full.
-	Shed uint64 `json:"shed,omitempty"`
-	// Backlog is the client's delivery-queue depth at snapshot time;
-	// HighWater its maximum over the session.
-	Backlog   int `json:"backlog,omitempty"`
-	HighWater int `json:"high_water,omitempty"`
-	// Subscriptions counts the groups this client currently receives,
-	// from membership and explicit subscriptions combined.
-	Subscriptions int `json:"subscriptions,omitempty"`
+	fanout.Stats
 }
 
 // StatsSnapshot is the JSON body of an EvtStats frame: the daemon's view
-// of its clients and groups, plus the embedded ring node's full metrics
-// snapshot. Node is kept as raw JSON so this package does not depend on
-// the node's metrics types; callers that want it decoded unmarshal it
-// into accelring.MetricsSnapshot.
+// of its clients and groups, its fan-out tier, and the embedded ring
+// node's full metrics snapshot. Node is kept as raw JSON so this package
+// does not depend on the node's metrics types; callers that want it
+// decoded unmarshal it into accelring.MetricsSnapshot.
 type StatsSnapshot struct {
 	// Daemon is the ring participant ID serving this snapshot.
 	Daemon string `json:"daemon"`
@@ -33,33 +26,21 @@ type StatsSnapshot struct {
 	// least one member anywhere on the ring.
 	Sessions int `json:"sessions"`
 	Groups   int `json:"groups"`
-	// Subscriptions counts this daemon's (client, group) delivery-interest
-	// edges in the fan-out tier; Shed and Disconnects total the messages
-	// dropped and the clients severed by its backpressure policy, named by
-	// FanoutPolicy. The tier's full aggregate snapshot rides inside Node
-	// (MetricsSnapshot.Fanout).
-	Subscriptions int    `json:"subscriptions,omitempty"`
-	Shed          uint64 `json:"shed,omitempty"`
-	Disconnects   uint64 `json:"disconnects,omitempty"`
-	FanoutPolicy  string `json:"fanout_policy,omitempty"`
 	// Detached counts sessions whose connection dropped but whose delivery
-	// state is being held for the resume window. Resumes, ResumeGaps and
-	// ResumeExpired total successful session resumes, resumes whose stream
-	// had a gap (frames dropped while away), and detached sessions that
-	// expired unresumed.
-	Detached      int    `json:"detached,omitempty"`
-	Resumes       uint64 `json:"resumes,omitempty"`
-	ResumeGaps    uint64 `json:"resume_gaps,omitempty"`
-	ResumeExpired uint64 `json:"resume_expired,omitempty"`
-	// Draining reports that the daemon has begun a graceful drain; DrainMs
-	// is the time the last completed drain spent flushing queues.
-	Draining bool  `json:"draining,omitempty"`
-	DrainMs  int64 `json:"drain_ms,omitempty"`
+	// state is being held for the resume window. It counts sessions, not
+	// queues: Fanout.Detached counts the live held queues, which is fewer
+	// once a held session's queue is killed.
+	Detached int `json:"detached,omitempty"`
+	// Draining reports that the daemon has begun a graceful drain.
+	Draining bool `json:"draining,omitempty"`
+	// Fanout is the client delivery tier's aggregate snapshot: policy,
+	// subscriptions, delivery, shed and disconnect totals, and the
+	// daemon's resume, drain and ingest accounting.
+	Fanout fanout.TierSnapshot `json:"fanout"`
 	// Clients maps each local client's private name to its counters. At
 	// serving scale the daemon omits this map rather than emit a snapshot
 	// frame that can't fit MaxFrame: ClientsOmitted reports how many
-	// sessions went unlisted (the aggregate counters above still cover
-	// them).
+	// sessions went unlisted (Fanout still covers them).
 	Clients        map[string]ClientStats `json:"clients,omitempty"`
 	ClientsOmitted int                    `json:"clients_omitted,omitempty"`
 	// Node is the ring node's metrics snapshot (accelring.MetricsSnapshot).

@@ -3,7 +3,6 @@ package accelring
 import (
 	"time"
 
-	"accelring/internal/fanout"
 	"accelring/internal/metrics"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
@@ -19,16 +18,6 @@ type TransportSnapshot = transport.Snapshot
 
 // PoolSnapshot re-exports the packet buffer pool counters.
 type PoolSnapshot = transport.PoolSnapshot
-
-// FanoutSnapshot re-exports the client fan-out tier's aggregate counters
-// (subscriber/subscription totals, delivery and shed accounting).
-type FanoutSnapshot = fanout.TierSnapshot
-
-// FanoutSource supplies a fan-out tier snapshot; *fanout.Tier implements
-// it. Attach one with Node.AttachFanout.
-type FanoutSource interface {
-	Snapshot() FanoutSnapshot
-}
 
 // RuntimeMetrics is the runtime-loop section of a MetricsSnapshot: what
 // the protocol goroutine and its timers observed, as opposed to the
@@ -101,11 +90,6 @@ type MetricsSnapshot struct {
 	// the process, so the numbers are global, not per-node: a hit rate
 	// near 1 means the receive path is running allocation-free.
 	BufferPool PoolSnapshot `json:"buffer_pool"`
-	// Fanout is the client fan-out tier's aggregate snapshot, present
-	// only when a daemon (or other server) attached its tier via
-	// AttachFanout: subscriber and subscription totals, queue delivery
-	// counters, and shed/disconnect accounting for slow clients.
-	Fanout *FanoutSnapshot `json:"fanout,omitempty"`
 	// ErrorCount counts every error the protocol loop observed;
 	// RecentErrors holds the most recent ones, oldest first.
 	ErrorCount   uint64   `json:"error_count"`
@@ -193,13 +177,6 @@ func (n *Node) Metrics() (MetricsSnapshot, error) {
 	}
 	ts := n.tr.MetricsSnapshot()
 	snap.Transport = &ts
-	n.mu.Lock()
-	fanoutSrc := n.fanoutSrc
-	n.mu.Unlock()
-	if fanoutSrc != nil {
-		fs := fanoutSrc.Snapshot()
-		snap.Fanout = &fs
-	}
 	return snap, nil
 }
 
@@ -213,14 +190,4 @@ func (n *Node) recentErrors() []string {
 		out = append(out, n.errs[(n.errHead+i)%len(n.errs)].Error())
 	}
 	return out
-}
-
-// AttachFanout registers a client fan-out tier as a metrics source, so
-// Metrics snapshots (and everything built on them — CmdStats, ringmon,
-// BENCH reports) carry the serving tier's subscription and shedding
-// counters alongside the protocol's. Attach nil to detach.
-func (n *Node) AttachFanout(src FanoutSource) {
-	n.mu.Lock()
-	n.fanoutSrc = src
-	n.mu.Unlock()
 }

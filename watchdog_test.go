@@ -1,6 +1,7 @@
 package accelring
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -44,8 +45,8 @@ func testWatchdogFlagsWedgedLoop(t *testing.T, engine EngineKind) {
 		t.Fatal(err)
 	}
 	defer n1.Close()
-	// Node 2 is the victim: a one-slot event buffer and no draining wedges
-	// its loop in deliver() as soon as two ordered events arrive.
+	// Node 2 is the victim: nobody drains its events, so its loop wedges in
+	// deliver() once its Events buffer is full.
 	n2, err := Start(Options{
 		ID:                 2,
 		Transport:          net.Endpoint(2),
@@ -55,7 +56,6 @@ func testWatchdogFlagsWedgedLoop(t *testing.T, engine EngineKind) {
 		TokenRetransPeriod: 40 * time.Millisecond,
 		ConsensusTimeout:   100 * time.Millisecond,
 		CommitTimeout:      100 * time.Millisecond,
-		EventBuffer:        1,
 		WatchdogInterval:   interval,
 		OnStall:            func(r StallReport) { stalls <- r },
 	})
@@ -64,12 +64,23 @@ func testWatchdogFlagsWedgedLoop(t *testing.T, engine EngineKind) {
 	}
 	defer n2.Close()
 
+	// Keep node 1 submitting until node 2 wedges (or node 1 closes), so
+	// node 2 has deliveries to fill its buffer with; node 1 drains its own
+	// events. A full backlog only waits for the ring to order what it holds.
+	wedged := make(chan struct{})
 	go func() {
-		// Keep node 1 submitting so node 2 has deliveries to wedge on; node
-		// 1 drains its own events.
-		for i := 0; i < 50; i++ {
-			n1.Submit([]byte("wedge"), Agreed)
-			time.Sleep(5 * time.Millisecond)
+		for {
+			select {
+			case <-wedged:
+				return
+			default:
+			}
+			switch err := n1.Submit([]byte("wedge"), Agreed); {
+			case errors.Is(err, ErrClosed):
+				return
+			case err != nil:
+				time.Sleep(time.Millisecond)
+			}
 		}
 	}()
 	go func() {
@@ -83,6 +94,7 @@ func testWatchdogFlagsWedgedLoop(t *testing.T, engine EngineKind) {
 	for {
 		if len(n2.events) == cap(n2.events) {
 			wedgedAt = time.Now()
+			close(wedged)
 			break
 		}
 		if time.Now().After(deadline) {
