@@ -249,13 +249,17 @@ type Node struct {
 	// never retains those pointers — it copies what it keeps). burstBufs
 	// and burstPkts back a data run in flight — pooled buffers, one per
 	// frame, and the vector handed to Multicast; their headers are retained
-	// across runs. runActs collects a run of submissions' actions (submit).
+	// across runs. runActs collects a run of submissions' actions (submit),
+	// and inHand holds submissions taken off submitCh and not yet stepped
+	// (deliver, and the idle select). reserved counts them; they are at
+	// most maxPending.
 	encBuf    []byte
 	encVec    [1][]byte
 	dec       wire.Decoder
 	burstBufs [][]byte
 	burstPkts [][]byte
 	runActs   []engine.Action
+	inHand    []submitReq
 
 	mu      sync.Mutex
 	errs    []error // ring of recent protocol-loop errors
@@ -388,8 +392,10 @@ func (n *Node) Events() <-chan Event { return n.events }
 // queues: an invalid service or a payload over the wire maximum, ErrClosed
 // once Close has begun, and core.ErrBacklogFull when the engine's backlog
 // plus the messages still queued would exceed the engine's bound. It blocks
-// while engine.SubmitQuota messages are queued. A message still queued when
-// the node closes is dropped.
+// while engine.SubmitQuota messages are queued and the protocol loop is
+// busy; a loop waiting on a full Events channel keeps taking submissions,
+// so one goroutine may both submit and drain Events. A message still
+// queued when the node closes is dropped.
 //
 // The engine retains payload until the message stabilizes, so the caller
 // must not modify it after Submit returns nil.
@@ -409,8 +415,16 @@ func (n *Node) Submit(payload []byte, service Service) error {
 		n.reserved.Add(-1)
 		return core.ErrBacklogFull
 	}
+	// The send is tried alone first, one channel lock; done matters only
+	// when submitCh is full.
+	req := submitReq{payload: payload, service: service}
 	select {
-	case n.submitCh <- submitReq{payload: payload, service: service}:
+	case n.submitCh <- req:
+		return nil
+	default:
+	}
+	select {
+	case n.submitCh <- req:
 		return nil
 	case <-n.done:
 		n.reserved.Add(-1)

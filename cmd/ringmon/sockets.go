@@ -48,10 +48,10 @@ func runSockets(logger *log.Logger, sockets []string, interval, connectWait time
 					snap.Detached, f.Resumes, f.ResumeGaps, f.ResumeExpired,
 					snap.Draining, f.DrainMs)
 			}
-			fmt.Printf("%s %s fanout: published %d enqueued %d delivered %d in %d writes maxBacklog %d/%d | ingest %d frames in %d bursts\n",
+			fmt.Printf("%s %s fanout: published %d enqueued %d delivered %d in %d writes maxBacklog %d/%d | ingest %d frames in %d bursts, %d holds\n",
 				time.Now().Format("15:04:05.000"), sock,
 				f.Published, f.Enqueued, f.Delivered, f.Writes, f.MaxBacklog, f.QueueDepth,
-				f.BurstFrames, f.Bursts)
+				f.BurstFrames, f.Bursts, f.Holds)
 			printTopClients(sock, snap)
 		}
 		select {

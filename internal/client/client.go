@@ -637,8 +637,14 @@ func (c *Conn) shutLocked() {
 
 // emit delivers a lifecycle or data event, giving up when the connection
 // closes so a consumer that stopped draining cannot wedge the supervisor
-// forever.
+// forever. The send is tried alone first, one channel lock; done matters
+// only when it would block.
 func (c *Conn) emit(ev Event) {
+	select {
+	case c.events <- ev:
+		return
+	default:
+	}
 	select {
 	case c.events <- ev:
 	case <-c.done:

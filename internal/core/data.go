@@ -35,12 +35,17 @@ func (e *Engine) handleRingData(m *wire.DataMessage) []engine.Action {
 	e.maybeRaiseTokenPriority(m)
 	// Evidence of downstream progress: somebody processed a later token
 	// than ours, so the token we forwarded was not lost.
-	var actions []engine.Action
+	actions := e.acts[:0]
 	if m.Round > e.round && e.sentToken != nil {
-		actions = append(actions, engine.CancelTimer{Kind: engine.TimerTokenRetrans})
+		actions = append(actions, cancelTokenRetrans)
 	}
-	return e.deliverReady(actions)
+	e.acts = e.deliverReady(actions)
+	return e.acts
 }
+
+// cancelTokenRetrans is boxed once: converting the CancelTimer to an
+// Action on every data frame would allocate.
+var cancelTokenRetrans engine.Action = engine.CancelTimer{Kind: engine.TimerTokenRetrans}
 
 // maybeRaiseTokenPriority implements the two priority-switching methods of
 // Section III-C. The token regains high priority when this participant
@@ -95,7 +100,7 @@ func (e *Engine) handleRecoveryData(m *wire.DataMessage) []engine.Action {
 			}
 		}
 		if m.Round > e.round && e.sentToken != nil {
-			return []engine.Action{engine.CancelTimer{Kind: engine.TimerTokenRetrans}}
+			return []engine.Action{cancelTokenRetrans}
 		}
 	case e.oldRing.ID:
 		if e.oldBuf != nil {

@@ -97,6 +97,15 @@ type Engine struct {
 	// message buffer until stability).
 	newMsgsScratch []*wire.DataMessage
 	packBatch      [][]byte
+	// acts backs the action slice the data and token paths return, valid
+	// until the next call into the engine (OrderingEngine); Step clears it
+	// first so the last Step's frames and deliveries are not pinned.
+	// unpacked backs emitDeliver's list of a container's payloads.
+	acts     []engine.Action
+	unpacked [][]byte
+	// tokenTimers are the two timer arms every processed token appends,
+	// boxed once: converting them to Actions per token would allocate.
+	tokenTimers [2]engine.Action
 
 	// Gather state.
 	procSet map[wire.ParticipantID]bool
@@ -136,6 +145,10 @@ func New(cfg Config) (*Engine, error) {
 		flow:          flowctl.NewController(cfg.Flow),
 		tokenPriority: true,
 		maxRingSeq:    cfg.ringSeqBase(),
+		tokenTimers: [2]engine.Action{
+			engine.SetTimer{Kind: engine.TimerTokenLoss, After: cfg.TokenLossTimeout},
+			engine.SetTimer{Kind: engine.TimerTokenRetrans, After: cfg.TokenRetransPeriod},
+		},
 	}, nil
 }
 
@@ -274,6 +287,8 @@ func (e *Engine) predecessor() wire.ParticipantID {
 // Step dispatches one input to its handler. Control frames are not part of
 // this protocol and are ignored.
 func (e *Engine) Step(in engine.Input) []engine.Action {
+	clear(e.acts)
+	e.acts = e.acts[:0]
 	switch f := in.Frame.(type) {
 	case nil:
 		return e.handleTimer(in.Timer)

@@ -27,6 +27,11 @@ import (
 //     valid only during the call; the engine copies what it keeps.
 //   - Timer kinds are engine-defined reuses of the shared TimerKind set;
 //     at most one timer per kind is armed at a time.
+//   - A returned action slice is valid until the next call into the
+//     engine: an engine may reuse its backing array. Runtimes execute or
+//     copy the actions before they call again. Node.submit copies each
+//     Submit's actions into its run, and enginetest's Cluster.apply
+//     consumes a Step's actions before its next Step.
 //
 // *Engine (the Accelerated Ring), ringpaxos.Engine and netsim's test-only
 // fixed sequencer all satisfy it.

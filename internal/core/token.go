@@ -43,7 +43,7 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []engine.Action {
 	tok.Round = e.round
 	tok.TokenSeq++
 
-	actions := make([]engine.Action, 0, 8)
+	actions := e.acts[:0]
 
 	// --- Pre-token phase 1: answer retransmission requests. All
 	// retransmissions must be sent before the token; otherwise they may be
@@ -193,14 +193,12 @@ func (e *Engine) handleRegularToken(tok *wire.Token) []engine.Action {
 	// (Section III-C).
 	e.tokenPriority = false
 
-	actions = append(actions,
-		engine.SetTimer{Kind: engine.TimerTokenLoss, After: e.cfg.TokenLossTimeout},
-		engine.SetTimer{Kind: engine.TimerTokenRetrans, After: e.cfg.TokenRetransPeriod},
-	)
+	actions = append(actions, e.tokenTimers[:]...)
 	// Keep the (possibly grown) new-message list as next round's scratch.
 	// Only the individual *DataMessage pointers escaped into actions; the
 	// slice itself is round-local.
 	e.newMsgsScratch = newMsgs
+	e.acts = actions
 	return actions
 }
 
@@ -334,14 +332,17 @@ func (e *Engine) emitDeliver(actions []engine.Action, m *wire.DataMessage) []eng
 		}
 		return append(actions, engine.Deliver{Msg: m})
 	}
-	payloads, err := wire.UnpackPayloads(m.Payload)
+	payloads, err := wire.UnpackPayloads(e.unpacked[:0], m.Payload)
 	if err != nil {
 		// A peer sent a corrupt container; the protocol stays live, the
 		// container's contents are unrecoverable.
 		return actions
 	}
-	for _, p := range payloads {
-		sub := &wire.DataMessage{
+	// One allocation per container: the sub-messages are fresh (a consumer
+	// may keep a Deliver's Msg) but share one backing array.
+	subs := make([]wire.DataMessage, len(payloads))
+	for i, p := range payloads {
+		subs[i] = wire.DataMessage{
 			RingID:  m.RingID,
 			Seq:     m.Seq,
 			PID:     m.PID,
@@ -353,7 +354,9 @@ func (e *Engine) emitDeliver(actions []engine.Action, m *wire.DataMessage) []eng
 		if m.Service.RequiresSafe() {
 			e.stats.SafeDelivered++
 		}
-		actions = append(actions, engine.Deliver{Msg: sub})
+		actions = append(actions, engine.Deliver{Msg: &subs[i]})
 	}
+	clear(payloads) // the scratch must not pin this container once its deliveries are gone
+	e.unpacked = payloads[:0]
 	return actions
 }

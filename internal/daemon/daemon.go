@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"accelring"
+	"accelring/internal/core"
 	"accelring/internal/fanout"
 	"accelring/internal/ipc"
 	"accelring/internal/wire"
@@ -86,6 +87,8 @@ type Daemon struct {
 	// readers to the main loop, and the client frames in them.
 	bursts      atomic.Uint64
 	burstFrames atomic.Uint64
+	// holds counts the node's refusals that held a session's input (hold).
+	holds atomic.Uint64
 
 	// state owned by the main loop
 	sessions map[*session]bool
@@ -110,6 +113,9 @@ type Daemon struct {
 	// streams, valid until the next one.
 	routeGroups []string
 	routeSeqs   []uint64
+	// held lists the sessions whose input waits for room in the node's
+	// backlog (hold), in the order they were refused.
+	held []*session
 }
 
 // groupStream is one group's entry in the groupSeq table.
@@ -245,6 +251,9 @@ func (d *Daemon) mainLoop() {
 			if !ok || !d.applyRingRun(ev, events) {
 				return
 			}
+			// Ordered events mean the ring took from the node's backlog:
+			// retry the input it refused.
+			d.retryHeld()
 		case b := <-d.reqCh:
 			d.applyBurst(b)
 		case s := <-d.unregCh:
@@ -284,34 +293,107 @@ func (d *Daemon) closeAllSessions() {
 // applyBurst handles one session wake-up's worth of client frames, in
 // order, and recycles the burst. A frame that closes the session ends the
 // burst: what a client sent behind its own goodbye or a malformed frame is
-// dropped with the connection.
+// dropped with the connection. The burst joins the session's input queue;
+// it is applied now unless input the node refused waits ahead of it
+// (hold).
 func (d *Daemon) applyBurst(b *burst) {
-	s, start := b.sess, 0
-	for _, f := range b.frames {
-		if s.isClosed() {
-			break
-		}
-		d.applyRequest(s, f.typ, b.slab[start:f.end])
-		start = f.end
+	s := b.sess
+	s.input = append(s.input, b)
+	if len(s.input) == 1 && !d.applyInput(s) {
+		d.hold(s)
 	}
-	b.sess = nil
-	burstPool.Put(b)
+}
+
+// applyInput applies s's queued bursts in order, recycling each one
+// applied. It reports false when the node refused a frame for a full
+// backlog: that frame and everything behind it stay queued.
+func (d *Daemon) applyInput(s *session) bool {
+	for k, b := range s.input {
+		i, ok := d.applyFrames(b, s.inputNext)
+		if !ok {
+			s.inputNext = i
+			n := copy(s.input, s.input[k:])
+			clear(s.input[n:])
+			s.input = s.input[:n]
+			return false
+		}
+		s.inputNext = 0
+		b.sess = nil
+		burstPool.Put(b)
+	}
+	clear(s.input)
+	s.input = s.input[:0]
+	return true
+}
+
+// applyFrames applies b's frames from the i-th on. It stops at a frame the
+// node refused for a full backlog and reports its index and false.
+func (d *Daemon) applyFrames(b *burst, i int) (int, bool) {
+	s := b.sess
+	for ; i < len(b.frames) && !s.isClosed(); i++ {
+		start := 0
+		if i > 0 {
+			start = b.frames[i-1].end
+		}
+		if !d.applyRequest(s, b.frames[i].typ, b.slab[start:b.frames[i].end]) {
+			return i, false
+		}
+	}
+	return i, true
+}
+
+// hold is the daemon's backpressure: the node refused a frame of s's
+// because its backlog is full. The frame and the rest of s's input wait,
+// the session's reader stops handing over bursts, and the main loop
+// retries after each run of ring events, which is when the backlog
+// shrinks. The main loop never waits for room itself: Node.loop may be
+// waiting for it to take a delivery.
+func (d *Daemon) hold(s *session) {
+	s.paused.Store(true)
+	d.held = append(d.held, s)
+	d.holds.Add(1)
+}
+
+// retryHeld applies held input until the node refuses again, session by
+// session in the order they were held. A session whose input is all
+// applied resumes reading, and a disconnect that came while it was held
+// is handled now.
+func (d *Daemon) retryHeld() {
+	kept := d.held[:0]
+	for _, s := range d.held {
+		if !d.applyInput(s) {
+			kept = append(kept, s)
+			continue
+		}
+		s.paused.Store(false)
+		select {
+		case s.resume <- struct{}{}:
+		default:
+		}
+		if s.goneHeld {
+			s.goneHeld = false
+			d.sessionGone(s)
+		}
+	}
+	clear(d.held[len(kept):])
+	d.held = kept
 }
 
 // applyRequest handles one client frame. body is borrowed from the burst:
-// nothing here may keep a slice of it.
-func (d *Daemon) applyRequest(s *session, typ byte, body []byte) {
+// nothing here may keep a slice of it. It reports false, having changed
+// nothing, when the node refused a submission for a full backlog.
+func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
 	switch typ {
 	case ipc.CmdConnect:
 		name, _, err := ipc.GetString(body)
 		if err != nil || !validName(name) {
 			s.close()
-			return
+			return true
 		}
 		private := d.memberName(name)
 		if !d.claimName(private) {
 			s.close()
-			return
+			return true
 		}
 		s.member = private
 		s.id = d.newSessionID()
@@ -323,7 +405,7 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) {
 	case ipc.CmdResume:
 		if s.member != "" {
 			s.close()
-			return
+			return true
 		}
 		d.applyResume(s, body)
 	case ipc.CmdGoodbye:
@@ -334,12 +416,12 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) {
 	case ipc.CmdJoin, ipc.CmdLeave:
 		if s.member == "" {
 			s.close()
-			return
+			return true
 		}
 		group, _, err := ipc.GetString(body)
 		if err != nil || ipc.CheckGroup(group) != nil {
 			s.close()
-			return
+			return true
 		}
 		op := ringJoin
 		if typ == ipc.CmdLeave {
@@ -347,6 +429,9 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) {
 		}
 		p := membershipPayload{Member: s.member, Group: group}
 		if err := d.node.Submit(p.encode(op), accelring.Agreed); err != nil {
+			if errors.Is(err, core.ErrBacklogFull) {
+				return false
+			}
 			d.logf("daemon: submit membership: %v", err)
 		}
 	case ipc.CmdSubscribe, ipc.CmdUnsubscribe:
@@ -355,12 +440,12 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) {
 		// read-only audiences.
 		if s.member == "" {
 			s.close()
-			return
+			return true
 		}
 		group, _, err := ipc.GetString(body)
 		if err != nil || ipc.CheckGroup(group) != nil {
 			s.close()
-			return
+			return true
 		}
 		if typ == ipc.CmdSubscribe {
 			d.tier.Subscribe(s.sub, group, fanout.SourceExplicit)
@@ -370,27 +455,31 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) {
 	case ipc.CmdMulticast:
 		if s.member == "" {
 			s.close()
-			return
+			return true
 		}
 		encoded, svc, err := encodeApp(body, s.member)
 		if err != nil {
 			s.close()
-			return
+			return true
 		}
 		if err := d.node.Submit(encoded, svc); err != nil {
+			if errors.Is(err, core.ErrBacklogFull) {
+				return false
+			}
 			d.logf("daemon: submit: %v", err)
-			return
+			return true
 		}
 		s.submits++
 	case ipc.CmdStats:
 		if s.member == "" {
 			s.close()
-			return
+			return true
 		}
 		s.send(ipc.EvtStats, d.encodeStats())
 	default:
 		s.close()
 	}
+	return true
 }
 
 // validName screens a client-chosen name: the daemon appends "@<node>" to
@@ -544,6 +633,11 @@ func (d *Daemon) sessionGone(s *session) {
 	if s.state != sessActive {
 		return
 	}
+	if len(s.input) > 0 {
+		// What the client sent before it went still goes to the ring.
+		s.goneHeld = true
+		return
+	}
 	if d.resumeWindow > 0 && s.member != "" && d.sessions[s] && !s.goodbye && !d.draining.Load() {
 		d.detachSession(s)
 		return
@@ -640,6 +734,7 @@ func (d *Daemon) Snapshot() fanout.TierSnapshot {
 	fs.DrainMs = d.drainMs.Load()
 	fs.Bursts = d.bursts.Load()
 	fs.BurstFrames = d.burstFrames.Load()
+	fs.Holds = d.holds.Load()
 	return fs
 }
 

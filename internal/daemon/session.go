@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"accelring/internal/fanout"
@@ -49,6 +50,17 @@ type session struct {
 	// detachTimer expires the detached session at the end of the resume
 	// window.
 	detachTimer *time.Timer
+	// input queues the bursts the main loop has taken and not yet
+	// applied, the first from frame inputNext on. It is empty except while
+	// the node refuses a frame for a full backlog (Daemon.hold); goneHeld
+	// then defers a disconnect until the input is applied. Owned by the
+	// main loop. paused tells the reader to wait for resume before it
+	// hands over another burst.
+	input     []*burst
+	inputNext int
+	goneHeld  bool
+	paused    atomic.Bool
+	resume    chan struct{}
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -79,6 +91,7 @@ func newSession(d *Daemon, conn net.Conn) *session {
 		d:      d,
 		conn:   conn,
 		closed: make(chan struct{}),
+		resume: make(chan struct{}, 1),
 	}
 	s.sub = d.tier.Register(&ipcSink{conn: conn}, s.killFunc(), s.exitFunc())
 	return s
@@ -158,6 +171,15 @@ func (s *session) readLoop() {
 		}
 		s.d.bursts.Add(1)
 		s.d.burstFrames.Add(uint64(len(b.frames)))
+		if s.paused.Load() {
+			select {
+			case <-s.resume:
+			case <-s.d.stopCh:
+				return
+			case <-s.closed:
+				return
+			}
+		}
 		select {
 		case s.d.reqCh <- b:
 		case <-s.d.stopCh:

@@ -443,7 +443,9 @@ type TierSnapshot struct {
 	// drain: sessions resumed, resumed with a gap, expired unresumed, and
 	// the flush time of the last graceful drain; and, on the ingest side,
 	// the bursts of client frames its sessions' readers handed over and the
-	// frames in them, so BurstFrames/Bursts is frames per socket wake-up.
+	// frames in them, so BurstFrames/Bursts is frames per socket wake-up;
+	// and Holds, the times the ring node refused a client's submission for
+	// a full backlog and the daemon held that client's input to retry.
 	Detached      int    `json:"detached,omitempty"`
 	Resumes       uint64 `json:"resumes,omitempty"`
 	ResumeGaps    uint64 `json:"resume_gaps,omitempty"`
@@ -451,6 +453,7 @@ type TierSnapshot struct {
 	DrainMs       int64  `json:"drain_ms,omitempty"`
 	Bursts        uint64 `json:"bursts,omitempty"`
 	BurstFrames   uint64 `json:"burst_frames,omitempty"`
+	Holds         uint64 `json:"holds,omitempty"`
 }
 
 // Snapshot assembles the tier-wide counters.

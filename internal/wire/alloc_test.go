@@ -153,3 +153,24 @@ func TestDetachingDecodersBoundedAllocs(t *testing.T) {
 		t.Fatalf("DecodeToken: %.1f allocs/op, want <= 2", allocs)
 	}
 }
+
+func TestUnpackPayloadsAllocFree(t *testing.T) {
+	in := make([][]byte, 20)
+	for i := range in {
+		in[i] = make([]byte, 60)
+	}
+	packed, err := PackPayloads(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([][]byte, 0, len(in))
+	allocs := testing.AllocsPerRun(200, func() {
+		out, err := UnpackPayloads(dst[:0], packed)
+		if err != nil || len(out) != len(in) {
+			t.Fatalf("unpacked %d, %v", len(out), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("UnpackPayloads into a dst with room: %.1f allocs/op, want 0", allocs)
+	}
+}

@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DataMessage is a multicast data packet: an application payload plus the
 // metadata the ordering protocol needs (Section III-B of the paper).
@@ -181,23 +184,25 @@ func PackPayloads(payloads [][]byte) ([]byte, error) {
 }
 
 // UnpackPayloads splits a packed container payload back into individual
-// payloads. The returned slices alias b.
-func UnpackPayloads(b []byte) ([][]byte, error) {
+// payloads, appending them to dst, and returns the extended slice. The
+// appended slices alias b. With enough capacity in dst it does not
+// allocate; on error dst is returned unextended.
+func UnpackPayloads(dst [][]byte, b []byte) ([][]byte, error) {
 	r := reader{buf: b}
 	n := int(r.u16())
 	if n == 0 || n > MaxPacked {
-		return nil, fmt.Errorf("%w: %d packed payloads", ErrTooLarge, n)
+		return dst, fmt.Errorf("%w: %d packed payloads", ErrTooLarge, n)
 	}
-	out := make([][]byte, 0, n)
+	out := slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		l := int(r.u32())
 		if l > MaxPayload {
-			return nil, fmt.Errorf("%w: packed entry %d bytes", ErrTooLarge, l)
+			return dst, fmt.Errorf("%w: packed entry %d bytes", ErrTooLarge, l)
 		}
 		out = append(out, r.take(l))
 	}
 	if err := r.finish(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	return out, nil
 }

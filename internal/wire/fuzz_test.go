@@ -128,7 +128,7 @@ func FuzzUnpackPayloads(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		payloads, err := UnpackPayloads(b)
+		payloads, err := UnpackPayloads(nil, b)
 		if err != nil {
 			return
 		}
@@ -136,7 +136,7 @@ func FuzzUnpackPayloads(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unpacked payloads do not re-pack: %v", err)
 		}
-		again, err := UnpackPayloads(re)
+		again, err := UnpackPayloads(nil, re)
 		if err != nil || len(again) != len(payloads) {
 			t.Fatalf("re-pack round trip failed: %v", err)
 		}

@@ -564,13 +564,15 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := UnpackPayloads(packed)
+	// UnpackPayloads appends: what dst already holds stays in front.
+	out, err := UnpackPayloads([][]byte{[]byte("kept")}, packed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("unpacked %d, want %d", len(out), len(in))
+	if len(out) != 1+len(in) || string(out[0]) != "kept" {
+		t.Fatalf("unpacked %q, want \"kept\" then %d entries", out, len(in))
 	}
+	out = out[1:]
 	for i := range in {
 		if string(out[i]) != string(in[i]) {
 			t.Fatalf("entry %d = %q, want %q", i, out[i], in[i])
@@ -603,7 +605,7 @@ func TestUnpackPayloadsRejectsGarbage(t *testing.T) {
 		{0xFF, 0xFF},       // huge count
 	}
 	for _, c := range cases {
-		if _, err := UnpackPayloads(c); err == nil {
+		if _, err := UnpackPayloads(nil, c); err == nil {
 			t.Errorf("UnpackPayloads(%v) succeeded", c)
 		}
 	}
@@ -615,7 +617,7 @@ func TestUnpackTrailingGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	packed = append(packed, 0xAA)
-	if _, err := UnpackPayloads(packed); err == nil {
+	if _, err := UnpackPayloads(nil, packed); err == nil {
 		t.Fatal("accepted trailing bytes")
 	}
 }

@@ -111,7 +111,7 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	for !n.closing.Load() {
 		p := eng.Progress()
 		n.backlog.Store(int64(p.Pending))
-		q := engine.Queued{Token: len(tokenCh), Data: len(dataCh), Submits: len(n.submitCh)}
+		q := engine.Queued{Token: len(tokenCh), Data: len(dataCh), Submits: len(n.inHand) + len(n.submitCh)}
 		src, k := engine.Pick(q, p.TokenPriority)
 		kind, fired := n.timers.take()
 		submits := engine.SubmitsPerInput
@@ -142,7 +142,8 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 			case <-n.timers.wake:
 				n.timers.signal() // kept for take: the due kinds fire from the next pass
 			case req := <-n.submitCh:
-				n.submit(eng, req, engine.SubmitQuota-1)
+				n.inHand = append(n.inHand, req)
+				n.submit(eng, engine.SubmitQuota-1)
 				continue
 			case ch := <-n.statsCh:
 				ch <- eng.Snapshot()
@@ -150,43 +151,51 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 				return
 			}
 		}
-		if len(n.submitCh) > 0 {
-			n.submit(eng, <-n.submitCh, submits-1)
+		if len(n.inHand) > 0 || len(n.submitCh) > 0 {
+			n.submit(eng, submits)
 		}
 	}
 }
 
-// submit steps a run of submissions: first, then up to more of those queued
-// behind it. Each one's actions are appended in order to the loop-owned
+// submit steps a run of submissions: those in hand (inHand, taken off
+// submitCh earlier, so older than anything still on it), then up to more
+// from submitCh. Each one's actions are appended in order to the loop-owned
 // runActs — copied, because an engine may reuse the slice it returns — and
 // the run is executed once, so its consecutive data frames leave as one
 // Multicast. The run's reservations are released only after the engine's
 // grown backlog is stored, so Submit never sees room the engine lacks. The
 // engine should never refuse a submission Submit accepted; if it does, the
 // refusal is counted and recorded like any loop error.
-func (n *Node) submit(eng core.OrderingEngine, first submitReq, more int) {
+func (n *Node) submit(eng core.OrderingEngine, more int) {
 	run := n.runActs[:0]
-	taken := int64(0)
-	for req := first; ; req = <-n.submitCh {
+	taken := int64(len(n.inHand))
+	for _, req := range n.inHand {
+		run = n.submitOne(eng, req, run)
+	}
+	clear(n.inHand)
+	n.inHand = n.inHand[:0]
+	for ; more > 0 && len(n.submitCh) > 0; more-- {
+		run = n.submitOne(eng, <-n.submitCh, run)
 		taken++
-		actions, err := eng.Submit(req.payload, req.service)
-		if err != nil {
-			n.nm.submitErrors.Inc()
-			n.noteErr(err)
-		} else {
-			n.nm.submits.Inc()
-		}
-		run = append(run, actions...)
-		if more == 0 || len(n.submitCh) == 0 {
-			break
-		}
-		more--
 	}
 	n.backlog.Store(int64(eng.Progress().Pending))
 	n.reserved.Add(-taken)
 	n.execute(run)
 	clear(run)
 	n.runActs = run[:0]
+}
+
+// submitOne hands one submission to the engine and appends its actions to
+// run.
+func (n *Node) submitOne(eng core.OrderingEngine, req submitReq, run []engine.Action) []engine.Action {
+	actions, err := eng.Submit(req.payload, req.service)
+	if err != nil {
+		n.nm.submitErrors.Inc()
+		n.noteErr(err)
+	} else {
+		n.nm.submits.Inc()
+	}
+	return append(run, actions...)
 }
 
 // handlePacket decodes one packet and feeds it to the engine. The packet
@@ -331,12 +340,28 @@ func (n *Node) sendData(run []engine.Action) {
 }
 
 // deliver blocks until the application accepts the event (or the node is
-// stopped): ordered events must never be dropped.
+// stopped): ordered events must never be dropped. The send is tried alone
+// first, one channel lock; the rest matters only when it would block.
+// While it waits, deliver takes submissions into inHand for the loop to
+// step next: an application may submit from the goroutine that drains
+// Events, and neither may wait on the other.
 func (n *Node) deliver(ev Event) {
 	select {
 	case n.events <- ev:
 		n.nm.eventsDelivered.Inc()
-	case <-n.stopCh:
+		return
+	default:
+	}
+	for {
+		select {
+		case n.events <- ev:
+			n.nm.eventsDelivered.Inc()
+			return
+		case req := <-n.submitCh:
+			n.inHand = append(n.inHand, req)
+		case <-n.stopCh:
+			return
+		}
 	}
 }
 

@@ -361,6 +361,47 @@ func TestEventsChannelClosesOnClose(t *testing.T) {
 	}
 }
 
+// TestSubmitWhileEventsFull submits from the goroutine that drains
+// Events while the loop waits on the full channel: the loop must keep
+// taking submissions, or it and the submitter wait on each other for ever.
+func TestSubmitWhileEventsFull(t *testing.T) {
+	node := startCluster(t, NewMemoryNetwork(12), 1, AcceleratedRing)[0]
+	submit := func(k int) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < k; i++ {
+				if err := node.Submit([]byte("m"), Agreed); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("Submit blocked while the loop waited on a full Events channel")
+		}
+	}
+	// More than Events holds, so the loop ends up waiting on it.
+	first := eventBuffer + 100
+	submit(first)
+	for deadline := time.Now().Add(20 * time.Second); len(node.Events()) < eventBuffer; {
+		if time.Now().After(deadline) {
+			t.Fatalf("Events holds %d, never filled", len(node.Events()))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// More than submitCh holds.
+	more := 2 * engine.SubmitQuota
+	submit(more)
+	collect(t, node, first+more, 20*time.Second)
+}
+
 func TestWindowsArePassedThrough(t *testing.T) {
 	net := NewMemoryNetwork(11)
 	node, err := Start(Options{
