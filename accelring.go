@@ -241,6 +241,11 @@ type Node struct {
 	// owns all of it but the wake channel, whose length the watchdog reads.
 	timers *deadlines
 
+	// dataRun and tokenRun are the receive runs the loop holds from the
+	// data and token channels; the watchdog and Metrics read their pending
+	// counts.
+	dataRun, tokenRun held
+
 	// Protocol-goroutine-owned scratch state keeping the steady-state hot
 	// path allocation-free: encBuf is the reused encode buffer for every
 	// control-plane frame (the transports borrow it only for the duration

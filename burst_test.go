@@ -25,6 +25,9 @@ type recordingTransport struct {
 	// blocked in a pathological transport call, on demand.
 	gate chan struct{}
 	held chan struct{}
+	// data and token, when non-nil, are what Data and Token return: a test
+	// queues receive runs there for the loop.
+	data, token chan transport.Run
 }
 
 // sendCall is one transport send: a Multicast carrying the decoded
@@ -55,9 +58,9 @@ func (r *recordingTransport) Unicast(wire.ParticipantID, []byte) error {
 	return nil
 }
 
-func (r *recordingTransport) Data() <-chan []byte  { return nil }
-func (r *recordingTransport) Token() <-chan []byte { return nil }
-func (r *recordingTransport) Close() error         { return nil }
+func (r *recordingTransport) Data() <-chan transport.Run  { return r.data }
+func (r *recordingTransport) Token() <-chan transport.Run { return r.token }
+func (r *recordingTransport) Close() error                { return nil }
 
 func decodePayload(pkt []byte) string {
 	m, err := wire.DecodeData(pkt)
@@ -175,6 +178,17 @@ func TestBurstRecyclesBuffers(t *testing.T) {
 // The node closes when the test ends.
 func startTestNode(t *testing.T, kind EngineKind, tr transport.Transport, maxPending int) *Node {
 	t.Helper()
+	n, eng, initial := newTestNode(t, kind, tr, maxPending)
+	go n.loop(eng, initial)
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// newTestNode builds startTestNode's node without starting its loop: the
+// caller runs n.loop(eng, initial), whose first step delivers the ring's
+// configuration, and closes the node.
+func newTestNode(t *testing.T, kind EngineKind, tr transport.Transport, maxPending int) (*Node, core.OrderingEngine, []engine.Action) {
+	t.Helper()
 	cfg := core.Config{
 		MyID:               2,
 		MaxPending:         maxPending,
@@ -198,9 +212,7 @@ func startTestNode(t *testing.T, kind EngineKind, tr transport.Transport, maxPen
 	if err != nil {
 		t.Fatal(err)
 	}
-	go n.loop(eng, initial)
-	t.Cleanup(func() { n.Close() })
-	return n
+	return n, eng, initial
 }
 
 // waitHeld waits until the loop is held inside a gated Multicast.

@@ -18,12 +18,13 @@ const MaxPacket = 64 * 1024
 // slow path).
 //
 // Ownership contract: a buffer obtained with Get is owned by the caller
-// until handed off. The built-in transports Get a buffer per received
-// packet and send it on their Data()/Token() channels — that send TRANSFERS
-// ownership to the consumer, which must call Put exactly once when done
-// (the runtime loop does this after dispatching the packet to the engine).
-// After Put the buffer must not be touched; any slice still aliasing it
-// (e.g. a zero-copy DecodeDataInto payload) is invalidated.
+// until handed off. The built-in transports receive into pooled buffers and
+// send each on their Data()/Token() channels as one Run, however many
+// datagrams it holds — that send TRANSFERS ownership to the consumer, which
+// must call Put exactly once, when done with the whole run (the runtime
+// loop does this after stepping its last datagram). After Put the buffer
+// must not be touched; any slice still aliasing it (e.g. a zero-copy
+// DecodeDataInto payload) is invalidated.
 //
 // Internally the pool is a sync.Pool of fixed-size arrays. sync.Pool's
 // per-P caches matter here, not just its GC integration: the pool is
@@ -52,10 +53,7 @@ func NewPool() *Pool { return &Pool{} }
 // small, and gives observability one place to read hit/miss counters from.
 var Buffers = NewPool()
 
-// Size returns the capacity of every buffer the pool hands out.
-func (p *Pool) Size() int { return MaxPacket }
-
-// Get returns a full-length buffer (len == cap == Size()). The caller owns
+// Get returns a full-length buffer (len == cap == MaxPacket). The caller owns
 // it until it is handed off or Put back.
 func (p *Pool) Get() []byte {
 	if b, _ := p.pool.Get().(*[MaxPacket]byte); b != nil {
@@ -69,7 +67,7 @@ func (p *Pool) Get() []byte {
 // Put returns a buffer to the pool. pkt may be a sub-slice of a pooled
 // buffer (the usual case: the transport delivered buf[:n]); Put recovers
 // the full capacity. Buffers that did not come from this pool — anything
-// with capacity below Size() — are counted as discards and dropped, so
+// with capacity below MaxPacket — are counted as discards and dropped, so
 // callers that received a packet from an unpooled source may still Put it
 // unconditionally. A nil pkt is ignored.
 func (p *Pool) Put(pkt []byte) {

@@ -48,7 +48,8 @@ func udpnetMulticastRing(t *testing.T, n int) []transport.Transport {
 	}
 	for _, peer := range ring[1:] {
 		select {
-		case <-peer.Data():
+		case r := <-peer.Data():
+			transport.Buffers.Put(r.Buf)
 		case <-time.After(time.Second):
 			t.Skip("multicast unavailable in this environment")
 		}
@@ -90,33 +91,53 @@ func freePort(t *testing.T) int {
 	return c.LocalAddr().(*net.UDPAddr).Port
 }
 
+// recvRuns receives runs from ch until they hold n datagrams and returns
+// the datagrams in arrival order, copied; it fails the test if they do not
+// arrive in time or overshoot n.
+func recvRuns(t *testing.T, ch <-chan transport.Run, n int) (pkts []string) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for len(pkts) < n {
+		select {
+		case r, ok := <-ch:
+			if !ok {
+				t.Fatalf("channel closed after %d/%d packets", len(pkts), n)
+			}
+			for i, off := 0, 0; i < r.Len(); i++ {
+				var pkt []byte
+				pkt, off = r.Cut(off)
+				pkts = append(pkts, string(pkt))
+			}
+			transport.Buffers.Put(r.Buf)
+		case <-deadline:
+			t.Fatalf("received %d/%d packets before the deadline", len(pkts), n)
+		}
+	}
+	if len(pkts) > n {
+		t.Fatalf("received %d packets, want %d", len(pkts), n)
+	}
+	return pkts
+}
+
 // recvN collects n packets from ch as a multiset (UDP does not promise
 // order), failing the test if they do not arrive in time.
-func recvN(t *testing.T, ch <-chan []byte, n int) map[string]int {
+func recvN(t *testing.T, ch <-chan transport.Run, n int) map[string]int {
 	t.Helper()
+	pkts := recvRuns(t, ch, n)
 	got := make(map[string]int, n)
-	deadline := time.After(5 * time.Second)
-	for i := 0; i < n; i++ {
-		select {
-		case pkt, ok := <-ch:
-			if !ok {
-				t.Fatalf("channel closed after %d/%d packets", i, n)
-			}
-			got[string(pkt)]++
-		case <-deadline:
-			t.Fatalf("received %d/%d packets before the deadline", i, n)
-		}
+	for _, p := range pkts {
+		got[p]++
 	}
 	return got
 }
 
 // expectQuiet fails the test if anything arrives on ch within the settle
 // window.
-func expectQuiet(t *testing.T, ch <-chan []byte, what string) {
+func expectQuiet(t *testing.T, ch <-chan transport.Run, what string) {
 	t.Helper()
 	select {
-	case pkt := <-ch:
-		t.Fatalf("%s: unexpected packet %q", what, pkt)
+	case r := <-ch:
+		t.Fatalf("%s: unexpected packet %q", what, r.Buf)
 	case <-time.After(50 * time.Millisecond):
 	}
 }
@@ -135,14 +156,18 @@ func TestTransportContract(t *testing.T) {
 				})
 			}
 			t.Run("run of equal packets", func(t *testing.T) { testEqualRun(t, sub.ring(t, 3)) })
+			t.Run("vector arrives as runs", func(t *testing.T) { testVectorAsRuns(t, sub.ring(t, 3)) })
 			t.Run("unicast", func(t *testing.T) { testUnicast(t, sub.ring(t, 2)) })
 			t.Run("close", func(t *testing.T) { testClose(t, sub.ring(t, 2)) })
 		})
 	}
-	// The one row whose mechanism differs by udpnet mode: a run leaves a
+	// The rows whose mechanism differs by udpnet mode: a run leaves a
 	// connected multicast socket as a group too.
 	t.Run("udpnet multicast group/run of equal packets", func(t *testing.T) {
 		testEqualRun(t, udpnetMulticastRing(t, 3))
+	})
+	t.Run("udpnet multicast group/vector arrives as runs", func(t *testing.T) {
+		testVectorAsRuns(t, udpnetMulticastRing(t, 3))
 	})
 }
 
@@ -164,19 +189,52 @@ func testEqualRun(t *testing.T, ring []transport.Transport) {
 		t.Fatalf("Multicast of the run: %v", err)
 	}
 	for i, peer := range peers {
+		got := recvRuns(t, peer.Data(), len(run))
 		for k, want := range run {
-			select {
-			case got := <-peer.Data():
-				if string(got) != string(want) {
-					t.Fatalf("peer %d packet %d: %d bytes, want the run's packet %d (%d bytes) unchanged", i+2, k, len(got), k, len(want))
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("peer %d received %d/%d packets before the deadline", i+2, k, len(run))
+			if got[k] != string(want) {
+				t.Fatalf("peer %d packet %d: %d bytes, want the run's packet %d (%d bytes) unchanged", i+2, k, len(got[k]), k, len(want))
 			}
 		}
 		expectQuiet(t, peer.Data(), "peer data channel after the run")
 	}
 	expectQuiet(t, sender.Data(), "sender received its own run")
+}
+
+// testVectorAsRuns: a vector of mixed sizes — a run a substrate may move
+// whole, a shorter packet that ends it, then packets of other sizes —
+// arrives at every participant but the sender as runs whose datagrams,
+// joined in arrival order, are the vector, each packet byte-identical.
+func testVectorAsRuns(t *testing.T, ring []transport.Transport) {
+	sender, peers := ring[0], ring[1:]
+	var vec [][]byte
+	for i, size := range append(append(repeat(12, 1000), 400), repeat(9, 300)...) {
+		pkt := make([]byte, size)
+		for j := range pkt {
+			pkt[j] = byte(i*7 + j)
+		}
+		vec = append(vec, pkt)
+	}
+	if err := sender.Multicast(vec); err != nil {
+		t.Fatalf("Multicast of the vector: %v", err)
+	}
+	for i, peer := range peers {
+		got := recvRuns(t, peer.Data(), len(vec))
+		for k, want := range vec {
+			if got[k] != string(want) {
+				t.Fatalf("peer %d: datagram %d of the joined runs is %d bytes, want the vector's packet %d (%d bytes) unchanged", i+2, k, len(got[k]), k, len(want))
+			}
+		}
+		expectQuiet(t, peer.Data(), "peer data channel after the vector")
+	}
+	expectQuiet(t, sender.Data(), "sender received its own vector")
+}
+
+func repeat(n, size int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = size
+	}
+	return out
 }
 
 // testMulticastVector: a vector of k packets from endpoint 1 reaches every
@@ -259,11 +317,11 @@ func testClose(t *testing.T, ring []transport.Transport) {
 	if err := a.Unicast(2, []byte("late")); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("Unicast after Close = %v, want ErrClosed", err)
 	}
-	for name, ch := range map[string]<-chan []byte{"Data": a.Data(), "Token": a.Token()} {
+	for name, ch := range map[string]<-chan transport.Run{"Data": a.Data(), "Token": a.Token()} {
 		select {
-		case pkt, ok := <-ch:
+		case r, ok := <-ch:
 			if ok {
-				t.Fatalf("%s() yielded %q after Close on an idle ring", name, pkt)
+				t.Fatalf("%s() yielded %q after Close on an idle ring", name, r.Buf)
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatalf("%s() still open after Close", name)

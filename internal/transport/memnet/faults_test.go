@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"accelring/internal/faultplan"
+	"accelring/internal/transport"
 	"accelring/internal/wire"
 )
 
@@ -21,13 +22,14 @@ func onEveryLink(seed int64, f faultplan.LinkFault) *faultplan.Plan {
 	return &faultplan.Plan{Seed: seed, Links: []faultplan.LinkFault{f}}
 }
 
-func drain(ch <-chan []byte, d time.Duration) []string {
+// drain collects the datagrams of the runs arriving on ch for d.
+func drain(ch <-chan transport.Run, d time.Duration) []string {
 	var got []string
 	deadline := time.After(d)
 	for {
 		select {
-		case pkt := <-ch:
-			got = append(got, string(pkt))
+		case r := <-ch:
+			got = append(got, datagrams(r)...)
 		case <-deadline:
 			return got
 		}
@@ -221,7 +223,7 @@ func TestSameSeedSameFaultSequence(t *testing.T) {
 		var got []byte
 		for _, ep := range eps {
 			for len(ep.Data()) > 0 {
-				got = append(got, (<-ep.Data())[0])
+				got = append(got, (<-ep.Data()).Buf[0])
 			}
 			got = append(got, '|')
 		}

@@ -88,8 +88,8 @@ func (h *Hub) Join(id wire.ParticipantID) *Endpoint {
 		latency: latency,
 		dataIn:  make(chan timedPkt, defaultQueue),
 		tokenIn: make(chan timedPkt, defaultQueue),
-		data:    make(chan []byte, defaultQueue),
-		token:   make(chan []byte, defaultQueue),
+		data:    make(chan transport.Run, defaultQueue),
+		token:   make(chan transport.Run, defaultQueue),
 	}
 	ep.wg.Add(2)
 	go ep.pump(ep.dataIn, ep.data)
@@ -122,15 +122,15 @@ func (h *Hub) decide(from, to wire.ParticipantID, kind wire.Kind) faultplan.Verd
 	return h.fault.Decide(time.Since(h.faultEpoch), from, to, kind)
 }
 
-// timedPkt is a packet scheduled for delivery at a due time. seq breaks
+// timedPkt is a run scheduled for delivery at a due time. seq breaks
 // due-time ties in arrival order, keeping undelayed traffic FIFO.
 type timedPkt struct {
 	due time.Time
 	seq uint64
-	pkt []byte
+	run transport.Run
 }
 
-// pktHeap orders pending packets by due time, then arrival.
+// pktHeap orders pending runs by due time, then arrival.
 type pktHeap []timedPkt
 
 func (q pktHeap) Len() int { return len(q) }
@@ -146,7 +146,7 @@ func (q *pktHeap) Pop() any {
 	old := *q
 	n := len(old)
 	tp := old[n-1]
-	old[n-1].pkt = nil
+	old[n-1].run = transport.Run{}
 	*q = old[:n-1]
 	return tp
 }
@@ -161,8 +161,8 @@ type Endpoint struct {
 
 	dataIn  chan timedPkt
 	tokenIn chan timedPkt
-	data    chan []byte
-	token   chan []byte
+	data    chan transport.Run
+	token   chan transport.Run
 
 	mu     sync.Mutex
 	closed bool
@@ -175,26 +175,26 @@ var _ transport.Transport = (*Endpoint)(nil)
 // ID returns the participant this endpoint belongs to.
 func (ep *Endpoint) ID() wire.ParticipantID { return ep.id }
 
-// pump delays packets until their due time, delivering in due order: a
-// packet carrying an extra reordering delay is overtaken by later traffic
-// with an earlier due time. Equal due times deliver in arrival order, so
-// without reordering faults the pump is FIFO.
-func (ep *Endpoint) pump(in chan timedPkt, out chan []byte) {
+// pump delays runs until their due time, delivering in due order: a run
+// carrying an extra reordering delay is overtaken by later traffic with an
+// earlier due time. Equal due times deliver in arrival order, so without
+// reordering faults the pump is FIFO.
+func (ep *Endpoint) pump(in chan timedPkt, out chan transport.Run) {
 	defer ep.wg.Done()
 	defer close(out)
 	var q pktHeap
 	emit := func() {
 		tp := heap.Pop(&q).(timedPkt)
 		select {
-		case out <- tp.pkt:
+		case out <- tp.run:
 			// Ownership of the pooled buffer transfers to the consumer,
 			// which returns it with transport.Buffers.Put.
-			ep.In.Inc()
+			ep.In.Add(uint64(tp.run.Len()))
 		default:
 			// Receiver queue full: drop, as a kernel buffer would — but
 			// accounted, never silent — and recycle the buffer.
-			ep.Drops.Inc()
-			transport.Buffers.Put(tp.pkt)
+			ep.Drops.Add(uint64(tp.run.Len()))
+			transport.Buffers.Put(tp.run.Buf)
 		}
 	}
 	for {
@@ -230,9 +230,11 @@ func (ep *Endpoint) pump(in chan timedPkt, out chan []byte) {
 	}
 }
 
-// Multicast implements transport.Transport. Each link draws its faults
-// from its own stream, so a vector draws exactly as len(pkts) successive
-// single sends, and the order destinations are visited in does not matter.
+// Multicast implements transport.Transport: each destination receives the
+// vector as runs (runOf). Each link draws its faults from its own stream,
+// one draw per packet in vector order, so a vector draws exactly as
+// len(pkts) successive single sends, and the order destinations are
+// visited in does not matter.
 func (ep *Endpoint) Multicast(pkts [][]byte) error {
 	if len(pkts) == 0 {
 		return nil
@@ -254,20 +256,19 @@ func (ep *Endpoint) Multicast(pkts [][]byte) error {
 	}
 	h.mu.RUnlock()
 
-	for _, pkt := range pkts {
-		kind, _ := wire.PeekKind(pkt) // malformed packets are kind 0: only unmasked faults match
-		for _, other := range targets {
+	for _, other := range targets {
+		b := runOf{to: other, ch: other.dataIn}
+		for _, pkt := range pkts {
+			kind, _ := wire.PeekKind(pkt) // malformed packets are kind 0: only unmasked faults match
 			v := h.decide(ep.id, other.id, kind)
 			if v.Drop {
 				continue
 			}
 			ep.Out.Inc()
 			ep.Fanout.Inc()
-			other.deliver(other.dataIn, pkt, v.Delay)
-			if v.Dup {
-				other.deliver(other.dataIn, pkt, v.Delay)
-			}
+			b.add(pkt, v)
 		}
+		b.flush()
 	}
 	return nil
 }
@@ -295,59 +296,69 @@ func (ep *Endpoint) Unicast(to wire.ParticipantID, pkt []byte) error {
 		return nil
 	}
 	ep.Out.Inc()
-	target.deliver(target.tokenIn, pkt, v.Delay)
-	if v.Dup {
-		target.deliver(target.tokenIn, pkt, v.Delay)
-	}
+	b := runOf{to: target, ch: target.tokenIn}
+	b.add(pkt, v)
+	b.flush()
 	return nil
 }
 
-// pooledCopyMax bounds which deliveries copy into pooled buffers. Small
-// packets — tokens, joins, small commits — touch a handful of cache lines,
-// so recycling them through the process-wide pool is free and removes one
-// allocation per token hop. Large data packets are the opposite: the copy
-// happens on the sender's goroutine, and writing ~1.4KB into a recycled
-// buffer whose cache lines were last owned by another node's core costs
-// measurably more end-to-end than a fresh, core-local allocation. (A real
-// NIC has no such choice — udpnet pools every receive — but this hub's
-// "receive" is a CPU copy on the critical path.)
-const pooledCopyMax = 512
+// runOf copies what one send hands one destination into runs in pooled
+// buffers (the sender reuses its encode scratch after the call): packets
+// in a row with one fault delay, each the size of the first but the last,
+// which may be shorter. A duplicated packet follows itself.
+type runOf struct {
+	to    *Endpoint
+	ch    chan timedPkt
+	run   transport.Run // Buf is nil while empty
+	delay time.Duration
+}
 
-// deliver copies the packet into a delay queue with the hub latency plus
-// any extra fault delay, dropping on overflow. The copy is mandatory — the
-// sender reuses its encode scratch after the call returns. Small packets
-// land in pooled buffers (see pooledCopyMax); the consumer releases either
-// kind with transport.Buffers.Put, which recycles pooled buffers and
-// counts the rest as discards.
-func (ep *Endpoint) deliver(ch chan timedPkt, pkt []byte, extra time.Duration) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		return
+func (b *runOf) add(pkt []byte, v faultplan.Verdict) {
+	copies := 1
+	if v.Dup {
+		copies = 2
 	}
-	var cp []byte
-	if len(pkt) <= pooledCopyMax {
-		cp = transport.Buffers.Get()[:len(pkt)]
-	} else {
-		cp = make([]byte, len(pkt))
-	}
-	copy(cp, pkt)
-	ep.seq++
-	select {
-	case ch <- timedPkt{due: time.Now().Add(ep.latency + extra), seq: ep.seq, pkt: cp}:
-	default:
-		// Queue full: drop, as a kernel socket buffer would — accounted
-		// against the receiving endpoint — and recycle the buffer.
-		ep.Drops.Inc()
-		transport.Buffers.Put(cp)
+	for ; copies > 0; copies-- {
+		l, r := len(pkt), b.run
+		if r.Buf != nil && !(v.Delay == b.delay && l > 0 && l <= r.Seg && len(r.Buf)%r.Seg == 0 && len(r.Buf)+l <= transport.MaxPacket) {
+			b.flush()
+		}
+		if b.run.Buf == nil {
+			b.run, b.delay = transport.Run{Buf: transport.Buffers.Get()[:0], Seg: l}, v.Delay
+		}
+		b.run.Buf = append(b.run.Buf, pkt...)
 	}
 }
 
+// flush queues the run gathered so far, if any, for the hub latency plus
+// its fault delay. A full queue drops it, as a kernel socket buffer would —
+// accounted against the receiving endpoint. The consumer releases a queued
+// run with transport.Buffers.Put.
+func (b *runOf) flush() {
+	run, ep := b.run, b.to
+	if run.Buf == nil {
+		return
+	}
+	b.run.Buf = nil
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if !ep.closed {
+		ep.seq++
+		select {
+		case b.ch <- timedPkt{due: time.Now().Add(ep.latency + b.delay), seq: ep.seq, run: run}:
+			return
+		default:
+			ep.Drops.Add(uint64(run.Len()))
+		}
+	}
+	transport.Buffers.Put(run.Buf)
+}
+
 // Data implements transport.Transport.
-func (ep *Endpoint) Data() <-chan []byte { return ep.data }
+func (ep *Endpoint) Data() <-chan transport.Run { return ep.data }
 
 // Token implements transport.Transport.
-func (ep *Endpoint) Token() <-chan []byte { return ep.token }
+func (ep *Endpoint) Token() <-chan transport.Run { return ep.token }
 
 // Close implements transport.Transport.
 func (ep *Endpoint) Close() error {

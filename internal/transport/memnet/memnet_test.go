@@ -1,29 +1,83 @@
 package memnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"accelring/internal/faultplan"
+	"accelring/internal/transport"
 )
 
-func recvWithin(t *testing.T, ch <-chan []byte, d time.Duration) []byte {
+// recvWithin receives one run and returns its one datagram; a run of more
+// fails the test.
+func recvWithin(t *testing.T, ch <-chan transport.Run, d time.Duration) []byte {
 	t.Helper()
 	select {
-	case pkt := <-ch:
-		return pkt
+	case r := <-ch:
+		if r.Len() != 1 {
+			t.Fatalf("got a run of %d datagrams, want one", r.Len())
+		}
+		return r.Buf
 	case <-time.After(d):
 		t.Fatal("no packet within deadline")
 		return nil
 	}
 }
 
-func expectNothing(t *testing.T, ch <-chan []byte, d time.Duration) {
+func expectNothing(t *testing.T, ch <-chan transport.Run, d time.Duration) {
 	t.Helper()
 	select {
-	case pkt := <-ch:
-		t.Fatalf("unexpected packet %q", pkt)
+	case r := <-ch:
+		t.Fatalf("unexpected packet %q", r.Buf)
 	case <-time.After(d):
+	}
+}
+
+// datagrams cuts r into its datagrams.
+func datagrams(r transport.Run) []string {
+	var out []string
+	for i, off := 0, 0; i < r.Len(); i++ {
+		var pkt []byte
+		pkt, off = r.Cut(off)
+		out = append(out, string(pkt))
+	}
+	return out
+}
+
+// TestVectorArrivesAsRuns: a Multicast vector reaches each destination as
+// runs of its packets in vector order — one run while the packets are the
+// size of the first (the last may be shorter), a new one where a packet is
+// longer than the run's segments or follows a shorter one — each in one
+// pooled buffer.
+func TestVectorArrivesAsRuns(t *testing.T) {
+	h := NewHub()
+	h.SetLatency(0)
+	a, b, c := h.Join(1), h.Join(2), h.Join(3)
+	defer a.Close()
+	defer b.Close()
+	defer c.Close()
+	vec := [][]byte{[]byte("aaaa"), []byte("bbbb"), []byte("cc"), []byte("dddd"), []byte("eeeeee"), []byte("ffffff")}
+	if err := a.Multicast(vec); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []*Endpoint{b, c} {
+		var runs []string
+		for _, want := range []int{3, 1, 2} {
+			r := <-ep.Data()
+			if r.Len() != want || cap(r.Buf) != transport.MaxPacket {
+				t.Fatalf("endpoint %s: a run of %d datagrams (cap %d), want %d in a pooled buffer", ep.ID(), r.Len(), cap(r.Buf), want)
+			}
+			runs = append(runs, fmt.Sprint(datagrams(r)))
+			transport.Buffers.Put(r.Buf)
+		}
+		if got, want := fmt.Sprint(runs), "[[aaaa bbbb cc] [dddd] [eeeeee ffffff]]"; got != want {
+			t.Fatalf("endpoint %s received %s, want %s", ep.ID(), got, want)
+		}
+		expectNothing(t, ep.Data(), 20*time.Millisecond)
+		if in := ep.MetricsSnapshot().DatagramsIn; in != 6 {
+			t.Fatalf("endpoint %s: DatagramsIn = %d, want 6", ep.ID(), in)
+		}
 	}
 }
 

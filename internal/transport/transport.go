@@ -17,17 +17,16 @@ import (
 // optional side interfaces to discover by type assertion. Implementations
 // must be safe for one sender goroutine plus internal receivers.
 //
-// Buffer ownership: packets received from Data() and Token() belong to the
-// consumer. The built-in transports draw receive buffers from the shared
-// Buffers pool (udpnet for every packet, memnet for small ones — see its
-// pooledCopyMax), and the runtime loop returns each packet with Buffers.Put
-// after dispatching it — so a received packet must not be retained past
-// that handoff (decoders copy what the protocol keeps). External transports
-// need not use the pool: Put counts and drops foreign buffers instead of
-// recycling them. Conversely, Multicast and Unicast borrow their packets
-// only for the duration of the call; implementations that need them
-// afterwards (queues, retransmission) must copy, because callers reuse
-// their encode buffers.
+// Buffer ownership: a run received from Data() or Token() belongs to the
+// consumer. The built-in transports receive into buffers of the shared
+// Buffers pool, and the runtime loop steps a run's datagrams where they lie
+// and returns its buffer with Buffers.Put once, after the last — so a run
+// must not be retained past that hand-off (decoders copy what the protocol
+// keeps). External transports need not use the pool: Put counts and drops
+// foreign buffers instead of recycling them. Conversely, Multicast and
+// Unicast borrow their packets only for the duration of the call;
+// implementations that need them afterwards (queues, retransmission) must
+// copy, because callers reuse their encode buffers.
 type Transport interface {
 	// Multicast sends a vector of encoded packets. The protocol sends data
 	// in runs — the pre-token retransmission+window run and the post-token
@@ -47,14 +46,12 @@ type Transport interface {
 	// yourself must work (singleton rings pass the token to themselves).
 	// pkt is only valid during the call.
 	Unicast(to wire.ParticipantID, pkt []byte) error
-	// Data returns the channel of packets received on the data socket
-	// (multicast data messages and joins). Ownership of each packet
+	// Data returns the channel of runs received on the data socket
+	// (multicast data messages and joins), and Token those received on the
+	// token socket (tokens and commit tokens). Ownership of each run
 	// transfers to the receiver; see the buffer ownership note above.
-	Data() <-chan []byte
-	// Token returns the channel of packets received on the token socket
-	// (tokens and commit tokens). Ownership of each packet transfers to
-	// the receiver; see the buffer ownership note above.
-	Token() <-chan []byte
+	Data() <-chan Run
+	Token() <-chan Run
 	// MetricsSnapshot copies the transport's loss-accounting counters;
 	// the runtime includes it in Node metrics. Embedding Metrics provides
 	// it.
@@ -64,19 +61,45 @@ type Transport interface {
 	Close() error
 }
 
+// Run is the unit of receive: the datagrams one receive took in, back to
+// back in one buffer, each Seg bytes but the last, which may be shorter. A
+// Seg of 0, or not below len(Buf), makes it one datagram: a run of one.
+type Run struct {
+	Buf []byte
+	Seg int
+}
+
+// Len returns the number of datagrams in r.
+func (r Run) Len() int {
+	if r.Seg <= 0 || r.Seg >= len(r.Buf) {
+		return 1
+	}
+	return (len(r.Buf) + r.Seg - 1) / r.Seg
+}
+
+// Cut returns the datagram of r that starts at off, and where the next
+// one starts (len(r.Buf) after the last).
+func (r Run) Cut(off int) (pkt []byte, next int) {
+	next = len(r.Buf)
+	if r.Seg > 0 && off+r.Seg < next {
+		next = off + r.Seg
+	}
+	return r.Buf[off:next], next
+}
+
 // Snapshot is a point-in-time copy of a transport's loss-accounting
 // counters.
 type Snapshot struct {
-	// DatagramsIn counts packets accepted off the network into the
+	// DatagramsIn counts datagrams accepted off the network into the
 	// receive queues (data and token combined).
 	DatagramsIn uint64 `json:"datagrams_in"`
 	// DatagramsOut counts packets handed to the network (an emulated
 	// multicast counts one per destination).
 	DatagramsOut uint64 `json:"datagrams_out"`
-	// RecvQueueDrops counts received packets the transport itself
-	// discarded because its receive queue (the channel behind Data or
-	// Token) was full. It does not see what was lost before the transport
-	// read it: that is KernelRecvDrops.
+	// RecvQueueDrops counts received datagrams the transport itself
+	// discarded, a run's all at once, because its receive queue (the
+	// channel behind Data or Token) was full. It does not see what was
+	// lost before the transport read it: that is KernelRecvDrops.
 	RecvQueueDrops uint64 `json:"recv_queue_drops"`
 	// KernelRecvDrops counts datagrams the kernel discarded because a
 	// socket's receive buffer was full, summed over the transport's

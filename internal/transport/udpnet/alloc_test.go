@@ -30,7 +30,7 @@ func TestReceiveFloodAllocs(t *testing.T) {
 			select {
 			case pkt := <-b.Token():
 				received++
-				transport.Buffers.Put(pkt)
+				transport.Buffers.Put(pkt.Buf)
 			case <-timer.C:
 				// Loopback UDP very rarely drops; tolerate it.
 			}

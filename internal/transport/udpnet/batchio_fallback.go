@@ -40,20 +40,15 @@ func (r *batchReader) read() (int, error) {
 	return 1, nil
 }
 
-func (r *batchReader) length(int) int          { return r.n }
+func (r *batchReader) message(int) []byte      { return r.buf[:r.n] }
 func (r *batchReader) segment(int) int         { return 0 }
-func (r *batchReader) buffer(int) []byte       { return r.buf }
 func (r *batchReader) addr(int) netip.AddrPort { return r.src }
 
 // coalesce is a no-op: one datagram per read is all this dataplane asks of
 // the kernel.
 func (r *batchReader) coalesce() {}
 
-func (r *batchReader) detach(int) []byte {
-	b := r.buf
-	r.buf = r.pool.Get()
-	return b
-}
+func (r *batchReader) detach(int) { r.buf = r.pool.Get() }
 
 func (r *batchReader) release() {
 	r.pool.Put(r.buf)

@@ -2,10 +2,7 @@
 
 package udpnet
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestMulticastVectorOneSyscallPerDatagram: the portable dataplane moves a
 // vector one datagram per syscall with unchanged delivery semantics, and
@@ -16,9 +13,7 @@ func TestMulticastVectorOneSyscallPerDatagram(t *testing.T) {
 	if err := a.Multicast(pkts); err != nil {
 		t.Fatal(err)
 	}
-	for range pkts {
-		recvWithin(t, b.Data(), 2*time.Second)
-	}
+	recvDatagrams(t, b.Data(), len(pkts))
 	snap := a.MetricsSnapshot()
 	if snap.SendSyscalls != 3 {
 		t.Fatalf("SendSyscalls = %d for 3 datagrams, want 3", snap.SendSyscalls)

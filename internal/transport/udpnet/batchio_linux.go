@@ -12,8 +12,8 @@
 // A message of either syscall may be a group: consecutive equal-sized
 // packets of one run to one destination, handed to the kernel as one
 // super-datagram (UDP_SEGMENT) so it walks the IP stack once per group, and
-// handed back by it the same way (UDP_GRO) for readLoop to cut apart. The
-// bytes on the wire are those of the packets sent one by one.
+// handed back by it the same way (UDP_GRO), to go up as one transport.Run.
+// The bytes on the wire are those of the packets sent one by one.
 //
 // The structs below must match the kernel's struct mmsghdr layout, which
 // on 64-bit targets is struct msghdr (56 bytes) + msg_len + 4 bytes of
@@ -80,7 +80,7 @@ type groCmsg struct {
 }
 
 // batchReader drains a UDP socket with recvmmsg. It permanently owns
-// batchK pooled buffers; when the transport accepts a packet it detaches
+// batchK pooled buffers; when the transport accepts a message it detaches
 // that buffer (ownership moves down the receive channel, exactly as in
 // the one-at-a-time path) and the reader replaces it from the pool.
 type batchReader struct {
@@ -163,8 +163,8 @@ func (r *batchReader) coalesce() {
 	})
 }
 
-// length returns the byte count of message i from the last read.
-func (r *batchReader) length(i int) int { return int(r.hdrs[i].n) }
+// message returns message i of the last read, in its resident buffer.
+func (r *batchReader) message(i int) []byte { return r.bufs[i][:r.hdrs[i].n] }
 
 // segment returns the size of the datagrams message i is made of — all of
 // that size but the last, which may be shorter — or 0 when it is one
@@ -177,9 +177,6 @@ func (r *batchReader) segment(i int) int {
 	}
 	return int(c.size)
 }
-
-// buffer returns the buffer holding message i, full-capacity.
-func (r *batchReader) buffer(i int) []byte { return r.bufs[i] }
 
 // addr returns the source address of message i, unmapped.
 func (r *batchReader) addr(i int) netip.AddrPort {
@@ -194,15 +191,13 @@ func (r *batchReader) addr(i int) netip.AddrPort {
 	return netip.AddrPort{}
 }
 
-// detach transfers ownership of message i's buffer to the caller and
-// installs a fresh pooled buffer in its slot.
-func (r *batchReader) detach(i int) []byte {
-	b := r.bufs[i]
+// detach transfers ownership of message i's buffer to the caller, who has
+// it from message, and installs a fresh pooled buffer in its slot.
+func (r *batchReader) detach(i int) {
 	nb := r.pool.Get()
 	r.bufs[i] = nb
 	r.iovs[i].Base = &nb[0]
 	r.iovs[i].Len = uint64(len(nb))
-	return b
 }
 
 // release returns the reader's resident buffers to the pool.

@@ -56,7 +56,7 @@ func TestBatchReaderDrainsQueuedDatagrams(t *testing.T) {
 			maxBatch = n
 		}
 		for i := 0; i < n; i++ {
-			got := string(r.buffer(i)[:r.length(i)])
+			got := string(r.message(i))
 			if !want[got] {
 				t.Fatalf("unexpected or duplicate datagram %q", got)
 			}
@@ -92,8 +92,9 @@ func TestBatchReaderDetach(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("read = %d, %v", n, err)
 	}
-	kept := r.detach(0)[:r.length(0)]
-	if &r.buffer(0)[0] == &kept[0] {
+	kept := r.message(0)
+	r.detach(0)
+	if &r.bufs[0][0] == &kept[0] {
 		t.Fatal("detach left the same buffer in the slot")
 	}
 	if _, err := send.WriteToUDPAddrPort([]byte("overwriter"), addrPortOf(recv)); err != nil {
@@ -251,9 +252,7 @@ func TestMulticastVectorAmortizesSyscalls(t *testing.T) {
 	if err := a.Multicast(pkts); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < burst; i++ {
-		recvWithin(t, b.Data(), 2*time.Second)
-	}
+	recvDatagrams(t, b.Data(), burst)
 	snap := a.MetricsSnapshot()
 	if snap.DatagramsOut != burst || snap.FanoutSends != burst {
 		t.Fatalf("out=%d fanout=%d, want %d/%d", snap.DatagramsOut, snap.FanoutSends, burst, burst)
@@ -396,16 +395,14 @@ func repAddr(n int, a netip.AddrPort) []netip.AddrPort {
 // and a shorter one.
 func superRun() [][]byte { return sized(append(rep(30, 1378), 700)...) }
 
-// expectRun receives len(want) packets and requires them byte-identical
+// expectRun receives len(want) datagrams and requires them byte-identical
 // and in order.
-func expectRun(t *testing.T, ch <-chan []byte, want [][]byte) {
+func expectRun(t *testing.T, ch <-chan transport.Run, want [][]byte) {
 	t.Helper()
-	for i, w := range want {
-		got := recvWithin(t, ch, 2*time.Second)
-		if string(got) != string(w) {
+	for i, got := range recvDatagrams(t, ch, len(want)) {
+		if w := want[i]; string(got) != string(w) {
 			t.Fatalf("packet %d: %d bytes starting %x, want %d bytes of %x", i, len(got), got[:1], len(w), w[0])
 		}
-		transport.Buffers.Put(got)
 	}
 }
 

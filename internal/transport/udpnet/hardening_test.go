@@ -1,6 +1,7 @@
 package udpnet
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
 	"strings"
@@ -16,28 +17,38 @@ import (
 
 // scriptedReader drives readLoop through an exact sequence of results —
 // the deterministic stand-in for a socket hit by ICMP-induced errors or
-// momentary kernel memory pressure. Each step is one read: a batch of one
-// datagram, or an error; past the script's end it returns loop (nil means
+// momentary kernel memory pressure. Each step is one read: a batch of
+// messages, or an error; past the script's end it returns loop (nil means
 // net.ErrClosed) forever. reads, when set, is signalled per read call
-// (without blocking, so an unwatched loop never wedges in the fake).
+// (without blocking, so an unwatched loop never wedges in the fake). Like
+// the real reader it keeps one pooled buffer per message slot, refilled
+// after a detach; fills counts the buffers it took from the pool.
 type scriptedReader struct {
 	steps []readStep
 	loop  error
 	reads chan struct{}
 
-	i   int
-	buf []byte
-	n   int
+	i     int
+	msgs  []scripted
+	bufs  [][]byte
+	fills int
+}
+
+// readStep is one read: an error, or the messages msgs.
+type readStep struct {
+	msgs []scripted
+	err  error
+}
+
+// scripted is one message of a read: pkt as one datagram, or with seg set
+// a coalesced run of seg-byte datagrams.
+type scripted struct {
+	pkt string
 	seg int
 }
 
-// readStep is one read: an error, or pkt as one message — a datagram, or
-// with seg set a coalesced run of seg-byte datagrams.
-type readStep struct {
-	pkt []byte
-	seg int
-	err error
-}
+// msg is a read of one message.
+func msg(pkt string, seg int) readStep { return readStep{msgs: []scripted{{pkt, seg}}} }
 
 func (s *scriptedReader) read() (int, error) {
 	select {
@@ -54,21 +65,27 @@ func (s *scriptedReader) read() (int, error) {
 	if st.err != nil {
 		return 0, st.err
 	}
-	if s.buf == nil {
-		s.buf = transport.Buffers.Get()
+	s.msgs = st.msgs
+	for i, m := range s.msgs {
+		if i == len(s.bufs) {
+			s.bufs = append(s.bufs, nil)
+		}
+		if s.bufs[i] == nil {
+			s.bufs[i] = transport.Buffers.Get()
+			s.fills++
+		}
+		copy(s.bufs[i], m.pkt)
 	}
-	s.n, s.seg = copy(s.buf, st.pkt), st.seg
-	return 1, nil
+	return len(s.msgs), nil
 }
 
-func (s *scriptedReader) length(int) int    { return s.n }
-func (s *scriptedReader) segment(int) int   { return s.seg }
-func (s *scriptedReader) buffer(int) []byte { return s.buf }
+func (s *scriptedReader) message(i int) []byte { return s.bufs[i][:len(s.msgs[i].pkt)] }
+func (s *scriptedReader) segment(i int) int    { return s.msgs[i].seg }
 func (s *scriptedReader) addr(int) netip.AddrPort {
 	return netip.MustParseAddrPort("127.0.0.1:9999")
 }
-func (s *scriptedReader) detach(int) []byte { b := s.buf; s.buf = nil; return b }
-func (s *scriptedReader) release()          { transport.Buffers.Put(s.buf) }
+func (s *scriptedReader) detach(i int) { s.bufs[i] = nil }
+func (s *scriptedReader) release()     { transport.Buffers.PutBatch(s.bufs) }
 
 // loopTransport is a Transport just real enough to run readLoop against a
 // scripted reader and then Close: live (idle) sockets, no receive loops of
@@ -79,8 +96,8 @@ func loopTransport(t *testing.T, logf func(string, ...any)) *Transport {
 		cfg:       Config{Logf: logf},
 		tokenConn: localConn(t),
 		dataConn:  localConn(t),
-		data:      make(chan []byte, 4),
-		token:     make(chan []byte, 4),
+		data:      make(chan transport.Run, 4),
+		token:     make(chan transport.Run, 4),
 		done:      make(chan struct{}),
 	}
 }
@@ -97,14 +114,14 @@ func TestReadLoopSurvivesTransientErrors(t *testing.T) {
 	reader := &scriptedReader{steps: []readStep{
 		{err: refused},
 		{err: refused},
-		{pkt: []byte("first")},
+		msg("first", 0),
 		{err: nobufs},
-		{pkt: []byte("second")},
+		msg("second", 0),
 	}}
 
 	var logCalls atomic.Int64
 	tr := loopTransport(t, func(string, ...any) { logCalls.Add(1) })
-	ch := make(chan []byte, 4)
+	ch := make(chan transport.Run, 4)
 	done := make(chan struct{})
 	tr.wg.Add(1)
 	go func() {
@@ -121,7 +138,7 @@ func TestReadLoopSurvivesTransientErrors(t *testing.T) {
 		t.Fatalf("loop delivered %d packets across the error bursts, want 2", got)
 	}
 	for i, want := range []string{"first", "second"} {
-		if got := string(<-ch); got != want {
+		if got := string((<-ch).Buf); got != want {
 			t.Fatalf("packet %d = %q, want %q", i, got, want)
 		}
 	}
@@ -139,31 +156,44 @@ func TestReadLoopSurvivesTransientErrors(t *testing.T) {
 }
 
 // TestReadLoopCutsCoalescedMessage: a message that carries a segment size
-// reaches the channel as its datagrams, in order, each in a buffer of its
-// own; the counters count datagrams, and one that finds the queue full is a
-// counted drop like any other.
+// reaches the channel as one run of its datagrams, in the one pooled buffer
+// it was read into — readLoop takes no buffer of its own — and every buffer
+// comes back to the pool exactly once: the consumer's when it is done with
+// a run, the reader's own on release. The counters count datagrams, and a
+// run that finds the queue full is a counted drop like any other.
 func TestReadLoopCutsCoalescedMessage(t *testing.T) {
 	reader := &scriptedReader{steps: []readStep{
-		{pkt: []byte("aaaabbbbcc"), seg: 4},
-		{pkt: []byte("lone"), seg: 4}, // a segment size that cuts nothing
-		{pkt: []byte("ddddeeee"), seg: 4},
+		msg("aaaabbbbcc", 4),
+		msg("lone", 4), // a segment size that cuts nothing
+		{msgs: []scripted{{"dddd", 4}, {"eeee", 4}}},
 	}}
 	tr := loopTransport(t, func(string, ...any) {})
-	ch := make(chan []byte, 5)
+	ch := make(chan transport.Run, 3)
+	before := transport.Buffers.Snapshot()
 	tr.wg.Add(1)
 	tr.readLoop(reader, ch, netip.AddrPort{})
 
 	var got []string
+	seen := map[*byte]bool{}
 	for len(ch) > 0 {
-		pkt := <-ch
-		if cap(pkt) != transport.MaxPacket {
-			t.Fatalf("packet %q is not in a pooled buffer of its own (cap %d)", pkt, cap(pkt))
+		r := <-ch
+		if cap(r.Buf) != transport.MaxPacket || seen[&r.Buf[:1][0]] {
+			t.Fatalf("run %q is not in a pooled buffer of its own (cap %d)", r.Buf, cap(r.Buf))
 		}
-		got = append(got, string(pkt))
-		transport.Buffers.Put(pkt)
+		seen[&r.Buf[:1][0]] = true
+		for _, pkt := range datagrams(r) {
+			got = append(got, string(pkt))
+		}
+		transport.Buffers.Put(r.Buf)
 	}
 	if want := "aaaa bbbb cc lone dddd"; strings.Join(got, " ") != want {
 		t.Fatalf("delivered %q, want %q", got, want)
+	}
+	after := transport.Buffers.Snapshot()
+	gets := after.Hits + after.Misses - before.Hits - before.Misses
+	if gets != uint64(reader.fills) || after.Puts-before.Puts != gets {
+		t.Fatalf("%d pool gets (%d by the reader), %d puts: want one buffer per run, each released once",
+			gets, reader.fills, after.Puts-before.Puts)
 	}
 	snap := tr.MetricsSnapshot()
 	if snap.DatagramsIn != 5 || snap.RecvQueueDrops != 1 {
@@ -171,6 +201,31 @@ func TestReadLoopCutsCoalescedMessage(t *testing.T) {
 	}
 	if rb := snap.RecvBatch; rb.Count != 3 || rb.Sum != 6 || rb.Max != 3 {
 		t.Fatalf("RecvBatch = %d reads, %d datagrams, max %d; want 3, 6, 3", rb.Count, rb.Sum, rb.Max)
+	}
+}
+
+// TestReadLoopRunShapes: the edges of a run's shape. A short last segment
+// is a datagram of its own; a segment size not below the message's length
+// makes the message one datagram, however the kernel labelled it.
+func TestReadLoopRunShapes(t *testing.T) {
+	reader := &scriptedReader{steps: []readStep{
+		msg("aaaabbbbc", 4),
+		msg("abcd", 4),
+		msg("abc", 8),
+	}}
+	tr := loopTransport(t, func(string, ...any) {})
+	ch := make(chan transport.Run, 3)
+	tr.wg.Add(1)
+	tr.readLoop(reader, ch, netip.AddrPort{})
+	for _, want := range []string{"[aaaa bbbb c]", "[abcd]", "[abc]"} {
+		r := <-ch
+		if got := fmt.Sprintf("%s", datagrams(r)); got != want {
+			t.Fatalf("run %q with segment %d cut as %s, want %s", r.Buf, r.Seg, got, want)
+		}
+		transport.Buffers.Put(r.Buf)
+	}
+	if snap := tr.MetricsSnapshot(); snap.DatagramsIn != 5 || snap.RecvBatch.Sum != 5 {
+		t.Fatalf("DatagramsIn = %d, RecvBatch.Sum = %d, want 5 and 5", snap.DatagramsIn, snap.RecvBatch.Sum)
 	}
 }
 
@@ -284,8 +339,8 @@ func TestMulticastVectorContinuesPastFailure(t *testing.T) {
 		t.Fatalf("aggregated error reports %d peer failures, want 4 (2 pkts x 2 bad peers):\n%v", n, err)
 	}
 	got := map[string]bool{}
-	for len(got) < 2 {
-		got[string(recvWithin(t, d.Data(), 2*time.Second))] = true
+	for _, pkt := range recvDatagrams(t, d.Data(), 2) {
+		got[string(pkt)] = true
 	}
 	if !got["m1"] || !got["m2"] {
 		t.Fatalf("reachable peer received %v, want m1 and m2", got)

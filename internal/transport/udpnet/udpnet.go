@@ -34,8 +34,10 @@ import (
 // buffer size so every received datagram fits in one pooled buffer.
 const MaxDatagram = transport.MaxPacket
 
-// defaultQueue is the receive channel depth per socket.
-const defaultQueue = 4096
+// defaultQueue is the receive channel depth per socket, in runs: at least
+// three rotations of the default global window. A deeper channel costs
+// set-up and GC time, since its slots are allocated zeroed and scanned.
+const defaultQueue = 1024
 
 // Peer is the addressing information for one participant.
 type Peer struct {
@@ -58,7 +60,7 @@ type Config struct {
 	// Empty enables unicast emulation: multicasts are sent point-to-point
 	// to every peer's DataPort.
 	MulticastGroup string
-	// QueueLen overrides the receive channel depth (default 4096).
+	// QueueLen overrides the receive channel depth in runs (default 1024).
 	QueueLen int
 	// Logf, when set, receives the transport's rare diagnostics (transient
 	// receive errors survived with backoff). Nil uses the standard logger.
@@ -99,8 +101,8 @@ type Transport struct {
 	emuPkts  [][]byte
 	emuAddrs []netip.AddrPort
 
-	data  chan []byte
-	token chan []byte
+	data  chan transport.Run
+	token chan transport.Run
 
 	// done is closed first thing in Close: it is the closed flag the send
 	// paths poll and the signal that cuts a receive loop's error backoff
@@ -125,8 +127,8 @@ func New(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:   cfg,
 		peers: make(map[wire.ParticipantID]netip.AddrPort, len(cfg.Peers)),
-		data:  make(chan []byte, queue),
-		token: make(chan []byte, queue),
+		data:  make(chan transport.Run, queue),
+		token: make(chan transport.Run, queue),
 		done:  make(chan struct{}),
 	}
 	for id, p := range cfg.Peers {
@@ -341,34 +343,28 @@ func (t *Transport) surviveRecvErr(err error, rs *recvState) bool {
 // packetReader is the receive loop's socket dependency: *batchReader in
 // production, fakes in tests that script the loop's error handling
 // deterministically. read blocks for at least one datagram and returns how
-// many messages arrived; message i of that read is buffer(i)[:length(i)]
-// from addr(i) — one datagram when segment(i) is 0, else back-to-back
-// datagrams of segment(i) bytes each (the last may be shorter) that the
-// kernel coalesced. detach hands buffer i to the caller and refills the
-// slot from the pool; release returns the reader's resident buffers.
+// many messages arrived; message i of that read, from addr(i), is the run
+// of segment(i)-byte datagrams the kernel coalesced (one when segment(i) is
+// 0; see transport.Run). detach gives up message i's pooled buffer and
+// refills the slot from the pool; release returns the resident buffers.
 type packetReader interface {
 	read() (int, error)
-	length(i int) int
+	message(i int) []byte
 	segment(i int) int
-	buffer(i int) []byte
 	addr(i int) netip.AddrPort
-	detach(i int) []byte
+	detach(i int)
 	release()
 }
 
-// readLoop pumps packets from a socket into a channel, counting overflow
-// drops (like a full kernel socket buffer, but accounted) and filtering
-// this endpoint's own multicast loopback copies.
-//
-// The reader fills buffers from the shared pool and each accepted packet
-// goes to the channel still backed by its pooled buffer — ownership
-// transfers to the consumer, which returns it with transport.Buffers.Put,
-// and the reader replaces it. A filtered or dropped packet's buffer is
-// simply read into again, so the steady state is one pool Get per accepted
-// packet and zero allocations. A coalesced message is cut back into its
-// datagrams, each copied into a pooled buffer of its own, so the channel
-// carries what it always has; the counters count datagrams either way.
-func (t *Transport) readLoop(r packetReader, ch chan<- []byte, self netip.AddrPort) {
+// readLoop pumps messages from a socket into a channel, each one Run in
+// the pooled buffer it was received into, counting overflow drops (like a
+// full kernel socket buffer, but accounted) and filtering this endpoint's
+// own multicast loopback copies. An accepted run's buffer transfers to the
+// consumer, which returns it with transport.Buffers.Put, and the reader
+// replaces it; a filtered or dropped one is read into again. So the steady
+// state is one pool Get per message, however many datagrams the kernel
+// coalesced into it, and zero allocations. The counters count datagrams.
+func (t *Transport) readLoop(r packetReader, ch chan<- transport.Run, self netip.AddrPort) {
 	defer t.wg.Done()
 	defer r.release()
 	var rs recvState
@@ -384,37 +380,19 @@ func (t *Transport) readLoop(r packetReader, ch chan<- []byte, self netip.AddrPo
 		t.RecvSyscalls.Inc()
 		datagrams := 0
 		for i := 0; i < n; i++ {
-			msg, seg := r.buffer(i)[:r.length(i)], r.segment(i)
-			count := 1
-			if seg > 0 && seg < len(msg) {
-				count = (len(msg) + seg - 1) / seg
-			}
-			datagrams += count
+			run := transport.Run{Buf: r.message(i), Seg: r.segment(i)}
+			count := uint64(run.Len())
+			datagrams += int(count)
 			if isSelf(r.addr(i), self) {
-				t.SelfFiltered.Add(uint64(count))
+				t.SelfFiltered.Add(count)
 				continue
 			}
-			if count == 1 {
-				select {
-				case ch <- msg:
-					t.In.Inc()
-					r.detach(i)
-				default:
-					t.Drops.Inc()
-				}
-				continue
-			}
-			for len(msg) > 0 {
-				pkt := transport.Buffers.Get()
-				pkt = pkt[:copy(pkt, msg[:min(seg, len(msg))])]
-				msg = msg[len(pkt):]
-				select {
-				case ch <- pkt:
-					t.In.Inc()
-				default:
-					t.Drops.Inc()
-					transport.Buffers.Put(pkt)
-				}
+			select {
+			case ch <- run:
+				t.In.Add(count)
+				r.detach(i)
+			default:
+				t.Drops.Add(count)
 			}
 		}
 		t.RecvBatch.Observe(datagrams)
@@ -528,10 +506,10 @@ func (t *Transport) MetricsSnapshot() transport.Snapshot {
 }
 
 // Data implements transport.Transport.
-func (t *Transport) Data() <-chan []byte { return t.data }
+func (t *Transport) Data() <-chan transport.Run { return t.data }
 
 // Token implements transport.Transport.
-func (t *Transport) Token() <-chan []byte { return t.token }
+func (t *Transport) Token() <-chan transport.Run { return t.token }
 
 // Close implements transport.Transport.
 func (t *Transport) Close() error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/transport"
 	"accelring/internal/wire"
 )
 
@@ -70,15 +71,51 @@ func pairLogf(t *testing.T, logf func(string, ...any)) (*Transport, *Transport) 
 	return a, b
 }
 
-func recvWithin(t *testing.T, ch <-chan []byte, d time.Duration) []byte {
+// recvWithin receives one run and returns its one datagram; a run of more
+// fails the test.
+func recvWithin(t *testing.T, ch <-chan transport.Run, d time.Duration) []byte {
 	t.Helper()
 	select {
-	case pkt := <-ch:
-		return pkt
+	case r := <-ch:
+		if r.Len() != 1 {
+			t.Fatalf("got a run of %d datagrams, want one", r.Len())
+		}
+		return r.Buf
 	case <-time.After(d):
 		t.Fatal("no packet within deadline")
 		return nil
 	}
+}
+
+// datagrams copies r's datagrams out, in order.
+func datagrams(r transport.Run) [][]byte {
+	var out [][]byte
+	for i, off := 0, 0; i < r.Len(); i++ {
+		var pkt []byte
+		pkt, off = r.Cut(off)
+		out = append(out, append([]byte(nil), pkt...))
+	}
+	return out
+}
+
+// recvDatagrams receives runs until n datagrams have arrived and returns
+// them in order, copied; each run's buffer goes back to the pool.
+func recvDatagrams(t *testing.T, ch <-chan transport.Run, n int) [][]byte {
+	t.Helper()
+	var got [][]byte
+	for len(got) < n {
+		select {
+		case r := <-ch:
+			got = append(got, datagrams(r)...)
+			transport.Buffers.Put(r.Buf)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("received %d/%d datagrams before the deadline", len(got), n)
+		}
+	}
+	if len(got) > n {
+		t.Fatalf("received %d datagrams, want %d", len(got), n)
+	}
+	return got
 }
 
 func TestNewRequiresSelfPeer(t *testing.T) {
@@ -193,8 +230,8 @@ func floodBothPeers(t *testing.T, group string, count int) (self, peer [][]byte,
 	deadline := time.After(2 * time.Second)
 	for len(peer) < count {
 		select {
-		case pkt := <-b.Data():
-			peer = append(peer, pkt)
+		case r := <-b.Data():
+			peer = append(peer, datagrams(r)...)
 		case <-deadline:
 			return self, peer, a, len(peer) > 0
 		}
@@ -203,8 +240,8 @@ func floodBothPeers(t *testing.T, group string, count int) (self, peer [][]byte,
 	settle := time.After(100 * time.Millisecond)
 	for {
 		select {
-		case pkt := <-a.Data():
-			self = append(self, pkt)
+		case r := <-a.Data():
+			self = append(self, datagrams(r)...)
 		case <-settle:
 			return self, peer, a, true
 		}

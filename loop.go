@@ -2,6 +2,7 @@ package accelring
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"accelring/internal/core"
@@ -87,13 +88,49 @@ func (d *deadlines) take() (engine.TimerKind, bool) {
 	return 0, false
 }
 
+// held is a receive run the loop has taken off a transport channel and
+// steps one datagram per pass, where it lies in the run's buffer; the
+// buffer goes back to the pool once, after the last. left is the datagrams
+// not yet stepped, which Metrics and the watchdog count with the channel's.
+type held struct {
+	run  transport.Run
+	off  int
+	left atomic.Int64
+}
+
+// pending returns how many of the run's datagrams are not yet stepped.
+func (h *held) pending() int { return int(h.left.Load()) }
+
+// hold takes r in hand; the run held before must be spent.
+func (h *held) hold(r transport.Run) {
+	h.run, h.off = r, 0
+	h.left.Store(int64(r.Len()))
+}
+
+// step hands the next datagram of the held run to the engine, first taking
+// a run off ch if none is in hand (the caller has seen one queued there).
+func (n *Node) step(eng core.OrderingEngine, h *held, ch <-chan transport.Run) {
+	if h.pending() == 0 {
+		h.hold(<-ch)
+	}
+	var pkt []byte
+	pkt, h.off = h.run.Cut(h.off)
+	left := h.left.Load() - 1
+	h.left.Store(left)
+	n.handlePacket(eng, pkt)
+	if left == 0 {
+		transport.Buffers.Put(h.run.Buf)
+		h.run = transport.Run{}
+	}
+}
+
 // loop is the single protocol goroutine: it owns the engine. Each pass takes
-// the input engine.Pick chooses from what is in hand (the frames queued on
-// the token and data sockets, the queued submissions), as netsim's CPU does,
-// then up to SubmitsPerInput more submissions; a due timer (after a wake
-// here, driver events in netsim), a stats request or Close goes first. The
-// one select waits when nothing is in hand. The submissions a pass takes
-// are one run (submit).
+// the input engine.Pick chooses from what is in hand (the datagrams queued
+// on the token and data sockets, a run's rest counting as queued, and the
+// queued submissions), as netsim's CPU does, then up to SubmitsPerInput
+// more submissions; a due timer (after a wake here, a scheduled event in
+// netsim), a stats request or Close goes first. The one select waits when
+// nothing is in hand. The submissions a pass takes are one run (submit).
 func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	defer func() {
 		n.closing.Store(true) // Submit answers ErrClosed from here on
@@ -111,7 +148,11 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	for !n.closing.Load() {
 		p := eng.Progress()
 		n.backlog.Store(int64(p.Pending))
-		q := engine.Queued{Token: len(tokenCh), Data: len(dataCh), Submits: len(n.inHand) + len(n.submitCh)}
+		q := engine.Queued{
+			Token:   len(tokenCh) + n.tokenRun.pending(),
+			Data:    len(dataCh) + n.dataRun.pending(),
+			Submits: len(n.inHand) + len(n.submitCh),
+		}
 		src, k := engine.Pick(q, p.TokenPriority)
 		kind, fired := n.timers.take()
 		submits := engine.SubmitsPerInput
@@ -122,23 +163,25 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 		case len(n.statsCh) > 0:
 			(<-n.statsCh) <- eng.Snapshot()
 		case src == engine.SourceToken:
-			n.handlePacket(eng, <-tokenCh)
+			n.step(eng, &n.tokenRun, tokenCh)
 		case src == engine.SourceData:
-			n.handlePacket(eng, <-dataCh)
+			n.step(eng, &n.dataRun, dataCh)
 		case src == engine.SourceSubmits:
 			submits += k // Pick's quota, then the per-input one
 		default:
 			select {
-			case pkt, ok := <-dataCh:
+			case r, ok := <-dataCh:
 				if !ok {
 					return
 				}
-				n.handlePacket(eng, pkt)
-			case pkt, ok := <-tokenCh:
+				n.dataRun.hold(r)
+				n.step(eng, &n.dataRun, dataCh)
+			case r, ok := <-tokenCh:
 				if !ok {
 					return
 				}
-				n.handlePacket(eng, pkt)
+				n.tokenRun.hold(r)
+				n.step(eng, &n.tokenRun, tokenCh)
 			case <-n.timers.wake:
 				n.timers.signal() // kept for take: the due kinds fire from the next pass
 			case req := <-n.submitCh:
@@ -198,14 +241,10 @@ func (n *Node) submitOne(eng core.OrderingEngine, req submitReq, run []engine.Ac
 	return append(run, actions...)
 }
 
-// handlePacket decodes one packet and feeds it to the engine. The packet
-// buffer is returned to the shared pool on exit — the built-in transports
-// hand the loop pooled buffers, and no frame the decoder returns aliases
-// pkt (wire.Decoder) — so recycling here is safe and closes the
-// Get-per-receive / Put-per-dispatch cycle that keeps the hot path
-// allocation-free.
+// handlePacket decodes one datagram where it lies and feeds it to the
+// engine. No frame the decoder returns aliases pkt (wire.Decoder), so the
+// buffer holding it may be recycled once this returns.
 func (n *Node) handlePacket(eng core.OrderingEngine, pkt []byte) {
-	defer transport.Buffers.Put(pkt)
 	f, err := n.dec.Decode(pkt)
 	if err != nil {
 		n.nm.decodeFailures.Inc()

@@ -59,7 +59,10 @@ type RuntimeMetrics struct {
 	// pending. Zero when Options.WatchdogInterval is unset.
 	WatchdogChecks uint64 `json:"watchdog_checks,omitempty"`
 	WatchdogStalls uint64 `json:"watchdog_stalls,omitempty"`
-	// Instantaneous queue depths at snapshot time.
+	// Instantaneous queue depths at snapshot time: events, and for the
+	// data and token sockets the receive runs queued on the transport's
+	// channel plus the datagrams left of the run the loop is stepping (a
+	// lone datagram is a run of one).
 	EventQueueLen int `json:"event_queue_len"`
 	DataQueueLen  int `json:"data_queue_len"`
 	TokenQueueLen int `json:"token_queue_len"`
@@ -149,8 +152,8 @@ func (m *nodeMetrics) runtimeSnapshot(n *Node) RuntimeMetrics {
 		WatchdogChecks:  m.watchdogChecks.Load(),
 		WatchdogStalls:  m.watchdogStalls.Load(),
 		EventQueueLen:   len(n.events),
-		DataQueueLen:    len(n.tr.Data()),
-		TokenQueueLen:   len(n.tr.Token()),
+		DataQueueLen:    len(n.tr.Data()) + n.dataRun.pending(),
+		TokenQueueLen:   len(n.tr.Token()) + n.tokenRun.pending(),
 		TokenRotation:   m.tokenRotation.Snapshot(),
 		TokenHandle:     m.tokenHandle.Snapshot(),
 	}

@@ -17,14 +17,18 @@ type StallReport struct {
 	// for at least this long.
 	Interval time.Duration
 	// PendingData and PendingToken are the queue depths the stalled loop
-	// owes work for: undrained data and token packets.
+	// owes work for, as RuntimeMetrics counts them: the receive runs queued
+	// on the data and token channels plus the datagrams left of the run the
+	// loop holds.
 	PendingData  int
 	PendingToken int
 	// PendingTimers is 1 while the loop owes timer work: a kind is due or a
 	// timer's step runs. An early wake holds it until the loop's next pass.
 	PendingTimers int
-	// PendingSubmits is the number of submissions Submit accepted that
-	// wait for the loop: messages the application was told are queued.
+	// PendingSubmits is the number of submissions Submit reserved room
+	// for that the loop has not stepped: those queued, those the loop took
+	// into hand while it waited on a full Events channel, and submitters
+	// parked on a full queue.
 	PendingSubmits int
 	// EventQueueFull reports that the Events channel was at capacity — the
 	// classic wedge: the application stopped draining and the loop is
@@ -47,10 +51,10 @@ func (m *nodeMetrics) progress() uint64 {
 // pendingWork samples the work queued for the protocol loop without
 // involving it.
 func (n *Node) pendingWork() (data, token, timers, submits int, evFull bool) {
-	data = len(n.tr.Data())
-	token = len(n.tr.Token())
+	data = len(n.tr.Data()) + n.dataRun.pending()
+	token = len(n.tr.Token()) + n.tokenRun.pending()
 	timers = len(n.timers.wake)
-	submits = len(n.submitCh)
+	submits = int(n.reserved.Load())
 	evFull = len(n.events) == cap(n.events)
 	return
 }

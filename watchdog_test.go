@@ -235,6 +235,44 @@ func TestWatchdogSeesQueuedSubmissions(t *testing.T) {
 	}
 }
 
+// TestWatchdogCountsSubmissionsInHand: submissions the loop takes into
+// hand while it waits on a full Events channel are still pending, so the
+// watchdog counts them. The node's Events channel is full before its loop
+// starts, so the loop wedges delivering the ring's configuration; the three
+// submissions that follow leave submitCh for the loop's hand at once. The
+// report must name exactly three pending submissions and the full queue.
+func TestWatchdogCountsSubmissionsInHand(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	n, eng, initial := newTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
+	for len(n.events) < cap(n.events) {
+		n.events <- Message{}
+	}
+	go n.loop(eng, initial)
+	defer n.Close()
+	for _, p := range []string{"in-hand-1", "in-hand-2", "in-hand-3"} {
+		if err := n.Submit([]byte(p), Agreed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(n.submitCh) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the wedged loop never took the submissions into hand")
+		}
+	}
+	stalls := make(chan StallReport, 16)
+	go n.watchdog(interval, func(r StallReport) { stalls <- r })
+
+	select {
+	case r := <-stalls:
+		want := StallReport{Interval: interval, PendingSubmits: 3, EventQueueFull: true}
+		if r != want {
+			t.Fatalf("stall report %+v, want %+v", r, want)
+		}
+	case <-time.After(3 * interval):
+		t.Fatalf("watchdog never reported the wedged loop (checks=%d)", n.nm.watchdogChecks.Load())
+	}
+}
+
 // TestWatchdogCountsDiscardedPackets: discarding a packet that does not
 // decode is work done, so it advances progress. Without that, a loop busy
 // discarding a flood of garbage with the data queue full was reported as
