@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"accelring/internal/core"
+	"accelring/internal/daemon/hook"
 	"accelring/internal/engine"
 	"accelring/internal/flowctl"
 	"accelring/internal/ringpaxos"
@@ -266,6 +267,14 @@ type Node struct {
 	runActs   []engine.Action
 	inHand    []submitReq
 
+	// srv is the daemon that serves the node (hook), nil for a library
+	// node, and retry notes a pass that delivered to it; the protocol
+	// goroutine owns both. serveCh carries the input the daemon's other
+	// goroutines post to the loop, and the attachment.
+	srv     hook.Server
+	retry   bool
+	serveCh chan any
+
 	mu      sync.Mutex
 	errs    []error // ring of recent protocol-loop errors
 	errHead int     // index of the oldest entry once the ring is full
@@ -364,6 +373,7 @@ func newNode(opts Options, kind EngineKind, eng core.OrderingEngine) (*Node, []e
 		submitCh:   make(chan submitReq, engine.SubmitQuota),
 		maxPending: int64(eng.Snapshot().Config.MaxPending),
 		statsCh:    make(chan chan core.Snapshot, 1),
+		serveCh:    make(chan any, serveBuffer),
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
 		nm:         newNodeMetrics(),
@@ -377,6 +387,16 @@ func newNode(opts Options, kind EngineKind, eng core.OrderingEngine) (*Node, []e
 	return n, initial, nil
 }
 
+func init() {
+	hook.Attach = func(node any, s hook.Server) error {
+		return node.(*Node).attach(s)
+	}
+}
+
+// serveBuffer is the capacity of the loop's input queue from a daemon's
+// goroutines: session bursts, disconnects, resume-window expiries, drains.
+const serveBuffer = 256
+
 // ID returns this node's participant ID.
 func (n *Node) ID() ParticipantID { return n.id }
 
@@ -386,7 +406,9 @@ const eventBuffer = 16384
 // Events returns the stream of ordered deliveries and membership changes.
 // The channel holds 16 384 events; the application must drain it, because
 // a full channel blocks the protocol rather than dropping ordered messages.
-// The channel is closed when the node shuts down.
+// The channel is closed when the node shuts down. A node that a daemon
+// serves (internal/daemon) sends nothing there: the protocol goroutine
+// hands its events to the daemon directly.
 func (n *Node) Events() <-chan Event { return n.events }
 
 // Submit queues an application message for totally ordered multicast to
@@ -405,19 +427,15 @@ func (n *Node) Events() <-chan Event { return n.events }
 // The engine retains payload until the message stabilizes, so the caller
 // must not modify it after Submit returns nil.
 func (n *Node) Submit(payload []byte, service Service) error {
-	if !service.Valid() {
-		return fmt.Errorf("accelring: invalid service %d", uint8(service))
-	}
-	if len(payload) > wire.MaxPayload {
-		return fmt.Errorf("accelring: payload %d exceeds maximum %d", len(payload), wire.MaxPayload)
+	if err := checkSubmit(payload, service); err != nil {
+		return err
 	}
 	// Checked before the send: a select between a free slot and a closed
 	// done would pick either.
 	if n.closing.Load() {
 		return ErrClosed
 	}
-	if n.reserved.Add(1)+n.backlog.Load() > n.maxPending {
-		n.reserved.Add(-1)
+	if !n.reserve() {
 		return core.ErrBacklogFull
 	}
 	// The send is tried alone first, one channel lock; done matters only
@@ -435,6 +453,27 @@ func (n *Node) Submit(payload []byte, service Service) error {
 		n.reserved.Add(-1)
 		return ErrClosed
 	}
+}
+
+// checkSubmit answers a submission the engine would refuse.
+func checkSubmit(payload []byte, service Service) error {
+	if !service.Valid() {
+		return fmt.Errorf("accelring: invalid service %d", uint8(service))
+	}
+	if len(payload) > wire.MaxPayload {
+		return fmt.Errorf("accelring: payload %d exceeds maximum %d", len(payload), wire.MaxPayload)
+	}
+	return nil
+}
+
+// reserve takes room for one submission within maxPending, counting the
+// engine's backlog and the submissions not yet stepped.
+func (n *Node) reserve() bool {
+	if n.reserved.Add(1)+n.backlog.Load() > n.maxPending {
+		n.reserved.Add(-1)
+		return false
+	}
+	return true
 }
 
 func (n *Node) statsSnapshot() (core.Snapshot, error) {

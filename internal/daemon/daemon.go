@@ -16,6 +16,8 @@ import (
 
 	"accelring"
 	"accelring/internal/core"
+	"accelring/internal/daemon/hook"
+	"accelring/internal/engine"
 	"accelring/internal/fanout"
 	"accelring/internal/ipc"
 	"accelring/internal/wire"
@@ -24,7 +26,9 @@ import (
 // Config configures a daemon.
 type Config struct {
 	// Node is the daemon's ring participant, already started. The daemon
-	// takes ownership of draining its events and closing it.
+	// runs on the node's protocol goroutine, which hands it the node's
+	// events (Events receives nothing more), and closing the daemon closes
+	// the node.
 	Node *accelring.Node
 	// Listener accepts client connections (Unix socket for co-located
 	// clients, per the paper's recommendation; TCP also works). The
@@ -46,56 +50,49 @@ type Config struct {
 }
 
 // Daemon serves local clients, ordering their messages and group
-// membership operations through the ring.
+// membership operations through the ring. It runs on the node's protocol
+// goroutine (hook): the loop hands it each ordered event and each input
+// its other goroutines post — a session's burst or disconnect, a resume
+// window's expiry, a drain — so one goroutine owns the ring and the
+// daemon's state, and the daemon's submissions leave with the loop's pass.
 type Daemon struct {
 	node *accelring.Node
+	ring hook.Ring
 	ln   net.Listener
 	log  *log.Logger
 
-	// reqCh funnels client requests into the main loop, a burst per
-	// session wake-up.
-	reqCh chan *burst
-	// unregister removes a dead session.
-	unregCh chan *session
-
-	wg       sync.WaitGroup
-	stopOnce sync.Once
-	stopCh   chan struct{}
+	wg sync.WaitGroup
+	// done closes when the loop has stopped the daemon (Stop).
+	done chan struct{}
 
 	// tier is the client delivery tier: interest registry, bounded
 	// per-client queues, backpressure policy. Registration and publishing
-	// are driven from the main loop; the tier's writer goroutines drain
-	// the queues.
+	// are driven from the loop; the tier's writer goroutines drain the
+	// queues.
 	tier *fanout.Tier
 
-	// resumeWindow mirrors Config.ResumeWindow; expireCh delivers resume
-	// window expiries into the main loop; drainCh asks the main loop to
-	// announce a drain to every session, closing the ack channel once the
-	// announcements are enqueued (so Drain's backlog poll counts them).
+	// resumeWindow mirrors Config.ResumeWindow.
 	resumeWindow time.Duration
-	expireCh     chan uint64
-	drainCh      chan chan struct{}
 
 	// Serving-tier availability counters, atomic because Snapshot reads
-	// them from arbitrary goroutines while the main loop writes.
+	// them from arbitrary goroutines while the loop writes.
 	resumes       atomic.Uint64
 	resumeGaps    atomic.Uint64
 	resumeExpired atomic.Uint64
 	draining      atomic.Bool
 	drainMs       atomic.Int64
 	// bursts and burstFrames count the ingest side: hand-overs from session
-	// readers to the main loop, and the client frames in them.
+	// readers to the loop, and the client frames in them.
 	bursts      atomic.Uint64
 	burstFrames atomic.Uint64
 	// holds counts the node's refusals that held a session's input (hold).
 	holds atomic.Uint64
 
-	// state owned by the main loop
+	// state owned by the loop
 	sessions map[*session]bool
 	detached map[uint64]*session // session ID → detached session
 	groups   map[string][]string // group → sorted private member names
 	local    map[string]*session // private member name → session
-	ring     accelring.Configuration
 	// deliverySeq stamps each routed app message, strictly monotone in
 	// delivery order — the global resume cursor clients acknowledge.
 	// groupSeq numbers each group's stream; driven purely by the ring's
@@ -134,33 +131,73 @@ func New(cfg Config) (*Daemon, error) {
 		node:         cfg.Node,
 		ln:           cfg.Listener,
 		log:          cfg.Logger,
+		done:         make(chan struct{}),
 		tier:         fanout.NewTier(cfg.Fanout),
-		reqCh:        make(chan *burst, 256),
-		unregCh:      make(chan *session, 16),
-		stopCh:       make(chan struct{}),
 		resumeWindow: cfg.ResumeWindow,
-		expireCh:     make(chan uint64, 16),
-		drainCh:      make(chan chan struct{}),
 		sessions:     make(map[*session]bool),
 		detached:     make(map[uint64]*session),
 		groups:       make(map[string][]string),
 		local:        make(map[string]*session),
 		groupSeq:     make(map[string]*groupStream),
 	}
-	d.wg.Add(2)
+	if err := hook.Attach(cfg.Node, (*server)(d)); err != nil {
+		return nil, fmt.Errorf("daemon: %w", err)
+	}
+	d.wg.Add(1)
 	go d.acceptLoop()
-	go d.mainLoop()
 	return d, nil
 }
 
-// Close shuts the daemon down: client connections, the listener and the
-// ring node.
+// Close shuts the daemon down: the listener, the ring node — whose loop
+// stops the daemon on its way out (Stop) — and client connections.
 func (d *Daemon) Close() error {
-	d.stopOnce.Do(func() { close(d.stopCh) })
 	d.ln.Close()
 	err := d.node.Close()
+	<-d.done
 	d.wg.Wait()
 	return err
+}
+
+// server is the Daemon as its node's loop calls it (hook.Server), a type
+// of its own so the loop's entry points stay off the Daemon's API.
+type server Daemon
+
+// Start takes the node's side of the attachment.
+func (s *server) Start(r hook.Ring) { s.ring = r }
+
+// Serve applies one input a daemon goroutine posted to the loop — a
+// session's burst or disconnect, or a func for the rare rest — or, given
+// nil, retries the held input. A session's disconnect comes behind the
+// last burst its reader handed over, so what it sent before it went is
+// applied first.
+func (s *server) Serve(in any) {
+	d := (*Daemon)(s)
+	switch in := in.(type) {
+	case nil:
+		d.retryHeld()
+	case *burst:
+		d.applyBurst(in)
+	case *session:
+		d.sessionGone(in)
+	case func():
+		in()
+	}
+}
+
+// Stop ends the daemon as the node's loop exits: every session closes,
+// those the loop never heard from through their queues.
+func (s *server) Stop() {
+	for ss := range s.sessions {
+		ss.close()
+	}
+	for _, ss := range s.detached {
+		if ss.detachTimer != nil {
+			ss.detachTimer.Stop()
+		}
+		ss.close()
+	}
+	s.tier.Close()
+	close(s.done)
 }
 
 func (d *Daemon) logf(format string, args ...any) {
@@ -191,7 +228,7 @@ func (d *Daemon) acceptLoop() {
 				return // listener closed, daemon shutting down
 			}
 			select {
-			case <-d.stopCh:
+			case <-d.done:
 				return
 			default:
 			}
@@ -209,84 +246,6 @@ func (d *Daemon) acceptLoop() {
 			defer d.wg.Done()
 			s.readLoop()
 		}()
-	}
-}
-
-// eventRun bounds how many ring events the main loop applies between two
-// looks at its other inputs, so client requests are not starved behind a
-// long delivery.
-const eventRun = 64
-
-// applyRingRun applies ev and then the ring events already ready behind
-// it — a run, like a run of frames, is whatever is already there — without
-// paying for the main loop's six-way select per event. It reports false
-// when the node's event stream has closed.
-func (d *Daemon) applyRingRun(ev accelring.Event, events <-chan accelring.Event) bool {
-	for n := 1; ; n++ {
-		d.applyRingEvent(ev)
-		if n == eventRun {
-			return true
-		}
-		var ok bool
-		select {
-		case ev, ok = <-events:
-			if !ok {
-				return false
-			}
-		default:
-			return true
-		}
-	}
-}
-
-// mainLoop owns all daemon state: it applies ordered ring events and
-// serves client requests, strictly serialized.
-func (d *Daemon) mainLoop() {
-	defer d.wg.Done()
-	defer d.closeAllSessions()
-	events := d.node.Events()
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok || !d.applyRingRun(ev, events) {
-				return
-			}
-			// Ordered events mean the ring took from the node's backlog:
-			// retry the input it refused.
-			d.retryHeld()
-		case b := <-d.reqCh:
-			d.applyBurst(b)
-		case s := <-d.unregCh:
-			// A reader hands over its last burst before it unregisters, so
-			// whatever that session still has to say is in reqCh by now.
-			// Apply it first: select takes ready channels in no order, and
-			// a client that sends and leaves would lose its tail.
-			for n := len(d.reqCh); n > 0; n-- {
-				d.applyBurst(<-d.reqCh)
-			}
-			d.sessionGone(s)
-		case id := <-d.expireCh:
-			d.expireDetached(id)
-		case ack := <-d.drainCh:
-			for s := range d.sessions {
-				s.send(ipc.EvtDrain, nil)
-			}
-			close(ack)
-		case <-d.stopCh:
-			return
-		}
-	}
-}
-
-func (d *Daemon) closeAllSessions() {
-	for s := range d.sessions {
-		s.close()
-	}
-	for _, s := range d.detached {
-		if s.detachTimer != nil {
-			s.detachTimer.Stop()
-		}
-		s.close()
 	}
 }
 
@@ -344,10 +303,9 @@ func (d *Daemon) applyFrames(b *burst, i int) (int, bool) {
 
 // hold is the daemon's backpressure: the node refused a frame of s's
 // because its backlog is full. The frame and the rest of s's input wait,
-// the session's reader stops handing over bursts, and the main loop
-// retries after each run of ring events, which is when the backlog
-// shrinks. The main loop never waits for room itself: Node.loop may be
-// waiting for it to take a delivery.
+// the session's reader stops handing over bursts, and the loop retries
+// them in a pass after a delivery, which is when the backlog shrinks. The
+// loop never waits for room: it is the loop that makes room.
 func (d *Daemon) hold(s *session) {
 	s.paused.Store(true)
 	d.held = append(d.held, s)
@@ -428,7 +386,7 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
 			op = ringLeave
 		}
 		p := membershipPayload{Member: s.member, Group: group}
-		if err := d.node.Submit(p.encode(op), accelring.Agreed); err != nil {
+		if err := d.ring.Submit(p.encode(op), accelring.Agreed); err != nil {
 			if errors.Is(err, core.ErrBacklogFull) {
 				return false
 			}
@@ -462,7 +420,7 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
 			s.close()
 			return true
 		}
-		if err := d.node.Submit(encoded, svc); err != nil {
+		if err := d.ring.Submit(encoded, svc); err != nil {
 			if errors.Is(err, core.ErrBacklogFull) {
 				return false
 			}
@@ -491,7 +449,7 @@ func validName(name string) bool {
 // claimName makes a private name available for a new session: a name held
 // by a detached session is reclaimed by evicting it (the client came back
 // without resuming — e.g. it restarted and lost its session ID); a name
-// held by a live session stays taken. Main loop only.
+// held by a live session stays taken. Loop only.
 func (d *Daemon) claimName(private string) bool {
 	existing := d.local[private]
 	if existing == nil {
@@ -505,7 +463,7 @@ func (d *Daemon) claimName(private string) bool {
 }
 
 // newSessionID draws a random non-zero resume session ID, or 0 when
-// resume is disabled. Main loop only.
+// resume is disabled. Loop only.
 func (d *Daemon) newSessionID() uint64 {
 	if d.resumeWindow <= 0 {
 		return 0
@@ -561,9 +519,8 @@ func (d *Daemon) applyResume(s *session, body []byte) {
 		d.resumeFresh(s, private)
 		return
 	}
-	// Announce the resume synchronously so it is on the wire before the
-	// replay writer starts; the deadline bounds how long a wedged client
-	// can hold the main loop.
+	// The announcement is queued ahead of the replay (Attach), so the
+	// client reads it first and the loop never writes the socket itself.
 	flags := ipc.ResumedFlagResumed
 	if gap {
 		flags |= ipc.ResumedFlagGap
@@ -571,13 +528,6 @@ func (d *Daemon) applyResume(s *session, body []byte) {
 	resp := []byte{flags}
 	resp = ipc.PutString(resp, private)
 	resp = ipc.PutUint64(resp, id)
-	s.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	werr := ipc.WriteFrame(s.conn, ipc.EvtResumed, resp)
-	s.conn.SetWriteDeadline(time.Time{})
-	if werr != nil {
-		s.close()
-		return
-	}
 	// Retire the placeholder subscriber registered at accept: Detach first
 	// clears its callbacks, so closing it cannot fire an unregister for
 	// the session that is about to adopt the real one.
@@ -596,7 +546,7 @@ func (d *Daemon) applyResume(s *session, body []byte) {
 	s.member, s.id, s.submits = old.member, old.id, old.submits
 	d.sessions[s] = true
 	d.local[private] = s
-	if _, err := d.tier.Attach(s.sub, &ipcSink{conn: s.conn}, stamp, s.killFunc(), s.exitFunc()); err != nil {
+	if _, err := d.tier.Attach(s.sub, &ipcSink{conn: s.conn}, stamp, ipc.EvtResumed, resp, s.killFunc(), s.exitFunc()); err != nil {
 		d.dropSession(s)
 		return
 	}
@@ -625,7 +575,7 @@ func (d *Daemon) resumeFresh(s *session, private string) {
 	s.send(ipc.EvtResumed, resp)
 }
 
-// sessionGone decides a disconnected session's fate on the main loop:
+// sessionGone decides a disconnected session's fate on the loop:
 // detach (hold for resume) when the window is open and the disconnect was
 // not deliberate, drop otherwise. Duplicate notifications — the read loop
 // and the writer both report the same death — are ignored.
@@ -660,10 +610,7 @@ func (d *Daemon) detachSession(s *session) {
 	d.detached[s.id] = s
 	id := s.id
 	s.detachTimer = time.AfterFunc(d.resumeWindow, func() {
-		select {
-		case d.expireCh <- id:
-		case <-d.stopCh:
-		}
+		d.ring.Post(func() { d.expireDetached(id) })
 	})
 	d.logf("daemon: holding session %s for resume", s.member)
 }
@@ -697,26 +644,26 @@ func (d *Daemon) Drain(timeout time.Duration) error {
 	d.draining.Store(true)
 	d.ln.Close()
 	deadline := start.Add(timeout)
-	// Hand the announcement to the main loop and wait until it has
-	// enqueued EvtDrain everywhere — otherwise the backlog poll below
-	// could see an already-empty tier and close sessions before the
-	// announcement is even written.
+	// Hand the announcement to the loop and wait until it has enqueued
+	// EvtDrain everywhere — otherwise the backlog poll below could see an
+	// already-empty tier and close sessions before the announcement is
+	// even written. A loop that has exited has closed them already.
 	ack := make(chan struct{})
-	select {
-	case d.drainCh <- ack:
+	announce := func() {
+		for s := range d.sessions {
+			s.send(ipc.EvtDrain, nil)
+		}
+		close(ack)
+	}
+	if d.ring.Post(announce) {
 		select {
 		case <-ack:
-		case <-d.stopCh:
+		case <-d.done:
 		case <-time.After(time.Until(deadline)):
 		}
-	case <-d.stopCh:
-	case <-time.After(time.Until(deadline)):
-	}
-	for time.Now().Before(deadline) {
-		if d.tier.Backlog() == 0 {
-			break
+		for time.Now().Before(deadline) && d.tier.Backlog() > 0 {
+			time.Sleep(10 * time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	d.drainMs.Store(time.Since(start).Milliseconds())
 	d.logf("daemon: drain flushed in %dms", d.drainMs.Load())
@@ -766,10 +713,8 @@ func (d *Daemon) encodeStats() []byte {
 	} else {
 		snap.ClientsOmitted = len(d.sessions)
 	}
-	if node, err := d.node.Metrics(); err == nil {
-		if raw, err := json.Marshal(node); err == nil {
-			snap.Node = raw
-		}
+	if raw, err := json.Marshal(d.ring.Metrics()); err == nil {
+		snap.Node = raw
 	}
 	body, err := json.Marshal(snap)
 	if err != nil {
@@ -799,7 +744,7 @@ func (d *Daemon) dropSession(s *session) {
 		for group, members := range d.groups {
 			if containsString(members, s.member) {
 				p := membershipPayload{Member: s.member, Group: group}
-				if err := d.node.Submit(p.encode(ringLeave), accelring.Agreed); err != nil {
+				if err := d.ring.Submit(p.encode(ringLeave), accelring.Agreed); err != nil {
 					d.logf("daemon: submit leave: %v", err)
 				}
 			}
@@ -809,38 +754,36 @@ func (d *Daemon) dropSession(s *session) {
 	s.close()
 }
 
-// applyRingEvent applies one totally ordered ring event.
-func (d *Daemon) applyRingEvent(ev accelring.Event) {
-	switch e := ev.(type) {
-	case accelring.Message:
-		d.applyRingMessage(e)
-	case accelring.ConfigChange:
-		if e.Transitional {
-			d.logf("daemon: transitional configuration %s: %v", e.Config.ID, e.Config.Members)
-			return
-		}
-		d.logf("daemon: regular configuration %s: %v", e.Config.ID, e.Config.Members)
-		d.applyRingConfig(e.Config)
-	}
-}
-
-func (d *Daemon) applyRingMessage(m accelring.Message) {
-	if len(m.Payload) == 0 {
+// Configure applies one configuration change.
+func (s *server) Configure(cfg engine.Configuration, transitional bool) {
+	d := (*Daemon)(s)
+	if transitional {
+		d.logf("daemon: transitional configuration %s: %v", cfg.ID, cfg.Members)
 		return
 	}
-	typ, body := m.Payload[0], m.Payload[1:]
+	d.logf("daemon: regular configuration %s: %v", cfg.ID, cfg.Members)
+	d.applyRingConfig(cfg)
+}
+
+// Deliver applies one ordered message.
+func (s *server) Deliver(sender wire.ParticipantID, svc wire.Service, payload []byte) {
+	d := (*Daemon)(s)
+	if len(payload) == 0 {
+		return
+	}
+	typ, body := payload[0], payload[1:]
 	switch typ {
 	case ringApp:
 		p, err := decodeApp(body)
 		if err != nil {
-			d.logf("daemon: bad app payload from %s: %v", m.Sender, err)
+			d.logf("daemon: bad app payload from %s: %v", sender, err)
 			return
 		}
-		d.routeApp(p, m.Service)
+		d.routeApp(p, svc)
 	case ringJoin, ringLeave:
 		p, err := decodeMembership(body)
 		if err != nil {
-			d.logf("daemon: bad membership payload from %s: %v", m.Sender, err)
+			d.logf("daemon: bad membership payload from %s: %v", sender, err)
 			return
 		}
 		if typ == ringJoin {
@@ -947,7 +890,6 @@ func (d *Daemon) applyLeave(member, group string) {
 // group (their daemons will re-join them through recovery if they merge
 // back later).
 func (d *Daemon) applyRingConfig(cfg accelring.Configuration) {
-	d.ring = cfg
 	alive := make(map[string]bool, len(cfg.Members))
 	for _, id := range cfg.Members {
 		alive[id.String()] = true
@@ -979,7 +921,7 @@ func (d *Daemon) applyRingConfig(cfg accelring.Configuration) {
 		for _, m := range members {
 			if d.local[m] != nil {
 				p := membershipPayload{Member: m, Group: group}
-				if err := d.node.Submit(p.encode(ringJoin), accelring.Agreed); err != nil {
+				if err := d.ring.Submit(p.encode(ringJoin), accelring.Agreed); err != nil {
 					d.logf("daemon: re-announce join: %v", err)
 				}
 			}

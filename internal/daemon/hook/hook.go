@@ -1,0 +1,53 @@
+// Package hook joins a daemon to the ring node it serves, so that one
+// goroutine — the node's protocol loop — runs the ring and the daemon, as
+// Spread's daemon runs both from one event loop. It exists because the
+// daemon imports the root package, which therefore cannot import the
+// daemon: the root package fills Attach at init.
+package hook
+
+import (
+	"accelring/internal/engine"
+	"accelring/internal/wire"
+)
+
+// Server is the daemon's side. The node's protocol goroutine makes every
+// call, so the server's state needs no lock.
+type Server interface {
+	// Start hands the server the node's side, before any other call.
+	Start(r Ring)
+	// Deliver applies one ordered message, from inside the loop's execution
+	// of the engine's actions: it may Submit, which only queues, but it
+	// must not block. payload is valid for the call.
+	Deliver(sender wire.ParticipantID, svc wire.Service, payload []byte)
+	// Configure applies one configuration change, on the same terms.
+	Configure(cfg engine.Configuration, transitional bool)
+	// Serve applies one input handed over with Ring.Post. Given nil, at the
+	// end of a pass that delivered, it retries the input the node refused
+	// for a full backlog: a delivery is when the backlog shrinks.
+	Serve(in any)
+	// Stop ends the server: the loop has exited and calls nothing more.
+	Stop()
+}
+
+// Ring is the node's side of an attachment.
+type Ring interface {
+	// Post hands in to the loop, which passes it to Server.Serve in the
+	// order posted, counting it with the submissions in engine.Pick. Any
+	// goroutine but the loop's may call it; it blocks while the loop's
+	// input queue is full and reports false, dropping in, once the loop
+	// has exited.
+	Post(in any) bool
+	// Submit queues a message for ordering as the node's Submit does, but
+	// from the loop: into the pass's hand, under the same backlog bound,
+	// stepped at the end of the pass. It answers core.ErrBacklogFull
+	// instead of blocking. Loop only.
+	Submit(payload []byte, svc wire.Service) error
+	// Metrics is the node's metrics snapshot, taken on the loop. Loop only.
+	Metrics() any
+}
+
+// Attach makes s the server of node, an *accelring.Node, once the loop has
+// started it. The loop's events go to s from then on, those it queued on
+// the node's Events channel before included; the node's Events channel
+// receives nothing more. It fails when the node has closed.
+var Attach func(node any, s Server) error

@@ -30,7 +30,7 @@ func (c *scriptedConn) Read(p []byte) (int, error) {
 }
 
 // TestBurstIsWhatOneWakeUpFinds: k frames that arrive in one write reach
-// the main loop as one burst; k and a half arrive as k now and one later;
+// the loop as one burst; k and a half arrive as k now and one later;
 // no frame is ever torn.
 func TestBurstIsWhatOneWakeUpFinds(t *testing.T) {
 	const k = 5
@@ -346,5 +346,50 @@ func TestRouteAppAllocs(t *testing.T) {
 	}
 	if !bytes.Equal([]byte(d.groupSeq["also"].name), []byte("also")) || d.groupSeq["also"].seq != d.deliverySeq {
 		t.Errorf("group %q numbered %d of %d messages", "also", d.groupSeq["also"].seq, d.deliverySeq)
+	}
+}
+
+// TestDeliverAllocs gates the daemon's half of a delivery, from the loop's
+// hand-off (Deliver) through routeApp: a message somebody local wants
+// costs routeApp's one allocation, the body the queues retain, and one
+// nobody wants costs none — parsing the ring payload and numbering it
+// allocate nothing. The node's half is the root package's
+// TestServedDeliverAllocs.
+func TestDeliverAllocs(t *testing.T) {
+	const sender = "alice@0.0.0.1"
+	gate := make(chan struct{})
+	defer close(gate)
+	d := &Daemon{
+		tier:     fanout.NewTier(fanout.Config{QueueDepth: 8, Policy: fanout.PolicyShed}),
+		local:    make(map[string]*session),
+		groupSeq: make(map[string]*groupStream),
+	}
+	sub := d.tier.Register(blockedSink{gate}, nil, nil)
+	d.tier.Subscribe(sub, "wanted", fanout.SourceExplicit)
+	for _, tc := range []struct {
+		group string
+		want  float64
+	}{{"wanted", 1}, {"unwanted", 0}} {
+		frame, err := ipc.AppendMulticast(nil, sender, wire.ServiceAgreed, 0, []string{tc.group}, make([]byte, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, svc, err := encodeApp(frame[5:], sender)
+		if err != nil {
+			t.Fatal(err)
+		}
+		(*server)(d).Deliver(1, svc, payload) // interns the name, parks the writer
+		deadline := time.Now().Add(5 * time.Second)
+		for tc.want > 0 && sub.Backlog() != 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		seq := d.groupSeq[tc.group].seq
+		allocs := testing.AllocsPerRun(200, func() { (*server)(d).Deliver(1, svc, payload) })
+		if allocs != tc.want {
+			t.Errorf("Deliver to a %s group allocates %.1f times, want %.0f", tc.group, allocs, tc.want)
+		}
+		if d.groupSeq[tc.group].seq != seq+201 {
+			t.Errorf("%s: group seq advanced %d, want 201", tc.group, d.groupSeq[tc.group].seq-seq)
+		}
 	}
 }

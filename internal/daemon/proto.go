@@ -3,6 +3,13 @@
 // IPC sockets, manages named groups whose membership changes are totally
 // ordered through the ring, and supports multi-group multicast with
 // open-group semantics (senders need not be members).
+//
+// As in Spread, one goroutine owns the ring and the daemon state: the
+// daemon runs on its node's protocol loop (package hook), which hands it
+// every ordered event and every input the daemon's other goroutines post
+// — session readers, resume-window timers, Drain. Those goroutines touch
+// no daemon state; the fan-out tier's writers drain each client's queue
+// onto its socket, so the loop never writes a socket itself.
 package daemon
 
 import (

@@ -11,7 +11,7 @@ import (
 	"accelring/internal/ipc"
 )
 
-// Session lifecycle, owned by the main loop: active sessions are in
+// Session lifecycle, owned by the loop: active sessions are in
 // d.sessions; a detached session (connection gone, delivery state held for
 // the resume window) is in d.detached; a gone session is inert and any
 // late unregister for it is ignored.
@@ -22,17 +22,17 @@ const (
 )
 
 // session is one connected client. The read side (readLoop) pumps frames
-// into the daemon's main loop; the write side is a fan-out tier
-// subscriber whose writer goroutine drains the client's bounded delivery
-// queue onto the socket.
+// into the node's protocol loop, which runs the daemon; the write side is
+// a fan-out tier subscriber whose writer goroutine drains the client's
+// bounded delivery queue onto the socket.
 type session struct {
 	d    *Daemon
 	conn net.Conn
 	// sub is this session's delivery-tier handle: its queue, its group
 	// interests, and its shed/backlog counters. A resumed session adopts
 	// the detached predecessor's subscriber, so the queue (and everything
-	// accumulated in it) survives the connection change. The main loop
-	// swaps it during that adoption while close may read it from any
+	// accumulated in it) survives the connection change. The loop swaps
+	// it during that adoption while close may read it from any
 	// goroutine, hence subMu.
 	subMu sync.Mutex
 	sub   *fanout.Subscriber
@@ -40,7 +40,7 @@ type session struct {
 	// member is the client's private name once connected; id its resume
 	// session ID (0 when resume is disabled); submits counts this client's
 	// ring submissions. goodbye marks a deliberate close (CmdGoodbye), so
-	// the disconnect is not held for resume. All owned by the main loop,
+	// the disconnect is not held for resume. All owned by the loop,
 	// as are state and detachTimer.
 	member  string
 	id      uint64
@@ -50,11 +50,11 @@ type session struct {
 	// detachTimer expires the detached session at the end of the resume
 	// window.
 	detachTimer *time.Timer
-	// input queues the bursts the main loop has taken and not yet
+	// input queues the bursts the loop has taken and not yet
 	// applied, the first from frame inputNext on. It is empty except while
 	// the node refuses a frame for a full backlog (Daemon.hold); goneHeld
 	// then defers a disconnect until the input is applied. Owned by the
-	// main loop. paused tells the reader to wait for resume before it
+	// loop. paused tells the reader to wait for resume before it
 	// hands over another burst.
 	input     []*burst
 	inputNext int
@@ -108,7 +108,7 @@ func (s *session) killFunc() func() {
 }
 
 // exitFunc builds the subscriber exit callback (writer stopped): hand the
-// session to the main loop for teardown or detach. Runs for socket write
+// session to the loop for teardown or detach. Runs for socket write
 // errors, slow-client kills, and plain closes alike.
 func (s *session) exitFunc() func(error) {
 	return func(err error) {
@@ -119,9 +119,9 @@ func (s *session) exitFunc() func(error) {
 	}
 }
 
-// burst is what a session's reader hands the main loop per wake-up: every
+// burst is what a session's reader hands the loop per wake-up: every
 // complete frame that was already in its buffer, bodies back to back in
-// one slab. The bodies are borrowed: the main loop copies out what it
+// one slab. The bodies are borrowed: the loop copies out what it
 // keeps (names into strings, a multicast into the payload it submits) and
 // returns the burst to burstPool when it has applied the last frame.
 type burst struct {
@@ -155,7 +155,7 @@ func (b *burst) fill(rd *ipc.Reader) error {
 	return nil
 }
 
-// readLoop pumps client frames into the daemon's main loop, a burst per
+// readLoop pumps client frames into the node's protocol loop, a burst per
 // wake-up. A malformed frame behind good ones ends the session after they
 // are handed over, as it would have frame by frame.
 func (s *session) readLoop() {
@@ -174,17 +174,13 @@ func (s *session) readLoop() {
 		if s.paused.Load() {
 			select {
 			case <-s.resume:
-			case <-s.d.stopCh:
+			case <-s.d.done:
 				return
 			case <-s.closed:
 				return
 			}
 		}
-		select {
-		case s.d.reqCh <- b:
-		case <-s.d.stopCh:
-			return
-		case <-s.closed:
+		if !s.d.ring.Post(b) {
 			return
 		}
 		if err != nil {
@@ -200,12 +196,10 @@ func (s *session) send(typ byte, body []byte) {
 	s.sub.Send(typ, body)
 }
 
-// unregister asks the main loop to decide this session's fate: drop, or
-// detach for the resume window.
+// unregister asks the loop to decide this session's fate: drop, or
+// detach for the resume window. With the loop gone, it closes.
 func (s *session) unregister() {
-	select {
-	case s.d.unregCh <- s:
-	case <-s.d.stopCh:
+	if !s.d.ring.Post(s) {
 		s.close()
 	}
 }

@@ -105,8 +105,8 @@ type Config struct {
 // Tier is the delivery tier: a registry of subscribers and their group
 // interests, plus the tier-wide counters. Registration, subscription and
 // publishing may be called from any goroutine; the expected arrangement
-// is a single publisher (the daemon main loop) with concurrent writer
-// goroutines draining the queues.
+// is a single publisher (the daemon, on its node's protocol loop) with
+// concurrent writer goroutines draining the queues.
 type Tier struct {
 	cfg Config
 
@@ -212,8 +212,8 @@ func (t *Tier) Detach(s *Subscriber) bool {
 // ResumeGap reports whether a resume of the detached subscriber from the
 // given stamp would have a gap, without attaching. The answer stays valid
 // until the next Publish touching the subscriber — in the daemon both run
-// on the main loop, which uses the answer to put the resume announcement
-// on the wire ahead of the replayed frames.
+// on the node's protocol loop, which uses the answer to build the resume
+// announcement that Attach queues ahead of the replayed frames.
 func (t *Tier) ResumeGap(s *Subscriber, stamp uint64) (gap bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -236,9 +236,12 @@ func (t *Tier) ResumeGap(s *Subscriber, stamp uint64) (gap bool, err error) {
 // the queue, the callbacks are replaced, and a fresh writer starts. gap
 // reports that frames beyond stamp were dropped while the subscriber was
 // away (shed, or evicted past the history depth) — the resumed stream is
-// missing them and the client must be told. Attach fails with
-// ErrResumeClosed when the subscriber died while detached.
-func (t *Tier) Attach(s *Subscriber, sink Sink, stamp uint64, onKill func(), onExit func(error)) (gap bool, err error) {
+// missing them and the client must be told. A non-nil body is a control
+// frame of type typ queued ahead of the replay: the daemon's resume
+// announcement, which the writer sends first and nothing waits for.
+// Attach fails with ErrResumeClosed when the subscriber died while
+// detached.
+func (t *Tier) Attach(s *Subscriber, sink Sink, stamp uint64, typ byte, body []byte, onKill func(), onExit func(error)) (gap bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.subs[s]; !ok {
@@ -253,12 +256,30 @@ func (t *Tier) Attach(s *Subscriber, sink Sink, stamp uint64, onKill func(), onE
 		return false, ErrNotDetached
 	}
 	gap = s.rewind(stamp)
+	if body != nil {
+		s.prepend(frame{typ: typ, body: body})
+	}
 	s.detached = false
 	s.onKill = onKill
 	s.onExit = onExit
 	s.gen++
 	go s.writeLoop(s.gen, sink)
 	return gap, nil
+}
+
+// Close closes every registered subscriber, whose writers then exit
+// through their exit callbacks: the daemon's last step, which reaches the
+// sessions it has not yet heard from.
+func (t *Tier) Close() {
+	t.mu.Lock()
+	subs := make([]*Subscriber, 0, len(t.subs))
+	for s := range t.subs {
+		subs = append(subs, s)
+	}
+	t.mu.Unlock()
+	for _, s := range subs {
+		s.Close()
+	}
 }
 
 // Unregister removes the subscriber from every group and from the tier,

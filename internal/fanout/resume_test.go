@@ -61,7 +61,7 @@ func TestResumeExactSuffix(t *testing.T) {
 			}
 			last = publishSeq(tier, "g", last, 4) // queued while away
 			replacement := &recordSink{}
-			gap, err := tier.Attach(sub, replacement, 3, nil, nil)
+			gap, err := tier.Attach(sub, replacement, 3, 0, nil, nil, nil)
 			if err != nil || gap {
 				t.Fatalf("Attach: gap=%v err=%v", gap, err)
 			}
@@ -87,7 +87,7 @@ func TestResumeRewindsHistory(t *testing.T) {
 	tier.Detach(sub)
 	// Client only got through stamp 2; 3..5 died in the socket buffer.
 	replacement := &recordSink{}
-	gap, err := tier.Attach(sub, replacement, 2, nil, nil)
+	gap, err := tier.Attach(sub, replacement, 2, 0, nil, nil, nil)
 	if err != nil || gap {
 		t.Fatalf("Attach: gap=%v err=%v", gap, err)
 	}
@@ -97,7 +97,7 @@ func TestResumeRewindsHistory(t *testing.T) {
 	// history copies.
 	tier.Detach(sub)
 	third := &recordSink{}
-	gap, err = tier.Attach(sub, third, 5, nil, nil)
+	gap, err = tier.Attach(sub, third, 5, 0, nil, nil, nil)
 	if err != nil || gap {
 		t.Fatalf("second Attach: gap=%v err=%v", gap, err)
 	}
@@ -123,7 +123,7 @@ func TestShedWhileAwayReportsGap(t *testing.T) {
 		t.Fatalf("shed %d messages while away, want 2", got)
 	}
 	replacement := &recordSink{}
-	gap, err := tier.Attach(sub, replacement, 2, nil, nil)
+	gap, err := tier.Attach(sub, replacement, 2, 0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDisconnectPolicyKillsDetached(t *testing.T) {
 	if killed {
 		t.Fatal("kill callback fired after Detach cleared it")
 	}
-	if _, err := tier.Attach(sub, &recordSink{}, 0, nil, nil); !errors.Is(err, ErrResumeClosed) {
+	if _, err := tier.Attach(sub, &recordSink{}, 0, 0, nil, nil, nil); !errors.Is(err, ErrResumeClosed) {
 		t.Fatalf("Attach err = %v, want ErrResumeClosed", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestHistoryEvictionReportsGap(t *testing.T) {
 	expectStamps(t, old, 1, 2, 3, 4, 5)
 	tier.Detach(sub)
 	replacement := &recordSink{}
-	gap, err := tier.Attach(sub, replacement, 2, nil, nil)
+	gap, err := tier.Attach(sub, replacement, 2, 0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestNoHistoryResumeIsConservative(t *testing.T) {
 	publishSeq(tier, "g", 0, 3)
 	expectStamps(t, old, 1, 2, 3)
 	tier.Detach(sub)
-	if gap, err := tier.Attach(sub, &recordSink{}, 2, nil, nil); err != nil || !gap {
+	if gap, err := tier.Attach(sub, &recordSink{}, 2, 0, nil, nil, nil); err != nil || !gap {
 		t.Fatalf("Attach from stamp 2: gap=%v err=%v, want gap", gap, err)
 	}
 	tier.Detach(sub)
-	if gap, err := tier.Attach(sub, &recordSink{}, 3, nil, nil); err != nil || gap {
+	if gap, err := tier.Attach(sub, &recordSink{}, 3, 0, nil, nil, nil); err != nil || gap {
 		t.Fatalf("Attach from stamp 3: gap=%v err=%v, want clean", gap, err)
 	}
 }
@@ -217,7 +217,7 @@ func TestWriteFailureFrameReplayed(t *testing.T) {
 	// The failed write closed the subscriber; a real daemon detaches
 	// before the conn dies under it only sometimes — when the writer loses
 	// the race, resume must fail cleanly rather than hang.
-	if _, err := tier.Attach(sub, &recordSink{}, 0, nil, nil); !errors.Is(err, ErrResumeClosed) {
+	if _, err := tier.Attach(sub, &recordSink{}, 0, 0, nil, nil, nil); !errors.Is(err, ErrResumeClosed) {
 		t.Fatalf("Attach err = %v, want ErrResumeClosed", err)
 	}
 }
@@ -239,7 +239,7 @@ func TestDetachBeatsWriteFailure(t *testing.T) {
 	tier.Detach(sub)
 	gate <- errors.New("conn reset") // write now fails, post-detach
 	replacement := &recordSink{}
-	gap, err := tier.Attach(sub, replacement, 0, nil, nil)
+	gap, err := tier.Attach(sub, replacement, 0, 0, nil, nil, nil)
 	if err != nil || gap {
 		t.Fatalf("Attach: gap=%v err=%v", gap, err)
 	}

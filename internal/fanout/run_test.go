@@ -103,7 +103,7 @@ func TestFailedRunReplayedExactlyOnce(t *testing.T) {
 			}
 			acked := uint64(seen[len(seen)-1].body[0])
 			replacement := &recordSink{}
-			gap, err := tier.Attach(sub, replacement, acked, nil, nil)
+			gap, err := tier.Attach(sub, replacement, acked, 0, nil, nil, nil)
 			if err != nil || gap {
 				t.Fatalf("Attach from stamp %d: gap=%v err=%v", acked, gap, err)
 			}
@@ -152,7 +152,7 @@ func TestRunBoundedByHistory(t *testing.T) {
 			}
 			acked := uint64(seen[len(seen)-1].body[0])
 			replacement := &recordSink{}
-			gap, err := tier.Attach(sub, replacement, acked, nil, nil)
+			gap, err := tier.Attach(sub, replacement, acked, 0, nil, nil, nil)
 			if err != nil || gap {
 				t.Fatalf("Attach from stamp %d: gap=%v err=%v — a frame left history before it was on the wire", acked, gap, err)
 			}

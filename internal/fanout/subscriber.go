@@ -205,6 +205,19 @@ func (s *Subscriber) append(f frame) {
 	}
 }
 
+// prepend puts f at the head of the queue. Caller holds s.mu.
+func (s *Subscriber) prepend(f frame) {
+	if s.count == len(s.ring) {
+		s.grow()
+	}
+	s.head = (s.head - 1 + len(s.ring)) % len(s.ring)
+	s.ring[s.head] = f
+	s.count++
+	if s.count > s.highWater {
+		s.highWater = s.count
+	}
+}
+
 // grow doubles the physical ring, preserving FIFO order. Caller holds
 // s.mu. Messages get here while backlog climbs toward depth; control
 // frames also grow past it (they are exempt from the bound).

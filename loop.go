@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"accelring/internal/core"
+	"accelring/internal/daemon/hook"
 	"accelring/internal/engine"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
@@ -124,13 +125,15 @@ func (n *Node) step(eng core.OrderingEngine, h *held, ch <-chan transport.Run) {
 	}
 }
 
-// loop is the single protocol goroutine: it owns the engine. Each pass takes
-// the input engine.Pick chooses from what is in hand (the datagrams queued
-// on the token and data sockets, a run's rest counting as queued, and the
-// queued submissions), as netsim's CPU does, then up to SubmitsPerInput
-// more submissions; a due timer (after a wake here, a scheduled event in
-// netsim), a stats request or Close goes first. The one select waits when
-// nothing is in hand. The submissions a pass takes are one run (submit).
+// loop is the single protocol goroutine: it owns the engine, and the
+// daemon's state when a daemon serves the node (hook). Each pass takes the
+// input engine.Pick chooses from what is in hand (the datagrams queued on
+// the token and data sockets, a run's rest counting as queued, and the
+// queued submissions, with which the server's input counts), as netsim's
+// CPU does, then up to SubmitsPerInput more submissions; a due timer (after
+// a wake here, a scheduled event in netsim), a stats request or Close goes
+// first. The one select waits when nothing is in hand. The submissions a
+// pass takes are one run (submit), the server's among them.
 func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	defer func() {
 		n.closing.Store(true) // Submit answers ErrClosed from here on
@@ -138,6 +141,9 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 		n.tr.Close()
 		close(n.events)
 		close(n.done)
+		if n.srv != nil {
+			n.srv.Stop() // after done: a Post from here on fails
+		}
 	}()
 
 	n.execute(initial)
@@ -151,7 +157,7 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 		q := engine.Queued{
 			Token:   len(tokenCh) + n.tokenRun.pending(),
 			Data:    len(dataCh) + n.dataRun.pending(),
-			Submits: len(n.inHand) + len(n.submitCh),
+			Submits: len(n.inHand) + len(n.submitCh) + len(n.serveCh),
 		}
 		src, k := engine.Pick(q, p.TokenPriority)
 		kind, fired := n.timers.take()
@@ -188,12 +194,16 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 				n.inHand = append(n.inHand, req)
 				n.submit(eng, engine.SubmitQuota-1)
 				continue
+			case in := <-n.serveCh:
+				n.apply(eng, in)
+				submits = engine.SubmitQuota - 1
 			case ch := <-n.statsCh:
 				ch <- eng.Snapshot()
 			case <-n.stopCh:
 				return
 			}
 		}
+		n.serve(eng, submits)
 		if len(n.inHand) > 0 || len(n.submitCh) > 0 {
 			n.submit(eng, submits)
 		}
@@ -301,12 +311,24 @@ func (n *Node) execute(actions []engine.Action) {
 		case engine.Send:
 			n.send(act.To, act.Frame)
 		case engine.Deliver:
+			if n.srv != nil {
+				n.srv.Deliver(act.Msg.PID, act.Msg.Service, act.Msg.Payload)
+				n.nm.eventsDelivered.Inc()
+				n.retry = true
+				continue
+			}
 			n.deliver(Message{
 				Sender:  act.Msg.PID,
 				Service: act.Msg.Service,
 				Payload: act.Msg.Payload,
 			})
 		case engine.DeliverConfig:
+			if n.srv != nil {
+				n.srv.Configure(act.Config, act.Transitional)
+				n.nm.eventsDelivered.Inc()
+				n.retry = true
+				continue
+			}
 			n.deliver(ConfigChange{Config: act.Config, Transitional: act.Transitional})
 		case engine.SetTimer:
 			n.timers.set(act.Kind, act.After)
@@ -403,6 +425,102 @@ func (n *Node) deliver(ev Event) {
 		}
 	}
 }
+
+// attachment asks the loop to make srv the node's server (hook.Attach).
+type attachment struct {
+	srv     hook.Server
+	started chan struct{}
+}
+
+// attach posts an attachment and waits for the loop to start the server.
+func (n *Node) attach(srv hook.Server) error {
+	a := &attachment{srv: srv, started: make(chan struct{})}
+	if !n.post(a) {
+		return ErrClosed
+	}
+	select {
+	case <-a.started:
+		return nil
+	case <-n.done:
+		return ErrClosed
+	}
+}
+
+// post hands in to the loop (hook.Ring.Post). done is checked first: a
+// select between a free slot and a closed done would pick either.
+func (n *Node) post(in any) bool {
+	select {
+	case <-n.done:
+		return false
+	default:
+	}
+	select {
+	case n.serveCh <- in:
+		return true
+	case <-n.done:
+		return false
+	}
+}
+
+// serve hands the server a retry when the pass delivered, then up to k
+// posted inputs, in order. The loop calls it at the end of every pass with
+// the quota it takes submissions by, so a pass applies at most
+// engine.SubmitQuota + engine.SubmitsPerInput inputs; what they submit
+// joins inHand and is stepped right after.
+func (n *Node) serve(eng core.OrderingEngine, k int) {
+	if n.retry {
+		n.retry = false
+		// The pass's step may have shrunk the backlog the retry needs room in.
+		n.backlog.Store(int64(eng.Progress().Pending))
+		n.srv.Serve(nil)
+	}
+	for ; k > 0 && len(n.serveCh) > 0; k-- {
+		n.apply(eng, <-n.serveCh)
+	}
+}
+
+// apply hands one posted input to the server, or takes an attachment: the
+// events the loop queued on Events before it go to the new server first.
+func (n *Node) apply(eng core.OrderingEngine, in any) {
+	n.nm.inputs.Inc()
+	a, ok := in.(*attachment)
+	if !ok {
+		n.srv.Serve(in)
+		return
+	}
+	n.srv = a.srv
+	n.srv.Start(&served{n: n, eng: eng})
+	for len(n.events) > 0 {
+		switch ev := (<-n.events).(type) {
+		case Message:
+			n.srv.Deliver(ev.Sender, ev.Service, ev.Payload)
+		case ConfigChange:
+			n.srv.Configure(ev.Config, ev.Transitional)
+		}
+	}
+	close(a.started)
+}
+
+// served is the node's side of an attachment (hook.Ring).
+type served struct {
+	n   *Node
+	eng core.OrderingEngine
+}
+
+func (r *served) Post(in any) bool { return r.n.post(in) }
+
+func (r *served) Submit(payload []byte, svc Service) error {
+	if err := checkSubmit(payload, svc); err != nil {
+		return err
+	}
+	if !r.n.reserve() {
+		return core.ErrBacklogFull
+	}
+	r.n.inHand = append(r.n.inHand, submitReq{payload: payload, service: svc})
+	return nil
+}
+
+func (r *served) Metrics() any { return r.n.metrics(r.eng.Snapshot()) }
 
 // errRingCap bounds the recent-error ring. A burst of decode or send
 // failures stays visible (count plus the most recent instances) instead of

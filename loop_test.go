@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"accelring/internal/core"
+	"accelring/internal/daemon/hook"
 	"accelring/internal/engine"
+	"accelring/internal/wire"
 )
 
 // takeWithin runs the loop's side of the deadlines until a kind fires or
@@ -246,14 +248,17 @@ func TestErrorBurstIsAccounted(t *testing.T) {
 	}
 	// Wait until the loop has consumed the whole flood. (A submit round
 	// trip is not a barrier: the node delivers its own message off the
-	// token socket while garbage is still queued on the data socket.)
+	// token socket while garbage is still queued on the data socket.) The
+	// loop counts a decode failure before it records the error, so a
+	// snapshot can see the last failure and not yet its error: wait for
+	// both.
 	var snap MetricsSnapshot
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		var err error
 		if snap, err = nodes[0].Metrics(); err != nil {
 			t.Fatal(err)
 		}
-		if snap.Runtime.DecodeFailures >= garbage || time.Now().After(deadline) {
+		if snap.Runtime.DecodeFailures >= garbage && snap.ErrorCount >= garbage || time.Now().After(deadline) {
 			break
 		}
 	}
@@ -504,5 +509,77 @@ func TestInvalidWindowsRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("invalid windows accepted")
+	}
+}
+
+// fakeServer stands in for a daemon on the loop (hook.Server): it counts
+// what the loop hands it, and each Serve takes serveFor, as applying a
+// client's subscribe or stats frames takes time and submits nothing.
+type fakeServer struct {
+	delivered, configured, served atomic.Int64
+	serveFor                      time.Duration
+}
+
+func (f *fakeServer) Start(hook.Ring) {}
+func (f *fakeServer) Deliver(wire.ParticipantID, wire.Service, []byte) {
+	f.delivered.Add(1)
+}
+func (f *fakeServer) Configure(engine.Configuration, bool) { f.configured.Add(1) }
+func (f *fakeServer) Serve(any) {
+	time.Sleep(f.serveFor)
+	f.served.Add(1)
+}
+func (f *fakeServer) Stop() {}
+
+// TestServedDeliverAllocs gates the hand-off from the engine to the daemon
+// a node serves: an ordered message and a configuration change reach the
+// server with no allocation — no boxed Event, no channel. What the daemon
+// then does is its own gate (internal/daemon TestDeliverAllocs).
+func TestServedDeliverAllocs(t *testing.T) {
+	n, _, _ := newTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
+	srv := &fakeServer{}
+	n.srv = srv
+	msg := &wire.DataMessage{PID: 1, Service: Agreed, Payload: []byte("ordered")}
+	acts := []engine.Action{
+		engine.Deliver{Msg: msg},
+		engine.DeliverConfig{Config: engine.Configuration{Members: []wire.ParticipantID{1, 2}}},
+	}
+	if allocs := testing.AllocsPerRun(200, func() { n.execute(acts) }); allocs != 0 {
+		t.Fatalf("handing a delivery and a configuration to the server costs %v allocations, want 0", allocs)
+	}
+	if srv.delivered.Load() != 201 || srv.configured.Load() != 201 || len(n.events) != 0 {
+		t.Fatalf("server got %d messages and %d configurations, Events %d; want 201, 201, 0",
+			srv.delivered.Load(), srv.configured.Load(), len(n.events))
+	}
+}
+
+// TestAttachHandsOverQueuedEvents: a daemon attaches to a node already
+// running; what the loop delivered on Events before then goes to the
+// server first, and nothing goes to Events after.
+func TestAttachHandsOverQueuedEvents(t *testing.T) {
+	n := startTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
+	for deadline := time.Now().Add(5 * time.Second); len(n.events) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the ring's configuration never reached Events")
+		}
+	}
+	srv := &fakeServer{}
+	if err := n.attach(srv); err != nil {
+		t.Fatal(err)
+	}
+	if srv.configured.Load() != 1 || len(n.events) != 0 {
+		t.Fatalf("server got %d configurations, %d left on Events; want 1, 0", srv.configured.Load(), len(n.events))
+	}
+	if !n.post("input") {
+		t.Fatal("post to a running loop failed")
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.served.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the loop never served the posted input")
+		}
+	}
+	n.Close()
+	if n.post("late") || n.attach(srv) == nil {
+		t.Fatal("post or attach to a closed node succeeded")
 	}
 }

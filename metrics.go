@@ -3,6 +3,7 @@ package accelring
 import (
 	"time"
 
+	"accelring/internal/core"
 	"accelring/internal/metrics"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
@@ -52,7 +53,8 @@ type RuntimeMetrics struct {
 	// disagrees with Submit's checks.
 	Submits      uint64 `json:"submits"`
 	SubmitErrors uint64 `json:"submit_errors"`
-	// EventsDelivered counts ordered events handed to the application.
+	// EventsDelivered counts ordered events handed to the application: on
+	// a node a daemon serves, handed to the daemon.
 	EventsDelivered uint64 `json:"events_delivered"`
 	// WatchdogChecks and WatchdogStalls count liveness watchdog samples
 	// and the subset that found the protocol loop frozen with work
@@ -114,6 +116,7 @@ type nodeMetrics struct {
 	submits         metrics.Counter
 	submitErrors    metrics.Counter
 	eventsDelivered metrics.Counter
+	inputs          metrics.Counter // the daemon's inputs applied (hook)
 	watchdogChecks  metrics.Counter
 	watchdogStalls  metrics.Counter
 	errors          metrics.Counter
@@ -167,6 +170,12 @@ func (n *Node) Metrics() (MetricsSnapshot, error) {
 	if err != nil {
 		return MetricsSnapshot{}, err
 	}
+	return n.metrics(st), nil
+}
+
+// metrics assembles the snapshot around the engine's, which the protocol
+// goroutine took: through Metrics, or itself for the daemon it runs.
+func (n *Node) metrics(st core.Snapshot) MetricsSnapshot {
 	snap := MetricsSnapshot{
 		EngineName:   string(n.engine),
 		Engine:       st.Stats,
@@ -180,7 +189,7 @@ func (n *Node) Metrics() (MetricsSnapshot, error) {
 	}
 	ts := n.tr.MetricsSnapshot()
 	snap.Transport = &ts
-	return snap, nil
+	return snap
 }
 
 // recentErrors returns the messages of the recent-error ring, oldest

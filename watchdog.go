@@ -28,7 +28,10 @@ type StallReport struct {
 	// PendingSubmits is the number of submissions Submit reserved room
 	// for that the loop has not stepped: those queued, those the loop took
 	// into hand while it waited on a full Events channel, and submitters
-	// parked on a full queue.
+	// parked on a full queue. On a node a daemon serves it also counts the
+	// client input the daemon's goroutines queued for the loop (session
+	// bursts, disconnects, resume-window expiries, drains), which the loop
+	// takes with the submissions.
 	PendingSubmits int
 	// EventQueueFull reports that the Events channel was at capacity — the
 	// classic wedge: the application stopped draining and the loop is
@@ -38,10 +41,11 @@ type StallReport struct {
 
 // progress sums the counters that advance whenever the protocol loop
 // completes work of any kind — a packet it could not decode and discarded
-// included. Strictly monotone; sampled lock-free.
+// included, and a daemon's input that submitted nothing. Strictly
+// monotone; sampled lock-free.
 func (m *nodeMetrics) progress() uint64 {
 	sum := m.timerFires.Load() + m.submits.Load() + m.submitErrors.Load() +
-		m.eventsDelivered.Load() + m.decodeFailures.Load()
+		m.eventsDelivered.Load() + m.decodeFailures.Load() + m.inputs.Load()
 	for i := range m.pkts {
 		sum += m.pkts[i].Load()
 	}
@@ -54,7 +58,7 @@ func (n *Node) pendingWork() (data, token, timers, submits int, evFull bool) {
 	data = len(n.tr.Data()) + n.dataRun.pending()
 	token = len(n.tr.Token()) + n.tokenRun.pending()
 	timers = len(n.timers.wake)
-	submits = int(n.reserved.Load())
+	submits = int(n.reserved.Load()) + len(n.serveCh)
 	evFull = len(n.events) == cap(n.events)
 	return
 }

@@ -2,6 +2,7 @@ package accelring
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -333,4 +334,73 @@ func TestWatchdogSeesWedgedTimerStep(t *testing.T) {
 	case <-time.After(3 * interval):
 		t.Fatalf("watchdog never reported the wedged loop (checks=%d)", n.nm.watchdogChecks.Load())
 	}
+}
+
+// TestWatchdogSeesQueuedClientInput: on a node a daemon serves, client
+// input the daemon's goroutines queued for the loop is pending work, and
+// applying it is progress.
+func TestWatchdogSeesQueuedClientInput(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	// A loop wedged inside a submission's Multicast, with nothing but three
+	// client inputs queued behind it, is flagged within two intervals, and
+	// PendingSubmits carries the three.
+	t.Run("wedged", func(t *testing.T) {
+		stalls := make(chan StallReport, 16)
+		rt := &recordingTransport{gate: make(chan struct{}), held: make(chan struct{}, 1)}
+		n, err := Start(Options{
+			ID:               1,
+			Transport:        rt,
+			Members:          []ParticipantID{1},
+			Engine:           EngineRingPaxos,
+			WatchdogInterval: interval,
+			OnStall:          func(r StallReport) { stalls <- r },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		defer close(rt.gate)
+		if err := n.attach(&fakeServer{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Submit([]byte("held"), Agreed); err != nil {
+			t.Fatal(err)
+		}
+		waitHeld(t, rt)
+		for _, in := range []string{"burst-1", "burst-2", "gone"} {
+			if !n.post(in) {
+				t.Fatal("post failed")
+			}
+		}
+		wedgedAt := time.Now()
+		select {
+		case r := <-stalls:
+			if elapsed := time.Since(wedgedAt); elapsed > 2*interval+100*time.Millisecond {
+				t.Fatalf("stall reported after %v, want within 2×%v of the wedge", elapsed, interval)
+			}
+			if want := (StallReport{Interval: interval, PendingSubmits: 3}); r != want {
+				t.Fatalf("stall report %+v, want %+v", r, want)
+			}
+		case <-time.After(3 * interval):
+			t.Fatalf("watchdog never reported the wedged loop (checks=%d)", n.nm.watchdogChecks.Load())
+		}
+	})
+	// A loop busy applying input that submits nothing, with more queued
+	// behind it the whole time, is not a stall: its ring never orders and
+	// its timers are an hour away, so applying input is its only progress.
+	t.Run("busy", func(t *testing.T) {
+		n := startTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
+		srv := &fakeServer{serveFor: interval / 3}
+		if err := n.attach(srv); err != nil {
+			t.Fatal(err)
+		}
+		var stalls atomic.Int64
+		go n.watchdog(interval, func(StallReport) { stalls.Add(1) })
+		for end := time.Now().Add(5 * interval); time.Now().Before(end); time.Sleep(interval / 10) {
+			n.post("subscribe")
+		}
+		if stalls.Load() != 0 || srv.served.Load() == 0 {
+			t.Fatalf("%d stalls while the loop applied %d inputs, want none", stalls.Load(), srv.served.Load())
+		}
+	})
 }
