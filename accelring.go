@@ -221,8 +221,10 @@ type Node struct {
 
 	submitCh chan submitReq
 	// reserved counts submissions Submit accepted and the loop has not
-	// stepped, parked submitters included; backlog is the engine's backlog
-	// as the loop last stored it. Submit keeps their sum within maxPending.
+	// stepped, parked submitters included, and on a served node the room
+	// posted input reserved and has not spent (hook.Ring.Post); backlog is
+	// the engine's backlog as the loop last stored it. Submit keeps their
+	// sum within maxPending, a post within the client bound (ownShare).
 	reserved   atomic.Int64
 	backlog    atomic.Int64
 	maxPending int64
@@ -257,8 +259,8 @@ type Node struct {
 	// frame, and the vector handed to Multicast; their headers are retained
 	// across runs. runActs collects a run of submissions' actions (submit),
 	// and inHand holds submissions taken off submitCh and not yet stepped
-	// (deliver, and the idle select). reserved counts them; they are at
-	// most maxPending.
+	// (deliver, and the idle select), and what a served node's daemon
+	// submitted (served.Submit). reserved counts them.
 	encBuf    []byte
 	encVec    [1][]byte
 	dec       wire.Decoder
@@ -268,12 +270,15 @@ type Node struct {
 	inHand    []submitReq
 
 	// srv is the daemon that serves the node (hook), nil for a library
-	// node, and retry notes a pass that delivered to it; the protocol
-	// goroutine owns both. serveCh carries the input the daemon's other
-	// goroutines post to the loop, and the attachment.
+	// node, and credit is what is left of the room the input being applied
+	// reserved; the protocol goroutine owns both. serveCh carries the input
+	// the daemon's other goroutines post to the loop, and the attachment.
+	// room is the loop's signal to posts waiting for room that a pass made
+	// some (reserveWait).
 	srv     hook.Server
-	retry   bool
-	serveCh chan any
+	credit  int
+	serveCh chan posted
+	room    chan struct{}
 
 	mu      sync.Mutex
 	errs    []error // ring of recent protocol-loop errors
@@ -373,7 +378,8 @@ func newNode(opts Options, kind EngineKind, eng core.OrderingEngine) (*Node, []e
 		submitCh:   make(chan submitReq, engine.SubmitQuota),
 		maxPending: int64(eng.Snapshot().Config.MaxPending),
 		statsCh:    make(chan chan core.Snapshot, 1),
-		serveCh:    make(chan any, serveBuffer),
+		serveCh:    make(chan posted, serveBuffer),
+		room:       make(chan struct{}, 1),
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
 		nm:         newNodeMetrics(),
@@ -435,7 +441,7 @@ func (n *Node) Submit(payload []byte, service Service) error {
 	if n.closing.Load() {
 		return ErrClosed
 	}
-	if !n.reserve() {
+	if !n.reserve(1, n.maxPending) {
 		return core.ErrBacklogFull
 	}
 	// The send is tried alone first, one channel lock; done matters only
@@ -466,11 +472,11 @@ func checkSubmit(payload []byte, service Service) error {
 	return nil
 }
 
-// reserve takes room for one submission within maxPending, counting the
+// reserve takes room for k submissions within limit, counting the
 // engine's backlog and the submissions not yet stepped.
-func (n *Node) reserve() bool {
-	if n.reserved.Add(1)+n.backlog.Load() > n.maxPending {
-		n.reserved.Add(-1)
+func (n *Node) reserve(k, limit int64) bool {
+	if n.reserved.Add(k)+n.backlog.Load() > limit {
+		n.reserved.Add(-k)
 		return false
 	}
 	return true

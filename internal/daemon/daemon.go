@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"accelring"
-	"accelring/internal/core"
 	"accelring/internal/daemon/hook"
 	"accelring/internal/engine"
 	"accelring/internal/fanout"
@@ -85,8 +84,6 @@ type Daemon struct {
 	// readers to the loop, and the client frames in them.
 	bursts      atomic.Uint64
 	burstFrames atomic.Uint64
-	// holds counts the node's refusals that held a session's input (hold).
-	holds atomic.Uint64
 
 	// state owned by the loop
 	sessions map[*session]bool
@@ -110,9 +107,6 @@ type Daemon struct {
 	// streams, valid until the next one.
 	routeGroups []string
 	routeSeqs   []uint64
-	// held lists the sessions whose input waits for room in the node's
-	// backlog (hold), in the order they were refused.
-	held []*session
 }
 
 // groupStream is one group's entry in the groupSeq table.
@@ -166,15 +160,12 @@ type server Daemon
 func (s *server) Start(r hook.Ring) { s.ring = r }
 
 // Serve applies one input a daemon goroutine posted to the loop — a
-// session's burst or disconnect, or a func for the rare rest — or, given
-// nil, retries the held input. A session's disconnect comes behind the
-// last burst its reader handed over, so what it sent before it went is
-// applied first.
+// session's burst or disconnect, or a func for the rare rest. A session's
+// disconnect comes behind the last burst its reader handed over, so what
+// it sent before it went is applied first.
 func (s *server) Serve(in any) {
 	d := (*Daemon)(s)
 	switch in := in.(type) {
-	case nil:
-		d.retryHeld()
 	case *burst:
 		d.applyBurst(in)
 	case *session:
@@ -252,106 +243,36 @@ func (d *Daemon) acceptLoop() {
 // applyBurst handles one session wake-up's worth of client frames, in
 // order, and recycles the burst. A frame that closes the session ends the
 // burst: what a client sent behind its own goodbye or a malformed frame is
-// dropped with the connection. The burst joins the session's input queue;
-// it is applied now unless input the node refused waits ahead of it
-// (hold).
+// dropped with the connection. The reader reserved room for the burst's
+// submissions when it posted it, so the node takes every one.
 func (d *Daemon) applyBurst(b *burst) {
 	s := b.sess
-	s.input = append(s.input, b)
-	if len(s.input) == 1 && !d.applyInput(s) {
-		d.hold(s)
+	start := 0
+	for _, f := range b.frames {
+		if s.isClosed() {
+			break
+		}
+		d.applyRequest(s, f.typ, b.slab[start:f.end])
+		start = f.end
 	}
-}
-
-// applyInput applies s's queued bursts in order, recycling each one
-// applied. It reports false when the node refused a frame for a full
-// backlog: that frame and everything behind it stay queued.
-func (d *Daemon) applyInput(s *session) bool {
-	for k, b := range s.input {
-		i, ok := d.applyFrames(b, s.inputNext)
-		if !ok {
-			s.inputNext = i
-			n := copy(s.input, s.input[k:])
-			clear(s.input[n:])
-			s.input = s.input[:n]
-			return false
-		}
-		s.inputNext = 0
-		b.sess = nil
-		burstPool.Put(b)
-	}
-	clear(s.input)
-	s.input = s.input[:0]
-	return true
-}
-
-// applyFrames applies b's frames from the i-th on. It stops at a frame the
-// node refused for a full backlog and reports its index and false.
-func (d *Daemon) applyFrames(b *burst, i int) (int, bool) {
-	s := b.sess
-	for ; i < len(b.frames) && !s.isClosed(); i++ {
-		start := 0
-		if i > 0 {
-			start = b.frames[i-1].end
-		}
-		if !d.applyRequest(s, b.frames[i].typ, b.slab[start:b.frames[i].end]) {
-			return i, false
-		}
-	}
-	return i, true
-}
-
-// hold is the daemon's backpressure: the node refused a frame of s's
-// because its backlog is full. The frame and the rest of s's input wait,
-// the session's reader stops handing over bursts, and the loop retries
-// them in a pass after a delivery, which is when the backlog shrinks. The
-// loop never waits for room: it is the loop that makes room.
-func (d *Daemon) hold(s *session) {
-	s.paused.Store(true)
-	d.held = append(d.held, s)
-	d.holds.Add(1)
-}
-
-// retryHeld applies held input until the node refuses again, session by
-// session in the order they were held. A session whose input is all
-// applied resumes reading, and a disconnect that came while it was held
-// is handled now.
-func (d *Daemon) retryHeld() {
-	kept := d.held[:0]
-	for _, s := range d.held {
-		if !d.applyInput(s) {
-			kept = append(kept, s)
-			continue
-		}
-		s.paused.Store(false)
-		select {
-		case s.resume <- struct{}{}:
-		default:
-		}
-		if s.goneHeld {
-			s.goneHeld = false
-			d.sessionGone(s)
-		}
-	}
-	clear(d.held[len(kept):])
-	d.held = kept
+	b.sess = nil
+	burstPool.Put(b)
 }
 
 // applyRequest handles one client frame. body is borrowed from the burst:
-// nothing here may keep a slice of it. It reports false, having changed
-// nothing, when the node refused a submission for a full backlog.
-func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
+// nothing here may keep a slice of it.
+func (d *Daemon) applyRequest(s *session, typ byte, body []byte) {
 	switch typ {
 	case ipc.CmdConnect:
 		name, _, err := ipc.GetString(body)
 		if err != nil || !validName(name) {
 			s.close()
-			return true
+			return
 		}
 		private := d.memberName(name)
 		if !d.claimName(private) {
 			s.close()
-			return true
+			return
 		}
 		s.member = private
 		s.id = d.newSessionID()
@@ -363,7 +284,7 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
 	case ipc.CmdResume:
 		if s.member != "" {
 			s.close()
-			return true
+			return
 		}
 		d.applyResume(s, body)
 	case ipc.CmdGoodbye:
@@ -374,12 +295,12 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
 	case ipc.CmdJoin, ipc.CmdLeave:
 		if s.member == "" {
 			s.close()
-			return true
+			return
 		}
 		group, _, err := ipc.GetString(body)
 		if err != nil || ipc.CheckGroup(group) != nil {
 			s.close()
-			return true
+			return
 		}
 		op := ringJoin
 		if typ == ipc.CmdLeave {
@@ -387,9 +308,6 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
 		}
 		p := membershipPayload{Member: s.member, Group: group}
 		if err := d.ring.Submit(p.encode(op), accelring.Agreed); err != nil {
-			if errors.Is(err, core.ErrBacklogFull) {
-				return false
-			}
 			d.logf("daemon: submit membership: %v", err)
 		}
 	case ipc.CmdSubscribe, ipc.CmdUnsubscribe:
@@ -398,12 +316,12 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
 		// read-only audiences.
 		if s.member == "" {
 			s.close()
-			return true
+			return
 		}
 		group, _, err := ipc.GetString(body)
 		if err != nil || ipc.CheckGroup(group) != nil {
 			s.close()
-			return true
+			return
 		}
 		if typ == ipc.CmdSubscribe {
 			d.tier.Subscribe(s.sub, group, fanout.SourceExplicit)
@@ -413,31 +331,27 @@ func (d *Daemon) applyRequest(s *session, typ byte, body []byte) bool {
 	case ipc.CmdMulticast:
 		if s.member == "" {
 			s.close()
-			return true
+			return
 		}
 		encoded, svc, err := encodeApp(body, s.member)
 		if err != nil {
 			s.close()
-			return true
+			return
 		}
 		if err := d.ring.Submit(encoded, svc); err != nil {
-			if errors.Is(err, core.ErrBacklogFull) {
-				return false
-			}
 			d.logf("daemon: submit: %v", err)
-			return true
+			return
 		}
 		s.submits++
 	case ipc.CmdStats:
 		if s.member == "" {
 			s.close()
-			return true
+			return
 		}
 		s.send(ipc.EvtStats, d.encodeStats())
 	default:
 		s.close()
 	}
-	return true
 }
 
 // validName screens a client-chosen name: the daemon appends "@<node>" to
@@ -583,11 +497,6 @@ func (d *Daemon) sessionGone(s *session) {
 	if s.state != sessActive {
 		return
 	}
-	if len(s.input) > 0 {
-		// What the client sent before it went still goes to the ring.
-		s.goneHeld = true
-		return
-	}
 	if d.resumeWindow > 0 && s.member != "" && d.sessions[s] && !s.goodbye && !d.draining.Load() {
 		d.detachSession(s)
 		return
@@ -610,7 +519,7 @@ func (d *Daemon) detachSession(s *session) {
 	d.detached[s.id] = s
 	id := s.id
 	s.detachTimer = time.AfterFunc(d.resumeWindow, func() {
-		d.ring.Post(func() { d.expireDetached(id) })
+		d.ring.Post(func() { d.expireDetached(id) }, 0)
 	})
 	d.logf("daemon: holding session %s for resume", s.member)
 }
@@ -655,7 +564,7 @@ func (d *Daemon) Drain(timeout time.Duration) error {
 		}
 		close(ack)
 	}
-	if d.ring.Post(announce) {
+	if d.ring.Post(announce, 0) {
 		select {
 		case <-ack:
 		case <-d.done:
@@ -681,7 +590,7 @@ func (d *Daemon) Snapshot() fanout.TierSnapshot {
 	fs.DrainMs = d.drainMs.Load()
 	fs.Bursts = d.bursts.Load()
 	fs.BurstFrames = d.burstFrames.Load()
-	fs.Holds = d.holds.Load()
+	fs.Holds = d.ring.Waits()
 	return fs
 }
 
@@ -725,7 +634,9 @@ func (d *Daemon) encodeStats() []byte {
 }
 
 // dropSession removes a disconnected client, multicasting leaves for every
-// group it belonged to so all daemons converge.
+// group it belonged to so all daemons converge. The leaves are the
+// daemon's own submissions, which the node admits past the clients' bound
+// (hook.Ring.Submit): a backlog clients filled does not lose them.
 func (d *Daemon) dropSession(s *session) {
 	s.state = sessGone
 	if s.detachTimer != nil {
@@ -916,7 +827,7 @@ func (d *Daemon) applyRingConfig(cfg accelring.Configuration) {
 	}
 	// Re-announce local memberships to daemons that merged in: joins are
 	// idempotent, and ordering them through the ring rebuilds a consistent
-	// view everywhere after a partition heal.
+	// view everywhere after a partition heal, under load too (dropSession).
 	for group, members := range d.groups {
 		for _, m := range members {
 			if d.local[m] != nil {

@@ -35,8 +35,8 @@ func startDaemonsOn(t *testing.T, n int, net0 *accelring.MemoryNetwork) *cluster
 }
 
 // startDaemonsWith additionally configures the client delivery tier, for
-// backpressure-policy tests.
-func startDaemonsWith(t *testing.T, n int, net0 *accelring.MemoryNetwork, fcfg fanout.Config) *cluster {
+// backpressure-policy tests, and lets tune change every node's options.
+func startDaemonsWith(t *testing.T, n int, net0 *accelring.MemoryNetwork, fcfg fanout.Config, tune ...func(*accelring.Options)) *cluster {
 	t.Helper()
 	dir := t.TempDir()
 	members := make([]accelring.ParticipantID, 0, n)
@@ -45,13 +45,17 @@ func startDaemonsWith(t *testing.T, n int, net0 *accelring.MemoryNetwork, fcfg f
 	}
 	c := &cluster{t: t}
 	for _, id := range members {
-		node, err := accelring.Start(accelring.Options{
+		opts := accelring.Options{
 			ID:                 id,
 			Transport:          net0.Endpoint(id),
 			Members:            members,
 			TokenLossTimeout:   300 * time.Millisecond,
 			TokenRetransPeriod: 60 * time.Millisecond,
-		})
+		}
+		for _, f := range tune {
+			f(&opts)
+		}
+		node, err := accelring.Start(opts)
 		if err != nil {
 			t.Fatalf("node %d: %v", id, err)
 		}

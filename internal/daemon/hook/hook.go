@@ -3,6 +3,12 @@
 // Spread's daemon runs both from one event loop. It exists because the
 // daemon imports the root package, which therefore cannot import the
 // daemon: the root package fills Attach at init.
+//
+// Admission has one rule, the one the node's Submit follows: room in the
+// backlog is reserved before a submission is queued for the loop, so the
+// loop never refuses one. A poster reserves room for what its input will
+// submit (Ring.Post), and waits while there is none; the loop, which makes
+// room as the ring orders, never waits for it.
 package hook
 
 import (
@@ -21,9 +27,7 @@ type Server interface {
 	Deliver(sender wire.ParticipantID, svc wire.Service, payload []byte)
 	// Configure applies one configuration change, on the same terms.
 	Configure(cfg engine.Configuration, transitional bool)
-	// Serve applies one input handed over with Ring.Post. Given nil, at the
-	// end of a pass that delivered, it retries the input the node refused
-	// for a full backlog: a delivery is when the backlog shrinks.
+	// Serve applies one input handed over with Ring.Post.
 	Serve(in any)
 	// Stop ends the server: the loop has exited and calls nothing more.
 	Stop()
@@ -32,15 +36,24 @@ type Server interface {
 // Ring is the node's side of an attachment.
 type Ring interface {
 	// Post hands in to the loop, which passes it to Server.Serve in the
-	// order posted, counting it with the submissions in engine.Pick. Any
-	// goroutine but the loop's may call it; it blocks while the loop's
-	// input queue is full and reports false, dropping in, once the loop
-	// has exited.
-	Post(in any) bool
+	// order posted, counting it with the submissions in engine.Pick. First
+	// it reserves room in the node's backlog for the submits messages Serve
+	// may Submit for in, under the bound the node's Submit keeps less the
+	// daemon's share (Submit), waiting while there is none. Any goroutine
+	// but the loop's may call it; it blocks while the loop's input queue is
+	// full, and reports false, dropping in, once the loop has exited.
+	Post(in any, submits int) bool
+	// Waits counts the posts that found no room and waited for it, from
+	// when each began to wait. Any goroutine may call it.
+	Waits() uint64
 	// Submit queues a message for ordering as the node's Submit does, but
-	// from the loop: into the pass's hand, under the same backlog bound,
-	// stepped at the end of the pass. It answers core.ErrBacklogFull
-	// instead of blocking. Loop only.
+	// from the loop: into the pass's hand, stepped at the end of the pass.
+	// Inside Serve it spends the room the input's Post reserved, and the
+	// loop releases what the input did not spend. A submission with no
+	// reservation left — the daemon's own leaves and re-announced joins —
+	// is admitted past the client bound, into the share of the engine's
+	// bound kept for it. It answers only a message the engine would refuse
+	// whatever its backlog. Loop only.
 	Submit(payload []byte, svc wire.Service) error
 	// Metrics is the node's metrics snapshot, taken on the loop. Loop only.
 	Metrics() any

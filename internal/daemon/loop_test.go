@@ -10,6 +10,7 @@ import (
 
 	"accelring"
 	"accelring/internal/client"
+	"accelring/internal/faultplan"
 	"accelring/internal/ipc"
 	"accelring/internal/wire"
 )
@@ -161,23 +162,38 @@ func TestResumeReplyDoesNotBlockLoop(t *testing.T) {
 }
 
 // TestCloseUnderFloodLeavesNoGoroutines: Close on a daemon whose loop has
-// client input queued and held returns, and every goroutine the node, the daemon
-// and its sessions started exits — a session reader blocked handing a
-// burst to a loop that has exited gives up, and one waiting on a client
-// that never spoke is woken. A Drain and a resume-window expiry that come
-// after Close neither block nor panic.
+// client input queued returns, and every goroutine the node, the daemon
+// and its sessions started exits — a session reader waiting for room in
+// the backlog of a ring that orders nothing (every token is dropped, and
+// token loss is a minute away) or blocked handing a burst to a loop that
+// has exited gives up, and one waiting on a client that never spoke is
+// woken. A Drain and a resume-window expiry that come after Close neither
+// block nor panic.
 func TestCloseUnderFloodLeavesNoGoroutines(t *testing.T) {
 	const window = time.Second
 	net0 := accelring.NewMemoryNetwork(37)
 	before := runtime.NumGoroutine()
-	node, err := accelring.Start(accelring.Options{
-		ID:        1,
-		Transport: net0.Endpoint(1),
-		Members:   []accelring.ParticipantID{1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The ring's second member, a library node: a unicast to self is never
+	// faulted, so a ring of one cannot be stalled.
+	members := []accelring.ParticipantID{1, 2}
+	var nodes []*accelring.Node
+	for _, id := range members {
+		node, err := accelring.Start(accelring.Options{
+			ID:               id,
+			Transport:        net0.Endpoint(id),
+			Members:          members,
+			TokenLossTimeout: time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
 	}
+	node, peer := nodes[0], nodes[1]
+	go func() {
+		for range peer.Events() {
+		}
+	}()
 	sock := filepath.Join(t.TempDir(), "ringd.sock")
 	ln, err := net.Listen("unix", sock)
 	if err != nil {
@@ -204,6 +220,7 @@ func TestCloseUnderFloodLeavesNoGoroutines(t *testing.T) {
 	gone := rawConnect(t, sock, "gone")
 	gone.conn.Close()
 	goneAt := time.Now()
+	net0.ApplyFaults(&faultplan.Plan{Links: []faultplan.LinkFault{{Kinds: faultplan.MaskToken, Loss: 1}}})
 
 	// Flooders: open-loop multicasts until their connection dies.
 	var frames []byte
@@ -223,8 +240,7 @@ func TestCloseUnderFloodLeavesNoGoroutines(t *testing.T) {
 			}
 		}()
 	}
-	// Input waits for the loop once the flood has filled the node's backlog
-	// and the daemon holds a session.
+	// A reader waits once the flood has filled the node's backlog.
 	for deadline := time.Now().Add(10 * time.Second); d.Snapshot().Holds == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("the flood never filled the node's backlog (%d frames in)", d.Snapshot().BurstFrames)
@@ -232,6 +248,7 @@ func TestCloseUnderFloodLeavesNoGoroutines(t *testing.T) {
 	}
 
 	returnsWithin(t, "Close under a flood", 5*time.Second, d.Close)
+	peer.Close()
 	returnsWithin(t, "Drain after Close", 2*time.Second, func() error { return d.Drain(time.Minute) })
 	time.Sleep(time.Until(goneAt.Add(window + 100*time.Millisecond))) // the expiry fires on a stopped daemon
 	flooders.Wait()

@@ -10,6 +10,12 @@
 // — session readers, resume-window timers, Drain. Those goroutines touch
 // no daemon state; the fan-out tier's writers drain each client's queue
 // onto its socket, so the loop never writes a socket itself.
+//
+// Overload has one rule, the node's: a session reader reserves room in
+// the node's backlog for the submissions of a burst before it posts the
+// burst, and waits while there is none, so the loop never refuses client
+// input. The daemon's own leaves and re-announced joins take room past
+// the clients' bound, in a share of the engine's bound kept for them.
 package daemon
 
 import (

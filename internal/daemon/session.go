@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accelring/internal/fanout"
@@ -50,17 +49,6 @@ type session struct {
 	// detachTimer expires the detached session at the end of the resume
 	// window.
 	detachTimer *time.Timer
-	// input queues the bursts the loop has taken and not yet
-	// applied, the first from frame inputNext on. It is empty except while
-	// the node refuses a frame for a full backlog (Daemon.hold); goneHeld
-	// then defers a disconnect until the input is applied. Owned by the
-	// loop. paused tells the reader to wait for resume before it
-	// hands over another burst.
-	input     []*burst
-	inputNext int
-	goneHeld  bool
-	paused    atomic.Bool
-	resume    chan struct{}
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -91,7 +79,6 @@ func newSession(d *Daemon, conn net.Conn) *session {
 		d:      d,
 		conn:   conn,
 		closed: make(chan struct{}),
-		resume: make(chan struct{}, 1),
 	}
 	s.sub = d.tier.Register(&ipcSink{conn: conn}, s.killFunc(), s.exitFunc())
 	return s
@@ -124,10 +111,14 @@ func (s *session) exitFunc() func(error) {
 // one slab. The bodies are borrowed: the loop copies out what it
 // keeps (names into strings, a multicast into the payload it submits) and
 // returns the burst to burstPool when it has applied the last frame.
+// submits counts the frames that submit to the ring (multicast, join,
+// leave): the room the reader reserves when it posts the burst. The
+// reader's buffer bounds a burst, so it is well under the backlog bound.
 type burst struct {
-	sess   *session
-	slab   []byte
-	frames []burstFrame
+	sess    *session
+	slab    []byte
+	frames  []burstFrame
+	submits int
 }
 
 // burstFrame is one frame of a burst: its type and where its body ends in
@@ -143,7 +134,7 @@ var burstPool = sync.Pool{New: func() any { return new(burst) }}
 // already buffered — a run is whatever is already there, so a lone frame
 // is a burst of one and waits for nothing.
 func (b *burst) fill(rd *ipc.Reader) error {
-	b.slab, b.frames = b.slab[:0], b.frames[:0]
+	b.slab, b.frames, b.submits = b.slab[:0], b.frames[:0], 0
 	for more := true; more; more = rd.Buffered() {
 		typ, body, err := rd.Next()
 		if err != nil {
@@ -151,13 +142,21 @@ func (b *burst) fill(rd *ipc.Reader) error {
 		}
 		b.slab = append(b.slab, body...)
 		b.frames = append(b.frames, burstFrame{typ: typ, end: len(b.slab)})
+		switch typ {
+		case ipc.CmdMulticast, ipc.CmdJoin, ipc.CmdLeave:
+			b.submits++
+		}
 	}
 	return nil
 }
 
 // readLoop pumps client frames into the node's protocol loop, a burst per
 // wake-up. A malformed frame behind good ones ends the session after they
-// are handed over, as it would have frame by frame.
+// are handed over, as it would have frame by frame. Posting a burst
+// reserves room for its submissions in the node's backlog; while there is
+// none the reader waits, the socket fills and the client's Multicast
+// blocks: backpressure reaches the sender, and no other session waits
+// behind this one.
 func (s *session) readLoop() {
 	defer s.unregister()
 	rd := ipc.NewReader(s.conn)
@@ -171,19 +170,7 @@ func (s *session) readLoop() {
 		}
 		s.d.bursts.Add(1)
 		s.d.burstFrames.Add(uint64(len(b.frames)))
-		if s.paused.Load() {
-			select {
-			case <-s.resume:
-			case <-s.d.done:
-				return
-			case <-s.closed:
-				return
-			}
-		}
-		if !s.d.ring.Post(b) {
-			return
-		}
-		if err != nil {
+		if !s.d.ring.Post(b, b.submits) || err != nil {
 			return
 		}
 	}
@@ -199,7 +186,7 @@ func (s *session) send(typ byte, body []byte) {
 // unregister asks the loop to decide this session's fate: drop, or
 // detach for the resume window. With the loop gone, it closes.
 func (s *session) unregister() {
-	if !s.d.ring.Post(s) {
+	if !s.d.ring.Post(s, 0) {
 		s.close()
 	}
 }

@@ -465,8 +465,8 @@ type TierSnapshot struct {
 	// the flush time of the last graceful drain; and, on the ingest side,
 	// the bursts of client frames its sessions' readers handed over and the
 	// frames in them, so BurstFrames/Bursts is frames per socket wake-up;
-	// and Holds, the times the ring node refused a client's submission for
-	// a full backlog and the daemon held that client's input to retry.
+	// and Holds, the times a reader's post of a burst found no room in the
+	// ring node's backlog and waited for some.
 	Detached      int    `json:"detached,omitempty"`
 	Resumes       uint64 `json:"resumes,omitempty"`
 	ResumeGaps    uint64 `json:"resume_gaps,omitempty"`

@@ -153,7 +153,9 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 
 	for !n.closing.Load() {
 		p := eng.Progress()
-		n.backlog.Store(int64(p.Pending))
+		if int64(p.Pending) < n.backlog.Swap(int64(p.Pending)) {
+			n.signalRoom() // the last pass made room
+		}
 		q := engine.Queued{
 			Token:   len(tokenCh) + n.tokenRun.pending(),
 			Data:    len(dataCh) + n.dataRun.pending(),
@@ -314,7 +316,6 @@ func (n *Node) execute(actions []engine.Action) {
 			if n.srv != nil {
 				n.srv.Deliver(act.Msg.PID, act.Msg.Service, act.Msg.Payload)
 				n.nm.eventsDelivered.Inc()
-				n.retry = true
 				continue
 			}
 			n.deliver(Message{
@@ -326,7 +327,6 @@ func (n *Node) execute(actions []engine.Action) {
 			if n.srv != nil {
 				n.srv.Configure(act.Config, act.Transitional)
 				n.nm.eventsDelivered.Inc()
-				n.retry = true
 				continue
 			}
 			n.deliver(ConfigChange{Config: act.Config, Transitional: act.Transitional})
@@ -435,7 +435,7 @@ type attachment struct {
 // attach posts an attachment and waits for the loop to start the server.
 func (n *Node) attach(srv hook.Server) error {
 	a := &attachment{srv: srv, started: make(chan struct{})}
-	if !n.post(a) {
+	if !n.post(a, 0) {
 		return ErrClosed
 	}
 	select {
@@ -446,46 +446,99 @@ func (n *Node) attach(srv hook.Server) error {
 	}
 }
 
-// post hands in to the loop (hook.Ring.Post). done is checked first: a
-// select between a free slot and a closed done would pick either.
-func (n *Node) post(in any) bool {
+// posted is an input on serveCh and the room its poster reserved.
+type posted struct {
+	in      any
+	submits int
+}
+
+// post hands in to the loop (hook.Ring.Post) once room for submits is
+// reserved. done is checked first: a select between a free slot and a
+// closed done would pick either.
+func (n *Node) post(in any, submits int) bool {
+	k := int64(submits)
+	if k > 0 && !n.reserveWait(k) {
+		return false
+	}
 	select {
 	case <-n.done:
+		n.reserved.Add(-k)
 		return false
 	default:
 	}
 	select {
-	case n.serveCh <- in:
+	case n.serveCh <- posted{in: in, submits: submits}:
 		return true
 	case <-n.done:
+		n.reserved.Add(-k)
 		return false
 	}
 }
 
-// serve hands the server a retry when the pass delivered, then up to k
-// posted inputs, in order. The loop calls it at the end of every pass with
-// the quota it takes submissions by, so a pass applies at most
-// engine.SubmitQuota + engine.SubmitsPerInput inputs; what they submit
-// joins inHand and is stepped right after.
-func (n *Node) serve(eng core.OrderingEngine, k int) {
-	if n.retry {
-		n.retry = false
-		// The pass's step may have shrunk the backlog the retry needs room in.
-		n.backlog.Store(int64(eng.Progress().Pending))
-		n.srv.Serve(nil)
+// reserveWait reserves room for k submissions under the client bound:
+// maxPending less the share kept for the daemon's own submissions
+// (ownShare). While there is none it waits for the loop's signal that a
+// pass made room, or reports false once the loop has exited. The signal
+// stays in its slot until a poster takes it, so room made after a poster
+// looked is never missed.
+func (n *Node) reserveWait(k int64) bool {
+	limit := n.maxPending - n.maxPending/ownShare
+	if n.reserve(k, limit) {
+		return true
 	}
+	n.nm.postWaits.Inc()
+	for !n.reserve(k, limit) {
+		select {
+		case <-n.room:
+		case <-n.done:
+			return false
+		}
+	}
+	n.signalRoom() // pass the wake on: another poster may fit in what is left
+	return true
+}
+
+// ownShare sets the share of a served node's backlog bound kept for the
+// daemon's own submissions: client input is admitted up to maxPending less
+// maxPending/ownShare (43 750 of the default 50 000), and a leave or a
+// re-announced join goes in past that, so the engine takes it while the
+// clients' share is full.
+const ownShare = 8
+
+// signalRoom tells a poster waiting in reserveWait that a pass made room:
+// it fills room's slot if it is empty, which costs no lock when it is not.
+func (n *Node) signalRoom() {
+	select {
+	case n.room <- struct{}{}:
+	default:
+	}
+}
+
+// serve applies up to k posted inputs, in order. The loop calls it at the
+// end of every pass with the quota it takes submissions by, so a pass
+// applies at most engine.SubmitQuota + engine.SubmitsPerInput inputs; what
+// they submit joins inHand and is stepped right after.
+func (n *Node) serve(eng core.OrderingEngine, k int) {
 	for ; k > 0 && len(n.serveCh) > 0; k-- {
 		n.apply(eng, <-n.serveCh)
 	}
 }
 
-// apply hands one posted input to the server, or takes an attachment: the
-// events the loop queued on Events before it go to the new server first.
-func (n *Node) apply(eng core.OrderingEngine, in any) {
+// apply hands one posted input to the server, which spends its reservation
+// as it submits (credit), then releases what it did not spend; or it takes
+// an attachment: the events the loop queued on Events before it go to the
+// new server first.
+func (n *Node) apply(eng core.OrderingEngine, p posted) {
 	n.nm.inputs.Inc()
-	a, ok := in.(*attachment)
+	a, ok := p.in.(*attachment)
 	if !ok {
-		n.srv.Serve(in)
+		n.credit = p.submits
+		n.srv.Serve(p.in)
+		if n.credit > 0 {
+			n.reserved.Add(-int64(n.credit))
+			n.credit = 0
+			n.signalRoom()
+		}
 		return
 	}
 	n.srv = a.srv
@@ -507,16 +560,23 @@ type served struct {
 	eng core.OrderingEngine
 }
 
-func (r *served) Post(in any) bool { return r.n.post(in) }
+func (r *served) Post(in any, submits int) bool { return r.n.post(in, submits) }
+func (r *served) Waits() uint64                 { return r.n.nm.postWaits.Load() }
 
+// Submit spends the applied input's credit, or, with none left, takes room
+// past the client bound (ownShare). Either way the submission counts in
+// reserved until the loop steps it.
 func (r *served) Submit(payload []byte, svc Service) error {
 	if err := checkSubmit(payload, svc); err != nil {
 		return err
 	}
-	if !r.n.reserve() {
-		return core.ErrBacklogFull
+	n := r.n
+	if n.credit > 0 {
+		n.credit--
+	} else {
+		n.reserved.Add(1)
 	}
-	r.n.inHand = append(r.n.inHand, submitReq{payload: payload, service: svc})
+	n.inHand = append(n.inHand, submitReq{payload: payload, service: svc})
 	return nil
 }
 

@@ -531,6 +531,76 @@ func (f *fakeServer) Serve(any) {
 }
 func (f *fakeServer) Stop() {}
 
+// submitServer is a daemon on the loop that submits, for an input k,
+// k messages through the ring's Submit.
+type submitServer struct {
+	fakeServer
+	ring hook.Ring
+}
+
+func (s *submitServer) Start(r hook.Ring) { s.ring = r }
+func (s *submitServer) Serve(in any) {
+	for range in.(int) {
+		s.ring.Submit([]byte("m"), Agreed)
+	}
+	s.served.Add(1)
+}
+
+// TestPostReservesBeforeItQueues: a post reserves room for what its input
+// may submit, under the client bound (maxPending less its eighth), before
+// it queues the input, and the loop gives back what the input did not
+// spend. A post that finds no room waits, counted from when it begins, and
+// returns false when the node closes. The daemon's own submissions, made
+// with nothing reserved, go in past the client bound, and the engine
+// refuses none of them. The node's ring never orders, so nothing makes
+// room.
+func TestPostReservesBeforeItQueues(t *testing.T) {
+	const maxPending = 16 // the client bound is 14
+	n := startTestNode(t, EngineAccelRing, &recordingTransport{}, maxPending)
+	if err := n.attach(&submitServer{}); err != nil {
+		t.Fatal(err)
+	}
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("never %s (reserved %d, backlog %d)", what, n.reserved.Load(), n.backlog.Load())
+			}
+		}
+	}
+	if !n.post(12, 14) {
+		t.Fatal("post failed")
+	}
+	waitSubmits(t, n, 12)
+	until("gave back the 2 unspent", func() bool { return n.reserved.Load() == 0 })
+
+	waited := make(chan bool, 1)
+	go func() { waited <- n.post(1, 3) }()
+	until("counted the waiting post", func() bool { return n.nm.postWaits.Load() == 1 })
+
+	if !n.post(4, 0) {
+		t.Fatal("post failed")
+	}
+	waitSubmits(t, n, 16)
+	if errs := n.nm.submitErrors.Load(); errs != 0 {
+		t.Fatalf("the engine refused %d of the daemon's own submissions", errs)
+	}
+	select {
+	case ok := <-waited:
+		t.Fatalf("a post with no room returned %v", ok)
+	default:
+	}
+	n.Close()
+	select {
+	case ok := <-waited:
+		if ok {
+			t.Fatal("a post waiting for room went through on a closed node")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a post waiting for room did not return when the node closed")
+	}
+}
+
 // TestServedDeliverAllocs gates the hand-off from the engine to the daemon
 // a node serves: an ordered message and a configuration change reach the
 // server with no allocation — no boxed Event, no channel. What the daemon
@@ -570,7 +640,7 @@ func TestAttachHandsOverQueuedEvents(t *testing.T) {
 	if srv.configured.Load() != 1 || len(n.events) != 0 {
 		t.Fatalf("server got %d configurations, %d left on Events; want 1, 0", srv.configured.Load(), len(n.events))
 	}
-	if !n.post("input") {
+	if !n.post("input", 0) {
 		t.Fatal("post to a running loop failed")
 	}
 	for deadline := time.Now().Add(5 * time.Second); srv.served.Load() == 0; time.Sleep(time.Millisecond) {
@@ -579,7 +649,7 @@ func TestAttachHandsOverQueuedEvents(t *testing.T) {
 		}
 	}
 	n.Close()
-	if n.post("late") || n.attach(srv) == nil {
+	if n.post("late", 0) || n.attach(srv) == nil {
 		t.Fatal("post or attach to a closed node succeeded")
 	}
 }

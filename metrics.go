@@ -117,6 +117,7 @@ type nodeMetrics struct {
 	submitErrors    metrics.Counter
 	eventsDelivered metrics.Counter
 	inputs          metrics.Counter // the daemon's inputs applied (hook)
+	postWaits       metrics.Counter // the daemon's posts that waited for room (hook)
 	watchdogChecks  metrics.Counter
 	watchdogStalls  metrics.Counter
 	errors          metrics.Counter

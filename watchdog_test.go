@@ -368,7 +368,7 @@ func TestWatchdogSeesQueuedClientInput(t *testing.T) {
 		}
 		waitHeld(t, rt)
 		for _, in := range []string{"burst-1", "burst-2", "gone"} {
-			if !n.post(in) {
+			if !n.post(in, 0) {
 				t.Fatal("post failed")
 			}
 		}
@@ -397,7 +397,7 @@ func TestWatchdogSeesQueuedClientInput(t *testing.T) {
 		var stalls atomic.Int64
 		go n.watchdog(interval, func(StallReport) { stalls.Add(1) })
 		for end := time.Now().Add(5 * interval); time.Now().Before(end); time.Sleep(interval / 10) {
-			n.post("subscribe")
+			n.post("subscribe", 0)
 		}
 		if stalls.Load() != 0 || srv.served.Load() == 0 {
 			t.Fatalf("%d stalls while the loop applied %d inputs, want none", stalls.Load(), srv.served.Load())
