@@ -217,9 +217,13 @@ type Node struct {
 	id     ParticipantID
 	tr     transport.Transport
 	engine EngineKind
+	eng    core.OrderingEngine // the protocol goroutine's
 	events chan Event
 
-	submitCh chan submitReq
+	// intake is the loop's one input queue from the process's other
+	// goroutines: submissions, stats requests, and a daemon's posts and
+	// attachment (entry).
+	intake chan entry
 	// reserved counts submissions Submit accepted and the loop has not
 	// stepped, parked submitters included, and on a served node the room
 	// posted input reserved and has not spent (hook.Ring.Post); backlog is
@@ -228,7 +232,6 @@ type Node struct {
 	reserved   atomic.Int64
 	backlog    atomic.Int64
 	maxPending int64
-	statsCh    chan chan core.Snapshot
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	closing    atomic.Bool // set by Close and by the exiting loop; checked every pass
@@ -258,36 +261,28 @@ type Node struct {
 	// and burstPkts back a data run in flight — pooled buffers, one per
 	// frame, and the vector handed to Multicast; their headers are retained
 	// across runs. runActs collects a run of submissions' actions (submit),
-	// and inHand holds submissions taken off submitCh and not yet stepped
-	// (deliver, and the idle select), and what a served node's daemon
-	// submitted (served.Submit). reserved counts them.
+	// and inHand holds submissions taken off the intake and not yet stepped,
+	// and what a served node's daemon submitted (served.Submit). reserved
+	// counts them.
 	encBuf    []byte
 	encVec    [1][]byte
 	dec       wire.Decoder
 	burstBufs [][]byte
 	burstPkts [][]byte
 	runActs   []engine.Action
-	inHand    []submitReq
+	inHand    []entry
 
 	// srv is the daemon that serves the node (hook), nil for a library
 	// node, and credit is what is left of the room the input being applied
-	// reserved; the protocol goroutine owns both. serveCh carries the input
-	// the daemon's other goroutines post to the loop, and the attachment.
-	// room is the loop's signal to posts waiting for room that a pass made
-	// some (reserveWait).
-	srv     hook.Server
-	credit  int
-	serveCh chan posted
-	room    chan struct{}
+	// reserved; the protocol goroutine owns both. room is the loop's signal
+	// to posts waiting for room that a pass made some (reserveWait).
+	srv    hook.Server
+	credit int
+	room   chan struct{}
 
 	mu      sync.Mutex
 	errs    []error // ring of recent protocol-loop errors
 	errHead int     // index of the oldest entry once the ring is full
-}
-
-type submitReq struct {
-	payload []byte
-	service Service
 }
 
 // Errors.
@@ -358,7 +353,7 @@ func Start(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	go n.loop(eng, initial)
+	go n.loop(initial)
 	if opts.WatchdogInterval > 0 {
 		go n.watchdog(opts.WatchdogInterval, opts.OnStall)
 	}
@@ -369,16 +364,13 @@ func Start(opts Options) (*Node, error) {
 // engine, returning the engine's initial actions for the loop to execute.
 func newNode(opts Options, kind EngineKind, eng core.OrderingEngine) (*Node, []engine.Action, error) {
 	n := &Node{
-		id:     opts.ID,
-		tr:     opts.Transport,
-		engine: kind,
-		events: make(chan Event, eventBuffer),
-		// Room for one engine.SubmitQuota: the loop counts what waits with
-		// len and takes it without a select.
-		submitCh:   make(chan submitReq, engine.SubmitQuota),
+		id:         opts.ID,
+		tr:         opts.Transport,
+		engine:     kind,
+		eng:        eng,
+		events:     make(chan Event, eventBuffer),
+		intake:     make(chan entry, intakeCap),
 		maxPending: int64(eng.Snapshot().Config.MaxPending),
-		statsCh:    make(chan chan core.Snapshot, 1),
-		serveCh:    make(chan posted, serveBuffer),
 		room:       make(chan struct{}, 1),
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
@@ -398,10 +390,6 @@ func init() {
 		return node.(*Node).attach(s)
 	}
 }
-
-// serveBuffer is the capacity of the loop's input queue from a daemon's
-// goroutines: session bursts, disconnects, resume-window expiries, drains.
-const serveBuffer = 256
 
 // ID returns this node's participant ID.
 func (n *Node) ID() ParticipantID { return n.id }
@@ -425,10 +413,10 @@ func (n *Node) Events() <-chan Event { return n.events }
 // queues: an invalid service or a payload over the wire maximum, ErrClosed
 // once Close has begun, and core.ErrBacklogFull when the engine's backlog
 // plus the messages still queued would exceed the engine's bound. It blocks
-// while engine.SubmitQuota messages are queued and the protocol loop is
-// busy; a loop waiting on a full Events channel keeps taking submissions,
-// so one goroutine may both submit and drain Events. A message still
-// queued when the node closes is dropped.
+// while the protocol loop's input queue (256 entries, shared with Metrics)
+// is full; a loop waiting on a full Events channel keeps taking from it, so
+// one goroutine may both submit and drain Events. A message still queued
+// when the node closes is dropped.
 //
 // The engine retains payload until the message stabilizes, so the caller
 // must not modify it after Submit returns nil.
@@ -436,29 +424,16 @@ func (n *Node) Submit(payload []byte, service Service) error {
 	if err := checkSubmit(payload, service); err != nil {
 		return err
 	}
-	// Checked before the send: a select between a free slot and a closed
-	// done would pick either.
 	if n.closing.Load() {
 		return ErrClosed
 	}
 	if !n.reserve(1, n.maxPending) {
 		return core.ErrBacklogFull
 	}
-	// The send is tried alone first, one channel lock; done matters only
-	// when submitCh is full.
-	req := submitReq{payload: payload, service: service}
-	select {
-	case n.submitCh <- req:
-		return nil
-	default:
-	}
-	select {
-	case n.submitCh <- req:
-		return nil
-	case <-n.done:
-		n.reserved.Add(-1)
+	if !n.enqueue(entry{payload: payload, service: service, submits: 1}) {
 		return ErrClosed
 	}
+	return nil
 }
 
 // checkSubmit answers a submission the engine would refuse.
@@ -480,21 +455,6 @@ func (n *Node) reserve(k, limit int64) bool {
 		return false
 	}
 	return true
-}
-
-func (n *Node) statsSnapshot() (core.Snapshot, error) {
-	ch := make(chan core.Snapshot, 1)
-	select {
-	case n.statsCh <- ch:
-	case <-n.done:
-		return core.Snapshot{}, ErrClosed
-	}
-	select {
-	case snap := <-ch:
-		return snap, nil
-	case <-n.done:
-		return core.Snapshot{}, ErrClosed
-	}
 }
 
 // Close stops the protocol loop and releases the transport.

@@ -178,16 +178,16 @@ func TestBurstRecyclesBuffers(t *testing.T) {
 // The node closes when the test ends.
 func startTestNode(t *testing.T, kind EngineKind, tr transport.Transport, maxPending int) *Node {
 	t.Helper()
-	n, eng, initial := newTestNode(t, kind, tr, maxPending)
-	go n.loop(eng, initial)
+	n, initial := newTestNode(t, kind, tr, maxPending)
+	go n.loop(initial)
 	t.Cleanup(func() { n.Close() })
 	return n
 }
 
 // newTestNode builds startTestNode's node without starting its loop: the
-// caller runs n.loop(eng, initial), whose first step delivers the ring's
+// caller runs n.loop(initial), whose first step delivers the ring's
 // configuration, and closes the node.
-func newTestNode(t *testing.T, kind EngineKind, tr transport.Transport, maxPending int) (*Node, core.OrderingEngine, []engine.Action) {
+func newTestNode(t *testing.T, kind EngineKind, tr transport.Transport, maxPending int) (*Node, []engine.Action) {
 	t.Helper()
 	cfg := core.Config{
 		MyID:               2,
@@ -212,7 +212,7 @@ func newTestNode(t *testing.T, kind EngineKind, tr transport.Transport, maxPendi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, eng, initial
+	return n, initial
 }
 
 // waitHeld waits until the loop is held inside a gated Multicast.

@@ -4,6 +4,9 @@
 // daemon imports the root package, which therefore cannot import the
 // daemon: the root package fills Attach at init.
 //
+// The daemon's inputs (Ring.Post) and its attachment (Attach) go on the
+// node's one input queue, the intake, with its Submit and Metrics calls.
+//
 // Admission has one rule, the one the node's Submit follows: room in the
 // backlog is reserved before a submission is queued for the loop, so the
 // loop never refuses one. A poster reserves room for what its input will
@@ -35,13 +38,15 @@ type Server interface {
 
 // Ring is the node's side of an attachment.
 type Ring interface {
-	// Post hands in to the loop, which passes it to Server.Serve in the
-	// order posted, counting it with the submissions in engine.Pick. First
-	// it reserves room in the node's backlog for the submits messages Serve
-	// may Submit for in, under the bound the node's Submit keeps less the
-	// daemon's share (Submit), waiting while there is none. Any goroutine
-	// but the loop's may call it; it blocks while the loop's input queue is
-	// full, and reports false, dropping in, once the loop has exited.
+	// Post queues in on the node's intake for the loop, which passes it to
+	// Server.Serve in the order posted. First it reserves room in the
+	// node's backlog for the submits messages Serve may Submit for in,
+	// under the bound the node's Submit keeps less the daemon's share
+	// (Submit), waiting while there is none; an input that submits nothing
+	// holds one unit of room, past that bound, while it is queued, so the
+	// node's PendingSubmits counts it. Any goroutine but the loop's may
+	// call it; it blocks while the intake is full, and reports false,
+	// dropping in, once the loop has exited. in must not be nil.
 	Post(in any, submits int) bool
 	// Waits counts the posts that found no room and waited for it, from
 	// when each began to wait. Any goroutine may call it.

@@ -263,6 +263,52 @@ func TestCloseUnderFloodLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// lateListener hands the daemon one connection that never speaks, and
+// only once the listener is closed and after has closed: a connection
+// accepted while the daemon closes, after its loop has stopped it.
+type lateListener struct {
+	*pipeListener
+	after <-chan struct{}
+	near  net.Conn // the client end, never written
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	<-l.done
+	if l.near != nil {
+		return nil, net.ErrClosed
+	}
+	<-l.after
+	near, far := net.Pipe()
+	l.near = near
+	return far, nil
+}
+
+// TestCloseReapsSessionAcceptedWhileClosing: Close returns although a
+// connection is accepted after the daemon's loop has stopped it and closed
+// every subscriber the tier knew: the late session's subscriber is closed
+// at once, and its exit closes the connection its reader waits on.
+func TestCloseReapsSessionAcceptedWhileClosing(t *testing.T) {
+	node, err := accelring.Start(accelring.Options{
+		ID:        1,
+		Transport: accelring.NewMemoryNetwork(41).Endpoint(1),
+		Members:   []accelring.ParticipantID{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &lateListener{pipeListener: newPipeListener()}
+	d, err := New(Config{Node: node, Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.after = d.done
+	returnsWithin(t, "Close with a connection accepted while it closed", 3*time.Second, d.Close)
+	if ln.near == nil {
+		t.Fatal("the late connection was never accepted")
+	}
+	ln.near.Close()
+}
+
 // returnsWithin fails the test unless f returns within limit.
 func returnsWithin(t *testing.T, what string, limit time.Duration, f func() error) {
 	t.Helper()

@@ -80,7 +80,10 @@ func newSession(d *Daemon, conn net.Conn) *session {
 		conn:   conn,
 		closed: make(chan struct{}),
 	}
+	// Under subMu: after the tier closes, the exit callback closes s at once.
+	s.subMu.Lock()
 	s.sub = d.tier.Register(&ipcSink{conn: conn}, s.killFunc(), s.exitFunc())
+	s.subMu.Unlock()
 	return s
 }
 

@@ -113,6 +113,7 @@ type Tier struct {
 	mu     sync.Mutex
 	groups map[string][]*Subscriber
 	subs   map[*Subscriber]struct{}
+	closed bool // Close has run
 	// stamp is the per-Publish dedup generation: a subscriber reached
 	// through several destination groups of one message carries the
 	// current stamp after the first visit and is skipped on the rest.
@@ -167,6 +168,7 @@ func (t *Tier) Register(sink Sink, onKill func(), onExit func(error)) *Subscribe
 	s.resumable = t.cfg.Resumable
 	s.gen = 1
 	t.mu.Lock()
+	s.closed = t.closed // after Close: the writer exits at once, through onExit
 	t.subs[s] = struct{}{}
 	t.mu.Unlock()
 	go s.writeLoop(1, sink)
@@ -269,9 +271,11 @@ func (t *Tier) Attach(s *Subscriber, sink Sink, stamp uint64, typ byte, body []b
 
 // Close closes every registered subscriber, whose writers then exit
 // through their exit callbacks: the daemon's last step, which reaches the
-// sessions it has not yet heard from.
+// sessions it has not yet heard from. A subscriber registered after Close
+// is closed from the start.
 func (t *Tier) Close() {
 	t.mu.Lock()
+	t.closed = true
 	subs := make([]*Subscriber, 0, len(t.subs))
 	for s := range t.subs {
 		subs = append(subs, s)

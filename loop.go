@@ -110,7 +110,7 @@ func (h *held) hold(r transport.Run) {
 
 // step hands the next datagram of the held run to the engine, first taking
 // a run off ch if none is in hand (the caller has seen one queued there).
-func (n *Node) step(eng core.OrderingEngine, h *held, ch <-chan transport.Run) {
+func (n *Node) step(h *held, ch <-chan transport.Run) {
 	if h.pending() == 0 {
 		h.hold(<-ch)
 	}
@@ -118,7 +118,7 @@ func (n *Node) step(eng core.OrderingEngine, h *held, ch <-chan transport.Run) {
 	pkt, h.off = h.run.Cut(h.off)
 	left := h.left.Load() - 1
 	h.left.Store(left)
-	n.handlePacket(eng, pkt)
+	n.handlePacket(pkt)
 	if left == 0 {
 		transport.Buffers.Put(h.run.Buf)
 		h.run = transport.Run{}
@@ -129,14 +129,14 @@ func (n *Node) step(eng core.OrderingEngine, h *held, ch <-chan transport.Run) {
 // daemon's state when a daemon serves the node (hook). Each pass takes the
 // input engine.Pick chooses from what is in hand (the datagrams queued on
 // the token and data sockets, a run's rest counting as queued, and the
-// queued submissions, with which the server's input counts), as netsim's
-// CPU does, then up to SubmitsPerInput more submissions; a due timer (after
-// a wake here, a scheduled event in netsim), a stats request or Close goes
-// first. The one select waits when nothing is in hand. The submissions a
-// pass takes are one run (submit), the server's among them.
-func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
+// entries on the intake with the submissions in hand), as netsim's CPU
+// does, then up to SubmitsPerInput more entries; a due timer (after a wake
+// here, a scheduled event in netsim) or Close goes first. The one select
+// waits when nothing is in hand. The submissions a pass takes are one run
+// (submit), a served node's daemon's among them.
+func (n *Node) loop(initial []engine.Action) {
 	defer func() {
-		n.closing.Store(true) // Submit answers ErrClosed from here on
+		n.closing.Store(true) // enqueue refuses from here on
 		n.timers.t.Stop()
 		n.tr.Close()
 		close(n.events)
@@ -152,30 +152,28 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 	tokenCh := n.tr.Token()
 
 	for !n.closing.Load() {
-		p := eng.Progress()
+		p := n.eng.Progress()
 		if int64(p.Pending) < n.backlog.Swap(int64(p.Pending)) {
 			n.signalRoom() // the last pass made room
 		}
 		q := engine.Queued{
 			Token:   len(tokenCh) + n.tokenRun.pending(),
 			Data:    len(dataCh) + n.dataRun.pending(),
-			Submits: len(n.inHand) + len(n.submitCh) + len(n.serveCh),
+			Submits: len(n.inHand) + len(n.intake),
 		}
 		src, k := engine.Pick(q, p.TokenPriority)
 		kind, fired := n.timers.take()
-		submits := engine.SubmitsPerInput
+		more := engine.SubmitsPerInput
 		switch {
 		case fired:
 			n.nm.timerFires.Inc()
-			n.execute(eng.Step(engine.Input{Timer: kind}))
-		case len(n.statsCh) > 0:
-			(<-n.statsCh) <- eng.Snapshot()
+			n.execute(n.eng.Step(engine.Input{Timer: kind}))
 		case src == engine.SourceToken:
-			n.step(eng, &n.tokenRun, tokenCh)
+			n.step(&n.tokenRun, tokenCh)
 		case src == engine.SourceData:
-			n.step(eng, &n.dataRun, dataCh)
+			n.step(&n.dataRun, dataCh)
 		case src == engine.SourceSubmits:
-			submits += k // Pick's quota, then the per-input one
+			more += k // Pick's quota, then the per-input one
 		default:
 			select {
 			case r, ok := <-dataCh:
@@ -183,80 +181,65 @@ func (n *Node) loop(eng core.OrderingEngine, initial []engine.Action) {
 					return
 				}
 				n.dataRun.hold(r)
-				n.step(eng, &n.dataRun, dataCh)
+				n.step(&n.dataRun, dataCh)
 			case r, ok := <-tokenCh:
 				if !ok {
 					return
 				}
 				n.tokenRun.hold(r)
-				n.step(eng, &n.tokenRun, tokenCh)
+				n.step(&n.tokenRun, tokenCh)
 			case <-n.timers.wake:
 				n.timers.signal() // kept for take: the due kinds fire from the next pass
-			case req := <-n.submitCh:
-				n.inHand = append(n.inHand, req)
-				n.submit(eng, engine.SubmitQuota-1)
-				continue
-			case in := <-n.serveCh:
-				n.apply(eng, in)
-				submits = engine.SubmitQuota - 1
-			case ch := <-n.statsCh:
-				ch <- eng.Snapshot()
+			case e := <-n.intake:
+				n.take(e)
+				more = engine.SubmitQuota - 1
 			case <-n.stopCh:
 				return
 			}
 		}
-		n.serve(eng, submits)
-		if len(n.inHand) > 0 || len(n.submitCh) > 0 {
-			n.submit(eng, submits)
+		for ; more > 0 && len(n.intake) > 0; more-- {
+			n.take(<-n.intake)
+		}
+		if len(n.inHand) > 0 {
+			n.submit()
 		}
 	}
 }
 
-// submit steps a run of submissions: those in hand (inHand, taken off
-// submitCh earlier, so older than anything still on it), then up to more
-// from submitCh. Each one's actions are appended in order to the loop-owned
-// runActs — copied, because an engine may reuse the slice it returns — and
-// the run is executed once, so its consecutive data frames leave as one
-// Multicast. The run's reservations are released only after the engine's
-// grown backlog is stored, so Submit never sees room the engine lacks. The
-// engine should never refuse a submission Submit accepted; if it does, the
-// refusal is counted and recorded like any loop error.
-func (n *Node) submit(eng core.OrderingEngine, more int) {
+// submit steps the submissions in hand as one run: each one's actions are
+// appended in order to the loop-owned runActs — copied, because an engine
+// may reuse the slice it returns — and the run is executed once, so its
+// consecutive data frames leave as one Multicast. The run's reservations
+// are released only after the engine's grown backlog is stored, so Submit
+// never sees room the engine lacks. The engine should never refuse a
+// submission Submit accepted; if it does, the refusal is counted and
+// recorded like any loop error.
+func (n *Node) submit() {
 	run := n.runActs[:0]
-	taken := int64(len(n.inHand))
-	for _, req := range n.inHand {
-		run = n.submitOne(eng, req, run)
+	for _, e := range n.inHand {
+		actions, err := n.eng.Submit(e.payload, e.service)
+		if err != nil {
+			n.nm.submitErrors.Inc()
+			n.noteErr(err)
+		} else {
+			n.nm.submits.Inc()
+		}
+		run = append(run, actions...)
 	}
+	taken := int64(len(n.inHand))
 	clear(n.inHand)
 	n.inHand = n.inHand[:0]
-	for ; more > 0 && len(n.submitCh) > 0; more-- {
-		run = n.submitOne(eng, <-n.submitCh, run)
-		taken++
-	}
-	n.backlog.Store(int64(eng.Progress().Pending))
+	n.backlog.Store(int64(n.eng.Progress().Pending))
 	n.reserved.Add(-taken)
 	n.execute(run)
 	clear(run)
 	n.runActs = run[:0]
 }
 
-// submitOne hands one submission to the engine and appends its actions to
-// run.
-func (n *Node) submitOne(eng core.OrderingEngine, req submitReq, run []engine.Action) []engine.Action {
-	actions, err := eng.Submit(req.payload, req.service)
-	if err != nil {
-		n.nm.submitErrors.Inc()
-		n.noteErr(err)
-	} else {
-		n.nm.submits.Inc()
-	}
-	return append(run, actions...)
-}
-
 // handlePacket decodes one datagram where it lies and feeds it to the
 // engine. No frame the decoder returns aliases pkt (wire.Decoder), so the
 // buffer holding it may be recycled once this returns.
-func (n *Node) handlePacket(eng core.OrderingEngine, pkt []byte) {
+func (n *Node) handlePacket(pkt []byte) {
 	f, err := n.dec.Decode(pkt)
 	if err != nil {
 		n.nm.decodeFailures.Inc()
@@ -266,7 +249,7 @@ func (n *Node) handlePacket(eng core.OrderingEngine, pkt []byte) {
 	kind := f.Kind()
 	n.nm.pkts[kind].Inc()
 	if kind != wire.KindToken {
-		n.execute(eng.Step(engine.Input{Frame: f}))
+		n.execute(n.eng.Step(engine.Input{Frame: f}))
 		return
 	}
 	// Token rotation time is the interval between consecutive accepted
@@ -274,9 +257,9 @@ func (n *Node) handlePacket(eng core.OrderingEngine, pkt []byte) {
 	// handle time is the full cost of processing one, through action
 	// execution.
 	start := time.Now()
-	before := eng.Progress().Rotations
-	actions := eng.Step(engine.Input{Frame: f})
-	if eng.Progress().Rotations == before {
+	before := n.eng.Progress().Rotations
+	actions := n.eng.Step(engine.Input{Frame: f})
+	if n.eng.Progress().Rotations == before {
 		n.execute(actions)
 		return
 	}
@@ -403,9 +386,11 @@ func (n *Node) sendData(run []engine.Action) {
 // deliver blocks until the application accepts the event (or the node is
 // stopped): ordered events must never be dropped. The send is tried alone
 // first, one channel lock; the rest matters only when it would block.
-// While it waits, deliver takes submissions into inHand for the loop to
-// step next: an application may submit from the goroutine that drains
-// Events, and neither may wait on the other.
+// While it waits, deliver takes the intake: an application may submit, or
+// ask for Metrics, from the goroutine that drains Events, and neither may
+// wait on the other. A submission goes into hand, for the loop to step
+// next; a stats request is answered; an attachment makes the daemon the
+// node's server, which then gets ev after the events queued before it.
 func (n *Node) deliver(ev Event) {
 	select {
 	case n.events <- ev:
@@ -418,11 +403,98 @@ func (n *Node) deliver(ev Event) {
 		case n.events <- ev:
 			n.nm.eventsDelivered.Inc()
 			return
-		case req := <-n.submitCh:
-			n.inHand = append(n.inHand, req)
+		case e := <-n.intake:
+			if n.take(e); n.srv != nil {
+				n.handOver(ev)
+				n.nm.eventsDelivered.Inc()
+				return
+			}
 		case <-n.stopCh:
 			return
 		}
+	}
+}
+
+// handOver gives the server an event the loop had meant for Events.
+func (n *Node) handOver(ev Event) {
+	switch ev := ev.(type) {
+	case Message:
+		n.srv.Deliver(ev.Sender, ev.Service, ev.Payload)
+	case ConfigChange:
+		n.srv.Configure(ev.Config, ev.Transitional)
+	}
+}
+
+// entry is one request on the intake, the loop's one input queue from the
+// process's other goroutines. With in nil it is a submission (payload and
+// service: Submit, served.Submit); otherwise in is a stats request (a chan
+// core.Snapshot: Metrics), an *attachment (hook.Attach) or a daemon's
+// input (hook.Ring.Post). submits is the room reserved for it.
+type entry struct {
+	payload []byte
+	service Service
+	in      any
+	submits int
+}
+
+// intakeCap is the capacity of the intake: what the daemon's input queue
+// held before it became the intake. A session reader has at most one burst
+// queued, so 256 readers post without blocking, and a stats request waits
+// behind at most 256 entries.
+const intakeCap = 256
+
+// enqueue puts e on the intake, or reports false once the node is closing,
+// giving back the room reserved for it. The send is tried alone first, one
+// channel lock; done matters only when the intake is full. closing is
+// checked first: a select between a free slot and a closed done would pick
+// either.
+func (n *Node) enqueue(e entry) bool {
+	if !n.closing.Load() {
+		select {
+		case n.intake <- e:
+			return true
+		default:
+		}
+		select {
+		case n.intake <- e:
+			return true
+		case <-n.done:
+		}
+	}
+	n.reserved.Add(-int64(e.submits))
+	return false
+}
+
+// take carries out one entry off the intake. A submission joins the hand,
+// its room held until it is stepped; a stats request is answered; a
+// daemon's input goes to the server, which spends the entry's room as it
+// submits (credit), and what it did not spend is given back; an attachment
+// makes its daemon the node's server, and the events the loop queued on
+// Events before it go to the new server first.
+func (n *Node) take(e entry) {
+	switch in := e.in.(type) {
+	case nil:
+		n.inHand = append(n.inHand, e)
+		return
+	case chan core.Snapshot:
+		in <- n.eng.Snapshot()
+		return
+	case *attachment:
+		n.srv = in.srv
+		n.srv.Start((*served)(n))
+		for len(n.events) > 0 {
+			n.handOver(<-n.events)
+		}
+		close(in.started)
+	default:
+		n.credit = e.submits
+		n.srv.Serve(in)
+		e.submits, n.credit = n.credit, 0
+	}
+	n.nm.inputs.Inc()
+	if e.submits > 0 {
+		n.reserved.Add(-int64(e.submits))
+		n.signalRoom()
 	}
 }
 
@@ -446,33 +518,18 @@ func (n *Node) attach(srv hook.Server) error {
 	}
 }
 
-// posted is an input on serveCh and the room its poster reserved.
-type posted struct {
-	in      any
-	submits int
-}
-
-// post hands in to the loop (hook.Ring.Post) once room for submits is
-// reserved. done is checked first: a select between a free slot and a
-// closed done would pick either.
+// post queues in for the loop (hook.Ring.Post) once room for submits is
+// reserved. A post that submits nothing holds one unit of room, past the
+// client bound, while it is queued, so reserved alone counts what the loop
+// owes (PendingSubmits); the input may spend it as the one it reserved.
 func (n *Node) post(in any, submits int) bool {
-	k := int64(submits)
-	if k > 0 && !n.reserveWait(k) {
+	if submits == 0 {
+		submits = 1
+		n.reserved.Add(1)
+	} else if !n.reserveWait(int64(submits)) {
 		return false
 	}
-	select {
-	case <-n.done:
-		n.reserved.Add(-k)
-		return false
-	default:
-	}
-	select {
-	case n.serveCh <- posted{in: in, submits: submits}:
-		return true
-	case <-n.done:
-		n.reserved.Add(-k)
-		return false
-	}
+	return n.enqueue(entry{in: in, submits: submits})
 }
 
 // reserveWait reserves room for k submissions under the client bound:
@@ -514,54 +571,11 @@ func (n *Node) signalRoom() {
 	}
 }
 
-// serve applies up to k posted inputs, in order. The loop calls it at the
-// end of every pass with the quota it takes submissions by, so a pass
-// applies at most engine.SubmitQuota + engine.SubmitsPerInput inputs; what
-// they submit joins inHand and is stepped right after.
-func (n *Node) serve(eng core.OrderingEngine, k int) {
-	for ; k > 0 && len(n.serveCh) > 0; k-- {
-		n.apply(eng, <-n.serveCh)
-	}
-}
+// served is the node as the daemon it serves sees it (hook.Ring).
+type served Node
 
-// apply hands one posted input to the server, which spends its reservation
-// as it submits (credit), then releases what it did not spend; or it takes
-// an attachment: the events the loop queued on Events before it go to the
-// new server first.
-func (n *Node) apply(eng core.OrderingEngine, p posted) {
-	n.nm.inputs.Inc()
-	a, ok := p.in.(*attachment)
-	if !ok {
-		n.credit = p.submits
-		n.srv.Serve(p.in)
-		if n.credit > 0 {
-			n.reserved.Add(-int64(n.credit))
-			n.credit = 0
-			n.signalRoom()
-		}
-		return
-	}
-	n.srv = a.srv
-	n.srv.Start(&served{n: n, eng: eng})
-	for len(n.events) > 0 {
-		switch ev := (<-n.events).(type) {
-		case Message:
-			n.srv.Deliver(ev.Sender, ev.Service, ev.Payload)
-		case ConfigChange:
-			n.srv.Configure(ev.Config, ev.Transitional)
-		}
-	}
-	close(a.started)
-}
-
-// served is the node's side of an attachment (hook.Ring).
-type served struct {
-	n   *Node
-	eng core.OrderingEngine
-}
-
-func (r *served) Post(in any, submits int) bool { return r.n.post(in, submits) }
-func (r *served) Waits() uint64                 { return r.n.nm.postWaits.Load() }
+func (r *served) Post(in any, submits int) bool { return (*Node)(r).post(in, submits) }
+func (r *served) Waits() uint64                 { return r.nm.postWaits.Load() }
 
 // Submit spends the applied input's credit, or, with none left, takes room
 // past the client bound (ownShare). Either way the submission counts in
@@ -570,17 +584,16 @@ func (r *served) Submit(payload []byte, svc Service) error {
 	if err := checkSubmit(payload, svc); err != nil {
 		return err
 	}
-	n := r.n
-	if n.credit > 0 {
-		n.credit--
+	if r.credit > 0 {
+		r.credit--
 	} else {
-		n.reserved.Add(1)
+		r.reserved.Add(1)
 	}
-	n.inHand = append(n.inHand, submitReq{payload: payload, service: svc})
+	r.inHand = append(r.inHand, entry{payload: payload, service: svc})
 	return nil
 }
 
-func (r *served) Metrics() any { return r.n.metrics(r.eng.Snapshot()) }
+func (r *served) Metrics() any { return (*Node)(r).metrics(r.eng.Snapshot()) }
 
 // errRingCap bounds the recent-error ring. A burst of decode or send
 // failures stays visible (count plus the most recent instances) instead of

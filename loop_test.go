@@ -401,10 +401,56 @@ func TestSubmitWhileEventsFull(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// More than submitCh holds.
-	more := 2 * engine.SubmitQuota
+	// More than the intake holds.
+	more := 2 * intakeCap
 	submit(more)
 	collect(t, node, first+more, 20*time.Second)
+}
+
+// startWedgedNode starts a test node whose Events channel is full before
+// its loop starts, so the loop waits delivering the ring's configuration.
+func startWedgedNode(t *testing.T) *Node {
+	n, initial := newTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
+	for len(n.events) < cap(n.events) {
+		n.events <- Message{}
+	}
+	go n.loop(initial)
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// TestMetricsWhileEventsFull: Metrics answers while the loop waits on a
+// full Events channel, so the wedge explains itself: the answer names the
+// full queue.
+func TestMetricsWhileEventsFull(t *testing.T) {
+	n := startWedgedNode(t)
+	snaps := make(chan MetricsSnapshot, 1)
+	returnsWithin(t, "Metrics", func() error {
+		snap, err := n.Metrics()
+		snaps <- snap
+		return err
+	})
+	if got := (<-snaps).Runtime.EventQueueLen; got != cap(n.events) {
+		t.Fatalf("EventQueueLen = %d, want the full channel's %d", got, cap(n.events))
+	}
+}
+
+// TestAttachWhileEventsFull: a daemon attaches while the loop waits on a
+// full Events channel. The attachment takes over: the server gets the
+// queued events, then the configuration the loop was delivering, and
+// Events is left empty.
+func TestAttachWhileEventsFull(t *testing.T) {
+	n := startWedgedNode(t)
+	srv := &fakeServer{}
+	returnsWithin(t, "attach", func() error { return n.attach(srv) })
+	for deadline := time.Now().Add(5 * time.Second); srv.configured.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the configuration being delivered never reached the server")
+		}
+	}
+	if srv.delivered.Load() != eventBuffer || len(n.events) != 0 {
+		t.Fatalf("server got %d queued messages, %d left on Events; want %d, 0", srv.delivered.Load(), len(n.events), eventBuffer)
+	}
 }
 
 func TestWindowsArePassedThrough(t *testing.T) {
@@ -606,7 +652,7 @@ func TestPostReservesBeforeItQueues(t *testing.T) {
 // server with no allocation — no boxed Event, no channel. What the daemon
 // then does is its own gate (internal/daemon TestDeliverAllocs).
 func TestServedDeliverAllocs(t *testing.T) {
-	n, _, _ := newTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
+	n, _ := newTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
 	srv := &fakeServer{}
 	n.srv = srv
 	msg := &wire.DataMessage{PID: 1, Service: Agreed, Payload: []byte("ordered")}

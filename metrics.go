@@ -164,14 +164,20 @@ func (m *nodeMetrics) runtimeSnapshot(n *Node) RuntimeMetrics {
 }
 
 // Metrics returns a full observability snapshot: the engine's protocol
-// counters (fetched synchronously from the protocol loop), the runtime's
-// atomic counters, and the transport's loss accounting.
+// counters (fetched synchronously from the protocol loop, in order with
+// the submissions queued for it), the runtime's atomic counters, and the
+// transport's loss accounting.
 func (n *Node) Metrics() (MetricsSnapshot, error) {
-	st, err := n.statsSnapshot()
-	if err != nil {
-		return MetricsSnapshot{}, err
+	ch := make(chan core.Snapshot, 1)
+	if !n.enqueue(entry{in: ch}) {
+		return MetricsSnapshot{}, ErrClosed
 	}
-	return n.metrics(st), nil
+	select {
+	case st := <-ch:
+		return n.metrics(st), nil
+	case <-n.done:
+		return MetricsSnapshot{}, ErrClosed
+	}
 }
 
 // metrics assembles the snapshot around the engine's, which the protocol

@@ -102,11 +102,11 @@ func TestRunStepAllocs(t *testing.T) {
 		pkts[i] = dataFrame(t, i+1, 1300)
 	}
 	eng := &nopEngine{}
-	n := &Node{tr: &recordingTransport{}, nm: newNodeMetrics()}
+	n := &Node{tr: &recordingTransport{}, nm: newNodeMetrics(), eng: eng}
 	stepRun := func(r transport.Run) {
 		n.dataRun.hold(r)
 		for n.dataRun.pending() > 0 {
-			n.step(eng, &n.dataRun, nil)
+			n.step(&n.dataRun, nil)
 		}
 	}
 

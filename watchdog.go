@@ -2,14 +2,16 @@ package accelring
 
 import "time"
 
-// Liveness watchdog. The protocol loop is a single goroutine; if it
-// wedges — most plausibly blocked handing an ordered event to an
-// application that stopped draining Events, or stuck in a pathological
-// transport call — every in-band health check (Stats, Metrics) hangs with
-// it, and Submit does once its queue is full. The watchdog therefore never touches the loop: it
-// samples the loop's atomic progress counters and the queues feeding it,
-// and flags a stall when a full interval passes with pending work but no
-// progress. An idle ring (no pending work) is never a stall.
+// Liveness watchdog. The protocol loop is a single goroutine; it wedges
+// most plausibly blocked handing an ordered event to an application that
+// stopped draining Events, or stuck in a pathological transport call.
+// Blocked on Events, it still takes its intake, so Metrics answers and
+// shows the full queue, but nothing it owes moves. Stuck anywhere else,
+// every in-band health check (Stats, Metrics) hangs with it, and Submit
+// does once the intake is full. The watchdog therefore never touches the
+// loop: it samples the loop's atomic progress counters and the queues
+// feeding it, and flags a stall when a full interval passes with pending
+// work but no progress. An idle ring (no pending work) is never a stall.
 
 // StallReport describes one stalled watchdog check.
 type StallReport struct {
@@ -25,13 +27,14 @@ type StallReport struct {
 	// PendingTimers is 1 while the loop owes timer work: a kind is due or a
 	// timer's step runs. An early wake holds it until the loop's next pass.
 	PendingTimers int
-	// PendingSubmits is the number of submissions Submit reserved room
-	// for that the loop has not stepped: those queued, those the loop took
-	// into hand while it waited on a full Events channel, and submitters
-	// parked on a full queue. On a node a daemon serves it also counts the
-	// client input the daemon's goroutines queued for the loop (session
-	// bursts, disconnects, resume-window expiries, drains), which the loop
-	// takes with the submissions.
+	// PendingSubmits is the room reserved in the node's backlog for work
+	// the loop has not done: one per submission Submit accepted that the
+	// loop has not stepped (queued, taken into hand while the loop waited
+	// on a full Events channel, or held by a submitter parked on a full
+	// queue). On a node a daemon serves it also counts what the client
+	// input queued for the loop holds: the room a session burst reserved
+	// for its submissions and has not spent, or one for an input that
+	// submits nothing (a disconnect, a resume-window expiry, a drain).
 	PendingSubmits int
 	// EventQueueFull reports that the Events channel was at capacity — the
 	// classic wedge: the application stopped draining and the loop is
@@ -58,7 +61,7 @@ func (n *Node) pendingWork() (data, token, timers, submits int, evFull bool) {
 	data = len(n.tr.Data()) + n.dataRun.pending()
 	token = len(n.tr.Token()) + n.tokenRun.pending()
 	timers = len(n.timers.wake)
-	submits = int(n.reserved.Load()) + len(n.serveCh)
+	submits = int(n.reserved.Load())
 	evFull = len(n.events) == cap(n.events)
 	return
 }

@@ -240,22 +240,22 @@ func TestWatchdogSeesQueuedSubmissions(t *testing.T) {
 // hand while it waits on a full Events channel are still pending, so the
 // watchdog counts them. The node's Events channel is full before its loop
 // starts, so the loop wedges delivering the ring's configuration; the three
-// submissions that follow leave submitCh for the loop's hand at once. The
+// submissions that follow leave the intake for the loop's hand at once. The
 // report must name exactly three pending submissions and the full queue.
 func TestWatchdogCountsSubmissionsInHand(t *testing.T) {
 	const interval = 200 * time.Millisecond
-	n, eng, initial := newTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
+	n, initial := newTestNode(t, EngineAccelRing, &recordingTransport{}, 0)
 	for len(n.events) < cap(n.events) {
 		n.events <- Message{}
 	}
-	go n.loop(eng, initial)
+	go n.loop(initial)
 	defer n.Close()
 	for _, p := range []string{"in-hand-1", "in-hand-2", "in-hand-3"} {
 		if err := n.Submit([]byte(p), Agreed); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for deadline := time.Now().Add(5 * time.Second); len(n.submitCh) > 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); len(n.intake) > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the wedged loop never took the submissions into hand")
 		}
@@ -282,7 +282,7 @@ func TestWatchdogCountsDiscardedPackets(t *testing.T) {
 	n := &Node{tr: &recordingTransport{}, nm: newNodeMetrics()}
 	before := n.nm.progress()
 	pkt := append(transport.Buffers.Get()[:0], "not a protocol packet"...)
-	n.handlePacket(nil, pkt)
+	n.handlePacket(pkt)
 	if n.nm.decodeFailures.Load() != 1 {
 		t.Fatalf("decode failures = %d, want 1", n.nm.decodeFailures.Load())
 	}
