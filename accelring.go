@@ -19,6 +19,7 @@
 package accelring
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -153,8 +154,6 @@ type Windows struct {
 	// Personal is the maximum number of new messages one participant may
 	// initiate per token round.
 	Personal int
-	// Global bounds the total multicasts per token round, ring-wide.
-	Global int
 	// Accelerated is the maximum number of messages multicast after
 	// forwarding the token. Zero means the default; OriginalRing has no
 	// accelerated window and rejects a non-zero one.
@@ -179,15 +178,11 @@ type Options struct {
 	Engine EngineKind
 	// Windows tunes flow control; zero values select defaults.
 	Windows Windows
-	// TokenLossTimeout overrides the failure-detection timeout.
+	// TokenLossTimeout (L) is the failure-detection timeout; zero selects
+	// 1 s, and a negative L is refused. Every other protocol timer derives
+	// from it: token resend every L/10, joins every L/4, membership
+	// consensus 2L and commit L (docs/PROTOCOL.md §4).
 	TokenLossTimeout time.Duration
-	// TokenRetransPeriod, JoinPeriod, ConsensusTimeout and CommitTimeout
-	// override the remaining protocol timers (zero values select
-	// defaults). Shrink them for fast failover on low-latency networks.
-	TokenRetransPeriod time.Duration
-	JoinPeriod         time.Duration
-	ConsensusTimeout   time.Duration
-	CommitTimeout      time.Duration
 	// PackThreshold enables Spread-style message packing: consecutive
 	// pending same-service messages are packed into one protocol packet
 	// while the container stays at or below this many bytes. Zero
@@ -275,10 +270,12 @@ type Node struct {
 	// srv is the daemon that serves the node (hook), nil for a library
 	// node, and credit is what is left of the room the input being applied
 	// reserved; the protocol goroutine owns both. room is the loop's signal
-	// to posts waiting for room that a pass made some (reserveWait).
-	srv    hook.Server
-	credit int
-	room   chan struct{}
+	// to posts waiting for room that a pass made some, and posters counts
+	// the posts waiting for it (reserveWait).
+	srv     hook.Server
+	credit  int
+	room    chan struct{}
+	posters atomic.Int32
 
 	mu      sync.Mutex
 	errs    []error // ring of recent protocol-loop errors
@@ -297,27 +294,15 @@ func Start(opts Options) (*Node, error) {
 		return nil, errors.New("accelring: Options.Transport is required")
 	}
 	cfg := core.Config{
-		MyID:               opts.ID,
-		TokenLossTimeout:   opts.TokenLossTimeout,
-		TokenRetransPeriod: opts.TokenRetransPeriod,
-		JoinPeriod:         opts.JoinPeriod,
-		ConsensusTimeout:   opts.ConsensusTimeout,
-		CommitTimeout:      opts.CommitTimeout,
-		PackThreshold:      opts.PackThreshold,
-		Tracer:             opts.Tracer,
+		MyID:             opts.ID,
+		TokenLossTimeout: opts.TokenLossTimeout,
+		PackThreshold:    opts.PackThreshold,
+		Tracer:           opts.Tracer,
 	}
-	if opts.Windows != (Windows{}) {
-		flow := flowctl.Default()
-		if opts.Windows.Personal != 0 {
-			flow.PersonalWindow = opts.Windows.Personal
-		}
-		if opts.Windows.Global != 0 {
-			flow.GlobalWindow = opts.Windows.Global
-		}
-		if opts.Windows.Accelerated != 0 {
-			flow.AcceleratedWindow = opts.Windows.Accelerated
-		}
-		cfg.Flow = flow
+	if w := opts.Windows; w != (Windows{}) {
+		cfg.Flow = flowctl.Default()
+		cfg.Flow.PersonalWindow = cmp.Or(w.Personal, cfg.Flow.PersonalWindow)
+		cfg.Flow.AcceleratedWindow = cmp.Or(w.Accelerated, cfg.Flow.AcceleratedWindow)
 	}
 	kind, err := ParseEngine(string(opts.Engine))
 	if err != nil {

@@ -21,15 +21,11 @@ func startCluster(t *testing.T, net *MemoryNetwork, n int, proto Protocol) []*No
 	nodes := make([]*Node, 0, n)
 	for _, id := range members {
 		node, err := Start(Options{
-			ID:                 id,
-			Transport:          net.Endpoint(id),
-			Members:            members,
-			Protocol:           proto,
-			TokenLossTimeout:   200 * time.Millisecond,
-			TokenRetransPeriod: 40 * time.Millisecond,
-			JoinPeriod:         20 * time.Millisecond,
-			ConsensusTimeout:   100 * time.Millisecond,
-			CommitTimeout:      100 * time.Millisecond,
+			ID:               id,
+			Transport:        net.Endpoint(id),
+			Members:          members,
+			Protocol:         proto,
+			TokenLossTimeout: 200 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("Start(%d): %v", id, err)
@@ -159,9 +155,6 @@ func TestDynamicMembershipFormsRing(t *testing.T) {
 			ID:               id,
 			Transport:        net.Endpoint(id),
 			TokenLossTimeout: 200 * time.Millisecond,
-			JoinPeriod:       20 * time.Millisecond,
-			ConsensusTimeout: 100 * time.Millisecond,
-			CommitTimeout:    100 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -322,6 +315,24 @@ func TestStartValidation(t *testing.T) {
 	}
 	if _, err := Start(Options{ID: 1, Transport: net.Endpoint(1), Members: []ParticipantID{0, 1, 2}}); err == nil {
 		t.Fatal("Start with member ID 0 succeeded")
+	}
+}
+
+// TestStartRefusesNegativeTokenLoss: a negative token-loss timeout, which
+// would derive negative protocol timers for either engine, is an error
+// from Start rather than a ring that never orders.
+func TestStartRefusesNegativeTokenLoss(t *testing.T) {
+	for _, kind := range []EngineKind{EngineAccelRing, EngineRingPaxos} {
+		net := NewMemoryNetwork(9)
+		node, err := Start(Options{ID: 1, Transport: net.Endpoint(1), Members: []ParticipantID{1, 2, 3},
+			Engine: kind, TokenLossTimeout: -time.Second})
+		if err == nil {
+			node.Close()
+			t.Fatalf("%s: Start accepted TokenLossTimeout -1s", kind)
+		}
+		if !strings.Contains(err.Error(), "not positive") {
+			t.Fatalf("%s: Start: %v, want an error about the timer", kind, err)
+		}
 	}
 }
 

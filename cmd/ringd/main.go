@@ -60,10 +60,7 @@ func run() int {
 	verbose := flag.Bool("verbose", false, "log protocol state transitions (configuration installs are always logged)")
 	fanoutPolicy := flag.String("fanout-policy", "disconnect", "slow-client backpressure policy: disconnect or shed")
 	fanoutQueue := flag.Int("fanout-queue", 0, "per-client delivery queue depth in frames (0 = default 8192)")
-	tokenLoss := flag.Duration("token-loss", 0, "token loss (failure detection) timeout; 0 = protocol default")
-	tokenRetrans := flag.Duration("token-retrans", 0, "token retransmission period; 0 = protocol default")
-	consensusTimeout := flag.Duration("consensus-timeout", 0, "membership consensus timeout; 0 = protocol default")
-	commitTimeout := flag.Duration("commit-timeout", 0, "membership commit timeout; 0 = protocol default")
+	tokenLoss := flag.Duration("token-loss", 0, "token loss (failure detection) timeout L; 0 = 1s. The other protocol timers derive from it: token resend every L/10, joins every L/4, membership consensus 2L, commit L")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget on the first SIGTERM/SIGINT: stop accepting, announce the drain, flush client queues, leave the ring")
 	resumeWindow := flag.Duration("resume-window", 30*time.Second, "how long a disconnected client's session (queue, interests, delivery cursor) is held for resume; 0 disables session resume")
 	resumeHistory := flag.Int("resume-history", 1024, "per-client history of already-written frames kept for resume replay (0 disables rewind; resumes then report a gap unless the client is fully caught up)")
@@ -134,13 +131,10 @@ func run() int {
 			Personal:    *personalWindow,
 			Accelerated: *accelWindow,
 		},
-		TokenLossTimeout:   *tokenLoss,
-		TokenRetransPeriod: *tokenRetrans,
-		ConsensusTimeout:   *consensusTimeout,
-		CommitTimeout:      *commitTimeout,
-		PackThreshold:      *pack,
-		Tracer:             maybeTracer(*verbose, logger),
-		WatchdogInterval:   *watchdogInterval,
+		TokenLossTimeout: *tokenLoss,
+		PackThreshold:    *pack,
+		Tracer:           maybeTracer(*verbose, logger),
+		WatchdogInterval: *watchdogInterval,
 		OnStall: func(r accelring.StallReport) {
 			logger.Printf("watchdog: protocol loop stalled: %+v", r)
 		},

@@ -17,15 +17,11 @@ func startEngineCluster(t *testing.T, net *MemoryNetwork, n int, engine EngineKi
 	nodes := make([]*Node, 0, n)
 	for _, id := range members {
 		node, err := Start(Options{
-			ID:                 id,
-			Transport:          net.Endpoint(id),
-			Members:            members,
-			Engine:             engine,
-			TokenLossTimeout:   200 * time.Millisecond,
-			TokenRetransPeriod: 40 * time.Millisecond,
-			JoinPeriod:         20 * time.Millisecond,
-			ConsensusTimeout:   100 * time.Millisecond,
-			CommitTimeout:      100 * time.Millisecond,
+			ID:               id,
+			Transport:        net.Endpoint(id),
+			Members:          members,
+			Engine:           engine,
+			TokenLossTimeout: 200 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("Start(%d): %v", id, err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -40,15 +41,12 @@ func (m PriorityMethod) String() string {
 	}
 }
 
-// Default protocol timing. These suit LAN/data-center deployments; the
-// simulator and tests shrink them.
+// Defaults. The token-loss timeout suits LAN/data-center deployments and
+// sets every other protocol timer (withDefaults); the simulator and tests
+// shrink it.
 const (
-	DefaultTokenLossTimeout   = 1 * time.Second
-	DefaultTokenRetransPeriod = 100 * time.Millisecond
-	DefaultJoinPeriod         = 250 * time.Millisecond
-	DefaultConsensusTimeout   = 2 * time.Second
-	DefaultCommitTimeout      = 1 * time.Second
-	DefaultMaxPending         = 50000
+	DefaultTokenLossTimeout = 1 * time.Second
+	DefaultMaxPending       = 50000
 )
 
 // Config configures a protocol engine.
@@ -62,8 +60,10 @@ type Config struct {
 	Priority PriorityMethod
 
 	// TokenLossTimeout, TokenRetransPeriod, JoinPeriod, ConsensusTimeout
-	// and CommitTimeout configure the protocol timers; zero values mean
-	// defaults.
+	// and CommitTimeout configure the protocol timers. A zero
+	// TokenLossTimeout (L) means DefaultTokenLossTimeout; each other zero
+	// timer derives from L: retransmit L/10, join L/4, consensus 2L,
+	// commit L (docs/PROTOCOL.md §4). Every timer must come out positive.
 	TokenLossTimeout   time.Duration
 	TokenRetransPeriod time.Duration
 	JoinPeriod         time.Duration
@@ -130,27 +130,13 @@ func (c Config) withDefaults() Config {
 	if c.Flow == (flowctl.Config{}) {
 		c.Flow = flowctl.Default()
 	}
-	if c.Priority == 0 {
-		c.Priority = PriorityAggressive
-	}
-	if c.TokenLossTimeout == 0 {
-		c.TokenLossTimeout = DefaultTokenLossTimeout
-	}
-	if c.TokenRetransPeriod == 0 {
-		c.TokenRetransPeriod = DefaultTokenRetransPeriod
-	}
-	if c.JoinPeriod == 0 {
-		c.JoinPeriod = DefaultJoinPeriod
-	}
-	if c.ConsensusTimeout == 0 {
-		c.ConsensusTimeout = DefaultConsensusTimeout
-	}
-	if c.CommitTimeout == 0 {
-		c.CommitTimeout = DefaultCommitTimeout
-	}
-	if c.MaxPending == 0 {
-		c.MaxPending = DefaultMaxPending
-	}
+	c.Priority = cmp.Or(c.Priority, PriorityAggressive)
+	c.TokenLossTimeout = cmp.Or(c.TokenLossTimeout, DefaultTokenLossTimeout)
+	c.TokenRetransPeriod = cmp.Or(c.TokenRetransPeriod, c.TokenLossTimeout/10)
+	c.JoinPeriod = cmp.Or(c.JoinPeriod, c.TokenLossTimeout/4)
+	c.ConsensusTimeout = cmp.Or(c.ConsensusTimeout, 2*c.TokenLossTimeout)
+	c.CommitTimeout = cmp.Or(c.CommitTimeout, c.TokenLossTimeout)
+	c.MaxPending = cmp.Or(c.MaxPending, DefaultMaxPending)
 	return c
 }
 
@@ -165,6 +151,9 @@ func (c Config) validate() error {
 	}
 	if err := c.Flow.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	if min(c.TokenLossTimeout, c.TokenRetransPeriod, c.JoinPeriod, c.ConsensusTimeout, c.CommitTimeout) <= 0 {
+		return fmt.Errorf("core: protocol timer not positive (token loss %v)", c.TokenLossTimeout)
 	}
 	if c.PackThreshold < 0 || c.PackThreshold > wire.MaxPayload {
 		return fmt.Errorf("core: pack threshold %d out of range [0, %d]", c.PackThreshold, wire.MaxPayload)

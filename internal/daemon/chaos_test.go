@@ -22,11 +22,10 @@ import (
 func chaosDaemon(t *testing.T, sock string) *Daemon {
 	t.Helper()
 	node, err := accelring.Start(accelring.Options{
-		ID:                 1,
-		Transport:          accelring.NewMemoryNetwork(29).Endpoint(1),
-		Members:            []accelring.ParticipantID{1},
-		TokenLossTimeout:   300 * time.Millisecond,
-		TokenRetransPeriod: 60 * time.Millisecond,
+		ID:               1,
+		Transport:        accelring.NewMemoryNetwork(29).Endpoint(1),
+		Members:          []accelring.ParticipantID{1},
+		TokenLossTimeout: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("node: %v", err)

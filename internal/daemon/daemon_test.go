@@ -46,11 +46,10 @@ func startDaemonsWith(t *testing.T, n int, net0 *accelring.MemoryNetwork, fcfg f
 	c := &cluster{t: t}
 	for _, id := range members {
 		opts := accelring.Options{
-			ID:                 id,
-			Transport:          net0.Endpoint(id),
-			Members:            members,
-			TokenLossTimeout:   300 * time.Millisecond,
-			TokenRetransPeriod: 60 * time.Millisecond,
+			ID:               id,
+			Transport:        net0.Endpoint(id),
+			Members:          members,
+			TokenLossTimeout: 300 * time.Millisecond,
 		}
 		for _, f := range tune {
 			f(&opts)

@@ -70,9 +70,11 @@ func TestOverloadHoldsClientInput(t *testing.T) {
 }
 
 // TestFullBacklog stalls a two-daemon ring — every token is dropped, and
-// token loss is a minute away, so nobody sends and the view stays — while
-// a raw client floods the first daemon open-loop until its reader waits
-// for room in the node's backlog.
+// token loss is three seconds away (the stall lasts about 0.1 s), so
+// nobody sends and the view stays — while a raw client floods the first
+// daemon open-loop until its reader waits for room in the node's backlog.
+// The token's resends, every 300 ms, restart the ring once the faults
+// clear.
 //
 // "others are served": the waiting reader holds no other session up. A
 // second client's Stats and a third client's connect each complete within
@@ -87,7 +89,7 @@ func TestOverloadHoldsClientInput(t *testing.T) {
 // refused nothing the node admitted.
 func TestFullBacklog(t *testing.T) {
 	net0 := accelring.NewMemoryNetwork(13)
-	c := startDaemonsWith(t, 2, net0, fanout.Config{}, func(o *accelring.Options) { o.TokenLossTimeout = time.Minute })
+	c := startDaemonsWith(t, 2, net0, fanout.Config{}, func(o *accelring.Options) { o.TokenLossTimeout = 3 * time.Second })
 	const groups = 1000 // the reader's buffer holds at most 853 of the flood's 81-byte frames
 	leaver := c.connect(0, "leaver")
 	observer := c.connect(1, "observer")

@@ -30,11 +30,10 @@ func startDaemonsResume(t *testing.T, n int, window time.Duration, fcfg fanout.C
 	c := &cluster{t: t}
 	for _, id := range members {
 		node, err := accelring.Start(accelring.Options{
-			ID:                 id,
-			Transport:          net0.Endpoint(id),
-			Members:            members,
-			TokenLossTimeout:   300 * time.Millisecond,
-			TokenRetransPeriod: 60 * time.Millisecond,
+			ID:               id,
+			Transport:        net0.Endpoint(id),
+			Members:          members,
+			TokenLossTimeout: 300 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", id, err)

@@ -3,6 +3,7 @@ package ringpaxos
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +80,24 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := eng.Start([]wire.ParticipantID{1, 2, 2}); err == nil {
 		t.Fatal("Start with duplicate member should fail")
+	}
+	if _, err := New(core.Config{MyID: 1, TokenLossTimeout: -time.Second}); err == nil {
+		t.Fatal("New with a negative token-loss timeout should fail")
+	}
+}
+
+// TestTimersDeriveFromTokenLoss: Ring Paxos takes core's timer defaults,
+// so its timers derive from the token-loss timeout the same way.
+func TestTimersDeriveFromTokenLoss(t *testing.T) {
+	eng, err := New(core.Config{MyID: 1, TokenLossTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := eng.cfg
+	got := []time.Duration{c.TokenLossTimeout, c.TokenRetransPeriod, c.JoinPeriod, c.ConsensusTimeout, c.CommitTimeout}
+	want := []time.Duration{200 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond, 400 * time.Millisecond, 200 * time.Millisecond}
+	if !slices.Equal(got, want) {
+		t.Fatalf("timers (loss, retransmit, join, consensus, commit) = %v, want %v", got, want)
 	}
 }
 

@@ -16,7 +16,6 @@
 package memnet
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
@@ -130,24 +129,40 @@ type timedPkt struct {
 	run transport.Run
 }
 
-// pktHeap orders pending runs by due time, then arrival.
+// pktHeap is a min-heap of pending runs by due time, then arrival. Its
+// push and pop are typed, so a queued run is never boxed.
 type pktHeap []timedPkt
 
-func (q pktHeap) Len() int { return len(q) }
-func (q pktHeap) Less(i, j int) bool {
+func (q pktHeap) less(i, j int) bool {
 	if !q[i].due.Equal(q[j].due) {
 		return q[i].due.Before(q[j].due)
 	}
 	return q[i].seq < q[j].seq
 }
-func (q pktHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *pktHeap) Push(x any)   { *q = append(*q, x.(timedPkt)) }
-func (q *pktHeap) Pop() any {
-	old := *q
-	n := len(old)
-	tp := old[n-1]
-	old[n-1].run = transport.Run{}
-	*q = old[:n-1]
+
+func (q *pktHeap) push(tp timedPkt) {
+	h := append(*q, tp)
+	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+	*q = h
+}
+
+func (q *pktHeap) pop() timedPkt {
+	h := *q
+	tp, n := h[0], len(h)-1
+	h[0], h[n] = h[n], timedPkt{}
+	h = h[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+	*q = h
 	return tp
 }
 
@@ -178,13 +193,15 @@ func (ep *Endpoint) ID() wire.ParticipantID { return ep.id }
 // pump delays runs until their due time, delivering in due order: a run
 // carrying an extra reordering delay is overtaken by later traffic with an
 // earlier due time. Equal due times deliver in arrival order, so without
-// reordering faults the pump is FIFO.
+// reordering faults the pump is FIFO. One timer, re-armed, serves every wait.
 func (ep *Endpoint) pump(in chan timedPkt, out chan transport.Run) {
 	defer ep.wg.Done()
 	defer close(out)
 	var q pktHeap
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	emit := func() {
-		tp := heap.Pop(&q).(timedPkt)
+		tp := q.pop()
 		select {
 		case out <- tp.run:
 			// Ownership of the pooled buffer transfers to the consumer,
@@ -203,7 +220,7 @@ func (ep *Endpoint) pump(in chan timedPkt, out chan transport.Run) {
 			if !ok {
 				return
 			}
-			heap.Push(&q, tp)
+			q.push(tp)
 			continue
 		}
 		d := time.Until(q[0].due)
@@ -211,10 +228,9 @@ func (ep *Endpoint) pump(in chan timedPkt, out chan transport.Run) {
 			emit()
 			continue
 		}
-		timer := time.NewTimer(d)
+		timer.Reset(d)
 		select {
 		case tp, ok := <-in:
-			timer.Stop()
 			if !ok {
 				// Closing flushes the backlog in due order without
 				// waiting out the remaining delays.
@@ -223,7 +239,7 @@ func (ep *Endpoint) pump(in chan timedPkt, out chan transport.Run) {
 				}
 				return
 			}
-			heap.Push(&q, tp)
+			q.push(tp)
 		case <-timer.C:
 			emit()
 		}

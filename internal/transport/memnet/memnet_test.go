@@ -213,3 +213,28 @@ func TestOverflowDropsAreCounted(t *testing.T) {
 		t.Fatalf("sender accounting: %+v, want %d out/fanout", out, sent)
 	}
 }
+
+// TestDeliveredRunAllocs: a run crossing the hub — copied into a pooled
+// buffer, queued, held for the hop latency and handed to the receiver —
+// costs no allocation once the pool is warm: the pump's heap is typed and
+// its one timer is re-armed for every wait.
+func TestDeliveredRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	h := NewHub() // the default latency, so every run waits on the timer
+	a, b := h.Join(1), h.Join(2)
+	defer a.Close()
+	defer b.Close()
+	pkt := []byte("token")
+	deliver := func() {
+		if err := a.Unicast(2, pkt); err != nil {
+			t.Fatal(err)
+		}
+		transport.Buffers.Put((<-b.Token()).Buf)
+	}
+	deliver()
+	if allocs := testing.AllocsPerRun(200, deliver); allocs != 0 {
+		t.Fatalf("a delivered run costs %v allocations, want 0", allocs)
+	}
+}

@@ -544,6 +544,8 @@ func (n *Node) reserveWait(k int64) bool {
 		return true
 	}
 	n.nm.postWaits.Inc()
+	n.posters.Add(1)
+	defer n.posters.Add(-1)
 	for !n.reserve(k, limit) {
 		select {
 		case <-n.room:
@@ -551,7 +553,9 @@ func (n *Node) reserveWait(k int64) bool {
 			return false
 		}
 	}
-	n.signalRoom() // pass the wake on: another poster may fit in what is left
+	if n.posters.Load() > 1 {
+		n.signalRoom() // pass the wake on: another poster waits and may fit in what is left
+	}
 	return true
 }
 

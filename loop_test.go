@@ -2,6 +2,8 @@ package accelring
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -459,7 +461,7 @@ func TestWindowsArePassedThrough(t *testing.T) {
 		ID:        1,
 		Transport: net.Endpoint(1),
 		Members:   []ParticipantID{1},
-		Windows:   Windows{Personal: 10, Global: 50, Accelerated: 5},
+		Windows:   Windows{Personal: 10, Accelerated: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -644,6 +646,59 @@ func TestPostReservesBeforeItQueues(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("a post waiting for room did not return when the node closed")
+	}
+}
+
+// TestRoomSignalPassedOnOnlyToWaitingPosters: one signal from the loop
+// wakes every poster waiting for the room it announces, each passing it to
+// the next, and the last leaves none behind — so a lone poster's next wait
+// does not begin by waking on its own stale signal. No loop runs: the test
+// makes the room and sends the one signal itself, once the posters are
+// blocked waiting for it.
+func TestRoomSignalPassedOnOnlyToWaitingPosters(t *testing.T) {
+	for _, posters := range []int{1, 2} {
+		n, _ := newTestNode(t, EngineAccelRing, &recordingTransport{}, 16)
+		n.reserved.Store(n.maxPending - n.maxPending/ownShare)
+		done := make(chan bool, posters)
+		for range posters {
+			go func() { done <- n.reserveWait(1) }()
+		}
+		waitBlocked(t, "(*Node).reserveWait", posters)
+		n.reserved.Add(-int64(posters))
+		n.signalRoom()
+		for range posters {
+			select {
+			case ok := <-done:
+				if !ok {
+					t.Fatal("a post waiting for room failed on an open node")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d posters: one signal did not wake them all", posters)
+			}
+		}
+		if left := len(n.room); left != 0 {
+			t.Fatalf("%d posters left %d room signals behind, want 0", posters, left)
+		}
+	}
+}
+
+// waitBlocked waits until k goroutines are blocked in a select inside fn.
+func waitBlocked(t *testing.T, fn string, k int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		blocked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select]:") && strings.Contains(g, fn) {
+				blocked++
+			}
+		}
+		if blocked == k {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines blocked in %s, want %d", blocked, fn, k)
+		}
 	}
 }
 

@@ -84,15 +84,11 @@ func TestRingPaxosChaosSoak(t *testing.T) {
 	}
 	start := func(id ParticipantID) *Node {
 		node, err := Start(Options{
-			ID:                 id,
-			Transport:          net.Endpoint(id),
-			Members:            members,
-			Engine:             EngineRingPaxos,
-			TokenLossTimeout:   200 * time.Millisecond,
-			TokenRetransPeriod: 40 * time.Millisecond,
-			JoinPeriod:         20 * time.Millisecond,
-			ConsensusTimeout:   100 * time.Millisecond,
-			CommitTimeout:      100 * time.Millisecond,
+			ID:               id,
+			Transport:        net.Endpoint(id),
+			Members:          members,
+			Engine:           EngineRingPaxos,
+			TokenLossTimeout: 200 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("Start(%d): %v", id, err)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Prints the size of the repo's public surface, the figures ROADMAP's
 # [user-path] item is judged on: non-test Go lines and main programs
-# outside benchmark/, accelring.Options fields, exported Node methods,
-# exported funcs and methods of internal/client, and flags per main.
+# outside benchmark/, accelring.Options fields and settable values,
+# exported Node methods, exported funcs and methods of internal/client,
+# and flags per main.
 # It reports and never fails on the figures. Run from anywhere:
 #
 #	bash scripts/surface.sh
@@ -16,12 +17,19 @@ programs=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*'
 	xargs -0 grep -lx 'package main' | xargs -n1 dirname | sort -u | wc -l)
 echo "main programs: $programs"
 
-# One field per name: "A, B int" declares two.
-fields=$(awk '/^type Options struct/ {inside=1; next}
-	inside && /^}/ {inside=0}
-	inside && /^\t[A-Z]/ {n += split($0, parts, ",")}
-	END {print n}' accelring.go)
+# fields_of T counts the exported fields of struct T in accelring.go, one
+# per name: "A, B int" declares two.
+fields_of() {
+	awk -v start="^type $1 struct" '$0 ~ start {inside=1; next}
+		inside && /^}/ {inside=0}
+		inside && /^\t[A-Z]/ {n += split($0, parts, ",")}
+		END {print n}' accelring.go
+}
+fields=$(fields_of Options)
 echo "accelring.Options fields: $fields"
+# The values a caller can set count each field of Windows in place of
+# Windows itself.
+echo "accelring.Options settable values: $((fields - 1 + $(fields_of Windows)))"
 
 methods=$(find . -maxdepth 1 -name '*.go' -not -name '*_test.go' -print0 |
 	xargs -0 grep -hoE '^func \([a-z]+ \*Node\) [A-Z][A-Za-z0-9]*' | awk '{print $NF}' | sort)

@@ -47,11 +47,10 @@ func startUDPCluster(t *testing.T, n int, multicastGroup string) []*Node {
 			t.Fatalf("NewUDPTransport(%s): %v", id, err)
 		}
 		node, err := Start(Options{
-			ID:                 id,
-			Transport:          tr,
-			Members:            members,
-			TokenLossTimeout:   300 * time.Millisecond,
-			TokenRetransPeriod: 60 * time.Millisecond,
+			ID:               id,
+			Transport:        tr,
+			Members:          members,
+			TokenLossTimeout: 300 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("Start(%s): %v", id, err)

@@ -33,14 +33,11 @@ func testWatchdogFlagsWedgedLoop(t *testing.T, engine EngineKind) {
 	stalls := make(chan StallReport, 16)
 
 	n1, err := Start(Options{
-		ID:                 1,
-		Transport:          net.Endpoint(1),
-		Members:            members,
-		Engine:             engine,
-		TokenLossTimeout:   200 * time.Millisecond,
-		TokenRetransPeriod: 40 * time.Millisecond,
-		ConsensusTimeout:   100 * time.Millisecond,
-		CommitTimeout:      100 * time.Millisecond,
+		ID:               1,
+		Transport:        net.Endpoint(1),
+		Members:          members,
+		Engine:           engine,
+		TokenLossTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,16 +46,13 @@ func testWatchdogFlagsWedgedLoop(t *testing.T, engine EngineKind) {
 	// Node 2 is the victim: nobody drains its events, so its loop wedges in
 	// deliver() once its Events buffer is full.
 	n2, err := Start(Options{
-		ID:                 2,
-		Transport:          net.Endpoint(2),
-		Members:            members,
-		Engine:             engine,
-		TokenLossTimeout:   200 * time.Millisecond,
-		TokenRetransPeriod: 40 * time.Millisecond,
-		ConsensusTimeout:   100 * time.Millisecond,
-		CommitTimeout:      100 * time.Millisecond,
-		WatchdogInterval:   interval,
-		OnStall:            func(r StallReport) { stalls <- r },
+		ID:               2,
+		Transport:        net.Endpoint(2),
+		Members:          members,
+		Engine:           engine,
+		TokenLossTimeout: 200 * time.Millisecond,
+		WatchdogInterval: interval,
+		OnStall:          func(r StallReport) { stalls <- r },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,15 +147,12 @@ func testWatchdogQuietWhenHealthy(t *testing.T, engine EngineKind) {
 	var nodes []*Node
 	for _, id := range members {
 		n, err := Start(Options{
-			ID:                 id,
-			Transport:          net.Endpoint(id),
-			Members:            members,
-			Engine:             engine,
-			TokenLossTimeout:   200 * time.Millisecond,
-			TokenRetransPeriod: 40 * time.Millisecond,
-			ConsensusTimeout:   100 * time.Millisecond,
-			CommitTimeout:      100 * time.Millisecond,
-			WatchdogInterval:   interval,
+			ID:               id,
+			Transport:        net.Endpoint(id),
+			Members:          members,
+			Engine:           engine,
+			TokenLossTimeout: 200 * time.Millisecond,
+			WatchdogInterval: interval,
 		})
 		if err != nil {
 			t.Fatal(err)
